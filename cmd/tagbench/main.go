@@ -17,9 +17,6 @@
 //	maintain2   incremental pinned-query maintenance: hot
 //	            SubscriptionAnswer reads and O(delta) per-epoch folds
 //	            vs cold full-BSP re-runs of the same queries
-//	engine      the BSP message plane: superstep throughput and
-//	            per-session inbox memory, sharded parallel merge vs the
-//	            serial merge, at 1/4/16 workers
 //	combine     message-plane combiners: Send-time folding vs
 //	            materializing every message on aggregate-heavy queries
 //	            (wall time, merge time, peak inbox bytes, fold counters)
@@ -40,7 +37,7 @@
 //	            tier; `tagscenario -full` for the soak rows)
 //	all         everything above
 //
-// -exp accepts a comma-separated list (e.g. -exp engine,combine); an
+// -exp accepts a comma-separated list (e.g. -exp combine,dist); an
 // unknown name is an error listing the valid experiments. Flags -json
 // <path> writes the structured results of the experiments that ran
 // (QPS, supersteps, bytes, ns/op) as a machine-readable BENCH_*.json
@@ -62,7 +59,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiments, comma-separated: load|tpch|tpcds|memory|distributed|ablation|serve|maintain|maintain2|engine|combine|dist|wal|recover|proto|scenario|all")
+	exp := flag.String("exp", "all", "experiments, comma-separated: load|tpch|tpcds|memory|distributed|ablation|serve|maintain|maintain2|combine|dist|wal|recover|proto|scenario|all")
 	scalesFlag := flag.String("scales", "0.5,1,2", "comma-separated scale factors (stand-ins for SF-30/50/75)")
 	runs := flag.Int("runs", 3, "timed repetitions per query (after one warm-up)")
 	workers := flag.Int("workers", 0, "BSP worker threads (0 = GOMAXPROCS)")
@@ -107,7 +104,6 @@ func main() {
 		{"serve", func() error { return runServe(cfg, *quick, report) }},
 		{"maintain", func() error { return runMaintain(cfg, *quick, report) }},
 		{"maintain2", func() error { return runMaintain2(cfg, *quick, report) }},
-		{"engine", func() error { return runEngine(cfg, *quick, report) }},
 		{"combine", func() error { return runCombine(cfg, *quick, report) }},
 		{"dist", func() error { return runDist(cfg, *quick, report) }},
 		{"wal", func() error { return runWal(cfg, *quick, report) }},
@@ -290,20 +286,6 @@ func runProto(cfg bench.Config, quick bool, report map[string]any) error {
 	}
 	bench.PrintProto(cfg.Out, "tpch", checked, results)
 	report["proto"] = map[string]any{"identity_checked": checked, "results": results}
-	return nil
-}
-
-func runEngine(cfg bench.Config, quick bool, report map[string]any) error {
-	workerCounts := []int{1, 4, 16}
-	if quick {
-		workerCounts = []int{1, 4}
-	}
-	res, err := bench.EngineBench(cfg, "tpch", workerCounts)
-	if err != nil {
-		return err
-	}
-	bench.PrintEngine(cfg.Out, res)
-	report["engine"] = res
 	return nil
 }
 

@@ -42,8 +42,8 @@ func main() {
 	}
 
 	// Build the chosen engine once: the TAG encoding is query-independent,
-	// so the graph and executor are shared by every line of the shell.
-	var ex *core.Executor
+	// so the graph and session are shared by every line of the shell.
+	var ex *core.Session
 	var ref *baseline.Engine
 	switch *engine {
 	case "tag":
@@ -52,7 +52,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		ex = core.NewExecutor(g, bsp.Options{})
+		ex = core.NewSession(g, bsp.Options{})
 	case "refdb":
 		ref = baseline.New(cat)
 	default:

@@ -58,7 +58,7 @@ func main() {
 	fmt.Println("encoded:", g)
 
 	// 3. Run SQL with the TAG-join vertex program (§4-§7).
-	ex := core.NewExecutor(g, bsp.Options{})
+	ex := core.NewSession(g, bsp.Options{})
 	out, err := ex.Query(`
 		SELECT n_name, SUM(o_total) AS revenue
 		FROM nation, customer, orders

@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		_, err = core.NewExecutor(fresh, bsp.Options{Workers: 1}).Query(q)
+		_, err = core.NewSession(fresh, bsp.Options{Workers: 1}).Query(q)
 		return err
 	})
 	fmt.Printf("%-22s %8.0f qps\n", "rebuild per query:",

@@ -85,7 +85,7 @@ func main() {
 		WHERE r.b = s.b AND s.c = t.c AND t.a = r.a`
 
 	for _, theta := range []float64{0, 1, 1e9} {
-		ex := core.NewExecutor(g, bsp.Options{})
+		ex := core.NewSession(g, bsp.Options{})
 		ex.Theta = theta
 		start := time.Now()
 		out, err := ex.Query(triangle)
@@ -122,7 +122,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex := core.NewExecutor(g2, bsp.Options{})
+	ex := core.NewSession(g2, bsp.Options{})
 	out, err := ex.Query(`
 		SELECT label, COUNT(*) AS triangles FROM r, s, t, names
 		WHERE r.b = s.b AND s.c = t.c AND t.a = r.a AND names.id = r.a

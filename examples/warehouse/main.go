@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex := core.NewExecutor(g, bsp.Options{})
+	ex := core.NewSession(g, bsp.Options{})
 	ref := baseline.New(cat)
 
 	queries := []struct{ name, sql string }{

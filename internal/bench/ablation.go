@@ -32,7 +32,7 @@ func AblationTheta(cfg Config, scale float64, thetas []float64) ([]ThetaResult, 
 	q := tpch.ByID("q5")
 	var out []ThetaResult
 	for _, th := range thetas {
-		ex := core.NewExecutor(g, bsp.Options{Workers: cfg.Workers})
+		ex := core.NewSession(g, bsp.Options{Workers: cfg.Workers})
 		ex.ForceCyclePrePass = true // exercise §6.2 even on PK-FK cycles
 		ex.Theta = th
 		start := time.Now()
@@ -80,7 +80,7 @@ func AblationCartesian(cfg Config, scale float64) ([]CartesianResult, error) {
 	}
 	var out []CartesianResult
 	for _, alg := range []string{"A", "B"} {
-		ex := core.NewExecutor(g, bsp.Options{Workers: cfg.Workers})
+		ex := core.NewSession(g, bsp.Options{Workers: cfg.Workers})
 		start := time.Now()
 		var rows int
 		if alg == "A" {
@@ -136,7 +136,7 @@ func AblationAggPath(cfg Config, scale float64) ([]AggPathResult, error) {
 	q := tpch.ByID("q4")
 	var out []AggPathResult
 	for _, force := range []bool{false, true} {
-		ex := core.NewExecutor(g, bsp.Options{Workers: cfg.Workers})
+		ex := core.NewSession(g, bsp.Options{Workers: cfg.Workers})
 		ex.ForceGlobalAgg = force
 		if _, err := ex.Query(q.SQL); err != nil { // warm-up
 			return nil, err
@@ -186,7 +186,7 @@ func AblationWorkers(cfg Config, scale float64, workers []int) ([]WorkerResult, 
 	subset := []string{"q3", "q5", "q10", "q12"}
 	var out []WorkerResult
 	for _, wk := range workers {
-		ex := core.NewExecutor(g, bsp.Options{Workers: wk})
+		ex := core.NewSession(g, bsp.Options{Workers: wk})
 		// Warm-up.
 		for _, id := range subset {
 			if _, err := ex.Query(tpch.ByID(id).SQL); err != nil {

@@ -103,7 +103,7 @@ type Env struct {
 	Scale    float64
 	Cat      *relation.Catalog
 	TAG      *tag.Graph
-	Exec     *core.Executor
+	Exec     *core.Session
 	Row      *baseline.Engine
 	Col      *baseline.Engine
 	Shuffle  *baseline.Engine
@@ -121,7 +121,7 @@ func NewEnv(workload string, scale float64, seed int64, workers int) (*Env, erro
 		Scale:    scale,
 		Cat:      cat,
 		TAG:      g,
-		Exec:     core.NewExecutor(g, bsp.Options{Workers: workers}),
+		Exec:     core.NewSession(g, bsp.Options{Workers: workers}),
 		Row:      baseline.New(cat),
 		Col:      baseline.NewColumnStore(cat),
 		Shuffle:  baseline.NewShuffle(cat, 6),

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/core"
@@ -148,4 +150,31 @@ func PrintCombine(w io.Writer, results []CombineResult) {
 			float64(plain.MergeNsPerOp)/1e6, float64(comb.MergeNsPerOp)/1e6,
 			folded, plain.PeakInboxBytes, comb.PeakInboxBytes, peakRatio)
 	}
+}
+
+// timedCell measures one benchmark cell with the noise controls small
+// cells need: a warm-up call (pools fill, maps size), a GC fence so a
+// previous cell's garbage is not collected on this cell's clock, and
+// an iteration count scaled up until the cell covers ≥~200ms of work
+// (capped at 200 iterations). Returns average ns per call.
+func timedCell(cfg Config, call func()) int64 {
+	call() // warm-up
+	runtime.GC()
+	iters := cfg.Runs
+	probe := time.Now()
+	call()
+	if per := time.Since(probe); per < 50*time.Millisecond && per > 0 {
+		more := int(200 * time.Millisecond / per)
+		if more > 200 {
+			more = 200
+		}
+		if iters < more {
+			iters = more
+		}
+	}
+	start := time.Now()
+	for r := 0; r < iters; r++ {
+		call()
+	}
+	return time.Since(start).Nanoseconds() / int64(iters)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCombinedMatchesUncombinedTPCH is the end-to-end cross-check of
-// Send-time combining, the same way PR 3 cross-checked SerialMerge:
+// Send-time combining, the same way the sharded merge is cross-checked:
 // every TPC-H query under a simulated partitioning must produce
 // byte-identical answers (same rows in the same order) and exactly
 // equal paper-facing cost measures whether the message plane folds

@@ -135,7 +135,7 @@ func concurrencyRunner(mode string, g *tag.Graph, n int) (func(sql string) error
 			if err != nil {
 				return err
 			}
-			ex := core.NewExecutor(fresh, bsp.Options{Workers: 1})
+			ex := core.NewSession(fresh, bsp.Options{Workers: 1})
 			_, err = ex.Query(sql)
 			return err
 		}, nil

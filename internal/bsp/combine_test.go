@@ -34,8 +34,8 @@ func (p *sumProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 
 // TestCombinedMatchesUncombined is the engine-level property test:
 // random graph shapes run the same commutative-payload program with
-// the combiner enabled and disabled, across worker counts, simulated
-// partitionings and serial/sharded merge. The Emit stream, aggregators
+// the combiner enabled and disabled, across worker counts and simulated
+// partitionings. The Emit stream, aggregators
 // and every paper-facing Stats field must be identical; only the
 // combine-plane bookkeeping may differ.
 func TestCombinedMatchesUncombined(t *testing.T) {
@@ -50,9 +50,9 @@ func TestCombinedMatchesUncombined(t *testing.T) {
 			initial = append(initial, v)
 		}
 
-		// Base: uncombined, serial, single worker.
+		// Base: uncombined, single worker (one shard, merged serially).
 		g, lbl := meshGraph(n, k)
-		base := NewEngine(g, Options{Workers: 1, SerialMerge: true, NoCombine: true})
+		base := NewEngine(g, Options{Workers: 1, NoCombine: true})
 		baseStats := base.Run(&sumProgram{lbl: lbl, hops: hops}, initial)
 		baseEmit := append([]any(nil), base.Emitted()...)
 		baseAgg := base.AggInt("visits")
@@ -62,20 +62,18 @@ func TestCombinedMatchesUncombined(t *testing.T) {
 
 		for _, cfg := range []struct {
 			workers, partitions int
-			serial, noCombine   bool
+			noCombine           bool
 		}{
-			{1, 1, false, false},
-			{2, 1, false, false},
-			{8, 1, true, false},
-			{4, 3, false, false},
-			{4, 3, true, false},
-			{4, 3, false, true},
-			{8, 1, false, false},
+			{1, 1, false},
+			{2, 1, false},
+			{4, 3, false},
+			{1, 3, false},
+			{4, 3, true},
+			{8, 1, false},
 		} {
 			g, lbl := meshGraph(n, k)
 			eng := NewEngine(g, Options{
-				Workers: cfg.workers, Partitions: cfg.partitions,
-				SerialMerge: cfg.serial, NoCombine: cfg.noCombine,
+				Workers: cfg.workers, Partitions: cfg.partitions, NoCombine: cfg.noCombine,
 			})
 			stats := eng.Run(&sumProgram{lbl: lbl, hops: hops}, initial)
 			if cfg.partitions == 1 {

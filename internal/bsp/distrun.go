@@ -1,317 +1,19 @@
 package bsp
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 )
 
-// This file is Engine.Run for a distributed node: the engine owns one
-// partition of a multi-node run (Transport.Local() >= 0) and the
-// Transport really carries the cross-partition frames. Every node
-// executes the same superstep structure — master hooks, loop-break
-// decisions, aggregator values and the paper-facing Stats all derive
-// from globally reduced barrier state — so the nodes' transport call
-// sequences stay in lockstep and the distributed answer is
-// byte-identical to the single-process one.
+// This file holds what only a node of a multi-node run (Transport.
+// Local() >= 0) ever does: landing the other nodes' wire records in the
+// local message plane, and ordering the allgathered emit streams. The
+// superstep loop itself is Engine.Run, for every Transport; on Loopback
+// these functions see no frames and no blobs.
 
-// runDist executes prog over this node's partition. The returned Stats
-// are the global (barrier-summed) measures, identical on every node and
-// identical to what a loopback engine reports for the same run.
-func (e *Engine) runDist(prog Program, initial []VertexID) Stats {
-	if e.distErr != nil {
-		// The transport failed earlier; the engine is permanently
-		// degraded and refuses further runs (see RunErr).
-		return Stats{}
-	}
-	before := e.stats
-	e.halted = false
-	e.runErr = nil
-	e.emits = e.emits[:0]
-	e.emitTags = e.emitTags[:0]
-
-	if !e.g.Frozen() {
-		e.g.Freeze()
-	}
-
-	if err := e.opts.Transport.StartRun(); err != nil {
-		e.distErr = err
-		return Stats{}
-	}
-
-	// This node computes only its own partition's share of the initial
-	// active set; the other partitions activate their own shares.
-	active := e.active[:0]
-	for _, v := range initial {
-		if e.opts.PartitionOf(v) == e.localPart {
-			active = append(active, v)
-		}
-	}
-	slices.Sort(active)
-
-	e.comb = nil
-	if !e.opts.NoCombine {
-		if cp, ok := prog.(CombinerProvider); ok {
-			e.comb = cp.Combiner()
-		}
-	}
-	master, hasMaster := prog.(MasterProgram)
-
-	// Tag every emit with (step, vertex) so the end-of-run allgather can
-	// reconstruct the exact single-process emit order.
-	for _, ctx := range e.ctxs {
-		ctx.tagEmits = true
-	}
-	defer func() {
-		for _, ctx := range e.ctxs {
-			ctx.tagEmits = false
-		}
-	}()
-
-	if len(e.ctxs) > 1 {
-		e.startWorkers(prog)
-		defer e.stopWorkers()
-	}
-
-	// Establish the global initial active count: a node whose local
-	// share is empty must still run the supersteps the others run.
-	gb, err := e.opts.Transport.Barrier(BarrierFrame{Step: -1, Active: int64(len(active)), Abort: e.ctxDone()})
-	if err != nil {
-		e.distErr = err
-		e.active = active[:0]
-		return Stats{}
-	}
-	globalActive := gb.Active
-	abort := gb.Abort
-
-	for step := 0; step < e.opts.MaxSupersteps; step++ {
-		// Loop-break decisions read only globally agreed state (master
-		// hooks see the globally summed aggregators), so every node
-		// breaks at the same superstep.
-		if hasMaster && !master.BeforeSuperstep(step, e) {
-			break
-		}
-		if globalActive == 0 || e.halted || abort || e.runErr != nil {
-			break
-		}
-		e.stats.Supersteps++
-		e.stats.ActiveVisits += globalActive
-		clear(e.aggs)
-
-		// Computation stage over the local share.
-		if len(active) > 0 {
-			workers := len(e.ctxs)
-			if workers > len(active) {
-				workers = len(active)
-			}
-			chunk := (len(active) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := min(w*chunk, len(active))
-				hi := min(lo+chunk, len(active))
-				ctx := e.ctxs[w]
-				ctx.step = step
-				if workers == 1 {
-					for _, v := range active {
-						ctx.cur = v
-						prog.Compute(ctx, v, e.inboxOf(v))
-					}
-					break
-				}
-				e.wg.Add(1)
-				e.work[w] <- job{verts: active[lo:hi], ctx: ctx}
-			}
-			e.wg.Wait()
-		}
-
-		// Communication stage: merge the local outboxes (delivering
-		// local messages, recording cross-partition ones), then exchange
-		// frames with the other nodes and deliver what they sent us.
-		if e.opts.SerialMerge || len(e.shards) == 1 {
-			for s := range e.shards {
-				e.mergeShard(s)
-			}
-		} else {
-			for s := range e.shards {
-				e.wg.Add(1)
-				e.work[s] <- job{shard: s, merge: true}
-			}
-			e.wg.Wait()
-		}
-
-		var stepStats Stats
-		if err := e.distExchange(step, &stepStats); err != nil {
-			e.distErr = err
-			break
-		}
-
-		// Barrier: swap planes, gather local outputs, reduce globally.
-		active = active[:0]
-		for s := range e.shards {
-			sh := &e.shards[s]
-			stepStats.Add(sh.stats)
-			sh.stats = Stats{}
-			if sh.err != nil {
-				if e.runErr == nil {
-					e.runErr = sh.err
-				}
-				sh.err = nil
-			}
-			sh.in, sh.next = sh.next, sh.in
-			sh.inKeys, sh.nextKeys = sh.nextKeys, sh.inKeys
-			active = append(active, sh.inKeys...)
-		}
-		if e.baggs == nil {
-			e.baggs = make(map[string]int64)
-		} else {
-			clear(e.baggs)
-		}
-		for _, ctx := range e.ctxs {
-			for k, v := range ctx.aggs {
-				e.baggs[k] += v
-			}
-			clear(ctx.aggs)
-			e.emits = append(e.emits, ctx.emits...)
-			for i := range ctx.emits {
-				ctx.emits[i] = nil
-			}
-			ctx.emits = ctx.emits[:0]
-			e.emitTags = append(e.emitTags, ctx.emitTags...)
-			ctx.emitTags = ctx.emitTags[:0]
-			stepStats.ComputeOps += ctx.ops
-			ctx.ops = 0
-			if ctx.failErr != nil {
-				if e.runErr == nil {
-					e.runErr = ctx.failErr
-				}
-				ctx.failErr = nil
-			}
-			stepStats.Add(ctx.stats)
-			ctx.stats = Stats{}
-		}
-		slices.Sort(active)
-
-		// Supersteps and ActiveVisits are tracked identically on every
-		// node from the global active count; keep them out of the sum.
-		stepStats.Supersteps = 0
-		stepStats.ActiveVisits = 0
-		fail := ""
-		if e.runErr != nil {
-			fail = e.runErr.Error()
-		}
-		gb, err := e.opts.Transport.Barrier(BarrierFrame{
-			Step:   step,
-			Active: int64(len(active)),
-			Abort:  e.ctxDone(),
-			Fail:   fail,
-			Aggs:   e.baggs,
-			Stats:  stepStats,
-		})
-		if err != nil {
-			e.distErr = err
-			break
-		}
-		e.stats.Add(gb.Stats)
-		clear(e.aggs)
-		for k, v := range gb.Aggs {
-			e.aggs[k] = v
-		}
-		globalActive = gb.Active
-		abort = gb.Abort
-		// Every node adopts the globally agreed first failure so the
-		// run's outcome is identical everywhere.
-		if gb.Fail != "" && (e.runErr == nil || e.runErr.Error() != gb.Fail) {
-			e.runErr = errors.New(gb.Fail)
-		}
-	}
-
-	// Same end-of-run pooling discipline as the single-process Run.
-	budget := int64(maxPooledBytes / len(e.shards))
-	for s := range e.shards {
-		sh := &e.shards[s]
-		sh.recycleIn()
-		sh.trimFree(budget)
-		if int64(cap(sh.pendKeys))*accBytes > budget {
-			sh.accIdx, sh.pend, sh.pendKeys = nil, nil, nil
-		}
-	}
-	for _, ctx := range e.ctxs {
-		for s := range ctx.acc {
-			ctx.acc[s].trim(budget)
-		}
-	}
-	for i := range e.wireStreams {
-		ps := &e.wireStreams[i]
-		if int64(cap(ps.recs))*accBytes > budget {
-			ps.recs = nil
-		}
-	}
-	e.active = active
-
-	// Emit allgather: every node ships its tagged emit stream and
-	// reconstructs the global order — a stable sort by (step, vertex)
-	// of the concatenated streams is exactly the order a single-process
-	// run emits in.
-	if e.distErr == nil {
-		blob, err := appendEmits(nil, e.emitTags, e.emits, e.opts.Codec)
-		if err != nil {
-			if e.runErr == nil {
-				e.runErr = err
-			}
-			blob, _ = appendEmits(nil, nil, nil, e.opts.Codec)
-		}
-		blobs, err := e.opts.Transport.FinishRun(blob)
-		if err != nil {
-			e.distErr = err
-		} else {
-			e.emits = e.emits[:0]
-			e.emitTags = e.emitTags[:0]
-			for _, b := range blobs {
-				if e.emitTags, e.emits, err = decodeEmits(b, e.emitTags, e.emits, e.opts.Codec); err != nil {
-					if e.runErr == nil {
-						e.runErr = err
-					}
-					break
-				}
-			}
-			sortEmitsByTag(e.emitTags, e.emits)
-		}
-	}
-
-	return e.stats.Sub(before)
-}
-
-// distExchange runs the distributed exchange stage on the Run goroutine
-// after the merge barrier: record the cross-partition fold streams,
-// seal and price this node's outgoing frames, swap frames with the
-// other nodes, and deliver the remote records into the local planes.
-func (e *Engine) distExchange(step int, stepStats *Stats) error {
-	local := e.localPart
-	if e.comb != nil {
-		for s := range e.shards {
-			e.recordPendDist(&e.shards[s])
-		}
-	}
-	// Seal this node's outgoing frames — empty ones included, the
-	// synchronization frame crosses the wire every superstep — and
-	// price them. The other nodes price their own outgoing frames; the
-	// barrier sums the shares into the same totals the loopback engine
-	// counts for all pairs at once.
-	e.frames = e.frames[:0]
-	for dst := 0; dst < e.opts.Partitions; dst++ {
-		if dst == local {
-			continue
-		}
-		ps := e.stream(local, dst)
-		payload := sealRecords(step, ps.recs)
-		stepStats.NetworkMessages += int64(len(ps.recs))
-		stepStats.NetworkBytes += int64(frameHeaderBytes + len(payload))
-		e.frames = append(e.frames, Frame{Src: local, Dst: dst, Payload: payload})
-		ps.reset()
-	}
-	in, err := e.opts.Transport.Exchange(step, e.frames)
-	if err != nil {
-		return err
-	}
+// deliverFrames lands the frames the Transport returned in the local
+// planes and delivers the fold streams that were waiting on them.
+func (e *Engine) deliverFrames(step int, in []Frame) error {
 	e.touched = e.touched[:0]
 	for i := range in {
 		if err := decodeRecords(in[i].Payload, step, e.opts.Codec, e.deliverRemote); err != nil {
@@ -339,49 +41,12 @@ func (e *Engine) distExchange(step int, stepStats *Stats) error {
 	return nil
 }
 
-// recordPendDist is the distributed counterpart of recordPend: encode
-// the remote-destined fold streams into this node's outgoing pair
-// streams and compact the pending table down to local deliveries. The
-// receiving node Merges the shipped accumulators into its own pending
-// table (deliverRemote), mirroring the loopback re-merge.
-func (e *Engine) recordPendDist(sh *mergeShard) {
-	out := 0
-	for i := range sh.pend {
-		k := sh.pendKeys[i]
-		dstP := e.opts.PartitionOf(k.to)
-		if dstP != e.localPart {
-			p := &sh.pend[i]
-			enc, err := e.opts.Codec.Append(sh.encBuf[:0], p.pay)
-			if err != nil {
-				if sh.err == nil {
-					sh.err = err
-				}
-			} else {
-				sh.encBuf = enc
-				e.stream(int(k.src), dstP).add(p.from, k.slot, enc, k.to, p.count)
-			}
-			sh.pend[i] = accEntry{}
-			delete(sh.accIdx, k)
-			continue
-		}
-		if out != i {
-			sh.accIdx[k] = int32(out)
-			sh.pend[out] = sh.pend[i]
-			sh.pendKeys[out] = k
-			sh.pend[i] = accEntry{}
-		}
-		out++
-	}
-	sh.pend = sh.pend[:out]
-	sh.pendKeys = sh.pendKeys[:out]
-}
-
 // deliverRemote lands one remote wire record in the local message
 // plane: plain records (slot < 0) expand into inbox messages, combined
 // records Merge into the pending fold table exactly as the loopback
 // re-merge would.
 func (e *Engine) deliverRemote(from VertexID, slot int32, pay any, to VertexID, count int32) error {
-	if e.opts.PartitionOf(to) != e.localPart {
+	if !e.owns(to) {
 		return fmt.Errorf("bsp: remote record for vertex %d not owned by partition %d", to, e.localPart)
 	}
 	sh := &e.shards[e.shardOf(to)]
@@ -401,14 +66,12 @@ func (e *Engine) deliverRemote(from VertexID, slot int32, pay any, to VertexID, 
 	if e.comb == nil {
 		return fmt.Errorf("bsp: combined wire record for vertex %d but no combiner is running", to)
 	}
-	k := accKey{to: to, slot: slot, src: int32(e.localPart)}
+	k := accKey{to: to, slot: slot, src: -1}
 	if j, ok := sh.accIdx[k]; ok {
 		tgt := &sh.pend[j]
 		tgt.pay = e.comb.Merge(tgt.pay, pay)
 		tgt.count += count
-		if from < tgt.from {
-			tgt.from = from
-		}
+		tgt.from = min(tgt.from, from)
 		sh.stats.MessagesCombined++
 		sh.stats.InboxBytesSaved += msgBytes
 	} else {
@@ -420,6 +83,43 @@ func (e *Engine) deliverRemote(from VertexID, slot int32, pay any, to VertexID, 
 		sh.pendKeys = append(sh.pendKeys, k)
 	}
 	return nil
+}
+
+// gatherEmits ends the run on the Transport. A node ships its tagged
+// emit stream and reconstructs the global order from everyone's: a
+// stable sort by (step, vertex) of the concatenated streams is exactly
+// the order a single-process run emits in. Loopback already holds that
+// order, so nothing is encoded and nothing comes back.
+func (e *Engine) gatherEmits() {
+	var blob []byte
+	if e.localPart >= 0 {
+		var err error
+		if blob, err = appendEmits(nil, e.emitTags, e.emits, e.opts.Codec); err != nil {
+			if e.runErr == nil {
+				e.runErr = err
+			}
+			blob, _ = appendEmits(nil, nil, nil, e.opts.Codec)
+		}
+	}
+	blobs, err := e.opts.Transport.FinishRun(blob)
+	if err != nil {
+		e.distErr = err
+		return
+	}
+	if len(blobs) == 0 {
+		return
+	}
+	e.emits = e.emits[:0]
+	e.emitTags = e.emitTags[:0]
+	for _, b := range blobs {
+		if e.emitTags, e.emits, err = decodeEmits(b, e.emitTags, e.emits, e.opts.Codec); err != nil {
+			if e.runErr == nil {
+				e.runErr = err
+			}
+			break
+		}
+	}
+	sortEmitsByTag(e.emitTags, e.emits)
 }
 
 // sortEmitsByTag stable-sorts the parallel tag/value slices by

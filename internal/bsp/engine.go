@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -200,24 +201,19 @@ type Options struct {
 	// payload. Network bytes are not estimated: at Partitions > 1 they
 	// are counted from the actual encoded wire frames.
 	PayloadSize func(any) int
-	// Transport carries the sealed cross-partition frames. Defaults to
-	// Loopback(Partitions) when Partitions > 1: the single-process
-	// simulation, where frames are priced and dropped while delivery
-	// stays in memory. A transport whose Local() >= 0 puts the engine in
-	// distributed mode: it computes only its own partition's vertices,
-	// really exchanges the frames, and synchronizes barriers and emitted
-	// values with the other nodes.
+	// Transport is the seam every Run goes through: it carries the sealed
+	// cross-partition frames, reduces each superstep's barrier frame and
+	// gathers the emitted values. Defaults to Loopback(Partitions), which
+	// owns every partition in-process: frames are priced and dropped
+	// while delivery stays in memory, and the barrier is the identity. A
+	// transport whose Local() >= 0 makes the engine one node of a
+	// multi-node run: it computes only its own partition's vertices and
+	// really exchanges frames, barriers and emits with the other nodes.
 	Transport Transport
 	// Codec encodes message payloads for the wire records; defaults to
 	// BasicCodec. Layers with richer payload vocabularies must install
 	// their own codec or cross-partition runs fail with a typed error.
 	Codec PayloadCodec
-	// SerialMerge runs the communication stage on a single goroutine
-	// (the pre-sharding engine behavior). Delivery order, Emit output
-	// and every Stats field are identical either way — the flag exists
-	// so benchmarks and cross-check tests can compare the serial and
-	// sharded message planes.
-	SerialMerge bool
 	// NoCombine disables Send-time message folding even when the
 	// program declares a Combiner. Rows, Emit output and the
 	// paper-facing Stats (compare with Stats.Paper) are identical
@@ -230,7 +226,9 @@ type Options struct {
 	// sends): a program whose destinations rarely collide pays the
 	// accumulator plane's hashing without its savings. Fallbacks are
 	// counted in Stats.CombineFallbacks. Rows, Emit output and the
-	// paper-facing Stats stay identical either way. Off by default.
+	// paper-facing Stats stay identical either way, and because the
+	// sampled counts are the barrier-reduced ones, every node of a
+	// distributed run drops at the same superstep. Off by default.
 	AdaptiveCombine bool
 	// Profile collects message-plane profiling: the peak resident
 	// inbox bytes observed at any barrier (Engine.PeakInboxBytes) and
@@ -260,13 +258,8 @@ func (o Options) withDefaults() Options {
 	if o.Codec == nil {
 		o.Codec = BasicCodec{}
 	}
-	if o.Transport == nil && o.Partitions > 1 {
+	if o.Transport == nil {
 		o.Transport = Loopback(o.Partitions)
-	}
-	if o.Transport != nil && o.Transport.Local() >= 0 {
-		// Distributed nodes must make identical combine decisions; the
-		// adaptive gate samples local fold rates, so it stays off.
-		o.AdaptiveCombine = false
 	}
 	return o
 }
@@ -538,8 +531,9 @@ type Engine struct {
 	emits  []any
 	halted bool
 
-	// localPart is the partition this engine owns in a distributed run,
-	// -1 when the engine owns every partition (single-process, loopback).
+	// localPart caches Transport.Local(): the partition this engine owns
+	// as one node of a multi-node run, -1 when it owns every partition
+	// (loopback).
 	localPart int
 	// wireStreams holds the per-(src, dst) partition-pair wire-record
 	// streams of the current superstep, indexed src*Partitions+dst; nil
@@ -549,20 +543,20 @@ type Engine struct {
 	// frames is the per-superstep sealed-frame scratch handed to the
 	// Transport.
 	frames []Frame
-	// emitTags parallels emits with (step, vertex) tags in distributed
-	// mode, so the nodes' emit streams can be allgathered back into the
+	// emitTags parallels emits with (step, vertex) tags when localPart
+	// >= 0, so the nodes' emit streams can be allgathered back into the
 	// exact single-process order.
 	emitTags []emitTag
-	// baggs is the local aggregator scratch a distributed barrier sends.
+	// baggs is the local aggregator scratch a barrier frame carries.
 	baggs map[string]int64
-	// runErr is the first Context.Fail error of the current Run (in a
-	// distributed run, the globally agreed first); reset per Run.
+	// runErr is the first Context.Fail error of the current Run (the
+	// globally agreed first, as reduced at the barrier); reset per Run.
 	runErr error
-	// distErr latches a transport failure: the distributed engine is
-	// permanently failed and every subsequent Run refuses immediately.
+	// distErr latches a transport failure: the engine is permanently
+	// failed and every subsequent Run refuses immediately.
 	distErr error
 	// touched lists inboxes that received remote records this superstep
-	// and need their delivery order restored (distributed mode only).
+	// and need their delivery order restored.
 	touched []VertexID
 
 	// Profiling (Options.Profile): peak resident inbox bytes observed
@@ -618,10 +612,8 @@ func NewEngine(g *Graph, opts Options) *Engine {
 		shards:    make([]mergeShard, opts.Workers),
 		ctxs:      make([]*Context, opts.Workers),
 		aggs:      make(map[string]int64),
-		localPart: -1,
-	}
-	if opts.Transport != nil {
-		e.localPart = opts.Transport.Local()
+		baggs:     make(map[string]int64),
+		localPart: opts.Transport.Local(),
 	}
 	if opts.Partitions > 1 {
 		e.wireStreams = make([]pairStream, opts.Partitions*opts.Partitions)
@@ -636,9 +628,18 @@ func NewEngine(g *Graph, opts Options) *Engine {
 			out:  make([][]outMsg, opts.Workers),
 			acc:  make([]ctxAcc, opts.Workers),
 			aggs: make(map[string]int64),
+			// Tag emits only where an allgather will need to order them.
+			tagEmits: e.localPart >= 0,
 		}
 	}
 	return e
+}
+
+// owns reports whether this engine computes vertex v: always on
+// loopback, only for the local partition's vertices on a multi-node
+// transport.
+func (e *Engine) owns(v VertexID) bool {
+	return e.localPart < 0 || e.opts.PartitionOf(v) == e.localPart
 }
 
 // stream returns the wire-record stream for the ordered partition pair
@@ -815,14 +816,26 @@ func (e *Engine) MergeDuration() time.Duration { return time.Duration(e.mergeNs)
 // Run executes prog starting from the initial active set until no vertex
 // is active, the master halts, or MaxSupersteps is reached. It returns the
 // stats for this run only (engine totals keep accumulating).
+//
+// This is the engine's one superstep loop, for every Transport. It
+// touches the Transport at four seam points — the owned share of the
+// initial set, the frame exchange, the barrier reduction and the
+// end-of-run emit gather — and every loop-control decision (active
+// count, abort, failure, the aggregators a master hook reads) comes out
+// of the reduced barrier frame. On Loopback the reduction is the
+// identity; on a multi-node transport it is what keeps the nodes in
+// lockstep, so their Stats and Emitted() equal the loopback engine's.
 func (e *Engine) Run(prog Program, initial []VertexID) Stats {
-	if e.localPart >= 0 {
-		return e.runDist(prog, initial)
+	if e.distErr != nil {
+		// The transport failed earlier; the engine is permanently
+		// degraded and refuses further runs (see RunErr).
+		return Stats{}
 	}
 	before := e.stats
 	e.halted = false
 	e.runErr = nil
 	e.emits = e.emits[:0]
+	e.emitTags = e.emitTags[:0]
 
 	// The graph may have grown since the engine was created (incremental
 	// TAG maintenance adds vertices); the sparse inbox maps absorb new
@@ -831,7 +844,18 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 		e.g.Freeze()
 	}
 
+	tr := e.opts.Transport
+	if err := tr.StartRun(); err != nil {
+		e.distErr = err
+		return Stats{}
+	}
+
+	// Seam 1: this engine activates only the vertices it owns; the other
+	// nodes activate their own shares.
 	active := append(e.active[:0], initial...)
+	if e.localPart >= 0 {
+		active = slices.DeleteFunc(active, func(v VertexID) bool { return !e.owns(v) })
+	}
 	slices.Sort(active)
 
 	e.comb = nil
@@ -842,6 +866,15 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 	}
 
 	master, hasMaster := prog.(MasterProgram)
+
+	// Establish the global active count and abort flag: a node whose own
+	// share is empty must still run the supersteps the others run.
+	gb, err := tr.Barrier(BarrierFrame{Step: -1, Active: int64(len(active)), Abort: e.ctxDone()})
+	if err != nil {
+		e.distErr = err
+		e.active = active[:0]
+		return Stats{}
+	}
 
 	// Multi-worker engines run their supersteps through a persistent
 	// worker pool spawned once here and kept alive across barriers:
@@ -854,63 +887,55 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 	}
 
 	for step := 0; step < e.opts.MaxSupersteps; step++ {
+		// Loop-break decisions read only barrier-reduced state (master
+		// hooks see the reduced aggregators), so every node breaks at the
+		// same superstep.
 		if hasMaster && !master.BeforeSuperstep(step, e) {
 			break
 		}
-		if len(active) == 0 || e.halted {
-			break
-		}
-		// Cancellation point: breaking here is clean — the previous
-		// superstep's merge fully drained every outbox, so the cleanup
-		// below leaves the pooled planes consistent for the next Run.
-		if e.ctxDone() {
+		// gb.Abort is the cancellation point: breaking here is clean — the
+		// previous superstep's merge fully drained every outbox, so the
+		// cleanup below leaves the pooled planes consistent for the next
+		// Run.
+		if gb.Active == 0 || e.halted || gb.Abort {
 			break
 		}
 		e.stats.Supersteps++
-		e.stats.ActiveVisits += int64(len(active))
+		e.stats.ActiveVisits += gb.Active
 
-		// Aggregator values from superstep S are visible during S+1 and at
-		// the following barrier; clear them only now that the previous
-		// barrier (and master hook) has consumed them.
-		clear(e.aggs)
-
-		// Computation stage: shard active vertices over the pooled worker
-		// contexts.
-		workers := len(e.ctxs)
-		if workers > len(active) {
-			workers = len(active)
-		}
-		chunk := (len(active) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := min(w*chunk, len(active))
-			hi := min(lo+chunk, len(active))
-			ctx := e.ctxs[w]
-			ctx.step = step
-			if workers == 1 {
-				for _, v := range active {
-					ctx.cur = v
-					prog.Compute(ctx, v, e.inboxOf(v))
+		// Computation stage: shard the owned active vertices over the
+		// pooled worker contexts (none, when only other nodes are active).
+		if workers := min(len(e.ctxs), len(active)); workers > 0 {
+			chunk := (len(active) + workers - 1) / workers
+			for w := 0; w < workers; w++ {
+				lo := min(w*chunk, len(active))
+				hi := min(lo+chunk, len(active))
+				ctx := e.ctxs[w]
+				ctx.step = step
+				if workers == 1 {
+					for _, v := range active {
+						ctx.cur = v
+						prog.Compute(ctx, v, e.inboxOf(v))
+					}
+					break
 				}
-				break
+				e.wg.Add(1)
+				e.work[w] <- job{verts: active[lo:hi], ctx: ctx}
 			}
-			e.wg.Add(1)
-			e.work[w] <- job{verts: active[lo:hi], ctx: ctx}
+			e.wg.Wait()
 		}
-		e.wg.Wait()
 
 		// Communication stage: the same worker pool merges the sharded
 		// outboxes, worker w writing only shard w. Delivery into any one
-		// vertex's inbox happens in (worker, send) order — exactly the
-		// serial merge's order — so the stage is deterministic no matter
+		// vertex's inbox happens in (worker, send) order — what a single
+		// shard's merge produces — so the stage is deterministic no matter
 		// how many goroutines run it.
 		var mergeStart time.Time
 		if e.opts.Profile {
 			mergeStart = time.Now()
 		}
-		if e.opts.SerialMerge || len(e.shards) == 1 {
-			for s := range e.shards {
-				e.mergeShard(s)
-			}
+		if len(e.shards) == 1 {
+			e.mergeShard(0)
 		} else {
 			for s := range e.shards {
 				e.wg.Add(1)
@@ -925,11 +950,12 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 			}
 		}
 
-		// Seal this superstep's pair streams into frames, price them and
-		// hand them to the Transport — the loopback simulation and the
-		// real wire share this one accounting path.
-		if e.opts.Partitions > 1 {
-			e.sealAndExchange(step)
+		// Seam 2: seal and price the pair streams this engine owns, swap
+		// frames with the other nodes and deliver what they sent.
+		bf := BarrierFrame{Step: step, Aggs: e.baggs}
+		if err := e.exchange(step, &bf.Stats); err != nil {
+			e.distErr = err
+			break
 		}
 
 		// Barrier: fold per-shard accounting, swap the message planes,
@@ -937,7 +963,7 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 		active = active[:0]
 		for s := range e.shards {
 			sh := &e.shards[s]
-			e.stats.Add(sh.stats)
+			bf.Stats.Add(sh.stats)
 			sh.stats = Stats{}
 			if sh.err != nil {
 				if e.runErr == nil {
@@ -950,17 +976,18 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 			active = append(active, sh.inKeys...)
 		}
 		// Per-worker outputs, in deterministic worker order.
+		clear(e.baggs)
 		for _, ctx := range e.ctxs {
 			for k, v := range ctx.aggs {
-				e.aggs[k] += v
+				e.baggs[k] += v
 			}
 			clear(ctx.aggs)
 			e.emits = append(e.emits, ctx.emits...)
-			for i := range ctx.emits {
-				ctx.emits[i] = nil
-			}
+			clear(ctx.emits)
 			ctx.emits = ctx.emits[:0]
-			e.stats.ComputeOps += ctx.ops
+			e.emitTags = append(e.emitTags, ctx.emitTags...)
+			ctx.emitTags = ctx.emitTags[:0]
+			bf.Stats.ComputeOps += ctx.ops
 			ctx.ops = 0
 			if ctx.failErr != nil {
 				if e.runErr == nil {
@@ -970,10 +997,33 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 			}
 			// Send-time accounting of combined sends (uncombined sends
 			// are accounted by the shard merge).
-			e.stats.Add(ctx.stats)
+			bf.Stats.Add(ctx.stats)
 			ctx.stats = Stats{}
 		}
 		slices.Sort(active)
+
+		// Seam 3: reduce the local frame and adopt the global one. The
+		// aggregators of superstep S stay readable through S+1's master
+		// hook, until the next barrier replaces them.
+		bf.Active = int64(len(active))
+		bf.Abort = e.ctxDone()
+		if e.runErr != nil {
+			bf.Fail = e.runErr.Error()
+		}
+		if gb, err = tr.Barrier(bf); err != nil {
+			e.distErr = err
+			break
+		}
+		e.stats.Add(gb.Stats)
+		clear(e.aggs)
+		for k, v := range gb.Aggs {
+			e.aggs[k] = v
+		}
+		// Every node adopts the globally agreed first failure so the
+		// run's outcome is identical everywhere.
+		if gb.Fail != "" && (e.runErr == nil || e.runErr.Error() != gb.Fail) {
+			e.runErr = errors.New(gb.Fail)
+		}
 		if e.runErr != nil {
 			break
 		}
@@ -1019,8 +1069,16 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 		if int64(cap(ps.recs))*accBytes > budget {
 			ps.recs = nil
 		}
+		if int64(cap(ps.sealed)) > budget {
+			ps.sealed = nil
+		}
 	}
 	e.active = active
+
+	// Seam 4: gather the nodes' emits into the global order.
+	if e.distErr == nil {
+		e.gatherEmits()
+	}
 
 	return e.stats.Sub(before)
 }
@@ -1028,7 +1086,7 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 // RunErr reports the first failure of the most recent Run: a
 // Context.Fail from a vertex program, a codec error on a
 // cross-partition payload — or, sticky across Runs, a transport
-// failure that has permanently degraded a distributed engine.
+// failure that has permanently degraded the engine.
 func (e *Engine) RunErr() error {
 	if e.distErr != nil {
 		return e.distErr
@@ -1037,39 +1095,46 @@ func (e *Engine) RunErr() error {
 }
 
 // DistErr reports the sticky transport failure that has permanently
-// degraded this distributed engine, or nil while the transport is
-// healthy. A program failure (Context.Fail, codec error) never sets
-// it — those engines stay usable for the next Run. Orchestration
+// degraded this engine, or nil while the transport is healthy (always,
+// on Loopback). A program failure (Context.Fail, codec error) never
+// sets it — those engines stay usable for the next Run. Orchestration
 // layers use it to tell "this query failed" from "this node can no
 // longer participate in the topology".
 func (e *Engine) DistErr() error { return e.distErr }
 
-// sealAndExchange seals every ordered partition pair's stream of the
-// superstep into one frame (empty streams included — the
-// synchronization frame crosses the wire every superstep), prices the
-// sealed bytes into the network accounting, and hands the frames to
-// the Transport. Loopback drops them: delivery already happened
-// in-process; the frames existed to be priced. Runs on the Run
-// goroutine, after the merge barrier.
-func (e *Engine) sealAndExchange(step int) {
+// exchange seals the superstep's stream of every ordered partition pair
+// whose source this engine owns into one frame (empty streams included —
+// the synchronization frame crosses the wire every superstep), prices
+// the sealed bytes into stepStats, hands the frames to the Transport
+// and delivers the frames that come back. Loopback owns every source,
+// so it prices all pairs at once, and returns nothing: delivery already
+// happened in-process, the frames existed to be priced. A node prices
+// its own outgoing frames and the barrier sums the nodes' shares into
+// the same totals. Runs on the Run goroutine, after the merge barrier.
+func (e *Engine) exchange(step int, stepStats *Stats) error {
 	p := e.opts.Partitions
 	e.frames = e.frames[:0]
 	for src := 0; src < p; src++ {
+		if e.localPart >= 0 && src != e.localPart {
+			continue
+		}
 		for dst := 0; dst < p; dst++ {
 			if src == dst {
 				continue
 			}
 			ps := e.stream(src, dst)
-			payload := sealRecords(step, ps.recs)
-			e.stats.NetworkMessages += int64(len(ps.recs))
-			e.stats.NetworkBytes += int64(frameHeaderBytes + len(payload))
-			e.frames = append(e.frames, Frame{Src: src, Dst: dst, Payload: payload})
+			ps.sealed = sealRecords(ps.sealed[:0], step, ps.recs)
+			stepStats.NetworkMessages += int64(len(ps.recs))
+			stepStats.NetworkBytes += int64(frameHeaderBytes + len(ps.sealed))
+			e.frames = append(e.frames, Frame{Src: src, Dst: dst, Payload: ps.sealed})
 			ps.reset()
 		}
 	}
-	if _, err := e.opts.Transport.Exchange(step, e.frames); err != nil && e.runErr == nil {
-		e.runErr = err
+	in, err := e.opts.Transport.Exchange(step, e.frames)
+	if err != nil {
+		return err
 	}
+	return e.deliverFrames(step, in)
 }
 
 // mergeShard runs the communication stage for one shard: recycle the
@@ -1084,7 +1149,6 @@ func (e *Engine) mergeShard(s int) {
 	sh := &e.shards[s]
 	sh.recycleIn()
 	partitions := e.opts.Partitions
-	local := e.localPart
 	for _, ctx := range e.ctxs {
 		msgs := ctx.out[s]
 		for i := range msgs {
@@ -1095,19 +1159,11 @@ func (e *Engine) mergeShard(s int) {
 			if partitions > 1 {
 				srcP, dstP := e.opts.PartitionOf(m.from), e.opts.PartitionOf(m.to)
 				if srcP != dstP {
-					enc, err := e.opts.Codec.Append(sh.encBuf[:0], m.payload)
-					if err != nil {
-						if sh.err == nil {
-							sh.err = err
-						}
-					} else {
-						sh.encBuf = enc
-						e.stream(srcP, dstP).add(m.from, -1, enc, m.to, 1)
-					}
+					e.record(sh, srcP, dstP, m.from, -1, m.payload, m.to, 1)
 				}
-				// A distributed node delivers only its own partition's
-				// messages locally; the rest exist as wire records.
-				deliver = local < 0 || dstP == local
+				// A node delivers only its own partition's messages
+				// locally; the rest exist as wire records.
+				deliver = e.localPart < 0 || dstP == e.localPart
 			}
 			if deliver {
 				buf, ok := sh.next[m.to]
@@ -1123,16 +1179,31 @@ func (e *Engine) mergeShard(s int) {
 	}
 	if e.comb != nil {
 		e.foldAccs(s, sh)
-		if local >= 0 {
-			// Distributed: the exchange stage records, ships and merges
-			// remote accumulators before flushPend delivers.
-			return
-		}
 		if partitions > 1 {
 			e.recordPend(sh)
 		}
-		e.flushPend(sh)
+		// Loopback has every source partition's accumulators in hand. A
+		// node flushes after the exchange instead (deliverFrames), once
+		// the other nodes' accumulators have merged in.
+		if e.localPart < 0 {
+			e.flushPend(sh)
+		}
 	}
+}
+
+// record encodes one cross-partition send into its (src, dst) pair
+// stream. A payload the codec cannot encode fails the run through
+// sh.err; the send is still delivered wherever it is local.
+func (e *Engine) record(sh *mergeShard, srcP, dstP int, from VertexID, slot int32, pay any, to VertexID, count int32) {
+	enc, err := e.opts.Codec.Append(sh.encBuf[:0], pay)
+	if err != nil {
+		if sh.err == nil {
+			sh.err = err
+		}
+		return
+	}
+	sh.encBuf = enc
+	e.stream(srcP, dstP).add(from, slot, enc, to, count)
 }
 
 // foldAccs is the first half of the combined plane's communication
@@ -1171,63 +1242,46 @@ func (e *Engine) foldAccs(s int, sh *mergeShard) {
 	}
 }
 
-// recordPend runs between fold and flush on a loopback (single-process,
-// Partitions > 1) engine: every cross-partition fold stream is encoded
-// into its (src, dst) pair stream — one record carrying the folded
-// accumulator, exactly what a real node ships — and then streams for
-// the same (destination, slot) from different source partitions are
-// re-merged so delivery matches the single-partition engine. The same
-// Merge calls happen on a real receiving node when remote records
-// arrive, so the fold trees agree.
+// recordPend runs between fold and flush at Partitions > 1: every
+// cross-partition fold stream is encoded into its (src, dst) pair stream
+// — one record carrying the folded accumulator — and the pending table
+// is compacted down to what this engine delivers itself, re-keyed by
+// (destination, slot). On loopback that re-merges streams split by
+// source partition, keeping the first-seen entry and Merging later ones
+// in, so the per-(to, slot) fold count comes out the same as the
+// single-partition engine's. A node instead drops the streams it just
+// shipped; the owner makes the same Merge calls when the records arrive
+// (deliverRemote), so the fold trees agree.
 func (e *Engine) recordPend(sh *mergeShard) {
-	for i := range sh.pend {
-		k := sh.pendKeys[i]
-		dstP := e.opts.PartitionOf(k.to)
-		if int(k.src) == dstP {
-			continue
-		}
-		p := &sh.pend[i]
-		enc, err := e.opts.Codec.Append(sh.encBuf[:0], p.pay)
-		if err != nil {
-			if sh.err == nil {
-				sh.err = err
-			}
-			continue
-		}
-		sh.encBuf = enc
-		e.stream(int(k.src), dstP).add(p.from, k.slot, enc, k.to, p.count)
-	}
-	// Re-merge streams split by source partition: keep the first-seen
-	// entry per (destination, slot), Merge later ones in, preserving
-	// first-seen order — the per-(to, slot) fold count comes out the
-	// same as the single-partition engine's.
 	if len(sh.accIdx) > 0 {
 		clear(sh.accIdx)
 	}
 	out := 0
 	for i := range sh.pend {
 		k := sh.pendKeys[i]
+		p := sh.pend[i]
+		sh.pend[i] = accEntry{}
+		if dstP := e.opts.PartitionOf(k.to); int(k.src) != dstP {
+			e.record(sh, int(k.src), dstP, p.from, k.slot, p.pay, k.to, p.count)
+		}
+		if !e.owns(k.to) {
+			continue
+		}
 		k.src = -1
 		if j, ok := sh.accIdx[k]; ok {
 			tgt := &sh.pend[j]
-			tgt.pay = e.comb.Merge(tgt.pay, sh.pend[i].pay)
-			tgt.count += sh.pend[i].count
-			if sh.pend[i].from < tgt.from {
-				tgt.from = sh.pend[i].from
-			}
+			tgt.pay = e.comb.Merge(tgt.pay, p.pay)
+			tgt.count += p.count
+			tgt.from = min(tgt.from, p.from)
 			sh.stats.MessagesCombined++
 			sh.stats.InboxBytesSaved += msgBytes
-			sh.pend[i] = accEntry{}
 			continue
 		}
 		if sh.accIdx == nil {
 			sh.accIdx = make(map[accKey]int32)
 		}
 		sh.accIdx[k] = int32(out)
-		if out != i {
-			sh.pend[out] = sh.pend[i]
-			sh.pend[i] = accEntry{}
-		}
+		sh.pend[out] = p
 		sh.pendKeys[out] = k
 		out++
 	}

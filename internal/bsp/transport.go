@@ -6,20 +6,23 @@ import (
 	"math"
 )
 
-// This file is the engine's communication seam. At Partitions > 1 the
-// post-barrier shard merge no longer just counts cross-partition sends:
-// it builds the actual wire records — already combined (one folded
-// accumulator per fold stream) and already deduped (identical
-// consecutive payloads from one sender fan out through a dest list
-// instead of repeating) — seals them into one frame per ordered
-// partition pair per superstep, accounts NetworkBytes/NetworkMessages
-// from the sealed bytes, and hands the frames to a pluggable Transport.
+// This file is the engine's communication seam: the Transport every
+// Engine.Run goes through, and the wire format it carries. At
+// Partitions > 1 the post-barrier shard merge does not just count
+// cross-partition sends: it builds the actual wire records — already
+// combined (one folded accumulator per fold stream) and already deduped
+// (identical consecutive payloads from one sender fan out through a
+// dest list instead of repeating) — seals them into one frame per
+// ordered partition pair per superstep, accounts NetworkBytes/
+// NetworkMessages from the sealed bytes, and hands the frames to a
+// pluggable Transport.
 //
-// Two transports exist: Loopback (the single-process cluster
-// simulation — frames are costed and dropped, delivery stays
-// in-process) and internal/dist's TCP transport (frames are written to
-// sockets verbatim). Because both run the same build/seal/count path,
-// the simulated Stats.NetworkBytes and the measured bytes-on-wire are
+// Two transports exist: Loopback (one process owns every partition —
+// frames are costed and dropped, delivery stays in-process, and at
+// Partitions == 1 there are no frames at all) and internal/dist's TCP
+// transport (frames are written to sockets verbatim). Both sit behind
+// the same superstep loop and the same build/seal/count path, so the
+// simulated Stats.NetworkBytes and the measured bytes-on-wire are
 // equal by construction, not by calibration.
 
 // PayloadCodec encodes message payloads for the wire. The engine
@@ -170,12 +173,13 @@ type Frame struct {
 // accounting charges it too, so loopback numbers match the wire.
 const frameHeaderBytes = 8
 
-// BarrierFrame is the per-superstep control exchange of a distributed
-// run. Each node contributes its local view; the transport returns the
-// global reduction (sums for Active/Aggs/Stats, OR for Abort, first
-// non-empty Fail in partition order). Supersteps and ActiveVisits are
-// excluded from the Stats sum — every node tracks those identically on
-// its own.
+// BarrierFrame is the per-superstep control exchange of a Run. Each
+// node contributes its local view; the transport returns the global
+// reduction (sums for Active/Aggs/Stats, OR for Abort, first non-empty
+// Fail in partition order), and the engine steers its loop by that
+// alone. The Stats carry no Supersteps or ActiveVisits — every node
+// derives those identically from the reduced Active count. Step -1 is
+// the frame that opens a Run: just the initial Active and Abort.
 type BarrierFrame struct {
 	Step   int
 	Active int64
@@ -185,11 +189,13 @@ type BarrierFrame struct {
 	Stats  Stats
 }
 
-// Transport carries a partitioned run's cross-partition traffic. The
-// engine hands it sealed frames after every superstep's shard merge and
-// — when Local() >= 0, i.e. the engine owns just one partition of a
-// multi-process run — synchronizes barriers and gathers emitted values
-// through it. All methods are called from the engine's Run goroutine.
+// Transport is what an Engine.Run synchronizes through: once per Run
+// StartRun and FinishRun, once per superstep Exchange (the sealed
+// cross-partition frames) and Barrier (the loop-control reduction). On
+// Loopback the engine owns every partition and each call hands its
+// argument straight back; when Local() >= 0 the engine owns one
+// partition of a multi-process run and the calls really meet the other
+// nodes. All methods are called from the engine's Run goroutine.
 type Transport interface {
 	// Parts returns the partition count (== Options.Partitions).
 	Parts() int
@@ -202,13 +208,16 @@ type Transport interface {
 	// partition, empty frames included) and returns the frames the
 	// remote partitions sealed for this node. Loopback receives every
 	// ordered pair's frame and returns nothing: in-process delivery
-	// already happened, the frames exist to be priced.
+	// already happened, the frames exist to be priced. The payloads in
+	// out are engine-owned buffers, overwritten after the superstep's
+	// Barrier returns; a transport that keeps one longer must copy it.
 	Exchange(step int, out []Frame) ([]Frame, error)
 	// Barrier reduces the nodes' local barrier frames to the global one.
 	Barrier(bf BarrierFrame) (BarrierFrame, error)
 	// FinishRun ends one Engine.Run, allgathering every node's encoded
 	// emit stream (in partition order) so each node can reconstruct the
-	// global emit order.
+	// global emit order. Loopback is passed nil and returns nothing: its
+	// engine's emits are already in that order.
 	FinishRun(emits []byte) ([][]byte, error)
 }
 
@@ -237,10 +246,12 @@ func ReduceBarrier(bfs []BarrierFrame) BarrierFrame {
 	return gb
 }
 
-// Loopback is the in-process Transport: the cluster simulation of §8.6
-// rebased on the same seam the real wire uses. Delivery stays in
-// memory; the sealed frames are priced by the engine's shared
-// accounting path and dropped here.
+// Loopback is the in-process Transport and the Options default: one
+// engine owns all parts partitions — the cluster simulation of §8.6 at
+// parts > 1, plain single-machine execution at 1 — on the same seam the
+// real wire uses. Delivery stays in memory; the sealed frames are
+// priced by the engine's shared accounting path and dropped here, and
+// the barrier reduction is the identity.
 func Loopback(parts int) Transport { return loopback{parts: parts} }
 
 type loopback struct{ parts int }
@@ -250,7 +261,7 @@ func (loopback) Local() int                                    { return -1 }
 func (loopback) StartRun() error                               { return nil }
 func (loopback) Exchange(int, []Frame) ([]Frame, error)        { return nil, nil }
 func (loopback) Barrier(bf BarrierFrame) (BarrierFrame, error) { return bf, nil }
-func (loopback) FinishRun(emits []byte) ([][]byte, error)      { return [][]byte{emits}, nil }
+func (loopback) FinishRun([]byte) ([][]byte, error)            { return nil, nil }
 
 // destRef is one fan-out target of a wire record: a destination vertex
 // and the number of logical deliveries it receives (a sender that sends
@@ -280,6 +291,9 @@ type wireRecord struct {
 // the stream the same partition would build as a real node.
 type pairStream struct {
 	recs []wireRecord
+	// sealed is the stream's frame buffer, reused every superstep (see
+	// Transport.Exchange for how long a payload stays valid).
+	sealed []byte
 }
 
 // add appends one send to the stream, merging into the previous record
@@ -314,14 +328,13 @@ func (ps *pairStream) reset() { ps.recs = ps.recs[:0] }
 // frames with any other leading byte are refused by decodeRecords.
 const frameKindRecords = 0x52 // 'R'
 
-// sealRecords serializes one pair stream into a frame payload:
-// kind byte, superstep, record count, then each record as
+// sealRecords serializes one pair stream into a frame payload appended
+// to buf: kind byte, superstep, record count, then each record as
 // (from, slot+1, payload length, payload, dest count, dests). An empty
 // stream still seals to a (tiny) frame — synchronization frames cross
 // the wire every superstep, so the accounting prices them every
 // superstep.
-func sealRecords(step int, recs []wireRecord) []byte {
-	buf := make([]byte, 0, 16)
+func sealRecords(buf []byte, step int, recs []wireRecord) []byte {
 	buf = append(buf, frameKindRecords)
 	buf = binary.AppendUvarint(buf, uint64(step))
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))

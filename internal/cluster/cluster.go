@@ -40,7 +40,7 @@ type Cluster struct {
 	Machines int
 	Cat      *relation.Catalog
 	TAG      *tag.Graph
-	ex       *core.Executor
+	ex       *core.Session
 	shf      *baseline.Engine
 }
 
@@ -54,7 +54,7 @@ func New(cat *relation.Catalog, machines int) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{Machines: machines, Cat: cat, TAG: g}
-	c.ex = core.NewExecutor(g, bsp.Options{
+	c.ex = core.NewSession(g, bsp.Options{
 		Partitions: machines,
 		// TigerGraph-style automatic partitioning: hash by vertex id.
 		PartitionOf: func(v bsp.VertexID) int { return int(v) % machines },

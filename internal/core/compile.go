@@ -351,6 +351,40 @@ func (c *compiled) classifyAggregation(t *tag.Graph) {
 	}
 }
 
+// hasLocalAggKey reports whether the LA path applies: the first GROUP BY
+// column is TAG-materialized, so its attribute vertices can complete
+// the groups in parallel.
+func (c *compiled) hasLocalAggKey(t *tag.Graph) bool {
+	ref, ok := c.blk.Sel.GroupBy[0].(*sql.ColRef)
+	return ok && t.Materialized(c.aliasTable[ref.Alias], ref.Column)
+}
+
+// residualVertexSafe reports whether all residual predicates can run
+// inside vertex programs (no un-decorrelated subqueries that would
+// re-enter the engine).
+func (c *compiled) residualVertexSafe() bool {
+	for _, p := range c.residual {
+		if p.fn == nil && len(sql.SubSelects(p.expr)) > 0 {
+			return false
+		}
+	}
+	// The same restriction applies to GROUP BY and HAVING expressions and
+	// aggregate arguments evaluated at vertices.
+	for _, g := range c.blk.Sel.GroupBy {
+		if len(sql.SubSelects(g)) > 0 {
+			return false
+		}
+	}
+	for _, f := range c.blk.Aggregates {
+		for _, a := range f.Args {
+			if len(sql.SubSelects(a)) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // isKeyColumn reports whether ref is a declared primary key column or
 // equi-joined to one.
 func (c *compiled) isKeyColumn(t *tag.Graph, ref *sql.ColRef) bool {

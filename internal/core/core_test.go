@@ -72,13 +72,13 @@ func triangleCatalog() *relation.Catalog {
 	return cat
 }
 
-func newExec(t *testing.T, cat *relation.Catalog) *Executor {
+func newExec(t *testing.T, cat *relation.Catalog) *Session {
 	t.Helper()
 	g, err := tag.Build(cat, tag.MaterializeAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewExecutor(g, bsp.Options{Workers: 4})
+	return NewSession(g, bsp.Options{Workers: 4})
 }
 
 // checkAgainstBaseline runs the query on both engines and compares
@@ -434,7 +434,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	for i, w := range []int{1, 2, 8} {
 		cat := shopCatalog()
 		g, _ := tag.Build(cat, tag.MaterializeAll)
-		ex := NewExecutor(g, bsp.Options{Workers: w})
+		ex := NewSession(g, bsp.Options{Workers: w})
 		got, err := ex.Query(q)
 		if err != nil {
 			t.Fatal(err)

@@ -127,7 +127,7 @@ func TestRandomizedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := NewExecutor(g, bsp.Options{Workers: 4})
+		ex := NewSession(g, bsp.Options{Workers: 4})
 		ref := baseline.New(cat)
 
 		for qi := 0; qi < queriesPerRound; qi++ {
@@ -157,7 +157,7 @@ func TestRandomizedOuterJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := NewExecutor(g, bsp.Options{Workers: 4})
+		ex := NewSession(g, bsp.Options{Workers: 4})
 		ref := baseline.New(cat)
 		jt := []string{"LEFT JOIN", "RIGHT JOIN", "FULL JOIN"}[rng.Intn(3)]
 		c1, c2 := []string{"a", "b", "c"}[rng.Intn(3)], []string{"a", "b", "c"}[rng.Intn(3)]
@@ -191,7 +191,7 @@ func TestRandomizedSelfJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := NewExecutor(g, bsp.Options{Workers: 4})
+		ex := NewSession(g, bsp.Options{Workers: 4})
 		ref := baseline.New(cat)
 		tbl := rng.Intn(4)
 		q := fmt.Sprintf(`SELECT p.a, q.b FROM t%d p, t%d q WHERE p.b = q.b AND p.a < q.a`, tbl, tbl)
@@ -215,7 +215,7 @@ func TestQueryAfterMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(g, bsp.Options{Workers: 2})
+	ex := NewSession(g, bsp.Options{Workers: 2})
 	q := "SELECT cname, nname FROM cust, nation WHERE cnation = nkey"
 	out, err := ex.Query(q)
 	if err != nil {

@@ -95,7 +95,7 @@ func TestReductionEliminatesBeforeCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(g, bsp.Options{Workers: 2})
+	ex := NewSession(g, bsp.Options{Workers: 2})
 	out, err := ex.Query("SELECT b FROM r, s WHERE r.a = s.a")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestEngineGrowsWithGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(g, bsp.Options{Workers: 2})
+	ex := NewSession(g, bsp.Options{Workers: 2})
 	if _, err := ex.Query("SELECT COUNT(*) FROM cust"); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCollectionPushedSelections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(g, bsp.Options{Workers: 2})
+	ex := NewSession(g, bsp.Options{Workers: 2})
 	// Cross-alias residual: only one (nation, price) combination passes.
 	q := `SELECT nname, price FROM nation, cust, ord
 		WHERE cnation = nkey AND ocust = ckey

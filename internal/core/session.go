@@ -12,6 +12,15 @@ import (
 	"repro/internal/tag"
 )
 
+// ExecInfo reports how the last query was executed.
+type ExecInfo struct {
+	Agg        AggClass
+	Acyclic    bool
+	Components int
+	Cycles     int
+	Fallbacks  int // blocks executed on the table-level (outer join) path
+}
+
 // Session holds all per-query mutable state of one evaluation over a
 // shared, frozen TAG graph: its own BSP engine (sparse inboxes, stats),
 // the subquery memoization caches, the decorrelation tables, and a
@@ -34,22 +43,29 @@ type Session struct {
 	Opts bsp.Options
 
 	// Theta overrides the heavy/light threshold of cyclic queries
-	// (§6.1.2); 0 means the default θ = √IN.
+	// (§6.1.2); 0 means the default θ = √IN. Exposed for the θ-sweep
+	// ablation benchmark.
 	Theta float64
 
-	// DisablePartialAgg turns off the eager/partial aggregation of §7.
+	// DisablePartialAgg turns off the eager/partial aggregation of §7:
+	// vertices then ship one group per input row instead of locally
+	// pre-aggregated partials, inflating aggregation-message volume.
+	// Exposed for the eager-aggregation ablation benchmark.
 	DisablePartialAgg bool
 
 	// ForceCyclePrePass runs the §6.2 heavy/light cycle reduction even on
-	// PK-FK-dominated cycles that would normally take the §6.1.1 shortcut.
+	// PK-FK-dominated cycles that would normally take the §6.1.1 shortcut;
+	// used by the θ-sweep ablation.
 	ForceCyclePrePass bool
 
 	// ForceGlobalAgg routes local-aggregation queries through the global
 	// aggregator vertex instead of parallel per-attribute-vertex
-	// aggregation (§7/§8.3).
+	// aggregation, exposing the LA-vs-GA bottleneck of §7/§8.3 as an
+	// ablation.
 	ForceGlobalAgg bool
 
-	eng  *bsp.Engine
+	eng *bsp.Engine
+	// Info reports how the most recent query was executed.
 	Info ExecInfo
 
 	subCache  map[*sql.Select]*relation.Relation
@@ -86,6 +102,24 @@ func NewSession(t *tag.Graph, opts bsp.Options) *Session {
 		TAG:  t,
 		Opts: opts,
 		eng:  bsp.NewEngine(t.G, opts),
+	}
+}
+
+// payloadSize estimates message wire sizes for the cost accounting.
+func payloadSize(p any) int {
+	switch m := p.(type) {
+	case nil:
+		return 8
+	case *table:
+		return m.size()
+	case relation.Value:
+		return m.Size()
+	case cycleMsg:
+		return 8 + m.val.Size()
+	case *partialGroups:
+		return m.size()
+	default:
+		return 8
 	}
 }
 
@@ -336,7 +370,7 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 	if singleRes != nil && c.residualVertexSafe() {
 		switch c.agg {
 		case AggLocal:
-			if _, ok := c.localAggKey(e.TAG); ok && !e.ForceGlobalAgg {
+			if c.hasLocalAggKey(e.TAG) && !e.ForceGlobalAgg {
 				return e.finalizeLocal(c, singleRes, outer, subq)
 			}
 			return e.finalizeGlobal(c, singleRes, outer, subq)

@@ -11,8 +11,7 @@
 // for life to the graph generation it was created on: under the serving
 // layer's generation scheme, incremental maintenance never mutates a
 // served graph — it publishes a clone as a new generation with fresh
-// sessions and drains the old. Executor remains as a single-session
-// convenience wrapper for benchmarks, tests, and tagsql.
+// sessions and drains the old.
 package core
 
 import (

@@ -81,7 +81,7 @@ func TestEnginesAgreeOnWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := core.NewExecutor(g, bsp.Options{Workers: 4})
+	ex := core.NewSession(g, bsp.Options{Workers: 4})
 	base := baseline.New(cat)
 
 	for _, q := range Queries() {

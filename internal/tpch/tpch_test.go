@@ -88,7 +88,7 @@ func TestEnginesAgreeOnWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := core.NewExecutor(g, bsp.Options{Workers: 4})
+	ex := core.NewSession(g, bsp.Options{Workers: 4})
 	base := baseline.New(cat)
 
 	for _, q := range Queries() {
@@ -116,7 +116,7 @@ func TestQueryClassesDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := core.NewExecutor(g, bsp.Options{Workers: 4})
+	ex := core.NewSession(g, bsp.Options{Workers: 4})
 	want := map[string]core.AggClass{
 		"q1": core.AggGlobal, "q3": core.AggLocal, "q4": core.AggLocal,
 		"q5": core.AggLocal, "q6": core.AggScalar, "q7": core.AggGlobal,
