@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§8), one testing.B target per artifact, plus the ablation
-// benches DESIGN.md calls out. Custom metrics expose the paper's cost
-// measures (messages, network bytes) alongside wall time.
+// evaluation (§8), one testing.B target per computation (its doc comment
+// names every artifact it regenerates), plus the design-choice
+// ablations. Custom metrics expose the paper's cost measures (messages,
+// network bytes) alongside wall time.
 //
 // Run everything:   go test -bench=. -benchmem
 // One experiment:   go test -bench=BenchmarkFig16Distributed
@@ -10,7 +11,6 @@ package repro_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -20,6 +20,9 @@ const (
 	benchSeed  = 2021
 )
 
+// workloadBench times a whole workload on every engine and reports the
+// aggregate runtimes, the Table 5 classification against refdb and the
+// Figure 15 per-class TAG runtimes of the last run.
 func workloadBench(b *testing.B, workload string) {
 	env, err := bench.NewEnv(workload, benchScale, benchSeed, 0)
 	if err != nil {
@@ -41,73 +44,50 @@ func workloadBench(b *testing.B, workload string) {
 	}
 	b.ReportMetric(bench.Ms(last.Aggregate["tag"]), "tag_ms/op")
 	b.ReportMetric(bench.Ms(last.Aggregate["refdb"]), "refdb_ms/op")
+	o, c, w := last.WinCounts("refdb")
+	b.ReportMetric(float64(o), "outperforms")
+	b.ReportMetric(float64(c), "competitive")
+	b.ReportMetric(float64(w), "worse")
+	byClass := last.ByClass()
+	b.ReportMetric(bench.Ms(byClass["local"]["tag"]), "la_tag_ms")
+	b.ReportMetric(bench.Ms(byClass["global"]["tag"]), "ga_tag_ms")
 }
 
-// BenchmarkFig13aTPCHAggregate regenerates Figure 13(a): aggregate TPC-H
-// runtimes over all 22 queries on all engines (Table 14's summary row).
-func BenchmarkFig13aTPCHAggregate(b *testing.B) { workloadBench(b, "tpch") }
-
-// BenchmarkFig13bTPCDSAggregate regenerates Figure 13(b) for TPC-DS.
-func BenchmarkFig13bTPCDSAggregate(b *testing.B) { workloadBench(b, "tpcds") }
-
 // BenchmarkTables8to10TPCHPerQuery regenerates the per-query TPC-H tables
-// (Tables 8-10; one scale point per run — sweep scales via cmd/tagbench).
+// (Tables 8-10; one scale point per run — sweep scales via cmd/tagbench)
+// and Figure 13(a), the aggregate over all 22 queries on all engines
+// (Table 14's summary row).
 func BenchmarkTables8to10TPCHPerQuery(b *testing.B) { workloadBench(b, "tpch") }
 
 // BenchmarkTables11to13TPCDSPerQuery regenerates the per-query TPC-DS
-// tables (Tables 11-13).
+// tables (Tables 11-13), Figure 13(b)'s aggregate, Table 5's
+// win/competitive/worse classification and Figure 15's runtimes by
+// aggregation class.
 func BenchmarkTables11to13TPCDSPerQuery(b *testing.B) { workloadBench(b, "tpcds") }
 
-// BenchmarkTable1TPCHLoad regenerates Table 1 (TPC-H loading time) and
-// the TPC-H bars of Figure 14 (loaded sizes).
-func BenchmarkTable1TPCHLoad(b *testing.B) {
+// loadBench loads a workload into every engine and reports the loaded
+// sizes.
+func loadBench(b *testing.B, workload string) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.MeasureLoad("tpch", benchScale, benchSeed)
+		res, err := bench.MeasureLoad(workload, benchScale, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.TAGBytes)/1024, "tag_kb")
-		b.ReportMetric(float64(res.RowBytes)/1024, "row_kb")
-	}
-}
-
-// BenchmarkTable2TPCDSLoad regenerates Table 2 (TPC-DS loading time).
-func BenchmarkTable2TPCDSLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.MeasureLoad("tpcds", benchScale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.TAGBytes)/1024, "tag_kb")
-	}
-}
-
-// BenchmarkFig14LoadedSize regenerates Figure 14's loaded-size comparison
-// (row store + indexes vs TAG graph) and Table 15's column-store size.
-func BenchmarkFig14LoadedSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.MeasureLoad("tpch", benchScale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		b.ReportMetric(float64(res.RawBytes)/1024, "raw_kb")
 		b.ReportMetric(float64(res.RowBytes)/1024, "row_idx_kb")
 		b.ReportMetric(float64(res.ColStoreBytes)/1024, "col_kb")
 		b.ReportMetric(float64(res.TAGBytes)/1024, "tag_kb")
 	}
 }
 
-// BenchmarkTable15ColumnStoreSize isolates Table 15 (in-memory column
-// store footprint vs raw data size).
-func BenchmarkTable15ColumnStoreSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.MeasureLoad("tpcds", benchScale, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.RawBytes)/1024, "raw_kb")
-		b.ReportMetric(float64(res.ColStoreBytes)/1024, "col_kb")
-	}
-}
+// BenchmarkFig14LoadedSize regenerates Table 1 (TPC-H loading time) and
+// the TPC-H bars of Figure 14 (row store + indexes vs TAG graph).
+func BenchmarkFig14LoadedSize(b *testing.B) { loadBench(b, "tpch") }
+
+// BenchmarkTable2TPCDSLoad regenerates Table 2 (TPC-DS loading time),
+// the TPC-DS bars of Figure 14 and Table 15 (in-memory column store
+// footprint vs raw data size).
+func BenchmarkTable2TPCDSLoad(b *testing.B) { loadBench(b, "tpcds") }
 
 // selectedBench times a subset of a workload on the TAG engine only,
 // reporting the aggregate (Tables 3/4/6 derive speedups from the full
@@ -143,27 +123,6 @@ func BenchmarkTable4TPCHGlobalAgg(b *testing.B) {
 	selectedBench(b, "tpch", []string{"q1", "q6", "q7", "q9", "q16", "q19"})
 }
 
-// BenchmarkTable5TPCDSWins regenerates the Table 5 win/competitive/worse
-// classification over the TPC-DS workload.
-func BenchmarkTable5TPCDSWins(b *testing.B) {
-	env, err := bench.NewEnv("tpcds", benchScale, benchSeed, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := bench.Config{Runs: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunWorkload(cfg, env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		o, c, w := res.WinCounts("refdb")
-		b.ReportMetric(float64(o), "outperforms")
-		b.ReportMetric(float64(c), "competitive")
-		b.ReportMetric(float64(w), "worse")
-	}
-}
-
 // BenchmarkTable6TPCDSSelected regenerates Table 6's selected TPC-DS
 // queries across the aggregation classes.
 func BenchmarkTable6TPCDSSelected(b *testing.B) {
@@ -194,33 +153,13 @@ func BenchmarkTable7PeakRAM(b *testing.B) {
 	}
 }
 
-// BenchmarkFig15AggClasses regenerates Figure 15: TPC-DS aggregate
-// runtimes grouped by aggregation class.
-func BenchmarkFig15AggClasses(b *testing.B) {
-	env, err := bench.NewEnv("tpcds", benchScale, benchSeed, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := bench.Config{Runs: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunWorkload(cfg, env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		byClass := res.ByClass()
-		b.ReportMetric(bench.Ms(byClass["local"]["tag"]), "la_tag_ms")
-		b.ReportMetric(bench.Ms(byClass["global"]["tag"]), "ga_tag_ms")
-	}
-}
-
-// BenchmarkFig16Distributed regenerates Figure 16: aggregate runtime and
-// network traffic on the 6-machine simulated cluster (TPC-H side).
-func BenchmarkFig16Distributed(b *testing.B) {
+// distributedBench runs a workload on the simulated cluster and
+// reports TAG's and the shuffle engine's network traffic.
+func distributedBench(b *testing.B, workload string) {
 	cfg := bench.Config{Runs: 1, Machines: 6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunDistributed(cfg, "tpch", benchScale)
+		res, err := bench.RunDistributed(cfg, workload, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,30 +168,16 @@ func BenchmarkFig16Distributed(b *testing.B) {
 	}
 }
 
-// BenchmarkTable16DistributedTPCH regenerates Table 16 (per-query
-// distributed TPC-H; cmd/tagbench prints the rows).
-func BenchmarkTable16DistributedTPCH(b *testing.B) {
-	cfg := bench.Config{Runs: 1, Machines: 6}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunDistributed(cfg, "tpch", benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkFig16Distributed regenerates Figure 16 (aggregate runtime and
+// network traffic on the 6-machine simulated cluster, TPC-H side) and
+// Table 16 (per-query distributed TPC-H; cmd/tagbench prints the rows).
+func BenchmarkFig16Distributed(b *testing.B) { distributedBench(b, "tpch") }
 
-// BenchmarkTable17DistributedTPCDS regenerates Table 17 for TPC-DS.
-func BenchmarkTable17DistributedTPCDS(b *testing.B) {
-	cfg := bench.Config{Runs: 1, Machines: 6}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunDistributed(cfg, "tpcds", benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkTable17DistributedTPCDS regenerates Table 17 and Figure 16's
+// TPC-DS side.
+func BenchmarkTable17DistributedTPCDS(b *testing.B) { distributedBench(b, "tpcds") }
 
-// --- Ablations (DESIGN.md §2) ---
+// --- Ablations ---
 
 // BenchmarkAblationThetaSweep sweeps the §6.1.2 heavy/light threshold.
 func BenchmarkAblationThetaSweep(b *testing.B) {
@@ -322,22 +247,5 @@ func BenchmarkAblationPolicy(b *testing.B) {
 		}
 		b.ReportMetric(float64(res[0].Bytes)/1024, "default_kb")
 		b.ReportMetric(float64(res[1].Bytes)/1024, "all_kb")
-	}
-}
-
-// BenchmarkConcurrentServe measures aggregate serving throughput over one
-// frozen TAG graph: the internal/serve session pool against a serialized
-// single session and against re-encoding the graph per query.
-func BenchmarkConcurrentServe(b *testing.B) {
-	cfg := bench.Config{Scales: []float64{0.2}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Concurrency(cfg, "tpch", []int{4}, 300*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res[0].QPS["pooled"], "pooled_qps")
-		b.ReportMetric(res[0].QPS["serial"], "serial_qps")
-		b.ReportMetric(res[0].QPS["rebuild"], "rebuild_qps")
 	}
 }

@@ -210,13 +210,14 @@ func (w WorkloadResult) WinCounts(engine string) (outperforms, competitive, wors
 }
 
 // RunWorkload times every query of a workload on every engine at one
-// scale, verifying that all engines agree.
+// scale, verifying every engine's answer, TAG's included, against
+// refdb's.
 func RunWorkload(cfg Config, env *Env) (WorkloadResult, error) {
 	cfg = cfg.withDefaults()
 	res := WorkloadResult{Workload: env.Workload, Scale: env.Scale, Aggregate: map[string]time.Duration{}}
 	for _, q := range WorkloadQueries(env.Workload) {
 		qr := QueryResult{ID: q.ID, Class: q.Class, Corr: q.Corr, Times: map[string]time.Duration{}, Agree: true}
-		var reference *relation.Relation
+		answers := map[string]*relation.Relation{}
 		for _, engine := range Engines {
 			// Warm-up run (caches, §8.1.5 methodology), then timed runs.
 			out, err := env.runOn(engine, q.SQL)
@@ -233,15 +234,15 @@ func RunWorkload(cfg Config, env *Env) (WorkloadResult, error) {
 				total += time.Since(start)
 			}
 			qr.Times[engine] = total / time.Duration(cfg.Runs)
-			qr.Rows = out.Len()
-			if engine == "refdb" {
-				reference = out
-			} else if reference != nil && !relation.EqualMultisetFuzzy(out, reference) {
-				qr.Agree = false
-			} else if reference == nil {
-				reference = out
-			}
+			answers[engine] = out
 			res.Aggregate[engine] += qr.Times[engine]
+		}
+		reference := answers["refdb"]
+		qr.Rows = reference.Len()
+		for _, out := range answers {
+			if !relation.EqualMultisetFuzzy(out, reference) {
+				qr.Agree = false
+			}
 		}
 		res.Queries = append(res.Queries, qr)
 	}

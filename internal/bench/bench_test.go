@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/bsp"
+	"repro/internal/core"
+	"repro/internal/tag"
+	"repro/internal/tpch"
 )
 
 func TestRunWorkloadTPCHSmall(t *testing.T) {
@@ -39,6 +44,32 @@ func TestRunWorkloadTPCHSmall(t *testing.T) {
 			t.Errorf("report missing %q", want)
 		}
 	}
+}
+
+// TestRunWorkloadFlagsWrongTAGAnswers: the agree column must judge TAG
+// too. With the TAG session swapped for one over a graph generated from
+// a different seed, TAG's answers are wrong while the baselines still
+// agree with each other, so some query must report disagreement.
+func TestRunWorkloadFlagsWrongTAGAnswers(t *testing.T) {
+	env, err := NewEnv("tpch", 0.1, 2021, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := tag.Build(tpch.Generate(0.1, 99), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Exec = core.NewSession(other, bsp.Options{Workers: 1})
+	res, err := RunWorkload(Config{Runs: 1}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range res.Queries {
+		if !q.Agree {
+			return
+		}
+	}
+	t.Errorf("all %d queries report agreement although TAG ran on a different graph", len(res.Queries))
 }
 
 func TestRunWorkloadTPCDSSmall(t *testing.T) {

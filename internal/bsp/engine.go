@@ -217,8 +217,8 @@ type Options struct {
 	// NoCombine disables Send-time message folding even when the
 	// program declares a Combiner. Rows, Emit output and the
 	// paper-facing Stats (compare with Stats.Paper) are identical
-	// either way — the flag exists so cross-check tests and the
-	// `tagbench -exp combine` ablation can measure the fold.
+	// either way — the flag exists so cross-check tests have an
+	// uncombined reference to compare the fold against.
 	NoCombine bool
 	// AdaptiveCombine samples the observed fold rate at each barrier
 	// and drops the combiner for the rest of the run when folds are

@@ -43,19 +43,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // TestFrameCorruption: a torn header, torn payload, or flipped bit all
 // surface as ErrCorrupt; a clean end of input is io.EOF.
 func TestFrameCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("payload bytes here")); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-
-	cases := map[string][]byte{
-		"torn header":  frame[:HeaderSize-2],
-		"torn payload": frame[:len(frame)-3],
-		"flipped bit":  append(append([]byte(nil), frame[:len(frame)-1]...), frame[len(frame)-1]^0xff),
-		"zero length":  make([]byte, HeaderSize),
-	}
-	for name, data := range cases {
+	for name, data := range damagedFrames(t) {
 		if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(data))); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("ReadFrame(%s) err = %v, want ErrCorrupt", name, err)
 		}
@@ -68,9 +56,7 @@ func TestFrameCorruption(t *testing.T) {
 	}
 
 	// An oversized length prefix is rejected before any allocation.
-	huge := make([]byte, HeaderSize)
-	binary.LittleEndian.PutUint32(huge, MaxFrameBytes+1)
-	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(huge))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(oversizedHeader()))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("ReadFrame(oversized) err = %v, want ErrCorrupt", err)
 	}
 }
@@ -78,27 +64,103 @@ func TestFrameCorruption(t *testing.T) {
 // TestScanValidPrefix: the scan stops at the first torn or corrupt
 // frame and reports the byte length of the valid prefix only.
 func TestScanValidPrefix(t *testing.T) {
-	var buf bytes.Buffer
-	sizes := []int{1, 100<<10 + 3, 17} // spans multiple SkipFrame chunks
+	stream := frameStream(t)
 	var want int64
-	for i, n := range sizes {
-		payload := bytes.Repeat([]byte{byte(i + 1)}, n)
-		if err := WriteFrame(&buf, payload); err != nil {
-			t.Fatal(err)
-		}
+	for _, n := range streamSizes {
 		want += int64(HeaderSize + n)
 	}
-	got, err := ScanValidPrefix(bytes.NewReader(buf.Bytes()))
+	got, err := ScanValidPrefix(bytes.NewReader(stream))
 	if err != nil || got != want {
 		t.Fatalf("ScanValidPrefix(clean) = %d, %v; want %d", got, err, want)
 	}
 
 	// Tear the last frame: the scan backs up to the end of frame 2.
-	torn := buf.Bytes()[:buf.Len()-5]
+	torn := stream[:len(stream)-5]
 	got, err = ScanValidPrefix(bytes.NewReader(torn))
-	if err != nil || got != want-int64(HeaderSize+sizes[2]) {
-		t.Fatalf("ScanValidPrefix(torn) = %d, %v; want %d", got, err, want-int64(HeaderSize+sizes[2]))
+	if err != nil || got != want-int64(HeaderSize+streamSizes[2]) {
+		t.Fatalf("ScanValidPrefix(torn) = %d, %v; want %d", got, err, want-int64(HeaderSize+streamSizes[2]))
 	}
+}
+
+// damagedFrames returns one valid frame's torn and bit-flipped variants
+// plus an all-zero header, keyed by the damage done.
+func damagedFrames(t testing.TB) map[string][]byte {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, []byte("payload bytes here")); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	return map[string][]byte{
+		"torn header":  frame[:HeaderSize-2],
+		"torn payload": frame[:len(frame)-3],
+		"flipped bit":  append(append([]byte(nil), frame[:len(frame)-1]...), frame[len(frame)-1]^0xff),
+		"zero length":  make([]byte, HeaderSize),
+	}
+}
+
+// oversizedHeader is a header whose length prefix exceeds MaxFrameBytes.
+func oversizedHeader() []byte {
+	huge := make([]byte, HeaderSize)
+	binary.LittleEndian.PutUint32(huge, MaxFrameBytes+1)
+	return huge
+}
+
+// streamSizes are the payload sizes of frameStream's frames; the middle
+// one spans multiple SkipFrame chunks.
+var streamSizes = []int{1, 100<<10 + 3, 17}
+
+// frameStream returns back-to-back valid frames of streamSizes bytes.
+func frameStream(t testing.TB) []byte {
+	var buf bytes.Buffer
+	for i, n := range streamSizes {
+		if err := WriteFrame(&buf, bytes.Repeat([]byte{byte(i + 1)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadFrame: on any input ReadFrame never panics, never returns a
+// payload over MaxFrameBytes, and — looped until io.EOF or ErrCorrupt —
+// consumes exactly the valid prefix ScanValidPrefix (built on SkipFrame)
+// measures.
+func FuzzReadFrame(f *testing.F) {
+	for _, data := range damagedFrames(f) {
+		f.Add(data)
+	}
+	f.Add(oversizedHeader())
+	f.Add([]byte(nil))
+	stream := frameStream(f)
+	f.Add(stream)
+	f.Add(stream[:len(stream)-5])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		var consumed int64
+		for {
+			payload, n, err := ReadFrame(br)
+			if errors.Is(err, io.EOF) || errors.Is(err, ErrCorrupt) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("ReadFrame: unexpected error %v", err)
+			}
+			if len(payload) > MaxFrameBytes {
+				t.Fatalf("ReadFrame returned a %d-byte payload, over MaxFrameBytes", len(payload))
+			}
+			if n != int64(HeaderSize+len(payload)) {
+				t.Fatalf("ReadFrame consumed %d bytes for a %d-byte payload", n, len(payload))
+			}
+			consumed += n
+		}
+		want, err := ScanValidPrefix(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("ScanValidPrefix: %v", err)
+		}
+		if consumed != want {
+			t.Fatalf("ReadFrame consumed %d bytes, ScanValidPrefix measured %d", consumed, want)
+		}
+	})
 }
 
 // TestDecoder: every accessor round-trips its encoder counterpart, and

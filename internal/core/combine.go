@@ -13,7 +13,7 @@ import (
 // receiving vertex performs over an uncombined inbox — same merge
 // operations in the same (worker, send) order — so combined execution
 // is byte-identical in rows and paper-facing Stats (cross-checked per
-// TPC-H query by TestCombinedMatchesUncombinedTPCH in internal/bench).
+// TPC-H query by TestCombinedMatchesUncombinedTPCH in internal/tpch).
 
 // pgCombiner folds partialGroups bound for the same aggregation target
 // (the global aggregator vertex, a per-machine relay, or an attribute

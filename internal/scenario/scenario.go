@@ -11,7 +11,7 @@
 // write, query, corrupt bytes, fuzz request, load stream, stat
 // assertion) is closed and reusable, so covering the next feature costs
 // a new table row, never new runner code. Matrix() holds the rows;
-// cmd/tagscenario and `tagbench -exp scenario` execute them.
+// cmd/tagscenario executes them.
 //
 // Every scenario runs in its own scratch directory with its own server
 // processes; `{dir}` inside step flags and paths expands to that

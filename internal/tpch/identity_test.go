@@ -1,4 +1,4 @@
-package bench
+package tpch
 
 import (
 	"fmt"
@@ -8,6 +8,43 @@ import (
 	"repro/internal/core"
 	"repro/internal/tag"
 )
+
+// TestShardedMergeMatchesSerialTPCH is the end-to-end determinism
+// cross-check of the sharded message plane: every TPC-H query must
+// produce byte-identical answers (same rows in the same order) and
+// exactly equal cost measures — including the network dedup accounting
+// under a simulated partitioning — whether the communication stage
+// runs serially (a single-worker engine has one shard, merged on the
+// Run goroutine) or shard-parallel.
+func TestShardedMergeMatchesSerialTPCH(t *testing.T) {
+	cat := Generate(0.2, 2021)
+	g, err := tag.Build(cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range Queries() {
+		serial := core.NewSession(g, bsp.Options{Workers: 1, Partitions: 6})
+		sharded := core.NewSession(g, bsp.Options{Workers: 4, Partitions: 6})
+
+		wantRows, err1 := serial.Query(q.SQL)
+		gotRows, err2 := sharded.Query(q.SQL)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("%s: error mismatch: serial=%v sharded=%v", q.ID, err1, err2)
+		}
+		if err1 != nil {
+			t.Fatalf("%s: %v", q.ID, err1)
+		}
+		want := fmt.Sprintf("%v", wantRows.Tuples)
+		got := fmt.Sprintf("%v", gotRows.Tuples)
+		if got != want {
+			t.Errorf("%s: sharded answer differs from serial (rows or order)", q.ID)
+		}
+		ws, gs := serial.Stats(), sharded.Stats()
+		if ws != gs {
+			t.Errorf("%s: stats differ:\n  serial  %v\n  sharded %v", q.ID, ws, gs)
+		}
+	}
+}
 
 // TestCombinedMatchesUncombinedTPCH is the end-to-end cross-check of
 // Send-time combining, the same way the sharded merge is cross-checked:
@@ -21,13 +58,13 @@ import (
 // never ships more records). The fold itself must show up on the
 // aggregate-heavy suite.
 func TestCombinedMatchesUncombinedTPCH(t *testing.T) {
-	cat := generate("tpch", 0.2, 2021)
+	cat := Generate(0.2, 2021)
 	g, err := tag.Build(cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var totalCombined int64
-	for _, q := range WorkloadQueries("tpch") {
+	for _, q := range Queries() {
 		plain := core.NewSession(g, bsp.Options{Workers: 4, Partitions: 6, NoCombine: true})
 		combined := core.NewSession(g, bsp.Options{Workers: 4, Partitions: 6})
 
@@ -65,49 +102,5 @@ func TestCombinedMatchesUncombinedTPCH(t *testing.T) {
 	}
 	if totalCombined == 0 {
 		t.Error("no TPC-H query folded a single message; combiners are not wired in")
-	}
-}
-
-// TestCombineBenchSmoke: the combiner experiment runs end to end at a
-// small scale and reports internally consistent cells.
-func TestCombineBenchSmoke(t *testing.T) {
-	cfg := Config{Scales: []float64{0.05}, Runs: 1, Workers: 1}
-	res, err := CombineBench(cfg, "tpch", []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 {
-		t.Fatal("no results")
-	}
-	byCell := map[string]CombineResult{}
-	foldedSomewhere := false
-	for _, r := range res {
-		if r.NsPerOp <= 0 || r.Messages <= 0 || r.PeakInboxBytes <= 0 {
-			t.Errorf("%s/%d/%s: non-positive measurements %+v", r.Query, r.Workers, r.Mode, r)
-		}
-		switch r.Mode {
-		case "nocombine":
-			if r.MessagesCombined != 0 || r.InboxBytesSaved != 0 {
-				t.Errorf("%s: uncombined cell reports fold activity %+v", r.Query, r)
-			}
-		case "combine":
-			if r.MessagesCombined > 0 {
-				foldedSomewhere = true
-			}
-		}
-		key := fmt.Sprintf("%s/%d", r.Query, r.Workers)
-		if prev, ok := byCell[key]; ok {
-			if prev.Messages != r.Messages {
-				t.Errorf("%s: modes disagree on logical messages (%d vs %d)", key, prev.Messages, r.Messages)
-			}
-			if prev.PeakInboxBytes < r.PeakInboxBytes {
-				t.Errorf("%s: combined peak inbox %d exceeds uncombined %d", key, r.PeakInboxBytes, prev.PeakInboxBytes)
-			}
-		} else {
-			byCell[key] = r
-		}
-	}
-	if !foldedSomewhere {
-		t.Error("no combine cell folded any messages")
 	}
 }
