@@ -24,8 +24,8 @@
 //	POST /write  {"table": ..., "insert": [[...]], "delete": [ids]}
 //	                                     apply a batch, publish a new epoch
 //	GET  /stats                          aggregate serving statistics
-//	GET  /metrics                        Prometheus text exposition (counters,
-//	                                     admission gauges, per-protocol latency histograms)
+//	GET  /metrics                        Prometheus text exposition: every /stats key as
+//	                                     one series, plus latency histograms (protocol=http|binary)
 //	GET  /healthz                        liveness probe
 //
 // With -proto-addr, the same serving core also listens on the binary

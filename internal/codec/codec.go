@@ -9,9 +9,9 @@
 // A frame is valid only if it is complete and its CRC matches, so a
 // crash mid-write (a torn tail) is detected, not consumed: readers
 // report ErrCorrupt at the first invalid frame and trust everything
-// before it. The length prefix is capacity-capped (MaxFrameBytes)
-// before any payload is read into memory, so a corrupt-but-plausible
-// header cannot demand an unbounded allocation.
+// before it. The length prefix is capacity-capped (MaxFrameBytes) and
+// the payload buffer grows only as bytes arrive, so a corrupt or
+// hostile header cannot demand an allocation the input does not back.
 //
 // The package also carries the bounds-checked payload cursor (Decoder)
 // and the atomic-file helpers (temp + fsync + rename + dir fsync) that
@@ -21,6 +21,7 @@ package codec
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,6 +40,9 @@ const (
 	// while keeping the worst-case read of a corrupt-but-plausible
 	// header modest.
 	MaxFrameBytes = 256 << 20
+	// readChunk bounds ReadFrame's first allocation; larger frames grow
+	// only as their bytes arrive.
+	readChunk = 1 << 20
 	// maxCapHint caps the capacity pre-allocated from a decoded element
 	// count. Counts are validated against the payload's remaining bytes,
 	// but in-memory elements are up to ~64x larger than their minimal
@@ -113,12 +117,27 @@ func ReadFrame(br *bufio.Reader) ([]byte, int64, error) {
 	if n == 0 || n > MaxFrameBytes {
 		return nil, 0, ErrCorrupt
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, 0, ErrCorrupt
+	// The length is only a claim until the bytes arrive: read chunks that
+	// double the total so far, starting at readChunk, so a lying header
+	// costs at most readChunk plus twice what was actually sent. A frame
+	// that needed more than one chunk is joined once at the end: one
+	// extra copy.
+	var stack [10][]byte // enough chunks for MaxFrameBytes
+	chunks := stack[:0]
+	for got := uint32(0); got < n; {
+		c := make([]byte, min(n-got, max(got, readChunk)))
+		if _, err := io.ReadFull(br, c); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil, 0, ErrCorrupt
+			}
+			return nil, 0, err
 		}
-		return nil, 0, err
+		chunks = append(chunks, c)
+		got += uint32(len(c))
+	}
+	payload := chunks[0]
+	if len(chunks) > 1 {
+		payload = bytes.Join(chunks, nil)
 	}
 	if crc32.Checksum(payload, castagnoli) != crc {
 		return nil, 0, ErrCorrupt

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -58,6 +59,57 @@ func TestFrameCorruption(t *testing.T) {
 	// An oversized length prefix is rejected before any allocation.
 	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(oversizedHeader()))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("ReadFrame(oversized) err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReadFrameAllocationFollowsBytes: a header claiming MaxFrameBytes
+// with no payload behind it costs a bounded allocation, not the claim;
+// a frame that fits readChunk costs one payload allocation; a frame
+// several chunks long still reads back intact.
+func TestReadFrameAllocationFollowsBytes(t *testing.T) {
+	hdr := make([]byte, HeaderSize)
+	binary.LittleEndian.PutUint32(hdr, MaxFrameBytes)
+	br := bufio.NewReader(bytes.NewReader(hdr))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(br)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadFrame(lying header) err = %v, want ErrCorrupt", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Errorf("lying header cost %d bytes of allocation, want < 4 MiB", d)
+	}
+
+	var stream bytes.Buffer
+	small := bytes.Repeat([]byte{7}, readChunk)
+	for i := 0; i < 21; i++ { // AllocsPerRun reads one warm-up frame plus one per run
+		if err := WriteFrame(&stream, small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two allocations: the payload, and the 8-byte header array that
+	// escapes through io.ReadFull.
+	br = bufio.NewReader(&stream)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Errorf("ReadFrame of a %d-byte frame made %v allocations, want 2", readChunk, allocs)
+	}
+
+	big := make([]byte, 3*readChunk+5)
+	for i := range big {
+		big[i] = byte(i * 31)
+	}
+	stream.Reset()
+	if err := WriteFrame(&stream, big); err != nil {
+		t.Fatal(err)
+	}
+	got, n, err := ReadFrame(bufio.NewReader(&stream))
+	if err != nil || !bytes.Equal(got, big) || n != int64(HeaderSize+len(big)) {
+		t.Fatalf("multi-chunk ReadFrame = %d bytes (%d consumed), %v; want the %d-byte payload", len(got), n, err, len(big))
 	}
 }
 

@@ -93,4 +93,20 @@ func TestDistServing(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("degraded topology answered %d, want 503", resp.StatusCode)
 	}
+
+	// Both views carry the distributed gauges; /metrics renders the
+	// degraded flag as 1.
+	if st := fetchStats(t, srv); statInt(t, st, "dist_parts") != 2 || st["dist_degraded"] != true {
+		t.Errorf("/stats dist_parts/dist_degraded = %v/%v, want 2/true", st["dist_parts"], st["dist_degraded"])
+	}
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	met, _ := readAll(resp)
+	for _, want := range []string{"tagserve_dist_parts 2\n", "tagserve_dist_degraded 1\n"} {
+		if !strings.Contains(met, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
 }

@@ -168,14 +168,5 @@ func TestHTTPWriteRejectionIsAtomic(t *testing.T) {
 // currentEpoch reads the served epoch off /stats.
 func currentEpoch(t *testing.T, ts *httptest.Server) uint64 {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st.Epoch
+	return uint64(statInt(t, fetchStats(t, ts), "epoch"))
 }

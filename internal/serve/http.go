@@ -69,60 +69,6 @@ type WriteResponse struct {
 	Millis   float64 `json:"elapsed_ms"`
 }
 
-// StatsResponse is the /stats response body.
-type StatsResponse struct {
-	Queries         int64   `json:"queries"`
-	Errors          int64   `json:"errors"`
-	Canceled        int64   `json:"canceled"`
-	Rejected        int64   `json:"rejected"`
-	WriteRejected   int64   `json:"write_rejected"`
-	WriteQueueDepth int64   `json:"write_queue_depth"`
-	InFlight        int64   `json:"in_flight"`
-	PreparedHits    int64   `json:"prepared_hits"`
-	PreparedMisses  int64   `json:"prepared_misses"`
-	PreparedSize    int     `json:"prepared_size"`
-	AvgMillis       float64 `json:"avg_ms"`
-	MaxMillis       float64 `json:"max_ms"`
-	Epoch           uint64  `json:"epoch"`
-	Swaps           int64   `json:"swaps"`
-	WriteOps        int64   `json:"write_ops"` // > swaps when coalescing shared publishes
-	GenerationsLive int64   `json:"generations_live"`
-	RowsInserted    int64   `json:"rows_inserted"`
-	RowsDeleted     int64   `json:"rows_deleted"`
-	Supersteps      int     `json:"bsp_supersteps"`
-	Messages        int64   `json:"bsp_messages"`
-	MessageBytes    int64   `json:"bsp_message_bytes"`
-	ComputeOps      int64   `json:"bsp_compute_ops"`
-	// Message-plane combiner activity: logical sends folded en route
-	// and the inbox Message slots that never materialized. Messages
-	// above still counts every logical send (the paper's M).
-	MessagesCombined int64 `json:"bsp_messages_combined"`
-	InboxBytesSaved  int64 `json:"bsp_inbox_bytes_saved"`
-	CombineFallbacks int64 `json:"bsp_combine_fallbacks"`
-	// Durability (the WriteOp WAL; all zero on a memory-only server).
-	WALRecords  int64 `json:"wal_records"`
-	WALBytes    int64 `json:"wal_bytes"`
-	WALFsyncs   int64 `json:"wal_fsyncs"`
-	WALReplayed int64 `json:"wal_replayed_epochs"`
-	// Checkpointing (snapshot-then-truncate compaction). WALSkipped is
-	// the boot-time records the loaded checkpoint made redundant;
-	// CheckpointErrors counts failed writes plus invalid checkpoints
-	// skipped at boot.
-	WALSkipped       int64  `json:"wal_skipped_epochs"`
-	WALTruncations   int64  `json:"wal_truncations"`
-	Checkpoints      int64  `json:"checkpoints"`
-	CheckpointEpoch  uint64 `json:"checkpoint_epoch"`
-	CheckpointErrors int64  `json:"checkpoint_errors"`
-	// Incremental maintenance of pinned queries (subscriptions).
-	PinnedQueries         int64 `json:"pinned_queries"`
-	IncrementalHits       int64 `json:"incremental_hits"`
-	IncrementalFallbacks  int64 `json:"incremental_fallbacks"`
-	IncrementalMismatches int64 `json:"incremental_mismatches"`
-	// Distributed serving (zero/absent when serving locally).
-	DistParts    int64 `json:"dist_parts,omitempty"`
-	DistDegraded bool  `json:"dist_degraded,omitempty"`
-}
-
 // SubscribeRequest is the POST /subscribe request body: the query to
 // pin. The server answers it once, keeps the answer current across
 // every later write (incrementally when the query is eligible), and
@@ -165,7 +111,7 @@ type errorResponse struct {
 //	POST   /subscribe {"sql": "..."}        → SubscribeResponse (pin a query)
 //	GET    /subscribe?fp=...&after=&wait_ms= → SubscribeResponse (long-poll)
 //	DELETE /subscribe?fp=...                → UnsubscribeResponse
-//	GET  /stats                    → StatsResponse
+//	GET  /stats                    → {"<statRows key>": value, ...}
 //	GET  /healthz                  → 200 "ok"
 func Handler(s *Server) http.Handler { return handler(s, false) }
 
@@ -357,55 +303,7 @@ func handler(s *Server, readOnly bool) http.Handler {
 		if !allowMethods(w, r, http.MethodGet, http.MethodHead) {
 			return
 		}
-		st := s.Stats()
-		avg := 0.0
-		if st.Queries > 0 {
-			avg = ms(st.TotalTime) / float64(st.Queries)
-		}
-		writeJSON(w, http.StatusOK, StatsResponse{
-			Queries:          st.Queries,
-			Errors:           st.Errors,
-			Canceled:         st.Canceled,
-			Rejected:         st.Rejected,
-			WriteRejected:    st.WriteRejected,
-			WriteQueueDepth:  st.WriteQueueDepth,
-			InFlight:         st.InFlight,
-			PreparedHits:     st.PreparedHits,
-			PreparedMisses:   st.PreparedMisses,
-			PreparedSize:     s.PreparedLen(),
-			AvgMillis:        avg,
-			MaxMillis:        ms(st.MaxTime),
-			Epoch:            st.Epoch,
-			Swaps:            st.Swaps,
-			WriteOps:         st.WriteOps,
-			GenerationsLive:  st.GenerationsLive,
-			RowsInserted:     st.RowsInserted,
-			RowsDeleted:      st.RowsDeleted,
-			Supersteps:       st.Cost.Supersteps,
-			Messages:         st.Cost.Messages,
-			MessageBytes:     st.Cost.MessageBytes,
-			ComputeOps:       st.Cost.ComputeOps,
-			MessagesCombined: st.Cost.MessagesCombined,
-			InboxBytesSaved:  st.Cost.InboxBytesSaved,
-			CombineFallbacks: st.Cost.CombineFallbacks,
-			WALRecords:       st.WALRecords,
-			WALBytes:         st.WALBytes,
-			WALFsyncs:        st.WALFsyncs,
-			WALReplayed:      st.WALReplayed,
-			WALSkipped:       st.WALSkipped,
-			WALTruncations:   st.WALTruncations,
-			Checkpoints:      st.Checkpoints,
-			CheckpointEpoch:  st.CheckpointEpoch,
-			CheckpointErrors: st.CheckpointErrors,
-
-			PinnedQueries:         st.PinnedQueries,
-			IncrementalHits:       st.IncrementalHits,
-			IncrementalFallbacks:  st.IncrementalFallbacks,
-			IncrementalMismatches: st.IncrementalMismatches,
-
-			DistParts:    st.DistParts,
-			DistDegraded: st.DistDegraded,
-		})
+		writeJSON(w, http.StatusOK, statsJSON(s.Stats()))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if !allowMethods(w, r, http.MethodGet, http.MethodHead) {

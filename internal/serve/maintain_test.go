@@ -309,7 +309,7 @@ func TestPreparedLRU(t *testing.T) {
 	mustPrepared(qc, false) // evicts B
 	mustPrepared(qa, true)  // A survived
 	mustPrepared(qb, false) // B was evicted
-	if n := srv.PreparedLen(); n != 2 {
+	if n := srv.Stats().PreparedSize; n != 2 {
 		t.Errorf("prepared cache holds %d entries, want 2", n)
 	}
 }

@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
-// This file is the serving layer's observability surface: lock-free
-// log-spaced latency histograms (one per protocol) and the Prometheus
-// text exposition served on /metrics. No external client library is
-// used — the text format is a stable, trivially-rendered contract, and
-// the repo's only histogram consumer is a scrape endpoint plus the
-// bench harness's quantile summaries.
+// This file is the serving layer's observability surface: the statRows
+// table that both /stats and /metrics render, lock-free log-spaced
+// latency histograms (one per protocol), and the Prometheus text
+// exposition served on /metrics. No external client library is used —
+// the text format is a stable, trivially-rendered contract.
 
 // latBuckets are the histogram upper bounds in seconds, log-spaced
 // 1-2.5-5 per decade from 100µs to 10s — wide enough for a point query
@@ -78,7 +77,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i := range h.counts {
 		c := h.counts[i].Load()
 		if c == 0 {
-			seen += c
 			continue
 		}
 		if float64(seen+c) >= rank {
@@ -97,47 +95,100 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return latBuckets[len(latBuckets)-1]
 }
 
+// statRow declares one serving counter for both operator views: its
+// /stats JSON key, its Prometheus name, type and help text, and a
+// getter over a Stats snapshot. The getter returns the value in its
+// natural type (integers stay integers, so a uint64 epoch is exact) or
+// nil to leave the row out of both views. Adding a counter means one
+// Stats field plus one row; neither view names a counter itself.
+type statRow struct {
+	key, prom, typ, help string
+	get                  func(st *Stats) any
+}
+
+var statRows = []statRow{
+	{"queries", "tagserve_queries_total", "counter", "Queries completed successfully.", func(st *Stats) any { return st.Queries }},
+	{"errors", "tagserve_query_errors_total", "counter", "Queries that failed (parse, analyze, or execution).", func(st *Stats) any { return st.Errors }},
+	{"canceled", "tagserve_queries_canceled_total", "counter", "Queries aborted by deadline or client cancellation.", func(st *Stats) any { return st.Canceled }},
+	{"rejected", "tagserve_admission_rejected_total", "counter", "Queries refused by admission control (session pool exhausted past the bounded wait).", func(st *Stats) any { return st.Rejected }},
+	{"write_rejected", "tagserve_write_rejected_total", "counter", "Writes refused by admission control (write queue full past the bounded wait).", func(st *Stats) any { return st.WriteRejected }},
+	{"in_flight", "tagserve_sessions_in_flight", "gauge", "Queries currently executing.", func(st *Stats) any { return st.InFlight }},
+	{"prepared_hits", "tagserve_prepared_hits_total", "counter", "Queries served from the prepared-statement cache.", func(st *Stats) any { return st.PreparedHits }},
+	{"prepared_misses", "tagserve_prepared_misses_total", "counter", "Queries analyzed afresh.", func(st *Stats) any { return st.PreparedMisses }},
+	{"prepared_size", "tagserve_prepared_statements", "gauge", "Cached prepared statements.", func(st *Stats) any { return st.PreparedSize }},
+	{"avg_ms", "tagserve_query_avg_milliseconds", "gauge", "Mean wall time of successful queries, in milliseconds.", func(st *Stats) any { return ms(st.TotalTime) / max(1, float64(st.Queries)) }},
+	{"max_ms", "tagserve_query_max_milliseconds", "gauge", "Wall time of the slowest successful query, in milliseconds.", func(st *Stats) any { return ms(st.MaxTime) }},
+	{"bsp_supersteps", "tagserve_bsp_supersteps_total", "counter", "BSP supersteps run by all queries.", func(st *Stats) any { return st.Cost.Supersteps }},
+	{"bsp_messages", "tagserve_bsp_messages_total", "counter", "BSP messages sent by all queries (the paper's M).", func(st *Stats) any { return st.Cost.Messages }},
+	{"bsp_message_bytes", "tagserve_bsp_message_bytes_total", "counter", "Payload bytes of the BSP messages sent by all queries.", func(st *Stats) any { return st.Cost.MessageBytes }},
+	{"bsp_compute_ops", "tagserve_bsp_compute_ops_total", "counter", "Units of per-vertex computation run by all queries (the paper's computation cost).", func(st *Stats) any { return st.Cost.ComputeOps }},
+	{"bsp_messages_combined", "tagserve_bsp_messages_combined_total", "counter", "Logical BSP sends folded en route by a combiner.", func(st *Stats) any { return st.Cost.MessagesCombined }},
+	{"bsp_inbox_bytes_saved", "tagserve_bsp_inbox_bytes_saved_total", "counter", "Inbox Message-slot bytes the folded sends never occupied.", func(st *Stats) any { return st.Cost.InboxBytesSaved }},
+	{"bsp_combine_fallbacks", "tagserve_bsp_combine_fallbacks_total", "counter", "Runs where the adaptive gate dropped a rarely-folding combiner.", func(st *Stats) any { return st.Cost.CombineFallbacks }},
+	{"epoch", "tagserve_epoch", "gauge", "Epoch of the currently served generation.", func(st *Stats) any { return st.Epoch }},
+	{"swaps", "tagserve_generation_swaps_total", "counter", "Graph generations published since startup.", func(st *Stats) any { return st.Swaps }},
+	{"write_ops", "tagserve_write_ops_total", "counter", "Write ops applied through the Maintainer.", func(st *Stats) any { return st.WriteOps }},
+	{"rows_inserted", "tagserve_rows_inserted_total", "counter", "Rows inserted through the Maintainer.", func(st *Stats) any { return st.RowsInserted }},
+	{"rows_deleted", "tagserve_rows_deleted_total", "counter", "Rows deleted through the Maintainer.", func(st *Stats) any { return st.RowsDeleted }},
+	{"generations_live", "tagserve_generations_live", "gauge", "Published but not yet drained graph generations.", func(st *Stats) any { return st.GenerationsLive }},
+	{"write_queue_depth", "tagserve_write_queue_depth", "gauge", "Writes queued or applying.", func(st *Stats) any { return st.WriteQueueDepth }},
+	{"wal_records", "tagserve_wal_records_total", "counter", "WAL records appended since boot.", func(st *Stats) any { return st.WALRecords }},
+	{"wal_bytes", "tagserve_wal_bytes_total", "counter", "WAL bytes appended since boot.", func(st *Stats) any { return st.WALBytes }},
+	{"wal_fsyncs", "tagserve_wal_fsyncs_total", "counter", "Fsyncs issued by the WAL sync policy.", func(st *Stats) any { return st.WALFsyncs }},
+	{"wal_replayed_epochs", "tagserve_wal_replayed_records", "gauge", "WAL records replayed at boot (the suffix past the checkpoint).", func(st *Stats) any { return st.WALReplayed }},
+	{"wal_skipped_epochs", "tagserve_wal_skipped_records", "gauge", "WAL records at boot that the loaded checkpoint already covered.", func(st *Stats) any { return st.WALSkipped }},
+	{"wal_truncations", "tagserve_wal_truncations_total", "counter", "WAL compactions (prefix rewrites after checkpoints).", func(st *Stats) any { return st.WALTruncations }},
+	{"checkpoints", "tagserve_checkpoints_total", "counter", "Checkpoints written since boot.", func(st *Stats) any { return st.Checkpoints }},
+	{"checkpoint_epoch", "tagserve_checkpoint_epoch", "gauge", "Epoch covered by the newest checkpoint.", func(st *Stats) any { return st.CheckpointEpoch }},
+	{"checkpoint_errors", "tagserve_checkpoint_errors_total", "counter", "Checkpoint writes that failed plus invalid checkpoints skipped at boot.", func(st *Stats) any { return st.CheckpointErrors }},
+	{"pinned_queries", "tagserve_pinned_queries", "gauge", "Currently pinned (subscribed) queries.", func(st *Stats) any { return st.PinnedQueries }},
+	{"incremental_hits", "tagserve_incremental_hits_total", "counter", "Pinned-query epoch advances folded incrementally from the write delta.", func(st *Stats) any { return st.IncrementalHits }},
+	{"incremental_fallbacks", "tagserve_incremental_fallbacks_total", "counter", "Pinned-query epoch advances that re-ran the query cold.", func(st *Stats) any { return st.IncrementalFallbacks }},
+	{"incremental_mismatches", "tagserve_incremental_mismatches_total", "counter", "Verified folds that diverged from the cold run (cold answer won).", func(st *Stats) any { return st.IncrementalMismatches }},
+	{"dist_parts", "tagserve_dist_parts", "gauge", "Distributed topology size, coordinator included (absent when serving locally).", func(st *Stats) any { return omitZero(st.DistParts) }},
+	{"dist_degraded", "tagserve_dist_degraded", "gauge", "1 once the distributed topology lost a node (absent while healthy).", func(st *Stats) any { return omitZero(st.DistDegraded) }},
+}
+
+// omitZero drops a zero value from both views, as /stats has always
+// done for the distributed gauges.
+func omitZero[T comparable](v T) any {
+	var zero T
+	if v == zero {
+		return nil
+	}
+	return v
+}
+
+// statsJSON is the /stats body: every present row under its JSON key.
+func statsJSON(st Stats) map[string]any {
+	out := make(map[string]any, len(statRows))
+	for _, r := range statRows {
+		if v := r.get(&st); v != nil {
+			out[r.key] = v
+		}
+	}
+	return out
+}
+
 // WriteMetrics renders the server's serving statistics in the
-// Prometheus text exposition format (version 0.0.4): counters mirrored
-// from Stats, admission/queue gauges, and the per-protocol query
-// latency histograms with precomputed p50/p99/p999 quantile gauges.
+// Prometheus text exposition format (version 0.0.4): one series per
+// statRows row, then the per-protocol query latency histograms with
+// precomputed p50/p99/p999 quantile gauges.
 func (s *Server) WriteMetrics(w io.Writer) {
 	st := s.Stats()
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	for _, r := range statRows {
+		v := r.get(&st)
+		if v == nil {
+			continue
+		}
+		if b, ok := v.(bool); ok {
+			v = 0
+			if b {
+				v = 1
+			}
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", r.prom, r.help, r.prom, r.typ, r.prom, v)
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-
-	counter("tagserve_queries_total", "Queries completed successfully.", st.Queries)
-	counter("tagserve_query_errors_total", "Queries that failed (parse, analyze, or execution).", st.Errors)
-	counter("tagserve_queries_canceled_total", "Queries aborted by deadline or client cancellation.", st.Canceled)
-	counter("tagserve_admission_rejected_total", "Queries refused by admission control (session pool exhausted past the bounded wait).", st.Rejected)
-	counter("tagserve_write_rejected_total", "Writes refused by admission control (write queue full past the bounded wait).", st.WriteRejected)
-	counter("tagserve_prepared_hits_total", "Queries served from the prepared-statement cache.", st.PreparedHits)
-	counter("tagserve_prepared_misses_total", "Queries analyzed afresh.", st.PreparedMisses)
-	counter("tagserve_generation_swaps_total", "Graph generations published since startup.", st.Swaps)
-	counter("tagserve_write_ops_total", "Write ops applied through the Maintainer.", st.WriteOps)
-	counter("tagserve_rows_inserted_total", "Rows inserted through the Maintainer.", st.RowsInserted)
-	counter("tagserve_rows_deleted_total", "Rows deleted through the Maintainer.", st.RowsDeleted)
-	counter("tagserve_wal_records_total", "WAL records appended since boot.", st.WALRecords)
-	counter("tagserve_wal_bytes_total", "WAL bytes appended since boot.", st.WALBytes)
-	counter("tagserve_wal_fsyncs_total", "Fsyncs issued by the WAL sync policy.", st.WALFsyncs)
-	counter("tagserve_checkpoints_total", "Checkpoints written since boot.", st.Checkpoints)
-	counter("tagserve_incremental_hits_total", "Pinned-query epoch advances folded incrementally from the write delta.", st.IncrementalHits)
-	counter("tagserve_incremental_fallbacks_total", "Pinned-query epoch advances that re-ran the query cold.", st.IncrementalFallbacks)
-	counter("tagserve_incremental_mismatches_total", "Verified folds that diverged from the cold run (cold answer won).", st.IncrementalMismatches)
-	counter("tagserve_bsp_messages_total", "BSP messages sent by all queries (the paper's M).", st.Cost.Messages)
-	counter("tagserve_bsp_supersteps_total", "BSP supersteps run by all queries.", int64(st.Cost.Supersteps))
-
-	gauge("tagserve_sessions_in_flight", "Queries currently executing.", st.InFlight)
-	gauge("tagserve_write_queue_depth", "Writes queued or applying.", st.WriteQueueDepth)
-	gauge("tagserve_generations_live", "Published but not yet drained graph generations.", st.GenerationsLive)
-	gauge("tagserve_epoch", "Epoch of the currently served generation.", int64(st.Epoch))
-	gauge("tagserve_prepared_statements", "Cached prepared statements.", int64(s.PreparedLen()))
-	gauge("tagserve_pinned_queries", "Currently pinned (subscribed) queries.", st.PinnedQueries)
 
 	// Per-protocol latency histograms, in the le-cumulative bucket form,
 	// plus summary-style quantile gauges so p50/p99/p999 are readable
@@ -149,7 +200,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		var cum int64
 		for i, le := range latBuckets {
 			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "%s_bucket{protocol=%q,le=%q} %d\n", hname, proto, trimFloat(le), cum)
+			fmt.Fprintf(w, "%s_bucket{protocol=%q,le=\"%g\"} %d\n", hname, proto, le, cum)
 		}
 		cum += h.counts[len(latBuckets)].Load()
 		fmt.Fprintf(w, "%s_bucket{protocol=%q,le=\"+Inf\"} %d\n", hname, proto, cum)
@@ -160,15 +211,8 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s Query latency quantiles by serving protocol (histogram-estimated).\n# TYPE %s gauge\n", qname, qname)
 	for _, proto := range []string{ProtoHTTP, ProtoBinary} {
 		h := s.lat[proto]
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.99", 0.99}, {"0.999", 0.999}} {
-			fmt.Fprintf(w, "%s{protocol=%q,quantile=%q} %g\n", qname, proto, q.label, h.Quantile(q.q))
+		for _, q := range []float64{0.5, 0.99, 0.999} {
+			fmt.Fprintf(w, "%s{protocol=%q,quantile=\"%g\"} %g\n", qname, proto, q, h.Quantile(q))
 		}
 	}
 }
-
-// trimFloat renders a bucket bound the way Prometheus clients expect
-// (no exponent for these magnitudes, no trailing zeros).
-func trimFloat(f float64) string { return fmt.Sprintf("%g", f) }

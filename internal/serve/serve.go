@@ -177,6 +177,7 @@ type Stats struct {
 	InFlight       int64         // currently executing
 	PreparedHits   int64         // served from the prepared-statement cache
 	PreparedMisses int64         // analyzed afresh
+	PreparedSize   int64         // cached prepared statements (gauge, filled at snapshot time)
 	TotalTime      time.Duration // summed wall time of successful queries
 	MaxTime        time.Duration // slowest successful query
 	Cost           bsp.Stats     // summed BSP cost measures of all queries
@@ -714,6 +715,7 @@ func (s *Server) Stats() Stats {
 	st.Epoch = s.gen.Load().Epoch
 	st.GenerationsLive = s.live.Load()
 	st.WriteQueueDepth = s.writeQueueDepth()
+	st.PreparedSize = int64(s.prepared.len())
 	if s.wal != nil {
 		ws := s.wal.Stats()
 		st.WALRecords = ws.Records
@@ -765,9 +767,6 @@ func (s *Server) Latency(proto string) *Histogram { return s.lat[proto] }
 // AdmitWait returns the admission-control bound, which the protocol
 // layers turn into their Retry-After hints.
 func (s *Server) AdmitWait() time.Duration { return s.opts.AdmitWait }
-
-// PreparedLen returns the number of cached prepared statements.
-func (s *Server) PreparedLen() int { return s.prepared.len() }
 
 // Close releases the server's durability resources: it fsyncs and
 // closes the attached WAL (releasing the dir's writer lock so a

@@ -108,7 +108,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	if st.PreparedMisses < int64(len(queries)) {
 		t.Errorf("prepared misses = %d, want >= %d", st.PreparedMisses, len(queries))
 	}
-	if n := srv.PreparedLen(); n != len(queries) {
+	if n := st.PreparedSize; n != int64(len(queries)) {
 		t.Errorf("prepared cache holds %d entries, want %d", n, len(queries))
 	}
 }
@@ -143,7 +143,7 @@ func TestPreparedCacheNormalization(t *testing.T) {
 			}
 		}
 	}
-	if n := srv.PreparedLen(); n != 1 {
+	if n := srv.Stats().PreparedSize; n != 1 {
 		t.Errorf("prepared cache holds %d entries, want 1", n)
 	}
 }
@@ -202,26 +202,18 @@ func TestHTTPQueryAndStats(t *testing.T) {
 	}
 
 	// GET /stats reflects the one successful and one failed query.
-	resp3, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp3.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Queries != 1 || st.Errors != 1 {
+	st := fetchStats(t, ts)
+	if statInt(t, st, "queries") != 1 || statInt(t, st, "errors") != 1 {
 		t.Errorf("stats = %+v, want 1 query and 1 error", st)
 	}
 	// The scalar COUNT funnels every nation row's partial into the
 	// aggregator vertex; the combined message plane must have folded
 	// those sends and surfaced the counters through /stats.
-	if st.MessagesCombined <= 0 {
+	combined, saved := statInt(t, st, "bsp_messages_combined"), statInt(t, st, "bsp_inbox_bytes_saved")
+	if combined <= 0 {
 		t.Errorf("stats report no combined messages: %+v", st)
 	}
-	if st.InboxBytesSaved < st.MessagesCombined*24 {
-		t.Errorf("saved bytes %d below the Message-slot floor for %d folds",
-			st.InboxBytesSaved, st.MessagesCombined)
+	if saved < combined*24 {
+		t.Errorf("saved bytes %d below the Message-slot floor for %d folds", saved, combined)
 	}
 }

@@ -230,4 +230,90 @@ func TestStatsViewsGolden(t *testing.T) {
 			t.Errorf("/metrics lost line %q", line)
 		}
 	}
+
+	// Parity: every /stats key has exactly one unlabelled /metrics series
+	// carrying the same value, and every unlabelled series is a /stats
+	// key. (Labelled series are the latency histogram and quantiles.)
+	samples := map[string][]string{}
+	for _, line := range strings.Split(met, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
+			continue
+		}
+		name, val, _ := strings.Cut(line, " ")
+		samples[name] = append(samples[name], metricValue(val))
+	}
+	promOf := map[string]string{}
+	for _, r := range statRows {
+		promOf[r.key] = r.prom
+	}
+	for key, v := range fetchStats(t, ts) {
+		prom, ok := promOf[key]
+		if !ok {
+			t.Errorf("/stats key %q has no statRows row", key)
+			continue
+		}
+		want := canonical(v)
+		if b, ok := v.(bool); ok {
+			want = map[bool]string{false: "0", true: "1"}[b]
+		}
+		if got := samples[prom]; len(got) != 1 || got[0] != want {
+			t.Errorf("/stats[%q] = %s but /metrics %s = %v, want exactly one series with that value", key, want, prom, got)
+		}
+		delete(samples, prom)
+	}
+	for name := range samples {
+		t.Errorf("/metrics series %s has no /stats key", name)
+	}
+}
+
+// metricValue renders a /metrics sample value in canonical's form.
+func metricValue(s string) string {
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return strconv.FormatInt(i, 10)
+	}
+	if u, err := strconv.ParseUint(s, 10, 64); err == nil {
+		return strconv.FormatUint(u, 10)
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return "unparsable " + s
+	}
+	return strconv.FormatFloat(f, 'g', -1, 64)
+}
+
+// TestStatRowsDeclareEachCounterOnce: no two rows share a JSON key or a
+// Prometheus name, every row names a known metric type, and the
+// distributed gauges keep /stats' omit-when-zero shape in both views.
+func TestStatRowsDeclareEachCounterOnce(t *testing.T) {
+	keys, proms := map[string]bool{}, map[string]bool{}
+	for _, r := range statRows {
+		if keys[r.key] || proms[r.prom] {
+			t.Errorf("row %q/%q declared twice", r.key, r.prom)
+		}
+		keys[r.key], proms[r.prom] = true, true
+		if r.typ != "counter" && r.typ != "gauge" {
+			t.Errorf("row %q has metric type %q", r.key, r.typ)
+		}
+		if strings.HasSuffix(r.prom, "_total") != (r.typ == "counter") {
+			t.Errorf("row %q: %s is a %s; only counters end in _total", r.key, r.prom, r.typ)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		st   Stats
+		want map[string]any
+	}{
+		{"local", Stats{}, map[string]any{}},
+		{"healthy topology", Stats{DistParts: 2}, map[string]any{"dist_parts": int64(2)}},
+		{"degraded topology", Stats{DistParts: 2, DistDegraded: true},
+			map[string]any{"dist_parts": int64(2), "dist_degraded": true}},
+	} {
+		got := statsJSON(tc.st)
+		for _, k := range []string{"dist_parts", "dist_degraded"} {
+			if got[k] != tc.want[k] {
+				t.Errorf("%s: /stats[%q] = %#v, want %#v", tc.name, k, got[k], tc.want[k])
+			}
+		}
+	}
 }

@@ -262,16 +262,11 @@ func TestSubscribeHTTP(t *testing.T) {
 	}
 
 	// /stats carries the same counters.
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats StatsResponse
-	json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if stats.PinnedQueries != 1 || stats.IncrementalHits != 1 || stats.IncrementalMismatches != 0 {
-		t.Errorf("/stats pinned/hits/mismatches = %d/%d/%d, want 1/1/0",
-			stats.PinnedQueries, stats.IncrementalHits, stats.IncrementalMismatches)
+	stats := fetchStats(t, ts)
+	pinned, hits, mismatches := statInt(t, stats, "pinned_queries"),
+		statInt(t, stats, "incremental_hits"), statInt(t, stats, "incremental_mismatches")
+	if pinned != 1 || hits != 1 || mismatches != 0 {
+		t.Errorf("/stats pinned/hits/mismatches = %d/%d/%d, want 1/1/0", pinned, hits, mismatches)
 	}
 
 	// Hostile inputs: every one a 4xx, never a 5xx, and the epoch must
