@@ -624,10 +624,11 @@ func NewEngine(g *Graph, opts Options) *Engine {
 	}
 	for w := range e.ctxs {
 		e.ctxs[w] = &Context{
-			eng:  e,
-			out:  make([][]outMsg, opts.Workers),
-			acc:  make([]ctxAcc, opts.Workers),
-			aggs: make(map[string]int64),
+			eng:    e,
+			worker: w,
+			out:    make([][]outMsg, opts.Workers),
+			acc:    make([]ctxAcc, opts.Workers),
+			aggs:   make(map[string]int64),
 			// Tag emits only where an allgather will need to order them.
 			tagEmits: e.localPart >= 0,
 		}
@@ -676,6 +677,9 @@ func (e *Engine) inboxOf(v VertexID) []Message {
 
 // Graph returns the underlying graph.
 func (e *Engine) Graph() *Graph { return e.g }
+
+// Workers returns the number of worker contexts Compute runs on.
+func (e *Engine) Workers() int { return len(e.ctxs) }
 
 // Stats returns the accumulated cost measures.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -1314,14 +1318,15 @@ func (e *Engine) flushPend(sh *mergeShard) {
 // Context is the per-worker view handed to Compute. All methods are safe
 // for the single goroutine that owns the context.
 type Context struct {
-	eng   *Engine
-	step  int
-	cur   VertexID   // vertex currently computing (set by the dispatch loops)
-	out   [][]outMsg // one outbox per destination merge shard
-	acc   []ctxAcc   // one fold table per destination merge shard (combined plane)
-	stats Stats      // send-time accounting of combined sends
-	aggs  map[string]int64
-	emits []any
+	eng    *Engine
+	worker int // index in [0, Engine.Workers())
+	step   int
+	cur    VertexID   // vertex currently computing (set by the dispatch loops)
+	out    [][]outMsg // one outbox per destination merge shard
+	acc    []ctxAcc   // one fold table per destination merge shard (combined plane)
+	stats  Stats      // send-time accounting of combined sends
+	aggs   map[string]int64
+	emits  []any
 	// tagEmits/emitTags record (step, vertex) per emit so a distributed
 	// run can allgather the nodes' emit streams back into the exact
 	// single-process order. Off outside distributed runs.
@@ -1334,6 +1339,11 @@ type Context struct {
 
 // Graph returns the graph being computed over.
 func (c *Context) Graph() *Graph { return c.eng.g }
+
+// Worker returns the index of the worker that owns this context, in
+// [0, Engine.Workers()). No two goroutines compute on the same index at
+// once, so a program may keep per-worker scratch indexed by it.
+func (c *Context) Worker() int { return c.worker }
 
 // Step returns the current superstep number (counting from 0).
 func (c *Context) Step() int { return c.step }

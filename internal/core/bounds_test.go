@@ -1,0 +1,122 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/bsp"
+	"repro/internal/relation"
+	"repro/internal/tag"
+	"repro/internal/tpch"
+)
+
+// boundsScales are the graph sizes a point lookup's cost must not track.
+var boundsScales = []float64{0.5, 1, 2}
+
+// orderWithLines returns the smallest o_orderkey that has exactly n
+// lineitems, so a lookup of it has the same answer shape at every scale.
+func orderWithLines(t *testing.T, cat *relation.Catalog, n int) int64 {
+	t.Helper()
+	count := map[int64]int{}
+	for _, tu := range cat.Get("lineitem").Tuples {
+		count[tu[0].I]++
+	}
+	best := int64(-1)
+	for k, c := range count {
+		if c == n && (best < 0 || k < best) {
+			best = k
+		}
+	}
+	if best < 0 {
+		t.Fatalf("no order with %d lineitems", n)
+	}
+	return best
+}
+
+// lookupCost is one query's engine work and its average heap bytes
+// per run after warm-up.
+type lookupCost struct {
+	visits, ops int64
+	bytes       float64
+}
+
+func measureLookup(t *testing.T, ex *Session, q string) lookupCost {
+	t.Helper()
+	for i := 0; i < 3; i++ { // warm the session's pooled buffers
+		if _, err := ex.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	ex.ResetStats()
+	if _, err := ex.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	st := ex.Stats()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ex.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return lookupCost{
+		visits: st.ActiveVisits,
+		ops:    st.ComputeOps,
+		bytes:  float64(after.TotalAlloc-before.TotalAlloc) / runs,
+	}
+}
+
+// TestPointLookupCostIndependentOfGraphSize pins the §3 claim that an
+// equality selection enters the graph at its attribute vertex: a point
+// lookup's vertex visits and compute ops are the same at every scale,
+// and its allocation does not grow with |V| (no per-run per-vertex
+// arrays).
+func TestPointLookupCostIndependentOfGraphSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three TPC-H graphs")
+	}
+	queries := []struct {
+		name string
+		sql  func(cat *relation.Catalog) string
+	}{
+		{"orders-lineitem lookup", func(cat *relation.Catalog) string {
+			return fmt.Sprintf("SELECT o_orderkey, l_linenumber, l_quantity, l_extendedprice FROM orders, lineitem "+
+				"WHERE o_orderkey = l_orderkey AND o_orderkey = %d", orderWithLines(t, cat, 4))
+		}},
+		{"customer key", func(*relation.Catalog) string {
+			return "SELECT c_name, c_acctbal FROM customer WHERE c_custkey = 2"
+		}},
+	}
+	costs := make([][]lookupCost, len(queries))
+	for _, scale := range boundsScales {
+		cat := tpch.Generate(scale, 42)
+		g, err := tag.Build(cat, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := NewSession(g, bsp.Options{Workers: 1})
+		for qi, q := range queries {
+			c := measureLookup(t, ex, q.sql(cat))
+			t.Logf("%s scale %v |V|=%d: visits=%d ops=%d bytes/query=%.0f",
+				q.name, scale, g.G.NumVertices(), c.visits, c.ops, c.bytes)
+			costs[qi] = append(costs[qi], c)
+		}
+	}
+	for qi, q := range queries {
+		base := costs[qi][0]
+		for si, c := range costs[qi][1:] {
+			scale := boundsScales[si+1]
+			if c.visits != base.visits || c.ops != base.ops {
+				t.Errorf("%s: scale %v visits/ops %d/%d, scale %v %d/%d; want identical",
+					q.name, scale, c.visits, c.ops, boundsScales[0], base.visits, base.ops)
+			}
+			if c.bytes > 1.5*base.bytes {
+				t.Errorf("%s: scale %v allocates %.0f B/query, over 1.5x the %.0f B at scale %v",
+					q.name, scale, c.bytes, base.bytes, boundsScales[0])
+			}
+		}
+	}
+}

@@ -99,8 +99,8 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 
 	if p.cur >= r.nUp {
 		// Root reached: emit the distributed output (line 42). The value
-		// rides the emit stream instead of being written into r.values
-		// directly so that, under a distributed transport, every process
+		// rides the emit stream instead of being written into a shared
+		// table directly so that, under a distributed transport, every process
 		// reconstructs the full survivor set from the emit allgather.
 		ctx.Emit(rootVal{v: v, t: value})
 		return
@@ -123,7 +123,6 @@ type rootVal struct {
 // runCollection executes the collection phase from the reduction
 // survivors of the start alias and returns the distributed result.
 func (r *componentRun) runCollection(starters []bsp.VertexID) (*componentResult, error) {
-	r.values = make([]*table, r.ex.TAG.G.NumVertices())
 	prog := &collectionProgram{r: r}
 	if err := r.ex.runProg(prog, starters); err != nil {
 		return nil, err
@@ -132,11 +131,11 @@ func (r *componentRun) runCollection(starters []bsp.VertexID) (*componentResult,
 	res := &componentResult{
 		run:       r,
 		rootAlias: r.comp.Tree.Root,
-		values:    r.values,
+		values:    map[bsp.VertexID]*table{},
 	}
 	for _, e := range r.ex.eng.Emitted() {
 		rv := e.(rootVal)
-		r.values[rv.v] = rv.t
+		res.values[rv.v] = rv.t
 		res.survivors = append(res.survivors, rv.v)
 	}
 	return res, nil

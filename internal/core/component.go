@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/plan"
@@ -23,20 +25,19 @@ type componentRun struct {
 	steps []stepInfo
 	nUp   int
 
-	// marks[v][edgeID] records the senders v received from on that plan
-	// edge (most recent pass wins); DOWN and collection sends follow it.
-	marks []map[int]map[bsp.VertexID]struct{}
+	// marks.marks[v][edgeID] records the senders v received from on that
+	// plan edge (most recent pass wins); DOWN and collection sends follow
+	// it. Taken from the Session for the reduction and collection phases.
+	marks *markScratch
 
-	// filterOK memoizes pushed-filter evaluation per alias and vertex.
-	filterOK map[string][]int8 // 0 unknown, 1 pass, 2 fail
+	// filterOK memoizes pushed-filter evaluation per alias and vertex;
+	// the memos come from the Session and go back when the run ends.
+	filterOK map[string]*filterMemo
 	// bindings caches per-alias tuple bindings (read-only once built).
 	bindings map[string]sql.Binding
 	// prefilter restricts aliases whose filters could not run at vertices
 	// (vertex-unsafe subqueries) or that were reduced by a cycle pre-pass.
 	prefilter map[string]map[bsp.VertexID]bool
-
-	// values holds the final collection value of root-alias survivors.
-	values []*table
 
 	// joiner carries the shared join-shape cache of the collection phase.
 	joiner *joiner
@@ -63,9 +64,9 @@ type componentResult struct {
 	run       *componentRun
 	rootAlias string
 	survivors []bsp.VertexID
-	// values[v] is the final table at root vertex v; nil values slice
-	// means a single-alias component (rows come from the vertices).
-	values []*table
+	// values[v] is the final table at root vertex v; a nil map means a
+	// single-alias component (rows come from the vertices).
+	values map[bsp.VertexID]*table
 }
 
 // runComponent executes TAG-join for one plan component: the optional
@@ -73,11 +74,12 @@ type componentResult struct {
 // then the collection phase.
 func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env, subq sql.SubqueryFn) (*componentResult, error) {
 	r := &componentRun{ex: e, c: c, comp: comp, outer: outer, subq: subq,
-		filterOK:  map[string][]int8{},
+		filterOK:  map[string]*filterMemo{},
 		prefilter: map[string]map[bsp.VertexID]bool{},
 		bindings:  map[string]sql.Binding{},
 		joiner:    newJoiner(c.classCols),
 	}
+	defer r.release()
 	for _, bt := range c.blk.Tables {
 		binding := sql.Binding{}
 		for i, col := range bt.Schema.Columns {
@@ -117,13 +119,27 @@ func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env
 	if err := r.resolveSteps(); err != nil {
 		return nil, err
 	}
-	r.marks = make([]map[int]map[bsp.VertexID]struct{}, e.TAG.G.NumVertices())
+	r.marks = e.takeMarks()
 
 	survivors, err := r.runReduction()
 	if err != nil {
 		return nil, err
 	}
 	return r.runCollection(survivors)
+}
+
+// release hands the run's marks and filter memos back to the Session.
+// Nothing reads them once runComponent returns: the componentResult
+// keeps the run only for its compiled shapes.
+func (r *componentRun) release() {
+	if r.marks != nil {
+		r.ex.releaseMarks(r.marks)
+		r.marks = nil
+	}
+	for _, m := range r.filterOK {
+		r.ex.freeMemos = append(r.ex.freeMemos, m)
+	}
+	clear(r.filterOK)
 }
 
 // cycleIsPKFK reports whether the cycle is PK-FK dominated: at most one
@@ -263,22 +279,15 @@ func (r *componentRun) passes(alias string, v bsp.VertexID) bool {
 	if memo == nil {
 		return r.evalFilters(alias, v, d.Row)
 	}
-	switch memo[v] {
-	case 1:
-		return true
-	case 2:
-		return false
+	if ok, known := memo.lookup(v); known {
+		return ok
 	}
 	ok := r.evalFilters(alias, v, d.Row)
-	if ok {
-		memo[v] = 1
-	} else {
-		memo[v] = 2
-	}
+	memo.record(v, ok)
 	return ok
 }
 
-// prepareFilterMemo allocates the memo slice for aliases with filters.
+// prepareFilterMemo takes a memo for each alias with vertex-safe filters.
 func (r *componentRun) prepareFilterMemo() {
 	for alias, preds := range r.c.filters {
 		hasSafe := false
@@ -288,7 +297,7 @@ func (r *componentRun) prepareFilterMemo() {
 			}
 		}
 		if hasSafe {
-			r.filterOK[alias] = make([]int8, r.ex.TAG.G.NumVertices())
+			r.filterOK[alias] = r.ex.takeMemo()
 		}
 	}
 }
@@ -311,7 +320,8 @@ func (r *componentRun) evalFilters(alias string, v bsp.VertexID, row relation.Tu
 	return true
 }
 
-// initialActives returns the filtered tuple vertices of an alias.
+// initialActives returns the tuple vertices of an alias a reduction
+// starts from: its seeds that pass the alias's filters.
 func (r *componentRun) initialActives(alias string) []bsp.VertexID {
 	var out []bsp.VertexID
 	for _, v := range r.seedVertices(alias) {
@@ -322,19 +332,115 @@ func (r *componentRun) initialActives(alias string) []bsp.VertexID {
 	return out
 }
 
-// seedVertices returns the alias's tuple vertices narrowed to its
-// restriction window, if any. The per-relation vertex lists are in
-// ascending ID order (vertices are appended as they are created), so a
-// window is a contiguous sub-slice found by binary search — this is
-// what makes a delta-restricted seed O(log n + |delta|) instead of a
-// scan of the whole relation.
+// seedVertices returns, in ascending ID order, the candidate tuple
+// vertices of an alias: a superset of the ones that pass its filters,
+// which callers still check with passes. When a vertex-safe pushed
+// filter is col = literal or col IN (literal, ...) on a materialised
+// column, the candidates are the tuple ends of the literals' attribute
+// vertices along the table.col label — attribute vertices double as
+// indexes (§3) — so a selective run starts from O(answer) vertices and
+// a value with no attribute vertex starts none. Otherwise they are all
+// of the relation's tuple vertices. Either way the alias's restriction
+// window, if any, narrows them: the per-relation lists are in ascending
+// ID order (vertices are appended as they are created), so a window is
+// a contiguous sub-slice found by binary search, which keeps a
+// delta-restricted seed O(log n + |delta|).
 func (r *componentRun) seedVertices(alias string) []bsp.VertexID {
+	w, windowed := r.ex.restrict[alias]
+	if seeds, ok := r.attrSeeds(alias); ok {
+		if windowed {
+			seeds = slices.DeleteFunc(seeds, func(v bsp.VertexID) bool { return !w.contains(v) })
+		}
+		return seeds
+	}
 	verts := r.ex.TAG.TupleVertices(r.c.aliasTable[alias])
-	w, ok := r.ex.restrict[alias]
-	if !ok {
+	if !windowed {
 		return verts
 	}
 	return w.slice(verts)
+}
+
+// attrSeeds returns the sorted, deduplicated tuple vertices reached from
+// the attribute vertices of the first pushed equality filter of alias
+// that can enter there. A NULL literal, or one whose canonical Key kind
+// differs from the column's kind, cannot (SQL comparison coerces across
+// kinds, attribute identity does not), and neither can a float literal
+// of magnitude 2^53 or more against an integer column, where one float
+// equals several integers.
+func (r *componentRun) attrSeeds(alias string) ([]bsp.VertexID, bool) {
+	table := r.c.aliasTable[alias]
+	schema := r.ex.TAG.Catalog.Get(table).Schema
+next:
+	for _, p := range r.c.filters[alias] {
+		if p.fn != nil {
+			continue
+		}
+		col, lits := equalityLiterals(p.expr)
+		if col == nil || col.Depth != 0 || col.Alias != alias {
+			continue
+		}
+		ci := schema.Index(col.Column)
+		lbl, ok := r.ex.TAG.EdgeLabel(table, col.Column)
+		if ci < 0 || !ok || !r.ex.TAG.Materialized(table, col.Column) {
+			continue
+		}
+		kind := schema.Columns[ci].Kind
+		for _, lit := range lits {
+			if lit.IsNull() || lit.Key().Kind != kind ||
+				(lit.Kind == relation.KindFloat && kind != relation.KindFloat && math.Abs(lit.F) >= 1<<53) {
+				continue next
+			}
+		}
+		var seeds []bsp.VertexID
+		for _, lit := range lits {
+			av, ok := r.ex.TAG.AttrVertexOf(lit)
+			if !ok {
+				continue
+			}
+			for _, e := range r.ex.TAG.G.EdgesWithLabel(av, lbl) {
+				seeds = append(seeds, e.To)
+			}
+		}
+		slices.Sort(seeds)
+		return slices.Compact(seeds), true
+	}
+	return nil, false
+}
+
+// equalityLiterals matches col = literal, literal = col and
+// col IN (literal, ...), returning the column and the literals.
+func equalityLiterals(x sql.Expr) (*sql.ColRef, []relation.Value) {
+	switch x := x.(type) {
+	case *sql.Binary:
+		if x.Op != "=" {
+			return nil, nil
+		}
+		col, ok := x.L.(*sql.ColRef)
+		lit, ok2 := x.R.(*sql.Literal)
+		if !ok || !ok2 {
+			col, ok = x.R.(*sql.ColRef)
+			lit, ok2 = x.L.(*sql.Literal)
+		}
+		if !ok || !ok2 {
+			return nil, nil
+		}
+		return col, []relation.Value{lit.Val}
+	case *sql.InList:
+		col, ok := x.X.(*sql.ColRef)
+		if !ok || x.Not {
+			return nil, nil
+		}
+		vals := make([]relation.Value, len(x.List))
+		for i, item := range x.List {
+			lit, ok := item.(*sql.Literal)
+			if !ok {
+				return nil, nil
+			}
+			vals[i] = lit.Val
+		}
+		return col, vals
+	}
+	return nil, nil
 }
 
 // applyCollectPreds filters a partial table by every residual predicate

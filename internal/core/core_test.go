@@ -449,3 +449,29 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualitySeedsKeepCoercion covers equality filters whose literal
+// kind differs from the column's: seeding from the attribute vertex
+// must return exactly what SQL's numeric coercion does, including an
+// integral float literal beyond 2^53 that compares equal to two
+// distinct integers.
+func TestEqualitySeedsKeepCoercion(t *testing.T) {
+	cat := relation.NewCatalog()
+	r := relation.New("big", relation.MustSchema(
+		relation.Col("k", relation.KindInt),
+		relation.Col("f", relation.KindFloat)))
+	r.MustAppend(relation.Int(1<<53), relation.Float(2))
+	r.MustAppend(relation.Int(1<<53+1), relation.Float(2.5))
+	r.MustAppend(relation.Int(7), relation.Null)
+	cat.MustAdd(r)
+	for _, q := range []string{
+		"SELECT k FROM big WHERE k = 9007199254740992.0",
+		"SELECT k FROM big WHERE k IN (7, 9007199254740993)",
+		"SELECT k FROM big WHERE k = 7.5",
+		"SELECT k FROM big WHERE f = 2",
+		"SELECT k FROM big WHERE f = 2.5",
+		"SELECT k FROM big WHERE f = NULL",
+	} {
+		checkAgainstBaseline(t, cat, q)
+	}
+}

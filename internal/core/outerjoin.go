@@ -264,8 +264,6 @@ func (e *Session) tryVertexOuter(c *compiled, outer *sql.Env, subq sql.SubqueryF
 	// Superstep 3: attribute vertices build the (possibly NULL-extended)
 	// output; preserved-side tuples without a join value at all are
 	// handled by the final sweep below.
-	matchedLeft := make([]bool, e.TAG.G.NumVertices())
-	matchedRight := make([]bool, e.TAG.G.NumVertices())
 
 	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 		ctx.AddOps(1 + len(inbox))
@@ -313,34 +311,27 @@ func (e *Session) tryVertexOuter(c *compiled, outer *sql.Env, subq sql.SubqueryF
 			}
 		case 3:
 			var lefts, rights [][]relation.Value
-			var leftIDs, rightIDs []bsp.VertexID
 			for _, m := range inbox {
 				rp := m.Payload.(ojReply)
 				if rp.left {
 					lefts = append(lefts, rp.row)
-					leftIDs = append(leftIDs, m.From)
 				} else {
 					rights = append(rights, rp.row)
-					rightIDs = append(rightIDs, m.From)
 				}
 			}
 			switch {
 			case len(lefts) > 0 && len(rights) > 0:
-				for li, lr := range lefts {
-					for ri, rr := range rights {
+				for _, lr := range lefts {
+					for _, rr := range rights {
 						ctx.Emit(append(append([]relation.Value{}, lr...), rr...))
-						matchedLeft[leftIDs[li]] = true
-						matchedRight[rightIDs[ri]] = true
 					}
 				}
 			case len(lefts) > 0 && leftPreserve:
-				for li, lr := range lefts {
-					matchedLeft[leftIDs[li]] = true
+				for _, lr := range lefts {
 					ctx.Emit(append(append([]relation.Value{}, lr...), make([]relation.Value, len(header)-widthL)...))
 				}
 			case len(rights) > 0 && rightPreserve:
-				for ri, rr := range rights {
-					matchedRight[rightIDs[ri]] = true
+				for _, rr := range rights {
 					ctx.Emit(append(make([]relation.Value, widthL), rr...))
 				}
 			}
@@ -357,14 +348,13 @@ func (e *Session) tryVertexOuter(c *compiled, outer *sql.Env, subq sql.SubqueryF
 
 	// Preserved tuples whose join column is NULL (no attribute edge at
 	// all) never reached an attribute vertex: NULL-extend them here.
-	sweep := func(alias string, lbl bsp.LabelID, matched []bool, left bool) {
+	// Every other tuple was decided at its attribute vertex, so the
+	// sweep keeps no per-vertex record of what matched.
+	sweep := func(alias string, lbl bsp.LabelID, left bool) {
 		for _, v := range e.TAG.TupleVertices(c.aliasTable[alias]) {
 			d := e.TAG.TupleData(v)
-			if d == nil || d.Dead || matched[v] {
+			if d == nil || d.Dead || e.TAG.G.HasEdgeWithLabel(v, lbl) {
 				continue
-			}
-			if e.TAG.G.HasEdgeWithLabel(v, lbl) {
-				continue // reached an attr vertex; decided there
 			}
 			row := make([]relation.Value, 0, len(header))
 			if left {
@@ -384,10 +374,10 @@ func (e *Session) tryVertexOuter(c *compiled, outer *sql.Env, subq sql.SubqueryF
 		}
 	}
 	if leftPreserve {
-		sweep(la, lLbl, matchedLeft, true)
+		sweep(la, lLbl, true)
 	}
 	if rightPreserve {
-		sweep(ra, rLbl, matchedRight, false)
+		sweep(ra, rLbl, false)
 	}
 	return out, true, nil
 }

@@ -62,7 +62,7 @@ func randQuery(rng *rand.Rand) string {
 	// Filters.
 	for i := 0; i < rng.Intn(3); i++ {
 		a := rng.Intn(nAliases)
-		switch rng.Intn(5) {
+		switch rng.Intn(9) {
 		case 0:
 			conjs = append(conjs, fmt.Sprintf("%s > %d", col(a), rng.Intn(4)))
 		case 1:
@@ -73,6 +73,17 @@ func randQuery(rng *rand.Rand) string {
 			conjs = append(conjs, fmt.Sprintf("%s IS NOT NULL", col(a)))
 		case 4:
 			conjs = append(conjs, fmt.Sprintf("%s BETWEEN %d AND %d", col(a), rng.Intn(3), 2+rng.Intn(4)))
+		// Equalities a run may seed from the attribute vertex: an
+		// in-domain value, an absent one, a string, and a float literal
+		// against an integer column.
+		case 5:
+			conjs = append(conjs, fmt.Sprintf("%s = %d", col(a), rng.Intn(6)))
+		case 6:
+			conjs = append(conjs, fmt.Sprintf("%s = 99", col(a)))
+		case 7:
+			conjs = append(conjs, fmt.Sprintf("%s.s = '%s'", aliases[a], []string{"x", "y", "z"}[rng.Intn(3)]))
+		case 8:
+			conjs = append(conjs, fmt.Sprintf("%s.a = %d.0", aliases[a], rng.Intn(6)))
 		}
 	}
 	// Occasionally a subquery predicate.
@@ -115,8 +126,22 @@ func randQuery(rng *rand.Rand) string {
 // TestRandomizedDifferential cross-checks the TAG-join executor against
 // the baseline engine on hundreds of randomly generated queries over
 // randomly generated databases (small domains: duplicate-heavy,
-// NULL-heavy, skewed).
+// NULL-heavy, skewed), on one worker, on four, and across two
+// partitions.
 func TestRandomizedDifferential(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts bsp.Options
+	}{
+		{"workers1", bsp.Options{Workers: 1}},
+		{"workers4", bsp.Options{Workers: 4}},
+		{"partitions2", bsp.Options{Partitions: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { randomizedDifferential(t, tc.opts) })
+	}
+}
+
+func randomizedDifferential(t *testing.T, opts bsp.Options) {
 	const rounds = 30
 	const queriesPerRound = 12
 	rng := rand.New(rand.NewSource(99))
@@ -127,7 +152,7 @@ func TestRandomizedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := NewSession(g, bsp.Options{Workers: 4})
+		ex := NewSession(g, opts)
 		ref := baseline.New(cat)
 
 		for qi := 0; qi < queriesPerRound; qi++ {

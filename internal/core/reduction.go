@@ -42,7 +42,7 @@ func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp
 		if prev.toRel != "" && !r.passes(prev.toRel, v) {
 			return // filtered out: no marks, no propagation (§7 selections)
 		}
-		r.mark(v, prev.edgeID, inbox)
+		r.mark(ctx, v, prev.edgeID, inbox)
 	}
 
 	// Communication stage: send along the current step.
@@ -65,11 +65,15 @@ func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp
 // mark replaces v's sender set for a plan edge (the most recent, most
 // reduced pass wins; line 19's mark update). Combined messages carry
 // their folded senders as a senderBatch; plain ones contribute From.
-func (r *componentRun) mark(v bsp.VertexID, edge int, inbox []bsp.Message) {
-	m := r.marks[v]
+// The first mark of v in a run lists v under the computing worker, so
+// releasing the marks visits only the vertices that have some.
+func (r *componentRun) mark(ctx *bsp.Context, v bsp.VertexID, edge int, inbox []bsp.Message) {
+	m := r.marks.marks[v]
 	if m == nil {
 		m = make(map[int]map[bsp.VertexID]struct{}, 2)
-		r.marks[v] = m
+		r.marks.marks[v] = m
+		w := ctx.Worker()
+		r.marks.touched[w] = append(r.marks.touched[w], v)
 	}
 	set := make(map[bsp.VertexID]struct{}, bsp.InboxCount(inbox))
 	for _, msg := range inbox {
@@ -86,7 +90,7 @@ func (r *componentRun) mark(v bsp.VertexID, edge int, inbox []bsp.Message) {
 
 // markSet returns v's marked neighbors on a plan edge.
 func (r *componentRun) markSet(v bsp.VertexID, edge int) map[bsp.VertexID]struct{} {
-	if m := r.marks[v]; m != nil {
+	if m := r.marks.marks[v]; m != nil {
 		return m[edge]
 	}
 	return nil

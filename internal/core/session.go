@@ -28,9 +28,9 @@ type ExecInfo struct {
 // but any number of Sessions may evaluate concurrently over the same
 // tag.Graph — the TAG encoding is query-independent, so serving N
 // queries means N Sessions over one graph. The engine's message plane
-// is sparse and pooled, so an idle Session holds O(active-frontier)
-// memory, not O(|V|), and building one is cheap enough to do on the
-// serving path.
+// is sparse and pooled, so building a Session is cheap enough to do on
+// the serving path; its first component run sizes the pooled per-vertex
+// scratch (scratch.go) that every later run reuses.
 //
 // A Session is pinned to the graph it was created on, which must stay
 // frozen and unmutated for the Session's lifetime. Incremental
@@ -83,6 +83,12 @@ type Session struct {
 	restrict   map[string]vertexWindow
 	deltaAlias string
 	capture    *stateCapture
+
+	// freeMarks and freeMemos are the released per-vertex buffers of
+	// earlier component runs (scratch.go); reusing them keeps a run's
+	// set-up O(touched) instead of O(|V|).
+	freeMarks []*markScratch
+	freeMemos []*filterMemo
 }
 
 // NewSession prepares an independent evaluation session over t. The
