@@ -155,6 +155,53 @@ func (g *Graph) RemoveEdge(from, to VertexID, label LabelID) {
 	v.edges = kept
 }
 
+// IsolateVertices deletes every edge incident to the given vertices, in
+// both directions: their own adjacency lists are dropped, and each
+// neighbour's list is filtered once for the whole set, however many of
+// the vertices it was adjacent to. Edges must be symmetric (every a->b
+// has a b->a, as AddUndirectedEdge makes them), which is what lets the
+// neighbours be found from the vertices' own lists. Only valid before
+// Freeze; used by incremental TAG maintenance to delete a batch of
+// tuples at a cost proportional to the touched adjacency.
+func (g *Graph) IsolateVertices(vs []VertexID) {
+	if g.frozen {
+		panic("bsp: IsolateVertices after Freeze")
+	}
+	gone := make(map[VertexID]bool, len(vs))
+	for _, v := range vs {
+		gone[v] = true
+	}
+	nbrs := make(map[VertexID]bool)
+	for _, v := range vs {
+		vx := &g.vertices[v]
+		if len(vx.edges) == 0 {
+			continue
+		}
+		for _, e := range vx.edges {
+			if !gone[e.To] {
+				nbrs[e.To] = true
+			}
+		}
+		g.numEdges -= len(vx.edges)
+		vx.edges = nil // a fresh header: a shared backing array is never written
+		g.markDirty(v)
+	}
+	for u := range nbrs {
+		g.own(u)
+		g.markDirty(u)
+		ux := &g.vertices[u]
+		kept := ux.edges[:0]
+		for _, e := range ux.edges {
+			if gone[e.To] {
+				g.numEdges--
+				continue
+			}
+			kept = append(kept, e)
+		}
+		ux.edges = kept
+	}
+}
+
 // Freeze sorts adjacency lists by label and builds the per-label index.
 // The graph is immutable afterwards (vertex payloads may still change).
 // The first Freeze indexes every vertex; afterwards dirty-vertex

@@ -136,6 +136,28 @@ func Matrix() []Scenario {
 			},
 		},
 		{
+			Name: "kill9-replay-deletes",
+			Tier: Quick,
+			Doc:  "kill -9 after delete-carrying writes past a checkpoint; restart replays them to the exact epoch",
+			Steps: []Step{
+				Start{Flags: tpch("-wal", "{dir}/wal", "-wal-sync", "always", "-checkpoint-interval", "2")},
+				Write{Table: "nation", Rows: [][]any{nationRow(900, "SCEN-A")}},
+				Write{Table: "nation", Rows: [][]any{nationRow(901, "SCEN-B")}},
+				WaitStats{Field: "checkpoints", Min: 1},
+				// Each write deletes the rows the previous one inserted, the
+				// first of them a row the checkpoint already holds.
+				Write{Table: "nation", Rows: [][]any{nationRow(902, "SCEN-C"), nationRow(903, "SCEN-D")}, DeletePrev: true},
+				Write{Table: "nation", Rows: [][]any{nationRow(904, "SCEN-E")}, DeletePrev: true},
+				Write{Table: "nation", Rows: [][]any{nationRow(905, "SCEN-F")}, DeletePrev: true},
+				Query{SQL: countMarker, WantCell: "2"},
+				Kill{},
+				Restart{},
+				AssertEpoch{Acked: true},
+				StatsMin{Field: "wal_replayed_epochs", Min: 1},
+				Query{SQL: countMarker, WantLedger: true, EpochAcked: true},
+			},
+		},
+		{
 			Name: "checkpoint-boot-skips-replay",
 			Tier: Quick,
 			Doc:  "boot from a checkpoint replays only the WAL suffix past it",

@@ -88,8 +88,9 @@ func (m *Maintainer) Apply(op WriteOp) (*WriteResult, error) {
 	// bounded wait the write is refused with ErrOverloaded — the same
 	// refusal discipline as the query path's session admission — so a
 	// write burst backs pressure up to the clients instead of queueing
-	// without limit. Boot-time replay bypasses Apply (applyBatch
-	// directly) and is never admission-limited.
+	// without limit. Boot-time replay bypasses Apply (and applyBatch: it
+	// feeds logged ops to applyOps on its own clone) and is never
+	// admission-limited.
 	if s.writeSlots != nil {
 		select {
 		case s.writeSlots <- struct{}{}:
@@ -199,8 +200,57 @@ func (s *Server) applyBatch(batch []*queuedWrite) {
 	}()
 	start := time.Now()
 	next := s.gen.Load().Graph.Clone()
-	applied := make([]*queuedWrite, 0, len(batch))
-	inserted, deleted := 0, 0
+	applied, inserted, deleted := applyOps(next, batch)
+	if len(applied) == 0 {
+		return
+	}
+	// Durability barrier: the record must be on the log (synced per its
+	// policy) before the swap makes the batch visible, so the log is
+	// always a prefix-consistent history of what was ever served. The
+	// epoch is stable here — the caller holds writeMu, which publish
+	// relies on too.
+	if s.wal != nil {
+		rec := &wal.Record{Epoch: s.gen.Load().Epoch + 1, Ops: make([]wal.Op, len(applied))}
+		for i, qw := range applied {
+			rec.Ops[i] = wal.Op{Table: qw.op.Table, Insert: qw.op.Insert, Delete: qw.op.Delete}
+		}
+		if err := s.wal.Append(rec); err != nil {
+			// Applied to the clone but not logged: acknowledging it would
+			// let a crash forget an acknowledged write. Fail the cycle —
+			// the clone is discarded unpublished and the served state is
+			// unchanged, keeping the log's prefix guarantee intact.
+			err = fmt.Errorf("serve: wal append: %w", err)
+			for _, qw := range applied {
+				qw.res, qw.err = nil, err
+			}
+			return
+		}
+	}
+	gen := s.publish(next, s.gen.Load().Epoch+1, 1, len(applied), inserted, deleted)
+	elapsed := time.Since(start)
+	for _, qw := range applied {
+		qw.res.Epoch = gen.Epoch
+		qw.res.Coalesced = len(applied)
+		qw.res.Elapsed = elapsed
+	}
+	// Advance every pinned query to the new epoch while still holding
+	// writeMu: the published graph's delta tracking describes exactly
+	// this batch, so eligible subscriptions fold it in O(delta) instead
+	// of re-running. This runs after the batch's results are finalized,
+	// so the writes stay acknowledged even if a refresh fails.
+	s.refreshSubscriptions(gen)
+	s.maybeCheckpoint(gen)
+}
+
+// applyOps applies a drained batch's ops to next, a private clone, in
+// order, and returns the ops that applied with their inserted and
+// deleted row counts. A failed op records its error on its queuedWrite
+// and leaves the clone exactly as it found it. Live writes (applyBatch)
+// and boot-time WAL replay (replayLog) share it, so a replayed record
+// takes the validate-then-apply path its live publish took. It panics
+// only on a state a bug alone can produce; both callers recover.
+func applyOps(next *tag.Graph, batch []*queuedWrite) (applied []*queuedWrite, inserted, deleted int) {
+	applied = make([]*queuedWrite, 0, len(batch))
 	for _, qw := range batch {
 		op := qw.op
 		// Validate before mutating, then apply the inserts before the
@@ -247,8 +297,8 @@ func (s *Server) applyBatch(batch []*queuedWrite) {
 				// Unreachable: a mixed op passed ValidateDelete up front, and
 				// inserts cannot invalidate a delete. If it ever fires, the
 				// clone already holds this op's inserts, so publishing would
-				// tear — abandon the whole cycle (the deferred recover fails
-				// every op and discards the clone unpublished).
+				// tear — abandon the whole cycle (the caller's recover fails
+				// it and discards the clone unpublished).
 				panic(fmt.Errorf("delete failed after validation: %w", err))
 			}
 		}
@@ -257,48 +307,7 @@ func (s *Server) applyBatch(batch []*queuedWrite) {
 		deleted += len(op.Delete)
 		applied = append(applied, qw)
 	}
-	if len(applied) == 0 {
-		return
-	}
-	// Durability barrier: the record must be on the log (synced per its
-	// policy) before the swap makes the batch visible, so the log is
-	// always a prefix-consistent history of what was ever served. The
-	// epoch is stable here — the caller holds writeMu, which publish
-	// relies on too. During boot-time replay s.wal is still nil, so
-	// replayed batches are not re-appended.
-	if s.wal != nil {
-		rec := &wal.Record{Epoch: s.gen.Load().Epoch + 1, Ops: make([]wal.Op, len(applied))}
-		for i, qw := range applied {
-			rec.Ops[i] = wal.Op{Table: qw.op.Table, Insert: qw.op.Insert, Delete: qw.op.Delete}
-		}
-		if err := s.wal.Append(rec); err != nil {
-			// Applied to the clone but not logged: acknowledging it would
-			// let a crash forget an acknowledged write. Fail the cycle —
-			// the clone is discarded unpublished and the served state is
-			// unchanged, keeping the log's prefix guarantee intact.
-			err = fmt.Errorf("serve: wal append: %w", err)
-			for _, qw := range applied {
-				qw.res, qw.err = nil, err
-			}
-			return
-		}
-	}
-	gen := s.publish(next, len(applied), inserted, deleted)
-	elapsed := time.Since(start)
-	for _, qw := range applied {
-		qw.res.Epoch = gen.Epoch
-		qw.res.Coalesced = len(applied)
-		qw.res.Elapsed = elapsed
-	}
-	// Advance every pinned query to the new epoch while still holding
-	// writeMu: the published graph's delta tracking describes exactly
-	// this batch, so eligible subscriptions fold it in O(delta) instead
-	// of re-running. (No-op while nothing is pinned — boot-time WAL
-	// replay runs before any pin exists.) This runs after the batch's
-	// results are finalized, so the writes stay acknowledged even if a
-	// refresh fails.
-	s.refreshSubscriptions(gen)
-	s.maybeCheckpoint(gen)
+	return applied, inserted, deleted
 }
 
 // insertBatch indirects tag.Graph.InsertBatch so the torn-op regression

@@ -184,7 +184,7 @@ type Stats struct {
 
 	// Write/maintenance activity (the generation scheme).
 	Epoch           uint64 // epoch of the currently served generation (filled at snapshot time)
-	Swaps           int64  // generations published since startup
+	Swaps           int64  // generations published since startup (boot replay counts one per WAL record)
 	WriteOps        int64  // write ops applied (> Swaps when coalescing shares a publish)
 	RowsInserted    int64  // rows applied through the Maintainer
 	RowsDeleted     int64  // rows removed through the Maintainer
@@ -328,8 +328,12 @@ func New(g *tag.Graph, opts Options) *Server {
 // (truncating any tail torn by a crash), load the newest valid
 // checkpoint in the dir — CRC-checked and fingerprint-matched to this
 // base — install it as the serving generation at the epoch it
-// captures, and replay only the WAL records past that epoch through
-// the maintenance path, one publish cycle per record. When no
+// captures, and replay only the WAL records past that epoch (see
+// replayLog): each record's epoch is checked, its ops go through the
+// live write path's validate-then-apply code onto one copy-on-write
+// clone shared by the whole suffix, and that clone is published once,
+// at the last record's epoch — so a restart pays one Clone in all, not
+// one Clone and one publish per record. When no
 // checkpoint exists, or every one on disk is torn, corrupt, or foreign,
 // boot falls back to the passed base graph and a full replay — the
 // pre-checkpoint behavior. Only then is the log attached, so new writes
@@ -382,63 +386,90 @@ func Open(g *tag.Graph, opts Options) (*Server, error) {
 	// the covered WAL prefix only after its snapshot is durable, so a
 	// skipped checkpoint always leaves a log that reaches the same state
 	// the long way.
-	var ckptEpoch uint64
 	if ckptG, epoch, skipped, err := checkpoint.LoadNewest(opts.WALDir, fp); err != nil {
 		w.Close()
 		return nil, fmt.Errorf("serve: %w", err)
 	} else {
 		s.ckptErrors = int64(skipped)
 		if ckptG != nil {
-			ckptEpoch = epoch
 			s.ckptLastEpoch = epoch
-			old := s.gen.Load()
-			s.live.Add(1)
-			s.gen.Store(newGeneration(epoch, ckptG, s.opts, func() { s.live.Add(-1) }))
-			old.release()
+			s.publish(ckptG, epoch, 0, 0, 0, 0)
 		}
 	}
 
-	_, err = wal.Replay(opts.WALDir, func(rec *wal.Record) error {
-		if rec.Epoch <= ckptEpoch {
-			// Covered by the loaded checkpoint; replaying it would
-			// double-apply.
-			s.walSkipped++
-			return nil
-		}
-		batch := make([]*queuedWrite, len(rec.Ops))
-		for i, op := range rec.Ops {
-			batch[i] = &queuedWrite{
-				op:   WriteOp{Table: op.Table, Insert: op.Insert, Delete: op.Delete},
-				done: make(chan struct{}),
-			}
-		}
-		s.writeMu.Lock()
-		s.applyBatch(batch)
-		s.writeMu.Unlock()
-		s.walReplayed++
-		for i, qw := range batch {
-			// Only applied ops were logged, so a replay failure means the
-			// log and the boot state have diverged — refuse to serve a
-			// state that differs from what was acknowledged. The epoch
-			// check also catches a hole in history (e.g. a log truncated
-			// for a checkpoint that then failed to load): replay onto the
-			// fallback base would produce the wrong epochs, so boot fails
-			// loudly instead of silently misapplying the suffix.
-			if qw.err != nil {
-				return fmt.Errorf("serve: replaying op %d of epoch %d: %w", i, rec.Epoch, qw.err)
-			}
-			if qw.res.Epoch != rec.Epoch {
-				return fmt.Errorf("serve: replay produced epoch %d for logged epoch %d", qw.res.Epoch, rec.Epoch)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.replayLog(opts.WALDir); err != nil {
 		w.Close()
 		return nil, err
 	}
 	s.wal = w
 	return s, nil
+}
+
+// replayLog applies every WAL record past the boot generation's epoch to
+// one private clone of that generation, in log order, as wal.Replay
+// streams them, and publishes the clone once, at the last record's
+// epoch. Records the loaded checkpoint covers are counted, not applied.
+// Stats come out as a record-by-record replay would leave them: one
+// swap per record, plus its ops and rows.
+//
+// Only applied ops were logged, so an op that fails here means the log
+// and the boot state have diverged — boot refuses to serve a state that
+// differs from what was acknowledged. Each record's epoch is checked
+// before it is applied: a hole in history (e.g. a log truncated for a
+// checkpoint that then failed to load) would replay onto the fallback
+// base at the wrong epochs, so boot fails loudly instead. On any error
+// nothing is published.
+func (s *Server) replayLog(dir string) (err error) {
+	loaded := s.gen.Load().Epoch
+	want := loaded + 1
+	var next *tag.Graph
+	var records, ops, inserted, deleted int
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: replaying epoch %d panicked: %v", want, r)
+		}
+	}()
+	_, err = wal.Replay(dir, func(rec *wal.Record) error {
+		if rec.Epoch <= loaded {
+			// Covered by the loaded checkpoint; replaying it would
+			// double-apply.
+			s.walSkipped++
+			return nil
+		}
+		if rec.Epoch != want {
+			return fmt.Errorf("serve: replay produced epoch %d for logged epoch %d", want, rec.Epoch)
+		}
+		if len(rec.Ops) == 0 {
+			return fmt.Errorf("serve: logged epoch %d carries no ops", rec.Epoch)
+		}
+		if next == nil {
+			next = s.gen.Load().Graph.Clone()
+		}
+		batch := make([]*queuedWrite, len(rec.Ops))
+		for i, op := range rec.Ops {
+			batch[i] = &queuedWrite{op: WriteOp{Table: op.Table, Insert: op.Insert, Delete: op.Delete}}
+		}
+		applied, ins, del := applyOps(next, batch)
+		for i, qw := range batch {
+			if qw.err != nil {
+				return fmt.Errorf("serve: replaying op %d of epoch %d: %w", i, rec.Epoch, qw.err)
+			}
+		}
+		records++
+		ops += len(applied)
+		inserted += ins
+		deleted += del
+		want++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if next != nil {
+		s.publish(next, want-1, records, ops, inserted, deleted)
+	}
+	s.walReplayed = int64(records)
+	return nil
 }
 
 // baseFPFile sits next to the log and names the base catalog it was
@@ -506,19 +537,21 @@ func (s *Server) acquireGen() *Generation {
 	}
 }
 
-// publish installs g as the next generation, carrying ops coalesced
-// write ops. Must be called with writeMu held (Maintainer does); the
-// epoch is derived from the head at swap time, which the lock keeps
-// stable.
-func (s *Server) publish(g *tag.Graph, ops, inserted, deleted int) *Generation {
+// publish installs g as the served generation at epoch and counts the
+// swaps publish cycles, ops coalesced write ops and rows it carries (a
+// boot-time replay publishes a whole WAL suffix at once, counting one
+// swap per record, as the live server did). Must be called with writeMu
+// held (Maintainer does) or before serving starts (Open), so the head
+// epoch the caller derived epoch from is stable.
+func (s *Server) publish(g *tag.Graph, epoch uint64, swaps, ops, inserted, deleted int) *Generation {
 	old := s.gen.Load()
-	gen := newGeneration(old.Epoch+1, g, s.opts, func() { s.live.Add(-1) })
+	gen := newGeneration(epoch, g, s.opts, func() { s.live.Add(-1) })
 	s.live.Add(1)
 	s.gen.Store(gen)
 	old.release() // drop the publisher's reference; old drains when its readers finish
 
 	s.statsMu.Lock()
-	s.stats.Swaps++
+	s.stats.Swaps += int64(swaps)
 	s.stats.WriteOps += int64(ops)
 	s.stats.RowsInserted += int64(inserted)
 	s.stats.RowsDeleted += int64(deleted)

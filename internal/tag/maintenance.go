@@ -169,6 +169,15 @@ func (t *Graph) ValidateDelete(vs []bsp.VertexID) error {
 // DeleteBatch removes many tuple vertices with a single Thaw/Freeze
 // cycle (the batched counterpart of DeleteTuple). The whole batch is
 // validated before any mutation, so on error the graph is unchanged.
+//
+// Cost: O(batch + rows of the touched tables + adjacency of the touched
+// attribute vertices), never O(batch × table). Each deleted vertex gets
+// a dead payload and loses its edges; each attribute vertex it touched
+// is filtered once per batch; and each touched table's tuple-vertex list
+// and catalog rows are rebuilt once, in one pass each. Rebuilding into
+// fresh slices, rather than editing in place, is the copy-on-write
+// guard: both may be shared with the generation this graph was cloned
+// from.
 func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 	if err := t.ValidateDelete(vs); err != nil {
 		return err
@@ -178,46 +187,21 @@ func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 	}
 
 	t.G.Thaw()
+	t.G.IsolateVertices(vs)
+	byTable := make(map[string][]bsp.VertexID)
 	for _, v := range vs {
-		d := t.TupleData(v)
-		rel := t.Catalog.Get(d.Table)
-		for i, col := range rel.Schema.Columns {
-			key := d.Table + "." + strings.ToLower(col.Name)
-			if !t.materialized[key] || d.Row[i].IsNull() {
-				continue
-			}
-			av, ok := t.attrVertex[d.Row[i].Key()]
-			if !ok {
-				continue
-			}
-			lbl := t.edgeLabel[key]
-			t.G.RemoveEdge(v, av, lbl)
-			t.G.RemoveEdge(av, v, lbl)
-		}
 		// Replace the payload instead of mutating it in place: the same
 		// TupleData may still be read by an older graph generation this
 		// graph was cloned from.
-		nd := *d
+		nd := *t.TupleData(v)
 		nd.Dead = true
 		t.G.SetData(v, &nd)
-
-		// Drop the vertex from the per-relation list and the row from the
-		// catalog copy (first matching row; duplicates are interchangeable).
-		verts := t.tupleVerts[d.Table]
-		for i, tv := range verts {
-			if tv == v {
-				t.tupleVerts[d.Table] = append(verts[:i:i], verts[i+1:]...)
-				break
-			}
-		}
-		for i, row := range rel.Tuples {
-			if tuplesEqual(row, d.Row) {
-				rel.Tuples = append(rel.Tuples[:i:i], rel.Tuples[i+1:]...)
-				break
-			}
-		}
+		byTable[nd.Table] = append(byTable[nd.Table], v)
+	}
+	for table, dead := range byTable {
+		t.dropTuples(table, dead)
 		if t.deltaDeletes != nil {
-			t.deltaDeletes[d.Table]++
+			t.deltaDeletes[table] += len(dead)
 		}
 	}
 	t.G.Freeze()
@@ -225,6 +209,76 @@ func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 		t.noteFrozenDirty()
 	}
 	return nil
+}
+
+// dropTuples removes the deleted tuple vertices dead, all of one table,
+// from that table's tuple-vertex list and, for each, the first
+// value-equal catalog row not already dropped — so duplicate rows lose
+// exactly as many copies as were deleted, and the surviving rows keep
+// their order.
+func (t *Graph) dropTuples(table string, dead []bsp.VertexID) {
+	// The list is ascending (restriction windows binary-search it), and
+	// so is the filtered copy.
+	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	verts := t.tupleVerts[table]
+	kept := make([]bsp.VertexID, 0, len(verts))
+	j := 0
+	for _, v := range verts {
+		for j < len(dead) && dead[j] < v {
+			j++
+		}
+		if j < len(dead) && dead[j] == v {
+			continue
+		}
+		kept = append(kept, v)
+	}
+	t.tupleVerts[table] = kept
+
+	// Pending rows are bucketed by their first value, so each catalog row
+	// costs one map probe plus a tuplesEqual per same-bucket candidate.
+	pending := make(map[relation.Value][]relation.Tuple, len(dead))
+	for _, v := range dead {
+		row := t.TupleData(v).Row
+		k := rowBucket(row)
+		pending[k] = append(pending[k], row)
+	}
+	rel := t.Catalog.Get(table)
+	rows := make([]relation.Tuple, 0, len(rel.Tuples))
+	left := len(dead)
+	for i, row := range rel.Tuples {
+		if left == 0 {
+			rows = append(rows, rel.Tuples[i:]...)
+			break
+		}
+		k := rowBucket(row)
+		if cands := pending[k]; matchPending(cands, row) {
+			pending[k] = cands[:len(cands)-1]
+			left--
+			continue
+		}
+		rows = append(rows, row)
+	}
+	rel.Tuples = rows
+}
+
+func rowBucket(row relation.Tuple) relation.Value {
+	if len(row) == 0 {
+		return relation.Null
+	}
+	return row[0]
+}
+
+// matchPending reports whether row equals one of cands, and if so moves
+// that candidate to the end so the caller can pop it.
+func matchPending(cands []relation.Tuple, row relation.Tuple) bool {
+	for i, c := range cands {
+		if tuplesEqual(c, row) {
+			last := len(cands) - 1
+			cands[i], cands[last] = cands[last], cands[i]
+			return true
+		}
+	}
+	return false
 }
 
 func tuplesEqual(a, b relation.Tuple) bool {

@@ -582,54 +582,90 @@ func encodePayload(b []byte, rec *Record) ([]byte, error) {
 	return b, nil
 }
 
+// decodePayload decodes one record, walking the payload twice: the first
+// walk only checks that the bytes hold a complete record, so the second
+// can size every slice exactly from counts already proven. A decoded
+// value is up to 40x its smallest encoding (a one-byte NULL), so sizing
+// from a count the bytes have not yet backed — or growing by append,
+// which allocates several times the final size — would let a short
+// payload claim far more memory than it spans; this way a record costs
+// about 40x its bytes at most.
 func decodePayload(b []byte) (*Record, error) {
-	d := codec.NewDecoder(b)
+	if err := walkPayload(codec.NewDecoder(b), nil); err != nil {
+		return nil, err
+	}
+	rec := new(Record)
+	if err := walkPayload(codec.NewDecoder(b), rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// walkPayload reads one encodePayload encoding from d, filling rec when
+// it is non-nil and only checking the bytes when it is nil.
+func walkPayload(d *codec.Decoder, rec *Record) error {
 	epoch, err := d.Uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nops, err := d.Length()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rec := &Record{Epoch: epoch, Ops: make([]Op, 0, codec.CapHint(nops))}
+	if rec != nil {
+		rec.Epoch, rec.Ops = epoch, make([]Op, nops)
+	}
 	for i := 0; i < nops; i++ {
 		var op Op
 		if op.Table, err = d.Str(); err != nil {
-			return nil, err
+			return err
 		}
 		nins, err := d.Length()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if nins > 0 {
-			op.Insert = make([]relation.Tuple, 0, codec.CapHint(nins))
-			for j := 0; j < nins; j++ {
-				row, err := relation.DecodeTuple(d)
+		if rec != nil && nins > 0 {
+			op.Insert = make([]relation.Tuple, nins)
+		}
+		for j := 0; j < nins; j++ {
+			arity, err := d.Length()
+			if err != nil {
+				return err
+			}
+			var row relation.Tuple
+			if rec != nil {
+				row = make(relation.Tuple, arity)
+				op.Insert[j] = row
+			}
+			for k := 0; k < arity; k++ {
+				v, err := relation.DecodeValue(d)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				op.Insert = append(op.Insert, row)
+				if row != nil {
+					row[k] = v
+				}
 			}
 		}
 		ndel, err := d.Length()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if ndel > 0 {
-			op.Delete = make([]bsp.VertexID, 0, codec.CapHint(ndel))
-			for j := 0; j < ndel; j++ {
-				id, err := d.Varint()
-				if err != nil {
-					return nil, err
-				}
-				op.Delete = append(op.Delete, bsp.VertexID(id))
+		if rec != nil && ndel > 0 {
+			op.Delete = make([]bsp.VertexID, ndel)
+		}
+		for j := 0; j < ndel; j++ {
+			id, err := d.Varint()
+			if err != nil {
+				return err
+			}
+			if rec != nil {
+				op.Delete[j] = bsp.VertexID(id)
 			}
 		}
-		rec.Ops = append(rec.Ops, op)
+		if rec != nil {
+			rec.Ops[i] = op
+		}
 	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return d.Finish()
 }
