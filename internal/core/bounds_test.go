@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bsp"
@@ -116,6 +117,74 @@ func TestPointLookupCostIndependentOfGraphSize(t *testing.T) {
 			if c.bytes > 1.5*base.bytes {
 				t.Errorf("%s: scale %v allocates %.0f B/query, over 1.5x the %.0f B at scale %v",
 					q.name, scale, c.bytes, base.bytes, boundsScales[0])
+			}
+		}
+	}
+}
+
+// TestRangeSeedCostFollowsAnswer pins range selections to the attribute
+// vertices: a one-column selection over a column with at most n/4
+// distinct values, keeping at most n/4 tuples, seeds a single-alias run
+// from exactly the tuples it keeps. The run then visits each kept tuple
+// twice (as a seed, then as a survivor) instead of every lineitem once.
+// The l_quantity > 5 row keeps ~90% of lineitem, so it must still scan.
+// The ship-date window runs at larger scales: the generator spreads
+// lineitems over ~2,500 ship days, more than a quarter of lineitem below
+// scale 4, where the dictionary would cost more than the scan.
+func TestRangeSeedCostFollowsAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds six TPC-H graphs")
+	}
+	q1, q2 := relation.DateOf(1995, 1, 1).I, relation.DateOf(1995, 4, 1).I
+	rows := []struct {
+		name   string
+		sql    string
+		keep   func(relation.Tuple) bool
+		seeded bool
+		scales []float64
+	}{
+		{"quantity > 45", "SELECT l_orderkey FROM lineitem WHERE l_quantity > 45",
+			func(tu relation.Tuple) bool { return tu[4].I > 45 }, true, boundsScales},
+		{"shipdate quarter", "SELECT l_orderkey FROM lineitem " +
+			"WHERE l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1995-04-01'",
+			func(tu relation.Tuple) bool { return tu[10].I >= q1 && tu[10].I < q2 }, true, []float64{4, 6, 8}},
+		{"quantity > 5 scans", "SELECT l_orderkey FROM lineitem WHERE l_quantity > 5",
+			func(tu relation.Tuple) bool { return tu[4].I > 5 }, false, boundsScales},
+	}
+	for _, scale := range []float64{0.5, 1, 2, 4, 6, 8} {
+		cat := tpch.Generate(scale, 42)
+		g, err := tag.Build(cat, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := NewSession(g, bsp.Options{Workers: 1})
+		lineitem := cat.Get("lineitem").Tuples
+		for _, row := range rows {
+			if !slices.Contains(row.scales, scale) {
+				continue
+			}
+			survivors := 0
+			for _, tu := range lineitem {
+				if row.keep(tu) {
+					survivors++
+				}
+			}
+			seeds := survivors
+			if !row.seeded {
+				seeds = len(lineitem)
+			}
+			ex.ResetStats()
+			out, err := ex.Query(row.sql)
+			if err != nil {
+				t.Fatalf("%s: %v", row.sql, err)
+			}
+			visits := ex.Stats().ActiveVisits
+			t.Logf("%s scale %v: |lineitem|=%d answer=%d visits=%d", row.name, scale, len(lineitem), survivors, visits)
+			if out.Len() != survivors {
+				t.Errorf("%s scale %v: %d rows, want %d", row.name, scale, out.Len(), survivors)
+			}
+			if visits != int64(seeds+survivors) {
+				t.Errorf("%s scale %v: %d visits, want %d seeds + %d survivors", row.name, scale, visits, seeds, survivors)
 			}
 		}
 	}

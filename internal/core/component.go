@@ -334,77 +334,191 @@ func (r *componentRun) initialActives(alias string) []bsp.VertexID {
 
 // seedVertices returns, in ascending ID order, the candidate tuple
 // vertices of an alias: a superset of the ones that pass its filters,
-// which callers still check with passes. When a vertex-safe pushed
-// filter is col = literal or col IN (literal, ...) on a materialised
-// column, the candidates are the tuple ends of the literals' attribute
-// vertices along the table.col label — attribute vertices double as
-// indexes (§3) — so a selective run starts from O(answer) vertices and
-// a value with no attribute vertex starts none. Otherwise they are all
-// of the relation's tuple vertices. Either way the alias's restriction
-// window, if any, narrows them: the per-relation lists are in ascending
-// ID order (vertices are appended as they are created), so a window is
-// a contiguous sub-slice found by binary search, which keeps a
-// delta-restricted seed O(log n + |delta|).
+// which callers still check with passes. They are the n tuple vertices
+// a scan would visit (the relation's, narrowed to the alias's
+// restriction window if it has one) unless attrSeeds finds a pushed
+// selection that enters at attribute vertices, which double as indexes
+// (§3), and reaches at most n/4 tuples; then they are that selection's
+// tuple ends, narrowed to the window. The per-relation lists are in
+// ascending ID order (vertices are appended as they are created), so a
+// window is a contiguous sub-slice found by binary search, which keeps
+// a delta-restricted seed O(log n + |delta|).
 func (r *componentRun) seedVertices(alias string) []bsp.VertexID {
-	w, windowed := r.ex.restrict[alias]
-	if seeds, ok := r.attrSeeds(alias); ok {
-		if windowed {
-			seeds = slices.DeleteFunc(seeds, func(v bsp.VertexID) bool { return !w.contains(v) })
-		}
-		return seeds
-	}
 	verts := r.ex.TAG.TupleVertices(r.c.aliasTable[alias])
-	if !windowed {
+	w, windowed := r.ex.restrict[alias]
+	if windowed {
+		verts = w.slice(verts)
+	}
+	seeds, ok := r.attrSeeds(alias, len(verts)/4)
+	if !ok {
 		return verts
 	}
-	return w.slice(verts)
+	if windowed {
+		return w.slice(seeds)
+	}
+	return seeds
 }
 
-// attrSeeds returns the sorted, deduplicated tuple vertices reached from
-// the attribute vertices of the first pushed equality filter of alias
-// that can enter there. A NULL literal, or one whose canonical Key kind
-// differs from the column's kind, cannot (SQL comparison coerces across
-// kinds, attribute identity does not), and neither can a float literal
-// of magnitude 2^53 or more against an integer column, where one float
-// equals several integers.
-func (r *componentRun) attrSeeds(alias string) ([]bsp.VertexID, bool) {
+// attrSeeds returns the sorted, deduplicated tuple vertices reached by
+// the pushed selection of alias that reaches the fewest tuples, if that
+// is at most limit. A selection's count is exact: the sum of
+// DegreeWithLabel along table.col over the values it keeps. Two kinds
+// of selection enter at attribute vertices:
+//
+//   - An equality col = literal or col IN (literal, ...) finds each
+//     literal's vertex in O(1). A NULL literal, or one whose canonical Key
+//     kind differs from the column's kind, cannot enter (SQL comparison
+//     coerces across kinds, attribute identity does not), and neither can
+//     a float literal of magnitude 2^53 or more against an integer column,
+//     where one float equals several integers.
+//   - A column's dictionary: every vertex-safe conjunct that reads only
+//     that column is evaluated together, once per value vertex in
+//     AttrVertices(table.col), with the value in an otherwise-NULL row.
+//     Running the SQL itself keeps its comparison and coercion rules. A
+//     column cannot enter this way if it has more than limit distinct
+//     values, if the conjuncts hold on NULL (NULL cells have no edge), or
+//     if it is FLOAT or BOOL: their vertices hold the value's Key, not the
+//     cell (FLOAT 2.0 is INT 2, and INT 1 is not TRUE).
+func (r *componentRun) attrSeeds(alias string, limit int) ([]bsp.VertexID, bool) {
+	g := r.ex.TAG
 	table := r.c.aliasTable[alias]
-	schema := r.ex.TAG.Catalog.Get(table).Schema
-next:
-	for _, p := range r.c.filters[alias] {
-		if p.fn != nil {
+	schema := g.Catalog.Get(table).Schema
+	preds := r.c.filters[alias]
+	var (
+		winVals []bsp.VertexID // the winner's attribute vertices
+		winLbl  bsp.LabelID
+		best    = limit + 1 // the winner reaches fewer tuples than this
+	)
+	for _, p := range preds {
+		vals, lbl, ok := r.equalityValues(alias, schema, p)
+		if !ok {
 			continue
 		}
-		col, lits := equalityLiterals(p.expr)
-		if col == nil || col.Depth != 0 || col.Alias != alias {
-			continue
+		n := 0
+		for _, av := range vals {
+			n += g.G.DegreeWithLabel(av, lbl)
 		}
-		ci := schema.Index(col.Column)
-		lbl, ok := r.ex.TAG.EdgeLabel(table, col.Column)
-		if ci < 0 || !ok || !r.ex.TAG.Materialized(table, col.Column) {
-			continue
+		if n < best {
+			winVals, winLbl, best = vals, lbl, n
 		}
-		kind := schema.Columns[ci].Kind
-		for _, lit := range lits {
-			if lit.IsNull() || lit.Key().Kind != kind ||
-				(lit.Kind == relation.KindFloat && kind != relation.KindFloat && math.Abs(lit.F) >= 1<<53) {
-				continue next
-			}
-		}
-		var seeds []bsp.VertexID
-		for _, lit := range lits {
-			av, ok := r.ex.TAG.AttrVertexOf(lit)
-			if !ok {
+	}
+
+	cols := make([]int, len(preds))
+	for i, p := range preds {
+		cols[i] = singleColumn(p, alias, schema)
+	}
+	holds := func(env *sql.Env, ci int) bool {
+		for i, p := range preds {
+			if cols[i] != ci {
 				continue
 			}
-			for _, e := range r.ex.TAG.G.EdgesWithLabel(av, lbl) {
-				seeds = append(seeds, e.To)
+			if ok, err := p.eval(env, nil); err != nil || !ok {
+				return false
 			}
 		}
-		slices.Sort(seeds)
-		return slices.Compact(seeds), true
+		return true
 	}
-	return nil, false
+	var env *sql.Env
+	for i, ci := range cols {
+		if best == 0 || ci < 0 || slices.Index(cols, ci) < i {
+			continue // nothing left to beat, not one column, or seen
+		}
+		col := schema.Columns[ci]
+		lbl, ok := g.EdgeLabel(table, col.Name)
+		if !ok || !g.Materialized(table, col.Name) || col.Kind == relation.KindFloat || col.Kind == relation.KindBool {
+			continue
+		}
+		dict := g.AttrVertices(lbl)
+		if len(dict) > limit {
+			continue
+		}
+		if env == nil {
+			env = &sql.Env{Binding: r.aliasBinding(alias), Row: make(relation.Tuple, schema.Len()), Parent: r.outer}
+		}
+		if holds(env, ci) {
+			continue // NULL cells have no edge to seed from
+		}
+		var vals []bsp.VertexID
+		n := 0
+		for _, av := range dict {
+			env.Row[ci], _ = g.AttrValue(av)
+			if !holds(env, ci) {
+				continue
+			}
+			if n += g.G.DegreeWithLabel(av, lbl); n >= best {
+				break
+			}
+			vals = append(vals, av)
+		}
+		env.Row[ci] = relation.Null
+		if n < best {
+			winVals, winLbl, best = vals, lbl, n
+		}
+	}
+	if best > limit {
+		return nil, false
+	}
+	seeds := make([]bsp.VertexID, 0, best)
+	for _, av := range winVals {
+		for _, e := range g.G.EdgesWithLabel(av, winLbl) {
+			seeds = append(seeds, e.To)
+		}
+	}
+	slices.Sort(seeds)
+	return slices.Compact(seeds), true
+}
+
+// equalityValues returns the attribute vertices of the literals of a
+// pushed col = literal or col IN (literal, ...) filter and the
+// table.col label, if the filter can enter there (see attrSeeds); a
+// literal with no vertex matches no tuple and is left out.
+func (r *componentRun) equalityValues(alias string, schema *relation.Schema, p *predicate) ([]bsp.VertexID, bsp.LabelID, bool) {
+	if p.fn != nil {
+		return nil, 0, false
+	}
+	col, lits := equalityLiterals(p.expr)
+	if col == nil || col.Depth != 0 || col.Alias != alias {
+		return nil, 0, false
+	}
+	g := r.ex.TAG
+	table := r.c.aliasTable[alias]
+	ci := schema.Index(col.Column)
+	lbl, ok := g.EdgeLabel(table, col.Column)
+	if ci < 0 || !ok || !g.Materialized(table, col.Column) {
+		return nil, 0, false
+	}
+	kind := schema.Columns[ci].Kind
+	for _, lit := range lits {
+		if lit.IsNull() || lit.Key().Kind != kind ||
+			(lit.Kind == relation.KindFloat && kind != relation.KindFloat && math.Abs(lit.F) >= 1<<53) {
+			return nil, 0, false
+		}
+	}
+	var vals []bsp.VertexID
+	for _, lit := range lits {
+		if av, ok := g.AttrVertexOf(lit); ok {
+			vals = append(vals, av)
+		}
+	}
+	return vals, lbl, true
+}
+
+// singleColumn returns the schema slot of the one column of alias that
+// a pushed filter reads, or -1 if it reads none or several, reads an
+// outer scope, holds a subquery or is a compiled closure.
+func singleColumn(p *predicate, alias string, schema *relation.Schema) int {
+	if p.fn != nil || len(sql.SubSelects(p.expr)) > 0 {
+		return -1
+	}
+	ci := -1
+	for _, c := range sql.ColRefs(p.expr) {
+		i := schema.Index(c.Column)
+		if c.Depth != 0 || c.Alias != alias || i < 0 || (ci >= 0 && i != ci) {
+			return -1
+		}
+		ci = i
+	}
+	return ci
 }
 
 // equalityLiterals matches col = literal, literal = col and

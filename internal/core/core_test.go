@@ -475,3 +475,29 @@ func TestEqualitySeedsKeepCoercion(t *testing.T) {
 		checkAgainstBaseline(t, cat, q)
 	}
 }
+
+// TestRangeSeedsKeepCellKinds covers selections on columns whose
+// attribute vertices hold a canonical Key rather than the cell: FLOAT
+// 2.0 is stored as INT 2 (and INT arithmetic wraps where FLOAT does
+// not), and BOOL TRUE as INT 1 (which is not TRUE). Each column has four
+// values over 64 rows, so an INT column of the same shape would seed
+// from its dictionary; these must return what evaluating the cells does.
+func TestRangeSeedsKeepCellKinds(t *testing.T) {
+	cat := relation.NewCatalog()
+	r := relation.New("kinds", relation.MustSchema(
+		relation.Col("k", relation.KindInt),
+		relation.Col("f", relation.KindFloat),
+		relation.Col("b", relation.KindBool)))
+	for i := 0; i < 64; i++ {
+		r.MustAppend(relation.Int(int64(i%4)), relation.Float(float64(i%4)), relation.Bool(i%4 == 0))
+	}
+	cat.MustAdd(r)
+	for _, q := range []string{
+		"SELECT k FROM kinds WHERE f * 4611686018427387904 > 0",
+		"SELECT k FROM kinds WHERE b",
+		"SELECT k FROM kinds WHERE NOT b",
+		"SELECT f FROM kinds WHERE k * 4611686018427387904 > 0",
+	} {
+		checkAgainstBaseline(t, cat, q)
+	}
+}

@@ -13,7 +13,10 @@ import (
 )
 
 // randCatalog builds a random 4-table catalog with small integer domains
-// (lots of join matches, duplicates and NULLs) plus a string column.
+// (lots of join matches, duplicates and NULLs) plus a string column. A
+// third of the tables hold 40-100 rows, so a column's six values are at
+// most a quarter of its rows and selections can seed from the column's
+// dictionary.
 func randCatalog(rng *rand.Rand) *relation.Catalog {
 	cat := relation.NewCatalog()
 	names := []string{"t0", "t1", "t2", "t3"}
@@ -25,6 +28,9 @@ func randCatalog(rng *rand.Rand) *relation.Catalog {
 			relation.Col("c", relation.KindInt),
 			relation.Col("s", relation.KindString)))
 		rows := 4 + rng.Intn(24)
+		if rng.Intn(3) == 0 {
+			rows = 40 + rng.Intn(61)
+		}
 		for i := 0; i < rows; i++ {
 			val := func() relation.Value {
 				if rng.Intn(12) == 0 {
@@ -62,7 +68,7 @@ func randQuery(rng *rand.Rand) string {
 	// Filters.
 	for i := 0; i < rng.Intn(3); i++ {
 		a := rng.Intn(nAliases)
-		switch rng.Intn(9) {
+		switch rng.Intn(14) {
 		case 0:
 			conjs = append(conjs, fmt.Sprintf("%s > %d", col(a), rng.Intn(4)))
 		case 1:
@@ -84,6 +90,21 @@ func randQuery(rng *rand.Rand) string {
 			conjs = append(conjs, fmt.Sprintf("%s.s = '%s'", aliases[a], []string{"x", "y", "z"}[rng.Intn(3)]))
 		case 8:
 			conjs = append(conjs, fmt.Sprintf("%s.a = %d.0", aliases[a], rng.Intn(6)))
+		// Ranges a run may seed from a column's dictionary: two-sided on
+		// one column, true on NULL, negated, on a string, and through
+		// arithmetic that compares an integer with a fractional literal.
+		case 9:
+			c := col(a)
+			conjs = append(conjs, fmt.Sprintf("%s >= %d AND %s < %d", c, rng.Intn(4), c, 2+rng.Intn(4)))
+		case 10:
+			c := col(a)
+			conjs = append(conjs, fmt.Sprintf("(%s < %d OR %s IS NULL)", c, rng.Intn(4), c))
+		case 11:
+			conjs = append(conjs, fmt.Sprintf("NOT (%s BETWEEN %d AND %d)", col(a), rng.Intn(3), 2+rng.Intn(4)))
+		case 12:
+			conjs = append(conjs, fmt.Sprintf("%s.s >= '%s'", aliases[a], []string{"x", "y", "z"}[rng.Intn(3)]))
+		case 13:
+			conjs = append(conjs, fmt.Sprintf("%s + 1 > %d.5", col(a), rng.Intn(6)))
 		}
 	}
 	// Occasionally a subquery predicate.
