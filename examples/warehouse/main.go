@@ -70,7 +70,7 @@ func main() {
 
 		fmt.Printf("tag-join: %d rows in %v (class %s)\n", tagOut.Len(), tagTime.Round(time.Microsecond), ex.Info.Agg)
 		fmt.Printf("baseline: %d rows in %v\n", refOut.Len(), refTime.Round(time.Microsecond))
-		if !relation.EqualMultisetFuzzy(tagOut, refOut) {
+		if !relation.EqualMultiset(tagOut, refOut) {
 			log.Fatal("engines disagree!")
 		}
 		fmt.Println("results agree ✓")

@@ -240,7 +240,7 @@ func RunWorkload(cfg Config, env *Env) (WorkloadResult, error) {
 		reference := answers["refdb"]
 		qr.Rows = reference.Len()
 		for _, out := range answers {
-			if !relation.EqualMultisetFuzzy(out, reference) {
+			if !relation.EqualMultiset(out, reference) {
 				qr.Agree = false
 			}
 		}

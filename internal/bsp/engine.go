@@ -84,11 +84,12 @@ func (f ProgramFunc) Compute(ctx *Context, v VertexID, inbox []Message) { f(ctx,
 // never reorders it — payloads fold in exactly the (worker, send) order
 // the uncombined plane would have delivered them in — but across
 // partitions each source partition folds its own share of a stream
-// independently and the shares are Merged at the receiver, so a
-// Combiner whose result depends on how an order-preserving send
-// sequence is cut into contiguous runs (e.g. naive float addition)
-// must defer the order-sensitive part to Merge time, the way the SQL
-// layer's partial-group combiner does.
+// independently and the shares are Merged at the receiver. A fold
+// whose result depends on how an order-preserving send sequence is cut
+// into contiguous runs (naive float addition, say) is therefore not a
+// valid Combiner. The SQL layer's partial-group combiner qualifies
+// because sql.Aggregator merges are exact: float sums are kept as exact
+// partials and rounded once, when read.
 //
 // Fold and Merge are called concurrently from different workers, but
 // always on distinct accumulators; implementations must not keep

@@ -106,7 +106,7 @@ func (c *Cluster) Compare(id, query string) (tagRes, shfRes Result, err error) {
 	}
 	tagOut, _ := c.ex.Query(query)
 	shfOut, _ := c.shf.Query(query)
-	if !relation.EqualMultisetFuzzy(tagOut, shfOut) {
+	if !relation.EqualMultiset(tagOut, shfOut) {
 		err = fmt.Errorf("cluster: %s: engines disagree (%d vs %d rows)", id, tagOut.Len(), shfOut.Len())
 	}
 	return

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/bsp"
@@ -19,15 +18,44 @@ type groupAcc struct {
 
 // partialGroups is the message payload of the aggregation finalization:
 // a vertex's locally pre-aggregated groups (the eager aggregation of §7).
-// When the message plane folds aggregator-bound sends (pgCombiner),
-// index and logical track the accumulated state: index dedups groups by
-// canonical key across folded senders, logical preserves the
-// pre-combine group count for the receiver's ComputeOps accounting.
+// It is also the accumulator every merge of groups folds into (fold):
+// index dedups groups by canonical key, and logical preserves the
+// pre-combine group count of a combined message for the receiver's
+// ComputeOps accounting.
 type partialGroups struct {
 	header  []string
 	groups  []*groupAcc
 	index   map[string]*groupAcc
 	logical int
+}
+
+// fold merges b's groups into p by canonical key, in b's order: a new
+// key's group is borrowed (appended, not copied) and an existing key's
+// absorbs it with sql.Aggregator.Merge. Merges are exact, so the same
+// partials give the same bits whether they fold at Send time, at the
+// shard merge, at a relay, at the receiving vertex or into a cached
+// incremental state.
+func (p *partialGroups) fold(b *partialGroups) {
+	if p.header == nil {
+		p.header = b.header
+	}
+	if p.index == nil {
+		p.index = make(map[string]*groupAcc, len(p.groups)+len(b.groups))
+		for _, g := range p.groups {
+			p.index[groupKeyString(g.key)] = g
+		}
+	}
+	for _, g := range b.groups {
+		ks := groupKeyString(g.key)
+		if have := p.index[ks]; have != nil {
+			for i := range have.aggs {
+				have.aggs[i].Merge(g.aggs[i])
+			}
+			continue
+		}
+		p.index[ks] = g
+		p.groups = append(p.groups, g)
+	}
 }
 
 // logicalGroups is the number of groups the receiver would have seen
@@ -99,33 +127,29 @@ func groupKeyString(key []relation.Value) string {
 	return b.String()
 }
 
-// groupLocally folds rows into per-group partial accumulators; groupBy
-// and aggregate arguments must be vertex-safe expressions.
-func (e *Session) groupLocally(c *compiled, setup *aggSetup, t *table, rows [][]relation.Value, outer *sql.Env) (map[string]*groupAcc, []string, error) {
+// groupLocally folds rows of t into per-group partial accumulators, in
+// first-seen group order. On the distributed paths subq is nil (group
+// keys and aggregate arguments are vertex-safe there).
+func groupLocally(c *compiled, setup *aggSetup, t *table, rows [][]relation.Value, outer *sql.Env, subq sql.SubqueryFn) ([]*groupAcc, error) {
 	env := &sql.Env{Binding: sql.Binding(t.index), Parent: outer}
-	groups := map[string]*groupAcc{}
-	var order []string
+	index := map[string]*groupAcc{}
+	var groups []*groupAcc
 	for _, row := range rows {
 		env.Row = relation.Tuple(row)
 		key := make([]relation.Value, len(c.blk.Sel.GroupBy))
 		for i, g := range c.blk.Sel.GroupBy {
-			v, err := sql.Eval(g, env, nil)
+			v, err := sql.Eval(g, env, subq)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			key[i] = v
 		}
 		ks := groupKeyString(key)
-		grp := groups[ks]
-		if grp == nil || e.DisablePartialAgg {
-			// With eager aggregation disabled (ablation), every row ships
-			// as its own single-row partial; receivers still merge by key.
-			if e.DisablePartialAgg {
-				ks = fmt.Sprintf("%s\x00%d", ks, len(order))
-			}
+		grp := index[ks]
+		if grp == nil {
 			grp = &groupAcc{key: key, rep: row, aggs: setup.newAccs()}
-			groups[ks] = grp
-			order = append(order, ks)
+			index[ks] = grp
+			groups = append(groups, grp)
 		}
 		for i, f := range setup.list {
 			var v relation.Value
@@ -133,15 +157,15 @@ func (e *Session) groupLocally(c *compiled, setup *aggSetup, t *table, rows [][]
 				v = relation.Int(1)
 			} else {
 				var err error
-				v, err = sql.Eval(f.Args[0], env, nil)
+				v, err = sql.Eval(f.Args[0], env, subq)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 			grp.aggs[i].Observe(v)
 		}
 	}
-	return groups, order, nil
+	return groups, nil
 }
 
 // residualRows applies the block's residual predicates to a table's rows.
@@ -222,10 +246,6 @@ func (e *Session) finalizeNone(c *compiled, res *componentResult, outer *sql.Env
 // all other groups.
 func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	setup := newAggSetup(c.blk)
-	attrMerged := map[string]*groupAcc{}
-	var attrOrder []string
-	var srcHeader []string
-
 	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 		switch ctx.Step() {
 		case 0:
@@ -238,17 +258,16 @@ func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.En
 				ctx.Fail(err)
 				return
 			}
-			groups, order, err := e.groupLocally(c, setup, t, rows, outer)
+			groups, err := groupLocally(c, setup, t, rows, outer, nil)
 			if err != nil {
 				ctx.Fail(err)
 				return
 			}
-			ctx.AddOps(len(t.rows) + len(order))
+			ctx.AddOps(len(t.rows) + len(groups))
 			// Partition groups by the attribute vertex of the first key.
 			byTarget := map[bsp.VertexID]*partialGroups{}
 			var targets []bsp.VertexID
-			for _, ks := range order {
-				g := groups[ks]
+			for _, g := range groups {
 				av, ok := e.TAG.AttrVertexOf(g.key[0])
 				if !ok {
 					av = e.TAG.Aggregator // NULL or unmaterialized key value
@@ -269,47 +288,20 @@ func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.En
 			// vertex handles its own groups independently (LA parallelism).
 			// The merged groups ride one emitted partialGroups so the
 			// source header reaches every process with the result.
-			merged := map[string]*groupAcc{}
-			var order []string
-			var header []string
+			merged := &partialGroups{}
 			for _, m := range inbox {
-				pg := m.Payload.(*partialGroups)
-				header = pg.header
-				for _, g := range pg.groups {
-					ks := groupKeyString(g.key)
-					if have := merged[ks]; have != nil {
-						for i := range have.aggs {
-							have.aggs[i].Merge(g.aggs[i])
-						}
-					} else {
-						merged[ks] = g
-						order = append(order, ks)
-					}
-				}
+				merged.fold(m.Payload.(*partialGroups))
 			}
-			ctx.AddOps(len(order))
-			if len(order) > 0 {
-				out := &partialGroups{header: header, groups: make([]*groupAcc, 0, len(order))}
-				for _, ks := range order {
-					out.groups = append(out.groups, merged[ks])
-				}
-				ctx.Emit(out)
+			ctx.AddOps(len(merged.groups))
+			if len(merged.groups) > 0 {
+				ctx.Emit(merged)
 			}
 		}
 	})
 	if err := e.runProg(bsp.WithCombiner(prog, pgCombiner{}), res.survivors); err != nil {
 		return nil, err
 	}
-	for _, em := range e.eng.Emitted() {
-		pg := em.(*partialGroups)
-		srcHeader = pg.header
-		for _, g := range pg.groups {
-			ks := groupKeyString(g.key)
-			attrMerged[ks] = g
-			attrOrder = append(attrOrder, ks)
-		}
-	}
-	return e.projectGroups(c, setup, attrMerged, attrOrder, srcHeader, outer, subq)
+	return e.projectEmitted(c, setup, outer, subq)
 }
 
 // finalizeGlobal is the §7 global/scalar aggregation path: survivors send
@@ -317,9 +309,6 @@ func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.En
 // them sequentially (the bottleneck the paper measures on GA queries).
 func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	setup := newAggSetup(c.blk)
-	merged := map[string]*groupAcc{}
-	var order []string
-	var srcHeader []string
 
 	// With a partitioned (distributed) graph, partials are first combined
 	// at one relay vertex per machine, so only one combined message per
@@ -341,31 +330,16 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 	if len(relays) > 1 {
 		relayStep = 1
 	}
-	mergeInbox := func(ctx *bsp.Context, inbox []bsp.Message, local map[string]*groupAcc, lorder *[]string) {
+	mergeInbox := func(ctx *bsp.Context, inbox []bsp.Message) *partialGroups {
+		merged := &partialGroups{}
 		for _, m := range inbox {
 			pg := m.Payload.(*partialGroups)
-			for _, g := range pg.groups {
-				ks := groupKeyString(g.key)
-				if have := local[ks]; have != nil {
-					for i := range have.aggs {
-						have.aggs[i].Merge(g.aggs[i])
-					}
-				} else {
-					local[ks] = g
-					*lorder = append(*lorder, ks)
-				}
-			}
+			merged.fold(pg)
 			// Combined messages carry already-merged groups; account the
 			// pre-combine count so ComputeOps matches an uncombined run.
 			ctx.AddOps(pg.logicalGroups())
 		}
-	}
-	relayAcc := make([]map[string]*groupAcc, len(relays))
-	relayOrder := make([][]string, len(relays))
-	relayOf := map[bsp.VertexID]int{}
-	for i, rv := range relays {
-		relayAcc[i] = map[string]*groupAcc{}
-		relayOf[rv] = i
+		return merged
 	}
 	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 		switch {
@@ -379,19 +353,16 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 				ctx.Fail(err)
 				return
 			}
-			groups, gorder, err := e.groupLocally(c, setup, t, rows, outer)
+			groups, err := groupLocally(c, setup, t, rows, outer, nil)
 			if err != nil {
 				ctx.Fail(err)
 				return
 			}
-			ctx.AddOps(len(t.rows) + len(gorder))
-			if len(gorder) == 0 {
+			ctx.AddOps(len(t.rows) + len(groups))
+			if len(groups) == 0 {
 				return
 			}
-			pg := &partialGroups{header: t.header}
-			for _, ks := range gorder {
-				pg.groups = append(pg.groups, groups[ks])
-			}
+			pg := &partialGroups{header: t.header, groups: groups}
 			if len(relays) > 1 {
 				ctx.Send(v, relays[partOf(v)], pg)
 			} else {
@@ -399,18 +370,7 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 			}
 		case ctx.Step() == relayStep && len(relays) > 1:
 			// Per-machine relay: combine and forward one message.
-			var header []string
-			for _, m := range inbox {
-				header = m.Payload.(*partialGroups).header
-				break
-			}
-			i := relayOf[v]
-			mergeInbox(ctx, inbox, relayAcc[i], &relayOrder[i])
-			pg := &partialGroups{header: header}
-			for _, ks := range relayOrder[i] {
-				pg.groups = append(pg.groups, relayAcc[i][ks])
-			}
-			if len(pg.groups) > 0 {
+			if pg := mergeInbox(ctx, inbox); len(pg.groups) > 0 {
 				ctx.Send(v, e.TAG.Aggregator, pg)
 			}
 		case ctx.Step() == relayStep+1:
@@ -419,19 +379,7 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 			// per machine, since aggregator-bound partials fold en route).
 			// The merged result rides the emit stream so every process —
 			// not just the aggregator vertex's owner — can project it.
-			local := map[string]*groupAcc{}
-			var lorder []string
-			var header []string
-			for _, m := range inbox {
-				header = m.Payload.(*partialGroups).header
-				break
-			}
-			mergeInbox(ctx, inbox, local, &lorder)
-			if len(lorder) > 0 {
-				out := &partialGroups{header: header, groups: make([]*groupAcc, 0, len(lorder))}
-				for _, ks := range lorder {
-					out.groups = append(out.groups, local[ks])
-				}
+			if out := mergeInbox(ctx, inbox); len(out.groups) > 0 {
 				ctx.Emit(out)
 			}
 		}
@@ -439,21 +387,29 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 	if err := e.runProg(bsp.WithCombiner(prog, pgCombiner{}), res.survivors); err != nil {
 		return nil, err
 	}
+	return e.projectEmitted(c, setup, outer, subq)
+}
+
+// projectEmitted projects the merged groups a distributed finalization
+// emitted — first snapshotting them when incremental maintenance armed
+// a capture, so only these paths yield foldable state.
+func (e *Session) projectEmitted(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
+	var groups []*groupAcc
+	var header []string
 	for _, em := range e.eng.Emitted() {
 		pg := em.(*partialGroups)
-		srcHeader = pg.header
-		for _, g := range pg.groups {
-			ks := groupKeyString(g.key)
-			merged[ks] = g
-			order = append(order, ks)
-		}
+		header = pg.header
+		groups = append(groups, pg.groups...)
 	}
-	return e.projectGroups(c, setup, merged, order, srcHeader, outer, subq)
+	if e.capture != nil && !e.capture.done {
+		e.capture.record(c, groups, header)
+	}
+	return projectGroups(c, setup, groups, header, outer, subq)
 }
 
 // projectGroups applies HAVING and the SELECT list to merged groups.
 // srcHeader is the header the representative rows were built against.
-func (e *Session) projectGroups(c *compiled, setup *aggSetup, groups map[string]*groupAcc, order []string, srcHeader []string, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
+func projectGroups(c *compiled, setup *aggSetup, groups []*groupAcc, srcHeader []string, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	blk := c.blk
 	out := relation.New("result", blk.OutputSchema())
 
@@ -466,26 +422,16 @@ func (e *Session) projectGroups(c *compiled, setup *aggSetup, groups map[string]
 		}
 	}
 
-	// Incremental maintenance snapshots the pre-projection group state
-	// here — before the empty-scalar synthesis below, which is a
-	// projection-time artifact, not state.
-	if e.capture != nil && !e.capture.done {
-		e.capture.record(c, groups, order, header)
-	}
-
 	// Scalar aggregation over empty input still yields one row.
-	if len(blk.Sel.GroupBy) == 0 && blk.HasAgg && len(order) == 0 {
-		g := &groupAcc{rep: make([]relation.Value, len(header)), aggs: setup.newAccs()}
-		groups = map[string]*groupAcc{"": g}
-		order = []string{""}
+	if len(blk.Sel.GroupBy) == 0 && blk.HasAgg && len(groups) == 0 {
+		groups = []*groupAcc{{rep: make([]relation.Value, len(header)), aggs: setup.newAccs()}}
 	}
 	binding := sql.Binding{}
 	for i, h := range header {
 		binding[h] = i
 	}
 
-	for _, ks := range order {
-		g := groups[ks]
+	for _, g := range groups {
 		rep := g.rep
 		if len(rep) < len(header) {
 			padded := make([]relation.Value, len(header))
@@ -517,98 +463,6 @@ func (e *Session) projectGroups(c *compiled, setup *aggSetup, groups map[string]
 		out.Tuples = append(out.Tuples, row)
 	}
 	return dedup(out, blk.Sel.Distinct), nil
-}
-
-// projectRows is the central grouping/projection used by the assembled
-// (non-distributed) path.
-func projectRows(blk *sql.Analyzed, binding sql.Binding, rows []relation.Tuple, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
-	sel := blk.Sel
-	out := relation.New("result", blk.OutputSchema())
-
-	if !blk.HasAgg && len(sel.GroupBy) == 0 {
-		env := &sql.Env{Binding: binding, Parent: outer}
-		for _, row := range rows {
-			env.Row = row
-			t := make(relation.Tuple, len(sel.Items))
-			for i, item := range sel.Items {
-				v, err := sql.Eval(item.Expr, env, subq)
-				if err != nil {
-					return nil, err
-				}
-				t[i] = v
-			}
-			out.Tuples = append(out.Tuples, t)
-		}
-		return dedup(out, sel.Distinct), nil
-	}
-
-	setup := newAggSetup(blk)
-	groups := map[string]*groupAcc{}
-	var order []string
-	env := &sql.Env{Binding: binding, Parent: outer}
-	for _, row := range rows {
-		env.Row = row
-		key := make([]relation.Value, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			v, err := sql.Eval(g, env, subq)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		ks := groupKeyString(key)
-		grp := groups[ks]
-		if grp == nil {
-			grp = &groupAcc{key: key, rep: row, aggs: setup.newAccs()}
-			groups[ks] = grp
-			order = append(order, ks)
-		}
-		for i, f := range setup.list {
-			var v relation.Value
-			if f.Star {
-				v = relation.Int(1)
-			} else {
-				var err error
-				v, err = sql.Eval(f.Args[0], env, subq)
-				if err != nil {
-					return nil, err
-				}
-			}
-			grp.aggs[i].Observe(v)
-		}
-	}
-	if len(sel.GroupBy) == 0 && len(order) == 0 {
-		g := &groupAcc{rep: make([]relation.Value, len(binding)), aggs: setup.newAccs()}
-		groups[""] = g
-		order = append(order, "")
-	}
-	for _, ks := range order {
-		g := groups[ks]
-		genv := &sql.Env{Binding: binding, Row: g.rep, Parent: outer,
-			Aggs: make([]relation.Value, len(g.aggs))}
-		for i, a := range g.aggs {
-			genv.Aggs[i] = a.Result()
-		}
-		if setup.having != nil {
-			v, err := sql.Eval(setup.having, genv, subq)
-			if err != nil {
-				return nil, err
-			}
-			if !v.AsBool() {
-				continue
-			}
-		}
-		row := make(relation.Tuple, len(setup.items))
-		for i, it := range setup.items {
-			v, err := sql.Eval(it, genv, subq)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out.Tuples = append(out.Tuples, row)
-	}
-	return dedup(out, sel.Distinct), nil
 }
 
 // dedup removes duplicate tuples when DISTINCT is set.

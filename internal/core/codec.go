@@ -359,8 +359,7 @@ func decodeGroup(d *codec.Decoder) (*groupAcc, error) {
 
 // appendPartialGroups encodes the aggregation fold stream: the shared
 // source header, the logical pre-combine group count, and the groups in
-// fold order (the receiver's merge replays concatenation-deferred keys
-// in exactly this order, preserving float byte-identity).
+// first-arrival order (the receiver's group order).
 func appendPartialGroups(b []byte, pg *partialGroups) ([]byte, error) {
 	b = appendStrings(b, pg.header)
 	b = binary.AppendUvarint(b, uint64(pg.logicalGroups()))

@@ -9,28 +9,20 @@ import (
 // programs: folds applied by the BSP engine at Send time (per worker)
 // and at the shard merge (across workers), so aggregate-heavy
 // traversals deliver one message per (active vertex, slot) instead of
-// one per sender. Every combiner here mirrors the exact left-fold its
-// receiving vertex performs over an uncombined inbox — same merge
-// operations in the same (worker, send) order — so combined execution
-// is byte-identical in rows and paper-facing Stats (cross-checked per
-// TPC-H query by TestCombinedMatchesUncombinedTPCH in internal/tpch).
+// one per sender. Every combiner here computes what its receiving
+// vertex computes over an uncombined inbox — structural folds in the
+// same (worker, send) order, aggregate merges exact under any grouping
+// — so combined execution is byte-identical in rows and paper-facing
+// Stats (cross-checked per TPC-H query by
+// TestCombinedMatchesUncombinedTPCH in internal/tpch).
 
 // pgCombiner folds partialGroups bound for the same aggregation target
 // (the global aggregator vertex, a per-machine relay, or an attribute
-// vertex on the LA path) into one message per destination, merging
-// groups by key with sql.Aggregator.Merge — the COUNT/SUM/MIN/MAX fold
-// the receiver would have run on arrival, moved to where the messages
-// are produced.
-//
-// Byte-identity caveat: the receiving vertex left-folds colliding
-// groups in delivery order, and a combiner necessarily regroups that
-// fold (per-worker partials merge before cross-worker ones). A group
-// pair therefore folds eagerly only when every slot's merge is exact
-// under regrouping (sql.Aggregator.MergeExact: set unions, counts,
-// comparisons, integer sums); order-sensitive merges — float SUM/AVG
-// rounding — are instead concatenated in delivery order and left to
-// the receiver, so the message still collapses but the arithmetic
-// replays in exactly the uncombined sequence.
+// vertex on the LA path) into one message per destination with
+// partialGroups.fold — the merge the receiver would have run on
+// arrival, moved to where the messages are produced. Regrouping the
+// receiver's fold this way changes no bits: sql.Aggregator merges are
+// exact.
 type pgCombiner struct{}
 
 // Slot implements bsp.Combiner.
@@ -44,63 +36,22 @@ func (pgCombiner) Fold(acc any, _ bsp.VertexID, payload any) any {
 	if acc == nil {
 		return pg
 	}
-	return mergePartialGroups(acc.(*partialGroups), pg)
+	return combineGroups(acc.(*partialGroups), pg)
 }
 
 // Merge implements bsp.Combiner.
 func (pgCombiner) Merge(acc, other any) any {
-	return mergePartialGroups(acc.(*partialGroups), other.(*partialGroups))
+	return combineGroups(acc.(*partialGroups), other.(*partialGroups))
 }
 
-// mergePartialGroups folds b into a in b's group order. Per canonical
-// key, the first group is the "open" accumulator: later groups merge
-// into it while every slot's merge is exact under regrouping
-// (MergeExact); the first order-sensitive pair switches the key to
-// concatenation for the rest of the stream (the receiver folds
-// concatenated groups into the first one in list order — eager merges
-// into any later group would reparenthesize a float sum). The logical
-// pre-combine group count is carried so receivers account the paper's
-// ComputeOps as if nothing had folded.
-func mergePartialGroups(a, b *partialGroups) *partialGroups {
-	if a.index == nil {
-		a.index = make(map[string]*groupAcc, len(a.groups))
-		for _, g := range a.groups {
-			a.index[groupKeyString(g.key)] = g
-		}
-	}
-	la, lb := a.logicalGroups(), b.logicalGroups()
-	for _, g := range b.groups {
-		ks := groupKeyString(g.key)
-		open, seen := a.index[ks]
-		switch {
-		case !seen:
-			a.index[ks] = g
-			a.groups = append(a.groups, g)
-		case open != nil && groupsMergeExact(open, g):
-			for i := range open.aggs {
-				open.aggs[i].Merge(g.aggs[i])
-			}
-		default:
-			a.index[ks] = nil // order-sensitive: defer this key to the receiver
-			a.groups = append(a.groups, g)
-		}
-	}
-	a.logical = la + lb
-	if a.header == nil {
-		a.header = b.header
-	}
+// combineGroups folds b into a, carrying the logical pre-combine group
+// count so receivers account the paper's ComputeOps as if nothing had
+// folded.
+func combineGroups(a, b *partialGroups) *partialGroups {
+	logical := a.logicalGroups() + b.logicalGroups()
+	a.fold(b)
+	a.logical = logical
 	return a
-}
-
-// groupsMergeExact reports whether folding b into a is independent of
-// fold order for every aggregate slot.
-func groupsMergeExact(a, b *groupAcc) bool {
-	for i := range a.aggs {
-		if !a.aggs[i].MergeExact(b.aggs[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // senderBatch is the combined payload of the reduction phase's nil

@@ -32,10 +32,10 @@ import (
 // leaf, so a term touches the batch's vertices and their join
 // frontier, not the graph.
 //
-// Folding a term into the cached state reuses the combiner Merge path:
-// aggregate terms merge group-by-group (guarded by MergeExact — an
-// order-sensitive float SUM/AVG merge detects itself and forces a full
-// recompute), non-aggregate terms append rows. Deletes, outer joins,
+// Folding a term into the cached state reuses the combiner's group fold
+// (partialGroups.fold): aggregate terms merge group-by-group, exactly,
+// so the folded answer is byte-identical to a cold run whatever the
+// aggregate; non-aggregate terms append rows. Deletes, outer joins,
 // cyclic plans, subqueries and rep-dependent projections are
 // non-monotone or non-capturable here and fall back to a cold re-run.
 
@@ -65,25 +65,21 @@ func (w vertexWindow) slice(verts []bsp.VertexID) []bsp.VertexID {
 }
 
 // stateCapture snapshots the pre-projection group state of one
-// aggregate run (hooked into projectGroups). Representative rows are
+// aggregate run (hooked into projectEmitted). Representative rows are
 // remapped to the block's canonical header so states captured under
 // different plan shapes (cold run vs delta terms, whose join trees
 // differ) fold against each other.
 type stateCapture struct {
-	done   bool
-	header []string
-	groups map[string]*groupAcc
-	order  []string
+	done  bool
+	state partialGroups
 }
 
-func (sc *stateCapture) record(c *compiled, groups map[string]*groupAcc, order []string, srcHeader []string) {
+func (sc *stateCapture) record(c *compiled, groups []*groupAcc, srcHeader []string) {
 	sc.done = true
 	canon := c.canonicalHeader()
 	idx := buildIndex(srcHeader)
-	sc.header = canon
-	sc.order = append([]string(nil), order...)
-	sc.groups = make(map[string]*groupAcc, len(groups))
-	for ks, g := range groups {
+	sc.state = partialGroups{header: canon, groups: make([]*groupAcc, 0, len(groups))}
+	for _, g := range groups {
 		rep := make([]relation.Value, len(canon))
 		for i, col := range canon {
 			if j, ok := idx[col]; ok && j < len(g.rep) {
@@ -92,7 +88,7 @@ func (sc *stateCapture) record(c *compiled, groups map[string]*groupAcc, order [
 				rep[i] = relation.Null
 			}
 		}
-		sc.groups[ks] = &groupAcc{key: g.key, rep: rep, aggs: g.aggs}
+		sc.state.groups = append(sc.state.groups, &groupAcc{key: g.key, rep: rep, aggs: g.aggs})
 	}
 }
 
@@ -108,9 +104,7 @@ type QueryState struct {
 
 	agg      bool
 	distinct bool
-	header   []string
-	groups   map[string]*groupAcc
-	order    []string
+	groups   partialGroups // header is the block's canonical header
 	rows     *relation.Relation
 }
 
@@ -123,7 +117,7 @@ const (
 	// the batch did not touch any referenced table) — O(delta) work.
 	FoldHit FoldOutcome = iota
 	// FoldFallback: the state was rebuilt by a full cold re-run
-	// (deletes, an order-sensitive merge, a missed epoch, …).
+	// (deletes, a missed epoch, …).
 	FoldFallback
 )
 
@@ -137,7 +131,7 @@ func (o FoldOutcome) String() string {
 // IncrementalEligible reports whether an analyzed query's state can be
 // maintained incrementally at all, with the disqualifying reason
 // otherwise. Eligibility is static: even an eligible query falls back
-// dynamically on batches it cannot fold (deletes, inexact merges).
+// dynamically on batches it cannot fold (deletes, missed epochs).
 func (e *Session) IncrementalEligible(an *sql.Analysis) (bool, string) {
 	if len(an.Blocks) != 1 || an.Root.UnionNext != nil {
 		return false, "subqueries or UNION"
@@ -216,9 +210,7 @@ func (e *Session) BuildState(an *sql.Analysis, epoch uint64) (*QueryState, error
 		if !e.capture.done {
 			return nil, fmt.Errorf("core: aggregate state not captured (central projection path)")
 		}
-		st.header = e.capture.header
-		st.groups = e.capture.groups
-		st.order = e.capture.order
+		st.groups = e.capture.state
 	} else {
 		st.rows = out
 	}
@@ -229,10 +221,9 @@ func (e *Session) BuildState(an *sql.Analysis, epoch uint64) (*QueryState, error
 // FoldDelta advances st from st.Epoch to epoch using the write delta
 // recorded on this session's graph, which must be the generation built
 // by cloning the st.Epoch generation (tag.Clone arms the tracking).
-// When the batch cannot be folded — deletes on a referenced table, a
-// missed epoch, an order-sensitive aggregate merge — the state is
-// rebuilt by a cold re-run and the call reports FoldFallback; st is
-// correct for epoch either way.
+// When the batch cannot be folded — deletes on a referenced table or a
+// missed epoch — the state is rebuilt by a cold re-run and the call
+// reports FoldFallback; st is correct for epoch either way.
 func (e *Session) FoldDelta(st *QueryState, epoch uint64) (FoldOutcome, error) {
 	rebuild := func() (FoldOutcome, error) {
 		ns, err := e.BuildState(st.An, epoch)
@@ -308,34 +299,14 @@ func (e *Session) FoldDelta(st *QueryState, epoch uint64) (FoldOutcome, error) {
 		return FoldHit, nil
 	}
 
-	// Fold each term's groups into the cached state via the combiner
-	// Merge path, guarding every slot with MergeExact: a float SUM/AVG
-	// merge is order-sensitive, so the fold would not be byte-identical
-	// to a cold run — detect it and recompute instead. (A failed guard
-	// leaves st half-merged; rebuild discards it wholesale.)
 	for _, sc := range termCaps {
-		for _, ks := range sc.order {
-			g := sc.groups[ks]
-			have := st.groups[ks]
-			if have == nil {
-				st.groups[ks] = g
-				st.order = append(st.order, ks)
-				continue
-			}
-			for i := range have.aggs {
-				if !have.aggs[i].MergeExact(g.aggs[i]) {
-					return rebuild()
-				}
-				have.aggs[i].Merge(g.aggs[i])
-			}
-		}
+		st.groups.fold(&sc.state)
 	}
-
 	c, err := e.compileBlock(st.An, blk)
 	if err != nil {
 		return FoldFallback, err
 	}
-	out, err := e.projectGroups(c, newAggSetup(blk), st.groups, st.order, st.header, nil, nil)
+	out, err := projectGroups(c, newAggSetup(blk), st.groups.groups, st.groups.header, nil, nil)
 	if err != nil {
 		return FoldFallback, err
 	}

@@ -95,8 +95,8 @@ func TestIncrementalEligible(t *testing.T) {
 
 // TestFoldDeltaChain advances pinned queries across a chain of
 // insert-only generations and checks every folded answer against a cold
-// re-run. All aggregates are integer-valued, so every epoch must fold
-// (FoldHit), including epochs that only touch unreferenced tables.
+// re-run. Every insert-only epoch must fold (FoldHit), including epochs
+// that only touch unreferenced tables.
 func TestFoldDeltaChain(t *testing.T) {
 	opts := bsp.Options{Workers: 2}
 	g := buildGraph(t, shopCatalog())
@@ -197,9 +197,9 @@ func TestFoldDeltaDeleteFallsBack(t *testing.T) {
 	checkFoldedAnswer(t, next2, opts, st, "unreferenced delete")
 }
 
-// A float SUM/AVG merge is order-sensitive; MergeExact must refuse it
-// and force the rebuild path.
-func TestFoldDeltaFloatMergeFallsBack(t *testing.T) {
+// Float SUM/AVG merges are exact, so folding a float delta is a hit
+// whose answer is byte-identical to a cold run.
+func TestFoldDeltaFloatMergeFolds(t *testing.T) {
 	cat := relation.NewCatalog()
 	f := relation.New("f", relation.MustSchema(
 		relation.Col("k", relation.KindInt),
@@ -209,9 +209,9 @@ func TestFoldDeltaFloatMergeFallsBack(t *testing.T) {
 	f.MustAppend(relation.Int(2), relation.Float(1.5))
 	cat.MustAdd(f)
 
-	opts := bsp.Options{Workers: 1}
+	opts := bsp.Options{Workers: 4, Partitions: 2}
 	g := buildGraph(t, cat)
-	_, st := pinQuery(t, g, opts, "SELECT k, SUM(x) FROM f GROUP BY k", 1)
+	_, st := pinQuery(t, g, opts, "SELECT k, SUM(x), AVG(x) FROM f GROUP BY k", 1)
 
 	next := g.Clone()
 	if _, err := next.InsertBatch("f", []relation.Tuple{{relation.Int(1), relation.Float(0.3)}}); err != nil {
@@ -222,10 +222,10 @@ func TestFoldDeltaFloatMergeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcome != FoldFallback {
-		t.Errorf("float SUM merge folded as %v, want fallback", outcome)
+	if outcome != FoldHit {
+		t.Errorf("float SUM merge folded as %v, want hit", outcome)
 	}
-	checkFoldedAnswer(t, next, opts, st, "float fallback")
+	checkFoldedAnswer(t, next, opts, st, "float fold")
 }
 
 // A missed epoch (the state lags more than one generation behind, or
@@ -277,7 +277,7 @@ func TestIncrementalTPCHProperty(t *testing.T) {
 	}
 	cat := tpch.Generate(scale, 42)
 	g := buildGraph(t, cat)
-	opts := bsp.Options{Workers: 1} // deterministic float accumulation order
+	opts := bsp.Options{Workers: 4, Partitions: 2}
 
 	type pin struct {
 		q  tpch.Query
@@ -362,7 +362,7 @@ func TestIncrementalTPCHProperty(t *testing.T) {
 		t.Error("no fold ever hit — the incremental path never exercised")
 	}
 	if fallbacks == 0 {
-		t.Error("no fold ever fell back — the delete/inexact-merge guards never exercised")
+		t.Error("no fold ever fell back — the delete guard never exercised")
 	}
 	t.Logf("folds: %d hits, %d fallbacks", hits, fallbacks)
 

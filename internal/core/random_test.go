@@ -183,7 +183,7 @@ func randomizedDifferential(t *testing.T, opts bsp.Options) {
 			if err1 != nil || err2 != nil {
 				t.Fatalf("round %d q %d errors: tag=%v base=%v\nquery: %s", round, qi, err1, err2, q)
 			}
-			if !relation.EqualMultisetFuzzy(got, want) {
+			if !relation.EqualMultiset(got, want) {
 				onlyG, onlyW := relation.DiffMultiset(got, want, 4)
 				t.Fatalf("round %d mismatch (%d vs %d rows)\nquery: %s\nonly TAG: %v\nonly base: %v",
 					round, got.Len(), want.Len(), q, onlyG, onlyW)

@@ -47,12 +47,6 @@ type Session struct {
 	// ablation benchmark.
 	Theta float64
 
-	// DisablePartialAgg turns off the eager/partial aggregation of §7:
-	// vertices then ship one group per input row instead of locally
-	// pre-aggregated partials, inflating aggregation-message volume.
-	// Exposed for the eager-aggregation ablation benchmark.
-	DisablePartialAgg bool
-
 	// ForceCyclePrePass runs the §6.2 heavy/light cycle reduction even on
 	// PK-FK-dominated cycles that would normally take the §6.1.1 shortcut;
 	// used by the θ-sweep ablation.
@@ -426,15 +420,36 @@ func (e *Session) applyResidualCentral(c *compiled, t *table, outer *sql.Env, su
 
 // projectCentral applies grouping, aggregation, HAVING, the SELECT list
 // and DISTINCT to an assembled table (used for multi-component blocks and
-// blocks with vertex-unsafe expressions).
+// blocks with vertex-unsafe expressions). Its groups are never captured
+// for incremental maintenance: that state comes only from the
+// distributed finalizations (projectEmitted).
 func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	if t == nil {
 		t = unitTable()
 		t.rows = nil
 	}
-	rows := make([]relation.Tuple, len(t.rows))
-	for i, r := range t.rows {
-		rows[i] = relation.Tuple(r)
+	blk := c.blk
+	if blk.HasAgg || len(blk.Sel.GroupBy) > 0 {
+		setup := newAggSetup(blk)
+		groups, err := groupLocally(c, setup, t, t.rows, outer, subq)
+		if err != nil {
+			return nil, err
+		}
+		return projectGroups(c, setup, groups, t.header, outer, subq)
 	}
-	return projectRows(c.blk, sql.Binding(t.index), rows, outer, subq)
+	out := relation.New("result", blk.OutputSchema())
+	env := &sql.Env{Binding: sql.Binding(t.index), Parent: outer}
+	for _, row := range t.rows {
+		env.Row = row
+		tup := make(relation.Tuple, len(blk.Sel.Items))
+		for i, item := range blk.Sel.Items {
+			v, err := sql.Eval(item.Expr, env, subq)
+			if err != nil {
+				return nil, err
+			}
+			tup[i] = v
+		}
+		out.Tuples = append(out.Tuples, tup)
+	}
+	return dedup(out, blk.Sel.Distinct), nil
 }

@@ -158,7 +158,7 @@ func TestCheckpointBootMatchesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot-boot %s: %v", q.ID, err)
 		}
-		if !relation.EqualMultisetFuzzy(ra.Rows, rb.Rows) {
+		if !relation.EqualMultiset(ra.Rows, rb.Rows) {
 			t.Errorf("%s: snapshot boot answers differently from full replay", q.ID)
 		}
 	}

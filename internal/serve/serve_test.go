@@ -75,7 +75,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 						errs <- fmt.Errorf("%s: %w", q.ID, err)
 						return
 					}
-					if !relation.EqualMultisetFuzzy(res.Rows, ref[q.ID]) {
+					if !relation.EqualMultiset(res.Rows, ref[q.ID]) {
 						errs <- fmt.Errorf("%s: concurrent result differs from serial", q.ID)
 						return
 					}
@@ -138,7 +138,7 @@ func TestPreparedCacheNormalization(t *testing.T) {
 			if !res.Prepared {
 				t.Errorf("variant %d should hit the prepared cache", i)
 			}
-			if !relation.EqualMultisetFuzzy(res.Rows, first) {
+			if !relation.EqualMultiset(res.Rows, first) {
 				t.Errorf("variant %d differs", i)
 			}
 		}

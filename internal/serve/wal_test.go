@@ -123,7 +123,7 @@ func TestWALReplayMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recovered %s: %v", q.ID, err)
 		}
-		if !relation.EqualMultisetFuzzy(lr.Rows, rr.Rows) {
+		if !relation.EqualMultiset(lr.Rows, rr.Rows) {
 			t.Errorf("%s: recovered answer differs from live", q.ID)
 		}
 	}

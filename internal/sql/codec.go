@@ -1,7 +1,9 @@
 package sql
 
 import (
+	"cmp"
 	"encoding/binary"
+	"math"
 	"slices"
 
 	"repro/internal/codec"
@@ -13,12 +15,16 @@ import (
 // between processes exactly as the simulated message plane ships them
 // between partitions. The encoding is self-describing — it carries the
 // function name and flags — because the receiving process rebuilds the
-// accumulator without access to the sender's *FuncCall.
+// accumulator without access to the sender's *FuncCall. It is also
+// canonical: the bytes depend only on the observations, never on the
+// merge tree that combined them (sum.go writes the exact sum as its
+// greedy expansion), so byte-priced exchanges are identical however the
+// partials were grouped.
 
 // AppendBinary appends a's complete partial state: function name, a
-// flags byte (star, distinct), the observation count, the sum/min/max
-// values, and (for DISTINCT) the deferred value set in a canonical
-// order so the encoding of a given state is deterministic.
+// flags byte (star, distinct), the observation count, the exact sum,
+// the min/max values, and (for DISTINCT) the deferred value set in a
+// canonical order.
 func (a *Aggregator) AppendBinary(b []byte) ([]byte, error) {
 	b = codec.AppendString(b, a.fn.Name)
 	var flags byte
@@ -30,8 +36,9 @@ func (a *Aggregator) AppendBinary(b []byte) ([]byte, error) {
 	}
 	b = append(b, flags)
 	b = binary.AppendVarint(b, a.count)
+	b = a.sum.appendBinary(b)
 	var err error
-	for _, v := range [...]relation.Value{a.sum, a.min, a.max} {
+	for _, v := range [...]relation.Value{a.min, a.max} {
 		if b, err = relation.AppendValue(b, v); err != nil {
 			return nil, err
 		}
@@ -44,6 +51,9 @@ func (a *Aggregator) AppendBinary(b []byte) ([]byte, error) {
 		slices.SortFunc(vals, func(x, y relation.Value) int {
 			if x.Kind != y.Kind {
 				return int(x.Kind) - int(y.Kind)
+			}
+			if x.Kind == relation.KindFloat { // a total order, NaNs included
+				return cmp.Or(cmp.Compare(x.F, y.F), cmp.Compare(math.Float64bits(x.F), math.Float64bits(y.F)))
 			}
 			return x.Compare(y)
 		})
@@ -73,7 +83,10 @@ func DecodeAggregator(d *codec.Decoder) (*Aggregator, error) {
 	if a.count, err = d.Varint(); err != nil {
 		return nil, err
 	}
-	for _, dst := range [...]*relation.Value{&a.sum, &a.min, &a.max} {
+	if err := a.sum.decode(d); err != nil {
+		return nil, err
+	}
+	for _, dst := range [...]*relation.Value{&a.min, &a.max} {
 		if *dst, err = relation.DecodeValue(d); err != nil {
 			return nil, err
 		}

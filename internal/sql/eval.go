@@ -414,14 +414,14 @@ func MatchLike(s, pattern string) bool {
 type Aggregator struct {
 	fn       *FuncCall
 	count    int64
-	sum      relation.Value
+	sum      exactSum
 	min, max relation.Value
 	distinct map[relation.Value]struct{}
 }
 
 // NewAggregator prepares an accumulator for fn.
 func NewAggregator(fn *FuncCall) *Aggregator {
-	a := &Aggregator{fn: fn, sum: relation.Null, min: relation.Null, max: relation.Null}
+	a := &Aggregator{fn: fn, min: relation.Null, max: relation.Null}
 	if fn.Distinct {
 		a.distinct = make(map[relation.Value]struct{})
 	}
@@ -444,24 +444,20 @@ func (a *Aggregator) Observe(v relation.Value) {
 
 func (a *Aggregator) observeRaw(v relation.Value) {
 	a.count++
-	if a.fn.Name == "SUM" || a.fn.Name == "AVG" {
-		if a.sum.IsNull() {
-			a.sum = v
-		} else {
-			a.sum = relation.Add(a.sum, v)
-		}
-	}
-	if a.fn.Name == "MIN" && (a.min.IsNull() || v.Compare(a.min) < 0) {
+	switch {
+	case a.fn.Name == "SUM" || a.fn.Name == "AVG":
+		a.sum.add(v)
+	case a.fn.Name == "MIN" && (a.min.IsNull() || v.Compare(a.min) < 0):
 		a.min = v
-	}
-	if a.fn.Name == "MAX" && (a.max.IsNull() || v.Compare(a.max) > 0) {
+	case a.fn.Name == "MAX" && (a.max.IsNull() || v.Compare(a.max) > 0):
 		a.max = v
 	}
 }
 
 // Merge folds another partial accumulator of the same function into a,
 // enabling the eager/partial aggregation of §7 (DISTINCT sets are
-// unioned).
+// unioned). Every merge is exact, so any order or grouping of merges
+// over the same observations gives the same Result bits.
 func (a *Aggregator) Merge(b *Aggregator) {
 	if a.distinct != nil {
 		for v := range b.distinct {
@@ -470,13 +466,7 @@ func (a *Aggregator) Merge(b *Aggregator) {
 		return
 	}
 	a.count += b.count
-	if b.sum.IsNull() {
-		// nothing
-	} else if a.sum.IsNull() {
-		a.sum = b.sum
-	} else {
-		a.sum = relation.Add(a.sum, b.sum)
-	}
+	a.sum.merge(&b.sum)
 	if !b.min.IsNull() && (a.min.IsNull() || b.min.Compare(a.min) < 0) {
 		a.min = b.min
 	}
@@ -485,27 +475,12 @@ func (a *Aggregator) Merge(b *Aggregator) {
 	}
 }
 
-// MergeExact reports whether merging b into a commutes with any fold
-// order — the merge is a set union (DISTINCT), an exact integer
-// addition, or a pure comparison (MIN/MAX), never a float rounding.
-// Message combiners consult it before folding partials eagerly: an
-// order-sensitive merge (float SUM/AVG) must instead be left to the
-// receiving vertex so results stay bit-identical to an uncombined run.
-func (a *Aggregator) MergeExact(b *Aggregator) bool {
-	if a.distinct != nil {
-		return true
-	}
-	switch a.fn.Name {
-	case "SUM", "AVG":
-		return a.sum.Kind != relation.KindFloat && b.sum.Kind != relation.KindFloat
-	}
-	return true // COUNT, MIN, MAX: counting and comparisons are order-free
-}
-
-// Result returns the aggregate's final value.
+// Result returns the aggregate's final value. A SUM is INT while only
+// INTs were observed; a float SUM is the exact sum rounded once, and
+// AVG is that sum over the count.
 func (a *Aggregator) Result() relation.Value {
 	if a.distinct != nil {
-		fold := &Aggregator{fn: &FuncCall{Name: a.fn.Name, Star: a.fn.Star}, sum: relation.Null, min: relation.Null, max: relation.Null}
+		fold := NewAggregator(&FuncCall{Name: a.fn.Name, Star: a.fn.Star})
 		for v := range a.distinct {
 			fold.observeRaw(v)
 		}
@@ -515,12 +490,18 @@ func (a *Aggregator) Result() relation.Value {
 	case "COUNT":
 		return relation.Int(a.count)
 	case "SUM":
-		return a.sum
+		switch {
+		case a.count == 0:
+			return relation.Null
+		case a.sum.flags&sawFloat == 0:
+			return relation.Int(a.sum.i)
+		}
+		return relation.Float(a.sum.float())
 	case "AVG":
 		if a.count == 0 {
 			return relation.Null
 		}
-		return relation.Float(a.sum.AsFloat() / float64(a.count))
+		return relation.Float(a.sum.float() / float64(a.count))
 	case "MIN":
 		return a.min
 	case "MAX":

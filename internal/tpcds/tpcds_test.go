@@ -95,7 +95,7 @@ func TestEnginesAgreeOnWorkload(t *testing.T) {
 			t.Errorf("%s baseline: %v", q.ID, err)
 			continue
 		}
-		if !relation.EqualMultisetFuzzy(got, want) {
+		if !relation.EqualMultiset(got, want) {
 			onlyG, onlyW := relation.DiffMultiset(got, want, 3)
 			t.Errorf("%s MISMATCH: TAG %d rows vs baseline %d rows\nonly TAG: %v\nonly base: %v",
 				q.ID, got.Len(), want.Len(), onlyG, onlyW)
