@@ -11,6 +11,7 @@ package baseline
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/relation"
@@ -143,7 +144,8 @@ func aliasesOf(an *sql.Analysis, e sql.Expr, offset int) map[string]bool {
 }
 
 // joinKey renders a composite hash key for join/group columns using
-// canonical value identity.
+// canonical value identity. Strings are length-prefixed, so the key is
+// injective even when a value holds the separator byte.
 func joinKey(vals []relation.Value) string {
 	var b strings.Builder
 	for i, v := range vals {
@@ -152,6 +154,10 @@ func joinKey(vals []relation.Value) string {
 		}
 		k := v.Key()
 		b.WriteByte(byte(k.Kind) + '0')
+		if k.Kind == relation.KindString {
+			b.WriteString(strconv.Itoa(len(k.S)))
+			b.WriteByte(':')
+		}
 		b.WriteString(k.String())
 	}
 	return b.String()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"repro/internal/bsp"
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -19,41 +17,33 @@ type groupAcc struct {
 // partialGroups is the message payload of the aggregation finalization:
 // a vertex's locally pre-aggregated groups (the eager aggregation of §7).
 // It is also the accumulator every merge of groups folds into (fold):
-// index dedups groups by canonical key, and logical preserves the
-// pre-combine group count of a combined message for the receiver's
-// ComputeOps accounting.
+// index finds groups by key, and logical preserves the pre-combine group
+// count of a combined message for the receiver's ComputeOps accounting.
 type partialGroups struct {
 	header  []string
 	groups  []*groupAcc
-	index   map[string]*groupAcc
+	index   keyIndex
 	logical int
 }
 
-// fold merges b's groups into p by canonical key, in b's order: a new
-// key's group is borrowed (appended, not copied) and an existing key's
-// absorbs it with sql.Aggregator.Merge. Merges are exact, so the same
-// partials give the same bits whether they fold at Send time, at the
-// shard merge, at a relay, at the receiving vertex or into a cached
-// incremental state.
+// fold merges b's groups into p by key, in b's order: a new key's group
+// is borrowed (appended, not copied) and an existing key's absorbs it
+// with sql.Aggregator.Merge. Merges are exact, so the same partials give
+// the same bits whether they fold at Send time, at the shard merge, at a
+// relay, at the receiving vertex or into a cached incremental state.
 func (p *partialGroups) fold(b *partialGroups) {
 	if p.header == nil {
 		p.header = b.header
 	}
-	if p.index == nil {
-		p.index = make(map[string]*groupAcc, len(p.groups)+len(b.groups))
-		for _, g := range p.groups {
-			p.index[groupKeyString(g.key)] = g
-		}
-	}
+	keyAt := func(i int) []relation.Value { return p.groups[i].key }
 	for _, g := range b.groups {
-		ks := groupKeyString(g.key)
-		if have := p.index[ks]; have != nil {
-			for i := range have.aggs {
-				have.aggs[i].Merge(g.aggs[i])
+		if i := p.index.find(len(p.groups), keyAt, g.key); i >= 0 {
+			have := p.groups[i]
+			for k := range have.aggs {
+				have.aggs[k].Merge(g.aggs[k])
 			}
 			continue
 		}
-		p.index[ks] = g
 		p.groups = append(p.groups, g)
 	}
 }
@@ -105,50 +95,52 @@ func newAggSetup(blk *sql.Analyzed) *aggSetup {
 	return s
 }
 
+// newAccs returns fresh accumulators for the block's aggregates, carved
+// from one backing array.
 func (s *aggSetup) newAccs() []*sql.Aggregator {
+	accs := make([]sql.Aggregator, len(s.list))
 	out := make([]*sql.Aggregator, len(s.list))
 	for i, f := range s.list {
-		out[i] = sql.NewAggregator(f)
+		accs[i] = *sql.NewAggregator(f)
+		out[i] = &accs[i]
 	}
 	return out
-}
-
-// groupKeyString canonicalizes a key tuple.
-func groupKeyString(key []relation.Value) string {
-	var b strings.Builder
-	for i, v := range key {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		k := v.Key()
-		b.WriteByte(byte(k.Kind) + '0')
-		b.WriteString(k.String())
-	}
-	return b.String()
 }
 
 // groupLocally folds rows of t into per-group partial accumulators, in
 // first-seen group order. On the distributed paths subq is nil (group
 // keys and aggregate arguments are vertex-safe there).
 func groupLocally(c *compiled, setup *aggSetup, t *table, rows [][]relation.Value, outer *sql.Env, subq sql.SubqueryFn) ([]*groupAcc, error) {
-	env := &sql.Env{Binding: sql.Binding(t.index), Parent: outer}
-	index := map[string]*groupAcc{}
+	// The key is evaluated into scratch and copied out only for a new
+	// group; the common narrow key shares the env's allocation.
+	sc := &struct {
+		env sql.Env
+		key [2]relation.Value
+	}{env: sql.Env{Binding: sql.Binding(t.index), Parent: outer}}
+	env := &sc.env
+	var scratch []relation.Value
+	if n := len(c.blk.Sel.GroupBy); n > len(sc.key) {
+		scratch = make([]relation.Value, n)
+	} else {
+		scratch = sc.key[:n]
+	}
+	var index keyIndex
 	var groups []*groupAcc
+	keyAt := func(i int) []relation.Value { return groups[i].key }
 	for _, row := range rows {
 		env.Row = relation.Tuple(row)
-		key := make([]relation.Value, len(c.blk.Sel.GroupBy))
 		for i, g := range c.blk.Sel.GroupBy {
 			v, err := sql.Eval(g, env, subq)
 			if err != nil {
 				return nil, err
 			}
-			key[i] = v
+			scratch[i] = v
 		}
-		ks := groupKeyString(key)
-		grp := index[ks]
-		if grp == nil {
-			grp = &groupAcc{key: key, rep: row, aggs: setup.newAccs()}
-			index[ks] = grp
+		var grp *groupAcc
+		if i := index.find(len(groups), keyAt, scratch); i >= 0 {
+			grp = groups[i]
+		} else {
+			grp = newGroup(scratch, row, setup.newAccs())
 			groups = append(groups, grp)
 		}
 		for i, f := range setup.list {
@@ -166,6 +158,20 @@ func groupLocally(c *compiled, setup *aggSetup, t *table, rows [][]relation.Valu
 		}
 	}
 	return groups, nil
+}
+
+// newGroup returns a group with a copy of key; a narrow key shares the
+// group's allocation.
+func newGroup(key, rep []relation.Value, aggs []*sql.Aggregator) *groupAcc {
+	if len(key) > 2 {
+		return &groupAcc{key: append([]relation.Value(nil), key...), rep: rep, aggs: aggs}
+	}
+	g := &struct {
+		groupAcc
+		key [2]relation.Value
+	}{groupAcc: groupAcc{rep: rep, aggs: aggs}}
+	g.groupAcc.key = g.key[:copy(g.key[:], key)]
+	return &g.groupAcc
 }
 
 // residualRows applies the block's residual predicates to a table's rows.
@@ -264,14 +270,22 @@ func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.En
 				return
 			}
 			ctx.AddOps(len(t.rows) + len(groups))
-			// Partition groups by the attribute vertex of the first key.
+			// Partition groups by the attribute vertex of the first key; a
+			// lone group, the common case, goes as it is.
+			target := func(g *groupAcc) bsp.VertexID {
+				if av, ok := e.TAG.AttrVertexOf(g.key[0]); ok {
+					return av
+				}
+				return e.TAG.Aggregator // NULL or unmaterialized key value
+			}
+			if len(groups) == 1 {
+				ctx.Send(v, target(groups[0]), &partialGroups{header: t.header, groups: groups})
+				return
+			}
 			byTarget := map[bsp.VertexID]*partialGroups{}
 			var targets []bsp.VertexID
 			for _, g := range groups {
-				av, ok := e.TAG.AttrVertexOf(g.key[0])
-				if !ok {
-					av = e.TAG.Aggregator // NULL or unmaterialized key value
-				}
+				av := target(g)
 				pg := byTarget[av]
 				if pg == nil {
 					pg = &partialGroups{header: t.header}
@@ -470,12 +484,11 @@ func dedup(r *relation.Relation, enabled bool) *relation.Relation {
 	if !enabled {
 		return r
 	}
-	seen := map[string]bool{}
+	var index keyIndex
 	kept := r.Tuples[:0]
+	keyAt := func(i int) []relation.Value { return kept[i] }
 	for _, t := range r.Tuples {
-		k := groupKeyString(t)
-		if !seen[k] {
-			seen[k] = true
+		if index.find(len(kept), keyAt, t) < 0 {
 			kept = append(kept, t)
 		}
 	}

@@ -30,7 +30,7 @@ const (
 	ctBasic byte = iota
 	ctCycleMsg
 	ctValueBatch
-	ctSenderBatch
+	_ // retired: the reduction's combined sender batch
 	ctTable
 	ctTableBatch
 	ctPartialGroups
@@ -51,12 +51,6 @@ func (c sessionCodec) Append(dst []byte, pay any) ([]byte, error) {
 		return relation.AppendValue(append(dst, ctCycleMsg), m.val)
 	case *valueBatch:
 		return appendValues(append(dst, ctValueBatch), m.vals)
-	case *senderBatch:
-		dst = binary.AppendUvarint(append(dst, ctSenderBatch), uint64(len(m.from)))
-		for _, v := range m.from {
-			dst = binary.AppendUvarint(dst, uint64(v))
-		}
-		return dst, nil
 	case *table:
 		return appendTable(append(dst, ctTable), m)
 	case *tableBatch:
@@ -122,23 +116,12 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := &valueBatch{vals: vals, seen: make(map[relation.Value]struct{}, len(vals))}
+		// Rebuilt through add, so a batch repeating a value decodes to
+		// the batch the combiner would have built, and the set is sized
+		// by the distinct values rather than by a count off the wire.
+		b := &valueBatch{vals: vals[:0], seen: map[relation.Value]struct{}{}}
 		for _, v := range vals {
-			b.seen[v] = struct{}{}
-		}
-		return b, nil
-	case ctSenderBatch:
-		n, err := d.Length()
-		if err != nil {
-			return nil, err
-		}
-		b := &senderBatch{from: make([]bsp.VertexID, 0, codec.CapHint(n))}
-		for i := 0; i < n; i++ {
-			v, err := d.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			b.from = append(b.from, bsp.VertexID(v))
+			b.add(v)
 		}
 		return b, nil
 	case ctTable:
@@ -236,7 +219,9 @@ func decodeValues(d *codec.Decoder) ([]relation.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]relation.Value, 0, codec.CapHint(n))
+	// Length bounds n by the bytes left, and a value takes at least one,
+	// so sizing by n costs at most a Value per input byte.
+	vals := make([]relation.Value, 0, n)
 	for i := 0; i < n; i++ {
 		v, err := relation.DecodeValue(d)
 		if err != nil {
@@ -300,16 +285,24 @@ func decodeTable(d *codec.Decoder) (*table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every value takes at least one byte, so a table the bytes left
+	// cannot back is refused before its rows are sized; the rows are
+	// then carved from one backing array.
+	w := len(header)
+	if w > 0 && nrows > d.Remaining()/w {
+		return nil, codec.ErrCorrupt
+	}
 	t := newTable(header)
-	t.rows = make([][]relation.Value, 0, codec.CapHint(nrows))
-	for i := 0; i < nrows; i++ {
-		row := make([]relation.Value, len(header))
+	vals := make([]relation.Value, nrows*w)
+	t.rows = make([][]relation.Value, nrows)
+	for i := range t.rows {
+		row := vals[i*w : (i+1)*w : (i+1)*w]
 		for j := range row {
 			if row[j], err = relation.DecodeValue(d); err != nil {
 				return nil, err
 			}
 		}
-		t.rows = append(t.rows, row)
+		t.rows[i] = row
 	}
 	return t, nil
 }

@@ -15,6 +15,8 @@ import (
 type collectionProgram struct {
 	r   *componentRun
 	cur int
+	// own[w] is worker w's one-row table for the vertex's own tuple.
+	own []*table
 }
 
 // BeforeSuperstep drives the bottom-up label schedule once more and
@@ -75,10 +77,12 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 		preHeader = value.index
 	}
 	if node.Kind == plan.RelNode {
-		own := r.ownRow(node.Alias, v)
 		if value == nil {
-			value = own
+			value = r.ownRow(node.Alias, v)
 		} else {
+			// The join copies what it keeps, so the own row can live in
+			// the worker's scratch table.
+			own := r.writeOwnRow(p.own[ctx.Worker()], node.Alias, v)
 			value = r.joiner.join(value, own)
 			ctx.AddOps(len(value.rows))
 		}
@@ -106,9 +110,10 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 		return
 	}
 
-	// Forward along the current step's marked edges (lines 37-40).
+	// Forward along the current step's marked edges (lines 37-40), in
+	// ascending id order.
 	cur := r.steps[p.cur]
-	for t := range r.markSet(v, cur.edgeID) {
+	for _, t := range r.marks.edgeIDs(v, cur.edgeID) {
 		ctx.Send(v, t, value)
 	}
 }
@@ -123,7 +128,10 @@ type rootVal struct {
 // runCollection executes the collection phase from the reduction
 // survivors of the start alias and returns the distributed result.
 func (r *componentRun) runCollection(starters []bsp.VertexID) (*componentResult, error) {
-	prog := &collectionProgram{r: r}
+	prog := &collectionProgram{r: r, own: make([]*table, r.ex.eng.Workers())}
+	for w := range prog.own {
+		prog.own[w] = &table{rows: make([][]relation.Value, 1)}
+	}
 	if err := r.ex.runProg(prog, starters); err != nil {
 		return nil, err
 	}

@@ -54,38 +54,6 @@ func combineGroups(a, b *partialGroups) *partialGroups {
 	return a
 }
 
-// senderBatch is the combined payload of the reduction phase's nil
-// messages: the sender ids folded at Send time, in delivery order. The
-// receiving mark() records exactly the set it would have built from an
-// uncombined inbox, at a third of the Message-slot footprint.
-type senderBatch struct {
-	from []bsp.VertexID
-}
-
-// senderCombiner folds the reduction phase's (From, nil) messages into
-// one senderBatch per destination.
-type senderCombiner struct{}
-
-// Slot implements bsp.Combiner.
-func (senderCombiner) Slot(any) int { return 0 }
-
-// Fold implements bsp.Combiner.
-func (senderCombiner) Fold(acc any, from bsp.VertexID, _ any) any {
-	if acc == nil {
-		return &senderBatch{from: append(make([]bsp.VertexID, 0, 4), from)}
-	}
-	b := acc.(*senderBatch)
-	b.from = append(b.from, from)
-	return b
-}
-
-// Merge implements bsp.Combiner.
-func (senderCombiner) Merge(acc, other any) any {
-	a, b := acc.(*senderBatch), other.(*senderBatch)
-	a.from = append(a.from, b.from...)
-	return a
-}
-
 // valueBatch is the combined payload of the cycle pre-pass propagation:
 // the distinct join-attribute values folded at Send time, in first-send
 // order. Receivers dedup per value anyway (the per-vertex fwd/seen

@@ -626,15 +626,26 @@ func (r *componentRun) runSingle(alias string) (*componentResult, error) {
 // ownRow builds the needed-columns row table of a tuple vertex; the
 // header and index are the alias's shared shapes.
 func (r *componentRun) ownRow(alias string, v bsp.VertexID) *table {
+	// The table and its one-row list share an allocation.
+	o := &struct {
+		t   table
+		one [1][]relation.Value
+	}{}
+	o.t.rows = o.one[:]
+	o.one[0] = make([]relation.Value, 0, len(r.c.ownHeader[alias]))
+	return r.writeOwnRow(&o.t, alias, v)
+}
+
+// writeOwnRow makes the one-row table t v's own-row table, reusing t's
+// row storage.
+func (r *componentRun) writeOwnRow(t *table, alias string, v bsp.VertexID) *table {
 	d := r.ex.TAG.TupleData(v)
-	header := r.c.ownHeader[alias]
-	t := newTableShared(header, r.c.ownIndex[alias])
-	out := make([]relation.Value, 0, len(header))
+	t.header, t.index = r.c.ownHeader[alias], r.c.ownIndex[alias]
+	row := t.rows[0][:0]
 	for _, si := range r.c.neededIdx[alias] {
-		out = append(out, d.Row[si])
+		row = append(row, d.Row[si])
 	}
-	out = append(out, relation.Int(int64(v)))
-	t.rows = [][]relation.Value{out}
+	t.rows[0] = append(row, relation.Int(int64(v)))
 	return t
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -16,13 +15,21 @@ import (
 // rewrite of correlated scalar aggregates.
 type decorrTable struct {
 	outerCols []*sql.ColRef // evaluated in the outer row's env, in key order
-	rows      map[string]*relation.Relation
-	empty     *relation.Relation
+	// keys[i] is the correlation key of the rows buckets[i]; index finds
+	// it. The index is complete once built, so lookups only read it.
+	keys    [][]relation.Value
+	buckets []*relation.Relation
+	index   keyIndex
+	empty   *relation.Relation
 }
 
-// lookup serves the subquery's result for the outer row in env.
+func (dt *decorrTable) keyAt(i int) []relation.Value { return dt.keys[i] }
+
+// lookup serves the subquery's result for the outer row in env. Vertex
+// workers call it concurrently.
 func (dt *decorrTable) lookup(env *sql.Env) (*relation.Relation, error) {
-	var b strings.Builder
+	var buf [4]relation.Value // a narrow key needs no allocation per lookup
+	key := buf[:0]
 	for _, c := range dt.outerCols {
 		v, err := sql.Eval(c, env, nil)
 		if err != nil {
@@ -31,13 +38,10 @@ func (dt *decorrTable) lookup(env *sql.Env) (*relation.Relation, error) {
 		if v.IsNull() {
 			return dt.empty, nil // NULL correlations match nothing
 		}
-		k := v.Key()
-		b.WriteByte(byte(k.Kind) + '0')
-		b.WriteString(k.String())
-		b.WriteByte('\x1f')
+		key = append(key, v)
 	}
-	if r, ok := dt.rows[b.String()]; ok {
-		return r, nil
+	if i := dt.index.find(len(dt.keys), dt.keyAt, key); i >= 0 {
+		return dt.buckets[i], nil
 	}
 	return dt.empty, nil
 }
@@ -205,38 +209,30 @@ func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select) (*decorrTabl
 	// Split rows into the key (first len(corrs) columns) and the payload.
 	k := len(corrs)
 	payloadSchema := payloadSchemaOf(res, k)
-	dt := &decorrTable{
-		rows:  map[string]*relation.Relation{},
-		empty: relation.New("sub", payloadSchema),
-	}
+	dt := &decorrTable{empty: relation.New("sub", payloadSchema)}
 	for _, cr := range corrs {
 		dt.outerCols = append(dt.outerCols, &sql.ColRef{
-			Alias: cr.outer.Alias, Column: cr.outer.Column, Table: cr.outer.Table,
+			Alias: cr.outer.Alias, Column: cr.outer.Column, Table: cr.outer.Table, Key: cr.outer.Key,
 		})
 	}
+rows:
 	for _, row := range res.Tuples {
-		var b strings.Builder
-		null := false
-		for i := 0; i < k; i++ {
-			if row[i].IsNull() {
-				null = true
-				break
+		key := row[:k]
+		for _, v := range key {
+			if v.IsNull() {
+				continue rows // NULL inner keys never join
 			}
-			kv := row[i].Key()
-			b.WriteByte(byte(kv.Kind) + '0')
-			b.WriteString(kv.String())
-			b.WriteByte('\x1f')
 		}
-		if null {
-			continue // NULL inner keys never join
+		i := dt.index.find(len(dt.keys), dt.keyAt, key)
+		if i < 0 {
+			i = len(dt.keys)
+			dt.keys = append(dt.keys, key)
+			dt.buckets = append(dt.buckets, relation.New("sub", payloadSchema))
 		}
-		key := b.String()
-		bucket := dt.rows[key]
-		if bucket == nil {
-			bucket = relation.New("sub", payloadSchema)
-			dt.rows[key] = bucket
-		}
-		bucket.Tuples = append(bucket.Tuples, row[k:])
+		dt.buckets[i].Tuples = append(dt.buckets[i].Tuples, row[k:])
+	}
+	if len(dt.keys) > linearKeys {
+		dt.index.index(len(dt.keys), dt.keyAt)
 	}
 	return dt, true
 }

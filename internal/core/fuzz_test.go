@@ -1,0 +1,106 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/bsp"
+	"repro/internal/relation"
+	"repro/internal/sql"
+)
+
+// samplePayloads returns one value of every payload kind sessionCodec
+// puts on the message plane.
+func samplePayloads() []any {
+	row := []relation.Value{relation.Int(7), relation.Str("p\x1fq"), relation.Float(2.5), relation.Null}
+	tbl := newTable([]string{"a.x", "a.s", "a.f", "#a"})
+	tbl.rows = [][]relation.Value{row, {relation.Int(-1), relation.Str(""), relation.Float(math.NaN()), relation.Int(3)}}
+	sum := sql.NewAggregator(&sql.FuncCall{Name: "SUM", Args: []sql.Expr{&sql.ColRef{Column: "x"}}})
+	sum.Observe(relation.Float(0.1))
+	sum.Observe(relation.Float(1e300))
+	count := sql.NewAggregator(&sql.FuncCall{Name: "COUNT", Star: true})
+	count.Observe(relation.Int(1))
+	grp := &groupAcc{key: row[:2], rep: row, aggs: []*sql.Aggregator{sum, count}}
+	vb := &valueBatch{seen: map[relation.Value]struct{}{}}
+	vb.add(relation.Int(1))
+	vb.add(relation.Str("two"))
+	return []any{
+		nil, true, 42, int64(-5), "basic", bsp.VertexID(9), []bsp.VertexID{1, 2, 3},
+		cycleMsg{val: relation.Date(19000)},
+		vb,
+		tbl,
+		&tableBatch{t: tbl, owned: true},
+		&partialGroups{header: tbl.header, groups: []*groupAcc{grp}, logical: 3},
+		grp,
+		relation.Tuple(row),
+		row,
+		cartMsg{left: true, row: row},
+		ojReply{row: row},
+		rootVal{v: 11, t: tbl},
+		relayMark{alias: "a", v: 12},
+		relation.Bool(true),
+	}
+}
+
+// FuzzSessionCodec: a distributed run feeds sessionCodec.Decode bytes
+// from the cluster wire. On any input it never panics and never
+// allocates more than a constant factor of the bytes it was given, and
+// every payload it accepts re-encodes to a canonical encoding that
+// decodes and re-encodes to itself.
+func FuzzSessionCodec(f *testing.F) {
+	var c sessionCodec
+	for _, p := range samplePayloads() {
+		b, err := c.Append(nil, p)
+		if err != nil {
+			f.Fatalf("%T: %v", p, err)
+		}
+		for _, n := range []int{0, 1, len(b) / 2, len(b) - 1} {
+			f.Add(b[:n])
+		}
+		f.Add(b)
+	}
+	// Counts the input backs one byte per element: a value batch of
+	// NULLs, a header of empty names, many rows of no columns, and many
+	// one-column rows of NULL.
+	const n = 1 << 14
+	many := func(prefix []byte, count int, elem []byte, suffix []byte) []byte {
+		b := binary.AppendUvarint(append([]byte(nil), prefix...), uint64(count))
+		b = append(b, bytes.Repeat(elem, count)...)
+		return append(b, suffix...)
+	}
+	f.Add(many([]byte{ctValueBatch}, n, []byte{byte(relation.KindNull)}, nil))
+	f.Add(many([]byte{ctTable}, n, []byte{0}, []byte{0}))
+	f.Add(many([]byte{ctTable, 0}, n, nil, bytes.Repeat([]byte{0}, n)))
+	f.Add(many([]byte{ctTable, 1, 0}, n, []byte{byte(relation.KindNull)}, nil))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pay, err := c.Decode(data)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), d)
+		}
+		if err != nil {
+			return
+		}
+		canon, err := c.Append(nil, pay)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", pay, err)
+		}
+		again, err := c.Decode(canon)
+		if err != nil {
+			t.Fatalf("canonical re-encoding of %T does not decode: %v", pay, err)
+		}
+		got, err := c.Append(nil, again)
+		if err != nil {
+			t.Fatalf("re-decoded %T does not re-encode: %v", again, err)
+		}
+		if !bytes.Equal(got, canon) {
+			t.Fatalf("re-encoding of %T is not a fixpoint:\n got %x\nwant %x", pay, got, canon)
+		}
+	})
+}

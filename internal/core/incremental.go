@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/bsp"
+	"repro/internal/codec"
 	"repro/internal/relation"
 	"repro/internal/sql"
 )
@@ -357,11 +360,17 @@ func SortCanonical(r *relation.Relation) *relation.Relation {
 func canonicalRows(r *relation.Relation) [][]byte {
 	rows := make([][]byte, len(r.Tuples))
 	for i, t := range r.Tuples {
-		b, err := relation.AppendTuple(nil, t)
-		if err != nil {
-			// Unencodable kind (cannot happen for SQL results): fall back
-			// to the canonical key form rather than failing a fold.
-			b = []byte(groupKeyString(t))
+		b := binary.AppendUvarint(nil, uint64(len(t)))
+		for _, v := range t {
+			enc, err := relation.AppendValue(b, v)
+			if err != nil {
+				// Unencodable kind (cannot happen for SQL results): write
+				// its fields raw rather than failing a fold.
+				enc = binary.AppendVarint(append(b, byte(v.Kind)), v.I)
+				enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(v.F))
+				enc = codec.AppendString(enc, v.S)
+			}
+			b = enc
 		}
 		rows[i] = b
 	}

@@ -1,0 +1,160 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/relation"
+)
+
+// renderRows renders a result as sorted "[v1 v2 ...]" rows, quoting
+// strings so that separator bytes inside them stay visible.
+func renderRows(r *relation.Relation) []string {
+	out := make([]string, 0, r.Len())
+	for _, t := range r.Tuples {
+		parts := make([]string, len(t))
+		for i, v := range t {
+			if v.Kind == relation.KindString {
+				parts[i] = strconv.Quote(v.S)
+			} else {
+				parts[i] = v.String()
+			}
+		}
+		out = append(out, "["+strings.Join(parts, " ")+"]")
+	}
+	slices.Sort(out)
+	return out
+}
+
+// checkBothEngines runs query on TAG-join and on the baseline engine and
+// checks each against the hand-written sorted rows.
+func checkBothEngines(t *testing.T, cat *relation.Catalog, query string, want []string) {
+	t.Helper()
+	got, err := newExec(t, cat).Query(query)
+	if err != nil {
+		t.Fatalf("TAG %q: %v", query, err)
+	}
+	ref, err := baseline.New(cat).Query(query)
+	if err != nil {
+		t.Fatalf("baseline %q: %v", query, err)
+	}
+	for _, e := range []struct {
+		name string
+		r    *relation.Relation
+	}{{"TAG", got}, {"baseline", ref}} {
+		if rows := renderRows(e.r); !slices.Equal(rows, want) {
+			t.Errorf("%s %q:\n got %q\nwant %q", e.name, query, rows, want)
+		}
+	}
+}
+
+// TestKeySemanticsPinned pins what grouping, DISTINCT and equi-joins
+// treat as one key on a FLOAT column: every NaN is one group, -0 and 0
+// are one group (the first seen value names it), and 2.0 joins INT 2.
+func TestKeySemanticsPinned(t *testing.T) {
+	cat := relation.NewCatalog()
+	fl := relation.New("fl", relation.MustSchema(
+		relation.Col("f", relation.KindFloat),
+		relation.Col("x", relation.KindInt)))
+	nan := math.NaN()
+	for i, f := range []float64{nan, nan, math.Copysign(0, -1), 0, 2, 2.5} {
+		fl.MustAppend(relation.Float(f), relation.Int(int64(i)))
+	}
+	ik := relation.New("ik", relation.MustSchema(
+		relation.Col("k", relation.KindInt),
+		relation.Col("y", relation.KindInt)))
+	ik.MustAppend(relation.Int(2), relation.Int(20))
+	ik.MustAppend(relation.Int(0), relation.Int(10))
+	cat.MustAdd(fl)
+	cat.MustAdd(ik)
+
+	checkBothEngines(t, cat, "SELECT f, COUNT(*), SUM(x) FROM fl GROUP BY f",
+		[]string{"[-0 2 5]", "[2 1 4]", "[2.5 1 5]", "[NaN 2 1]"})
+	checkBothEngines(t, cat, "SELECT DISTINCT f FROM fl",
+		[]string{"[-0]", "[2.5]", "[2]", "[NaN]"})
+	checkBothEngines(t, cat, "SELECT f, k, x FROM fl, ik WHERE f = k",
+		[]string{"[-0 0 2]", "[0 0 3]", "[2 2 4]"})
+	checkBothEngines(t, cat, "SELECT y, COUNT(*), SUM(x) FROM fl, ik WHERE f = k GROUP BY y",
+		[]string{"[10 2 5]", "[20 1 4]"})
+}
+
+// TestKeysContainingSeparatorBytes checks that composite keys are
+// injective: two rows whose string columns differ only in where a 0x1f
+// byte splits them are distinct groups, distinct DISTINCT rows and
+// distinct join keys in both engines, and distinct tuples to the
+// multiset oracle.
+func TestKeysContainingSeparatorBytes(t *testing.T) {
+	cat := relation.NewCatalog()
+	tt := relation.New("t", relation.MustSchema(
+		relation.Col("k", relation.KindInt),
+		relation.Col("a", relation.KindString),
+		relation.Col("b", relation.KindString),
+		relation.Col("x", relation.KindInt)))
+	tt.MustAppend(relation.Int(1), relation.Str("p\x1f3q"), relation.Str("r"), relation.Int(1))
+	tt.MustAppend(relation.Int(1), relation.Str("p"), relation.Str("q\x1f3r"), relation.Int(2))
+	u := relation.New("u", relation.MustSchema(
+		relation.Col("a", relation.KindString),
+		relation.Col("b", relation.KindString)))
+	u.MustAppend(relation.Str("p\x1f3q"), relation.Str("r"))
+	cat.MustAdd(tt)
+	cat.MustAdd(u)
+
+	checkBothEngines(t, cat, "SELECT a, b, SUM(x) FROM t GROUP BY a, b",
+		[]string{`["p" "q\x1f3r" 2]`, `["p\x1f3q" "r" 1]`})
+	checkBothEngines(t, cat, "SELECT DISTINCT a, b FROM t",
+		[]string{`["p" "q\x1f3r"]`, `["p\x1f3q" "r"]`})
+	checkBothEngines(t, cat, "SELECT COUNT(*) FROM t, u WHERE t.a = u.a AND t.b = u.b",
+		[]string{"[1]"})
+	checkBothEngines(t, cat, "SELECT t.a, t.b, SUM(x) FROM t, u WHERE t.a = u.a AND t.b = u.b GROUP BY t.a, t.b",
+		[]string{`["p\x1f3q" "r" 1]`})
+
+	// The (k, a, b) prefixes of the two t rows.
+	one := relation.New("one", u.Schema)
+	one.Tuples = []relation.Tuple{tt.Tuples[0][:3]}
+	two := relation.New("two", u.Schema)
+	two.Tuples = []relation.Tuple{tt.Tuples[1][:3]}
+	if relation.EqualMultiset(one, two) {
+		t.Errorf("EqualMultiset treats %q and %q as one tuple", renderRows(one), renderRows(two))
+	}
+}
+
+// TestKeyIndexMatchesLinearScan grows a list of distinct one- and
+// two-value keys past the linear threshold, drawing values whose keys
+// coincide across kinds (2 and 2.0, -0 and 0, TRUE and 1, NaNs) or whose
+// strings hold the separator byte, and checks every lookup against a
+// linear scan with tuplesEqual.
+func TestKeyIndexMatchesLinearScan(t *testing.T) {
+	pool := []relation.Value{
+		relation.Null, relation.Int(0), relation.Int(1), relation.Int(2),
+		relation.Float(2), relation.Float(2.5), relation.Float(math.Copysign(0, -1)),
+		relation.Float(math.NaN()), relation.Float(math.Inf(1)), relation.Bool(true),
+		relation.Str("p\x1f3q"), relation.Str("p"), relation.Str(""), relation.Date(2),
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, width := range []int{1, 2} {
+		var index keyIndex
+		var keys [][]relation.Value
+		keyAt := func(i int) []relation.Value { return keys[i] }
+		for n := 0; n < 400; n++ {
+			key := make([]relation.Value, width)
+			for i := range key {
+				key[i] = pool[rng.Intn(len(pool))]
+			}
+			want := slices.IndexFunc(keys, func(k []relation.Value) bool { return tuplesEqual(k, key) })
+			if got := index.find(len(keys), keyAt, key); got != want {
+				t.Fatalf("width %d, %d keys: find(%v) = %d, linear scan %d", width, len(keys), key, got, want)
+			}
+			if want < 0 {
+				keys = append(keys, key)
+			}
+		}
+		if len(keys) <= linearKeys {
+			t.Fatalf("width %d: only %d distinct keys, the hashed index never ran", width, len(keys))
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bsp"
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -99,21 +101,21 @@ type ojReply struct {
 // evaluates the remaining conjuncts row-wise; leftOuter/rightOuter select
 // NULL-extension sides.
 func (e *Session) tableJoinOn(c *compiled, l, r *table, on sql.Expr, outer *sql.Env, subq sql.SubqueryFn, leftOuter, rightOuter bool) (*table, error) {
-	type hashPair struct{ ls, rs int }
-	var pairs []hashPair
+	// lslots[i] and rslots[i] are the slots of the i-th hashed equality.
+	var lslots, rslots []int
 	var rest []sql.Expr
 	for _, cj := range sql.SplitConjuncts(on) {
 		if ep, ok := asEqui(cj); ok {
 			lk, rk := sql.BindKey(ep.A.Alias, ep.A.Column), sql.BindKey(ep.B.Alias, ep.B.Column)
 			if ls, ok1 := l.index[lk]; ok1 {
 				if rs, ok2 := r.index[rk]; ok2 {
-					pairs = append(pairs, hashPair{ls, rs})
+					lslots, rslots = append(lslots, ls), append(rslots, rs)
 					continue
 				}
 			}
 			if ls, ok1 := l.index[rk]; ok1 {
 				if rs, ok2 := r.index[lk]; ok2 {
-					pairs = append(pairs, hashPair{ls, rs})
+					lslots, rslots = append(lslots, ls), append(rslots, rs)
 					continue
 				}
 			}
@@ -129,44 +131,30 @@ func (e *Session) tableJoinOn(c *compiled, l, r *table, on sql.Expr, outer *sql.
 	}
 	env := &sql.Env{Binding: binding, Parent: outer}
 
-	buckets := map[string][]int{}
-	key := make([]relation.Value, len(pairs))
-	for i, row := range r.rows {
-		null := false
-		for k, p := range pairs {
-			if row[p.rs].IsNull() {
-				null = true
-				break
-			}
-			key[k] = row[p.rs]
-		}
-		if null {
-			continue
-		}
-		ks := groupKeyString(key)
-		buckets[ks] = append(buckets[ks], i)
-	}
+	// SQL equality: a NULL key joins nothing, on either side.
+	b := bucketRows(r.rows, rslots, true)
 
 	matchedRight := make([]bool, len(r.rows))
 	nullRight := make([]relation.Value, len(r.header))
 	nullLeft := make([]relation.Value, len(l.header))
 
+	var all, matches []int
+	if len(lslots) == 0 {
+		all = allIdx(len(r.rows))
+	}
 	for _, lrow := range l.rows {
 		var candidates []int
-		null := false
-		for k, p := range pairs {
-			if lrow[p.ls].IsNull() {
-				null = true
-				break
+		switch {
+		case len(lslots) == 0:
+			candidates = all
+		case !slices.ContainsFunc(lslots, func(sl int) bool { return lrow[sl].IsNull() }):
+			matches = matches[:0]
+			for i := b.first(lrow, lslots); i >= 0; i = b.next[i] {
+				if slotsEqual(lrow, lslots, r.rows[i], rslots) {
+					matches = append(matches, int(i))
+				}
 			}
-			key[k] = lrow[p.ls]
-		}
-		if !null {
-			if len(pairs) > 0 {
-				candidates = buckets[groupKeyString(key)]
-			} else {
-				candidates = allIdx(len(r.rows))
-			}
+			candidates = matches
 		}
 		matched := false
 		for _, ri := range candidates {

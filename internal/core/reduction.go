@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bsp"
 )
 
@@ -25,11 +27,6 @@ func (p *reductionProgram) BeforeSuperstep(step int, eng *bsp.Engine) bool {
 	p.cur = step
 	return step <= len(p.r.steps)
 }
-
-// Combiner folds the reduction's nil-payload signals into one
-// senderBatch per destination: mark() only needs the sender set, so the
-// plane can carry it as ids instead of Message slots.
-func (p *reductionProgram) Combiner() bsp.Combiner { return senderCombiner{} }
 
 // Compute is the per-vertex reduction kernel.
 func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
@@ -56,44 +53,41 @@ func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp
 		ctx.SendAlong(v, cur.label, nil)
 		return
 	}
-	// DOWN: only along edges marked by the opposite pass (lines 15-18).
-	for t := range r.markSet(v, cur.edgeID) {
+	// DOWN: only along edges marked by the opposite pass (lines 15-18),
+	// in ascending id order.
+	for _, t := range r.marks.edgeIDs(v, cur.edgeID) {
 		ctx.Send(v, t, nil)
 	}
 }
 
 // mark replaces v's sender set for a plan edge (the most recent, most
-// reduced pass wins; line 19's mark update). Combined messages carry
-// their folded senders as a senderBatch; plain ones contribute From.
-// The first mark of v in a run lists v under the computing worker, so
-// releasing the marks visits only the vertices that have some.
+// reduced pass wins; line 19's mark update) with the sorted, distinct
+// senders of its inbox. The signals travel uncombined, so each message
+// is one sender. The first mark of v in a run lists v under the
+// computing worker, so releasing the marks visits only the vertices that
+// have some.
 func (r *componentRun) mark(ctx *bsp.Context, v bsp.VertexID, edge int, inbox []bsp.Message) {
-	m := r.marks.marks[v]
-	if m == nil {
-		m = make(map[int]map[bsp.VertexID]struct{}, 2)
-		r.marks.marks[v] = m
-		w := ctx.Worker()
-		r.marks.touched[w] = append(r.marks.touched[w], v)
+	m, w := r.marks, ctx.Worker()
+	ids := m.arenas[w].take(len(inbox))
+	for i := range inbox {
+		ids[i] = inbox[i].From
 	}
-	set := make(map[bsp.VertexID]struct{}, bsp.InboxCount(inbox))
-	for _, msg := range inbox {
-		if b, ok := msg.Payload.(*senderBatch); ok {
-			for _, f := range b.from {
-				set[f] = struct{}{}
-			}
-		} else {
-			set[msg.From] = struct{}{}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+
+	head := m.slot[v]
+	if head == nil {
+		m.touched[w] = append(m.touched[w], v)
+	}
+	for run := head; run != nil; run = run.next {
+		if run.edge == edge {
+			run.ids = ids
+			return
 		}
 	}
-	m[edge] = set
-}
-
-// markSet returns v's marked neighbors on a plan edge.
-func (r *componentRun) markSet(v bsp.VertexID, edge int) map[bsp.VertexID]struct{} {
-	if m := r.marks.marks[v]; m != nil {
-		return m[edge]
-	}
-	return nil
+	run := m.arenas[w].newRun()
+	run.edge, run.ids, run.next = edge, ids, head
+	m.slot[v] = run
 }
 
 // runReduction executes the reduction phase and returns the survivors of

@@ -28,7 +28,7 @@ func TestLemma51FullReducer(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex.subCache = map[*sql.Select]*relation.Relation{}
-	ex.corrCache = map[string]*relation.Relation{}
+	ex.corrCache = map[*sql.Select]*corrMemo{}
 	ex.decorr = map[*sql.Select]*decorrTable{}
 	c, err := ex.compileBlock(an, an.Root)
 	if err != nil {

@@ -2,16 +2,122 @@ package core
 
 import "repro/internal/bsp"
 
-// markScratch holds the reduction marks of one component run, indexed by
-// vertex. A Session keeps released buffers and hands them to later runs,
-// so a run allocates nothing O(|V|): it writes only the slots of the
+// markScratch holds the reduction marks of one component run. slot[v]
+// is v's newest markRun (nil: v has no marks, 8 bytes a vertex); each
+// run lists, ascending and without duplicates, the senders v last heard
+// from on one plan edge, and links to v's run for another edge. Runs
+// and their ids are carved from per-worker arenas, so marking allocates
+// only when an arena grows.
+//
+// A Session keeps released buffers and hands them to later runs, so a
+// run allocates nothing O(|V|): it writes only the slots of the
 // vertices it marks, records each such vertex once in the list of the
-// worker that wrote it, and on release nils exactly those slots. A
-// released buffer therefore holds no per-vertex maps, and every slot of
-// a buffer handed out is nil.
+// worker that wrote it, and on release nils exactly those slots and
+// rewinds the arenas. Every slot of a buffer handed out is nil.
 type markScratch struct {
-	marks   []map[int]map[bsp.VertexID]struct{}
+	slot    []*markRun
 	touched [][]bsp.VertexID // per bsp worker index
+	arenas  []markArena      // per bsp worker index
+}
+
+// markRun is the set of senders a vertex last heard from on one plan
+// edge.
+type markRun struct {
+	edge int
+	ids  []bsp.VertexID
+	next *markRun // the vertex's run for another edge
+}
+
+// markArena is one worker's storage for runs and ids: chunks that never
+// move once allocated, so a run or an id slice handed out stays valid
+// (and readable by another worker in a later superstep) while the
+// arena keeps carving. Chunks start small and double; a rewind keeps
+// the first ones for the next run of the Session.
+type markArena struct {
+	runs   [][]markRun
+	ri, rj int // next run: runs[ri][rj]
+	ids    [][]bsp.VertexID
+	ii, ij int // next id: ids[ii][ij]
+}
+
+const (
+	firstMarkChunk = 64
+	// keptMarkRuns and keptMarkIDs bound what a rewound arena keeps, so
+	// one large run does not pin its marks' memory to a pooled Session.
+	keptMarkRuns = 1 << 12
+	keptMarkIDs  = 1 << 14
+)
+
+// newRun returns a zeroed run.
+func (a *markArena) newRun() *markRun {
+	if a.ri < len(a.runs) && a.rj == len(a.runs[a.ri]) {
+		a.ri, a.rj = a.ri+1, 0
+	}
+	if a.ri == len(a.runs) {
+		n := firstMarkChunk
+		if a.ri > 0 {
+			n = 2 * len(a.runs[a.ri-1])
+		}
+		a.runs = append(a.runs, make([]markRun, n))
+	}
+	run := &a.runs[a.ri][a.rj]
+	a.rj++
+	return run
+}
+
+// take returns room for n ids.
+func (a *markArena) take(n int) []bsp.VertexID {
+	for a.ii < len(a.ids) && len(a.ids[a.ii])-a.ij < n {
+		if a.ij == 0 {
+			// Too small even when empty: replace it with one that fits.
+			a.ids[a.ii] = make([]bsp.VertexID, max(n, 2*len(a.ids[a.ii])))
+			break
+		}
+		a.ii, a.ij = a.ii+1, 0
+	}
+	if a.ii == len(a.ids) {
+		size := firstMarkChunk
+		if a.ii > 0 {
+			size = 2 * len(a.ids[a.ii-1])
+		}
+		a.ids = append(a.ids, make([]bsp.VertexID, max(n, size)))
+	}
+	out := a.ids[a.ii][a.ij : a.ij+n : a.ij+n]
+	a.ij += n
+	return out
+}
+
+// rewind forgets every run and id handed out, dropping the chunks past
+// the kept budget.
+func (a *markArena) rewind() {
+	kept := 0
+	for i := range a.runs {
+		if i <= a.ri {
+			clear(a.runs[i]) // drop the runs' pointers into id chunks
+		}
+		if kept += len(a.runs[i]); kept > keptMarkRuns {
+			a.runs = a.runs[:i]
+			break
+		}
+	}
+	kept = 0
+	for i := range a.ids {
+		if kept += len(a.ids[i]); kept > keptMarkIDs {
+			a.ids = a.ids[:i]
+			break
+		}
+	}
+	a.ri, a.rj, a.ii, a.ij = 0, 0, 0, 0
+}
+
+// edgeIDs returns the senders v last heard from on a plan edge.
+func (m *markScratch) edgeIDs(v bsp.VertexID, edge int) []bsp.VertexID {
+	for run := m.slot[v]; run != nil; run = run.next {
+		if run.edge == edge {
+			return run.ids
+		}
+	}
+	return nil
 }
 
 // filterMemo memoizes one alias's pushed-filter verdicts for one run.
@@ -33,23 +139,25 @@ func (e *Session) takeMarks() *markScratch {
 	} else {
 		m = &markScratch{}
 	}
-	if n := e.TAG.G.NumVertices(); len(m.marks) < n {
-		m.marks = append(m.marks, make([]map[int]map[bsp.VertexID]struct{}, n-len(m.marks))...)
+	if n := e.TAG.G.NumVertices(); len(m.slot) < n {
+		m.slot = append(m.slot, make([]*markRun, n-len(m.slot))...)
 	}
 	if w := e.eng.Workers(); len(m.touched) < w {
 		m.touched = append(m.touched, make([][]bsp.VertexID, w-len(m.touched))...)
+		m.arenas = append(m.arenas, make([]markArena, w-len(m.arenas))...)
 	}
 	return m
 }
 
-// releaseMarks nils the slots the run wrote, O(touched), and returns the
-// buffer to the free list.
+// releaseMarks nils the slots the run wrote, O(touched), rewinds the
+// arenas, and returns the buffer to the free list.
 func (e *Session) releaseMarks(m *markScratch) {
 	for w, vs := range m.touched {
 		for _, v := range vs {
-			m.marks[v] = nil
+			m.slot[v] = nil
 		}
 		m.touched[w] = vs[:0]
+		m.arenas[w].rewind()
 	}
 	e.freeMarks = append(e.freeMarks, m)
 }

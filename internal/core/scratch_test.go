@@ -66,12 +66,13 @@ func TestSessionScratchReuse(t *testing.T) {
 }
 
 // assertMarksReleased checks that an idle Session's pooled mark buffers
-// hold no per-vertex maps: released scratch must not keep a finished
-// run's marks alive.
+// hold no marks: released scratch must not keep a finished run's marks
+// alive, and its arenas must be rewound, empty and within their kept
+// budget.
 func assertMarksReleased(t *testing.T, e *Session) {
 	t.Helper()
 	for _, m := range e.freeMarks {
-		for v, slot := range m.marks {
+		for v, slot := range m.slot {
 			if slot != nil {
 				t.Fatalf("released mark buffer still holds vertex %d's marks", v)
 			}
@@ -79,6 +80,23 @@ func assertMarksReleased(t *testing.T, e *Session) {
 		for w, vs := range m.touched {
 			if len(vs) != 0 {
 				t.Fatalf("released mark buffer lists %d touched vertices for worker %d", len(vs), w)
+			}
+		}
+		for w, a := range m.arenas {
+			if a.ri != 0 || a.rj != 0 || a.ii != 0 || a.ij != 0 {
+				t.Fatalf("worker %d's mark arena is not rewound", w)
+			}
+			runs := 0
+			for _, chunk := range a.runs {
+				for i := range chunk {
+					if chunk[i].ids != nil || chunk[i].next != nil {
+						t.Fatalf("worker %d's rewound arena still holds a run", w)
+					}
+				}
+				runs += len(chunk)
+			}
+			if len(a.runs) > 1 && runs > 2*keptMarkRuns {
+				t.Fatalf("worker %d's rewound arena keeps %d runs", w, runs)
 			}
 		}
 	}

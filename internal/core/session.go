@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/bsp"
@@ -63,7 +62,7 @@ type Session struct {
 	Info ExecInfo
 
 	subCache  map[*sql.Select]*relation.Relation
-	corrCache map[string]*relation.Relation
+	corrCache map[*sql.Select]*corrMemo
 	decorr    map[*sql.Select]*decorrTable
 
 	// restrict limits which tuple vertices of an alias participate in a
@@ -203,7 +202,7 @@ func (e *Session) Query(query string) (*relation.Relation, error) {
 // sessions (prepared-statement style): execution never mutates it.
 func (e *Session) Run(an *sql.Analysis) (*relation.Relation, error) {
 	e.subCache = map[*sql.Select]*relation.Relation{}
-	e.corrCache = map[string]*relation.Relation{}
+	e.corrCache = map[*sql.Select]*corrMemo{}
 	e.decorr = map[*sql.Select]*decorrTable{}
 	e.Info = ExecInfo{Acyclic: true}
 	return e.runChain(an, an.Root, nil)
@@ -287,35 +286,48 @@ func (e *Session) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 			e.subCache[sub] = out
 			return out, nil
 		}
-		key := e.corrKey(an, blk, sub, env)
-		if cached, ok := e.corrCache[key]; ok {
-			return cached, nil
+		memo := e.corrCache[sub]
+		if memo == nil {
+			memo = &corrMemo{}
+			e.corrCache[sub] = memo
+		}
+		key := corrKey(an, blk, env)
+		if i := memo.index.find(len(memo.keys), memo.keyAt, key); i >= 0 {
+			return memo.outs[i], nil
 		}
 		out, err := e.runChain(an, blk, env)
 		if err != nil {
 			return nil, err
 		}
-		e.corrCache[key] = out
+		memo.keys = append(memo.keys, key)
+		memo.outs = append(memo.outs, out)
 		return out, nil
 	}
 }
 
-// corrKey builds the memoization key of a correlated subquery: the values
-// of its outer references under env.
-func (e *Session) corrKey(an *sql.Analysis, blk *sql.Analyzed, sub *sql.Select, env *sql.Env) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%p", sub)
-	for _, ref := range sql.OuterRefs(an, blk) {
-		v, err := sql.Eval(&sql.ColRef{Alias: ref.Alias, Column: ref.Column, Table: ref.Table}, env, nil)
+// corrMemo memoizes one correlated subquery's results by the values of
+// its outer references: outs[i] answers keys[i].
+type corrMemo struct {
+	keys  [][]relation.Value
+	outs  []*relation.Relation
+	index keyIndex
+}
+
+func (m *corrMemo) keyAt(i int) []relation.Value { return m.keys[i] }
+
+// corrKey returns the memoization key of a correlated subquery: the
+// values of its outer references under env.
+func corrKey(an *sql.Analysis, blk *sql.Analyzed, env *sql.Env) []relation.Value {
+	refs := sql.OuterRefs(an, blk)
+	key := make([]relation.Value, len(refs))
+	for i, ref := range refs {
+		v, err := sql.Eval(&sql.ColRef{Alias: ref.Alias, Column: ref.Column, Table: ref.Table, Key: ref.Key}, env, nil)
 		if err != nil {
 			v = relation.Null
 		}
-		b.WriteByte('\x1f')
-		k := v.Key()
-		b.WriteByte(byte(k.Kind) + '0')
-		b.WriteString(k.String())
+		key[i] = v
 	}
-	return b.String()
+	return key
 }
 
 // runBlock executes one SELECT block.

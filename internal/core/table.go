@@ -104,11 +104,13 @@ type classAgreement [][]string
 // class-agreement slot sets. Shapes recur across every vertex of a
 // superstep, so they are cached by header identity.
 type joinShape struct {
-	shared    [][2]int
-	extra     []int
-	header    []string
-	index     map[string]int
-	agreeSets [][]int
+	// left[i] and right[i] are the slots of the i-th shared column in
+	// t1 and t2.
+	left, right []int
+	extra       []int
+	header      []string
+	index       map[string]int
+	agreeSets   [][]int
 }
 
 type shapeKey struct {
@@ -152,7 +154,8 @@ func (j *joiner) shape(t1, t2 *table) *joinShape {
 	s := &joinShape{}
 	for i2, h := range t2.header {
 		if i1, ok := t1.index[h]; ok {
-			s.shared = append(s.shared, [2]int{i1, i2})
+			s.left = append(s.left, i1)
+			s.right = append(s.right, i2)
 		} else {
 			s.extra = append(s.extra, i2)
 		}
@@ -181,52 +184,60 @@ func (j *joiner) shape(t1, t2 *table) *joinShape {
 }
 
 // join computes t1 ⋈ t2: rows must agree on shared header columns and on
-// all class member columns present in the merged header.
+// all class member columns present in the merged header. Output rows
+// follow t1's row order, and t2's within one t1 row; they are carved
+// from shared backing arrays rather than allocated one by one.
 func (j *joiner) join(t1, t2 *table) *table {
 	s := j.shape(t1, t2)
 	out := newTableShared(s.header, s.index)
-
-	// Hash t2 on the shared columns for better-than-quadratic joins.
-	if len(s.shared) > 0 {
-		buckets := make(map[string][]int, len(t2.rows))
-		var sb strings.Builder
-		for i, row := range t2.rows {
-			sb.Reset()
-			for _, p := range s.shared {
-				v := row[p[1]].Key()
-				sb.WriteByte(byte(v.Kind) + '0')
-				sb.WriteString(v.String())
-				sb.WriteByte('\x1f')
-			}
-			buckets[sb.String()] = append(buckets[sb.String()], i)
-		}
+	rows := rowArena{width: len(s.header)}
+	switch {
+	case len(s.left) == 0:
+		rows.reserve(len(t1.rows) * len(t2.rows))
 		for _, r1 := range t1.rows {
-			sb.Reset()
-			for _, p := range s.shared {
-				v := r1[p[0]].Key()
-				sb.WriteByte(byte(v.Kind) + '0')
-				sb.WriteString(v.String())
-				sb.WriteByte('\x1f')
-			}
-			for _, i2 := range buckets[sb.String()] {
-				emitJoined(out, r1, t2.rows[i2], s)
+			for _, r2 := range t2.rows {
+				s.emit(out, &rows, r1, r2)
 			}
 		}
-		return out
-	}
-	for _, r1 := range t1.rows {
-		for _, r2 := range t2.rows {
-			emitJoined(out, r1, r2, s)
+	case len(t2.rows) == 1:
+		// A one-row t2 (a vertex's own tuple, on every collection join)
+		// is compared directly: count the matches, then fill exactly.
+		r2 := t2.rows[0]
+		n := 0
+		for _, r1 := range t1.rows {
+			if slotsEqual(r1, s.left, r2, s.right) {
+				n++
+			}
+		}
+		rows.reserve(n)
+		for _, r1 := range t1.rows {
+			if slotsEqual(r1, s.left, r2, s.right) {
+				s.emit(out, &rows, r1, r2)
+			}
+		}
+	default:
+		// Hash t2 on the shared columns. NULLs are values here: the
+		// shared columns are one column seen from both sides.
+		b := bucketRows(t2.rows, s.right, false)
+		rows.reserve(len(t1.rows)) // a key join's usual size; grows if not
+		for _, r1 := range t1.rows {
+			for i := b.first(r1, s.left); i >= 0; i = b.next[i] {
+				if r2 := t2.rows[i]; slotsEqual(r1, s.left, r2, s.right) {
+					s.emit(out, &rows, r1, r2)
+				}
+			}
 		}
 	}
 	return out
 }
 
-func emitJoined(out *table, r1, r2 []relation.Value, s *joinShape) {
-	row := make([]relation.Value, 0, len(s.header))
-	row = append(row, r1...)
-	for _, i2 := range s.extra {
-		row = append(row, r2[i2])
+// emit appends the joined row of r1 and r2 to out if it satisfies the
+// class agreement.
+func (s *joinShape) emit(out *table, rows *rowArena, r1, r2 []relation.Value) {
+	row := rows.next()
+	copy(row, r1)
+	for k, i2 := range s.extra {
+		row[len(r1)+k] = r2[i2]
 	}
 	for _, slots := range s.agreeSets {
 		first := row[slots[0]]
@@ -236,7 +247,38 @@ func emitJoined(out *table, r1, r2 []relation.Value, s *joinShape) {
 			}
 		}
 	}
+	rows.keep()
 	out.rows = append(out.rows, row)
+}
+
+// rowArena carves fixed-width rows out of shared backing arrays. A row
+// handed out by next is only taken if keep follows; otherwise the next
+// call reuses its space.
+type rowArena struct {
+	width int
+	buf   []relation.Value
+	kept  int // rows kept so far, which sizes the next array
+}
+
+// reserve makes room for n more rows in one backing array.
+func (a *rowArena) reserve(n int) {
+	if need := n * a.width; len(a.buf) < need {
+		a.buf = make([]relation.Value, need)
+	}
+}
+
+// next returns space for one row, valid until the next call.
+func (a *rowArena) next() []relation.Value {
+	if len(a.buf) < a.width {
+		a.reserve(max(16, a.kept))
+	}
+	return a.buf[:a.width:a.width]
+}
+
+// keep takes the row last returned by next.
+func (a *rowArena) keep() {
+	a.buf = a.buf[a.width:]
+	a.kept++
 }
 
 // project keeps only the named columns (which must exist), in order.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -42,9 +43,20 @@ func (t Tuple) key() string {
 			b.WriteByte('\x1f')
 		}
 		b.WriteByte(byte(v.Kind) + '0')
-		b.WriteString(v.String())
+		writeKeyText(&b, v)
 	}
 	return b.String()
+}
+
+// writeKeyText writes v's text into a row key. A string is prefixed by
+// its length, so a separator byte inside it cannot make two different
+// rows render alike.
+func writeKeyText(b *strings.Builder, v Value) {
+	if v.Kind == KindString {
+		b.WriteString(strconv.Itoa(len(v.S)))
+		b.WriteByte(':')
+	}
+	b.WriteString(v.String())
 }
 
 // Relation is a named multiset of tuples conforming to a schema.
@@ -178,7 +190,7 @@ func (t Tuple) nonFloatKey() string {
 			continue
 		}
 		b.WriteByte(byte(v.Kind) + '0')
-		b.WriteString(v.String())
+		writeKeyText(&b, v)
 	}
 	return b.String()
 }

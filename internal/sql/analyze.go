@@ -217,6 +217,7 @@ func (a *Analysis) resolveColRef(c *ColRef, blk *Analyzed) error {
 			c.Table = bt.Table
 			c.Column = col
 			c.Depth = depth
+			c.Key = BindKey(c.Alias, c.Column)
 			return nil
 		}
 		depth++

@@ -32,8 +32,11 @@ func TestAnalyzeResolution(t *testing.T) {
 	}
 	// Unqualified c resolves uniquely to s.
 	c := blk.Sel.Items[1].Expr.(*ColRef)
-	if c.Alias != "s" || c.Table != "s" || c.Depth != 0 {
+	if c.Alias != "s" || c.Table != "s" || c.Depth != 0 || c.Key != BindKey("s", "c") {
 		t.Errorf("c resolved to %+v", c)
+	}
+	if cl := CloneExpr(c).(*ColRef); cl.Key != c.Key {
+		t.Errorf("clone of %+v has key %q", c, cl.Key)
 	}
 	if blk.OutNames[0] != "a" || blk.OutNames[1] != "c" {
 		t.Errorf("out names = %v", blk.OutNames)

@@ -14,8 +14,9 @@ type Literal struct{ Val relation.Value }
 
 // ColRef is a (possibly qualified) column reference. The analyzer fills
 // the resolution fields: Alias is the binding table alias, Table the real
-// relation name, and Depth how many query scopes outward the binding lives
-// (0 = current query, 1 = immediately enclosing query, ...).
+// relation name, Depth how many query scopes outward the binding lives
+// (0 = current query, 1 = immediately enclosing query, ...), and Key the
+// reference's Binding key, BindKey(Alias, Column).
 type ColRef struct {
 	Qualifier string // as written; "" if unqualified
 	Column    string
@@ -24,6 +25,7 @@ type ColRef struct {
 	Alias string
 	Table string
 	Depth int
+	Key   string
 }
 
 // Unary is NOT x or -x.

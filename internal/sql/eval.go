@@ -98,6 +98,10 @@ func Eval(e Expr, env *Env, subq SubqueryFn) (relation.Value, error) {
 		}
 		return relation.Null, fmt.Errorf("sql: unbound aggregate slot %d", x.Slot)
 	case *ColRef:
+		key := x.Key
+		if key == "" {
+			key = BindKey(x.Alias, x.Column) // built by hand, not analyzed
+		}
 		scope := env
 		for d := 0; d < x.Depth; d++ {
 			if scope == nil {
@@ -106,7 +110,7 @@ func Eval(e Expr, env *Env, subq SubqueryFn) (relation.Value, error) {
 			scope = scope.Parent
 		}
 		for ; scope != nil; scope = scope.Parent {
-			if i, ok := scope.Binding[BindKey(x.Alias, x.Column)]; ok {
+			if i, ok := scope.Binding[key]; ok {
 				return scope.Row[i], nil
 			}
 		}
