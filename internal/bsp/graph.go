@@ -1,7 +1,9 @@
 package bsp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -15,11 +17,17 @@ type Edge struct {
 	To    VertexID
 }
 
+// edgeKey packs an edge into one integer ordered as the frozen
+// adjacency is: by Label, then by To (neither is ever negative).
+func edgeKey(e Edge) uint64 { return uint64(e.Label)<<32 | uint64(uint32(e.To)) }
+
+func cmpEdge(a, b Edge) int { return cmp.Compare(edgeKey(a), edgeKey(b)) }
+
 // vertex is the engine-internal vertex record.
 type vertex struct {
 	label LabelID
 	data  any
-	edges []Edge // sorted by (Label, To) after Freeze
+	edges []Edge // sorted by edgeKey after Freeze
 	// labelIndex[i] is the start of the i-th distinct label run in edges;
 	// built by Freeze for O(log L) per-label slicing.
 	labelStart []int32
@@ -163,36 +171,42 @@ func (g *Graph) RemoveEdge(from, to VertexID, label LabelID) {
 // neighbours be found from the vertices' own lists. Only valid before
 // Freeze; used by incremental TAG maintenance to delete a batch of
 // tuples at a cost proportional to the touched adjacency.
+//
+// Batch membership is a range check plus a binary search over a sorted
+// copy of vs (the caller's slice keeps its order), not a hash probe: the
+// filter of a hot attribute vertex tests every one of its edges.
 func (g *Graph) IsolateVertices(vs []VertexID) {
 	if g.frozen {
 		panic("bsp: IsolateVertices after Freeze")
 	}
-	gone := make(map[VertexID]bool, len(vs))
-	for _, v := range vs {
-		gone[v] = true
+	if len(vs) == 0 {
+		return
 	}
-	nbrs := make(map[VertexID]bool)
+	gone := slices.Clone(vs)
+	slices.Sort(gone)
+	var nbrs []VertexID
 	for _, v := range vs {
 		vx := &g.vertices[v]
 		if len(vx.edges) == 0 {
 			continue
 		}
 		for _, e := range vx.edges {
-			if !gone[e.To] {
-				nbrs[e.To] = true
+			if !inSorted(gone, e.To) {
+				nbrs = append(nbrs, e.To)
 			}
 		}
 		g.numEdges -= len(vx.edges)
 		vx.edges = nil // a fresh header: a shared backing array is never written
 		g.markDirty(v)
 	}
-	for u := range nbrs {
+	slices.Sort(nbrs)
+	for _, u := range slices.Compact(nbrs) {
 		g.own(u)
 		g.markDirty(u)
 		ux := &g.vertices[u]
 		kept := ux.edges[:0]
 		for _, e := range ux.edges {
-			if gone[e.To] {
+			if inSorted(gone, e.To) {
 				g.numEdges--
 				continue
 			}
@@ -202,27 +216,38 @@ func (g *Graph) IsolateVertices(vs []VertexID) {
 	}
 }
 
+// inSorted reports whether v is in the non-empty ascending slice s: ids
+// outside [s[0], s[len(s)-1]] cost two compares, the rest a binary search.
+func inSorted(s []VertexID, v VertexID) bool {
+	if v < s[0] || v > s[len(s)-1] {
+		return false
+	}
+	_, found := slices.BinarySearch(s, v)
+	return found
+}
+
 // Freeze sorts adjacency lists by label and builds the per-label index.
 // The graph is immutable afterwards (vertex payloads may still change).
 // The first Freeze indexes every vertex; afterwards dirty-vertex
 // tracking is enabled, so incremental Thaw/mutate/Freeze cycles
 // re-index only the vertices whose adjacency actually changed.
 func (g *Graph) Freeze() {
+	var buf []Edge // merge scratch, shared by every vertex of this Freeze
 	if g.dirty == nil {
 		for i := range g.vertices {
-			g.freezeVertex(&g.vertices[i])
+			buf = freezeVertex(&g.vertices[i], buf)
 		}
 		g.dirty = make(map[VertexID]bool)
 		g.lastFrozen = nil // initial build: "everything", not a delta
 	} else {
 		g.lastFrozen = g.lastFrozen[:0]
 		for v := range g.dirty {
-			g.own(v) // sort mutates in place; never touch a shared slice
-			g.freezeVertex(&g.vertices[v])
+			g.own(v) // the merge writes in place; never touch a shared slice
+			buf = freezeVertex(&g.vertices[v], buf)
 			g.lastFrozen = append(g.lastFrozen, v)
 			delete(g.dirty, v)
 		}
-		sort.Slice(g.lastFrozen, func(i, j int) bool { return g.lastFrozen[i] < g.lastFrozen[j] })
+		slices.Sort(g.lastFrozen)
 	}
 	g.frozen = true
 }
@@ -233,22 +258,69 @@ func (g *Graph) Freeze() {
 // slice is owned by the graph and valid until the next Freeze.
 func (g *Graph) LastFrozenDirty() []VertexID { return g.lastFrozen }
 
-func (g *Graph) freezeVertex(v *vertex) {
-	sort.Slice(v.edges, func(a, b int) bool {
-		if v.edges[a].Label != v.edges[b].Label {
-			return v.edges[a].Label < v.edges[b].Label
+// freezeVertex sorts v's adjacency and rebuilds its label index; buf is
+// merge scratch, returned so the next vertex can reuse it.
+//
+// Between Freezes an adjacency list is only appended to (AddEdge) or
+// filtered in order (RemoveEdge, IsolateVertices), so it is a sorted
+// prefix followed by an unsorted tail of new edges. One scan finds the
+// prefix; only the tail is sorted, and it is merged into the prefix from
+// the back, in place. Equal edges are identical values, so the result is
+// exactly the full sort's, and an already-sorted list costs the scan.
+func freezeVertex(v *vertex, buf []Edge) []Edge {
+	es := v.edges
+	p := 1
+	for p < len(es) && edgeKey(es[p-1]) <= edgeKey(es[p]) {
+		p++
+	}
+	if p < len(es) {
+		slices.SortFunc(es[p:], cmpEdge)
+		buf = mergeTail(es, p, buf)
+	}
+	// A vertex with no edges (a deleted tuple) needs no label index:
+	// EdgesWithLabel finds no label. One frozen for the first time sizes
+	// its index exactly instead of growing it by append; a re-frozen one
+	// reuses its own, which fits unless the vertex gained a label.
+	v.labelIDs, v.labelStart = v.labelIDs[:0], v.labelStart[:0]
+	if len(es) == 0 {
+		return buf
+	}
+	if cap(v.labelStart) == 0 {
+		runs := 0
+		for j := range es {
+			if j == 0 || es[j].Label != es[j-1].Label {
+				runs++
+			}
 		}
-		return v.edges[a].To < v.edges[b].To
-	})
-	v.labelIDs = v.labelIDs[:0]
-	v.labelStart = v.labelStart[:0]
-	for j, e := range v.edges {
-		if j == 0 || e.Label != v.edges[j-1].Label {
+		v.labelIDs = make([]LabelID, 0, runs)
+		v.labelStart = make([]int32, 0, runs+1)
+	}
+	for j, e := range es {
+		if j == 0 || e.Label != es[j-1].Label {
 			v.labelIDs = append(v.labelIDs, e.Label)
 			v.labelStart = append(v.labelStart, int32(j))
 		}
 	}
-	v.labelStart = append(v.labelStart, int32(len(v.edges)))
+	v.labelStart = append(v.labelStart, int32(len(es)))
+	return buf
+}
+
+// mergeTail merges the sorted tail es[p:] into the sorted prefix es[:p]
+// in place. The tail is copied to buf and the merge fills es from the
+// back, so each write lands past every prefix element not yet read.
+func mergeTail(es []Edge, p int, buf []Edge) []Edge {
+	buf = append(buf[:0], es[p:]...)
+	i, j := p-1, len(buf)-1
+	for k := len(es) - 1; j >= 0; k-- {
+		if i >= 0 && edgeKey(buf[j]) < edgeKey(es[i]) {
+			es[k] = es[i]
+			i--
+		} else {
+			es[k] = buf[j]
+			j--
+		}
+	}
+	return buf
 }
 
 // Thaw re-enables mutation (incremental maintenance); Freeze must be

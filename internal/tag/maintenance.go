@@ -2,6 +2,7 @@ package tag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,7 +62,7 @@ func (t *Graph) InsertBatch(table string, rows []relation.Tuple) ([]bsp.VertexID
 			if row[c.idx].IsNull() {
 				continue
 			}
-			av := t.attrVertexForIncremental(row[c.idx])
+			av := t.attrVertexFor(row[c.idx])
 			t.G.AddUndirectedEdge(tv, av, c.lbl)
 			t.addAttrByEdge(c.lbl, av)
 		}
@@ -97,23 +98,6 @@ func (t *Graph) ValidateInsert(table string, rows []relation.Tuple) error {
 		}
 	}
 	return nil
-}
-
-// attrVertexForIncremental is attrVertexFor usable after Build (the
-// attrSeen build-time dedup map is gone by then).
-func (t *Graph) attrVertexForIncremental(v relation.Value) bsp.VertexID {
-	key := v.Key()
-	if id, ok := t.attrVertex[key]; ok {
-		return id
-	}
-	lbl, ok := t.attrKindLbl[key.Kind]
-	if !ok {
-		lbl = t.G.Symbols.Intern("#attr:" + key.Kind.String())
-		t.attrKindLbl[key.Kind] = lbl
-	}
-	id := t.G.AddVertex(lbl, &AttrData{Value: key})
-	t.attrVertex[key] = id
-	return id
 }
 
 // addAttrByEdge inserts av into the sorted per-label attribute list if absent.
@@ -219,7 +203,7 @@ func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 func (t *Graph) dropTuples(table string, dead []bsp.VertexID) {
 	// The list is ascending (restriction windows binary-search it), and
 	// so is the filtered copy.
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	slices.Sort(dead)
 	verts := t.tupleVerts[table]
 	kept := make([]bsp.VertexID, 0, len(verts))
 	j := 0

@@ -250,6 +250,9 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
+	if aggregator >= numVerts {
+		return nil, codec.ErrCorrupt
+	}
 
 	t := &Graph{
 		G:           bsp.NewGraph(),
@@ -317,6 +320,11 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 
 	// Labels are a function of the symbol table: tuple labels are the
 	// lowercase table names, edge labels the column keys.
+	type snapTable struct {
+		name  string
+		arity int
+	}
+	tables := make(map[bsp.LabelID]snapTable)
 	for _, name := range cat.Names() {
 		table := strings.ToLower(name)
 		lbl := t.G.Symbols.Lookup(table)
@@ -324,6 +332,7 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 			return nil, codec.ErrCorrupt
 		}
 		t.tupleLabel[table] = lbl
+		tables[lbl] = snapTable{table, cat.Get(name).Schema.Len()}
 	}
 	for key := range t.materialized {
 		lbl := t.G.Symbols.Lookup(key)
@@ -336,6 +345,7 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 	// Vertices, in id order. AddVertex assigns sequential ids, so
 	// re-adding in order reproduces the id space; each decoded id is
 	// asserted against the expected one.
+	nsyms := uint64(t.G.Symbols.Len())
 	for next := uint64(0); next < numVerts; {
 		d, err := readFrame()
 		if err != nil {
@@ -360,32 +370,42 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, err
 			}
-			lbl := bsp.LabelID(lblRaw)
-			if int(lbl) > t.G.Symbols.Len() {
+			if lblRaw == 0 || lblRaw > nsyms {
 				return nil, codec.ErrCorrupt
 			}
+			lbl := bsp.LabelID(lblRaw)
 			tagByte, err := d.Byte()
 			if err != nil {
 				return nil, err
 			}
+			// Each payload must be one Build or maintenance could have
+			// made: the aggregator is the only vertex without one, a tuple
+			// is labeled by its table and has the table's arity, and an
+			// attribute value is canonical, unique and labeled by its kind.
 			var data any
 			switch tagByte {
 			case snapVertNil:
-				data = nil
+				if start+i != aggregator {
+					return nil, codec.ErrCorrupt
+				}
 			case snapVertLive, snapVertDead:
 				row, err := relation.DecodeTuple(d)
 				if err != nil {
 					return nil, err
 				}
-				data = &TupleData{
-					Table: t.G.Symbols.Name(lbl),
-					Row:   row,
-					Dead:  tagByte == snapVertDead,
+				tb, ok := tables[lbl]
+				if !ok || len(row) != tb.arity {
+					return nil, codec.ErrCorrupt
 				}
+				data = &TupleData{Table: tb.name, Row: row, Dead: tagByte == snapVertDead}
 			case snapVertAttr:
 				v, err := relation.DecodeValue(d)
 				if err != nil {
 					return nil, err
+				}
+				if _, dup := t.attrVertex[v]; dup || v.IsNull() || v.Key() != v ||
+					lbl != t.G.Symbols.Lookup("#attr:"+v.Kind.String()) {
+					return nil, codec.ErrCorrupt
 				}
 				data = &AttrData{Value: v}
 			default:
@@ -410,35 +430,42 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 		}
 		next = start + n
 	}
+	if t.G.Data(t.Aggregator) != nil {
+		return nil, codec.ErrCorrupt
+	}
+	for _, name := range cat.Names() {
+		if len(t.tupleVerts[strings.ToLower(name)]) != len(cat.Get(name).Tuples) {
+			return nil, codec.ErrCorrupt
+		}
+	}
 
 	// Re-derive the edges from the live tuple payloads: one undirected
 	// edge per materialized non-null cell, targeting the cell value's
-	// attribute vertex.
-	type snapCol struct {
-		idx int
-		lbl bsp.LabelID
-	}
+	// attribute vertex. Column by column, tuples in id order: Build
+	// interned the tables' column labels in this order, so each
+	// adjacency list comes out sorted and Freeze only has to scan it.
 	for _, name := range cat.Names() {
 		table := strings.ToLower(name)
-		rel := cat.Get(table)
-		var cols []snapCol
-		for i, col := range rel.Schema.Columns {
-			key := table + "." + strings.ToLower(col.Name)
-			if t.materialized[key] {
-				cols = append(cols, snapCol{idx: i, lbl: t.edgeLabel[key]})
-			}
+		verts := t.tupleVerts[table]
+		rows := make([]relation.Tuple, len(verts))
+		for i, tv := range verts {
+			rows[i] = t.TupleData(tv).Row
 		}
-		for _, tv := range t.tupleVerts[table] {
-			row := t.TupleData(tv).Row
-			for _, c := range cols {
-				if c.idx >= len(row) || row[c.idx].IsNull() {
+		for i, col := range cat.Get(table).Schema.Columns {
+			key := table + "." + strings.ToLower(col.Name)
+			if !t.materialized[key] {
+				continue
+			}
+			lbl := t.edgeLabel[key]
+			for j, row := range rows {
+				if row[i].IsNull() {
 					continue
 				}
-				av, ok := t.attrVertex[row[c.idx].Key()]
+				av, ok := t.attrVertex[row[i].Key()]
 				if !ok {
 					return nil, codec.ErrCorrupt
 				}
-				t.G.AddUndirectedEdge(tv, av, c.lbl)
+				t.G.AddUndirectedEdge(verts[j], av, lbl)
 			}
 		}
 	}
@@ -455,7 +482,16 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
+		if lblRaw > nsyms {
+			return nil, codec.ErrCorrupt
+		}
 		lbl := bsp.LabelID(lblRaw)
+		if el, ok := t.edgeLabel[t.G.Symbols.Name(lbl)]; !ok || el != lbl {
+			return nil, codec.ErrCorrupt
+		}
+		if _, dup := t.attrByEdge[lbl]; dup {
+			return nil, codec.ErrCorrupt
+		}
 		n, err := d.Length()
 		if err != nil {
 			return nil, err
@@ -467,8 +503,11 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, err
 			}
+			if j > 0 && delta == 0 || delta >= numVerts-uint64(prev) {
+				return nil, codec.ErrCorrupt
+			}
 			prev += bsp.VertexID(delta)
-			if uint64(prev) >= numVerts {
+			if !t.IsAttr(prev) {
 				return nil, codec.ErrCorrupt
 			}
 			verts = append(verts, prev)

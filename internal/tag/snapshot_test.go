@@ -111,7 +111,7 @@ func graphsStructurallyEqual(t *testing.T, got, want *Graph) {
 	}
 }
 
-func snapshotBytes(t *testing.T, g *Graph) []byte {
+func snapshotBytes(t testing.TB, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := g.WriteSnapshot(&buf); err != nil {

@@ -77,7 +77,6 @@ type Graph struct {
 	tupleVerts   map[string][]bsp.VertexID // lower(table) -> vertex ids
 	tupleLabel   map[string]bsp.LabelID    // lower(table) -> vertex label
 	attrByEdge   map[bsp.LabelID][]bsp.VertexID
-	attrSeen     map[bsp.LabelID]map[bsp.VertexID]struct{}
 	edgeLabel    map[string]bsp.LabelID // lower(table.column) -> edge label
 	materialized map[string]bool        // lower(table.column)
 	attrKindLbl  map[relation.Kind]bsp.LabelID
@@ -110,7 +109,6 @@ func Build(cat *relation.Catalog, policy Policy) (*Graph, error) {
 		tupleVerts:   make(map[string][]bsp.VertexID),
 		tupleLabel:   make(map[string]bsp.LabelID),
 		attrByEdge:   make(map[bsp.LabelID][]bsp.VertexID),
-		attrSeen:     make(map[bsp.LabelID]map[bsp.VertexID]struct{}),
 		edgeLabel:    make(map[string]bsp.LabelID),
 		materialized: make(map[string]bool),
 		attrKindLbl:  make(map[relation.Kind]bsp.LabelID),
@@ -123,11 +121,20 @@ func Build(cat *relation.Catalog, policy Policy) (*Graph, error) {
 		}
 	}
 	t.G.Freeze()
-	for lbl, verts := range t.attrByEdge {
-		sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-		t.attrByEdge[lbl] = verts
+	// The attribute index, read off the frozen adjacency: an attribute
+	// vertex is listed under each edge label it carries. Vertices are
+	// visited in id order, so every list comes out ascending.
+	for v := bsp.VertexID(0); int(v) < t.G.NumVertices(); v++ {
+		if !t.IsAttr(v) {
+			continue
+		}
+		es := t.G.Edges(v)
+		for j, e := range es {
+			if j == 0 || e.Label != es[j-1].Label {
+				t.attrByEdge[e.Label] = append(t.attrByEdge[e.Label], v)
+			}
+		}
 	}
-	t.attrSeen = nil // build-time only
 	return t, nil
 }
 
@@ -158,9 +165,7 @@ func (t *Graph) addRelation(r *relation.Relation) error {
 			if !mat[i] || v.IsNull() {
 				continue
 			}
-			av := t.attrVertexFor(v)
-			t.G.AddUndirectedEdge(tv, av, labels[i])
-			t.noteAttrEdge(labels[i], av)
+			t.G.AddUndirectedEdge(tv, t.attrVertexFor(v), labels[i])
 		}
 	}
 	return nil
@@ -182,19 +187,6 @@ func (t *Graph) attrVertexFor(v relation.Value) bsp.VertexID {
 	id := t.G.AddVertex(lbl, &AttrData{Value: key})
 	t.attrVertex[key] = id
 	return id
-}
-
-func (t *Graph) noteAttrEdge(lbl bsp.LabelID, av bsp.VertexID) {
-	seen := t.attrSeen[lbl]
-	if seen == nil {
-		seen = make(map[bsp.VertexID]struct{})
-		t.attrSeen[lbl] = seen
-	}
-	if _, ok := seen[av]; ok {
-		return
-	}
-	seen[av] = struct{}{}
-	t.attrByEdge[lbl] = append(t.attrByEdge[lbl], av)
 }
 
 // EdgeLabel returns the interned id of the "table.column" edge label.
