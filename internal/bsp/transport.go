@@ -110,7 +110,7 @@ func (BasicCodec) Decode(data []byte) (any, error) {
 		return int(v), nil
 	case bcInt32:
 		v, n := binary.Varint(rest)
-		if n <= 0 {
+		if n <= 0 || v != int64(int32(v)) {
 			return nil, fmt.Errorf("bsp: bad int32 payload")
 		}
 		return int32(v), nil
@@ -133,7 +133,7 @@ func (BasicCodec) Decode(data []byte) (any, error) {
 		return string(rest[k : k+int(n)]), nil
 	case bcVertex:
 		v, n := binary.Varint(rest)
-		if n <= 0 {
+		if n <= 0 || v != int64(VertexID(v)) {
 			return nil, fmt.Errorf("bsp: bad vertex payload")
 		}
 		return VertexID(v), nil
@@ -146,7 +146,7 @@ func (BasicCodec) Decode(data []byte) (any, error) {
 		out := make([]VertexID, 0, n)
 		for i := uint64(0); i < n; i++ {
 			v, m := binary.Varint(rest)
-			if m <= 0 {
+			if m <= 0 || v != int64(VertexID(v)) {
 				return nil, fmt.Errorf("bsp: bad vertex slice payload")
 			}
 			out = append(out, VertexID(v))
@@ -376,7 +376,8 @@ func FrameRecordCount(payload []byte) int64 {
 // decodeRecords parses a sealed frame payload, invoking fn once per
 // (record, destination). The payload is decoded once per record and
 // shared across its fan-out, mirroring how an in-process fan-out
-// shares one payload value.
+// shares one payload value. A vertex, slot or count that does not fit
+// its int32 field is refused rather than narrowed onto another one.
 func decodeRecords(payload []byte, wantStep int, codec PayloadCodec,
 	fn func(from VertexID, slot int32, pay any, to VertexID, count int32) error) error {
 	if len(payload) == 0 || payload[0] != frameKindRecords {
@@ -398,11 +399,11 @@ func decodeRecords(payload []byte, wantStep int, codec PayloadCodec,
 	rest = rest[n:]
 	for i := uint64(0); i < nrec; i++ {
 		from, slot, encLen := uint64(0), uint64(0), uint64(0)
-		if from, n = binary.Uvarint(rest); n <= 0 {
+		if from, n = binary.Uvarint(rest); n <= 0 || from > math.MaxInt32 {
 			return fmt.Errorf("bsp: bad record sender")
 		}
 		rest = rest[n:]
-		if slot, n = binary.Uvarint(rest); n <= 0 {
+		if slot, n = binary.Uvarint(rest); n <= 0 || slot > math.MaxInt32 {
 			return fmt.Errorf("bsp: bad record slot")
 		}
 		rest = rest[n:]
@@ -422,7 +423,7 @@ func decodeRecords(payload []byte, wantStep int, codec PayloadCodec,
 		rest = rest[n:]
 		for j := uint64(0); j < ndest; j++ {
 			to, n := binary.Uvarint(rest)
-			if n <= 0 {
+			if n <= 0 || to > math.MaxInt32 {
 				return fmt.Errorf("bsp: bad record dest")
 			}
 			rest = rest[n:]
@@ -472,6 +473,7 @@ func appendEmits(dst []byte, tags []emitTag, emits []any, codec PayloadCodec) ([
 }
 
 // decodeEmits parses one node's emit stream, appending to tags/emits.
+// A step or vertex that does not fit its int32 field is refused.
 func decodeEmits(data []byte, tags []emitTag, emits []any, codec PayloadCodec) ([]emitTag, []any, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -480,12 +482,12 @@ func decodeEmits(data []byte, tags []emitTag, emits []any, codec PayloadCodec) (
 	data = data[k:]
 	for i := uint64(0); i < n; i++ {
 		step, k := binary.Uvarint(data)
-		if k <= 0 {
+		if k <= 0 || step > math.MaxInt32 {
 			return nil, nil, fmt.Errorf("bsp: bad emit step")
 		}
 		data = data[k:]
 		v, k := binary.Uvarint(data)
-		if k <= 0 {
+		if k <= 0 || v > math.MaxInt32 {
 			return nil, nil, fmt.Errorf("bsp: bad emit vertex")
 		}
 		data = data[k:]

@@ -1,0 +1,215 @@
+package bsp
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
+	"testing"
+)
+
+// recordsFrame hand-builds a one-record, one-destination records frame
+// whose sender, slot field and destination are raw uvarints, so values
+// no encoder would write can be put on the wire.
+func recordsFrame(from, slot, to uint64) []byte {
+	b := []byte{frameKindRecords}
+	b = binary.AppendUvarint(b, 0) // step
+	b = binary.AppendUvarint(b, 1) // records
+	b = binary.AppendUvarint(b, from)
+	b = binary.AppendUvarint(b, slot)
+	enc, _ := BasicCodec{}.Append(nil, int64(7))
+	b = binary.AppendUvarint(b, uint64(len(enc)))
+	b = append(b, enc...)
+	b = binary.AppendUvarint(b, 1) // dests
+	b = binary.AppendUvarint(b, to)
+	return binary.AppendUvarint(b, 1) // count
+}
+
+// emitStream hand-builds a one-value emit stream with a raw step and
+// vertex.
+func emitStream(step, v uint64) []byte {
+	b := binary.AppendUvarint(nil, 1)
+	b = binary.AppendUvarint(b, step)
+	b = binary.AppendUvarint(b, v)
+	enc, _ := BasicCodec{}.Append(nil, int64(7))
+	b = binary.AppendUvarint(b, uint64(len(enc)))
+	return append(b, enc...)
+}
+
+// TestDecodersRefuseNarrowing: a vertex id, combiner slot or superstep
+// on the wire that does not fit its int32 field is refused, not
+// truncated onto a different value: destination 2^32+5 is not vertex 5,
+// slot field 2^32 is not the plain-message slot -1, and emit step
+// 2^32+1 does not sort as step 1. The same frames with the values in
+// range decode.
+func TestDecodersRefuseNarrowing(t *testing.T) {
+	const big = 1 << 32
+	deliver := func(payload []byte) (delivered []VertexID, err error) {
+		err = decodeRecords(payload, 0, BasicCodec{}, func(_ VertexID, _ int32, _ any, to VertexID, _ int32) error {
+			delivered = append(delivered, to)
+			return nil
+		})
+		return delivered, err
+	}
+	if got, err := deliver(recordsFrame(1, 3, 5)); err != nil || len(got) != 1 || got[0] != 5 {
+		t.Fatalf("in-range frame: delivered %v, err %v", got, err)
+	}
+	for _, tc := range []struct {
+		name           string
+		from, slot, to uint64
+	}{
+		{"dest 2^32+5", 1, 3, big + 5},
+		{"dest 2^31", 1, 3, math.MaxInt32 + 1},
+		{"slot field 2^32", 1, big, 5},
+		{"sender 2^32+1", big + 1, 3, 5},
+	} {
+		if got, err := deliver(recordsFrame(tc.from, tc.slot, tc.to)); err == nil || len(got) != 0 {
+			t.Errorf("%s: delivered %v, err %v; want refused", tc.name, got, err)
+		}
+	}
+
+	if tags, _, err := decodeEmits(emitStream(1, 9), nil, nil, BasicCodec{}); err != nil || tags[0] != (emitTag{step: 1, v: 9}) {
+		t.Fatalf("in-range emit stream: tags %v, err %v", tags, err)
+	}
+	for _, tc := range []struct {
+		name    string
+		step, v uint64
+	}{
+		{"step 2^32+1", big + 1, 9},
+		{"vertex 2^32+9", 1, big + 9},
+	} {
+		if tags, _, err := decodeEmits(emitStream(tc.step, tc.v), nil, nil, BasicCodec{}); err == nil {
+			t.Errorf("%s: decoded %v; want refused", tc.name, tags)
+		}
+	}
+
+	for _, pay := range [][]byte{
+		binary.AppendVarint([]byte{bcInt32}, big+1),
+		binary.AppendVarint([]byte{bcVertex}, -big),
+		binary.AppendVarint([]byte{bcVertexSlice, 1}, big+2),
+	} {
+		if v, err := (BasicCodec{}).Decode(pay); err == nil {
+			t.Errorf("payload %x decoded as %v; want refused", pay, v)
+		}
+	}
+}
+
+// delivery is one fn call of decodeRecords.
+type delivery struct {
+	from  VertexID
+	slot  int32
+	pay   any
+	to    VertexID
+	count int32
+}
+
+// canonicalRecords re-seals what decodeRecords delivered from payload:
+// consecutive deliveries with one sender, slot and re-encoded payload
+// become one record's destination list.
+func canonicalRecords(payload []byte) ([]byte, error) {
+	var ds []delivery
+	err := decodeRecords(payload, -1, BasicCodec{}, func(from VertexID, slot int32, pay any, to VertexID, count int32) error {
+		ds = append(ds, delivery{from, slot, pay, to, count})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	step, _ := binary.Uvarint(payload[1:])
+	var recs []wireRecord
+	for _, d := range ds {
+		enc, err := BasicCodec{}.Append(nil, d.pay)
+		if err != nil {
+			return nil, err
+		}
+		if n := len(recs); n > 0 && recs[n-1].from == d.from && recs[n-1].slot == d.slot && bytes.Equal(recs[n-1].enc, enc) {
+			recs[n-1].dests = append(recs[n-1].dests, destRef{to: d.to, count: d.count})
+			continue
+		}
+		recs = append(recs, wireRecord{from: d.from, slot: d.slot, enc: enc, dests: []destRef{{to: d.to, count: d.count}}})
+	}
+	return sealRecords(nil, int(step), recs), nil
+}
+
+// canonicalEmits re-encodes what decodeEmits read from data.
+func canonicalEmits(data []byte) ([]byte, error) {
+	tags, emits, err := decodeEmits(data, nil, nil, BasicCodec{})
+	if err != nil {
+		return nil, err
+	}
+	return appendEmits(nil, tags, emits, BasicCodec{})
+}
+
+// FuzzDecodeRecords: a distributed node feeds decodeRecords the frames
+// and decodeEmits the emit streams its peers send. Every input goes to
+// both. On any input neither panics, neither allocates more than a
+// constant factor of the bytes it was given, and whatever one accepts
+// re-encodes to a canonical form that decodes and re-encodes to itself.
+func FuzzDecodeRecords(f *testing.F) {
+	payloads := []any{int64(-3), "ping", []VertexID{1, 2, 40000}, nil, true, 2.5, VertexID(12)}
+	encs := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		encs[i], _ = BasicCodec{}.Append(nil, p)
+	}
+	fanOut := wireRecord{from: 3, slot: -1, enc: encs[1], dests: []destRef{{to: 4, count: 1}, {to: 9, count: 2}, {to: 70000, count: 1}}}
+	combined := wireRecord{from: 5, slot: 0, enc: encs[0], dests: []destRef{{to: 6, count: 3}}}
+	var seeds [][]byte
+	seeds = append(seeds,
+		sealRecords(nil, 0, nil),
+		sealRecords(nil, 7, []wireRecord{fanOut}),
+		sealRecords(nil, 2, []wireRecord{combined, fanOut, {from: 1, slot: 2, enc: encs[2], dests: []destRef{{to: 0, count: 1}}}}),
+	)
+	for _, blob := range [][]any{nil, payloads} {
+		tags := make([]emitTag, len(blob))
+		for i := range tags {
+			tags[i] = emitTag{step: int32(i / 2), v: VertexID(100 * i)}
+		}
+		b, err := appendEmits(nil, tags, blob, BasicCodec{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	for _, b := range seeds {
+		for _, n := range []int{0, 1, 2, len(b) / 2, len(b) - 1} {
+			f.Add(b[:n])
+		}
+		f.Add(b)
+	}
+	f.Add(recordsFrame(1, 1<<32, 5))
+	f.Add(emitStream(1<<32+1, 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		errR := decodeRecords(data, -1, BasicCodec{}, func(VertexID, int32, any, VertexID, int32) error { return nil })
+		_, _, errE := decodeEmits(data, nil, nil, BasicCodec{})
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), d)
+		}
+		for _, c := range []struct {
+			name      string
+			accepted  bool
+			canonical func([]byte) ([]byte, error)
+		}{
+			{"records frame", errR == nil, canonicalRecords},
+			{"emit stream", errE == nil, canonicalEmits},
+		} {
+			if !c.accepted {
+				continue
+			}
+			canon, err := c.canonical(data)
+			if err != nil {
+				t.Fatalf("accepted %s does not re-encode: %v", c.name, err)
+			}
+			again, err := c.canonical(canon)
+			if err != nil {
+				t.Fatalf("canonical %s does not decode: %v", c.name, err)
+			}
+			if !bytes.Equal(again, canon) {
+				t.Fatalf("%s re-encoding is not a fixpoint:\n got %x\nwant %x", c.name, again, canon)
+			}
+		}
+	})
+}

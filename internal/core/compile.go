@@ -159,6 +159,7 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 
 	// Structural plan (inner blocks only; outer blocks use the table path).
 	if !c.hasOuter {
+		c.pushImpliedRestrictions()
 		var aliases []string
 		for _, bt := range blk.Tables {
 			aliases = append(aliases, bt.Alias)
@@ -198,6 +199,53 @@ func (e *Session) compilePredicate(an *sql.Analysis, blk *sql.Analyzed, conj sql
 		return p
 	}
 	return &predicate{expr: conj, aliases: sql.AliasesOf(an, conj, 0)}
+}
+
+// pushImpliedRestrictions gives each alias the restriction a residual
+// top-level OR implies for it: the OR, over the arms, of the AND of the
+// arm's conjuncts that read only that alias. An arm is TRUE only if all
+// its conjuncts are, so a row of the alias for which the restriction is
+// FALSE or NULL leaves no arm that can be TRUE, and dropping it at its
+// vertex is sound under three-valued logic. An alias some arm does not
+// constrain gets nothing, and the residual OR stays where it is. The
+// restriction is built from new nodes over the original subtrees: the
+// analysed trees are shared across sessions and never mutated.
+func (c *compiled) pushImpliedRestrictions() {
+	aliases := c.sortAliases()
+	for _, p := range c.residual {
+		if b, ok := p.expr.(*sql.Binary); p.fn != nil || !ok || b.Op != "OR" || len(sql.SubSelects(p.expr)) > 0 {
+			continue
+		}
+		arms := sql.SplitDisjuncts(p.expr)
+		byAlias := make([]map[string][]sql.Expr, len(arms))
+		for i, arm := range arms {
+			byAlias[i] = map[string][]sql.Expr{}
+			for _, conj := range sql.SplitConjuncts(arm) {
+				if as := sql.AliasesOf(c.an, conj, 0); len(as) == 1 {
+					for a := range as {
+						byAlias[i][a] = append(byAlias[i][a], conj)
+					}
+				}
+			}
+		}
+		for _, a := range aliases {
+			var restriction sql.Expr
+			for _, m := range byAlias {
+				if len(m[a]) == 0 {
+					restriction = nil
+					break
+				}
+				if arm := sql.AndAll(m[a]); restriction == nil {
+					restriction = arm
+				} else {
+					restriction = &sql.Binary{Op: "OR", L: restriction, R: arm}
+				}
+			}
+			if restriction != nil {
+				c.filters[a] = append(c.filters[a], &predicate{expr: restriction, aliases: map[string]bool{a: true}})
+			}
+		}
+	}
 }
 
 // asEqui recognizes a.x = b.y between distinct block aliases.
@@ -267,12 +315,6 @@ func (c *compiled) computeNeeded() {
 	for _, p := range c.residual {
 		if p.expr != nil {
 			addExpr(p.expr)
-		}
-		for a := range p.aliases {
-			// Closure predicates record the columns they need as
-			// "alias.column" keys in their alias set encoding; see
-			// tryDecorrelate. Fallback: keep all join columns below.
-			_ = a
 		}
 	}
 	if c.qp != nil {

@@ -107,6 +107,9 @@ func randQuery(rng *rand.Rand) string {
 			conjs = append(conjs, fmt.Sprintf("%s + 1 > %d.5", col(a), rng.Intn(6)))
 		}
 	}
+	if nAliases >= 2 && rng.Intn(4) != 0 {
+		conjs = append(conjs, randCrossOr(rng, aliases))
+	}
 	// Occasionally a subquery predicate.
 	if rng.Intn(4) == 0 {
 		inner := rng.Intn(4)
@@ -142,6 +145,59 @@ func randQuery(rng *rand.Rand) string {
 		return fmt.Sprintf("SELECT COUNT(*), SUM(%s), MAX(%s) FROM %s%s",
 			col(rng.Intn(nAliases)), col(0), strings.Join(from, ", "), where)
 	}
+}
+
+// randCrossOr builds an OR of 2-3 AND arms over two of the aliases, the
+// shape each alias gets an implied restriction from. An arm may
+// constrain only one of the two aliases (so nothing may be pushed to the
+// other), be an IS NULL test, nest a one-alias OR, compare the two
+// aliases with each other, or hold a subquery (so nothing may be pushed
+// at all).
+func randCrossOr(rng *rand.Rand, aliases []string) string {
+	i := rng.Intn(len(aliases))
+	j := (i + 1 + rng.Intn(len(aliases)-1)) % len(aliases)
+	pair := [2]string{aliases[i], aliases[j]}
+	col := func(a string) string { return a + "." + []string{"a", "b", "c"}[rng.Intn(3)] }
+	atom := func(a string) string {
+		switch rng.Intn(5) {
+		case 0:
+			return fmt.Sprintf("%s = %d", col(a), rng.Intn(6))
+		case 1:
+			return fmt.Sprintf("%s > %d", col(a), rng.Intn(5))
+		case 2:
+			return fmt.Sprintf("%s IN (%d, %d)", col(a), rng.Intn(6), rng.Intn(6))
+		case 3:
+			return fmt.Sprintf("%s BETWEEN %d AND %d", col(a), rng.Intn(3), 1+rng.Intn(5))
+		default:
+			return fmt.Sprintf("%s.s = '%s'", a, []string{"x", "y", "z"}[rng.Intn(3)])
+		}
+	}
+	var arms []string
+	for k := 2 + rng.Intn(2); k > 0; k-- {
+		x, y := pair[0], pair[1]
+		if rng.Intn(2) == 0 {
+			x, y = y, x
+		}
+		switch rng.Intn(7) {
+		case 0, 1:
+			arms = append(arms, atom(x)+" AND "+atom(y))
+		case 2: // nothing on y
+			arms = append(arms, atom(x))
+		case 3:
+			arms = append(arms, col(x)+" IS NULL")
+		case 4:
+			arms = append(arms, fmt.Sprintf("(%s OR %s) AND %s", atom(x), atom(x), atom(y)))
+		case 5:
+			arms = append(arms, fmt.Sprintf("%s < %s AND %s", col(x), col(y), atom(x)))
+		default:
+			if rng.Intn(4) == 0 {
+				arms = append(arms, fmt.Sprintf("EXISTS (SELECT 1 FROM t%d sub WHERE sub.a = %s)", rng.Intn(4), col(x)))
+			} else {
+				arms = append(arms, fmt.Sprintf("%s AND %s AND %s", atom(x), atom(y), atom(x)))
+			}
+		}
+	}
+	return "(" + strings.Join(arms, " OR ") + ")"
 }
 
 // TestRandomizedDifferential cross-checks the TAG-join executor against

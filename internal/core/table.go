@@ -16,7 +16,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/relation"
@@ -79,18 +78,6 @@ func (t *table) size() int {
 		}
 	}
 	return n
-}
-
-// union appends other's rows; headers must be identical (same plan edge).
-func (t *table) union(other *table) *table {
-	if len(t.header) != len(other.header) {
-		panic("core: union of incompatible tables")
-	}
-	out := newTableShared(t.header, t.index)
-	out.rows = make([][]relation.Value, 0, len(t.rows)+len(other.rows))
-	out.rows = append(out.rows, t.rows...)
-	out.rows = append(out.rows, other.rows...)
-	return out
 }
 
 // classAgreement describes, for one join-attribute class, the bind keys
@@ -279,35 +266,6 @@ func (a *rowArena) next() []relation.Value {
 func (a *rowArena) keep() {
 	a.buf = a.buf[a.width:]
 	a.kept++
-}
-
-// project keeps only the named columns (which must exist), in order.
-func (t *table) project(cols []string) *table {
-	slots := make([]int, len(cols))
-	for i, c := range cols {
-		slots[i] = t.index[c]
-	}
-	out := newTable(cols)
-	out.rows = make([][]relation.Value, len(t.rows))
-	for r, row := range t.rows {
-		nr := make([]relation.Value, len(cols))
-		for i, s := range slots {
-			nr[i] = row[s]
-		}
-		out.rows[r] = nr
-	}
-	return out
-}
-
-// dropHidden removes #alias provenance columns.
-func (t *table) dropHidden() *table {
-	var keep []string
-	for _, h := range t.header {
-		if !strings.HasPrefix(h, "#") {
-			keep = append(keep, h)
-		}
-	}
-	return t.project(keep)
 }
 
 // sortedKeys returns map keys sorted (test/determinism helper).

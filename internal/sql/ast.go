@@ -272,6 +272,17 @@ func SplitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// SplitDisjuncts flattens a chain of ORs into its disjuncts.
+func SplitDisjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
+	if b, ok := e.(*Binary); ok && b.Op == "OR" {
+		return append(SplitDisjuncts(b.L), SplitDisjuncts(b.R)...)
+	}
+	return []Expr{e}
+}
+
 // AndAll rebuilds a conjunction from parts (nil for empty).
 func AndAll(parts []Expr) Expr {
 	var out Expr

@@ -55,3 +55,39 @@ func TestTPCHAllocsPerQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestTPCHImpliedRestrictionMessages bounds the messages of the two
+// queries whose WHERE holds an OR across aliases, at scale 0.1 on one
+// worker. Each arm of q7's nation-pair OR and of q19's brand/container/
+// quantity OR constrains every alias it reads by itself, so the OR
+// implies a restriction per alias that prunes tuples at their vertices
+// before the reduction sends anything; evaluated only on joined rows, it
+// prunes nothing until collection is over. Each ceiling sits about
+// midway between the count without the implied restrictions and with
+// them (q7 1,991 -> 2; q19 1,170 -> 0).
+func TestTPCHImpliedRestrictionMessages(t *testing.T) {
+	cat := Generate(0.1, 2021)
+	g, err := tag.Build(cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceilings := map[string]int64{
+		"q7":  1000,
+		"q19": 585,
+	}
+	for _, q := range Queries() {
+		ceiling, ok := ceilings[q.ID]
+		if !ok {
+			continue
+		}
+		s := core.NewSession(g, bsp.Options{Workers: 1})
+		if _, err := s.Query(q.SQL); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		msgs := s.Stats().Paper().Messages
+		t.Logf("%s: %d messages", q.ID, msgs)
+		if msgs > ceiling {
+			t.Errorf("%s: %d messages, ceiling %d", q.ID, msgs, ceiling)
+		}
+	}
+}
