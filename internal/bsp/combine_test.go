@@ -105,6 +105,95 @@ func TestCombinedMatchesUncombined(t *testing.T) {
 	}
 }
 
+// foldProgram is sumProgram sending through SendFold: each send adds
+// its value to the destination stream's accumulator in place, and its
+// size depends on the value, so the accounting must price every logical
+// send as the payload it stands for.
+type foldProgram struct{ sumProgram }
+
+func foldSize(x int64) int { return 8 + int(x%5) }
+
+func (p *foldProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
+	ctx.AddOps(1 + InboxCount(inbox))
+	var total int64
+	for _, m := range inbox {
+		total += m.Payload.(int64)
+	}
+	if len(inbox) > 0 {
+		ctx.Emit([3]int64{int64(v), total, int64(InboxCount(inbox))})
+	}
+	if ctx.Step() >= p.hops {
+		return
+	}
+	x := int64(int(v)*7+ctx.Step()*13) % 100
+	for _, e := range ctx.Graph().EdgesWithLabel(v, p.lbl) {
+		ctx.SendFold(v, e.To, func(acc any) (any, int) {
+			if acc == nil {
+				return x, foldSize(x)
+			}
+			return acc.(int64) + x, foldSize(x)
+		})
+	}
+}
+
+// TestSendFoldMatchesSend: SendFold delivers what an uncombined Send of
+// the same values does, combined or not and across two partitions, with
+// the same paper-facing Stats; only where the payload is built differs.
+func TestSendFoldMatchesSend(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	size := func(p any) int { return foldSize(p.(int64)) }
+	for trial := 0; trial < 6; trial++ {
+		n := 20 + rng.Intn(120)
+		k := 1 + rng.Intn(6)
+		hops := 2 + rng.Intn(3)
+		initial := []VertexID{VertexID(rng.Intn(n)), VertexID(rng.Intn(n)), VertexID(rng.Intn(n))}
+
+		// The reference sends the same values with Send, uncombined.
+		g, lbl := meshGraph(n, k)
+		base := NewEngine(g, Options{Workers: 1, NoCombine: true, PayloadSize: size})
+		baseStats := base.Run(&sumProgram{lbl: lbl, hops: hops}, initial)
+		baseEmit := append([]any(nil), base.Emitted()...)
+
+		for _, opts := range []Options{
+			{Workers: 1},
+			{Workers: 4},
+			{Workers: 4, NoCombine: true},
+			{Workers: 2, Partitions: 2},
+			{Workers: 2, Partitions: 2, NoCombine: true},
+		} {
+			g, lbl := meshGraph(n, k)
+			opts.PayloadSize = size
+			eng := NewEngine(g, opts)
+			stats := eng.Run(&foldProgram{sumProgram{lbl: lbl, hops: hops}}, initial)
+			if err := eng.RunErr(); err != nil {
+				t.Fatalf("trial %d %+v: %v", trial, opts, err)
+			}
+			got := stats.Paper()
+			if opts.Partitions > 1 {
+				if got.NetworkMessages == 0 {
+					t.Errorf("trial %d %+v: nothing crossed partitions", trial, opts)
+				}
+				got.NetworkMessages, got.NetworkBytes = 0, 0
+			}
+			if got != baseStats.Paper() {
+				t.Errorf("trial %d %+v: stats %v != base %v", trial, opts, got, baseStats.Paper())
+			}
+			emitted := eng.Emitted()
+			if len(emitted) != len(baseEmit) {
+				t.Fatalf("trial %d %+v: %d emits, want %d", trial, opts, len(emitted), len(baseEmit))
+			}
+			for j := range emitted {
+				if emitted[j] != baseEmit[j] {
+					t.Fatalf("trial %d %+v: emit[%d] = %v, want %v", trial, opts, j, emitted[j], baseEmit[j])
+				}
+			}
+			if !opts.NoCombine && k > 1 && stats.MessagesCombined == 0 {
+				t.Errorf("trial %d %+v: dense fan-in folded nothing", trial, opts)
+			}
+		}
+	}
+}
+
 // TestCombineAccounting pins the fold bookkeeping on a star graph: n
 // leaves send one int64 to the root, so any worker count must deliver
 // exactly one message representing n logical sends, with n-1 folds and
@@ -256,7 +345,8 @@ func TestCombinePoolTrim(t *testing.T) {
 
 // TestSteadyStateZeroAllocCombined: the accumulator tables, fold-stream
 // indexes and pending lists all join the engine's pools, so a warm
-// single-worker Run with a combiner still allocates nothing. (Payloads
+// single-worker Run with a combiner still allocates nothing, whether it
+// sends with Send or with SendFold. (Payloads
 // are small int64s, which Go boxes from its static cache.)
 func TestSteadyStateZeroAllocCombined(t *testing.T) {
 	g, lbl := meshGraph(64, 3)
@@ -273,12 +363,34 @@ func TestSteadyStateZeroAllocCombined(t *testing.T) {
 			ctx.SendAlong(v, lbl, int64(1))
 		}
 	}), SumCombiner{})
+	// The same program building its payloads in place with SendFold.
+	foldProg := WithCombiner(ProgramFunc(func(ctx *Context, v VertexID, inbox []Message) {
+		ctx.AddOps(1 + InboxCount(inbox))
+		for _, m := range inbox {
+			sink += m.Payload.(int64)
+		}
+		if ctx.Step() < 3 {
+			for _, e := range ctx.Graph().EdgesWithLabel(v, lbl) {
+				ctx.SendFold(v, e.To, func(acc any) (any, int) {
+					if acc == nil {
+						return int64(1), 8
+					}
+					return acc.(int64) + 1, 8
+				})
+			}
+		}
+	}), SumCombiner{})
 	initial := []VertexID{0, 1, 2, 3}
-	eng.Run(prog, initial)
-	eng.Run(prog, initial)
-	allocs := testing.AllocsPerRun(10, func() { eng.Run(prog, initial) })
-	if allocs > 0 {
-		t.Errorf("steady-state combined Run allocates %.1f times, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		prog Program
+	}{{"Send", prog}, {"SendFold", foldProg}} {
+		eng.Run(tc.prog, initial)
+		eng.Run(tc.prog, initial)
+		allocs := testing.AllocsPerRun(10, func() { eng.Run(tc.prog, initial) })
+		if allocs > 0 {
+			t.Errorf("%s: steady-state combined Run allocates %.1f times, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -1375,15 +1375,46 @@ func (c *Context) Send(from, to VertexID, payload any) {
 // of its (shard, destination, slot) stream, accounting the send as if it
 // had been materialized.
 func (c *Context) sendCombined(comb Combiner, s, slot int, from, to VertexID, payload any) {
-	opts := &c.eng.opts
-	c.stats.Messages++
-	c.stats.MessageBytes += int64(opts.PayloadSize(payload))
+	entry := c.foldStream(s, slot, from, to)
+	entry.pay = comb.Fold(entry.pay, from, payload)
+	c.countFold(entry, c.eng.opts.PayloadSize(payload))
+}
+
+// SendFold sends one logical message to `to` whose payload fold builds
+// straight into its fold stream, so a sender never materializes a
+// message the combiner would only merge and drop. With a combiner
+// running, fold receives this worker's accumulator for the (to, slot 0)
+// stream — nil when the stream is new — and returns the new accumulator
+// and the size of the logical message it folded in: the PayloadSize of
+// the payload the sender would otherwise have built and Sent. The engine
+// keeps the accumulator and accounts one send of that size, exactly as
+// Send would have. Without a combiner (Options.NoCombine, the adaptive
+// gate, or a program that declares none) fold(nil) is enqueued as a
+// plain message and priced by PayloadSize. The combiner's Merge must
+// accept what fold returns. Partition keying and the combine-plane
+// bookkeeping are those of Send.
+func (c *Context) SendFold(from, to VertexID, fold func(acc any) (any, int)) {
+	if c.eng.comb == nil {
+		pay, _ := fold(nil)
+		c.Send(from, to, pay)
+		return
+	}
+	entry := c.foldStream(c.eng.shardOf(to), 0, from, to)
+	var size int
+	entry.pay, size = fold(entry.pay)
+	c.countFold(entry, size)
+}
+
+// foldStream returns this worker's accumulator entry for the (shard,
+// destination, slot) stream of a send from `from`, starting an empty one
+// (nil payload, no sends) on the stream's first send.
+func (c *Context) foldStream(s, slot int, from, to VertexID) *accEntry {
 	// Fold streams split by the sender's partition: each partition's
 	// share of a stream is exactly the folded accumulator it would ship
 	// as one wire record, so the accounting (and the distributed
 	// exchange) falls out of the keying. At Partitions == 1 src stays 0.
 	var src int32
-	if opts.Partitions > 1 {
+	if opts := &c.eng.opts; opts.Partitions > 1 {
 		src = int32(opts.PartitionOf(from))
 	}
 	a := &c.acc[s]
@@ -1398,17 +1429,23 @@ func (c *Context) sendCombined(comb Combiner, s, slot int, from, to VertexID, pa
 			i = int32(len(a.entries))
 			a.idx[k] = i
 			a.keys = append(a.keys, k)
-			a.entries = append(a.entries, accEntry{from: from, count: 1, pay: comb.Fold(nil, from, payload)})
-			a.last = i
-			return
+			a.entries = append(a.entries, accEntry{from: from})
 		}
 	}
 	a.last = i
-	entry := &a.entries[i]
-	entry.pay = comb.Fold(entry.pay, from, payload)
+	return &a.entries[i]
+}
+
+// countFold accounts one logical send of size bytes folded into entry:
+// every send after a stream's first is one the inbox never holds.
+func (c *Context) countFold(entry *accEntry, size int) {
+	c.stats.Messages++
+	c.stats.MessageBytes += int64(size)
 	entry.count++
-	c.stats.MessagesCombined++
-	c.stats.InboxBytesSaved += msgBytes
+	if entry.count > 1 {
+		c.stats.MessagesCombined++
+		c.stats.InboxBytesSaved += msgBytes
+	}
 }
 
 // SendAlong sends payload along every out-edge of v carrying label and

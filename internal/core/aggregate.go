@@ -1,24 +1,37 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bsp"
 	"repro/internal/relation"
 	"repro/internal/sql"
 )
 
 // groupAcc is one (partial) aggregation group: the evaluated GROUP BY key
-// values, a representative source row, and partial accumulators.
+// values, a representative source row, and partial accumulators. stamp
+// is the last groupObserver.observe call that touched the group.
 type groupAcc struct {
-	key  []relation.Value
-	rep  []relation.Value
-	aggs []*sql.Aggregator
+	key   []relation.Value
+	rep   []relation.Value
+	aggs  []*sql.Aggregator
+	stamp uint64
+}
+
+// size is the group's share of a partialGroups payload.
+func (g *groupAcc) size() int {
+	n := 32 * len(g.aggs)
+	for _, v := range g.key {
+		n += v.Size()
+	}
+	return n
 }
 
 // partialGroups is the message payload of the aggregation finalization:
-// a vertex's locally pre-aggregated groups (the eager aggregation of §7).
-// It is also the accumulator every merge of groups folds into (fold):
-// index finds groups by key, and logical preserves the pre-combine group
-// count of a combined message for the receiver's ComputeOps accounting.
+// pre-aggregated groups (the eager aggregation of §7). It is also the
+// accumulator every merge of groups folds into (fold): index finds
+// groups by key, and logical preserves the pre-combine group count of a
+// combined message for the receiver's ComputeOps accounting.
 type partialGroups struct {
 	header  []string
 	groups  []*groupAcc
@@ -29,8 +42,8 @@ type partialGroups struct {
 // fold merges b's groups into p by key, in b's order: a new key's group
 // is borrowed (appended, not copied) and an existing key's absorbs it
 // with sql.Aggregator.Merge. Merges are exact, so the same partials give
-// the same bits whether they fold at Send time, at the shard merge, at a
-// relay, at the receiving vertex or into a cached incremental state.
+// the same bits whether they fold at the shard merge, at a relay, at the
+// receiving vertex or into a cached incremental state.
 func (p *partialGroups) fold(b *partialGroups) {
 	if p.header == nil {
 		p.header = b.header
@@ -60,10 +73,7 @@ func (p *partialGroups) logicalGroups() int {
 func (p *partialGroups) size() int {
 	n := 16
 	for _, g := range p.groups {
-		for _, v := range g.key {
-			n += v.Size()
-		}
-		n += 32 * len(g.aggs)
+		n += g.size()
 	}
 	return n
 }
@@ -107,57 +117,86 @@ func (s *aggSetup) newAccs() []*sql.Aggregator {
 	return out
 }
 
-// groupLocally folds rows of t into per-group partial accumulators, in
-// first-seen group order. On the distributed paths subq is nil (group
-// keys and aggregate arguments are vertex-safe there).
-func groupLocally(c *compiled, setup *aggSetup, t *table, rows [][]relation.Value, outer *sql.Env, subq sql.SubqueryFn) ([]*groupAcc, error) {
-	// The key is evaluated into scratch and copied out only for a new
-	// group; the common narrow key shares the env's allocation.
-	sc := &struct {
-		env sql.Env
-		key [2]relation.Value
-	}{env: sql.Env{Binding: sql.Binding(t.index), Parent: outer}}
-	env := &sc.env
-	var scratch []relation.Value
-	if n := len(c.blk.Sel.GroupBy); n > len(sc.key) {
-		scratch = make([]relation.Value, n)
-	} else {
-		scratch = sc.key[:n]
+// groupObserver is §7's eager aggregation: it observes rows straight
+// into the groups of a partialGroups, evaluating each row's GROUP BY
+// key, finding or starting the key's group, and observing the row's
+// aggregate arguments into the group's accumulators. The distributed
+// finalizations observe a survivor's rows into its worker's fold stream
+// (bsp.Context.SendFold); the central path observes a whole table into
+// one partialGroups. An observer belongs to one goroutine and reuses
+// its buffers across calls.
+type groupObserver struct {
+	c     *compiled
+	setup *aggSetup
+	subq  sql.SubqueryFn
+	env   sql.Env
+	key   []relation.Value
+	// stamp numbers the observe calls, so a group whose stamp is not
+	// the current call's is one this call has not touched yet.
+	stamp uint64
+	// copyRep copies a new group's representative row, for rows that
+	// live in scratch the caller overwrites.
+	copyRep bool
+}
+
+// newGroupObserver returns an observer for the block's groups. On the
+// distributed paths subq is nil (group keys and aggregate arguments are
+// vertex-safe there).
+func newGroupObserver(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.SubqueryFn, copyRep bool) *groupObserver {
+	return &groupObserver{c: c, setup: setup, subq: subq, env: sql.Env{Parent: outer},
+		key: make([]relation.Value, len(c.blk.Sel.GroupBy)), copyRep: copyRep}
+}
+
+// observe folds rows, shaped by t's header, into pg's groups; new keys
+// start groups in first-seen order. It returns how many of pg's groups
+// the rows touched and the size of a partialGroups holding only those
+// groups: exactly the group count and payload size of the partial the
+// rows' sender would have built on its own, whatever pg already held.
+func (o *groupObserver) observe(pg *partialGroups, t *table, rows [][]relation.Value) (touched, size int, err error) {
+	if pg.header == nil {
+		pg.header = t.header
 	}
-	var index keyIndex
-	var groups []*groupAcc
-	keyAt := func(i int) []relation.Value { return groups[i].key }
+	before := pg.logicalGroups()
+	o.stamp++
+	env := &o.env
+	env.Binding = sql.Binding(t.index)
+	keyAt := func(i int) []relation.Value { return pg.groups[i].key }
+	size = 16
 	for _, row := range rows {
 		env.Row = relation.Tuple(row)
-		for i, g := range c.blk.Sel.GroupBy {
-			v, err := sql.Eval(g, env, subq)
-			if err != nil {
-				return nil, err
+		for i, g := range o.c.blk.Sel.GroupBy {
+			if o.key[i], err = sql.Eval(g, env, o.subq); err != nil {
+				return touched, size, err
 			}
-			scratch[i] = v
 		}
 		var grp *groupAcc
-		if i := index.find(len(groups), keyAt, scratch); i >= 0 {
-			grp = groups[i]
+		if i := pg.index.find(len(pg.groups), keyAt, o.key); i >= 0 {
+			grp = pg.groups[i]
 		} else {
-			grp = newGroup(scratch, row, setup.newAccs())
-			groups = append(groups, grp)
+			rep := row
+			if o.copyRep {
+				rep = append([]relation.Value(nil), row...)
+			}
+			grp = newGroup(o.key, rep, o.setup.newAccs())
+			pg.groups = append(pg.groups, grp)
 		}
-		for i, f := range setup.list {
-			var v relation.Value
-			if f.Star {
-				v = relation.Int(1)
-			} else {
-				var err error
-				v, err = sql.Eval(f.Args[0], env, subq)
-				if err != nil {
-					return nil, err
+		if grp.stamp != o.stamp {
+			grp.stamp = o.stamp
+			touched++
+			size += grp.size()
+		}
+		for i, f := range o.setup.list {
+			v := relation.Int(1)
+			if !f.Star {
+				if v, err = sql.Eval(f.Args[0], env, o.subq); err != nil {
+					return touched, size, err
 				}
 			}
 			grp.aggs[i].Observe(v)
 		}
 	}
-	return groups, nil
+	pg.logical = before + touched
+	return touched, size, nil
 }
 
 // newGroup returns a group with a copy of key; a narrow key shares the
@@ -174,31 +213,29 @@ func newGroup(key, rep []relation.Value, aggs []*sql.Aggregator) *groupAcc {
 	return &g.groupAcc
 }
 
-// residualRows applies the block's residual predicates to a table's rows.
-func (e *Session) residualRows(c *compiled, t *table, outer *sql.Env) ([][]relation.Value, error) {
+// residualRows appends to dst the rows of t that pass the block's
+// residual predicates, evaluated in env (whose Parent is the outer
+// scope). With no residual predicates it returns t.rows itself.
+func residualRows(c *compiled, env *sql.Env, t *table, dst [][]relation.Value) ([][]relation.Value, error) {
 	if len(c.residual) == 0 {
 		return t.rows, nil
 	}
-	env := &sql.Env{Binding: sql.Binding(t.index), Parent: outer}
-	var out [][]relation.Value
+	env.Binding = sql.Binding(t.index)
+rows:
 	for _, row := range t.rows {
 		env.Row = relation.Tuple(row)
-		keep := true
 		for _, p := range c.residual {
 			ok, err := p.eval(env, nil)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
-				keep = false
-				break
+				continue rows
 			}
 		}
-		if keep {
-			out = append(out, row)
-		}
+		dst = append(dst, row)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // vertexTable returns the collection value of a survivor vertex.
@@ -217,7 +254,11 @@ func (e *Session) finalizeNone(c *compiled, res *componentResult, outer *sql.Env
 		if t == nil {
 			return
 		}
-		rows, err := e.residualRows(c, t, outer)
+		var env *sql.Env
+		if len(c.residual) > 0 {
+			env = &sql.Env{Parent: outer}
+		}
+		rows, err := residualRows(c, env, t, nil)
 		ctx.AddOps(len(t.rows))
 		if err != nil {
 			ctx.Fail(err)
@@ -246,57 +287,179 @@ func (e *Session) finalizeNone(c *compiled, res *componentResult, outer *sql.Env
 	return e.projectCentral(c, all, outer, subq)
 }
 
+// survivorFolder is step 0 of the distributed finalizations: a survivor
+// keeps the rows of its table that pass the residual predicates and
+// observes them straight into its worker's fold stream toward each
+// aggregation target (bsp.Context.SendFold). No per-vertex partial is
+// built; under NoCombine each SendFold still builds one, as the plain
+// message the reference run delivers.
+type survivorFolder struct {
+	c   *compiled
+	res *componentResult
+	w   []foldScratch
+}
+
+// foldScratch is one worker's survivorFolder state.
+type foldScratch struct {
+	obs  *groupObserver
+	env  sql.Env
+	own  table              // a single-alias survivor's own row
+	rows [][]relation.Value // the survivor's rows past the residual predicates
+	// The local path's split of a survivor's rows by target: targets in
+	// first-seen order, slot maps a target to its index, ends[i] is the
+	// end of target i's run in sorted, and of is each row's target index.
+	targets []bsp.VertexID
+	slot    map[bsp.VertexID]int32
+	ends    []int
+	of      []int32
+	sorted  [][]relation.Value
+}
+
+func (e *Session) newSurvivorFolder(c *compiled, res *componentResult, setup *aggSetup, outer *sql.Env) *survivorFolder {
+	f := &survivorFolder{c: c, res: res, w: make([]foldScratch, e.eng.Workers())}
+	for i := range f.w {
+		ws := &f.w[i]
+		// Own rows are rewritten per survivor, so groups copy theirs.
+		ws.obs = newGroupObserver(c, setup, outer, nil, res.values == nil)
+		ws.env.Parent = outer
+		ws.own.rows = make([][]relation.Value, 1)
+	}
+	return f
+}
+
+// survivor returns the calling worker's scratch, v's table and the rows
+// of it that pass the residual predicates; a nil table means v holds no
+// value.
+func (f *survivorFolder) survivor(ctx *bsp.Context, v bsp.VertexID) (*foldScratch, *table, [][]relation.Value, error) {
+	ws := &f.w[ctx.Worker()]
+	var t *table
+	if f.res.values == nil {
+		t = f.res.run.writeOwnRow(&ws.own, f.res.rootAlias, v)
+	} else if t = f.res.values[v]; t == nil {
+		return ws, nil, nil, nil
+	}
+	rows, err := residualRows(f.c, &ws.env, t, ws.rows[:0])
+	if len(f.c.residual) > 0 {
+		ws.rows = rows
+	}
+	return ws, t, rows, err
+}
+
+// send observes rows into the fold stream from v to `to`, one logical
+// send, and returns how many groups the rows touched.
+func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.VertexID, t *table, rows [][]relation.Value) (int, error) {
+	var touched int
+	var err error
+	ctx.SendFold(v, to, func(acc any) (any, int) {
+		pg, _ := acc.(*partialGroups)
+		if pg == nil {
+			pg = &partialGroups{}
+		}
+		var size int
+		touched, size, err = ws.obs.observe(pg, t, rows)
+		return pg, size
+	})
+	return touched, err
+}
+
+// splitByTarget orders rows by target into ws.sorted — targets in
+// first-seen order, rows in their order within a target — and lists the
+// targets in ws.targets with the end of each one's run in ws.ends.
+// Rows that all go to one target are left where they are.
+func (ws *foldScratch) splitByTarget(rows [][]relation.Value, target func([]relation.Value) (bsp.VertexID, error)) ([][]relation.Value, error) {
+	ws.targets, ws.ends, ws.of = ws.targets[:0], ws.ends[:0], ws.of[:0]
+	if len(ws.slot) > 0 {
+		clear(ws.slot)
+	}
+	for _, row := range rows {
+		av, err := target(row)
+		if err != nil {
+			return nil, err
+		}
+		i := int32(-1)
+		if len(ws.targets) <= linearKeys {
+			if j := slices.Index(ws.targets, av); j >= 0 {
+				i = int32(j)
+			}
+		} else if j, ok := ws.slot[av]; ok {
+			i = j
+		}
+		if i < 0 {
+			i = int32(len(ws.targets))
+			ws.targets = append(ws.targets, av)
+			ws.ends = append(ws.ends, 0)
+			if len(ws.targets) > linearKeys {
+				if ws.slot == nil {
+					ws.slot = make(map[bsp.VertexID]int32)
+				}
+				for j := len(ws.slot); j < len(ws.targets); j++ {
+					ws.slot[ws.targets[j]] = int32(j)
+				}
+			}
+		}
+		ws.of = append(ws.of, i)
+		ws.ends[i]++
+	}
+	if len(ws.targets) <= 1 {
+		ws.ends = append(ws.ends[:0], len(rows))
+		return rows, nil
+	}
+	start := 0
+	for i, n := range ws.ends {
+		ws.ends[i] = start
+		start += n
+	}
+	ws.sorted = slices.Grow(ws.sorted[:0], len(rows))[:len(rows)]
+	for i, row := range rows {
+		j := ws.of[i]
+		ws.sorted[ws.ends[j]] = row
+		ws.ends[j]++
+	}
+	return ws.sorted, nil
+}
+
 // finalizeLocal is the §7 local-aggregation path: survivors pre-aggregate
-// their rows and send the partial groups to the attribute vertex of the
-// group key, where each group's aggregation completes in parallel with
-// all other groups.
+// their rows toward the attribute vertex of the group key, where each
+// group's aggregation completes in parallel with all other groups.
 func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	setup := newAggSetup(c.blk)
+	f := e.newSurvivorFolder(c, res, setup, outer)
+	keyOf := c.blk.Sel.GroupBy[0]
 	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 		switch ctx.Step() {
 		case 0:
-			t := res.vertexTable(v)
-			if t == nil {
+			ws, t, rows, err := f.survivor(ctx, v)
+			if t == nil && err == nil {
 				return
 			}
-			rows, err := e.residualRows(c, t, outer)
+			// A group goes to the attribute vertex of its first key, so a
+			// survivor sends once per target its rows have.
+			target := func(row []relation.Value) (bsp.VertexID, error) {
+				ws.env.Binding, ws.env.Row = sql.Binding(t.index), relation.Tuple(row)
+				k, err := sql.Eval(keyOf, &ws.env, nil)
+				if err != nil {
+					return 0, err
+				}
+				if av, ok := e.TAG.AttrVertexOf(k); ok {
+					return av, nil
+				}
+				return e.TAG.Aggregator, nil // NULL or unmaterialized key value
+			}
+			if err == nil {
+				rows, err = ws.splitByTarget(rows, target)
+			}
+			touched, start := 0, 0
+			for i := 0; err == nil && i < len(ws.targets); i++ {
+				var n int
+				n, err = f.send(ctx, ws, v, ws.targets[i], t, rows[start:ws.ends[i]])
+				touched += n
+				start = ws.ends[i]
+			}
 			if err != nil {
 				ctx.Fail(err)
 				return
 			}
-			groups, err := groupLocally(c, setup, t, rows, outer, nil)
-			if err != nil {
-				ctx.Fail(err)
-				return
-			}
-			ctx.AddOps(len(t.rows) + len(groups))
-			// Partition groups by the attribute vertex of the first key; a
-			// lone group, the common case, goes as it is.
-			target := func(g *groupAcc) bsp.VertexID {
-				if av, ok := e.TAG.AttrVertexOf(g.key[0]); ok {
-					return av
-				}
-				return e.TAG.Aggregator // NULL or unmaterialized key value
-			}
-			if len(groups) == 1 {
-				ctx.Send(v, target(groups[0]), &partialGroups{header: t.header, groups: groups})
-				return
-			}
-			byTarget := map[bsp.VertexID]*partialGroups{}
-			var targets []bsp.VertexID
-			for _, g := range groups {
-				av := target(g)
-				pg := byTarget[av]
-				if pg == nil {
-					pg = &partialGroups{header: t.header}
-					byTarget[av] = pg
-					targets = append(targets, av)
-				}
-				pg.groups = append(pg.groups, g)
-			}
-			for _, av := range targets {
-				ctx.Send(v, av, byTarget[av]) // folds en route (pgCombiner)
-			}
+			ctx.AddOps(len(t.rows) + touched)
 		case 1:
 			// Attribute vertices merge the partials of their groups; each
 			// vertex handles its own groups independently (LA parallelism).
@@ -318,11 +481,13 @@ func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.En
 	return e.projectEmitted(c, setup, outer, subq)
 }
 
-// finalizeGlobal is the §7 global/scalar aggregation path: survivors send
-// partial groups to the single global aggregator vertex, which merges
-// them sequentially (the bottleneck the paper measures on GA queries).
+// finalizeGlobal is the §7 global/scalar aggregation path: survivors
+// pre-aggregate their rows toward the single global aggregator vertex,
+// which merges the partials sequentially (the bottleneck the paper
+// measures on GA queries).
 func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	setup := newAggSetup(c.blk)
+	f := e.newSurvivorFolder(c, res, setup, outer)
 
 	// With a partitioned (distributed) graph, partials are first combined
 	// at one relay vertex per machine, so only one combined message per
@@ -358,30 +523,23 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 		switch {
 		case ctx.Step() == 0:
-			t := res.vertexTable(v)
-			if t == nil {
+			ws, t, rows, err := f.survivor(ctx, v)
+			if t == nil && err == nil {
 				return
 			}
-			rows, err := e.residualRows(c, t, outer)
+			touched := 0
+			if err == nil && len(rows) > 0 {
+				to := e.TAG.Aggregator
+				if len(relays) > 1 {
+					to = relays[partOf(v)]
+				}
+				touched, err = f.send(ctx, ws, v, to, t, rows)
+			}
 			if err != nil {
 				ctx.Fail(err)
 				return
 			}
-			groups, err := groupLocally(c, setup, t, rows, outer, nil)
-			if err != nil {
-				ctx.Fail(err)
-				return
-			}
-			ctx.AddOps(len(t.rows) + len(groups))
-			if len(groups) == 0 {
-				return
-			}
-			pg := &partialGroups{header: t.header, groups: groups}
-			if len(relays) > 1 {
-				ctx.Send(v, relays[partOf(v)], pg)
-			} else {
-				ctx.Send(v, e.TAG.Aggregator, pg)
-			}
+			ctx.AddOps(len(t.rows) + touched)
 		case ctx.Step() == relayStep && len(relays) > 1:
 			// Per-machine relay: combine and forward one message.
 			if pg := mergeInbox(ctx, inbox); len(pg.groups) > 0 {

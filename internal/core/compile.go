@@ -46,6 +46,11 @@ type predicate struct {
 	// cols lists "alias.column" bind keys a closure predicate reads (so
 	// the compiler can carry them through collection).
 	cols []string
+	// hoisted marks an expression that holds a subquery decorrelation
+	// did not compile away: it would re-enter the engine inside a vertex
+	// program, so it runs centrally (hoistUnsafeFilters,
+	// applyResidualCentral) and never at a vertex.
+	hoisted bool
 }
 
 // eval evaluates the predicate under env.
@@ -181,7 +186,7 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		if pr.fn != nil {
 			continue // closures already carry cols
 		}
-		if len(sql.SubSelects(pr.expr)) > 0 {
+		if pr.hoisted {
 			continue // vertex-unsafe: central evaluation only
 		}
 		for _, ref := range sql.ColRefs(pr.expr) {
@@ -198,7 +203,7 @@ func (e *Session) compilePredicate(an *sql.Analysis, blk *sql.Analyzed, conj sql
 	if p := e.tryDecorrelate(an, blk, conj); p != nil {
 		return p
 	}
-	return &predicate{expr: conj, aliases: sql.AliasesOf(an, conj, 0)}
+	return &predicate{expr: conj, aliases: sql.AliasesOf(an, conj, 0), hoisted: len(sql.SubSelects(conj)) > 0}
 }
 
 // pushImpliedRestrictions gives each alias the restriction a residual
@@ -213,7 +218,7 @@ func (e *Session) compilePredicate(an *sql.Analysis, blk *sql.Analyzed, conj sql
 func (c *compiled) pushImpliedRestrictions() {
 	aliases := c.sortAliases()
 	for _, p := range c.residual {
-		if b, ok := p.expr.(*sql.Binary); p.fn != nil || !ok || b.Op != "OR" || len(sql.SubSelects(p.expr)) > 0 {
+		if b, ok := p.expr.(*sql.Binary); p.fn != nil || !ok || b.Op != "OR" || p.hoisted {
 			continue
 		}
 		arms := sql.SplitDisjuncts(p.expr)
@@ -406,7 +411,7 @@ func (c *compiled) hasLocalAggKey(t *tag.Graph) bool {
 // re-enter the engine).
 func (c *compiled) residualVertexSafe() bool {
 	for _, p := range c.residual {
-		if p.fn == nil && len(sql.SubSelects(p.expr)) > 0 {
+		if p.hoisted {
 			return false
 		}
 	}

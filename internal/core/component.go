@@ -88,7 +88,7 @@ func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env
 		r.bindings[bt.Alias] = binding
 	}
 	for _, pr := range c.residual {
-		if len(pr.cols) > 0 && (pr.fn != nil || len(sql.SubSelects(pr.expr)) == 0) {
+		if len(pr.cols) > 0 && !pr.hoisted {
 			r.collectPreds = append(r.collectPreds, pr)
 		}
 	}
@@ -206,7 +206,7 @@ func (r *componentRun) hoistUnsafeFilters() error {
 	for alias, preds := range r.c.filters {
 		var unsafe []*predicate
 		for _, p := range preds {
-			if p.fn == nil && len(sql.SubSelects(p.expr)) > 0 {
+			if p.hoisted {
 				unsafe = append(unsafe, p)
 			}
 		}
@@ -292,7 +292,7 @@ func (r *componentRun) prepareFilterMemo() {
 	for alias, preds := range r.c.filters {
 		hasSafe := false
 		for _, p := range preds {
-			if p.fn != nil || len(sql.SubSelects(p.expr)) == 0 {
+			if !p.hoisted {
 				hasSafe = true
 			}
 		}
@@ -309,8 +309,8 @@ func (r *componentRun) evalFilters(alias string, v bsp.VertexID, row relation.Tu
 	}
 	env := &sql.Env{Binding: r.aliasBinding(alias), Row: row, Parent: r.outer}
 	for _, p := range preds {
-		if p.fn == nil && len(sql.SubSelects(p.expr)) > 0 {
-			continue // hoisted
+		if p.hoisted {
+			continue // pre-evaluated by hoistUnsafeFilters
 		}
 		ok, err := p.eval(env, nil)
 		if err != nil || !ok {
@@ -507,7 +507,7 @@ func (r *componentRun) equalityValues(alias string, schema *relation.Schema, p *
 // a pushed filter reads, or -1 if it reads none or several, reads an
 // outer scope, holds a subquery or is a compiled closure.
 func singleColumn(p *predicate, alias string, schema *relation.Schema) int {
-	if p.fn != nil || len(sql.SubSelects(p.expr)) > 0 {
+	if p.fn != nil || p.hoisted {
 		return -1
 	}
 	ci := -1

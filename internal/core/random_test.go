@@ -138,12 +138,20 @@ func randQuery(rng *rand.Rand) string {
 			col(0), strings.Join(from, ", "), where)
 	case 2: // group by + aggregates
 		g := col(rng.Intn(nAliases))
-		return fmt.Sprintf("SELECT %s, COUNT(*), SUM(%s), MIN(%s) FROM %s%s GROUP BY %s",
-			g, col(rng.Intn(nAliases)), col(rng.Intn(nAliases)),
+		if nAliases >= 2 && rng.Intn(2) == 0 {
+			// Two key columns from two aliases: a survivor's collected
+			// rows can then fall into several groups, and on the local
+			// path go to several attribute vertices.
+			i := rng.Intn(nAliases)
+			g = col(i) + ", " + col((i+1+rng.Intn(nAliases-1))%nAliases)
+		}
+		return fmt.Sprintf("SELECT %s, COUNT(*), SUM(%s), MIN(%s), AVG(%s), COUNT(DISTINCT %s) FROM %s%s GROUP BY %s",
+			g, col(rng.Intn(nAliases)), col(rng.Intn(nAliases)), col(rng.Intn(nAliases)), col(rng.Intn(nAliases)),
 			strings.Join(from, ", "), where, g)
 	default: // scalar aggregation
-		return fmt.Sprintf("SELECT COUNT(*), SUM(%s), MAX(%s) FROM %s%s",
-			col(rng.Intn(nAliases)), col(0), strings.Join(from, ", "), where)
+		return fmt.Sprintf("SELECT COUNT(*), SUM(%s), MAX(%s), AVG(%s), COUNT(DISTINCT %s) FROM %s%s",
+			col(rng.Intn(nAliases)), col(0), col(rng.Intn(nAliases)), col(rng.Intn(nAliases)),
+			strings.Join(from, ", "), where)
 	}
 }
 
@@ -203,8 +211,8 @@ func randCrossOr(rng *rand.Rand, aliases []string) string {
 // TestRandomizedDifferential cross-checks the TAG-join executor against
 // the baseline engine on hundreds of randomly generated queries over
 // randomly generated databases (small domains: duplicate-heavy,
-// NULL-heavy, skewed), on one worker, on four, and across two
-// partitions.
+// NULL-heavy, skewed), on one worker, on four with and without the
+// message combiners, and across two partitions.
 func TestRandomizedDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -212,6 +220,7 @@ func TestRandomizedDifferential(t *testing.T) {
 	}{
 		{"workers1", bsp.Options{Workers: 1}},
 		{"workers4", bsp.Options{Workers: 4}},
+		{"workers4-uncombined", bsp.Options{Workers: 4, NoCombine: true}},
 		{"partitions2", bsp.Options{Partitions: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { randomizedDifferential(t, tc.opts) })

@@ -443,11 +443,11 @@ func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql
 	blk := c.blk
 	if blk.HasAgg || len(blk.Sel.GroupBy) > 0 {
 		setup := newAggSetup(blk)
-		groups, err := groupLocally(c, setup, t, t.rows, outer, subq)
-		if err != nil {
+		var pg partialGroups
+		if _, _, err := newGroupObserver(c, setup, outer, subq, false).observe(&pg, t, t.rows); err != nil {
 			return nil, err
 		}
-		return projectGroups(c, setup, groups, t.header, outer, subq)
+		return projectGroups(c, setup, pg.groups, t.header, outer, subq)
 	}
 	out := relation.New("result", blk.OutputSchema())
 	env := &sql.Env{Binding: sql.Binding(t.index), Parent: outer}

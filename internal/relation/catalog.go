@@ -61,12 +61,12 @@ func (c *Catalog) Clone() *Catalog {
 		foreign:   c.foreign,
 	}
 	for k, r := range c.relations {
-		nr := *r
 		// Cap the tuple slice at its current length so a later append in
 		// one clone cannot write into backing memory that a sibling clone
-		// of the same snapshot has already claimed.
-		nr.Tuples = nr.Tuples[:len(nr.Tuples):len(nr.Tuples)]
-		nc.relations[k] = &nr
+		// of the same snapshot has already claimed. The clone's tuples
+		// may change, so it starts without a memo.
+		nc.relations[k] = &Relation{Name: r.Name, Schema: r.Schema,
+			Tuples: r.Tuples[:len(r.Tuples):len(r.Tuples)]}
 	}
 	return nc
 }

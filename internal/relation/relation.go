@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Tuple is one row of a relation.
@@ -64,7 +65,21 @@ type Relation struct {
 	Name   string
 	Schema *Schema
 	Tuples []Tuple
+	// memo is a value another package derived from Tuples (Memo).
+	memo atomic.Value
 }
+
+// Memo returns the value last stored with SwapMemo, or nil. It lets a
+// package attach what it derives from a relation's tuples — package
+// sql's IN-probe set — so that it lives and dies with the relation. A
+// memo describes Tuples as they were when it was stored: a relation
+// whose tuples change must not carry one, and Catalog.Clone drops it.
+func (r *Relation) Memo() any { return r.memo.Load() }
+
+// SwapMemo stores next as the memo if the memo is still old (nil for
+// none) and reports whether it did. Every memo of a relation must have
+// the same concrete type, and next must not be nil.
+func (r *Relation) SwapMemo(old, next any) bool { return r.memo.CompareAndSwap(old, next) }
 
 // New creates an empty relation.
 func New(name string, schema *Schema) *Relation {

@@ -191,20 +191,7 @@ func Eval(e Expr, env *Env, subq SubqueryFn) (relation.Value, error) {
 		if err != nil {
 			return relation.Null, err
 		}
-		sawNull := false
-		for _, t := range rows.Tuples {
-			if t[0].IsNull() {
-				sawNull = true
-				continue
-			}
-			if v.Equal(t[0]) {
-				return relation.Bool(!x.Not), nil
-			}
-		}
-		if sawNull {
-			return relation.Null, nil
-		}
-		return relation.Bool(x.Not), nil
+		return inRows(rows, v, x.Not), nil
 	case *Exists:
 		if subq == nil {
 			return relation.Null, fmt.Errorf("sql: subquery evaluation not available")

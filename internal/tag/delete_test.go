@@ -87,6 +87,7 @@ func deleteBatchPerRow(t *Graph, vs []bsp.VertexID) error {
 		}
 		nd := *d
 		nd.Dead = true
+		nd.Row = nil // a deleted tuple keeps no row
 		t.G.SetData(v, &nd)
 		verts := t.tupleVerts[d.Table]
 		for i, tv := range verts {

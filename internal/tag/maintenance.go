@@ -156,7 +156,7 @@ func (t *Graph) ValidateDelete(vs []bsp.VertexID) error {
 //
 // Cost: O(batch + rows of the touched tables + adjacency of the touched
 // attribute vertices), never O(batch × table). Each deleted vertex gets
-// a dead payload and loses its edges; each attribute vertex it touched
+// a dead, row-less payload and loses its edges; each attribute vertex it touched
 // is filtered once per batch; and each touched table's tuple-vertex list
 // and catalog rows are rebuilt once, in one pass each. Rebuilding into
 // fresh slices, rather than editing in place, is the copy-on-write
@@ -187,6 +187,12 @@ func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 		if t.deltaDeletes != nil {
 			t.deltaDeletes[table] += len(dead)
 		}
+	}
+	// Dead vertices are never reclaimed, so once dropTuples has matched
+	// their catalog rows they keep none: only this generation's fresh
+	// payloads are touched.
+	for _, v := range vs {
+		t.TupleData(v).Row = nil
 	}
 	t.G.Freeze()
 	if t.deltaDirty != nil {

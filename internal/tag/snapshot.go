@@ -53,7 +53,7 @@ var (
 const (
 	snapVertNil  = 0 // no payload (the aggregator vertex)
 	snapVertLive = 1 // live tuple: inline row
-	snapVertDead = 2 // deleted tuple: inline row, Dead set
+	snapVertDead = 2 // deleted tuple: the table's arity of NULLs, Dead set
 	snapVertAttr = 3 // attribute vertex: canonical value
 )
 
@@ -117,6 +117,7 @@ func (t *Graph) WriteSnapshot(w io.Writer) error {
 
 	// Vertices in id order, chunked. Each record: label, tag, payload.
 	nv := t.G.NumVertices()
+	var nulls relation.Tuple
 	for start := 0; start < nv; {
 		var buf []byte
 		n := 0
@@ -128,12 +129,21 @@ func (t *Graph) WriteSnapshot(w io.Writer) error {
 			case nil:
 				buf = append(buf, snapVertNil)
 			case *TupleData:
+				row := d.Row
 				if d.Dead {
+					// A dead tuple keeps no row; its record holds the
+					// table's arity of NULLs, the shape every reader
+					// checks.
 					buf = append(buf, snapVertDead)
+					row = nulls[:0]
+					for range t.Catalog.Get(d.Table).Schema.Len() {
+						row = append(row, relation.Null)
+					}
+					nulls = row
 				} else {
 					buf = append(buf, snapVertLive)
 				}
-				if buf, err = relation.AppendTuple(buf, d.Row); err != nil {
+				if buf, err = relation.AppendTuple(buf, row); err != nil {
 					return err
 				}
 			case *AttrData:
@@ -397,7 +407,13 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 				if !ok || len(row) != tb.arity {
 					return nil, codec.ErrCorrupt
 				}
-				data = &TupleData{Table: tb.name, Row: row, Dead: tagByte == snapVertDead}
+				if tagByte == snapVertDead {
+					// Images written before dead tuples dropped their rows
+					// still carry one; it is dropped here too.
+					data = &TupleData{Table: tb.name, Dead: true}
+				} else {
+					data = &TupleData{Table: tb.name, Row: row}
+				}
 			case snapVertAttr:
 				v, err := relation.DecodeValue(d)
 				if err != nil {

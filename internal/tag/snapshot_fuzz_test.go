@@ -221,8 +221,8 @@ func TestSnapshotRejectsImpossibleImages(t *testing.T) {
 // frame CRC. On any input ReadSnapshot never panics and allocates at
 // most a constant factor of the bytes given (256, see below); every
 // image it accepts is a graph maintenance can run on — aggregator in range and payload-less,
-// one live tuple vertex per catalog row, only attribute vertices in the
-// attribute index, every adjacency sorted — and re-encodes to a
+// one live tuple vertex per catalog row, no row kept by a dead one, only
+// attribute vertices in the attribute index, every adjacency sorted — and re-encodes to a
 // canonical image that decodes and re-encodes to itself. Seed images
 // re-encode byte for byte.
 func FuzzReadSnapshot(f *testing.F) {
@@ -308,6 +308,9 @@ func checkLoadable(t *testing.T, g *Graph) {
 		}
 	}
 	for v := 0; v < g.G.NumVertices(); v++ {
+		if d := g.TupleData(bsp.VertexID(v)); d != nil && d.Dead && d.Row != nil {
+			t.Fatalf("dead vertex %d keeps row %v", v, d.Row)
+		}
 		es := g.G.Edges(bsp.VertexID(v))
 		if !slices.IsSortedFunc(es, func(a, b bsp.Edge) int {
 			if a.Label != b.Label {

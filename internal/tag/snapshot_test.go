@@ -3,6 +3,7 @@ package tag
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -141,7 +142,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dups := g.TupleVertices("items")
-	if err := g.DeleteBatch([]bsp.VertexID{dups[1], dups[3]}); err != nil {
+	dead := []bsp.VertexID{dups[1], dups[3]}
+	if err := g.DeleteBatch(dead); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,6 +157,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphsStructurallyEqual(t, loaded, g)
+	// A deleted tuple keeps no row, before the snapshot and after it.
+	for _, v := range dead {
+		for _, d := range []*TupleData{g.TupleData(v), loaded.TupleData(v)} {
+			if !d.Dead || d.Row != nil {
+				t.Fatalf("deleted vertex %d payload %+v, want dead and row-less", v, d)
+			}
+		}
+	}
 
 	// The loaded graph keeps maintaining identically: the same insert on
 	// both sides lands on the same vertex ids and leaves the graphs equal.
@@ -171,6 +181,95 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("post-load insert ids: got %v, want %v", vb, va)
 	}
 	graphsStructurallyEqual(t, loaded, g)
+}
+
+// withDeadRows rewrites an image's vertex records the way writers did
+// before deleted tuples dropped their rows: each dead record carries
+// rows[v] instead of NULLs. The image must hold one vertex chunk.
+func withDeadRows(t *testing.T, g *Graph, image []byte, rows map[bsp.VertexID]relation.Tuple) []byte {
+	t.Helper()
+	frames := splitFrames(t, image)
+	at := len(frames) - 2 - len(g.attrByEdge) // the chunk precedes the attribute index and end frames
+	d := codec.NewDecoder(frames[at])
+	start, err1 := d.Uvarint()
+	n, err2 := d.Uvarint()
+	if err1 != nil || err2 != nil || start != 0 || int(n) != g.G.NumVertices() {
+		t.Fatalf("frame %d is not the only vertex chunk", at)
+	}
+	out := binary.AppendUvarint(binary.AppendUvarint(nil, start), n)
+	for v := bsp.VertexID(0); int(v) < int(n); v++ {
+		lbl, err := d.Uvarint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag, err := d.Byte()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(binary.AppendUvarint(out, lbl), tag)
+		switch tag {
+		case snapVertLive, snapVertDead:
+			row, err := relation.DecodeTuple(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tag == snapVertDead {
+				row = rows[v]
+			}
+			out, err = relation.AppendTuple(out, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+		case snapVertAttr:
+			val, err := relation.DecodeValue(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _ = relation.AppendValue(out, val)
+		}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	frames[at] = out
+	return joinFrames(frames)
+}
+
+// TestSnapshotLoadsOldDeadRecords: an image whose dead records still
+// carry their rows, as images written before deleted tuples dropped
+// them do, loads into the same row-less graph as the current image of
+// that state, and re-encodes to it byte for byte.
+func TestSnapshotLoadsOldDeadRecords(t *testing.T) {
+	g, err := Build(snapshotCatalog(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victims := g.TupleVertices("items")[1:3]
+	rows := map[bsp.VertexID]relation.Tuple{}
+	for _, v := range victims {
+		rows[v] = g.TupleData(v).Row
+	}
+	if err := g.DeleteBatch(victims); err != nil {
+		t.Fatal(err)
+	}
+	image := snapshotBytes(t, g)
+	old := withDeadRows(t, g, image, rows)
+	if bytes.Equal(old, image) {
+		t.Fatal("old-style image equals the current one")
+	}
+	loaded, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(old)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsStructurallyEqual(t, loaded, g)
+	for _, v := range victims {
+		if d := loaded.TupleData(v); !d.Dead || d.Row != nil {
+			t.Fatalf("deleted vertex %d loaded as %+v, want dead and row-less", v, d)
+		}
+	}
+	if !bytes.Equal(snapshotBytes(t, loaded), image) {
+		t.Fatal("old-style image does not re-encode to the current image")
+	}
 }
 
 // TestSnapshotCorruption: torn, bit-flipped, or mislabeled input is

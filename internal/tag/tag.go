@@ -25,7 +25,8 @@ import (
 )
 
 // TupleData is the payload of a tuple vertex: the relation it belongs to
-// and the stored tuple (§3 step 1).
+// and the stored tuple (§3 step 1). A deleted tuple's payload is Dead
+// and keeps no Row.
 type TupleData struct {
 	Table string
 	Row   relation.Tuple

@@ -23,12 +23,20 @@ func TestTPCHAllocsPerQuery(t *testing.T) {
 	// Each ceiling sits about midway between the count before the
 	// kernels stopped allocating per edge and per row and the count after
 	// (q1 14,638 -> 5,759; q7 8,429 -> 1,917; q8 7,870 -> 1,778;
-	// q9 51,928 -> 3,875; q19 7,996 -> 2,941).
+	// q9 51,928 -> 3,875; q19 7,996 -> 2,941), or, for q1, q17 and q18,
+	// before and after survivors stopped building a partial per vertex
+	// and IN probes stopped scanning (q1 5,761 -> 1,065; q17 3,904 ->
+	// 1,078; q18 4,819 -> 2,301). q6 and q14 (540 and 709, then 536 and
+	// 678) are each allowed a quarter over their count.
 	ceilings := map[string]float64{
-		"q1":  10200,
+		"q1":  3400,
+		"q6":  670,
 		"q7":  5200,
 		"q8":  4800,
 		"q9":  27900,
+		"q14": 850,
+		"q17": 2500,
+		"q18": 3550,
 		"q19": 5500,
 	}
 	for _, q := range Queries() {
