@@ -1385,10 +1385,12 @@ func (c *Context) sendCombined(comb Combiner, s, slot int, from, to VertexID, pa
 // message the combiner would only merge and drop. With a combiner
 // running, fold receives this worker's accumulator for the (to, slot 0)
 // stream — nil when the stream is new — and returns the new accumulator
-// and the size of the logical message it folded in: the PayloadSize of
-// the payload the sender would otherwise have built and Sent. The engine
-// keeps the accumulator and accounts one send of that size, exactly as
-// Send would have. Without a combiner (Options.NoCombine, the adaptive
+// and the size of the logical message it folded in. That size must be
+// what Options.PayloadSize gives for fold(nil)'s payload — the one the
+// sender would otherwise have built and Sent — or combined and
+// uncombined runs disagree on MessageBytes; a program that uses SendFold
+// therefore owns its PayloadSize. The engine keeps the accumulator and
+// accounts one send of that size, exactly as Send would have. Without a combiner (Options.NoCombine, the adaptive
 // gate, or a program that declares none) fold(nil) is enqueued as a
 // plain message and priced by PayloadSize. The combiner's Merge must
 // accept what fold returns. Partition keying and the combine-plane

@@ -148,11 +148,13 @@ func newGroupObserver(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.Sub
 }
 
 // observe folds rows, shaped by t's header, into pg's groups; new keys
-// start groups in first-seen order. It returns how many of pg's groups
-// the rows touched and the size of a partialGroups holding only those
-// groups: exactly the group count and payload size of the partial the
-// rows' sender would have built on its own, whatever pg already held.
-func (o *groupObserver) observe(pg *partialGroups, t *table, rows [][]relation.Value) (touched, size int, err error) {
+// start groups in first-seen order. firsts, when not nil, holds each
+// row's first GROUP BY key, already evaluated. It returns how many of
+// pg's groups the rows touched and the size of a partialGroups holding
+// only those groups: exactly the group count and payload size of the
+// partial the rows' sender would have built on its own, whatever pg
+// already held.
+func (o *groupObserver) observe(pg *partialGroups, t *table, rows [][]relation.Value, firsts []relation.Value) (touched, size int, err error) {
 	if pg.header == nil {
 		pg.header = t.header
 	}
@@ -162,9 +164,13 @@ func (o *groupObserver) observe(pg *partialGroups, t *table, rows [][]relation.V
 	env.Binding = sql.Binding(t.index)
 	keyAt := func(i int) []relation.Value { return pg.groups[i].key }
 	size = 16
-	for _, row := range rows {
+	for r, row := range rows {
 		env.Row = relation.Tuple(row)
 		for i, g := range o.c.blk.Sel.GroupBy {
+			if i == 0 && firsts != nil {
+				o.key[0] = firsts[r]
+				continue
+			}
 			if o.key[i], err = sql.Eval(g, env, o.subq); err != nil {
 				return touched, size, err
 			}
@@ -306,13 +312,18 @@ type foldScratch struct {
 	own  table              // a single-alias survivor's own row
 	rows [][]relation.Value // the survivor's rows past the residual predicates
 	// The local path's split of a survivor's rows by target: targets in
-	// first-seen order, slot maps a target to its index, ends[i] is the
-	// end of target i's run in sorted, and of is each row's target index.
-	targets []bsp.VertexID
-	slot    map[bsp.VertexID]int32
-	ends    []int
-	of      []int32
-	sorted  [][]relation.Value
+	// first-seen order as INT values, index finds a target's position,
+	// ends[i] is the end of target i's run in sorted, of is each row's
+	// target index, and firsts and sortedFirsts hold each row's first
+	// GROUP BY key in the order of rows and of sorted.
+	targets      []relation.Value
+	index        keyIndex
+	probe        [1]relation.Value
+	ends         []int
+	of           []int32
+	firsts       []relation.Value
+	sorted       [][]relation.Value
+	sortedFirsts []relation.Value
 }
 
 func (e *Session) newSurvivorFolder(c *compiled, res *componentResult, setup *aggSetup, outer *sql.Env) *survivorFolder {
@@ -345,9 +356,10 @@ func (f *survivorFolder) survivor(ctx *bsp.Context, v bsp.VertexID) (*foldScratc
 	return ws, t, rows, err
 }
 
-// send observes rows into the fold stream from v to `to`, one logical
-// send, and returns how many groups the rows touched.
-func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.VertexID, t *table, rows [][]relation.Value) (int, error) {
+// send observes rows (with firsts as observe takes them) into the fold
+// stream from v to `to`, one logical send, and returns how many groups
+// the rows touched.
+func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.VertexID, t *table, rows [][]relation.Value, firsts []relation.Value) (int, error) {
 	var touched int
 	var err error
 	ctx.SendFold(v, to, func(acc any) (any, int) {
@@ -356,53 +368,43 @@ func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.Verte
 			pg = &partialGroups{}
 		}
 		var size int
-		touched, size, err = ws.obs.observe(pg, t, rows)
+		touched, size, err = ws.obs.observe(pg, t, rows, firsts)
 		return pg, size
 	})
 	return touched, err
 }
 
 // splitByTarget orders rows by target into ws.sorted — targets in
-// first-seen order, rows in their order within a target — and lists the
-// targets in ws.targets with the end of each one's run in ws.ends.
-// Rows that all go to one target are left where they are.
-func (ws *foldScratch) splitByTarget(rows [][]relation.Value, target func([]relation.Value) (bsp.VertexID, error)) ([][]relation.Value, error) {
-	ws.targets, ws.ends, ws.of = ws.targets[:0], ws.ends[:0], ws.of[:0]
-	if len(ws.slot) > 0 {
-		clear(ws.slot)
-	}
+// first-seen order, rows in their order within a target — and returns
+// them with their first GROUP BY keys (keyOf) alongside. A row's target
+// is targetOf its first key. It lists the targets in ws.targets with
+// the end of each one's run in ws.ends. Rows that all go to one target
+// are left where they are.
+func (ws *foldScratch) splitByTarget(t *table, rows [][]relation.Value, keyOf sql.Expr, targetOf func(relation.Value) bsp.VertexID) ([][]relation.Value, []relation.Value, error) {
+	ws.targets, ws.ends, ws.of, ws.firsts = ws.targets[:0], ws.ends[:0], ws.of[:0], ws.firsts[:0]
+	ws.index.reset()
+	keyAt := func(i int) []relation.Value { return ws.targets[i : i+1] }
+	ws.env.Binding = sql.Binding(t.index)
 	for _, row := range rows {
-		av, err := target(row)
+		ws.env.Row = relation.Tuple(row)
+		k, err := sql.Eval(keyOf, &ws.env, nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		i := int32(-1)
-		if len(ws.targets) <= linearKeys {
-			if j := slices.Index(ws.targets, av); j >= 0 {
-				i = int32(j)
-			}
-		} else if j, ok := ws.slot[av]; ok {
-			i = j
-		}
+		ws.firsts = append(ws.firsts, k)
+		ws.probe[0] = relation.Int(int64(targetOf(k)))
+		i := ws.index.find(len(ws.targets), keyAt, ws.probe[:])
 		if i < 0 {
-			i = int32(len(ws.targets))
-			ws.targets = append(ws.targets, av)
+			i = len(ws.targets)
+			ws.targets = append(ws.targets, ws.probe[0])
 			ws.ends = append(ws.ends, 0)
-			if len(ws.targets) > linearKeys {
-				if ws.slot == nil {
-					ws.slot = make(map[bsp.VertexID]int32)
-				}
-				for j := len(ws.slot); j < len(ws.targets); j++ {
-					ws.slot[ws.targets[j]] = int32(j)
-				}
-			}
 		}
-		ws.of = append(ws.of, i)
+		ws.of = append(ws.of, int32(i))
 		ws.ends[i]++
 	}
 	if len(ws.targets) <= 1 {
 		ws.ends = append(ws.ends[:0], len(rows))
-		return rows, nil
+		return rows, ws.firsts, nil
 	}
 	start := 0
 	for i, n := range ws.ends {
@@ -410,12 +412,14 @@ func (ws *foldScratch) splitByTarget(rows [][]relation.Value, target func([]rela
 		start += n
 	}
 	ws.sorted = slices.Grow(ws.sorted[:0], len(rows))[:len(rows)]
+	ws.sortedFirsts = slices.Grow(ws.sortedFirsts[:0], len(rows))[:len(rows)]
 	for i, row := range rows {
 		j := ws.of[i]
 		ws.sorted[ws.ends[j]] = row
+		ws.sortedFirsts[ws.ends[j]] = ws.firsts[i]
 		ws.ends[j]++
 	}
-	return ws.sorted, nil
+	return ws.sorted, ws.sortedFirsts, nil
 }
 
 // finalizeLocal is the §7 local-aggregation path: survivors pre-aggregate
@@ -425,6 +429,12 @@ func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.En
 	setup := newAggSetup(c.blk)
 	f := e.newSurvivorFolder(c, res, setup, outer)
 	keyOf := c.blk.Sel.GroupBy[0]
+	targetOf := func(k relation.Value) bsp.VertexID {
+		if av, ok := e.TAG.AttrVertexOf(k); ok {
+			return av
+		}
+		return e.TAG.Aggregator // NULL or unmaterialized key value
+	}
 	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 		switch ctx.Step() {
 		case 0:
@@ -434,24 +444,15 @@ func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.En
 			}
 			// A group goes to the attribute vertex of its first key, so a
 			// survivor sends once per target its rows have.
-			target := func(row []relation.Value) (bsp.VertexID, error) {
-				ws.env.Binding, ws.env.Row = sql.Binding(t.index), relation.Tuple(row)
-				k, err := sql.Eval(keyOf, &ws.env, nil)
-				if err != nil {
-					return 0, err
-				}
-				if av, ok := e.TAG.AttrVertexOf(k); ok {
-					return av, nil
-				}
-				return e.TAG.Aggregator, nil // NULL or unmaterialized key value
-			}
+			var firsts []relation.Value
 			if err == nil {
-				rows, err = ws.splitByTarget(rows, target)
+				rows, firsts, err = ws.splitByTarget(t, rows, keyOf, targetOf)
 			}
 			touched, start := 0, 0
 			for i := 0; err == nil && i < len(ws.targets); i++ {
 				var n int
-				n, err = f.send(ctx, ws, v, ws.targets[i], t, rows[start:ws.ends[i]])
+				to := bsp.VertexID(ws.targets[i].I)
+				n, err = f.send(ctx, ws, v, to, t, rows[start:ws.ends[i]], firsts[start:ws.ends[i]])
 				touched += n
 				start = ws.ends[i]
 			}
@@ -533,7 +534,7 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 				if len(relays) > 1 {
 					to = relays[partOf(v)]
 				}
-				touched, err = f.send(ctx, ws, v, to, t, rows)
+				touched, err = f.send(ctx, ws, v, to, t, rows, nil)
 			}
 			if err != nil {
 				ctx.Fail(err)

@@ -135,6 +135,9 @@ func (x *keyIndex) find(n int, keyAt func(int) []relation.Value, key []relation.
 	return -1
 }
 
+// reset empties the index for a new list.
+func (x *keyIndex) reset() { x.head, x.next = nil, x.next[:0] }
+
 // index brings the hashed index up to date with entries 0..n-1.
 func (x *keyIndex) index(n int, keyAt func(int) []relation.Value) {
 	if x.head == nil {

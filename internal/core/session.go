@@ -86,11 +86,13 @@ type Session struct {
 
 // NewSession prepares an independent evaluation session over t. The
 // returned Session owns a private BSP engine, so it shares nothing
-// mutable with other sessions on the same graph.
+// mutable with other sessions on the same graph. opts.PayloadSize is
+// replaced by payloadSize: aggregation senders report their payload
+// sizes themselves (bsp.Context.SendFold, groupObserver.observe), and
+// those reports agree with payloadSize only, so one pricing keeps
+// combined and uncombined runs' MessageBytes equal.
 func NewSession(t *tag.Graph, opts bsp.Options) *Session {
-	if opts.PayloadSize == nil {
-		opts.PayloadSize = payloadSize
-	}
+	opts.PayloadSize = payloadSize
 	if opts.Codec == nil {
 		// The SQL layer's payload registry: lets the engine put this
 		// package's message and emit types on the wire (and price the
@@ -444,7 +446,7 @@ func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql
 	if blk.HasAgg || len(blk.Sel.GroupBy) > 0 {
 		setup := newAggSetup(blk)
 		var pg partialGroups
-		if _, _, err := newGroupObserver(c, setup, outer, subq, false).observe(&pg, t, t.rows); err != nil {
+		if _, _, err := newGroupObserver(c, setup, outer, subq, false).observe(&pg, t, t.rows, nil); err != nil {
 			return nil, err
 		}
 		return projectGroups(c, setup, pg.groups, t.header, outer, subq)

@@ -4,15 +4,12 @@ import "repro/internal/relation"
 
 // inSet is the hash probe of one IN-subquery result, kept as the
 // result's memo (relation.Relation.Memo) so it lives and dies with it.
-// A result is scanned on its first probe and hashed on its second, so a
-// result probed once — a correlated subquery's, say — never pays for a
-// set. The set holds the first column's non-NULL values only when they
+// The first probe of a result builds its set. The set holds the first column's non-NULL values only when they
 // all have one kind among INT, DATE and STRING, and it answers only
 // probes of that kind: Compare equates INT, DATE and FLOAT through
 // AsFloat, and a NaN compares equal to every number, so any other probe
 // is scanned.
 type inSet struct {
-	built    bool // false: the result has been probed once
 	hashable bool
 	kind     relation.Kind // the values' kind; KindNull when there are none
 	ints     map[int64]struct{}
@@ -25,7 +22,7 @@ type inSet struct {
 // else FALSE (negated for NOT IN).
 func inRows(rows *relation.Relation, v relation.Value, not bool) relation.Value {
 	found, sawNull := false, false
-	if s := probeSet(rows); s != nil && s.hashable && (s.kind == relation.KindNull || s.kind == v.Kind) {
+	if s := probeSet(rows); s.hashable && (s.kind == relation.KindNull || s.kind == v.Kind) {
 		if v.Kind == relation.KindString {
 			_, found = s.strs[v.S]
 		} else {
@@ -53,18 +50,13 @@ func inRows(rows *relation.Relation, v relation.Value, not bool) relation.Value 
 	return relation.Bool(not)
 }
 
-// probeSet returns rows' set, or nil on the result's first probe.
+// probeSet returns rows' set, building it on the result's first probe.
 func probeSet(rows *relation.Relation) *inSet {
-	m, _ := rows.Memo().(*inSet)
-	switch {
-	case m == nil:
-		rows.SwapMemo(nil, &inSet{})
-		return nil
-	case m.built:
-		return m
+	if s, _ := rows.Memo().(*inSet); s != nil {
+		return s
 	}
 	s := buildInSet(rows)
-	if !rows.SwapMemo(m, s) {
+	if !rows.SwapMemo(nil, s) {
 		s, _ = rows.Memo().(*inSet) // another goroutine built it first
 	}
 	return s
@@ -72,7 +64,7 @@ func probeSet(rows *relation.Relation) *inSet {
 
 // buildInSet hashes the first column of rows.
 func buildInSet(rows *relation.Relation) *inSet {
-	s := &inSet{built: true, hashable: true}
+	s := &inSet{hashable: true}
 	for _, t := range rows.Tuples {
 		v := t[0]
 		switch {
@@ -82,7 +74,7 @@ func buildInSet(rows *relation.Relation) *inSet {
 		case s.kind == relation.KindNull:
 			s.kind = v.Kind
 		case v.Kind != s.kind:
-			return &inSet{built: true}
+			return &inSet{}
 		}
 		switch v.Kind {
 		case relation.KindInt, relation.KindDate:
@@ -96,7 +88,7 @@ func buildInSet(rows *relation.Relation) *inSet {
 			}
 			s.strs[v.S] = struct{}{}
 		default:
-			return &inSet{built: true}
+			return &inSet{}
 		}
 	}
 	return s

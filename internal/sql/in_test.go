@@ -31,8 +31,8 @@ func scanIn(rows *relation.Relation, v relation.Value, not bool) relation.Value 
 }
 
 // TestInSubquerySetMatchesScan probes generated subquery results
-// repeatedly, so each is answered by a scan first and by its hash set
-// after, and checks every answer against the scan. The results mix
+// repeatedly and checks every answer, from the hash set or the scan
+// fallback, against the scan. The results mix
 // kinds that compare equal across kinds (2, 2.0, DATE 2, TRUE as 1), a
 // NaN that compares equal to every number, NULLs and strings, or hold
 // one hashable kind with NULLs.
@@ -92,7 +92,7 @@ func TestInSubquerySetMatchesScan(t *testing.T) {
 
 // TestInSubqueryConcurrentProbes: vertex programs probe one shared
 // result (a decorrelated lookup bucket) from several workers at once, so
-// the first probes race to mark and build its set. Run under -race.
+// the first probes race to build its set. Run under -race.
 func TestInSubqueryConcurrentProbes(t *testing.T) {
 	rows := relation.New("sub", relation.MustSchema(relation.Col("x", relation.KindInt)))
 	for i := 0; i < 64; i += 2 {
