@@ -299,10 +299,25 @@ func TestCombinerSlots(t *testing.T) {
 	}
 }
 
+// concatCombiner folds string payloads by concatenation, so one fold
+// stream's accumulator — and the wire record that ships it — grows
+// with the fan-in.
+type concatCombiner struct{}
+
+func (concatCombiner) Slot(any) int { return 0 }
+func (concatCombiner) Fold(acc any, _ VertexID, payload any) any {
+	if acc == nil {
+		return payload.(string)
+	}
+	return acc.(string) + payload.(string)
+}
+func (concatCombiner) Merge(acc, other any) any { return acc.(string) + other.(string) }
+
 // TestCombinePoolTrim: a run whose fold tables and wire records grow
 // far past the pooling budget must not keep that peak resident once
 // idle — the combiner storage obeys the same end-of-Run budget as the
-// message buffers.
+// message plane, and a wire record's retained payload and dest storage
+// count against it as well as its slot.
 func TestCombinePoolTrim(t *testing.T) {
 	g := NewGraph()
 	lbl := g.Symbols.Intern("to-hub")
@@ -314,31 +329,44 @@ func TestCombinePoolTrim(t *testing.T) {
 		leaves = append(leaves, leaf)
 	}
 	g.Freeze()
-	prog := WithCombiner(ProgramFunc(func(ctx *Context, v VertexID, inbox []Message) {
-		if ctx.Step() == 0 {
-			ctx.SendAlong(v, lbl, int64(1))
+	for _, tc := range []struct {
+		name string
+		pay  any
+		comb Combiner
+	}{
+		{"sum", int64(1), SumCombiner{}},
+		{"concat", "a payload of forty bytes, give or take..", concatCombiner{}},
+	} {
+		prog := WithCombiner(ProgramFunc(func(ctx *Context, v VertexID, inbox []Message) {
+			if ctx.Step() == 0 {
+				ctx.SendAlong(v, lbl, tc.pay)
+			}
+		}), tc.comb)
+		// Partitions > 1 so every cross-partition fold stream lands in a
+		// pair stream's wire records — the structure that grows with the
+		// fan-in.
+		eng := NewEngine(g, Options{Workers: 2, Partitions: 3})
+		eng.Run(prog, leaves)
+		if err := eng.RunErr(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}), SumCombiner{})
-	// Partitions > 1 so every cross-partition send lands in a pair
-	// stream's wire records — the structure that grows with the fan-in.
-	eng := NewEngine(g, Options{Workers: 2, Partitions: 3})
-	eng.Run(prog, leaves)
-	budget := int64(maxPooledBytes / len(eng.shards))
-	for s := range eng.shards {
-		if got := int64(cap(eng.shards[s].pendKeys)) * accBytes; got > budget {
-			t.Errorf("shard %d retains %d B of pending accumulators (budget %d)", s, got, budget)
-		}
-	}
-	for w, ctx := range eng.ctxs {
-		for s := range ctx.acc {
-			if got := int64(cap(ctx.acc[s].keys)) * accBytes; got > budget {
-				t.Errorf("ctx %d shard %d retains %d B of fold streams (budget %d)", w, s, got, budget)
+		budget := int64(maxPooledBytes / len(eng.shards))
+		for s := range eng.shards {
+			if got := int64(cap(eng.shards[s].pendKeys)) * accBytes; got > budget {
+				t.Errorf("%s: shard %d retains %d B of pending accumulators (budget %d)", tc.name, s, got, budget)
 			}
 		}
-	}
-	for i := range eng.wireStreams {
-		if got := int64(cap(eng.wireStreams[i].recs)) * accBytes; got > budget {
-			t.Errorf("stream %d retains %d B of wire records (budget %d)", i, got, budget)
+		for w, ctx := range eng.ctxs {
+			for s := range ctx.acc {
+				if got := int64(cap(ctx.acc[s].keys)) * accBytes; got > budget {
+					t.Errorf("%s: ctx %d shard %d retains %d B of fold streams (budget %d)", tc.name, w, s, got, budget)
+				}
+			}
+		}
+		for i := range eng.wireStreams {
+			if got := eng.wireStreams[i].retainedBytes(); got > budget {
+				t.Errorf("%s: stream %d retains %d B of wire records (budget %d)", tc.name, i, got, budget)
+			}
 		}
 	}
 }

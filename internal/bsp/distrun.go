@@ -12,37 +12,25 @@ import (
 // these functions see no frames and no blobs.
 
 // deliverFrames lands the frames the Transport returned in the local
-// planes and delivers the fold streams that were waiting on them.
+// planes and seals every shard's inbox. Loopback sealed its shards in
+// the merge and receives no frames.
 func (e *Engine) deliverFrames(step int, in []Frame) error {
-	e.touched = e.touched[:0]
+	if e.localPart < 0 {
+		return nil
+	}
 	for i := range in {
 		if err := decodeRecords(in[i].Payload, step, e.opts.Codec, e.deliverRemote); err != nil {
 			return err
 		}
 	}
-	// Remote plain records appended after the local merge; restore the
-	// non-decreasing-sender inbox order the single-process merge
-	// produces. Ties cannot mix local and remote messages (a sender
-	// lives on exactly one partition), so a stable sort reproduces the
-	// exact order.
-	slices.Sort(e.touched)
-	e.touched = slices.Compact(e.touched)
-	for _, v := range e.touched {
-		sh := &e.shards[e.shardOf(v)]
-		slices.SortStableFunc(sh.next[v], func(a, b Message) int {
-			return int(a.From) - int(b.From)
-		})
-	}
-	if e.comb != nil {
-		for s := range e.shards {
-			e.flushPend(&e.shards[s])
-		}
+	for s := range e.shards {
+		e.sealShard(&e.shards[s])
 	}
 	return nil
 }
 
 // deliverRemote lands one remote wire record in the local message
-// plane: plain records (slot < 0) expand into inbox messages, combined
+// plane: plain records (slot < 0) stage inbox messages, combined
 // records Merge into the pending fold table exactly as the loopback
 // re-merge would.
 func (e *Engine) deliverRemote(from VertexID, slot int32, pay any, to VertexID, count int32) error {
@@ -51,37 +39,16 @@ func (e *Engine) deliverRemote(from VertexID, slot int32, pay any, to VertexID, 
 	}
 	sh := &e.shards[e.shardOf(to)]
 	if slot < 0 {
-		buf, ok := sh.next[to]
-		if !ok {
-			buf = sh.getBuf()
-			sh.nextKeys = append(sh.nextKeys, to)
-		}
 		for i := int32(0); i < count; i++ {
-			buf = append(buf, Message{From: from, Count: 1, Payload: pay})
+			sh.stage(to, Message{From: from, Count: 1, Payload: pay})
 		}
-		sh.next[to] = buf
-		e.touched = append(e.touched, to)
+		sh.remote = true
 		return nil
 	}
 	if e.comb == nil {
 		return fmt.Errorf("bsp: combined wire record for vertex %d but no combiner is running", to)
 	}
-	k := accKey{to: to, slot: slot, src: -1}
-	if j, ok := sh.accIdx[k]; ok {
-		tgt := &sh.pend[j]
-		tgt.pay = e.comb.Merge(tgt.pay, pay)
-		tgt.count += count
-		tgt.from = min(tgt.from, from)
-		sh.stats.MessagesCombined++
-		sh.stats.InboxBytesSaved += msgBytes
-	} else {
-		if sh.accIdx == nil {
-			sh.accIdx = make(map[accKey]int32)
-		}
-		sh.accIdx[k] = int32(len(sh.pend))
-		sh.pend = append(sh.pend, accEntry{from: from, count: count, pay: pay})
-		sh.pendKeys = append(sh.pendKeys, k)
-	}
+	e.foldPend(sh, accKey{to: to, slot: slot, src: -1}, accEntry{from: from, count: count, pay: pay})
 	return nil
 }
 

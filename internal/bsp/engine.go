@@ -50,9 +50,9 @@ func InboxCount(inbox []Message) int {
 // mutated concurrently, e.g. immutable TAG tuple data).
 //
 // The inbox slice is only valid for the duration of the Compute call:
-// the engine recycles message buffers across supersteps, so a program
-// that needs messages later must copy them (payload references may be
-// kept — only the slice itself is reused).
+// it is a capped window of an array the engine reuses across supersteps,
+// so a program that needs messages later must copy them (payload
+// references may be kept — only the slice itself is reused).
 type Program interface {
 	Compute(ctx *Context, v VertexID, inbox []Message)
 }
@@ -77,7 +77,7 @@ func (f ProgramFunc) Compute(ctx *Context, v VertexID, inbox []Message) { f(ctx,
 // at Send time into a per-(shard, destination, slot) accumulator in the
 // sending worker's outbox, and after the compute barrier when the shard
 // merge folds colliding accumulators from different workers — so a
-// sparse inbox carries at most one Message per (active vertex, slot).
+// vertex's inbox carries at most one Message per slot.
 //
 // The fold must be insensitive to regrouping of the send stream
 // (commutative/associative in spirit). Within one partition the engine
@@ -234,8 +234,8 @@ type Options struct {
 	// Profile collects message-plane profiling: the peak resident
 	// inbox bytes observed at any barrier (Engine.PeakInboxBytes) and
 	// the cumulative wall time of the communication stage
-	// (Engine.MergeDuration). Off by default — the peak probe walks
-	// the inbox maps once per superstep.
+	// (Engine.MergeDuration). Off by default — it reads the clock and
+	// sums every shard's plane footprint once per superstep.
 	Profile bool
 }
 
@@ -335,103 +335,6 @@ func (s Stats) String() string {
 		s.MessagesCombined, s.InboxBytesSaved, s.CombineFallbacks)
 }
 
-type outMsg struct {
-	from, to VertexID
-	payload  any
-}
-
-// accKey identifies one fold stream: a destination vertex, the
-// combiner-assigned slot, and the sender's partition. Splitting streams
-// by source partition is what makes a fold stream shippable — each
-// partition's share of a stream is exactly the folded accumulator that
-// partition would put on the wire as one record. At Partitions == 1
-// src is always 0 and the key degenerates to (to, slot).
-type accKey struct {
-	to   VertexID
-	slot int32
-	src  int32
-}
-
-// accEntry is one running fold: the first sender (the From of the
-// delivered Message), the number of logical sends folded in, and the
-// accumulated payload.
-type accEntry struct {
-	from  VertexID
-	count int32
-	pay   any
-}
-
-// ctxAcc is a worker's per-destination-shard accumulator table: idx
-// maps fold streams to entries, keys preserves first-send order (the
-// order the shard merge folds and delivers in). All three are reused
-// across supersteps. last caches the most recent stream's index —
-// aggregator-bound programs send a worker's whole chunk to one
-// destination, so the common case skips the map probe.
-type ctxAcc struct {
-	idx     map[accKey]int32
-	keys    []accKey
-	entries []accEntry
-	last    int32 // index of the stream the previous send folded into; -1 when empty
-}
-
-// accBytes approximates the retained footprint of one fold stream
-// (key + entry + its share of map buckets) and of one wire record,
-// for the end-of-Run pooling budget.
-const accBytes = 48
-
-// trim drops the accumulator storage if its retained capacity outgrew
-// this shard's share of the pooling budget; a warm small run keeps its
-// storage (steady-state Runs stay zero-alloc), a huge run's peak goes
-// back to the GC with the frontier that needed it.
-func (a *ctxAcc) trim(budget int64) {
-	if int64(cap(a.keys))*accBytes > budget {
-		a.idx, a.keys, a.entries = nil, nil, nil
-	}
-}
-
-// mergeShard is one shard of the sharded message plane. During the
-// communication stage, worker w owns shard w exclusively: it is the
-// only goroutine that touches the shard's inbox maps, key lists, free
-// list, dedup set and stats, so the parallel merge needs no locks.
-type mergeShard struct {
-	// in holds the messages delivered at the last barrier, keyed by
-	// destination vertex — the sparse replacement for the dense O(|V|)
-	// inbox array. inKeys lists its keys in delivery order. Entries are
-	// deleted (and their buffers recycled) once consumed, so resident
-	// size tracks the active frontier, not the graph.
-	in     map[VertexID][]Message
-	inKeys []VertexID
-	// next accumulates the messages sent during the current superstep;
-	// the planes swap at the barrier.
-	next     map[VertexID][]Message
-	nextKeys []VertexID
-	// free recycles message buffers across supersteps and Runs, so a
-	// steady-state superstep allocates ~nothing.
-	free [][]Message
-	// accIdx/pend/pendKeys fold colliding per-worker accumulators at
-	// the barrier (combined plane only): pend holds the surviving
-	// accumulator per fold stream in first-seen (worker, send) order,
-	// delivered as one Message each. Reused across supersteps.
-	accIdx   map[accKey]int32
-	pend     []accEntry
-	pendKeys []accKey
-	// encBuf is the shard's payload-encoding scratch for wire records;
-	// pairStream.add copies out of it.
-	encBuf []byte
-	// err records a codec failure during the merge (an unregistered
-	// payload type crossing a partition boundary); surfaced through
-	// Engine.RunErr.
-	err error
-	// stats is this shard's share of the superstep's message
-	// accounting; the coordinator folds it into Engine.stats at the
-	// barrier.
-	stats Stats
-}
-
-// msgBytes is the in-memory size of one Message (padded int32 +
-// 16-byte interface) used by the footprint accounting.
-const msgBytes = 24
-
 // The adaptive combiner gate's sampling thresholds: after
 // adaptiveMinSends logical sends in a run, a fold rate under
 // adaptiveMinFoldPct percent drops the combiner for the rest of the
@@ -440,57 +343,6 @@ const (
 	adaptiveMinSends   = 1024
 	adaptiveMinFoldPct = 10
 )
-
-// maxPooledBytes bounds the message buffers a Run leaves pooled per
-// engine (split evenly across shards). Within a run the pool is
-// unbounded (steady-state supersteps must not allocate); at the end of
-// a run anything beyond the budget returns to the GC with the frontier
-// that needed it, so a session that just ran a huge query does not
-// stay huge while idle.
-const maxPooledBytes = 32 << 10
-
-// recycleIn clears the consumed inbox entries of a shard, zeroing
-// payload references and returning the buffers to the free list.
-func (sh *mergeShard) recycleIn() {
-	for _, v := range sh.inKeys {
-		buf := sh.in[v]
-		for i := range buf {
-			buf[i] = Message{}
-		}
-		sh.free = append(sh.free, buf[:0])
-		delete(sh.in, v)
-	}
-	sh.inKeys = sh.inKeys[:0]
-}
-
-// trimFree drops pooled buffers beyond this shard's share of the
-// engine's pooling budget.
-func (sh *mergeShard) trimFree(budget int64) {
-	var total int64
-	n := 0
-	for _, buf := range sh.free {
-		total += int64(cap(buf)) * msgBytes
-		if total > budget {
-			break
-		}
-		n++
-	}
-	for i := n; i < len(sh.free); i++ {
-		sh.free[i] = nil
-	}
-	sh.free = sh.free[:n]
-}
-
-// getBuf pops a recycled message buffer; nil means append will allocate
-// a fresh one on first use.
-func (sh *mergeShard) getBuf() []Message {
-	if n := len(sh.free); n > 0 {
-		buf := sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		return buf
-	}
-	return nil
-}
 
 // Engine executes vertex programs over a frozen graph. An Engine may run
 // several programs in sequence over the same graph (as TAG-join does for
@@ -509,10 +361,10 @@ func (sh *mergeShard) getBuf() []Message {
 // The message plane is sharded: each worker context keeps one outbox
 // per destination shard, and after the compute barrier the same worker
 // pool merges them in parallel — worker w is the only writer into
-// shard w. Inboxes are sparse maps keyed by active vertex, so an idle
-// engine holds O(active) memory, not O(|V|), and contexts, outboxes,
-// aggregator maps and message buffers are pooled across supersteps and
-// Runs.
+// shard w. Each shard seals its deliveries into one flat inbox array
+// sorted by destination, so an engine holds O(active) memory, not
+// O(|V|), and contexts, outboxes, aggregator maps and the flat arrays
+// are pooled across supersteps and Runs.
 type Engine struct {
 	g    *Graph
 	opts Options
@@ -556,9 +408,7 @@ type Engine struct {
 	// distErr latches a transport failure: the engine is permanently
 	// failed and every subsequent Run refuses immediately.
 	distErr error
-	// touched lists inboxes that received remote records this superstep
-	// and need their delivery order restored.
-	touched []VertexID
+	heads   []int // mergeKeys' per-shard cursor scratch
 
 	// Profiling (Options.Profile): peak resident inbox bytes observed
 	// at any barrier, and cumulative communication-stage wall time.
@@ -612,6 +462,7 @@ func NewEngine(g *Graph, opts Options) *Engine {
 		opts:      opts,
 		shards:    make([]mergeShard, opts.Workers),
 		ctxs:      make([]*Context, opts.Workers),
+		heads:     make([]int, opts.Workers),
 		aggs:      make(map[string]int64),
 		baggs:     make(map[string]int64),
 		localPart: opts.Transport.Local(),
@@ -619,16 +470,13 @@ func NewEngine(g *Graph, opts Options) *Engine {
 	if opts.Partitions > 1 {
 		e.wireStreams = make([]pairStream, opts.Partitions*opts.Partitions)
 	}
-	for s := range e.shards {
-		e.shards[s].in = make(map[VertexID][]Message)
-		e.shards[s].next = make(map[VertexID][]Message)
-	}
 	for w := range e.ctxs {
 		e.ctxs[w] = &Context{
 			eng:    e,
 			worker: w,
 			out:    make([][]outMsg, opts.Workers),
 			acc:    make([]ctxAcc, opts.Workers),
+			pos:    make([]int, opts.Workers),
 			aggs:   make(map[string]int64),
 			// Tag emits only where an allgather will need to order them.
 			tagEmits: e.localPart >= 0,
@@ -669,11 +517,6 @@ func (e *Engine) shardOf(v VertexID) int {
 		return s
 	}
 	return int(v) % n
-}
-
-// inboxOf returns the messages delivered to v at the last barrier.
-func (e *Engine) inboxOf(v VertexID) []Message {
-	return e.shards[e.shardOf(v)].in[v]
 }
 
 // Graph returns the underlying graph.
@@ -759,10 +602,7 @@ func (e *Engine) startWorkers(prog Program) {
 				if j.merge {
 					e.mergeShard(j.shard)
 				} else {
-					for _, v := range j.verts {
-						j.ctx.cur = v
-						prog.Compute(j.ctx, v, e.inboxOf(v))
-					}
+					e.compute(prog, j.ctx, j.verts)
 				}
 				e.wg.Done()
 			}
@@ -779,34 +619,6 @@ func (e *Engine) stopWorkers() {
 	}
 	e.work = nil
 }
-
-// InboxBytes estimates the resident memory of the sparse message plane:
-// live inbox entries plus the pooled buffers kept for reuse. Compare
-// with DenseInboxBytes: the dense plane held two O(|V|) slice-header
-// arrays per engine before counting a single message.
-func (e *Engine) InboxBytes() int64 {
-	const entrySize = 40 // map key + slice header, approximate
-	var total int64
-	for s := range e.shards {
-		sh := &e.shards[s]
-		total += int64(len(sh.in)+len(sh.next)) * entrySize
-		for _, buf := range sh.in {
-			total += int64(cap(buf)) * msgBytes
-		}
-		for _, buf := range sh.next {
-			total += int64(cap(buf)) * msgBytes
-		}
-		for _, buf := range sh.free {
-			total += int64(cap(buf)) * msgBytes
-		}
-	}
-	return total
-}
-
-// DenseInboxBytes returns what the pre-sharding dense message plane
-// held resident for a graph of n vertices: two arrays of O(|V|) slice
-// headers per engine, regardless of how many vertices were active.
-func DenseInboxBytes(n int) int64 { return int64(n) * 48 }
 
 // PeakInboxBytes returns the largest resident inbox footprint observed
 // at any barrier since the engine was created. Requires Options.Profile;
@@ -843,8 +655,8 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 	e.emitTags = e.emitTags[:0]
 
 	// The graph may have grown since the engine was created (incremental
-	// TAG maintenance adds vertices); the sparse inbox maps absorb new
-	// vertex ids with no resizing, so only re-freezing matters here.
+	// TAG maintenance adds vertices); the flat inboxes hold only the
+	// vertices that received messages, so only re-freezing matters here.
 	if !e.g.Frozen() {
 		e.g.Freeze()
 	}
@@ -918,10 +730,7 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 				ctx := e.ctxs[w]
 				ctx.step = step
 				if workers == 1 {
-					for _, v := range active {
-						ctx.cur = v
-						prog.Compute(ctx, v, e.inboxOf(v))
-					}
+					e.compute(prog, ctx, active)
 					break
 				}
 				e.wg.Add(1)
@@ -963,9 +772,8 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 			break
 		}
 
-		// Barrier: fold per-shard accounting, swap the message planes,
-		// and collect the next active set.
-		active = active[:0]
+		// Barrier: fold per-shard accounting and collect the next active
+		// set from the sealed inboxes.
 		for s := range e.shards {
 			sh := &e.shards[s]
 			bf.Stats.Add(sh.stats)
@@ -976,10 +784,8 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 				}
 				sh.err = nil
 			}
-			sh.in, sh.next = sh.next, sh.in
-			sh.inKeys, sh.nextKeys = sh.nextKeys, sh.inKeys
-			active = append(active, sh.inKeys...)
 		}
+		active = e.mergeKeys(active[:0])
 		// Per-worker outputs, in deterministic worker order.
 		clear(e.baggs)
 		for _, ctx := range e.ctxs {
@@ -1005,7 +811,6 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 			bf.Stats.Add(ctx.stats)
 			ctx.stats = Stats{}
 		}
-		slices.Sort(active)
 
 		// Seam 3: reduce the local frame and adopt the global one. The
 		// aggregators of superstep S stay readable through S+1's master
@@ -1049,35 +854,7 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 		}
 	}
 
-	// Drop any undelivered messages so the next Run starts clean; their
-	// buffers go back to the free lists (bounded, so a huge run's peak
-	// frontier is not kept resident by an idle session). The combiner's
-	// fold tables, wire records and pending lists obey the same budget:
-	// a warm steady-state run keeps them, a huge run's peak does not
-	// stay resident.
-	budget := int64(maxPooledBytes / len(e.shards))
-	for s := range e.shards {
-		sh := &e.shards[s]
-		sh.recycleIn()
-		sh.trimFree(budget)
-		if int64(cap(sh.pendKeys))*accBytes > budget {
-			sh.accIdx, sh.pend, sh.pendKeys = nil, nil, nil
-		}
-	}
-	for _, ctx := range e.ctxs {
-		for s := range ctx.acc {
-			ctx.acc[s].trim(budget)
-		}
-	}
-	for i := range e.wireStreams {
-		ps := &e.wireStreams[i]
-		if int64(cap(ps.recs))*accBytes > budget {
-			ps.recs = nil
-		}
-		if int64(cap(ps.sealed)) > budget {
-			ps.sealed = nil
-		}
-	}
+	e.trimPools()
 	e.active = active
 
 	// Seam 4: gather the nodes' emits into the global order.
@@ -1142,180 +919,6 @@ func (e *Engine) exchange(step int, stepStats *Stats) error {
 	return e.deliverFrames(step, in)
 }
 
-// mergeShard runs the communication stage for one shard: recycle the
-// inbox entries this shard's vertices consumed during the superstep,
-// then deliver every worker's outbox slice for this shard, in worker
-// order. At Partitions > 1 every cross-partition send is also encoded
-// into its (src, dst) pair stream — consecutive identical payloads from
-// one sender dedup into a single record that fans out on the receiving
-// side, as BSP engines' per-machine message combiners do: the payload
-// crosses the interconnect once.
-func (e *Engine) mergeShard(s int) {
-	sh := &e.shards[s]
-	sh.recycleIn()
-	partitions := e.opts.Partitions
-	for _, ctx := range e.ctxs {
-		msgs := ctx.out[s]
-		for i := range msgs {
-			m := &msgs[i]
-			sh.stats.Messages++
-			sh.stats.MessageBytes += int64(e.opts.PayloadSize(m.payload))
-			deliver := true
-			if partitions > 1 {
-				srcP, dstP := e.opts.PartitionOf(m.from), e.opts.PartitionOf(m.to)
-				if srcP != dstP {
-					e.record(sh, srcP, dstP, m.from, -1, m.payload, m.to, 1)
-				}
-				// A node delivers only its own partition's messages
-				// locally; the rest exist as wire records.
-				deliver = e.localPart < 0 || dstP == e.localPart
-			}
-			if deliver {
-				buf, ok := sh.next[m.to]
-				if !ok {
-					buf = sh.getBuf()
-					sh.nextKeys = append(sh.nextKeys, m.to)
-				}
-				sh.next[m.to] = append(buf, Message{From: m.from, Count: 1, Payload: m.payload})
-			}
-			msgs[i] = outMsg{} // release payload references held by the outbox
-		}
-		ctx.out[s] = msgs[:0]
-	}
-	if e.comb != nil {
-		e.foldAccs(s, sh)
-		if partitions > 1 {
-			e.recordPend(sh)
-		}
-		// Loopback has every source partition's accumulators in hand. A
-		// node flushes after the exchange instead (deliverFrames), once
-		// the other nodes' accumulators have merged in.
-		if e.localPart < 0 {
-			e.flushPend(sh)
-		}
-	}
-}
-
-// record encodes one cross-partition send into its (src, dst) pair
-// stream. A payload the codec cannot encode fails the run through
-// sh.err; the send is still delivered wherever it is local.
-func (e *Engine) record(sh *mergeShard, srcP, dstP int, from VertexID, slot int32, pay any, to VertexID, count int32) {
-	enc, err := e.opts.Codec.Append(sh.encBuf[:0], pay)
-	if err != nil {
-		if sh.err == nil {
-			sh.err = err
-		}
-		return
-	}
-	sh.encBuf = enc
-	e.stream(srcP, dstP).add(from, slot, enc, to, count)
-}
-
-// foldAccs is the first half of the combined plane's communication
-// stage: fold the workers' per-(destination, slot, source partition)
-// accumulators into the shard's pending table — colliding streams merge
-// in worker order, exactly the order the uncombined plane would have
-// delivered in.
-func (e *Engine) foldAccs(s int, sh *mergeShard) {
-	for _, ctx := range e.ctxs {
-		a := &ctx.acc[s]
-		for i := range a.keys {
-			k := a.keys[i]
-			entry := &a.entries[i]
-			if j, ok := sh.accIdx[k]; ok {
-				tgt := &sh.pend[j]
-				tgt.pay = e.comb.Merge(tgt.pay, entry.pay)
-				tgt.count += entry.count
-				sh.stats.MessagesCombined++
-				sh.stats.InboxBytesSaved += msgBytes
-			} else {
-				if sh.accIdx == nil {
-					sh.accIdx = make(map[accKey]int32)
-				}
-				sh.accIdx[k] = int32(len(sh.pend))
-				sh.pend = append(sh.pend, *entry)
-				sh.pendKeys = append(sh.pendKeys, k)
-			}
-			*entry = accEntry{} // release payload references
-		}
-		a.keys = a.keys[:0]
-		a.entries = a.entries[:0]
-		a.last = -1
-		if len(a.idx) > 0 {
-			clear(a.idx)
-		}
-	}
-}
-
-// recordPend runs between fold and flush at Partitions > 1: every
-// cross-partition fold stream is encoded into its (src, dst) pair stream
-// — one record carrying the folded accumulator — and the pending table
-// is compacted down to what this engine delivers itself, re-keyed by
-// (destination, slot). On loopback that re-merges streams split by
-// source partition, keeping the first-seen entry and Merging later ones
-// in, so the per-(to, slot) fold count comes out the same as the
-// single-partition engine's. A node instead drops the streams it just
-// shipped; the owner makes the same Merge calls when the records arrive
-// (deliverRemote), so the fold trees agree.
-func (e *Engine) recordPend(sh *mergeShard) {
-	if len(sh.accIdx) > 0 {
-		clear(sh.accIdx)
-	}
-	out := 0
-	for i := range sh.pend {
-		k := sh.pendKeys[i]
-		p := sh.pend[i]
-		sh.pend[i] = accEntry{}
-		if dstP := e.opts.PartitionOf(k.to); int(k.src) != dstP {
-			e.record(sh, int(k.src), dstP, p.from, k.slot, p.pay, k.to, p.count)
-		}
-		if !e.owns(k.to) {
-			continue
-		}
-		k.src = -1
-		if j, ok := sh.accIdx[k]; ok {
-			tgt := &sh.pend[j]
-			tgt.pay = e.comb.Merge(tgt.pay, p.pay)
-			tgt.count += p.count
-			tgt.from = min(tgt.from, p.from)
-			sh.stats.MessagesCombined++
-			sh.stats.InboxBytesSaved += msgBytes
-			continue
-		}
-		if sh.accIdx == nil {
-			sh.accIdx = make(map[accKey]int32)
-		}
-		sh.accIdx[k] = int32(out)
-		sh.pend[out] = p
-		sh.pendKeys[out] = k
-		out++
-	}
-	sh.pend = sh.pend[:out]
-	sh.pendKeys = sh.pendKeys[:out]
-}
-
-// flushPend delivers the surviving fold streams, one Message each, in
-// first-seen order. Combined messages land after any plain (slot < 0)
-// messages for the same destination.
-func (e *Engine) flushPend(sh *mergeShard) {
-	for i := range sh.pend {
-		p := &sh.pend[i]
-		k := sh.pendKeys[i]
-		buf, ok := sh.next[k.to]
-		if !ok {
-			buf = sh.getBuf()
-			sh.nextKeys = append(sh.nextKeys, k.to)
-		}
-		sh.next[k.to] = append(buf, Message{From: p.from, Count: p.count, Payload: p.pay})
-		*p = accEntry{}
-	}
-	sh.pend = sh.pend[:0]
-	sh.pendKeys = sh.pendKeys[:0]
-	if len(sh.accIdx) > 0 {
-		clear(sh.accIdx)
-	}
-}
-
 // Context is the per-worker view handed to Compute. All methods are safe
 // for the single goroutine that owns the context.
 type Context struct {
@@ -1325,6 +928,7 @@ type Context struct {
 	cur    VertexID   // vertex currently computing (set by the dispatch loops)
 	out    [][]outMsg // one outbox per destination merge shard
 	acc    []ctxAcc   // one fold table per destination merge shard (combined plane)
+	pos    []int      // per-shard inbox cursors of the chunk being computed
 	stats  Stats      // send-time accounting of combined sends
 	aggs   map[string]int64
 	emits  []any

@@ -395,16 +395,19 @@ func TestShardedMergeMatchesSerial(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc: once pools are warm, a whole Run on a
-// single-worker engine allocates nothing — contexts, inbox maps,
-// message buffers, aggregator maps and the active list are all reused,
-// and the Transport seam (StartRun, one Exchange and one Barrier per
-// superstep, FinishRun) costs no allocation on Loopback. The
-// two-partition case keeps every vertex on partition 0, so each
-// superstep seals, prices and exchanges two empty frames.
+// single-worker engine allocates nothing — contexts, staging and inbox
+// arrays, aggregator maps and the active list are all reused, and the
+// Transport seam (StartRun, one Exchange and one Barrier per superstep,
+// FinishRun) costs no allocation on Loopback. The pinned two-partition
+// case keeps every vertex on partition 0, so each superstep seals,
+// prices and exchanges two empty frames; the default partitioner's
+// cases build real wire records, whose storage is reused too.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, opts := range []Options{
 		{Workers: 1},
 		{Workers: 1, Partitions: 2, PartitionOf: func(VertexID) int { return 0 }},
+		{Workers: 1, Partitions: 2},
+		{Workers: 1, Partitions: 3},
 	} {
 		g, lbl := meshGraph(64, 3)
 		eng := NewEngine(g, opts)
@@ -418,8 +421,32 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		eng.Run(prog, initial)
 		allocs := testing.AllocsPerRun(10, func() { eng.Run(prog, initial) })
 		if allocs > 0 {
-			t.Errorf("partitions=%d: steady-state Run allocates %.1f times, want 0", opts.Partitions, allocs)
+			t.Errorf("partitions=%d pinned=%v: steady-state Run allocates %.1f times, want 0",
+				opts.Partitions, opts.PartitionOf != nil, allocs)
 		}
+	}
+}
+
+// TestSuperstepAllocsAreFlat: a multi-worker Run pays a fixed number of
+// allocations for its worker pool, and nothing per superstep — a warm
+// partitioned Run of 30 supersteps allocates exactly what one of 3 does.
+func TestSuperstepAllocsAreFlat(t *testing.T) {
+	g, lbl := meshGraph(64, 3)
+	eng := NewEngine(g, Options{Workers: 2, Partitions: 2})
+	initial := []VertexID{0, 1, 2, 3}
+	allocs := func(hops int) float64 {
+		prog := ProgramFunc(func(ctx *Context, v VertexID, inbox []Message) {
+			if ctx.Step() < hops {
+				ctx.SendAlong(v, lbl, nil)
+			}
+		})
+		eng.Run(prog, initial)
+		eng.Run(prog, initial)
+		return testing.AllocsPerRun(10, func() { eng.Run(prog, initial) })
+	}
+	short, long := allocs(3), allocs(30)
+	if short != long {
+		t.Errorf("warm Run allocates %.1f times at 3 supersteps, %.1f at 30; want equal", short, long)
 	}
 }
 

@@ -301,9 +301,11 @@ type pairStream struct {
 // dedup that turns a fan-out (one payload, many destinations) into one
 // record with a dest list. Only the immediately preceding record is a
 // merge candidate, so delivery order on the receiving side is
-// preserved exactly.
+// preserved exactly. A new record reuses the payload and dest storage
+// its slot held in earlier supersteps.
 func (ps *pairStream) add(from VertexID, slot int32, enc []byte, to VertexID, count int32) {
-	if n := len(ps.recs); n > 0 {
+	n := len(ps.recs)
+	if n > 0 {
 		last := &ps.recs[n-1]
 		if last.from == from && last.slot == slot && string(last.enc) == string(enc) {
 			if m := len(last.dests); m > 0 && last.dests[m-1].to == to {
@@ -314,15 +316,29 @@ func (ps *pairStream) add(from VertexID, slot int32, enc []byte, to VertexID, co
 			return
 		}
 	}
-	ps.recs = append(ps.recs, wireRecord{
-		from:  from,
-		slot:  slot,
-		enc:   append([]byte(nil), enc...),
-		dests: []destRef{{to: to, count: count}},
-	})
+	if n < cap(ps.recs) {
+		ps.recs = ps.recs[:n+1]
+	} else {
+		ps.recs = append(ps.recs, wireRecord{})
+	}
+	r := &ps.recs[n]
+	r.from, r.slot = from, slot
+	r.enc = append(r.enc[:0], enc...)
+	r.dests = append(r.dests[:0], destRef{to: to, count: count})
 }
 
 func (ps *pairStream) reset() { ps.recs = ps.recs[:0] }
+
+// retainedBytes is the storage the stream pools: record slots with their
+// payload and dest buffers (one encoded accumulator can be large) and
+// the frame buffer.
+func (ps *pairStream) retainedBytes() int64 {
+	n := int64(cap(ps.recs))*accBytes + int64(cap(ps.sealed))
+	for _, r := range ps.recs[:cap(ps.recs)] {
+		n += int64(cap(r.enc)) + int64(cap(r.dests))*8
+	}
+	return n
+}
 
 // frameKindRecords tags a sealed superstep frame; hostile or corrupt
 // frames with any other leading byte are refused by decodeRecords.

@@ -176,9 +176,10 @@ func (e *Session) ResetStats() { e.eng.ResetStats() }
 // topology.
 func (e *Session) DistErr() error { return e.eng.DistErr() }
 
-// InboxBytes reports the resident memory of this session's sparse BSP
-// message plane (live inbox entries plus pooled buffers); compare with
-// bsp.DenseInboxBytes for the dense O(|V|) plane it replaced.
+// InboxBytes reports the resident memory of this session's BSP message
+// plane (the flat inbox, staging and sort arrays, live or pooled);
+// compare with bsp.DenseInboxBytes for the dense O(|V|) plane it
+// replaced.
 func (e *Session) InboxBytes() int64 { return e.eng.InboxBytes() }
 
 // PeakInboxBytes reports the largest resident inbox footprint any of
