@@ -408,7 +408,10 @@ type Engine struct {
 	// distErr latches a transport failure: the engine is permanently
 	// failed and every subsequent Run refuses immediately.
 	distErr error
-	heads   []int // mergeKeys' per-shard cursor scratch
+	// runs and mergeTmp are mergeKeys' scratch: the lists being merged
+	// and the buffer its passes alternate with the active set.
+	runs     [][]VertexID
+	mergeTmp []VertexID
 
 	// Profiling (Options.Profile): peak resident inbox bytes observed
 	// at any barrier, and cumulative communication-stage wall time.
@@ -462,7 +465,6 @@ func NewEngine(g *Graph, opts Options) *Engine {
 		opts:      opts,
 		shards:    make([]mergeShard, opts.Workers),
 		ctxs:      make([]*Context, opts.Workers),
-		heads:     make([]int, opts.Workers),
 		aggs:      make(map[string]int64),
 		baggs:     make(map[string]int64),
 		localPart: opts.Transport.Local(),

@@ -1,6 +1,9 @@
 package bsp
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file is the message plane: outboxes and fold tables in, one flat
 // inbox per merge shard out, sorted by destination and read by position.
@@ -68,9 +71,9 @@ type mergeShard struct {
 	// order: plain sends in (worker, send) order, then the fold streams.
 	stageTo  []VertexID
 	stageMsg []Message
-	// order and radix are the sort scratch: key<<32 | staging index, so
-	// one sort of uint64s is a stable sort of the staged deliveries.
-	order, radix []uint64
+	// order is the sort scratch: key<<32 | staging index, so one sort of
+	// uint64s is a stable sort of the staged deliveries.
+	order []uint64
 	// keys, offs and msgs are the inbox sealed at the last barrier: keys
 	// ascend, and vertex keys[i] received msgs[offs[i]:offs[i+1]].
 	keys []VertexID
@@ -125,51 +128,18 @@ func (sh *mergeShard) release() {
 }
 
 // sortStage returns the staging indexes stably sorted by destination, or
-// by sender when byFrom is set, packed under their key.
+// by sender when byFrom is set, packed under their key: the keys are
+// distinct, so one plain sort of them is a stable sort of the staging.
 func (sh *mergeShard) sortStage(byFrom bool) []uint64 {
 	sh.order = slices.Grow(sh.order[:0], len(sh.stageTo))
-	var hi VertexID
 	for i, to := range sh.stageTo {
 		if byFrom {
 			to = sh.stageMsg[i].From
 		}
-		hi = max(hi, to)
 		sh.order = append(sh.order, uint64(to)<<32|uint64(i))
 	}
-	if len(sh.order) < 512 { // below this, clearing radix counts costs more
-		slices.Sort(sh.order)
-		return sh.order
-	}
-	sh.radix = slices.Grow(sh.radix[:0], len(sh.order))[:len(sh.order)]
-	if sorted := radixSort(sh.order, sh.radix, uint32(hi)); &sorted[0] != &sh.order[0] {
-		sh.order, sh.radix = sorted, sh.order
-	}
+	slices.Sort(sh.order)
 	return sh.order
-}
-
-// radixSort sorts key<<32 | index values by key, LSD over 11-bit digits
-// up to the largest key hi; stable passes keep ascending indexes in
-// order. It returns whichever of a and tmp holds the result.
-func radixSort(a, tmp []uint64, hi uint32) []uint64 {
-	const bits = 11
-	var count [1 << bits]int32
-	for shift := 32; shift < 64 && hi>>(shift-32) != 0; shift += bits {
-		clear(count[:])
-		for _, k := range a {
-			count[k>>shift&(1<<bits-1)]++
-		}
-		var sum int32
-		for d, c := range count {
-			count[d], sum = sum, sum+c
-		}
-		for _, k := range a {
-			d := k >> shift & (1<<bits - 1)
-			tmp[count[d]] = k
-			count[d]++
-		}
-		a, tmp = tmp, a
-	}
-	return a
 }
 
 // sortStageByFrom stably reorders a node's staged plain deliveries by
@@ -207,7 +177,7 @@ func (sh *mergeShard) seal() {
 // planeBytes is the shard's retained staging, sort and inbox storage.
 func (sh *mergeShard) planeBytes() int64 {
 	return int64(cap(sh.stageTo)+cap(sh.keys)+cap(sh.offs))*4 +
-		int64(cap(sh.order)+cap(sh.radix))*8 + int64(cap(sh.stageMsg)+cap(sh.msgs))*msgBytes
+		int64(cap(sh.order))*8 + int64(cap(sh.stageMsg)+cap(sh.msgs))*msgBytes
 }
 
 // InboxBytes estimates the resident memory of the message plane: every
@@ -250,27 +220,52 @@ func (e *Engine) compute(prog Program, ctx *Context, verts []VertexID) {
 	}
 }
 
-// mergeKeys appends the next active set to dst: the merge of the shards'
-// ascending, disjoint inbox keys.
+// mergeKeys returns the next active set in dst's storage: the merge of
+// the shards' ascending, disjoint inbox keys, two lists at a time, so
+// k shards cost ceil(log2 k) linear passes and the last pass writes dst.
 func (e *Engine) mergeKeys(dst []VertexID) []VertexID {
-	if len(e.shards) == 1 {
-		return append(dst, e.shards[0].keys...)
+	runs, n := e.runs[:0], 0
+	for s := range e.shards {
+		if k := e.shards[s].keys; len(k) > 0 {
+			runs, n = append(runs, k), n+len(k)
+		}
 	}
-	heads := e.heads
-	clear(heads)
-	for {
-		best, bv := -1, VertexID(0)
-		for s := range e.shards {
-			if k := e.shards[s].keys; heads[s] < len(k) && (best < 0 || k[heads[s]] < bv) {
-				best, bv = s, k[heads[s]]
+	passes := bits.Len(uint(max(len(runs)-1, 1)))
+	if passes > 1 {
+		e.mergeTmp = slices.Grow(e.mergeTmp[:0], n)[:n]
+	}
+	bufs := [2][]VertexID{slices.Grow(dst[:0], n)[:n], e.mergeTmp}
+	for ; passes > 0; passes-- {
+		out, o, next := bufs[(passes-1)%2], 0, runs[:0]
+		for i := 0; i < len(runs); i += 2 {
+			var b []VertexID // an odd list out is copied through
+			if i+1 < len(runs) {
+				b = runs[i+1]
 			}
+			m := mergeTwo(out[o:], runs[i], b)
+			next, o = append(next, out[o:o+m]), o+m
 		}
-		if best < 0 {
-			return dst
-		}
-		dst = append(dst, bv)
-		heads[best]++
+		runs = next
 	}
+	clear(runs[:cap(runs)])
+	e.runs = runs[:0]
+	return bufs[0]
+}
+
+// mergeTwo writes the merge of ascending a and b to out and returns its
+// length.
+func mergeTwo(out, a, b []VertexID) int {
+	o := 0
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out[o], a = a[0], a[1:]
+		} else {
+			out[o], b = b[0], b[1:]
+		}
+		o++
+	}
+	o += copy(out[o:], a)
+	return o + copy(out[o:], b)
 }
 
 // mergeShard runs the communication stage for one shard: drop the inbox
@@ -452,7 +447,7 @@ func (e *Engine) trimPools() {
 		sh := &e.shards[s]
 		sh.release()
 		if sh.planeBytes() > budget {
-			sh.stageTo, sh.stageMsg, sh.order, sh.radix = nil, nil, nil, nil
+			sh.stageTo, sh.stageMsg, sh.order = nil, nil, nil
 			sh.keys, sh.offs, sh.msgs = nil, nil, nil
 		}
 		if int64(cap(sh.pendKeys))*accBytes > budget {
@@ -463,6 +458,9 @@ func (e *Engine) trimPools() {
 		for s := range ctx.acc {
 			ctx.acc[s].trim(budget)
 		}
+	}
+	if int64(cap(e.mergeTmp))*4 > maxPooledBytes {
+		e.mergeTmp = nil
 	}
 	for i := range e.wireStreams {
 		if ps := &e.wireStreams[i]; ps.retainedBytes() > budget {
