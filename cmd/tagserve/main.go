@@ -45,7 +45,7 @@
 // each owning one hash-partition of the graph, with the data exchange
 // on real sockets. Answers are byte-identical to single-process
 // serving, and the wire carries exactly the bytes the simulated
-// cluster accounting (internal/cluster) prices. Distributed serving is
+// cluster accounting (the loopback transport) prices. Distributed serving is
 // read-only: -workers refuses -pin, /write and the WAL flags. A worker
 // process learns the dataset (db/scale/seed) from the coordinator,
 // builds the identical graph, and serves only /healthz and /stats over
@@ -118,7 +118,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-interval", 0, "checkpoint the served graph and truncate the covered WAL prefix every N epochs (0 = never; requires -wal)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 0, "also checkpoint after this many bytes of WAL growth (0 = no byte trigger)")
 	ckptTruncate := flag.Bool("checkpoint-truncate", true, "truncate the covered WAL prefix after each periodic checkpoint (false keeps the full log: slower boots bound by the checkpoint, but a lost image can always fall back to full replay)")
-	adaptive := flag.Bool("adaptive-combine", false, "drop a query's message combiner mid-run when folds are rare (per-run sampling)")
 	admitWait := flag.Duration("admit-wait", 100*time.Millisecond, "admission-control bound: how long a query waits for a session (a write for queue space) before refusal with 429/RETRY (negative = unbounded waits)")
 	writeQueue := flag.Int("write-queue", 256, "max writes queued or applying at once (beyond it, writes wait -admit-wait then get 429)")
 	var pins pinFlags
@@ -210,7 +209,7 @@ func main() {
 	}
 	srv, err := serve.Open(g, serve.Options{
 		Sessions:             *sessions,
-		Engine:               bsp.Options{Workers: *bspWorkers, AdaptiveCombine: *adaptive},
+		Engine:               bsp.Options{Workers: *bspWorkers},
 		Dist:                 coord,
 		PreparedLimit:        *prepared,
 		WALDir:               *walDir,

@@ -86,7 +86,7 @@ func main() {
 	fmt.Printf("\nlogical messages     %8d (both planes — combining never changes M)\n", comb.Messages)
 	fmt.Printf("folded en route      %8d (%.1f%%)\n", comb.MessagesCombined,
 		100*float64(comb.MessagesCombined)/float64(comb.Messages))
-	fmt.Printf("inbox slots saved    %8d bytes\n", comb.InboxBytesSaved)
+	fmt.Printf("inbox slots saved    %8d bytes\n", comb.InboxBytesSaved())
 
 	// --- The same effect through SQL: a scalar aggregation ships every
 	// row's partial to the single aggregator vertex, where the GA
@@ -121,5 +121,5 @@ func main() {
 	cs := combSess.Stats()
 	fmt.Printf("combined plane folded %d of %d aggregator-bound messages (%.1f%%), saving %d inbox bytes\n",
 		cs.MessagesCombined, cs.Messages,
-		100*float64(cs.MessagesCombined)/float64(cs.Messages), cs.InboxBytesSaved)
+		100*float64(cs.MessagesCombined)/float64(cs.Messages), cs.InboxBytesSaved())
 }

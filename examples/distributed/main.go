@@ -11,42 +11,38 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/cluster"
+	"repro/internal/bench"
 	"repro/internal/tpch"
 )
 
 func main() {
 	const machines = 6
 	cat := tpch.Generate(1, 2021)
-	c, err := cluster.New(cat, machines)
+	d, err := bench.NewDistEngines(cat, machines)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("TPC-H-like database partitioned over %d machines\n", machines)
-	fmt.Printf("graph: %v\n\n", c.TAG)
+	fmt.Printf("graph: %v\n\n", d.TAG.TAG)
 
 	fmt.Printf("%-6s %12s %12s %14s %14s\n",
 		"query", "tag_ms", "shuffle_ms", "tag_net_kb", "shuffle_net_kb")
 	var tagNet, shfNet int64
 	for _, id := range []string{"q3", "q4", "q5", "q10", "q12", "q14"} {
 		q := tpch.ByID(id)
-		tr, err := c.RunTAG(q.ID, q.SQL)
+		r, tagOut, shfOut, err := d.Query(q.ID, q.SQL)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sr, err := c.RunShuffle(q.ID, q.SQL)
-		if err != nil {
-			log.Fatal(err)
+		if tagOut.Len() != shfOut.Len() {
+			log.Fatalf("%s: engines disagree (%d vs %d rows)", id, tagOut.Len(), shfOut.Len())
 		}
-		if tr.Rows != sr.Rows {
-			log.Fatalf("%s: engines disagree (%d vs %d rows)", id, tr.Rows, sr.Rows)
-		}
-		tagNet += tr.NetworkBytes
-		shfNet += sr.NetworkBytes
+		tagNet += r.TagBytes
+		shfNet += r.ShuffleBytes
 		fmt.Printf("%-6s %12.3f %12.3f %14d %14d\n", id,
-			float64(tr.Elapsed.Microseconds())/1000,
-			float64(sr.Elapsed.Microseconds())/1000,
-			tr.NetworkBytes/1024, sr.NetworkBytes/1024)
+			float64(r.TagTime.Microseconds())/1000,
+			float64(r.ShuffleTime.Microseconds())/1000,
+			r.TagBytes/1024, r.ShuffleBytes/1024)
 	}
 	fmt.Printf("\ntotal network traffic: tag=%dKB shuffle=%dKB (shuffle/tag = %.2fx)\n",
 		tagNet/1024, shfNet/1024, float64(shfNet)/float64(tagNet))

@@ -5,7 +5,11 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/baseline"
+	"repro/internal/bsp"
+	"repro/internal/core"
+	"repro/internal/relation"
+	"repro/internal/tag"
 )
 
 // DistResult is the Figure 16 / Tables 16-17 distributed comparison for
@@ -23,9 +27,61 @@ type DistResult struct {
 
 // DistQuery is one query on the simulated cluster.
 type DistQuery struct {
-	ID                     string
-	TagTime, ShuffleTime   time.Duration
-	TagBytes, ShuffleBytes int64
+	ID                           string
+	TagTime, ShuffleTime         time.Duration
+	TagBytes, ShuffleBytes       int64
+	TagMessages, ShuffleMessages int64
+}
+
+// DistEngines is the §8.6 pair over one catalog: TAG-join on a graph
+// whose vertices are hash-partitioned over machines (bsp.PartitionOf,
+// the partition function real dist topologies use, with every sealed
+// cross-partition frame priced as network traffic), and the Spark SQL
+// stand-in, whose shuffle and broadcast joins count exchanged bytes the
+// same way.
+type DistEngines struct {
+	TAG     *core.Session
+	Shuffle *baseline.Engine
+}
+
+// NewDistEngines builds the TAG encoding of cat and both engines.
+func NewDistEngines(cat *relation.Catalog, machines int) (*DistEngines, error) {
+	if machines < 1 {
+		return nil, fmt.Errorf("bench: need at least 1 machine, have %d", machines)
+	}
+	g, err := tag.Build(cat, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &DistEngines{
+		TAG:     core.NewSession(g, bsp.Options{Partitions: machines}),
+		Shuffle: baseline.NewShuffle(cat, machines),
+	}, nil
+}
+
+// Query runs one query on both engines, timing each and reading the
+// network traffic it was priced at. Both answers are returned so a
+// caller can check that the engines agree.
+func (d *DistEngines) Query(id, query string) (q DistQuery, tagOut, shfOut *relation.Relation, err error) {
+	q.ID = id
+	before := d.TAG.Stats()
+	start := time.Now()
+	if tagOut, err = d.TAG.Query(query); err != nil {
+		return q, nil, nil, fmt.Errorf("bench: tag %s: %w", id, err)
+	}
+	q.TagTime = time.Since(start)
+	cost := d.TAG.Stats().Sub(before)
+	q.TagBytes, q.TagMessages = cost.NetworkBytes, cost.NetworkMessages
+
+	d.Shuffle.Stats = baseline.ExecStats{}
+	start = time.Now()
+	if shfOut, err = d.Shuffle.Query(query); err != nil {
+		return q, nil, nil, fmt.Errorf("bench: shuffle %s: %w", id, err)
+	}
+	q.ShuffleTime = time.Since(start)
+	st := d.Shuffle.Stats
+	q.ShuffleBytes, q.ShuffleMessages = st.NetworkBytes(), st.ShuffledRows+st.BroadcastRows
+	return q, tagOut, shfOut, nil
 }
 
 // RunDistributed executes a workload on the simulated cluster with both
@@ -33,30 +89,22 @@ type DistQuery struct {
 func RunDistributed(cfg Config, workload string, scale float64) (DistResult, error) {
 	cfg = cfg.withDefaults()
 	res := DistResult{Workload: workload, Scale: scale, Machines: cfg.Machines}
-	cat := generate(workload, scale, cfg.Seed)
-	c, err := cluster.New(cat, cfg.Machines)
+	d, err := NewDistEngines(generate(workload, scale, cfg.Seed), cfg.Machines)
 	if err != nil {
 		return res, err
 	}
-	for _, q := range WorkloadQueries(workload) {
-		tr, err := c.RunTAG(q.ID, q.SQL)
+	for _, wq := range WorkloadQueries(workload) {
+		q, _, _, err := d.Query(wq.ID, wq.SQL)
 		if err != nil {
 			return res, err
 		}
-		sr, err := c.RunShuffle(q.ID, q.SQL)
-		if err != nil {
-			return res, err
-		}
-		res.Queries = append(res.Queries, DistQuery{
-			ID: q.ID, TagTime: tr.Elapsed, ShuffleTime: sr.Elapsed,
-			TagBytes: tr.NetworkBytes, ShuffleBytes: sr.NetworkBytes,
-		})
-		res.TagTotal += tr.Elapsed
-		res.ShuffleTotal += sr.Elapsed
-		res.TagTraffic += tr.NetworkBytes
-		res.ShuffleTraffic += sr.NetworkBytes
-		res.TagMessages += tr.NetworkMessages
-		res.ShuffleMessages += sr.NetworkMessages
+		res.Queries = append(res.Queries, q)
+		res.TagTotal += q.TagTime
+		res.ShuffleTotal += q.ShuffleTime
+		res.TagTraffic += q.TagBytes
+		res.ShuffleTraffic += q.ShuffleBytes
+		res.TagMessages += q.TagMessages
+		res.ShuffleMessages += q.ShuffleMessages
 	}
 	return res, nil
 }

@@ -62,7 +62,7 @@ type Program interface {
 // computation by returning false. This is where label-stack-driven
 // programs (Algorithm 2) pop the next traversal step.
 type MasterProgram interface {
-	BeforeSuperstep(step int, eng *Engine) bool
+	BeforeSuperstep(step int) bool
 }
 
 // ProgramFunc adapts a function to the Program interface.
@@ -96,7 +96,7 @@ func (f ProgramFunc) Compute(ctx *Context, v VertexID, inbox []Message) { f(ctx,
 // shared mutable state. The engine's paper-facing cost counters
 // (Messages, MessageBytes, NetworkMessages, ComputeOps via InboxCount)
 // are unaffected by folding; the folding itself is reported in
-// Stats.MessagesCombined and Stats.InboxBytesSaved.
+// Stats.MessagesCombined.
 type Combiner interface {
 	// Slot classifies a payload into an independent fold stream:
 	// payloads in different slots never fold together and arrive as
@@ -139,9 +139,9 @@ func (c *combinedProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 
 func (c *combinedProgram) Combiner() Combiner { return c.comb }
 
-func (c *combinedProgram) BeforeSuperstep(step int, eng *Engine) bool {
+func (c *combinedProgram) BeforeSuperstep(step int) bool {
 	if m, ok := c.prog.(MasterProgram); ok {
-		return m.BeforeSuperstep(step, eng)
+		return m.BeforeSuperstep(step)
 	}
 	return true
 }
@@ -188,15 +188,14 @@ type Options struct {
 	Workers int
 	// MaxSupersteps guards against runaway programs; defaults to 100000.
 	MaxSupersteps int
-	// Partitions hash-partitions the graph across N machines: messages
-	// whose source and destination vertices live on different partitions
-	// are built into wire records, sealed into per-partition-pair frames
-	// and priced as network traffic. Defaults to 1 (single machine).
-	// Whether those frames actually cross a socket is the Transport's
-	// business — the accounting path is the same either way.
+	// Partitions hash-partitions the graph across N machines (see
+	// PartitionOf): messages whose source and destination vertices live
+	// on different partitions are built into wire records, sealed into
+	// per-partition-pair frames and priced as network traffic. Defaults
+	// to 1 (single machine). Whether those frames actually cross a socket
+	// is the Transport's business — the accounting path is the same
+	// either way.
 	Partitions int
-	// PartitionOf overrides the default hash partitioner.
-	PartitionOf func(VertexID) int
 	// PayloadSize estimates the in-memory size of a message payload in
 	// bytes for the MessageBytes measure; defaults to 8 bytes per
 	// payload. Network bytes are not estimated: at Partitions > 1 they
@@ -221,16 +220,6 @@ type Options struct {
 	// either way — the flag exists so cross-check tests have an
 	// uncombined reference to compare the fold against.
 	NoCombine bool
-	// AdaptiveCombine samples the observed fold rate at each barrier
-	// and drops the combiner for the rest of the run when folds are
-	// rare (under adaptiveMinFoldPct% of sends after adaptiveMinSends
-	// sends): a program whose destinations rarely collide pays the
-	// accumulator plane's hashing without its savings. Fallbacks are
-	// counted in Stats.CombineFallbacks. Rows, Emit output and the
-	// paper-facing Stats stay identical either way, and because the
-	// sampled counts are the barrier-reduced ones, every node of a
-	// distributed run drops at the same superstep. Off by default.
-	AdaptiveCombine bool
 	// Profile collects message-plane profiling: the peak resident
 	// inbox bytes observed at any barrier (Engine.PeakInboxBytes) and
 	// the cumulative wall time of the communication stage
@@ -249,10 +238,6 @@ func (o Options) withDefaults() Options {
 	if o.Partitions <= 0 {
 		o.Partitions = 1
 	}
-	if o.PartitionOf == nil {
-		p := o.Partitions
-		o.PartitionOf = func(v VertexID) int { return int(v) % p }
-	}
 	if o.PayloadSize == nil {
 		o.PayloadSize = func(any) int { return 8 }
 	}
@@ -265,11 +250,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// PartitionOf is the one partition function: vertex v lives on
+// partition v mod parts, on the loopback simulation and on every node
+// of a distributed run alike, so a partition count means the same
+// thing on both paths.
+func PartitionOf(v VertexID, parts int) int { return int(v) % parts }
+
 // Stats accumulates the paper's cost measures over a run (§2 "Cost
 // Measure"): total messages and computation, plus byte-level and
-// cross-partition (network) accounting.
+// cross-partition (network) accounting. Every field is a counter listed
+// once, in Counters.
 type Stats struct {
-	Supersteps      int
+	Supersteps      int64
 	Messages        int64 // logical sends — combining never changes this (the paper's M)
 	MessageBytes    int64
 	NetworkMessages int64 // messages crossing partition boundaries
@@ -277,45 +269,42 @@ type Stats struct {
 	ComputeOps      int64
 	ActiveVisits    int64 // total vertex activations over all supersteps
 
-	// Combine-plane bookkeeping (zero when no Combiner ran). These are
-	// the only fields that may differ between a combined and an
-	// uncombined run of the same program — compare Paper() for the
-	// rest.
-	MessagesCombined int64 // logical sends folded into an existing accumulator
-	InboxBytesSaved  int64 // Message-slot bytes the folded sends never occupied
-	CombineFallbacks int64 // runs where the adaptive gate dropped a rarely-folding combiner
+	// MessagesCombined counts logical sends folded into an existing
+	// accumulator (zero when no Combiner ran). It is the only field that
+	// may differ between a combined and an uncombined run of the same
+	// program — compare Paper() for the rest.
+	MessagesCombined int64
+}
+
+// Counters returns a pointer to every counter of s, in one fixed order:
+// Add, Sub and the distributed stats frame walk this list, so a new
+// counter is declared here and nowhere else.
+func (s *Stats) Counters() [8]*int64 {
+	return [...]*int64{&s.Supersteps, &s.Messages, &s.MessageBytes, &s.NetworkMessages,
+		&s.NetworkBytes, &s.ComputeOps, &s.ActiveVisits, &s.MessagesCombined}
 }
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
-	s.Supersteps += other.Supersteps
-	s.Messages += other.Messages
-	s.MessageBytes += other.MessageBytes
-	s.NetworkMessages += other.NetworkMessages
-	s.NetworkBytes += other.NetworkBytes
-	s.ComputeOps += other.ComputeOps
-	s.ActiveVisits += other.ActiveVisits
-	s.MessagesCombined += other.MessagesCombined
-	s.InboxBytesSaved += other.InboxBytesSaved
-	s.CombineFallbacks += other.CombineFallbacks
+	dst, src := s.Counters(), other.Counters()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
 }
 
 // Sub returns s - other, the delta between two cumulative snapshots
 // (e.g. one query's cost out of a session's running totals).
 func (s Stats) Sub(other Stats) Stats {
-	return Stats{
-		Supersteps:       s.Supersteps - other.Supersteps,
-		Messages:         s.Messages - other.Messages,
-		MessageBytes:     s.MessageBytes - other.MessageBytes,
-		NetworkMessages:  s.NetworkMessages - other.NetworkMessages,
-		NetworkBytes:     s.NetworkBytes - other.NetworkBytes,
-		ComputeOps:       s.ComputeOps - other.ComputeOps,
-		ActiveVisits:     s.ActiveVisits - other.ActiveVisits,
-		MessagesCombined: s.MessagesCombined - other.MessagesCombined,
-		InboxBytesSaved:  s.InboxBytesSaved - other.InboxBytesSaved,
-		CombineFallbacks: s.CombineFallbacks - other.CombineFallbacks,
+	dst, src := s.Counters(), other.Counters()
+	for i := range dst {
+		*dst[i] -= *src[i]
 	}
+	return s
 }
+
+// InboxBytesSaved is the Message-slot bytes the folded sends never
+// occupied: every fold saves one slot.
+func (s Stats) InboxBytesSaved() int64 { return s.MessagesCombined * msgBytes }
 
 // Paper returns the paper-facing cost measures only: the combine-plane
 // bookkeeping is zeroed, so a combined run can be compared field by
@@ -323,33 +312,22 @@ func (s Stats) Sub(other Stats) Stats {
 // byte-for-byte.
 func (s Stats) Paper() Stats {
 	s.MessagesCombined = 0
-	s.InboxBytesSaved = 0
-	s.CombineFallbacks = 0
 	return s
 }
 
 // String renders the stats compactly.
 func (s Stats) String() string {
-	return fmt.Sprintf("supersteps=%d msgs=%d bytes=%d netMsgs=%d netBytes=%d ops=%d visits=%d combined=%d savedB=%d fallbacks=%d",
+	return fmt.Sprintf("supersteps=%d msgs=%d bytes=%d netMsgs=%d netBytes=%d ops=%d visits=%d combined=%d savedB=%d",
 		s.Supersteps, s.Messages, s.MessageBytes, s.NetworkMessages, s.NetworkBytes, s.ComputeOps, s.ActiveVisits,
-		s.MessagesCombined, s.InboxBytesSaved, s.CombineFallbacks)
+		s.MessagesCombined, s.InboxBytesSaved())
 }
-
-// The adaptive combiner gate's sampling thresholds: after
-// adaptiveMinSends logical sends in a run, a fold rate under
-// adaptiveMinFoldPct percent drops the combiner for the rest of the
-// run (Options.AdaptiveCombine).
-const (
-	adaptiveMinSends   = 1024
-	adaptiveMinFoldPct = 10
-)
 
 // Engine executes vertex programs over a frozen graph. An Engine may run
 // several programs in sequence over the same graph (as TAG-join does for
 // its reduction and collection phases); Stats accumulate across runs.
 //
 // Concurrency contract: an Engine holds per-run mutable state (inboxes,
-// stats, aggregators), so a single Engine runs one program at a time.
+// stats, emits), so a single Engine runs one program at a time.
 // Any number of Engines may run concurrently over the same *frozen*
 // Graph, each serving one in-flight query — that is how internal/serve's
 // session pool shares one TAG encoding across simultaneous queries. The
@@ -363,8 +341,8 @@ const (
 // pool merges them in parallel — worker w is the only writer into
 // shard w. Each shard seals its deliveries into one flat inbox array
 // sorted by destination, so an engine holds O(active) memory, not
-// O(|V|), and contexts, outboxes, aggregator maps and the flat arrays
-// are pooled across supersteps and Runs.
+// O(|V|), and contexts, outboxes, fold tables and the flat arrays are
+// pooled across supersteps and Runs.
 type Engine struct {
 	g    *Graph
 	opts Options
@@ -380,9 +358,7 @@ type Engine struct {
 	// start of each Run, read by worker contexts during it.
 	comb Combiner
 
-	aggs   map[string]int64
-	emits  []any
-	halted bool
+	emits []any
 
 	// localPart caches Transport.Local(): the partition this engine owns
 	// as one node of a multi-node run, -1 when it owns every partition
@@ -400,8 +376,6 @@ type Engine struct {
 	// >= 0, so the nodes' emit streams can be allgathered back into the
 	// exact single-process order.
 	emitTags []emitTag
-	// baggs is the local aggregator scratch a barrier frame carries.
-	baggs map[string]int64
 	// runErr is the first Context.Fail error of the current Run (the
 	// globally agreed first, as reduced at the barrier); reset per Run.
 	runErr error
@@ -465,8 +439,6 @@ func NewEngine(g *Graph, opts Options) *Engine {
 		opts:      opts,
 		shards:    make([]mergeShard, opts.Workers),
 		ctxs:      make([]*Context, opts.Workers),
-		aggs:      make(map[string]int64),
-		baggs:     make(map[string]int64),
 		localPart: opts.Transport.Local(),
 	}
 	if opts.Partitions > 1 {
@@ -479,7 +451,6 @@ func NewEngine(g *Graph, opts Options) *Engine {
 			out:    make([][]outMsg, opts.Workers),
 			acc:    make([]ctxAcc, opts.Workers),
 			pos:    make([]int, opts.Workers),
-			aggs:   make(map[string]int64),
 			// Tag emits only where an allgather will need to order them.
 			tagEmits: e.localPart >= 0,
 		}
@@ -491,7 +462,7 @@ func NewEngine(g *Graph, opts Options) *Engine {
 // loopback, only for the local partition's vertices on a multi-node
 // transport.
 func (e *Engine) owns(v VertexID) bool {
-	return e.localPart < 0 || e.opts.PartitionOf(v) == e.localPart
+	return e.localPart < 0 || PartitionOf(v, e.opts.Partitions) == e.localPart
 }
 
 // stream returns the wire-record stream for the ordered partition pair
@@ -511,12 +482,8 @@ func (e *Engine) shardOf(v VertexID) int {
 	if n == 1 {
 		return 0
 	}
-	if e.opts.Partitions > 1 {
-		s := e.opts.PartitionOf(v) % n
-		if s < 0 {
-			s += n
-		}
-		return s
+	if p := e.opts.Partitions; p > 1 {
+		return PartitionOf(v, p) % n
 	}
 	return int(v) % n
 }
@@ -541,18 +508,10 @@ func (e *Engine) AddExternal(msgs, bytes int64) {
 	e.stats.MessageBytes += bytes
 }
 
-// AggInt returns the value of a named integer aggregator accumulated
-// during the most recent superstep.
-func (e *Engine) AggInt(name string) int64 { return e.aggs[name] }
-
 // Emitted returns values emitted via Context.Emit during the last Run, in
 // deterministic (worker-, then vertex-) order. The slice is valid until
 // the next Run.
 func (e *Engine) Emitted() []any { return e.emits }
-
-// Halt requests termination after the current superstep; usable from a
-// MasterProgram.
-func (e *Engine) Halt() { e.halted = true }
 
 // SetContext arms (or, with nil, disarms) between-superstep
 // cancellation for subsequent Runs: once ctx is done, a run stops at
@@ -640,8 +599,7 @@ func (e *Engine) MergeDuration() time.Duration { return time.Duration(e.mergeNs)
 // touches the Transport at four seam points — the owned share of the
 // initial set, the frame exchange, the barrier reduction and the
 // end-of-run emit gather — and every loop-control decision (active
-// count, abort, failure, the aggregators a master hook reads) comes out
-// of the reduced barrier frame. On Loopback the reduction is the
+// count, abort, failure) comes out of the reduced barrier frame. On Loopback the reduction is the
 // identity; on a multi-node transport it is what keeps the nodes in
 // lockstep, so their Stats and Emitted() equal the loopback engine's.
 func (e *Engine) Run(prog Program, initial []VertexID) Stats {
@@ -651,7 +609,6 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 		return Stats{}
 	}
 	before := e.stats
-	e.halted = false
 	e.runErr = nil
 	e.emits = e.emits[:0]
 	e.emitTags = e.emitTags[:0]
@@ -706,17 +663,16 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 	}
 
 	for step := 0; step < e.opts.MaxSupersteps; step++ {
-		// Loop-break decisions read only barrier-reduced state (master
-		// hooks see the reduced aggregators), so every node breaks at the
-		// same superstep.
-		if hasMaster && !master.BeforeSuperstep(step, e) {
+		// Loop-break decisions read only the step and barrier-reduced
+		// state, so every node breaks at the same superstep.
+		if hasMaster && !master.BeforeSuperstep(step) {
 			break
 		}
 		// gb.Abort is the cancellation point: breaking here is clean — the
 		// previous superstep's merge fully drained every outbox, so the
 		// cleanup below leaves the pooled planes consistent for the next
 		// Run.
-		if gb.Active == 0 || e.halted || gb.Abort {
+		if gb.Active == 0 || gb.Abort {
 			break
 		}
 		e.stats.Supersteps++
@@ -768,7 +724,7 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 
 		// Seam 2: seal and price the pair streams this engine owns, swap
 		// frames with the other nodes and deliver what they sent.
-		bf := BarrierFrame{Step: step, Aggs: e.baggs}
+		bf := BarrierFrame{Step: step}
 		if err := e.exchange(step, &bf.Stats); err != nil {
 			e.distErr = err
 			break
@@ -789,12 +745,7 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 		}
 		active = e.mergeKeys(active[:0])
 		// Per-worker outputs, in deterministic worker order.
-		clear(e.baggs)
 		for _, ctx := range e.ctxs {
-			for k, v := range ctx.aggs {
-				e.baggs[k] += v
-			}
-			clear(ctx.aggs)
 			e.emits = append(e.emits, ctx.emits...)
 			clear(ctx.emits)
 			ctx.emits = ctx.emits[:0]
@@ -814,9 +765,7 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 			ctx.stats = Stats{}
 		}
 
-		// Seam 3: reduce the local frame and adopt the global one. The
-		// aggregators of superstep S stay readable through S+1's master
-		// hook, until the next barrier replaces them.
+		// Seam 3: reduce the local frame and adopt the global one.
 		bf.Active = int64(len(active))
 		bf.Abort = e.ctxDone()
 		if e.runErr != nil {
@@ -827,10 +776,6 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 			break
 		}
 		e.stats.Add(gb.Stats)
-		clear(e.aggs)
-		for k, v := range gb.Aggs {
-			e.aggs[k] = v
-		}
 		// Every node adopts the globally agreed first failure so the
 		// run's outcome is identical everywhere.
 		if gb.Fail != "" && (e.runErr == nil || e.runErr.Error() != gb.Fail) {
@@ -838,21 +783,6 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 		}
 		if e.runErr != nil {
 			break
-		}
-
-		// Adaptive combiner gate: with enough sends observed this run and
-		// almost none of them folding, the accumulator plane is pure
-		// overhead — drop to the plain outbox for the rest of the run.
-		// Safe exactly here: the barrier has drained every pending
-		// accumulator into the inboxes, and no worker reads e.comb until
-		// the next compute stage.
-		if e.comb != nil && e.opts.AdaptiveCombine {
-			run := e.stats.Sub(before)
-			if run.Messages >= adaptiveMinSends &&
-				run.MessagesCombined*100 < run.Messages*adaptiveMinFoldPct {
-				e.comb = nil
-				e.stats.CombineFallbacks++
-			}
 		}
 	}
 
@@ -932,7 +862,6 @@ type Context struct {
 	acc    []ctxAcc   // one fold table per destination merge shard (combined plane)
 	pos    []int      // per-shard inbox cursors of the chunk being computed
 	stats  Stats      // send-time accounting of combined sends
-	aggs   map[string]int64
 	emits  []any
 	// tagEmits/emitTags record (step, vertex) per emit so a distributed
 	// run can allgather the nodes' emit streams back into the exact
@@ -996,9 +925,9 @@ func (c *Context) sendCombined(comb Combiner, s, slot int, from, to VertexID, pa
 // sender would otherwise have built and Sent — or combined and
 // uncombined runs disagree on MessageBytes; a program that uses SendFold
 // therefore owns its PayloadSize. The engine keeps the accumulator and
-// accounts one send of that size, exactly as Send would have. Without a combiner (Options.NoCombine, the adaptive
-// gate, or a program that declares none) fold(nil) is enqueued as a
-// plain message and priced by PayloadSize. The combiner's Merge must
+// accounts one send of that size, exactly as Send would have. Without a
+// combiner (Options.NoCombine, or a program that declares none) fold(nil)
+// is enqueued as a plain message and priced by PayloadSize. The combiner's Merge must
 // accept what fold returns. Partition keying and the combine-plane
 // bookkeeping are those of Send.
 func (c *Context) SendFold(from, to VertexID, fold func(acc any) (any, int)) {
@@ -1022,8 +951,8 @@ func (c *Context) foldStream(s, slot int, from, to VertexID) *accEntry {
 	// as one wire record, so the accounting (and the distributed
 	// exchange) falls out of the keying. At Partitions == 1 src stays 0.
 	var src int32
-	if opts := &c.eng.opts; opts.Partitions > 1 {
-		src = int32(opts.PartitionOf(from))
+	if p := c.eng.opts.Partitions; p > 1 {
+		src = int32(PartitionOf(from, p))
 	}
 	a := &c.acc[s]
 	k := accKey{to: to, slot: int32(slot), src: src}
@@ -1052,7 +981,6 @@ func (c *Context) countFold(entry *accEntry, size int) {
 	entry.count++
 	if entry.count > 1 {
 		c.stats.MessagesCombined++
-		c.stats.InboxBytesSaved += msgBytes
 	}
 }
 
@@ -1064,12 +992,6 @@ func (c *Context) SendAlong(v VertexID, label LabelID, payload any) int {
 		c.Send(v, e.To, payload)
 	}
 	return len(edges)
-}
-
-// AddInt accumulates into a named global integer aggregator; the merged
-// value is readable by the master (Engine.AggInt) at the next barrier.
-func (c *Context) AddInt(name string, delta int64) {
-	c.aggs[name] += delta
 }
 
 // Emit contributes a value to the run's distributed output.

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,7 +176,8 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// fanoutProgram: root messages all neighbors, each replies to an aggregator count.
+// fanoutProgram: root messages all neighbors, each reached leaf emits
+// its id.
 type fanoutProgram struct{ lbl LabelID }
 
 func (p *fanoutProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
@@ -183,10 +185,10 @@ func (p *fanoutProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 		ctx.SendAlong(v, p.lbl, nil)
 		return
 	}
-	ctx.AddInt("reached", 1)
+	ctx.Emit(v)
 }
 
-func TestEngineAggregator(t *testing.T) {
+func TestEngineFanOut(t *testing.T) {
 	g := NewGraph()
 	l := g.Symbols.Intern("e")
 	root := g.AddVertex(l, nil)
@@ -197,8 +199,8 @@ func TestEngineAggregator(t *testing.T) {
 	g.Freeze()
 	eng := NewEngine(g, Options{Workers: 3})
 	eng.Run(&fanoutProgram{lbl: l}, []VertexID{root})
-	if got := eng.AggInt("reached"); got != 5 {
-		t.Errorf("aggregator = %d, want 5", got)
+	if got, want := eng.Emitted(), []any{VertexID(1), VertexID(2), VertexID(3), VertexID(4), VertexID(5)}; !slices.Equal(got, want) {
+		t.Errorf("emitted = %v, want %v", got, want)
 	}
 }
 
@@ -207,7 +209,7 @@ func TestEngineAggregator(t *testing.T) {
 // codec frame header plus the sealed payload, per frame.
 type meteredLoopback struct {
 	Transport
-	frames int
+	frames int64
 	bytes  int64
 	recs   int64
 }
@@ -256,12 +258,7 @@ func TestEngineNetworkAccounting(t *testing.T) {
 	g, lbl := chainGraph(n)
 	// Partition even/odd: every chain hop crosses partitions.
 	metered := &meteredLoopback{Transport: Loopback(2)}
-	eng := NewEngine(g, Options{
-		Workers:     2,
-		Partitions:  2,
-		PartitionOf: func(v VertexID) int { return int(v) % 2 },
-		Transport:   metered,
-	})
+	eng := NewEngine(g, Options{Workers: 2, Partitions: 2, Transport: metered})
 	stats := eng.Run(&propagateProgram{lbl: lbl}, []VertexID{0})
 	// One wire record per chain hop: every hop crosses partitions and
 	// no two hops in one superstep share a sender.
@@ -281,7 +278,7 @@ func TestEngineNetworkAccounting(t *testing.T) {
 	if want := 2 * stats.Supersteps; metered.frames != want {
 		t.Errorf("frames on the transport = %d, want %d (2 pairs x %d supersteps)", metered.frames, want, stats.Supersteps)
 	}
-	if stats.NetworkBytes <= int64(metered.frames)*frameHeaderBytes {
+	if stats.NetworkBytes <= metered.frames*frameHeaderBytes {
 		t.Errorf("network bytes = %d do not cover %d frame headers plus records", stats.NetworkBytes, metered.frames)
 	}
 }
@@ -293,7 +290,7 @@ func (p *haltMaster) Compute(ctx *Context, v VertexID, inbox []Message) {
 	ctx.SendAlong(v, p.lbl, nil)
 }
 
-func (p *haltMaster) BeforeSuperstep(step int, eng *Engine) bool { return step < 1 }
+func (p *haltMaster) BeforeSuperstep(step int) bool { return step < 1 }
 
 func TestEngineSequentialRunsIsolated(t *testing.T) {
 	g, lbl := chainGraph(5)
@@ -341,7 +338,6 @@ type hopProgram struct {
 
 func (p *hopProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 	ctx.AddOps(1 + len(inbox))
-	ctx.AddInt("visits", 1)
 	if len(inbox) > 0 {
 		ctx.Emit([2]int{int(v), len(inbox)})
 	}
@@ -353,32 +349,26 @@ func (p *hopProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 // TestShardedMergeMatchesSerial: the sharded parallel merge must be
 // byte-identical to the serial merge a single-worker engine runs (one
 // shard, merged on the Run goroutine) — same Emit stream in the same
-// order, same aggregators, and exactly equal Stats (including the
-// network dedup accounting) — across worker counts and partitionings.
+// order and exactly equal Stats (including the network dedup accounting)
+// — across worker counts and partitionings.
 func TestShardedMergeMatchesSerial(t *testing.T) {
 	const n, k = 97, 5
 	for _, partitions := range []int{1, 2, 6} {
 		var baseStats Stats
 		var baseEmit []any
-		var baseAgg int64
 		for i, workers := range []int{1, 2, 4, 8} {
 			g, lbl := meshGraph(n, k)
 			eng := NewEngine(g, Options{Workers: workers, Partitions: partitions})
 			initial := []VertexID{0, 13, 40, 77}
 			stats := eng.Run(&hopProgram{lbl: lbl, hops: 4}, initial)
 			emitted := append([]any(nil), eng.Emitted()...)
-			agg := eng.AggInt("visits")
 			if i == 0 {
-				baseStats, baseEmit, baseAgg = stats, emitted, agg
+				baseStats, baseEmit = stats, emitted
 				continue
 			}
 			if stats != baseStats {
 				t.Errorf("partitions=%d workers=%d: stats %v != base %v",
 					partitions, workers, stats, baseStats)
-			}
-			if agg != baseAgg {
-				t.Errorf("partitions=%d workers=%d: agg %d != %d",
-					partitions, workers, agg, baseAgg)
 			}
 			if len(emitted) != len(baseEmit) {
 				t.Fatalf("partitions=%d workers=%d: %d emits, want %d",
@@ -396,25 +386,28 @@ func TestShardedMergeMatchesSerial(t *testing.T) {
 
 // TestSteadyStateZeroAlloc: once pools are warm, a whole Run on a
 // single-worker engine allocates nothing — contexts, staging and inbox
-// arrays, aggregator maps and the active list are all reused, and the
+// arrays, fold tables and the active list are all reused, and the
 // Transport seam (StartRun, one Exchange and one Barrier per superstep,
 // FinishRun) costs no allocation on Loopback. The pinned two-partition
-// case keeps every vertex on partition 0, so each superstep seals,
-// prices and exchanges two empty frames; the default partitioner's
-// cases build real wire records, whose storage is reused too.
+// case sends v → v+2, which never leaves the sender's partition, so each
+// superstep seals, prices and exchanges two empty frames; the mesh cases
+// build real wire records, whose storage is reused too.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	for _, opts := range []Options{
-		{Workers: 1},
-		{Workers: 1, Partitions: 2, PartitionOf: func(VertexID) int { return 0 }},
-		{Workers: 1, Partitions: 2},
-		{Workers: 1, Partitions: 3},
-	} {
+	for _, tc := range []struct {
+		parts  int
+		pinned bool
+	}{{1, false}, {2, true}, {2, false}, {3, false}} {
 		g, lbl := meshGraph(64, 3)
-		eng := NewEngine(g, opts)
+		eng := NewEngine(g, Options{Workers: 1, Partitions: tc.parts})
 		prog := ProgramFunc(func(ctx *Context, v VertexID, inbox []Message) {
-			if ctx.Step() < 3 {
-				ctx.SendAlong(v, lbl, nil)
+			if ctx.Step() >= 3 {
+				return
 			}
+			if tc.pinned {
+				ctx.Send(v, (v+2)%64, nil)
+				return
+			}
+			ctx.SendAlong(v, lbl, nil)
 		})
 		initial := []VertexID{0, 1, 2, 3}
 		eng.Run(prog, initial)
@@ -422,7 +415,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() { eng.Run(prog, initial) })
 		if allocs > 0 {
 			t.Errorf("partitions=%d pinned=%v: steady-state Run allocates %.1f times, want 0",
-				opts.Partitions, opts.PartitionOf != nil, allocs)
+				tc.parts, tc.pinned, allocs)
 		}
 	}
 }

@@ -293,7 +293,7 @@ func (e *Engine) mergeShard(s int) {
 			sh.stats.MessageBytes += int64(e.opts.PayloadSize(m.payload))
 			deliver := true
 			if partitions > 1 {
-				srcP, dstP := e.opts.PartitionOf(m.from), e.opts.PartitionOf(m.to)
+				srcP, dstP := PartitionOf(m.from, partitions), PartitionOf(m.to, partitions)
 				if srcP != dstP {
 					e.record(sh, srcP, dstP, m.from, -1, m.payload, m.to, 1)
 				}
@@ -380,7 +380,6 @@ func (e *Engine) foldPend(sh *mergeShard, k accKey, p accEntry) {
 		tgt.count += p.count
 		tgt.from = min(tgt.from, p.from)
 		sh.stats.MessagesCombined++
-		sh.stats.InboxBytesSaved += msgBytes
 		return
 	}
 	if sh.accIdx == nil {
@@ -411,7 +410,7 @@ func (e *Engine) recordPend(sh *mergeShard) {
 	for i, k := range keys {
 		p := pend[i]
 		pend[i] = accEntry{}
-		if dstP := e.opts.PartitionOf(k.to); int(k.src) != dstP {
+		if dstP := PartitionOf(k.to, e.opts.Partitions); int(k.src) != dstP {
 			e.record(sh, int(k.src), dstP, p.from, k.slot, p.pay, k.to, p.count)
 		}
 		if e.owns(k.to) {

@@ -3,13 +3,14 @@
 // model reviewed in §2 of the TAG-join paper. It is the substrate the paper
 // obtains from TigerGraph: vertices run a user program in supersteps,
 // communicate by messages along labeled edges, are activated by message
-// receipt, and can cooperate through global aggregators.
+// receipt, and contribute global results through an ordered emit stream.
 //
 // The engine exploits thread parallelism with a worker pool and per-worker
 // outboxes, and accounts for the paper's cost measures: total messages,
-// message bytes, and per-vertex computation operations. An optional
-// partitioning function attributes messages that cross partitions to
-// network traffic, which drives the distributed-cluster experiments.
+// message bytes, and per-vertex computation operations. Under
+// Options.Partitions > 1, PartitionOf assigns vertices to machines and
+// messages that cross partitions are priced as network traffic, which
+// drives the distributed-cluster experiments.
 package bsp
 
 import "sync"

@@ -175,7 +175,7 @@ const frameHeaderBytes = 8
 
 // BarrierFrame is the per-superstep control exchange of a Run. Each
 // node contributes its local view; the transport returns the global
-// reduction (sums for Active/Aggs/Stats, OR for Abort, first non-empty
+// reduction (sums for Active and Stats, OR for Abort, first non-empty
 // Fail in partition order), and the engine steers its loop by that
 // alone. The Stats carry no Supersteps or ActiveVisits — every node
 // derives those identically from the reduced Active count. Step -1 is
@@ -185,7 +185,6 @@ type BarrierFrame struct {
 	Active int64
 	Abort  bool
 	Fail   string
-	Aggs   map[string]int64
 	Stats  Stats
 }
 
@@ -222,13 +221,13 @@ type Transport interface {
 }
 
 // ReduceBarrier folds the nodes' local barrier frames (in partition
-// order) into the global frame every node applies: Active, Aggs and
-// Stats sum, Abort ORs, Fail keeps the first non-empty failure. Both
+// order) into the global frame every node applies: Active and Stats
+// sum, Abort ORs, Fail keeps the first non-empty failure. Both
 // the in-memory test transport and internal/dist's coordinator use
 // this one reduction, so "globally agreed" means the same thing on
 // every implementation.
 func ReduceBarrier(bfs []BarrierFrame) BarrierFrame {
-	gb := BarrierFrame{Aggs: make(map[string]int64)}
+	var gb BarrierFrame
 	for i, bf := range bfs {
 		if i == 0 {
 			gb.Step = bf.Step
@@ -237,9 +236,6 @@ func ReduceBarrier(bfs []BarrierFrame) BarrierFrame {
 		gb.Abort = gb.Abort || bf.Abort
 		if gb.Fail == "" {
 			gb.Fail = bf.Fail
-		}
-		for k, v := range bf.Aggs {
-			gb.Aggs[k] += v
 		}
 		gb.Stats.Add(bf.Stats)
 	}

@@ -98,14 +98,6 @@ func (t *memNode) Exchange(step int, out []Frame) ([]Frame, error) {
 
 func (t *memNode) Barrier(bf BarrierFrame) (BarrierFrame, error) {
 	h := t.hub
-	// Aggs is the engine's reused scratch map; snapshot it.
-	if bf.Aggs != nil {
-		aggs := make(map[string]int64, len(bf.Aggs))
-		for k, v := range bf.Aggs {
-			aggs[k] = v
-		}
-		bf.Aggs = aggs
-	}
 	h.rendezvous(
 		func() { h.bfs[t.local] = bf },
 		func() { h.gb = ReduceBarrier(h.bfs) },
@@ -143,8 +135,8 @@ func (sumOrPlain) Merge(acc, other any) any { return acc.(int64) + other.(int64)
 
 // distSumProgram floods vertex ids along edges (combined) plus string
 // pings to a rotating destination (plain), and emits each received
-// total: it exercises plain records, combined records, aggregators and
-// the emit allgather at once.
+// total: it exercises plain records, combined records and the emit
+// allgather at once.
 type distSumProgram struct {
 	lbl  LabelID
 	hops int
@@ -163,7 +155,6 @@ func (p *distSumProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 	}
 	if len(inbox) > 0 {
 		ctx.Emit(total)
-		ctx.AddInt("delivered", int64(InboxCount(inbox)))
 	}
 	if ctx.Step() < p.hops {
 		ctx.SendAlong(v, p.lbl, int64(v)+total)

@@ -494,20 +494,12 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 	// at one relay vertex per machine, so only one combined message per
 	// machine crosses the network to the global aggregator — the
 	// per-machine accumulator combining of Pregel-style engines and the
-	// partial-aggregation optimization §7 describes.
-	relays := e.partitionRelays()
+	// partial-aggregation optimization §7 describes. Partition p's relay
+	// is vertex p, which bsp.PartitionOf places on partition p.
+	parts := e.Opts.Partitions
+	relayed := parts > 1
 	relayStep := 0
-	partOf := e.Opts.PartitionOf
-	if partOf == nil {
-		pn := e.Opts.Partitions
-		partOf = func(v bsp.VertexID) int {
-			if pn <= 1 {
-				return 0
-			}
-			return int(v) % pn
-		}
-	}
-	if len(relays) > 1 {
+	if relayed {
 		relayStep = 1
 	}
 	mergeInbox := func(ctx *bsp.Context, inbox []bsp.Message) *partialGroups {
@@ -531,8 +523,8 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 			touched := 0
 			if err == nil && len(rows) > 0 {
 				to := e.TAG.Aggregator
-				if len(relays) > 1 {
-					to = relays[partOf(v)]
+				if relayed {
+					to = bsp.VertexID(bsp.PartitionOf(v, parts))
 				}
 				touched, err = f.send(ctx, ws, v, to, t, rows, nil)
 			}
@@ -541,7 +533,7 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 				return
 			}
 			ctx.AddOps(len(t.rows) + touched)
-		case ctx.Step() == relayStep && len(relays) > 1:
+		case relayed && ctx.Step() == relayStep:
 			// Per-machine relay: combine and forward one message.
 			if pg := mergeInbox(ctx, inbox); len(pg.groups) > 0 {
 				ctx.Send(v, e.TAG.Aggregator, pg)

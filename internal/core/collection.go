@@ -21,7 +21,7 @@ type collectionProgram struct {
 
 // BeforeSuperstep drives the bottom-up label schedule once more and
 // allows one final superstep for the root to absorb its inbox.
-func (p *collectionProgram) BeforeSuperstep(step int, eng *bsp.Engine) bool {
+func (p *collectionProgram) BeforeSuperstep(step int) bool {
 	p.cur = step
 	return step <= p.r.nUp
 }

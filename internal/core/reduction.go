@@ -23,7 +23,7 @@ type reductionProgram struct {
 // BeforeSuperstep drives the label schedule (the stack-popping master of
 // Algorithm 2) and stops one superstep after the schedule is exhausted so
 // the final DOWN recipients can record survival.
-func (p *reductionProgram) BeforeSuperstep(step int, eng *bsp.Engine) bool {
+func (p *reductionProgram) BeforeSuperstep(step int) bool {
 	p.cur = step
 	return step <= len(p.r.steps)
 }

@@ -134,34 +134,6 @@ func (e *Session) runProg(prog bsp.Program, initial []bsp.VertexID) error {
 	return e.eng.RunErr()
 }
 
-// partitionRelays returns one vertex per simulated machine (partition)
-// to act as the per-machine aggregation combiner; with a single partition
-// it returns nil and aggregation messages go straight to the global
-// aggregator vertex.
-func (e *Session) partitionRelays() []bsp.VertexID {
-	opts := e.Opts
-	if opts.Partitions <= 1 {
-		return nil
-	}
-	partOf := opts.PartitionOf
-	if partOf == nil {
-		p := opts.Partitions
-		partOf = func(v bsp.VertexID) int { return int(v) % p }
-	}
-	relays := make([]bsp.VertexID, opts.Partitions)
-	seen := 0
-	assigned := make([]bool, opts.Partitions)
-	for v := 0; v < e.TAG.G.NumVertices() && seen < opts.Partitions; v++ {
-		p := partOf(bsp.VertexID(v))
-		if p >= 0 && p < opts.Partitions && !assigned[p] {
-			assigned[p] = true
-			relays[p] = bsp.VertexID(v)
-			seen++
-		}
-	}
-	return relays
-}
-
 // Stats returns the accumulated BSP cost measures across this session's
 // queries.
 func (e *Session) Stats() bsp.Stats { return e.eng.Stats() }

@@ -305,12 +305,7 @@ func (c *Coordinator) form() {
 		}
 	}
 	c.n = &node{parts: c.cfg.Parts, local: 0, mesh: m, coll: coordColl{c.hub}}
-	c.sess = core.NewSession(g, bsp.Options{
-		Workers:     c.cfg.Workers,
-		Partitions:  c.cfg.Parts,
-		PartitionOf: partitionOf(c.cfg.Parts),
-		Transport:   c.n,
-	})
+	c.sess = core.NewSession(g, bsp.Options{Workers: c.cfg.Workers, Partitions: c.cfg.Parts, Transport: c.n})
 }
 
 // readWorker owns one worker's control reads: collective deposits,

@@ -45,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -101,14 +100,6 @@ func (c Config) withDefaults() Config {
 		c.FormTimeout = 2 * time.Minute
 	}
 	return c
-}
-
-// partitionOf is the cluster's one partition function: hash a vertex
-// to its owning node. Identical on every node (and to the simulated
-// cluster's), so the frames a real node seals are the frames the
-// simulation prices.
-func partitionOf(parts int) func(bsp.VertexID) int {
-	return func(v bsp.VertexID) int { return int(v) % parts }
 }
 
 // WireStats is one node's measured transport traffic, codec frame
@@ -183,10 +174,8 @@ const joinMagic = "tagdist1"
 // pin an accept loop.
 const handshakeTimeout = 10 * time.Second
 
-// appendBarrierFrame serializes a bsp.BarrierFrame (deterministically:
-// aggregator keys sorted) after the leading kind byte. Encoding copies
-// every value out, so the engine's reused Aggs scratch map needs no
-// separate snapshot.
+// appendBarrierFrame serializes a bsp.BarrierFrame after the leading
+// kind byte: step, active count, abort flag, failure and stats.
 func appendBarrierFrame(dst []byte, bf bsp.BarrierFrame) []byte {
 	dst = binary.AppendVarint(dst, int64(bf.Step))
 	dst = binary.AppendVarint(dst, bf.Active)
@@ -196,16 +185,6 @@ func appendBarrierFrame(dst []byte, bf bsp.BarrierFrame) []byte {
 		dst = append(dst, 0)
 	}
 	dst = codec.AppendString(dst, bf.Fail)
-	keys := make([]string, 0, len(bf.Aggs))
-	for k := range bf.Aggs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = codec.AppendString(dst, k)
-		dst = binary.AppendVarint(dst, bf.Aggs[k])
-	}
 	return appendStats(dst, bf.Stats)
 }
 
@@ -230,58 +209,26 @@ func decodeBarrierFrame(d *codec.Decoder) (bsp.BarrierFrame, error) {
 	if bf.Fail, err = d.Str(); err != nil {
 		return bf, err
 	}
-	n, err := d.Length()
-	if err != nil {
-		return bf, err
-	}
-	if n > 0 {
-		bf.Aggs = make(map[string]int64, codec.CapHint(n))
-		for i := 0; i < n; i++ {
-			k, err := d.Str()
-			if err != nil {
-				return bf, err
-			}
-			v, err := d.Varint()
-			if err != nil {
-				return bf, err
-			}
-			bf.Aggs[k] = v
-		}
-	}
 	bf.Stats, err = decodeStats(d)
 	return bf, err
 }
 
+// appendStats writes every bsp.Stats counter, in Counters order.
 func appendStats(dst []byte, st bsp.Stats) []byte {
-	dst = binary.AppendVarint(dst, int64(st.Supersteps))
-	dst = binary.AppendVarint(dst, st.Messages)
-	dst = binary.AppendVarint(dst, st.MessageBytes)
-	dst = binary.AppendVarint(dst, st.NetworkMessages)
-	dst = binary.AppendVarint(dst, st.NetworkBytes)
-	dst = binary.AppendVarint(dst, st.ComputeOps)
-	dst = binary.AppendVarint(dst, st.ActiveVisits)
-	dst = binary.AppendVarint(dst, st.MessagesCombined)
-	dst = binary.AppendVarint(dst, st.InboxBytesSaved)
-	return binary.AppendVarint(dst, st.CombineFallbacks)
+	for _, c := range st.Counters() {
+		dst = binary.AppendVarint(dst, *c)
+	}
+	return dst
 }
 
 func decodeStats(d *codec.Decoder) (bsp.Stats, error) {
 	var st bsp.Stats
-	for _, f := range []*int64{
-		nil, // Supersteps, handled below (int, not int64)
-		&st.Messages, &st.MessageBytes, &st.NetworkMessages,
-		&st.NetworkBytes, &st.ComputeOps, &st.ActiveVisits,
-		&st.MessagesCombined, &st.InboxBytesSaved, &st.CombineFallbacks,
-	} {
+	for _, c := range st.Counters() {
 		v, err := d.Varint()
 		if err != nil {
 			return st, err
 		}
-		if f == nil {
-			st.Supersteps = int(v)
-		} else {
-			*f = v
-		}
+		*c = v
 	}
 	return st, nil
 }

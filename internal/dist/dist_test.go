@@ -100,10 +100,7 @@ func TestDistMatchesSimulationTPCH(t *testing.T) {
 	for _, parts := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
 			c, workers := startTopology(t, g, parts)
-			ref := core.NewSession(g, bsp.Options{
-				Partitions:  parts,
-				PartitionOf: partitionOf(parts),
-			})
+			ref := core.NewSession(g, bsp.Options{Partitions: parts})
 			var wantBytes, wantRecords int64
 			for _, q := range queries {
 				refBefore := ref.Stats()

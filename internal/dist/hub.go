@@ -172,15 +172,6 @@ func (c coordColl) startRun() error {
 }
 
 func (c coordColl) barrier(bf bsp.BarrierFrame) (bsp.BarrierFrame, error) {
-	// The engine reuses its aggregator scratch map across barriers;
-	// snapshot it before parking the frame in a shared slot.
-	if bf.Aggs != nil {
-		aggs := make(map[string]int64, len(bf.Aggs))
-		for k, v := range bf.Aggs {
-			aggs[k] = v
-		}
-		bf.Aggs = aggs
-	}
 	gb, _, _, err := c.h.await(ckBarrier, &bf, nil, "")
 	return gb, err
 }

@@ -241,12 +241,7 @@ func (w *Worker) form(coordAddr string, workers int, build GraphBuilder) error {
 	}
 
 	w.n = &node{parts: w.parts, local: w.part, mesh: w.m, coll: workerColl{w}}
-	w.sess = core.NewSession(g, bsp.Options{
-		Workers:     workers,
-		Partitions:  w.parts,
-		PartitionOf: partitionOf(w.parts),
-		Transport:   w.n,
-	})
+	w.sess = core.NewSession(g, bsp.Options{Workers: workers, Partitions: w.parts, Transport: w.n})
 	w.formBR = br
 	return nil
 }
@@ -451,8 +446,6 @@ func (wc workerColl) startRun() error {
 }
 
 func (wc workerColl) barrier(bf bsp.BarrierFrame) (bsp.BarrierFrame, error) {
-	// appendBarrierFrame copies every value out of the engine's reused
-	// Aggs scratch map, so no snapshot is needed here.
 	if err := wc.w.send(appendBarrierFrame([]byte{ckBarrier}, bf)); err != nil {
 		return bsp.BarrierFrame{}, err
 	}

@@ -58,7 +58,7 @@ func encodeResult(t testing.TB, r *Result) []byte {
 	}
 	b, err := appendResult(nil, &serve.Result{
 		Rows: r.Rows, Epoch: r.Epoch, Prepared: r.Prepared, Elapsed: r.Elapsed,
-		Cost: bsp.Stats{Messages: r.Messages, Supersteps: r.Supersteps},
+		Cost: bsp.Stats{Messages: r.Messages, Supersteps: int64(r.Supersteps)},
 		Info: core.ExecInfo{Agg: agg, Acyclic: r.Acyclic},
 	}, r.Fingerprint)
 	if err != nil {

@@ -123,8 +123,7 @@ var statRows = []statRow{
 	{"bsp_message_bytes", "tagserve_bsp_message_bytes_total", "counter", "Payload bytes of the BSP messages sent by all queries.", func(st *Stats) any { return st.Cost.MessageBytes }},
 	{"bsp_compute_ops", "tagserve_bsp_compute_ops_total", "counter", "Units of per-vertex computation run by all queries (the paper's computation cost).", func(st *Stats) any { return st.Cost.ComputeOps }},
 	{"bsp_messages_combined", "tagserve_bsp_messages_combined_total", "counter", "Logical BSP sends folded en route by a combiner.", func(st *Stats) any { return st.Cost.MessagesCombined }},
-	{"bsp_inbox_bytes_saved", "tagserve_bsp_inbox_bytes_saved_total", "counter", "Inbox Message-slot bytes the folded sends never occupied.", func(st *Stats) any { return st.Cost.InboxBytesSaved }},
-	{"bsp_combine_fallbacks", "tagserve_bsp_combine_fallbacks_total", "counter", "Runs where the adaptive gate dropped a rarely-folding combiner.", func(st *Stats) any { return st.Cost.CombineFallbacks }},
+	{"bsp_inbox_bytes_saved", "tagserve_bsp_inbox_bytes_saved_total", "counter", "Inbox Message-slot bytes the folded sends never occupied.", func(st *Stats) any { return st.Cost.InboxBytesSaved() }},
 	{"epoch", "tagserve_epoch", "gauge", "Epoch of the currently served generation.", func(st *Stats) any { return st.Epoch }},
 	{"swaps", "tagserve_generation_swaps_total", "counter", "Graph generations published since startup.", func(st *Stats) any { return st.Swaps }},
 	{"write_ops", "tagserve_write_ops_total", "counter", "Write ops applied through the Maintainer.", func(st *Stats) any { return st.WriteOps }},

@@ -188,8 +188,7 @@ func TestStatsViewsGolden(t *testing.T) {
 		"epoch":  "1", "swaps": "1", "write_ops": "1", "generations_live": "1",
 		"rows_inserted": "1", "rows_deleted": "0",
 		"bsp_supersteps": "6", "bsp_messages": "120", "bsp_message_bytes": "5760",
-		"bsp_compute_ops": "480", "bsp_messages_combined": "118",
-		"bsp_inbox_bytes_saved": "2832", "bsp_combine_fallbacks": "0",
+		"bsp_compute_ops": "480", "bsp_messages_combined": "118", "bsp_inbox_bytes_saved": "2832",
 		"wal_records": "0", "wal_bytes": "0", "wal_fsyncs": "0",
 		"wal_replayed_epochs": "0", "wal_skipped_epochs": "0", "wal_truncations": "0",
 		"checkpoints": "0", "checkpoint_epoch": "0", "checkpoint_errors": "0",

@@ -9,9 +9,9 @@ import (
 )
 
 // countProgram is a two-hop traversal: each seed tuple vertex messages
-// its attribute neighbors, and each attribute vertex counts the tuples
-// that reached it into an aggregator. Every live row contributes
-// exactly its materialized non-null column count.
+// its attribute neighbors, and each attribute vertex emits the number of
+// tuples that reached it. Every live row contributes exactly its
+// materialized non-null column count.
 type countProgram struct{}
 
 func (countProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
@@ -21,10 +21,10 @@ func (countProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Messag
 		}
 		return
 	}
-	ctx.AddInt("reached", int64(len(inbox)))
+	ctx.Emit(len(inbox))
 }
 
-func (countProgram) BeforeSuperstep(step int, eng *bsp.Engine) bool { return step < 2 }
+func (countProgram) BeforeSuperstep(step int) bool { return step < 2 }
 
 // TestEngineRunAcrossInsertBatches interleaves tag.InsertBatch with
 // Engine.Run on the same engine: the engine's sparse inboxes must
@@ -56,7 +56,11 @@ func TestEngineRunAcrossInsertBatches(t *testing.T) {
 	key := int64(1000)
 	for round := 0; round < 5; round++ {
 		eng.Run(countProgram{}, g.TupleVertices("ev"))
-		if got, want := eng.AggInt("reached"), int64(rows*edgesPerRow); got != want {
+		got := 0
+		for _, n := range eng.Emitted() {
+			got += n.(int)
+		}
+		if want := rows * edgesPerRow; got != want {
 			t.Fatalf("round %d: %d attribute arrivals, want %d", round, got, want)
 		}
 

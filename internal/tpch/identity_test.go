@@ -94,9 +94,9 @@ func TestCombinedMatchesUncombinedTPCH(t *testing.T) {
 		if ps.MessagesCombined != 0 {
 			t.Errorf("%s: NoCombine session folded %d messages", q.ID, ps.MessagesCombined)
 		}
-		if cs.InboxBytesSaved < cs.MessagesCombined*24 {
+		if cs.InboxBytesSaved() < cs.MessagesCombined*24 {
 			t.Errorf("%s: saved bytes %d below the Message-slot floor for %d folds",
-				q.ID, cs.InboxBytesSaved, cs.MessagesCombined)
+				q.ID, cs.InboxBytesSaved(), cs.MessagesCombined)
 		}
 		totalCombined += cs.MessagesCombined
 	}
