@@ -125,6 +125,18 @@ func (g *Graph) AddVertex(label LabelID, data any) VertexID {
 	return id
 }
 
+// Grow reserves room for n more vertices, so the next n AddVertex calls
+// append without reallocating the vertex table. A table that has to move
+// at least doubles, so growing it batch by batch stays linear.
+func (g *Graph) Grow(n int) {
+	if n <= cap(g.vertices)-len(g.vertices) {
+		return
+	}
+	vs := make([]vertex, len(g.vertices), len(g.vertices)+max(n, cap(g.vertices)))
+	copy(vs, g.vertices)
+	g.vertices = vs
+}
+
 // AddEdge adds a directed labeled edge.
 func (g *Graph) AddEdge(from, to VertexID, label LabelID) {
 	if g.frozen {

@@ -1,8 +1,9 @@
 package tag
 
 import (
+	"maps"
+
 	"repro/internal/bsp"
-	"repro/internal/relation"
 )
 
 // Clone returns a copy-on-write snapshot of a frozen TAG graph, suitable
@@ -22,13 +23,14 @@ func (t *Graph) Clone() *Graph {
 		Catalog:      t.Catalog.Clone(),
 		Aggregator:   t.Aggregator,
 		policy:       t.policy,
-		attrVertex:   make(map[relation.Value]bsp.VertexID, len(t.attrVertex)),
+		attrs:        t.attrs.clone(),
 		tupleVerts:   make(map[string][]bsp.VertexID, len(t.tupleVerts)),
 		tupleLabel:   t.tupleLabel, // never mutated after Build
+		dead:         t.dead,       // never mutated after Build
 		attrByEdge:   make(map[bsp.LabelID][]bsp.VertexID, len(t.attrByEdge)),
 		edgeLabel:    t.edgeLabel,    // never mutated after Build
 		materialized: t.materialized, // never mutated after Build
-		attrKindLbl:  make(map[relation.Kind]bsp.LabelID, len(t.attrKindLbl)),
+		attrKindLbl:  maps.Clone(t.attrKindLbl),
 
 		// Arm delta tracking: everything the clone creates sits at
 		// vertex IDs >= this boundary, which is what lets incremental
@@ -39,17 +41,11 @@ func (t *Graph) Clone() *Graph {
 		deltaDeletes: make(map[string]int),
 		deltaDirty:   make(map[bsp.VertexID]bool),
 	}
-	for k, v := range t.attrVertex {
-		nt.attrVertex[k] = v
-	}
 	for k, v := range t.tupleVerts {
 		nt.tupleVerts[k] = v[:len(v):len(v)]
 	}
 	for k, v := range t.attrByEdge {
 		nt.attrByEdge[k] = v[:len(v):len(v)]
-	}
-	for k, v := range t.attrKindLbl {
-		nt.attrKindLbl[k] = v
 	}
 	return nt
 }

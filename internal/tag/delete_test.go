@@ -58,9 +58,8 @@ func TestDeleteBatchCostFollowsBatch(t *testing.T) {
 
 // deleteBatchPerRow is the reference DeleteBatch that predates the
 // one-pass rebuild: per deleted row it unlinks each materialized edge
-// with its own RemoveEdge scan, copies the table's tuple-vertex list
-// without the vertex, and copies the catalog rows without the first
-// value-equal row.
+// with its own RemoveEdge scan, and copies the table's tuple-vertex list
+// and catalog rows without the vertex's position.
 func deleteBatchPerRow(t *Graph, vs []bsp.VertexID) error {
 	if err := t.ValidateDelete(vs); err != nil {
 		return err
@@ -77,7 +76,7 @@ func deleteBatchPerRow(t *Graph, vs []bsp.VertexID) error {
 			if !t.materialized[key] || d.Row[i].IsNull() {
 				continue
 			}
-			av, ok := t.attrVertex[d.Row[i].Key()]
+			av, ok := t.AttrVertexOf(d.Row[i])
 			if !ok {
 				continue
 			}
@@ -85,19 +84,11 @@ func deleteBatchPerRow(t *Graph, vs []bsp.VertexID) error {
 			t.G.RemoveEdge(v, av, lbl)
 			t.G.RemoveEdge(av, v, lbl)
 		}
-		nd := *d
-		nd.Dead = true
-		nd.Row = nil // a deleted tuple keeps no row
-		t.G.SetData(v, &nd)
+		t.G.SetData(v, &TupleData{Table: d.Table, Dead: true}) // a deleted tuple keeps no row
 		verts := t.tupleVerts[d.Table]
 		for i, tv := range verts {
 			if tv == v {
 				t.tupleVerts[d.Table] = append(verts[:i:i], verts[i+1:]...)
-				break
-			}
-		}
-		for i, row := range rel.Tuples {
-			if tuplesEqual(row, d.Row) {
 				rel.Tuples = append(rel.Tuples[:i:i], rel.Tuples[i+1:]...)
 				break
 			}
@@ -113,23 +104,30 @@ func deleteBatchPerRow(t *Graph, vs []bsp.VertexID) error {
 	return nil
 }
 
-// TestDeleteBatchMatchesPerRowReference runs random insert/delete
-// histories through DeleteBatch and through deleteBatchPerRow side by
-// side and requires identical graphs after every step: catalog rows in
-// order, tuple-vertex lists, adjacency, delta bookkeeping and
-// WriteSnapshot bytes. Histories insert rows two or three times over
-// and delete only some copies, delete ids in shuffled order, mix two
-// tables in one batch, and run both on freshly built graphs (payload
-// and catalog rows are one slice) and on checkpoint-loaded ones (two
-// separate slices). Every clone step also checks that the generation
-// it was cloned from is untouched.
-func TestDeleteBatchMatchesPerRowReference(t *testing.T) {
+// deleteHistory is one step of a random insert/delete history run
+// through DeleteBatch (cur) and deleteBatchPerRow (ref) side by side.
+// When the step ran on clones, parent and parentRef are the generations
+// they were cloned from and before is parent's image before the step.
+type deleteHistory struct {
+	step              int
+	cur, ref          *Graph
+	parent, parentRef *Graph
+	before            []byte
+}
+
+// runDeleteHistories runs random insert/delete histories and calls check
+// after every step. Histories insert rows two or three times over and
+// delete only some copies, delete ids in shuffled order, mix two tables
+// in one batch, and run both on freshly built graphs and on
+// checkpoint-loaded ones. Most steps run on a clone, as the serving
+// layer does; some mutate the graph in place.
+func runDeleteHistories(t *testing.T, check func(t *testing.T, h deleteHistory)) {
 	templates := map[string][]relation.Tuple{
 		"items": {
 			{relation.Int(2), relation.Str("b"), relation.Null, relation.Str("c2")}, // a base duplicate
 			{relation.Int(5), relation.Str("e"), relation.Float(0.5), relation.Str("c5")},
 			{relation.Int(6), relation.Null, relation.Null, relation.Str("c6")},
-			{relation.Int(5), relation.Str("f"), relation.Float(0.5), relation.Str("c5")}, // same bucket, other row
+			{relation.Int(5), relation.Str("f"), relation.Float(0.5), relation.Str("c5")}, // same id, other row
 		},
 		"groups": {
 			{relation.Int(10), relation.Int(2), relation.Bool(true), relation.Date(19000)}, // a base row
@@ -159,12 +157,9 @@ func TestDeleteBatchMatchesPerRowReference(t *testing.T) {
 			}
 			cur, ref := build(), build()
 			for step := 0; step < 12; step++ {
-				// Most steps run on a clone, as the serving layer does;
-				// some mutate the graph in place.
-				parent, parentRef := cur, ref
-				var before []byte
+				h := deleteHistory{step: step}
 				if rng.Intn(4) != 0 {
-					before = snapshotBytes(t, cur)
+					h.parent, h.parentRef, h.before = cur, ref, snapshotBytes(t, cur)
 					cur, ref = cur.Clone(), ref.Clone()
 				}
 
@@ -202,27 +197,54 @@ func TestDeleteBatchMatchesPerRowReference(t *testing.T) {
 						t.Fatalf("step %d: delete %v err %v, reference %v", step, live, errA, errB)
 					}
 				}
-
-				graphsStructurallyEqual(t, cur, ref)
-				if !bytes.Equal(snapshotBytes(t, cur), snapshotBytes(t, ref)) {
-					t.Fatalf("step %d: WriteSnapshot bytes differ from the reference", step)
-				}
-				if !reflect.DeepEqual(cur.DirtyVertices(), ref.DirtyVertices()) {
-					t.Fatalf("step %d: dirty vertices %v, reference %v", step, cur.DirtyVertices(), ref.DirtyVertices())
-				}
-				for _, table := range tables {
-					if cur.DeltaDeletes(table) != ref.DeltaDeletes(table) {
-						t.Fatalf("step %d: %s delta deletes %d, reference %d",
-							step, table, cur.DeltaDeletes(table), ref.DeltaDeletes(table))
-					}
-				}
-				if before != nil {
-					if !bytes.Equal(snapshotBytes(t, parent), before) {
-						t.Fatalf("step %d: mutating the clone changed the generation it was cloned from", step)
-					}
-					graphsStructurallyEqual(t, parent, parentRef)
-				}
+				h.cur, h.ref = cur, ref
+				check(t, h)
 			}
 		})
 	}
+}
+
+// TestDeleteBatchMatchesPerRowReference requires identical graphs from
+// DeleteBatch and deleteBatchPerRow after every step of
+// runDeleteHistories: catalog rows in order, tuple-vertex lists,
+// adjacency, delta bookkeeping and WriteSnapshot bytes. Every clone step
+// also checks that the generation it was cloned from is untouched.
+func TestDeleteBatchMatchesPerRowReference(t *testing.T) {
+	runDeleteHistories(t, func(t *testing.T, h deleteHistory) {
+		cur, ref, step := h.cur, h.ref, h.step
+		graphsStructurallyEqual(t, cur, ref)
+		if !bytes.Equal(snapshotBytes(t, cur), snapshotBytes(t, ref)) {
+			t.Fatalf("step %d: WriteSnapshot bytes differ from the reference", step)
+		}
+		if !reflect.DeepEqual(cur.DirtyVertices(), ref.DirtyVertices()) {
+			t.Fatalf("step %d: dirty vertices %v, reference %v", step, cur.DirtyVertices(), ref.DirtyVertices())
+		}
+		for _, table := range []string{"items", "groups"} {
+			if cur.DeltaDeletes(table) != ref.DeltaDeletes(table) {
+				t.Fatalf("step %d: %s delta deletes %d, reference %d",
+					step, table, cur.DeltaDeletes(table), ref.DeltaDeletes(table))
+			}
+		}
+		if h.parent != nil {
+			if !bytes.Equal(snapshotBytes(t, h.parent), h.before) {
+				t.Fatalf("step %d: mutating the clone changed the generation it was cloned from", step)
+			}
+			graphsStructurallyEqual(t, h.parent, h.parentRef)
+		}
+	})
+}
+
+// TestCatalogFollowsTupleVertices: after every step of
+// runDeleteHistories, on built and loaded graphs, their clones and the
+// generations those were cloned from, catalog row i of each table is
+// the row of its i-th tuple vertex — the invariant that lets a
+// snapshot's tuple records carry no rows.
+func TestCatalogFollowsTupleVertices(t *testing.T) {
+	runDeleteHistories(t, func(t *testing.T, h deleteHistory) {
+		for _, g := range []*Graph{h.cur, h.ref, h.parent, h.parentRef} {
+			if g != nil {
+				checkCatalogFollowsVertices(t, g)
+			}
+		}
+	})
 }

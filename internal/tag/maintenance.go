@@ -156,12 +156,12 @@ func (t *Graph) ValidateDelete(vs []bsp.VertexID) error {
 //
 // Cost: O(batch + rows of the touched tables + adjacency of the touched
 // attribute vertices), never O(batch × table). Each deleted vertex gets
-// a dead, row-less payload and loses its edges; each attribute vertex it touched
-// is filtered once per batch; and each touched table's tuple-vertex list
-// and catalog rows are rebuilt once, in one pass each. Rebuilding into
-// fresh slices, rather than editing in place, is the copy-on-write
-// guard: both may be shared with the generation this graph was cloned
-// from.
+// its table's shared dead payload and loses its edges; each attribute
+// vertex it touched is filtered once per batch; and each touched table's
+// tuple-vertex list and catalog rows are rebuilt once, in one pass.
+// Rebuilding into fresh slices, rather than editing in place, is the
+// copy-on-write guard: both may be shared with the generation this
+// graph was cloned from.
 func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 	if err := t.ValidateDelete(vs); err != nil {
 		return err
@@ -174,25 +174,19 @@ func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 	t.G.IsolateVertices(vs)
 	byTable := make(map[string][]bsp.VertexID)
 	for _, v := range vs {
-		// Replace the payload instead of mutating it in place: the same
-		// TupleData may still be read by an older graph generation this
-		// graph was cloned from.
-		nd := *t.TupleData(v)
-		nd.Dead = true
-		t.G.SetData(v, &nd)
-		byTable[nd.Table] = append(byTable[nd.Table], v)
+		table := t.TupleData(v).Table
+		byTable[table] = append(byTable[table], v)
 	}
 	for table, dead := range byTable {
 		t.dropTuples(table, dead)
+		// Replace the payload instead of mutating it: an older graph
+		// generation this graph was cloned from may still read it.
+		for _, v := range dead {
+			t.G.SetData(v, t.dead[table])
+		}
 		if t.deltaDeletes != nil {
 			t.deltaDeletes[table] += len(dead)
 		}
-	}
-	// Dead vertices are never reclaimed, so once dropTuples has matched
-	// their catalog rows they keep none: only this generation's fresh
-	// payloads are touched.
-	for _, v := range vs {
-		t.TupleData(v).Row = nil
 	}
 	t.G.Freeze()
 	if t.deltaDirty != nil {
@@ -202,83 +196,26 @@ func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 }
 
 // dropTuples removes the deleted tuple vertices dead, all of one table,
-// from that table's tuple-vertex list and, for each, the first
-// value-equal catalog row not already dropped — so duplicate rows lose
-// exactly as many copies as were deleted, and the surviving rows keep
-// their order.
+// from that table's tuple-vertex list and the catalog rows at the same
+// positions: row i of the catalog is the row of the table's i-th tuple
+// vertex, and stays so.
 func (t *Graph) dropTuples(table string, dead []bsp.VertexID) {
 	// The list is ascending (restriction windows binary-search it), and
-	// so is the filtered copy.
+	// so is the filtered copy. Every dead vertex is in it.
 	slices.Sort(dead)
 	verts := t.tupleVerts[table]
-	kept := make([]bsp.VertexID, 0, len(verts))
+	rel := t.Catalog.Get(table)
+	kept := make([]bsp.VertexID, 0, len(verts)-len(dead))
+	rows := make([]relation.Tuple, 0, len(verts)-len(dead))
 	j := 0
-	for _, v := range verts {
-		for j < len(dead) && dead[j] < v {
-			j++
-		}
+	for i, v := range verts {
 		if j < len(dead) && dead[j] == v {
+			j++
 			continue
 		}
 		kept = append(kept, v)
+		rows = append(rows, rel.Tuples[i])
 	}
 	t.tupleVerts[table] = kept
-
-	// Pending rows are bucketed by their first value, so each catalog row
-	// costs one map probe plus a tuplesEqual per same-bucket candidate.
-	pending := make(map[relation.Value][]relation.Tuple, len(dead))
-	for _, v := range dead {
-		row := t.TupleData(v).Row
-		k := rowBucket(row)
-		pending[k] = append(pending[k], row)
-	}
-	rel := t.Catalog.Get(table)
-	rows := make([]relation.Tuple, 0, len(rel.Tuples))
-	left := len(dead)
-	for i, row := range rel.Tuples {
-		if left == 0 {
-			rows = append(rows, rel.Tuples[i:]...)
-			break
-		}
-		k := rowBucket(row)
-		if cands := pending[k]; matchPending(cands, row) {
-			pending[k] = cands[:len(cands)-1]
-			left--
-			continue
-		}
-		rows = append(rows, row)
-	}
 	rel.Tuples = rows
-}
-
-func rowBucket(row relation.Tuple) relation.Value {
-	if len(row) == 0 {
-		return relation.Null
-	}
-	return row[0]
-}
-
-// matchPending reports whether row equals one of cands, and if so moves
-// that candidate to the end so the caller can pop it.
-func matchPending(cands []relation.Tuple, row relation.Tuple) bool {
-	for i, c := range cands {
-		if tuplesEqual(c, row) {
-			last := len(cands) - 1
-			cands[i], cands[last] = cands[last], cands[i]
-			return true
-		}
-	}
-	return false
-}
-
-func tuplesEqual(a, b relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

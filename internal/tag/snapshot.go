@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,15 +30,23 @@ import (
 // order), so a checkpoint's bytes are a function of the state it
 // captures.
 //
-// Vertex payload rows are encoded inline rather than shared with the
-// catalog section by position: after deletes of duplicate rows the
-// catalog's row order and the live-vertex payload order can diverge
-// (DeleteBatch drops the first value-equal catalog row, not the
-// positional one), and WAL suffix records address tuples by vertex id —
-// so each vertex must carry exactly its own row.
+// Rows are stored once, in the catalog section. Build, InsertBatch and
+// DeleteBatch keep one invariant: row i of a table's catalog relation is
+// the row of the table's i-th tuple vertex, the same slice. So a tuple's
+// vertex record (version 2) is only its label and a tag: a live tuple's
+// row is the next catalog row of its table, and a dead tuple, which
+// keeps no row, shares its table's one dead payload.
+//
+// Version 1 images, written before that, are still read. Their tuple
+// records carry a row inline — NULLs for a dead tuple, or in the oldest
+// images the deleted row — and their catalog rows may follow another
+// order after deletes of duplicate rows. The reader takes each live
+// row from its vertex record, skips dead rows without building them,
+// and rebuilds each table's catalog rows from its live vertices in id
+// order.
 
 const (
-	snapshotVersion = 1
+	snapshotVersion = 2
 	// Vertex chunks are bounded so one frame stays far below the codec's
 	// frame cap even for SF-scale graphs.
 	snapChunkVerts = 64 << 10
@@ -52,8 +61,8 @@ var (
 // Vertex record tags.
 const (
 	snapVertNil  = 0 // no payload (the aggregator vertex)
-	snapVertLive = 1 // live tuple: inline row
-	snapVertDead = 2 // deleted tuple: the table's arity of NULLs, Dead set
+	snapVertLive = 1 // live tuple: its row is its table's next catalog row (version 1: an inline row)
+	snapVertDead = 2 // deleted tuple (version 1: the table's arity of NULLs)
 	snapVertAttr = 3 // attribute vertex: canonical value
 )
 
@@ -115,39 +124,27 @@ func (t *Graph) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 
-	// Vertices in id order, chunked. Each record: label, tag, payload.
+	// Vertices in id order, chunked. Each record: label, tag, and an
+	// attribute vertex's value.
 	nv := t.G.NumVertices()
-	var nulls relation.Tuple
 	for start := 0; start < nv; {
 		var buf []byte
 		n := 0
 		for start+n < nv && n < snapChunkVerts && len(buf) < snapChunkBytes {
 			v := bsp.VertexID(start + n)
 			buf = binary.AppendUvarint(buf, uint64(t.G.Label(v)))
-			var err error
 			switch d := t.G.Data(v).(type) {
 			case nil:
 				buf = append(buf, snapVertNil)
 			case *TupleData:
-				row := d.Row
 				if d.Dead {
-					// A dead tuple keeps no row; its record holds the
-					// table's arity of NULLs, the shape every reader
-					// checks.
 					buf = append(buf, snapVertDead)
-					row = nulls[:0]
-					for range t.Catalog.Get(d.Table).Schema.Len() {
-						row = append(row, relation.Null)
-					}
-					nulls = row
 				} else {
 					buf = append(buf, snapVertLive)
 				}
-				if buf, err = relation.AppendTuple(buf, row); err != nil {
-					return err
-				}
 			case *AttrData:
 				buf = append(buf, snapVertAttr)
+				var err error
 				if buf, err = relation.AppendValue(buf, d.Value); err != nil {
 					return err
 				}
@@ -234,7 +231,7 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver != snapshotVersion {
+	if ver != 1 && ver != snapshotVersion {
 		return nil, fmt.Errorf("tag: unsupported snapshot version %d", ver)
 	}
 	numVerts, err := d.Uvarint()
@@ -267,9 +264,10 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 	t := &Graph{
 		G:           bsp.NewGraph(),
 		Aggregator:  bsp.VertexID(aggregator),
-		attrVertex:  make(map[relation.Value]bsp.VertexID),
+		attrs:       newAttrDict(),
 		tupleVerts:  make(map[string][]bsp.VertexID),
 		tupleLabel:  make(map[string]bsp.LabelID),
+		dead:        make(map[string]*TupleData),
 		attrByEdge:  make(map[bsp.LabelID][]bsp.VertexID),
 		edgeLabel:   make(map[string]bsp.LabelID),
 		attrKindLbl: make(map[relation.Kind]bsp.LabelID),
@@ -330,19 +328,32 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 
 	// Labels are a function of the symbol table: tuple labels are the
 	// lowercase table names, edge labels the column keys.
-	type snapTable struct {
-		name  string
-		arity int
-	}
-	tables := make(map[bsp.LabelID]snapTable)
+	nsyms := uint64(t.G.Symbols.Len())
+	tables := make([]*snapTable, nsyms+1) // by tuple label
 	for _, name := range cat.Names() {
 		table := strings.ToLower(name)
 		lbl := t.G.Symbols.Lookup(table)
 		if lbl == bsp.NoLabel {
 			return nil, codec.ErrCorrupt
 		}
+		rel := cat.Get(name)
+		tb := &snapTable{name: table, arity: rel.Schema.Len(), rows: rel.Tuples,
+			dead: &TupleData{Table: table, Dead: true}}
+		if ver == 1 {
+			tb.rows = slices.Grow([]relation.Tuple(nil), len(rel.Tuples))
+		} else {
+			for _, row := range rel.Tuples {
+				if len(row) != tb.arity {
+					return nil, codec.ErrCorrupt
+				}
+			}
+		}
+		tables[lbl] = tb
 		t.tupleLabel[table] = lbl
-		tables[lbl] = snapTable{table, cat.Get(name).Schema.Len()}
+		if n := len(rel.Tuples); n > 0 {
+			t.tupleVerts[table] = make([]bsp.VertexID, 0, n)
+		}
+		t.dead[table] = tb.dead
 	}
 	for key := range t.materialized {
 		lbl := t.G.Symbols.Lookup(key)
@@ -351,11 +362,11 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 		}
 		t.edgeLabel[key] = lbl
 	}
+	var attrLbl [relation.KindDate + 1]bsp.LabelID // by value kind, looked up on first use
 
 	// Vertices, in id order. AddVertex assigns sequential ids, so
 	// re-adding in order reproduces the id space; each decoded id is
 	// asserted against the expected one.
-	nsyms := uint64(t.G.Symbols.Len())
 	for next := uint64(0); next < numVerts; {
 		d, err := readFrame()
 		if err != nil {
@@ -372,9 +383,12 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 || start+n > numVerts {
+		// Every record is at least a label byte and a tag byte, so the
+		// reservation is backed by the chunk's own bytes.
+		if n == 0 || start+n > numVerts || n > uint64(d.Remaining()/2) {
 			return nil, codec.ErrCorrupt
 		}
+		t.G.Grow(int(n))
 		for i := uint64(0); i < n; i++ {
 			lblRaw, err := d.Uvarint()
 			if err != nil {
@@ -399,18 +413,17 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 					return nil, codec.ErrCorrupt
 				}
 			case snapVertLive, snapVertDead:
-				row, err := relation.DecodeTuple(d)
+				tb := tables[lbl]
+				if tb == nil {
+					return nil, codec.ErrCorrupt
+				}
+				dead := tagByte == snapVertDead
+				row, err := tb.record(d, ver, dead)
 				if err != nil {
 					return nil, err
 				}
-				tb, ok := tables[lbl]
-				if !ok || len(row) != tb.arity {
-					return nil, codec.ErrCorrupt
-				}
-				if tagByte == snapVertDead {
-					// Images written before dead tuples dropped their rows
-					// still carry one; it is dropped here too.
-					data = &TupleData{Table: tb.name, Dead: true}
+				if dead {
+					data = tb.dead
 				} else {
 					data = &TupleData{Table: tb.name, Row: row}
 				}
@@ -419,8 +432,13 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 				if err != nil {
 					return nil, err
 				}
-				if _, dup := t.attrVertex[v]; dup || v.IsNull() || v.Key() != v ||
-					lbl != t.G.Symbols.Lookup("#attr:"+v.Kind.String()) {
+				if v.IsNull() || v.Key() != v {
+					return nil, codec.ErrCorrupt
+				}
+				if attrLbl[v.Kind] == bsp.NoLabel {
+					attrLbl[v.Kind] = t.G.Symbols.Lookup("#attr:" + v.Kind.String())
+				}
+				if _, dup := t.attrs.lookup(v); dup || lbl != attrLbl[v.Kind] {
 					return nil, codec.ErrCorrupt
 				}
 				data = &AttrData{Value: v}
@@ -437,7 +455,7 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 					t.tupleVerts[pd.Table] = append(t.tupleVerts[pd.Table], id)
 				}
 			case *AttrData:
-				t.attrVertex[pd.Value] = id
+				t.attrs.add(pd.Value, id)
 				t.attrKindLbl[pd.Value.Kind] = lbl
 			}
 		}
@@ -450,34 +468,35 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 		return nil, codec.ErrCorrupt
 	}
 	for _, name := range cat.Names() {
-		if len(t.tupleVerts[strings.ToLower(name)]) != len(cat.Get(name).Tuples) {
+		rel := cat.Get(name)
+		if len(t.tupleVerts[strings.ToLower(name)]) != len(rel.Tuples) {
 			return nil, codec.ErrCorrupt
+		}
+		if ver == 1 {
+			rel.Tuples = tables[t.tupleLabel[strings.ToLower(name)]].rows
 		}
 	}
 
-	// Re-derive the edges from the live tuple payloads: one undirected
-	// edge per materialized non-null cell, targeting the cell value's
-	// attribute vertex. Column by column, tuples in id order: Build
-	// interned the tables' column labels in this order, so each
-	// adjacency list comes out sorted and Freeze only has to scan it.
+	// Re-derive the edges from the live rows: one undirected edge per
+	// materialized non-null cell, targeting the cell value's attribute
+	// vertex. Column by column, tuples in id order: Build interned the
+	// tables' column labels in this order, so each adjacency list comes
+	// out sorted and Freeze only has to scan it.
 	for _, name := range cat.Names() {
 		table := strings.ToLower(name)
 		verts := t.tupleVerts[table]
-		rows := make([]relation.Tuple, len(verts))
-		for i, tv := range verts {
-			rows[i] = t.TupleData(tv).Row
-		}
-		for i, col := range cat.Get(table).Schema.Columns {
+		rel := cat.Get(table)
+		for i, col := range rel.Schema.Columns {
 			key := table + "." + strings.ToLower(col.Name)
 			if !t.materialized[key] {
 				continue
 			}
 			lbl := t.edgeLabel[key]
-			for j, row := range rows {
+			for j, row := range rel.Tuples {
 				if row[i].IsNull() {
 					continue
 				}
-				av, ok := t.attrVertex[row[i].Key()]
+				av, ok := t.attrs.lookup(row[i].Key())
 				if !ok {
 					return nil, codec.ErrCorrupt
 				}
@@ -565,4 +584,44 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 		return nil, codec.ErrCorrupt
 	}
 	return t, nil
+}
+
+// snapTable is one table as ReadSnapshot meets its tuple records.
+type snapTable struct {
+	name  string
+	arity int
+	dead  *TupleData // the payload the table's dead tuples share
+	// rows are the table's rows in tuple-vertex order: under version 2
+	// the catalog's, taken by live records in turn; under version 1
+	// collected from the live records.
+	rows []relation.Tuple
+	next int // live records read so far
+}
+
+// record decodes the rest of one tuple record of this table and returns
+// a live tuple's row.
+func (tb *snapTable) record(d *codec.Decoder, ver uint64, dead bool) (relation.Tuple, error) {
+	switch {
+	case ver == 1 && dead:
+		arity, err := relation.SkipTuple(d)
+		if err == nil && arity != tb.arity {
+			err = codec.ErrCorrupt
+		}
+		return nil, err
+	case dead:
+		return nil, nil
+	case ver == 1:
+		row, err := relation.DecodeTuple(d)
+		if err != nil {
+			return nil, err
+		}
+		if len(row) != tb.arity {
+			return nil, codec.ErrCorrupt
+		}
+		tb.rows = append(tb.rows, row)
+	case tb.next == len(tb.rows):
+		return nil, codec.ErrCorrupt // more live records than catalog rows
+	}
+	tb.next++
+	return tb.rows[tb.next-1], nil
 }

@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bsp"
 	"repro/internal/codec"
 	"repro/internal/relation"
+	"repro/internal/tpch"
 )
 
 // snapshotCatalog builds a catalog exercising every snapshot-relevant
@@ -93,8 +97,11 @@ func graphsStructurallyEqual(t *testing.T, got, want *Graph) {
 	if !reflect.DeepEqual(got.materialized, want.materialized) {
 		t.Fatalf("materialized: got %v, want %v", got.materialized, want.materialized)
 	}
-	if !reflect.DeepEqual(got.attrVertex, want.attrVertex) {
-		t.Fatalf("attrVertex: got %v, want %v", got.attrVertex, want.attrVertex)
+	if !reflect.DeepEqual(got.attrs, want.attrs) {
+		t.Fatalf("attribute dictionary: got %v, want %v", got.attrs, want.attrs)
+	}
+	if !reflect.DeepEqual(got.dead, want.dead) {
+		t.Fatalf("dead payloads: got %v, want %v", got.dead, want.dead)
 	}
 	if !reflect.DeepEqual(got.attrByEdge, want.attrByEdge) {
 		t.Fatalf("attrByEdge: got %v, want %v", got.attrByEdge, want.attrByEdge)
@@ -123,7 +130,7 @@ func snapshotBytes(t testing.TB, g *Graph) []byte {
 
 // TestSnapshotRoundTrip: a built graph — including post-build inserts
 // and deletes that create dead vertices, orphaned attribute entries,
-// and catalog/payload row-order divergence — survives snapshot/load
+// and a deleted first copy of a duplicate row — survives snapshot/load
 // with full structural equality, and the encoding is deterministic.
 func TestSnapshotRoundTrip(t *testing.T) {
 	g, err := Build(snapshotCatalog(), nil)
@@ -132,10 +139,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Mutate: insert rows (new and duplicate values), then delete the
-	// FIRST duplicate vertex — after this, catalog row order and live
-	// payload order for "items" diverge positionally, and the value-2
-	// attribute entries for items.id stay in attrByEdge even where
-	// orphaned.
+	// FIRST duplicate vertex — the catalog must drop that vertex's row,
+	// not merely an equal one — and the value-2 attribute entries for
+	// items.id stay in attrByEdge even where orphaned.
 	if _, err := g.InsertBatch("items", []relation.Tuple{
 		{relation.Int(9), relation.Str("z"), relation.Float(2.5), relation.Str("c9")},
 	}); err != nil {
@@ -157,6 +163,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphsStructurallyEqual(t, loaded, g)
+	checkCatalogFollowsVertices(t, loaded)
 	// A deleted tuple keeps no row, before the snapshot and after it.
 	for _, v := range dead {
 		for _, d := range []*TupleData{g.TupleData(v), loaded.TupleData(v)} {
@@ -183,12 +190,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	graphsStructurallyEqual(t, loaded, g)
 }
 
-// withDeadRows rewrites an image's vertex records the way writers did
-// before deleted tuples dropped their rows: each dead record carries
-// rows[v] instead of NULLs. The image must hold one vertex chunk.
-func withDeadRows(t *testing.T, g *Graph, image []byte, rows map[bsp.VertexID]relation.Tuple) []byte {
+// asVersion1 rewrites a current image of g the way version-1 writers
+// laid it out: the header says version 1 and every tuple record carries
+// a row inline — a live tuple its own row, a dead one rows[v], or the
+// table's arity of NULLs where rows has none. The image must hold one
+// vertex chunk.
+func asVersion1(t testing.TB, g *Graph, image []byte, rows map[bsp.VertexID]relation.Tuple) []byte {
 	t.Helper()
 	frames := splitFrames(t, image)
+	frames[0] = withHeaderField(t, frames[0], hdrVersion, 1)
 	at := len(frames) - 2 - len(g.attrByEdge) // the chunk precedes the attribute index and end frames
 	d := codec.NewDecoder(frames[at])
 	start, err1 := d.Uvarint()
@@ -209,15 +219,14 @@ func withDeadRows(t *testing.T, g *Graph, image []byte, rows map[bsp.VertexID]re
 		out = append(binary.AppendUvarint(out, lbl), tag)
 		switch tag {
 		case snapVertLive, snapVertDead:
-			row, err := relation.DecodeTuple(d)
-			if err != nil {
-				t.Fatal(err)
-			}
+			td := g.TupleData(v)
+			row := td.Row
 			if tag == snapVertDead {
-				row = rows[v]
+				if row = rows[v]; row == nil {
+					row = make(relation.Tuple, g.Catalog.Get(td.Table).Schema.Len())
+				}
 			}
-			out, err = relation.AppendTuple(out, row)
-			if err != nil {
+			if out, err = relation.AppendTuple(out, row); err != nil {
 				t.Fatal(err)
 			}
 		case snapVertAttr:
@@ -235,10 +244,10 @@ func withDeadRows(t *testing.T, g *Graph, image []byte, rows map[bsp.VertexID]re
 	return joinFrames(frames)
 }
 
-// TestSnapshotLoadsOldDeadRecords: an image whose dead records still
-// carry their rows, as images written before deleted tuples dropped
-// them do, loads into the same row-less graph as the current image of
-// that state, and re-encodes to it byte for byte.
+// TestSnapshotLoadsOldDeadRecords: version-1 images, whose dead records
+// carry the table's arity of NULLs or, in the oldest ones, the deleted
+// rows themselves, load into the same row-less graph as the current
+// image of that state, and re-encode to it byte for byte.
 func TestSnapshotLoadsOldDeadRecords(t *testing.T) {
 	g, err := Build(snapshotCatalog(), nil)
 	if err != nil {
@@ -253,22 +262,127 @@ func TestSnapshotLoadsOldDeadRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	image := snapshotBytes(t, g)
-	old := withDeadRows(t, g, image, rows)
-	if bytes.Equal(old, image) {
-		t.Fatal("old-style image equals the current one")
+	for name, dead := range map[string]map[bsp.VertexID]relation.Tuple{"null rows": nil, "deleted rows": rows} {
+		old := asVersion1(t, g, image, dead)
+		if bytes.Equal(old, image) {
+			t.Fatalf("%s: version-1 image equals the current one", name)
+		}
+		loaded, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(old)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		graphsStructurallyEqual(t, loaded, g)
+		for _, v := range victims {
+			if d := loaded.TupleData(v); !d.Dead || d.Row != nil {
+				t.Fatalf("%s: deleted vertex %d loaded as %+v, want dead and row-less", name, v, d)
+			}
+		}
+		if !bytes.Equal(snapshotBytes(t, loaded), image) {
+			t.Fatalf("%s: version-1 image does not re-encode to the current image", name)
+		}
 	}
-	loaded, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(old)))
+}
+
+// version1Graph is the graph testdata/snapshot-v1.img holds, made by
+// today's code: snapshotCatalog's graph, cloned, with a row of new
+// values and a third copy of the duplicate items row inserted, then that
+// third copy and the first groups row deleted. The version-1 writer's
+// DeleteBatch dropped the first catalog row equal to a deleted row, so
+// in the image the items catalog rows follow another order than the
+// items vertices: 1, 2, 3, 9, 2 against 1, 2, 2, 3, 9.
+func version1Graph(t *testing.T) *Graph {
+	t.Helper()
+	g, err := Build(snapshotCatalog(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphsStructurallyEqual(t, loaded, g)
-	for _, v := range victims {
-		if d := loaded.TupleData(v); !d.Dead || d.Row != nil {
-			t.Fatalf("deleted vertex %d loaded as %+v, want dead and row-less", v, d)
+	c := g.Clone()
+	if _, err := c.InsertBatch("items", []relation.Tuple{
+		{relation.Int(9), relation.Str("z"), relation.Float(2.5), relation.Str("c9")},
+		{relation.Int(2), relation.Str("b"), relation.Null, relation.Str("c2")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	items := c.TupleVertices("items")
+	if err := c.DeleteBatch([]bsp.VertexID{items[len(items)-1], c.TupleVertices("groups")[0]}); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// checkCatalogFollowsVertices asserts the invariant the snapshot format
+// rests on: catalog row i of every table is the row of its i-th tuple
+// vertex, one backing array.
+func checkCatalogFollowsVertices(t *testing.T, g *Graph) {
+	t.Helper()
+	for _, name := range g.Catalog.Names() {
+		rows, verts := g.Catalog.Get(name).Tuples, g.TupleVertices(name)
+		if len(rows) != len(verts) {
+			t.Fatalf("%s: %d catalog rows, %d tuple vertices", name, len(rows), len(verts))
+		}
+		for i, v := range verts {
+			row := g.TupleData(v).Row
+			if len(row) != len(rows[i]) || unsafe.SliceData(row) != unsafe.SliceData(rows[i]) {
+				t.Fatalf("%s: catalog row %d %v is not the row %v of vertex %d", name, i, rows[i], row, v)
+			}
 		}
 	}
-	if !bytes.Equal(snapshotBytes(t, loaded), image) {
-		t.Fatal("old-style image does not re-encode to the current image")
+}
+
+// TestSnapshotLoadsVersion1Image: a checkpoint image the version-1
+// writer produced loads with every live row in place and the catalog
+// rebuilt in vertex order, and re-encodes to a version-2 image that
+// round-trips.
+func TestSnapshotLoadsVersion1Image(t *testing.T) {
+	image, err := os.ReadFile("testdata/snapshot-v1.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := headerField(t, splitFrames(t, image)[0], hdrVersion); v != 1 {
+		t.Fatalf("testdata image has version %d, want 1", v)
+	}
+	loaded, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(image)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := map[string][]relation.Tuple{
+		"items": {
+			{relation.Int(1), relation.Str("a"), relation.Float(1.5), relation.Str("c1")},
+			{relation.Int(2), relation.Str("b"), relation.Null, relation.Str("c2")},
+			{relation.Int(2), relation.Str("b"), relation.Null, relation.Str("c2")},
+			{relation.Int(3), relation.Null, relation.Float(-0.5), relation.Str("c3")},
+			{relation.Int(9), relation.Str("z"), relation.Float(2.5), relation.Str("c9")},
+		},
+		"groups": {{relation.Int(10), relation.Int(2), relation.Bool(false), relation.Date(19001)}},
+	}
+	for table, want := range wantRows {
+		var got []relation.Tuple
+		for _, v := range loaded.TupleVertices(table) {
+			got = append(got, loaded.TupleData(v).Row)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s live rows: got %v, want %v", table, got, want)
+		}
+	}
+	checkCatalogFollowsVertices(t, loaded)
+	want := version1Graph(t)
+	graphsStructurallyEqual(t, loaded, want)
+
+	v2 := snapshotBytes(t, loaded)
+	if v := headerField(t, splitFrames(t, v2)[0], hdrVersion); v != snapshotVersion {
+		t.Fatalf("re-encoded image has version %d, want %d", v, snapshotVersion)
+	}
+	if !bytes.Equal(v2, snapshotBytes(t, want)) {
+		t.Fatal("re-encoded image differs from the image of the same graph made today")
+	}
+	again, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(v2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsStructurallyEqual(t, again, loaded)
+	checkCatalogFollowsVertices(t, again)
+	if !bytes.Equal(snapshotBytes(t, again), v2) {
+		t.Fatal("version-2 image does not re-encode byte for byte")
 	}
 }
 
@@ -304,5 +418,64 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(nil))); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("empty err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotCostFollowsLiveRows is the bound test for the checkpoint
+// image: a dead tuple vertex costs its record's label and tag bytes and,
+// on load, its vertex-table entry — never its table's row width. One
+// built graph is cloned, and lineitem rows it already holds are inserted
+// and deleted again, 2,000 and 8,000 of them: the live rows and the
+// attribute vertices stay the same, only the dead vertices grow. Per dead
+// vertex the image may grow by at most 3 bytes, and ReadSnapshot's
+// allocation by at most 104 B: the 96-byte vertex record plus its two
+// bytes in the frame buffer. Version 1 measured 18 bytes and 1.1-1.3 KB
+// per dead vertex here: each record carried its table's arity of NULLs,
+// and the load built them into a row before dropping it.
+func TestSnapshotCostFollowsLiveRows(t *testing.T) {
+	base, err := Build(tpch.Generate(0.5, 2021), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := base.TupleVertices("lineitem")
+	measure := func(dead int) (size, alloc uint64) {
+		g := base.Clone()
+		rows := make([]relation.Tuple, dead)
+		for i := range rows {
+			rows[i] = base.TupleData(lines[i%len(lines)]).Row
+		}
+		vs, err := g.InsertBatch("lineitem", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.DeleteBatch(vs); err != nil {
+			t.Fatal(err)
+		}
+		image := snapshotBytes(t, g)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loaded, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(image)))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := loaded.G.NumVertices(); n != base.G.NumVertices()+dead {
+			t.Fatalf("%d dead: loaded %d vertices, want %d", dead, n, base.G.NumVertices()+dead)
+		}
+		return uint64(len(image)), after.TotalAlloc - before.TotalAlloc
+	}
+	b0, a0 := measure(0)
+	t.Logf("%d vertices, %d lineitems: image %d B, load allocates %d B", base.G.NumVertices(), len(lines), b0, a0)
+	for _, dead := range []int{2000, 8000} {
+		b, a := measure(dead)
+		perByte := float64(int64(b)-int64(b0)) / float64(dead)
+		perAlloc := float64(int64(a)-int64(a0)) / float64(dead)
+		t.Logf("%d dead: image %d B (%+.2f B each), load allocates %d B (%+.1f B each)", dead, b, perByte, a, perAlloc)
+		if perByte > 3 {
+			t.Errorf("%d dead vertices grew the image by %.2f B each, want <= 3", dead, perByte)
+		}
+		if perAlloc > 104 {
+			t.Errorf("%d dead vertices grew the load's allocation by %.1f B each, want <= 104", dead, perAlloc)
+		}
 	}
 }

@@ -17,6 +17,8 @@ package tag
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"sort"
 	"strings"
 
@@ -74,9 +76,10 @@ type Graph struct {
 	Aggregator bsp.VertexID
 
 	policy       Policy
-	attrVertex   map[relation.Value]bsp.VertexID
-	tupleVerts   map[string][]bsp.VertexID // lower(table) -> vertex ids
+	attrs        attrDict
+	tupleVerts   map[string][]bsp.VertexID // lower(table) -> vertex ids; row i is Catalog row i
 	tupleLabel   map[string]bsp.LabelID    // lower(table) -> vertex label
+	dead         map[string]*TupleData     // lower(table) -> the payload its deleted tuples share
 	attrByEdge   map[bsp.LabelID][]bsp.VertexID
 	edgeLabel    map[string]bsp.LabelID // lower(table.column) -> edge label
 	materialized map[string]bool        // lower(table.column)
@@ -106,9 +109,10 @@ func Build(cat *relation.Catalog, policy Policy) (*Graph, error) {
 		G:            bsp.NewGraph(),
 		Catalog:      cat,
 		policy:       policy,
-		attrVertex:   make(map[relation.Value]bsp.VertexID),
+		attrs:        newAttrDict(),
 		tupleVerts:   make(map[string][]bsp.VertexID),
 		tupleLabel:   make(map[string]bsp.LabelID),
+		dead:         make(map[string]*TupleData),
 		attrByEdge:   make(map[bsp.LabelID][]bsp.VertexID),
 		edgeLabel:    make(map[string]bsp.LabelID),
 		materialized: make(map[string]bool),
@@ -146,6 +150,7 @@ func (t *Graph) addRelation(r *relation.Relation) error {
 	}
 	vLbl := t.G.Symbols.Intern(table)
 	t.tupleLabel[table] = vLbl
+	t.dead[table] = &TupleData{Table: table, Dead: true}
 
 	// Intern edge labels and record materialization choices up front, so
 	// the planner can consult them even for empty relations.
@@ -177,7 +182,7 @@ func (t *Graph) addRelation(r *relation.Relation) error {
 // e.g. 2 and 2.0 share a vertex (one vertex per active-domain value).
 func (t *Graph) attrVertexFor(v relation.Value) bsp.VertexID {
 	key := v.Key()
-	if id, ok := t.attrVertex[key]; ok {
+	if id, ok := t.attrs.lookup(key); ok {
 		return id
 	}
 	lbl, ok := t.attrKindLbl[key.Kind]
@@ -186,8 +191,79 @@ func (t *Graph) attrVertexFor(v relation.Value) bsp.VertexID {
 		t.attrKindLbl[key.Kind] = lbl
 	}
 	id := t.G.AddVertex(lbl, &AttrData{Value: key})
-	t.attrVertex[key] = id
+	t.attrs.add(key, id)
 	return id
+}
+
+// attrDict maps canonical values (Value.Key) to their attribute
+// vertices, one map per kind a key can have, so a lookup hashes the
+// payload alone rather than a whole Value. A NaN key equals nothing,
+// itself included: each NaN cell gets its own vertex, which no lookup
+// finds and only the count remembers.
+type attrDict struct {
+	ints   map[int64]bsp.VertexID // INT, and the FLOAT and BOOL values Key folds into INT
+	dates  map[int64]bsp.VertexID
+	strs   map[string]bsp.VertexID
+	floats map[uint64]bsp.VertexID // math.Float64bits of a non-integral float
+	nans   int
+}
+
+func newAttrDict() attrDict {
+	return attrDict{
+		ints:   make(map[int64]bsp.VertexID),
+		dates:  make(map[int64]bsp.VertexID),
+		strs:   make(map[string]bsp.VertexID),
+		floats: make(map[uint64]bsp.VertexID),
+	}
+}
+
+// lookup returns the vertex of canonical value key.
+func (d *attrDict) lookup(key relation.Value) (bsp.VertexID, bool) {
+	var id bsp.VertexID
+	var ok bool
+	switch key.Kind {
+	case relation.KindInt:
+		id, ok = d.ints[key.I]
+	case relation.KindDate:
+		id, ok = d.dates[key.I]
+	case relation.KindString:
+		id, ok = d.strs[key.S]
+	case relation.KindFloat:
+		id, ok = d.floats[math.Float64bits(key.F)]
+	}
+	return id, ok
+}
+
+// add records id as the vertex of canonical, non-NULL value key.
+func (d *attrDict) add(key relation.Value, id bsp.VertexID) {
+	switch key.Kind {
+	case relation.KindInt:
+		d.ints[key.I] = id
+	case relation.KindDate:
+		d.dates[key.I] = id
+	case relation.KindString:
+		d.strs[key.S] = id
+	case relation.KindFloat:
+		if math.IsNaN(key.F) {
+			d.nans++
+			return
+		}
+		d.floats[math.Float64bits(key.F)] = id
+	}
+}
+
+func (d *attrDict) len() int {
+	return len(d.ints) + len(d.dates) + len(d.strs) + len(d.floats) + d.nans
+}
+
+func (d *attrDict) clone() attrDict {
+	return attrDict{
+		ints:   maps.Clone(d.ints),
+		dates:  maps.Clone(d.dates),
+		strs:   maps.Clone(d.strs),
+		floats: maps.Clone(d.floats),
+		nans:   d.nans,
+	}
 }
 
 // EdgeLabel returns the interned id of the "table.column" edge label.
@@ -216,8 +292,7 @@ func (t *Graph) AttrVertices(label bsp.LabelID) []bsp.VertexID {
 // AttrVertexOf returns the attribute vertex representing value v, if
 // materialized.
 func (t *Graph) AttrVertexOf(v relation.Value) (bsp.VertexID, bool) {
-	id, ok := t.attrVertex[v.Key()]
-	return id, ok
+	return t.attrs.lookup(v.Key())
 }
 
 // Materialized reports whether table.column values have attribute vertices.
@@ -256,7 +331,7 @@ func (t *Graph) NumTupleVertices() int {
 }
 
 // NumAttrVertices returns the distinct attribute vertex count.
-func (t *Graph) NumAttrVertices() int { return len(t.attrVertex) }
+func (t *Graph) NumAttrVertices() int { return t.attrs.len() }
 
 // ByteSize estimates the loaded size of the TAG representation, the
 // Figure 14 measure. Attribute vertices are the original data, not a
