@@ -1,6 +1,8 @@
 package tag
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/bsp"
@@ -163,4 +165,54 @@ func TestCloneChain(t *testing.T) {
 			t.Errorf("generation %d has %d customer tuple vertices, want %d", i, got, want)
 		}
 	}
+}
+
+// TestCloneMaintenanceBesideReaders: while each generation's clone
+// inserts and deletes, readers keep reading every older generation —
+// its payloads (a deleted tuple's is its table's shared one), its
+// attribute dictionary and its catalog rows — and snapshotting it, as
+// the serving layer's pinned sessions and checkpointer do. Under -race
+// any write the clone makes into memory an older generation can see
+// fails the test; without it, the generations' images must not change.
+func TestCloneMaintenanceBesideReaders(t *testing.T) {
+	g, err := Build(snapshotCatalog(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	read := func(gen *Graph, image []byte) {
+		defer wg.Done()
+		for range 20 {
+			for v := 0; v < gen.G.NumVertices(); v++ {
+				if d := gen.TupleData(bsp.VertexID(v)); d != nil && !d.Dead {
+					gen.AttrVertexOf(d.Row[0])
+				}
+			}
+			for _, row := range gen.Catalog.Get("items").Tuples {
+				_ = row[1]
+			}
+			var buf bytes.Buffer
+			if err := gen.WriteSnapshot(&buf); err != nil || !bytes.Equal(buf.Bytes(), image) {
+				t.Errorf("a generation's image changed under its clone's maintenance: %v", err)
+				return
+			}
+		}
+	}
+	for i := range 6 {
+		wg.Add(1)
+		go read(g, snapshotBytes(t, g))
+		next := g.Clone()
+		ids, err := next.InsertBatch("items", []relation.Tuple{
+			{relation.Int(int64(20 + i)), relation.Str("n"), relation.Null, relation.Str("c")},
+			{relation.Int(2), relation.Str("b"), relation.Null, relation.Str("c2")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := next.DeleteBatch([]bsp.VertexID{next.TupleVertices("items")[0], ids[1]}); err != nil {
+			t.Fatal(err)
+		}
+		g = next
+	}
+	wg.Wait()
 }

@@ -138,6 +138,33 @@ func TestSnapshotRejectsBadAggregator(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesUnbackedChunk: a vertex chunk claiming more
+// records than its bytes can hold (every record is at least two bytes)
+// is corrupt, refused before the vertex table is reserved for it.
+func TestSnapshotRefusesUnbackedChunk(t *testing.T) {
+	g, err := Build(snapshotCatalog(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := splitFrames(t, snapshotBytes(t, g))
+	at := len(frames) - 2 - len(g.attrByEdge) // the only vertex chunk
+	d := codec.NewDecoder(frames[at])
+	start, err1 := d.Uvarint()
+	n, err2 := d.Uvarint()
+	if err1 != nil || err2 != nil || start != 0 || int(n) != g.G.NumVertices() {
+		t.Fatalf("frame %d is not the only vertex chunk", at)
+	}
+	records := frames[at][len(frames[at])-d.Remaining():]
+	for _, claim := range []uint64{uint64(len(records))/2 + 1, 1 << 40} {
+		bad := slices.Clone(frames)
+		bad[0] = withHeaderField(t, frames[0], hdrVertices, claim)
+		bad[at] = append(binary.AppendUvarint(binary.AppendUvarint(nil, 0), claim), records...)
+		if _, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(joinFrames(bad)))); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("chunk of %d bytes claiming %d records: err = %v, want ErrCorrupt", len(records), claim, err)
+		}
+	}
+}
+
 // snapshotSeedGraphs returns graphs of snapshotCatalog: as built, under
 // MaterializeAll, and a Clone after inserts and deletes.
 func snapshotSeedGraphs(t testing.TB) []*Graph {
