@@ -28,7 +28,8 @@ import (
 
 // TupleData is the payload of a tuple vertex: the relation it belongs to
 // and the stored tuple (§3 step 1). A deleted tuple's payload is Dead
-// and keeps no Row.
+// and keeps no Row; every deleted tuple of a table shares one. Payloads
+// are never mutated, since older graph generations may read them.
 type TupleData struct {
 	Table string
 	Row   relation.Tuple
