@@ -96,39 +96,6 @@ func DecodeTuple(d *codec.Decoder) (Tuple, error) {
 	return row, nil
 }
 
-// SkipTuple consumes one AppendTuple encoding from d without building
-// it, and returns its arity. It accepts exactly what DecodeTuple does.
-func SkipTuple(d *codec.Decoder) (int, error) {
-	arity, err := d.Length()
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < arity; i++ {
-		k, err := d.Byte()
-		if err != nil {
-			return 0, err
-		}
-		switch Kind(k) {
-		case KindNull:
-		case KindInt, KindDate, KindBool:
-			_, err = d.Varint()
-		case KindFloat:
-			_, err = d.Take(8)
-		case KindString:
-			var n int
-			if n, err = d.Length(); err == nil {
-				_, err = d.Take(n)
-			}
-		default:
-			err = codec.ErrCorrupt
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return arity, nil
-}
-
 // AppendBinary appends the schema as a uvarint column count followed by
 // each column's name and kind byte.
 func (s *Schema) AppendBinary(b []byte) []byte {

@@ -63,35 +63,6 @@ func TestValueTupleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSkipTupleMatchesDecode: SkipTuple consumes exactly the bytes
-// DecodeTuple does, and refuses every prefix and bad kind byte it does.
-func TestSkipTupleMatchesDecode(t *testing.T) {
-	for _, row := range sampleTuples() {
-		b, err := AppendTuple(nil, row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = append(b, 0x7f) // a trailing byte neither may consume
-		for cut := 0; cut <= len(b); cut++ {
-			for _, bad := range []bool{false, true} {
-				in := append([]byte(nil), b[:cut]...)
-				if bad && cut > 1 {
-					in[1] = 0x7f // the first value's kind byte
-				}
-				dd, ds := codec.NewDecoder(in), codec.NewDecoder(in)
-				got, errD := DecodeTuple(dd)
-				arity, errS := SkipTuple(ds)
-				if (errD == nil) != (errS == nil) || (errD == nil && dd.Remaining() != ds.Remaining()) {
-					t.Fatalf("%v cut %d bad %v: decode err %v, skip err %v", row, cut, bad, errD, errS)
-				}
-				if errD == nil && arity != len(got) {
-					t.Fatalf("%v: skip arity %d, decoded %d values", row, arity, len(got))
-				}
-			}
-		}
-	}
-}
-
 // TestSchemaRoundTrip: a decoded schema behaves like a constructed one
 // (by-name lookup included).
 func TestSchemaRoundTrip(t *testing.T) {

@@ -41,7 +41,7 @@ import (
 // records carry a row inline — NULLs for a dead tuple, or in the oldest
 // images the deleted row — and their catalog rows may follow another
 // order after deletes of duplicate rows. The reader takes each live
-// row from its vertex record, skips dead rows without building them,
+// row from its vertex record, decodes and drops a dead record's row,
 // and rebuilds each table's catalog rows from its live vertices in id
 // order.
 
@@ -602,14 +602,6 @@ type snapTable struct {
 // a live tuple's row.
 func (tb *snapTable) record(d *codec.Decoder, ver uint64, dead bool) (relation.Tuple, error) {
 	switch {
-	case ver == 1 && dead:
-		arity, err := relation.SkipTuple(d)
-		if err == nil && arity != tb.arity {
-			err = codec.ErrCorrupt
-		}
-		return nil, err
-	case dead:
-		return nil, nil
 	case ver == 1:
 		row, err := relation.DecodeTuple(d)
 		if err != nil {
@@ -618,7 +610,12 @@ func (tb *snapTable) record(d *codec.Decoder, ver uint64, dead bool) (relation.T
 		if len(row) != tb.arity {
 			return nil, codec.ErrCorrupt
 		}
+		if dead {
+			return nil, nil // the row a version-1 dead record carries is dropped
+		}
 		tb.rows = append(tb.rows, row)
+	case dead:
+		return nil, nil
 	case tb.next == len(tb.rows):
 		return nil, codec.ErrCorrupt // more live records than catalog rows
 	}
