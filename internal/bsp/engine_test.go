@@ -85,9 +85,6 @@ func TestGraphEdgesWithLabel(t *testing.T) {
 	if !g.HasEdgeWithLabel(v0, b) || g.HasEdgeWithLabel(v1, b) {
 		t.Error("HasEdgeWithLabel wrong")
 	}
-	if got := g.VerticesWithLabel(a); len(got) != 2 {
-		t.Errorf("VerticesWithLabel = %v", got)
-	}
 	if g.NumEdges() != 3 {
 		t.Errorf("NumEdges = %d", g.NumEdges())
 	}

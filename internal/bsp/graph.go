@@ -23,10 +23,8 @@ func edgeKey(e Edge) uint64 { return uint64(e.Label)<<32 | uint64(uint32(e.To)) 
 
 func cmpEdge(a, b Edge) int { return cmp.Compare(edgeKey(a), edgeKey(b)) }
 
-// vertex is the engine-internal vertex record.
+// vertex is the engine-internal adjacency record of one vertex.
 type vertex struct {
-	label LabelID
-	data  any
 	edges []Edge // sorted by edgeKey after Freeze
 	// labelIndex[i] is the start of the i-th distinct label run in edges;
 	// built by Freeze for O(log L) per-label slicing.
@@ -44,7 +42,11 @@ type vertex struct {
 // how the serving layer builds its next graph generation off to the
 // side.
 type Graph struct {
-	Symbols  *SymbolTable
+	Symbols *SymbolTable
+	// Per-vertex columns, indexed by id. Labels are never rewritten, so
+	// a clone shares them; payloads can be replaced with SetData.
+	labels   []LabelID
+	data     []any
 	vertices []vertex
 	frozen   bool
 	numEdges int
@@ -85,9 +87,12 @@ func (g *Graph) Clone() *Graph {
 	if !g.frozen {
 		panic("bsp: Clone of unfrozen graph")
 	}
+	n := len(g.vertices)
 	return &Graph{
 		Symbols:  g.Symbols,
-		vertices: append([]vertex(nil), g.vertices...),
+		labels:   g.labels[:n:n],
+		data:     slices.Clone(g.data),
+		vertices: slices.Clone(g.vertices),
 		frozen:   true,
 		numEdges: g.numEdges,
 		cowLimit: len(g.vertices),
@@ -119,22 +124,12 @@ func (g *Graph) AddVertex(label LabelID, data any) VertexID {
 	if g.frozen {
 		panic("bsp: AddVertex after Freeze")
 	}
-	g.vertices = append(g.vertices, vertex{label: label, data: data})
+	g.labels = append(g.labels, label)
+	g.data = append(g.data, data)
+	g.vertices = append(g.vertices, vertex{})
 	id := VertexID(len(g.vertices) - 1)
 	g.markDirty(id)
 	return id
-}
-
-// Grow reserves room for n more vertices, so the next n AddVertex calls
-// append without reallocating the vertex table. A table that has to move
-// at least doubles, so growing it batch by batch stays linear.
-func (g *Graph) Grow(n int) {
-	if n <= cap(g.vertices)-len(g.vertices) {
-		return
-	}
-	vs := make([]vertex, len(g.vertices), len(g.vertices)+max(n, cap(g.vertices)))
-	copy(vs, g.vertices)
-	g.vertices = vs
 }
 
 // AddEdge adds a directed labeled edge.
@@ -281,11 +276,7 @@ func (g *Graph) LastFrozenDirty() []VertexID { return g.lastFrozen }
 // exactly the full sort's, and an already-sorted list costs the scan.
 func freezeVertex(v *vertex, buf []Edge) []Edge {
 	es := v.edges
-	p := 1
-	for p < len(es) && edgeKey(es[p-1]) <= edgeKey(es[p]) {
-		p++
-	}
-	if p < len(es) {
+	if p := sortedPrefix(es); p < len(es) {
 		slices.SortFunc(es[p:], cmpEdge)
 		buf = mergeTail(es, p, buf)
 	}
@@ -298,15 +289,39 @@ func freezeVertex(v *vertex, buf []Edge) []Edge {
 		return buf
 	}
 	if cap(v.labelStart) == 0 {
-		runs := 0
-		for j := range es {
-			if j == 0 || es[j].Label != es[j-1].Label {
-				runs++
-			}
-		}
+		runs := labelRuns(es)
 		v.labelIDs = make([]LabelID, 0, runs)
 		v.labelStart = make([]int32, 0, runs+1)
 	}
+	v.indexLabels()
+	return buf
+}
+
+// sortedPrefix returns the length of the longest prefix of es sorted by
+// edgeKey.
+func sortedPrefix(es []Edge) int {
+	p := 1
+	for p < len(es) && edgeKey(es[p-1]) <= edgeKey(es[p]) {
+		p++
+	}
+	return min(p, len(es))
+}
+
+// labelRuns counts the label runs of the sorted list es.
+func labelRuns(es []Edge) int {
+	runs := 0
+	for j := range es {
+		if j == 0 || es[j].Label != es[j-1].Label {
+			runs++
+		}
+	}
+	return runs
+}
+
+// indexLabels appends v's label index for its sorted, non-empty edges to
+// v.labelIDs and v.labelStart, which arrive empty.
+func (v *vertex) indexLabels() {
+	es := v.edges
 	for j, e := range es {
 		if j == 0 || e.Label != es[j-1].Label {
 			v.labelIDs = append(v.labelIDs, e.Label)
@@ -314,7 +329,59 @@ func freezeVertex(v *vertex, buf []Edge) []Edge {
 		}
 	}
 	v.labelStart = append(v.labelStart, int32(len(es)))
-	return buf
+}
+
+// NewFrozenGraph assembles a frozen graph from whole arrays, in the
+// state Freeze leaves a graph built vertex by vertex: vertex v has
+// label labels[v], payload data[v] and adjacency es[offs[v]:offs[v+1]].
+// The graph takes the three slices over; offs is only read.
+//
+// Each vertex's list is a capped sub-slice of es, so a later AddEdge
+// reallocates it and never writes into the next vertex's list. A list
+// already sorted by (label, to), as a caller filling lists column by
+// column produces, costs one scan; any other is sorted. The label index
+// of every vertex is carved from two arrays allocated once. Dirty
+// tracking is armed, as after a first Freeze.
+func NewFrozenGraph(symbols *SymbolTable, labels []LabelID, data []any, offs []int32, es []Edge) *Graph {
+	n := len(labels)
+	if len(data) != n || len(offs) != n+1 || offs[0] != 0 || int(offs[n]) != len(es) {
+		panic("bsp: NewFrozenGraph with inconsistent arrays")
+	}
+	vs := make([]vertex, n)
+	runs, lists := 0, 0
+	for v := range vs {
+		lo, hi := offs[v], offs[v+1]
+		if lo == hi {
+			continue
+		}
+		list := es[lo:hi:hi]
+		if sortedPrefix(list) < len(list) {
+			slices.SortFunc(list, cmpEdge)
+		}
+		vs[v].edges = list
+		runs += labelRuns(list)
+		lists++
+	}
+	ids, starts := make([]LabelID, runs), make([]int32, runs+lists)
+	for v := range vs {
+		vx := &vs[v]
+		if len(vx.edges) == 0 {
+			continue
+		}
+		r := labelRuns(vx.edges)
+		vx.labelIDs, vx.labelStart = ids[:0:r], starts[:0:r+1]
+		vx.indexLabels()
+		ids, starts = ids[r:], starts[r+1:]
+	}
+	return &Graph{
+		Symbols:  symbols,
+		labels:   labels,
+		data:     data,
+		vertices: vs,
+		frozen:   true,
+		numEdges: len(es),
+		dirty:    make(map[VertexID]bool),
+	}
 }
 
 // mergeTail merges the sorted tail es[p:] into the sorted prefix es[:p]
@@ -349,13 +416,13 @@ func (g *Graph) NumVertices() int { return len(g.vertices) }
 func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Label returns the label of v.
-func (g *Graph) Label(v VertexID) LabelID { return g.vertices[v].label }
+func (g *Graph) Label(v VertexID) LabelID { return g.labels[v] }
 
 // Data returns the payload of v.
-func (g *Graph) Data(v VertexID) any { return g.vertices[v].data }
+func (g *Graph) Data(v VertexID) any { return g.data[v] }
 
 // SetData replaces the payload of v.
-func (g *Graph) SetData(v VertexID, data any) { g.vertices[v].data = data }
+func (g *Graph) SetData(v VertexID, data any) { g.data[v] = data }
 
 // Edges returns the full adjacency list of v (read-only).
 func (g *Graph) Edges(v VertexID) []Edge { return g.vertices[v].edges }
@@ -385,26 +452,14 @@ func (g *Graph) HasEdgeWithLabel(v VertexID, label LabelID) bool {
 	return len(g.EdgesWithLabel(v, label)) > 0
 }
 
-// VerticesWithLabel returns all vertex ids carrying the vertex label.
-func (g *Graph) VerticesWithLabel(label LabelID) []VertexID {
-	var out []VertexID
-	for i := range g.vertices {
-		if g.vertices[i].label == label {
-			out = append(out, VertexID(i))
-		}
-	}
-	return out
-}
-
 // ByteSize estimates the in-memory footprint of the graph structure plus
 // payloads that implement interface{ Size() int }; used by the Figure 14
 // load-size experiment.
 func (g *Graph) ByteSize() int {
 	n := 0
 	for i := range g.vertices {
-		v := &g.vertices[i]
-		n += 16 + len(v.edges)*8
-		if s, ok := v.data.(interface{ Size() int }); ok {
+		n += 16 + len(g.vertices[i].edges)*8
+		if s, ok := g.data[i].(interface{ Size() int }); ok {
 			n += s.Size()
 		}
 	}

@@ -115,7 +115,32 @@ func checkFrozen(t *testing.T, what string, g *Graph, want [][]Edge) {
 // generations cloned from. The histories hold duplicate edges, several
 // labels per vertex, vertices emptied by removal and isolation, and new
 // edges that sort before, inside and after a vertex's existing ones.
-func TestFreezeMatchesFullSort(t *testing.T) {
+func TestFreezeMatchesFullSort(t *testing.T) { runFreezeHistories(t, false) }
+
+// TestNewFrozenGraphMatchesFreeze: the same histories, starting from a
+// graph NewFrozenGraph assembles from the first 40 edges' lists in the
+// order they were added, most of them unsorted. The assembled graph
+// must freeze like the one built edge by edge, and every later
+// mutation must stay inside the vertex it names: the lists share one
+// array, and a list that let AddEdge write past its end would change
+// its neighbour's.
+func TestNewFrozenGraphMatchesFreeze(t *testing.T) { runFreezeHistories(t, true) }
+
+// assembled returns the graph NewFrozenGraph makes of r's lists, in
+// their order, one array for all of them.
+func (r *refAdjacency) assembled() *Graph {
+	labels := make([]LabelID, len(r.edges))
+	offs := make([]int32, len(r.edges)+1)
+	var es []Edge
+	for v, list := range r.edges {
+		labels[v] = 1
+		es = append(es, list...)
+		offs[v+1] = int32(len(es))
+	}
+	return NewFrozenGraph(NewSymbolTable(), labels, make([]any, len(r.edges)), offs, es)
+}
+
+func runFreezeHistories(t *testing.T, bulk bool) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := NewGraph()
@@ -152,6 +177,9 @@ func TestFreezeMatchesFullSort(t *testing.T) {
 			addEdge()
 		}
 		g.Freeze()
+		if bulk {
+			g = ref.assembled()
+		}
 		checkFrozen(t, fmt.Sprintf("seed %d initial", seed), g, ref.frozen())
 		if got := g.LastFrozenDirty(); len(got) != 0 {
 			t.Fatalf("seed %d: initial LastFrozenDirty = %v, want empty", seed, got)

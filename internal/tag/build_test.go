@@ -1,9 +1,12 @@
 package tag
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"repro/internal/bsp"
@@ -79,6 +82,78 @@ func TestBuildEncodingPinned(t *testing.T) {
 		if got := encodingDigest(t, g); got != c.digest {
 			t.Errorf("%s: %d vertices, %d edges, digest %s, want %s",
 				c.name, g.G.NumVertices(), g.G.NumEdges(), got, c.digest)
+		}
+	}
+}
+
+// TestBulkAdjacencyIsolated runs InsertBatch and DeleteBatch directly on
+// a built graph and on a ReadSnapshot-loaded one, not on a Clone, so
+// their adjacency lists still share the one edge array the graph was
+// assembled in. Every vertex the batches did not touch must keep the
+// edges a fresh build gives it: an insert that appended past the end
+// of an attribute vertex's list would overwrite its neighbour's first
+// edge.
+func TestBulkAdjacencyIsolated(t *testing.T) {
+	fresh, err := Build(tpch.Generate(0.1, 7), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(tpch.Generate(0.1, 7), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(snapshotBytes(t, fresh))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"built": built, "loaded": loaded} {
+		touched := make(map[bsp.VertexID]bool)
+		note := func() {
+			for _, v := range g.G.LastFrozenDirty() {
+				touched[v] = true
+			}
+		}
+		// Rows the graph already holds, so every insert lands on existing
+		// attribute vertices, spread over the id space.
+		insert := func() {
+			for _, table := range g.Catalog.Names() {
+				rows := g.Catalog.Get(table).Tuples
+				var batch []relation.Tuple
+				for j := 0; j < len(rows); j += 1 + len(rows)/5 {
+					batch = append(batch, rows[j])
+				}
+				if _, err := g.InsertBatch(table, batch); err != nil {
+					t.Fatal(err)
+				}
+				note()
+			}
+		}
+		insert()
+		var gone []bsp.VertexID
+		for _, table := range []string{"lineitem", "orders", "partsupp"} {
+			vs := g.TupleVertices(table)
+			for j := 0; j < len(vs); j += 9 {
+				gone = append(gone, vs[j])
+			}
+		}
+		if err := g.DeleteBatch(gone); err != nil {
+			t.Fatal(err)
+		}
+		note()
+		insert()
+
+		kept := 0
+		for v := bsp.VertexID(0); int(v) < fresh.G.NumVertices(); v++ {
+			if touched[v] {
+				continue
+			}
+			kept++
+			if got, want := g.G.Edges(v), fresh.G.Edges(v); !slices.Equal(got, want) {
+				t.Fatalf("%s: untouched vertex %d has edges\n%v\nwant\n%v", name, v, got, want)
+			}
+		}
+		if kept < fresh.G.NumVertices()/2 {
+			t.Fatalf("%s: only %d of %d vertices untouched", name, kept, fresh.G.NumVertices())
 		}
 	}
 }

@@ -262,7 +262,6 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 	}
 
 	t := &Graph{
-		G:           bsp.NewGraph(),
 		Aggregator:  bsp.VertexID(aggregator),
 		attrs:       newAttrDict(),
 		tupleVerts:  make(map[string][]bsp.VertexID),
@@ -278,12 +277,13 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 	if d, err = readFrame(); err != nil {
 		return nil, err
 	}
+	syms := bsp.NewSymbolTable()
 	for id := uint64(1); id <= numSyms; id++ {
 		name, err := d.Str()
 		if err != nil {
 			return nil, err
 		}
-		if got := t.G.Symbols.Intern(name); got != bsp.LabelID(id) {
+		if got := syms.Intern(name); got != bsp.LabelID(id) {
 			return nil, codec.ErrCorrupt
 		}
 	}
@@ -328,11 +328,11 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 
 	// Labels are a function of the symbol table: tuple labels are the
 	// lowercase table names, edge labels the column keys.
-	nsyms := uint64(t.G.Symbols.Len())
+	nsyms := uint64(syms.Len())
 	tables := make([]*snapTable, nsyms+1) // by tuple label
 	for _, name := range cat.Names() {
 		table := strings.ToLower(name)
-		lbl := t.G.Symbols.Lookup(table)
+		lbl := syms.Lookup(table)
 		if lbl == bsp.NoLabel {
 			return nil, codec.ErrCorrupt
 		}
@@ -356,7 +356,7 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 		t.dead[table] = tb.dead
 	}
 	for key := range t.materialized {
-		lbl := t.G.Symbols.Lookup(key)
+		lbl := syms.Lookup(key)
 		if lbl == bsp.NoLabel {
 			return nil, codec.ErrCorrupt
 		}
@@ -364,9 +364,15 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 	}
 	var attrLbl [relation.KindDate + 1]bsp.LabelID // by value kind, looked up on first use
 
-	// Vertices, in id order. AddVertex assigns sequential ids, so
-	// re-adding in order reproduces the id space; each decoded id is
-	// asserted against the expected one.
+	// Vertices, in id order; each chunk's start is asserted against the
+	// next id. The vertex arrays grow a chunk at a time, by the chunk's
+	// record count: numVerts is not trusted, but every record is at least
+	// a label byte and a tag byte, so the chunk's own bytes back the
+	// reservation.
+	var labels []bsp.LabelID
+	var data []any
+	var tuples slab[TupleData]
+	var attrs slab[AttrData]
 	for next := uint64(0); next < numVerts; {
 		d, err := readFrame()
 		if err != nil {
@@ -383,13 +389,12 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Every record is at least a label byte and a tag byte, so the
-		// reservation is backed by the chunk's own bytes.
 		if n == 0 || start+n > numVerts || n > uint64(d.Remaining()/2) {
 			return nil, codec.ErrCorrupt
 		}
-		t.G.Grow(int(n))
+		labels, data = reserve(labels, int(n)), reserve(data, int(n))
 		for i := uint64(0); i < n; i++ {
+			id := bsp.VertexID(start + i)
 			lblRaw, err := d.Uvarint()
 			if err != nil {
 				return nil, err
@@ -406,7 +411,7 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 			// made: the aggregator is the only vertex without one, a tuple
 			// is labeled by its table and has the table's arity, and an
 			// attribute value is canonical, unique and labeled by its kind.
-			var data any
+			var payload any
 			switch tagByte {
 			case snapVertNil:
 				if start+i != aggregator {
@@ -423,9 +428,10 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 					return nil, err
 				}
 				if dead {
-					data = tb.dead
+					payload = tb.dead
 				} else {
-					data = &TupleData{Table: tb.name, Row: row}
+					payload = tuples.new(TupleData{Table: tb.name, Row: row})
+					t.tupleVerts[tb.name] = append(t.tupleVerts[tb.name], id)
 				}
 			case snapVertAttr:
 				v, err := relation.DecodeValue(d)
@@ -436,35 +442,26 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 					return nil, codec.ErrCorrupt
 				}
 				if attrLbl[v.Kind] == bsp.NoLabel {
-					attrLbl[v.Kind] = t.G.Symbols.Lookup("#attr:" + v.Kind.String())
+					attrLbl[v.Kind] = syms.Lookup("#attr:" + v.Kind.String())
 				}
 				if _, dup := t.attrs.lookup(v); dup || lbl != attrLbl[v.Kind] {
 					return nil, codec.ErrCorrupt
 				}
-				data = &AttrData{Value: v}
+				payload = attrs.new(AttrData{Value: v})
+				t.attrs.add(v, id)
+				t.attrKindLbl[v.Kind] = lbl
 			default:
 				return nil, codec.ErrCorrupt
 			}
-			id := t.G.AddVertex(lbl, data)
-			if uint64(id) != start+i {
-				return nil, codec.ErrCorrupt
-			}
-			switch pd := data.(type) {
-			case *TupleData:
-				if !pd.Dead {
-					t.tupleVerts[pd.Table] = append(t.tupleVerts[pd.Table], id)
-				}
-			case *AttrData:
-				t.attrs.add(pd.Value, id)
-				t.attrKindLbl[pd.Value.Kind] = lbl
-			}
+			labels = append(labels, lbl)
+			data = append(data, payload)
 		}
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
 		next = start + n
 	}
-	if t.G.Data(t.Aggregator) != nil {
+	if data[t.Aggregator] != nil {
 		return nil, codec.ErrCorrupt
 	}
 	for _, name := range cat.Names() {
@@ -479,32 +476,44 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 
 	// Re-derive the edges from the live rows: one undirected edge per
 	// materialized non-null cell, targeting the cell value's attribute
-	// vertex. Column by column, tuples in id order: Build interned the
-	// tables' column labels in this order, so each adjacency list comes
-	// out sorted and Freeze only has to scan it.
+	// vertex. Tables and columns run in the order Build interned their
+	// labels, and each table's tuples in id order, so assemble fills
+	// every list in order.
+	var cols []edgeColumn
+	cells := uint64(0)
 	for _, name := range cat.Names() {
 		table := strings.ToLower(name)
-		verts := t.tupleVerts[table]
 		rel := cat.Get(table)
 		for i, col := range rel.Schema.Columns {
 			key := table + "." + strings.ToLower(col.Name)
 			if !t.materialized[key] {
 				continue
 			}
-			lbl := t.edgeLabel[key]
+			c := edgeColumn{col: i, label: t.edgeLabel[key], tuples: t.tupleVerts[table],
+				attrs: make([]bsp.VertexID, len(rel.Tuples))}
 			for j, row := range rel.Tuples {
 				if row[i].IsNull() {
+					c.attrs[j] = noVertex
 					continue
 				}
 				av, ok := t.attrs.lookup(row[i].Key())
 				if !ok {
 					return nil, codec.ErrCorrupt
 				}
-				t.G.AddUndirectedEdge(verts[j], av, lbl)
+				c.attrs[j] = av
+				cells++
 			}
+			cols = append(cols, c)
 		}
 	}
-	t.G.Freeze()
+	if 2*cells != numEdges {
+		// The re-derived edge set disagrees with the snapshotted count:
+		// the image is internally inconsistent.
+		return nil, codec.ErrCorrupt
+	}
+	if t.G, err = assemble(syms, labels, data, cols); err != nil {
+		return nil, err
+	}
 
 	// The attribute index (attrByEdge survives orphaning, so it is
 	// serialized state, not derived).
@@ -575,15 +584,16 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 	if !bytes.Equal(endMagic, snapEndMagic) || ev != numVerts || ee != numEdges {
 		return nil, codec.ErrCorrupt
 	}
-	if uint64(t.G.NumVertices()) != numVerts {
-		return nil, codec.ErrCorrupt
-	}
-	if uint64(t.G.NumEdges()) != numEdges {
-		// The re-derived edge set disagrees with the snapshotted count:
-		// the image is internally inconsistent.
-		return nil, codec.ErrCorrupt
-	}
 	return t, nil
+}
+
+// reserve returns s with room for n more elements. A slice that has to
+// move at least doubles, so reserving chunk by chunk stays linear.
+func reserve[E any](s []E, n int) []E {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	return append(make([]E, 0, len(s)+max(n, cap(s))), s...)
 }
 
 // snapTable is one table as ReadSnapshot meets its tuple records.

@@ -102,12 +102,20 @@ type Graph struct {
 
 // Build encodes every relation in the catalog. A nil policy means
 // DefaultPolicy.
+//
+// It runs in two passes. The first goes row by row and numbers the
+// vertices: the aggregator, then each tuple vertex followed by every
+// attribute vertex its row is the first to reach, in column order. The
+// numbering is durable, because WAL delete records name tuple vertices
+// and a restart without a checkpoint replays them against a fresh Build.
+// The first pass also records, per materialised column, each row's
+// attribute vertex. The second pass (assemble) derives the edges from
+// those columns.
 func Build(cat *relation.Catalog, policy Policy) (*Graph, error) {
 	if policy == nil {
 		policy = DefaultPolicy
 	}
 	t := &Graph{
-		G:            bsp.NewGraph(),
 		Catalog:      cat,
 		policy:       policy,
 		attrs:        newAttrDict(),
@@ -120,13 +128,70 @@ func Build(cat *relation.Catalog, policy Policy) (*Graph, error) {
 		attrKindLbl:  make(map[relation.Kind]bsp.LabelID),
 		deltaBase:    -1,
 	}
-	t.Aggregator = t.G.AddVertex(t.G.Symbols.Intern("#aggregator"), nil)
+	syms := bsp.NewSymbolTable()
+	rows := 0
 	for _, name := range cat.Names() {
-		if err := t.addRelation(cat.Get(name)); err != nil {
-			return nil, err
+		rows += cat.Get(name).Len()
+	}
+	labels := make([]bsp.LabelID, 1, 1+rows)
+	data := make([]any, 1, 1+rows)
+	labels[0] = syms.Intern("#aggregator")
+	var cols []edgeColumn
+	var tuples slab[TupleData]
+	var attrs slab[AttrData]
+	for _, name := range cat.Names() {
+		r := cat.Get(name)
+		table := strings.ToLower(r.Name)
+		if _, dup := t.tupleLabel[table]; dup {
+			return nil, fmt.Errorf("tag: relation %s already encoded", r.Name)
+		}
+		vLbl := syms.Intern(table)
+		t.tupleLabel[table] = vLbl
+		t.dead[table] = &TupleData{Table: table, Dead: true}
+
+		// Intern edge labels and record materialization choices up front,
+		// so the planner can consult them even for empty relations.
+		verts := make([]bsp.VertexID, len(r.Tuples))
+		first := len(cols)
+		for i, col := range r.Schema.Columns {
+			key := table + "." + strings.ToLower(col.Name)
+			lbl := syms.Intern(key)
+			t.edgeLabel[key] = lbl
+			t.materialized[key] = policy(r.Name, col)
+			if t.materialized[key] {
+				cols = append(cols, edgeColumn{col: i, label: lbl, tuples: verts,
+					attrs: make([]bsp.VertexID, len(r.Tuples))})
+			}
+		}
+		for j, row := range r.Tuples {
+			verts[j] = bsp.VertexID(len(labels))
+			labels = append(labels, vLbl)
+			data = append(data, tuples.new(TupleData{Table: table, Row: row}))
+			for _, c := range cols[first:] {
+				v := row[c.col]
+				if v.IsNull() {
+					c.attrs[j] = noVertex
+					continue
+				}
+				key := v.Key()
+				id, ok := t.attrs.lookup(key)
+				if !ok {
+					id = bsp.VertexID(len(labels))
+					labels = append(labels, t.attrLabel(syms, key.Kind))
+					data = append(data, attrs.new(AttrData{Value: key}))
+					t.attrs.add(key, id)
+				}
+				c.attrs[j] = id
+			}
+		}
+		if len(verts) > 0 {
+			t.tupleVerts[table] = verts
 		}
 	}
-	t.G.Freeze()
+	var err error
+	if t.G, err = assemble(syms, labels, data, cols); err != nil {
+		return nil, err
+	}
 	// The attribute index, read off the frozen adjacency: an attribute
 	// vertex is listed under each edge label it carries. Vertices are
 	// visited in id order, so every list comes out ascending.
@@ -144,38 +209,76 @@ func Build(cat *relation.Catalog, policy Policy) (*Graph, error) {
 	return t, nil
 }
 
-func (t *Graph) addRelation(r *relation.Relation) error {
-	table := strings.ToLower(r.Name)
-	if _, dup := t.tupleLabel[table]; dup {
-		return fmt.Errorf("tag: relation %s already encoded", r.Name)
-	}
-	vLbl := t.G.Symbols.Intern(table)
-	t.tupleLabel[table] = vLbl
-	t.dead[table] = &TupleData{Table: table, Dead: true}
+// slab hands out payloads from blocks, one allocation per block instead
+// of one per vertex. Blocks double from 16 payloads to 1024, so a small
+// graph allocates little. Payloads are never mutated, so sharing a block
+// is safe; a block lives while any of its payloads does.
+type slab[E any] []E
 
-	// Intern edge labels and record materialization choices up front, so
-	// the planner can consult them even for empty relations.
-	labels := make([]bsp.LabelID, r.Schema.Len())
-	mat := make([]bool, r.Schema.Len())
-	for i, col := range r.Schema.Columns {
-		key := table + "." + strings.ToLower(col.Name)
-		labels[i] = t.G.Symbols.Intern(key)
-		t.edgeLabel[key] = labels[i]
-		mat[i] = t.policy(r.Name, col)
-		t.materialized[key] = mat[i]
+func (s *slab[E]) new(e E) *E {
+	if len(*s) == cap(*s) {
+		*s = make([]E, 0, min(max(2*cap(*s), 16), 1024))
 	}
+	*s = append(*s, e)
+	return &(*s)[len(*s)-1]
+}
 
-	for _, row := range r.Tuples {
-		tv := t.G.AddVertex(vLbl, &TupleData{Table: table, Row: row})
-		t.tupleVerts[table] = append(t.tupleVerts[table], tv)
-		for i, v := range row {
-			if !mat[i] || v.IsNull() {
-				continue
+// noVertex marks a NULL cell in an edgeColumn.
+const noVertex bsp.VertexID = -1
+
+// edgeColumn is one materialised column of a table: its edge label, the
+// table's tuple vertices in row order, and each row's attribute vertex.
+type edgeColumn struct {
+	col    int // position in the table's schema
+	label  bsp.LabelID
+	tuples []bsp.VertexID
+	attrs  []bsp.VertexID // attrs[j] is the vertex of row j's cell, or noVertex
+}
+
+// assemble derives the edges of the encoding, one undirected edge per
+// non-NULL cell of cols, and returns the frozen graph of the given
+// vertices. It counts every vertex's degree, allocates one edge array,
+// and fills it column by column, rows in order. So a tuple vertex's
+// list comes out in its table's column order and an attribute vertex's
+// in (column, tuple) order: both in (label, to) order when cols runs in
+// label order and each table's tuples in id order, as Build and
+// ReadSnapshot give them, and no list needs sorting.
+func assemble(syms *bsp.SymbolTable, labels []bsp.LabelID, data []any, cols []edgeColumn) (*bsp.Graph, error) {
+	n := len(labels)
+	offs := make([]int32, n+1) // offs[v+1] counts v's edges, then sums them
+	cells := 0
+	for _, c := range cols {
+		for j, a := range c.attrs {
+			if a != noVertex {
+				offs[c.tuples[j]+1]++
+				offs[a+1]++
+				cells++
 			}
-			t.G.AddUndirectedEdge(tv, t.attrVertexFor(v), labels[i])
 		}
 	}
-	return nil
+	if cells > math.MaxInt32/2 {
+		return nil, fmt.Errorf("tag: %d edges, more than a graph holds", 2*cells)
+	}
+	for v := 1; v <= n; v++ {
+		offs[v] += offs[v-1]
+	}
+	es := make([]bsp.Edge, 2*cells)
+	for _, c := range cols {
+		for j, a := range c.attrs {
+			if a == noVertex {
+				continue
+			}
+			tv := c.tuples[j]
+			es[offs[tv]] = bsp.Edge{Label: c.label, To: a}
+			es[offs[a]] = bsp.Edge{Label: c.label, To: tv}
+			offs[tv]++
+			offs[a]++
+		}
+	}
+	// Each vertex's cursor has reached its list's end, the next one's start.
+	copy(offs[1:], offs[:n])
+	offs[0] = 0
+	return bsp.NewFrozenGraph(syms, labels, data, offs, es), nil
 }
 
 // attrVertexFor returns the (shared) attribute vertex for value v,
@@ -186,14 +289,20 @@ func (t *Graph) attrVertexFor(v relation.Value) bsp.VertexID {
 	if id, ok := t.attrs.lookup(key); ok {
 		return id
 	}
-	lbl, ok := t.attrKindLbl[key.Kind]
-	if !ok {
-		lbl = t.G.Symbols.Intern("#attr:" + key.Kind.String())
-		t.attrKindLbl[key.Kind] = lbl
-	}
-	id := t.G.AddVertex(lbl, &AttrData{Value: key})
+	id := t.G.AddVertex(t.attrLabel(t.G.Symbols, key.Kind), &AttrData{Value: key})
 	t.attrs.add(key, id)
 	return id
+}
+
+// attrLabel returns the vertex label of attribute vertices of a kind,
+// interning it on first use.
+func (t *Graph) attrLabel(syms *bsp.SymbolTable, kind relation.Kind) bsp.LabelID {
+	lbl, ok := t.attrKindLbl[kind]
+	if !ok {
+		lbl = syms.Intern("#attr:" + kind.String())
+		t.attrKindLbl[kind] = lbl
+	}
+	return lbl
 }
 
 // attrDict maps canonical values (Value.Key) to their attribute
