@@ -26,10 +26,16 @@ func cmpEdge(a, b Edge) int { return cmp.Compare(edgeKey(a), edgeKey(b)) }
 // vertex is the engine-internal adjacency record of one vertex.
 type vertex struct {
 	edges []Edge // sorted by edgeKey after Freeze
-	// labelIndex[i] is the start of the i-th distinct label run in edges;
-	// built by Freeze for O(log L) per-label slicing.
-	labelStart []int32
-	labelIDs   []LabelID
+	// runs[i] is the i-th distinct label of edges and where its run
+	// starts; a run ends where the next one starts, the last at
+	// len(edges). Built by Freeze for O(log L) per-label slicing.
+	runs []labelRun
+}
+
+// labelRun is one entry of a vertex's label index.
+type labelRun struct {
+	label LabelID
+	start int32
 }
 
 // Graph is a labeled directed multigraph with per-vertex payloads.
@@ -108,8 +114,7 @@ func (g *Graph) own(v VertexID) {
 	}
 	vx := &g.vertices[v]
 	vx.edges = append([]Edge(nil), vx.edges...)
-	vx.labelStart = append([]int32(nil), vx.labelStart...)
-	vx.labelIDs = append([]LabelID(nil), vx.labelIDs...)
+	vx.runs = append([]labelRun(nil), vx.runs...)
 	g.owned[v] = true
 }
 
@@ -284,14 +289,12 @@ func freezeVertex(v *vertex, buf []Edge) []Edge {
 	// EdgesWithLabel finds no label. One frozen for the first time sizes
 	// its index exactly instead of growing it by append; a re-frozen one
 	// reuses its own, which fits unless the vertex gained a label.
-	v.labelIDs, v.labelStart = v.labelIDs[:0], v.labelStart[:0]
+	v.runs = v.runs[:0]
 	if len(es) == 0 {
 		return buf
 	}
-	if cap(v.labelStart) == 0 {
-		runs := labelRuns(es)
-		v.labelIDs = make([]LabelID, 0, runs)
-		v.labelStart = make([]int32, 0, runs+1)
+	if cap(v.runs) == 0 {
+		v.runs = make([]labelRun, 0, labelRuns(es))
 	}
 	v.indexLabels()
 	return buf
@@ -318,17 +321,15 @@ func labelRuns(es []Edge) int {
 	return runs
 }
 
-// indexLabels appends v's label index for its sorted, non-empty edges to
-// v.labelIDs and v.labelStart, which arrive empty.
+// indexLabels appends the label runs of v's sorted edges to v.runs,
+// which arrives empty.
 func (v *vertex) indexLabels() {
 	es := v.edges
 	for j, e := range es {
 		if j == 0 || e.Label != es[j-1].Label {
-			v.labelIDs = append(v.labelIDs, e.Label)
-			v.labelStart = append(v.labelStart, int32(j))
+			v.runs = append(v.runs, labelRun{label: e.Label, start: int32(j)})
 		}
 	}
-	v.labelStart = append(v.labelStart, int32(len(es)))
 }
 
 // NewFrozenGraph assembles a frozen graph from whole arrays, in the
@@ -340,7 +341,7 @@ func (v *vertex) indexLabels() {
 // reallocates it and never writes into the next vertex's list. A list
 // already sorted by (label, to), as a caller filling lists column by
 // column produces, costs one scan; any other is sorted. The label index
-// of every vertex is carved from two arrays allocated once. Dirty
+// of every vertex is carved from one array allocated once. Dirty
 // tracking is armed, as after a first Freeze.
 func NewFrozenGraph(symbols *SymbolTable, labels []LabelID, data []any, offs []int32, es []Edge) *Graph {
 	n := len(labels)
@@ -348,7 +349,7 @@ func NewFrozenGraph(symbols *SymbolTable, labels []LabelID, data []any, offs []i
 		panic("bsp: NewFrozenGraph with inconsistent arrays")
 	}
 	vs := make([]vertex, n)
-	runs, lists := 0, 0
+	runs := 0
 	for v := range vs {
 		lo, hi := offs[v], offs[v+1]
 		if lo == hi {
@@ -360,18 +361,14 @@ func NewFrozenGraph(symbols *SymbolTable, labels []LabelID, data []any, offs []i
 		}
 		vs[v].edges = list
 		runs += labelRuns(list)
-		lists++
 	}
-	ids, starts := make([]LabelID, runs), make([]int32, runs+lists)
+	index := make([]labelRun, runs)
 	for v := range vs {
 		vx := &vs[v]
-		if len(vx.edges) == 0 {
-			continue
-		}
 		r := labelRuns(vx.edges)
-		vx.labelIDs, vx.labelStart = ids[:0:r], starts[:0:r+1]
+		vx.runs = index[:0:r]
 		vx.indexLabels()
-		ids, starts = ids[r:], starts[r+1:]
+		index = index[r:]
 	}
 	return &Graph{
 		Symbols:  symbols,
@@ -434,11 +431,16 @@ func (g *Graph) EdgesWithLabel(v VertexID, label LabelID) []Edge {
 	if !g.frozen {
 		panic("bsp: EdgesWithLabel before Freeze")
 	}
-	i := sort.Search(len(vx.labelIDs), func(k int) bool { return vx.labelIDs[k] >= label })
-	if i == len(vx.labelIDs) || vx.labelIDs[i] != label {
+	runs := vx.runs
+	i := sort.Search(len(runs), func(k int) bool { return runs[k].label >= label })
+	if i == len(runs) || runs[i].label != label {
 		return nil
 	}
-	return vx.edges[vx.labelStart[i]:vx.labelStart[i+1]]
+	end := int32(len(vx.edges))
+	if i+1 < len(runs) {
+		end = runs[i+1].start
+	}
+	return vx.edges[runs[i].start:end]
 }
 
 // DegreeWithLabel returns the number of v's out-edges carrying label;

@@ -315,12 +315,12 @@ func FuzzReadSnapshot(f *testing.F) {
 		g, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(image)))
 		runtime.ReadMemStats(&after)
 		// The factor is larger than the other decoders' 64. The seeds and
-		// regressions measure 22-38x (the worst seed is a truncated
+		// regressions measure 22-37x (the worst seed is a truncated
 		// current image of 602 bytes). The worst shape found is tens of
 		// thousands of live rows of a table with no columns: 3 bytes each
 		// (a catalog row, a label and a tag) become a label, a payload
-		// pointer and a 72-byte adjacency record, a payload and a catalog
-		// slot grown by append, ~93x. Dead records measure ~50x;
+		// pointer, a 48-byte adjacency record, a payload and a catalog
+		// slot grown by append, ~85x. Dead records measure ~50x;
 		// version-1 dead records, whose NULL rows are decoded and
 		// dropped, 33-43x.
 		if d := after.TotalAlloc - before.TotalAlloc; d > 128*uint64(len(data))+1<<20 {

@@ -427,8 +427,10 @@ func TestSnapshotCorruption(t *testing.T) {
 // and deleted again, 2,000 and 8,000 of them: the live rows and the
 // attribute vertices stay the same, only the dead vertices grow. Per dead
 // vertex the image may grow by at most 3 bytes, and ReadSnapshot's
-// allocation by at most 104 B: the 96-byte vertex record plus its two
-// bytes in the frame buffer. Version 1 measured 18 bytes and 1.1-1.3 KB
+// allocation by at most 104 B. A dead vertex costs 74 B: its label, its
+// payload pointer, its 48-byte adjacency record, its edge offset and its
+// two bytes in the frame buffer (76-83 B measured; an allocation rounds
+// up to a whole size class). Version 1 measured 18 bytes and 1.1-1.3 KB
 // per dead vertex here: each record carried its table's arity of NULLs,
 // and the load built them into a row before dropping it.
 func TestSnapshotCostFollowsLiveRows(t *testing.T) {
