@@ -101,7 +101,7 @@ func (g *Graph) Clone() *Graph {
 		vertices: slices.Clone(g.vertices),
 		frozen:   true,
 		numEdges: g.numEdges,
-		cowLimit: len(g.vertices),
+		cowLimit: n,
 		owned:    make(map[VertexID]bool),
 		dirty:    make(map[VertexID]bool),
 	}
