@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // VertexID indexes a vertex in a Graph.
@@ -23,21 +22,6 @@ func edgeKey(e Edge) uint64 { return uint64(e.Label)<<32 | uint64(uint32(e.To)) 
 
 func cmpEdge(a, b Edge) int { return cmp.Compare(edgeKey(a), edgeKey(b)) }
 
-// vertex is the engine-internal adjacency record of one vertex.
-type vertex struct {
-	edges []Edge // sorted by edgeKey after Freeze
-	// runs[i] is the i-th distinct label of edges and where its run
-	// starts; a run ends where the next one starts, the last at
-	// len(edges). Built by Freeze for O(log L) per-label slicing.
-	runs []labelRun
-}
-
-// labelRun is one entry of a vertex's label index.
-type labelRun struct {
-	label LabelID
-	start int32
-}
-
 // Graph is a labeled directed multigraph with per-vertex payloads.
 // Build with AddVertex/AddEdge, then call Freeze before running programs.
 // Once frozen, the structure is immutable and safe for any number of
@@ -53,33 +37,25 @@ type Graph struct {
 	// a clone shares them; payloads can be replaced with SetData.
 	labels   []LabelID
 	data     []any
-	vertices []vertex
+	adj      [][]Edge // each list sorted by edgeKey while frozen
 	frozen   bool
 	numEdges int
 
 	// Copy-on-write state. A graph returned by Clone shares the edge
-	// slices of vertices below cowLimit with its parent until they are
+	// lists of vertices below cowLimit with its parent until they are
 	// first mutated; owned records which of those have been privatized.
+	// On a graph that is not a clone, cowLimit is 0 and nothing is shared.
 	cowLimit int
 	owned    map[VertexID]bool
 
-	// dirty tracks vertices whose adjacency changed since the last
-	// Freeze, so an incremental-maintenance re-Freeze re-indexes only the
-	// touched vertices. nil means tracking is off (initial build) and
-	// Freeze indexes everything.
+	// dirty holds the vertices whose adjacency changed since the last
+	// Freeze, the only lists Freeze has to sort.
 	dirty map[VertexID]bool
-
-	// lastFrozen is the set of vertices the most recent incremental
-	// Freeze re-indexed — exactly the vertices whose adjacency the last
-	// Thaw/mutate/Freeze cycle touched. Incremental query maintenance
-	// seeds its delta runs from these (plus their payload-level
-	// bookkeeping in the tag layer) instead of the whole graph.
-	lastFrozen []VertexID
 }
 
 // NewGraph returns an empty graph with a fresh symbol table.
 func NewGraph() *Graph {
-	return &Graph{Symbols: NewSymbolTable()}
+	return &Graph{Symbols: NewSymbolTable(), dirty: make(map[VertexID]bool)}
 }
 
 // Clone returns a copy-on-write snapshot of a frozen graph. The clone
@@ -93,12 +69,12 @@ func (g *Graph) Clone() *Graph {
 	if !g.frozen {
 		panic("bsp: Clone of unfrozen graph")
 	}
-	n := len(g.vertices)
+	n := len(g.adj)
 	return &Graph{
 		Symbols:  g.Symbols,
 		labels:   g.labels[:n:n],
 		data:     slices.Clone(g.data),
-		vertices: slices.Clone(g.vertices),
+		adj:      slices.Clone(g.adj),
 		frozen:   true,
 		numEdges: g.numEdges,
 		cowLimit: n,
@@ -107,22 +83,16 @@ func (g *Graph) Clone() *Graph {
 	}
 }
 
-// own privatizes a possibly-shared vertex's slices before mutation.
+// own privatizes a possibly-shared edge list before mutation.
 func (g *Graph) own(v VertexID) {
-	if g.owned == nil || int(v) >= g.cowLimit || g.owned[v] {
+	if int(v) >= g.cowLimit || g.owned[v] {
 		return
 	}
-	vx := &g.vertices[v]
-	vx.edges = append([]Edge(nil), vx.edges...)
-	vx.runs = append([]labelRun(nil), vx.runs...)
+	g.adj[v] = slices.Clone(g.adj[v])
 	g.owned[v] = true
 }
 
-func (g *Graph) markDirty(v VertexID) {
-	if g.dirty != nil {
-		g.dirty[v] = true
-	}
-}
+func (g *Graph) markDirty(v VertexID) { g.dirty[v] = true }
 
 // AddVertex creates a vertex with the given label id and payload.
 func (g *Graph) AddVertex(label LabelID, data any) VertexID {
@@ -131,8 +101,8 @@ func (g *Graph) AddVertex(label LabelID, data any) VertexID {
 	}
 	g.labels = append(g.labels, label)
 	g.data = append(g.data, data)
-	g.vertices = append(g.vertices, vertex{})
-	id := VertexID(len(g.vertices) - 1)
+	g.adj = append(g.adj, nil)
+	id := VertexID(len(g.adj) - 1)
 	g.markDirty(id)
 	return id
 }
@@ -144,8 +114,7 @@ func (g *Graph) AddEdge(from, to VertexID, label LabelID) {
 	}
 	g.own(from)
 	g.markDirty(from)
-	v := &g.vertices[from]
-	v.edges = append(v.edges, Edge{Label: label, To: to})
+	g.adj[from] = append(g.adj[from], Edge{Label: label, To: to})
 	g.numEdges++
 }
 
@@ -156,23 +125,17 @@ func (g *Graph) AddUndirectedEdge(a, b VertexID, label LabelID) {
 }
 
 // RemoveEdge deletes all (from -> to) edges with the given label.
-// Only valid before Freeze; used by incremental TAG maintenance.
+// Only valid before Freeze. Deletion goes through IsolateVertices; this
+// per-edge form is the reference its tests compare against.
 func (g *Graph) RemoveEdge(from, to VertexID, label LabelID) {
 	if g.frozen {
 		panic("bsp: RemoveEdge after Freeze")
 	}
 	g.own(from)
 	g.markDirty(from)
-	v := &g.vertices[from]
-	kept := v.edges[:0]
-	for _, e := range v.edges {
-		if e.To == to && e.Label == label {
-			g.numEdges--
-			continue
-		}
-		kept = append(kept, e)
-	}
-	v.edges = kept
+	before := len(g.adj[from])
+	g.adj[from] = slices.DeleteFunc(g.adj[from], func(e Edge) bool { return e.To == to && e.Label == label })
+	g.numEdges -= before - len(g.adj[from])
 }
 
 // IsolateVertices deletes every edge incident to the given vertices, in
@@ -198,33 +161,25 @@ func (g *Graph) IsolateVertices(vs []VertexID) {
 	slices.Sort(gone)
 	var nbrs []VertexID
 	for _, v := range vs {
-		vx := &g.vertices[v]
-		if len(vx.edges) == 0 {
+		if len(g.adj[v]) == 0 {
 			continue
 		}
-		for _, e := range vx.edges {
+		for _, e := range g.adj[v] {
 			if !inSorted(gone, e.To) {
 				nbrs = append(nbrs, e.To)
 			}
 		}
-		g.numEdges -= len(vx.edges)
-		vx.edges = nil // a fresh header: a shared backing array is never written
+		g.numEdges -= len(g.adj[v])
+		g.adj[v] = nil // a fresh header: a shared backing array is never written
 		g.markDirty(v)
 	}
 	slices.Sort(nbrs)
 	for _, u := range slices.Compact(nbrs) {
 		g.own(u)
 		g.markDirty(u)
-		ux := &g.vertices[u]
-		kept := ux.edges[:0]
-		for _, e := range ux.edges {
-			if inSorted(gone, e.To) {
-				g.numEdges--
-				continue
-			}
-			kept = append(kept, e)
-		}
-		ux.edges = kept
+		before := len(g.adj[u])
+		g.adj[u] = slices.DeleteFunc(g.adj[u], func(e Edge) bool { return inSorted(gone, e.To) })
+		g.numEdges -= before - len(g.adj[u])
 	}
 }
 
@@ -238,40 +193,21 @@ func inSorted(s []VertexID, v VertexID) bool {
 	return found
 }
 
-// Freeze sorts adjacency lists by label and builds the per-label index.
-// The graph is immutable afterwards (vertex payloads may still change).
-// The first Freeze indexes every vertex; afterwards dirty-vertex
-// tracking is enabled, so incremental Thaw/mutate/Freeze cycles
-// re-index only the vertices whose adjacency actually changed.
+// Freeze sorts the adjacency lists that changed since the last Freeze by
+// (label, to). The graph is immutable afterwards (vertex payloads may
+// still change).
 func (g *Graph) Freeze() {
 	var buf []Edge // merge scratch, shared by every vertex of this Freeze
-	if g.dirty == nil {
-		for i := range g.vertices {
-			buf = freezeVertex(&g.vertices[i], buf)
-		}
-		g.dirty = make(map[VertexID]bool)
-		g.lastFrozen = nil // initial build: "everything", not a delta
-	} else {
-		g.lastFrozen = g.lastFrozen[:0]
-		for v := range g.dirty {
-			g.own(v) // the merge writes in place; never touch a shared slice
-			buf = freezeVertex(&g.vertices[v], buf)
-			g.lastFrozen = append(g.lastFrozen, v)
-			delete(g.dirty, v)
-		}
-		slices.Sort(g.lastFrozen)
+	for v := range g.dirty {
+		g.own(v) // the merge writes in place; never touch a shared list
+		buf = sortEdges(g.adj[v], buf)
+		delete(g.dirty, v)
 	}
 	g.frozen = true
 }
 
-// LastFrozenDirty returns, sorted, the vertices the most recent
-// incremental Freeze re-indexed — the adjacency-touched set of the last
-// Thaw/mutate/Freeze cycle. Empty after the initial full Freeze. The
-// slice is owned by the graph and valid until the next Freeze.
-func (g *Graph) LastFrozenDirty() []VertexID { return g.lastFrozen }
-
-// freezeVertex sorts v's adjacency and rebuilds its label index; buf is
-// merge scratch, returned so the next vertex can reuse it.
+// sortEdges sorts es by edgeKey in place; buf is merge scratch, returned
+// so the next list can reuse it.
 //
 // Between Freezes an adjacency list is only appended to (AddEdge) or
 // filtered in order (RemoveEdge, IsolateVertices), so it is a sorted
@@ -279,24 +215,11 @@ func (g *Graph) LastFrozenDirty() []VertexID { return g.lastFrozen }
 // prefix; only the tail is sorted, and it is merged into the prefix from
 // the back, in place. Equal edges are identical values, so the result is
 // exactly the full sort's, and an already-sorted list costs the scan.
-func freezeVertex(v *vertex, buf []Edge) []Edge {
-	es := v.edges
+func sortEdges(es, buf []Edge) []Edge {
 	if p := sortedPrefix(es); p < len(es) {
 		slices.SortFunc(es[p:], cmpEdge)
 		buf = mergeTail(es, p, buf)
 	}
-	// A vertex with no edges (a deleted tuple) needs no label index:
-	// EdgesWithLabel finds no label. One frozen for the first time sizes
-	// its index exactly instead of growing it by append; a re-frozen one
-	// reuses its own, which fits unless the vertex gained a label.
-	v.runs = v.runs[:0]
-	if len(es) == 0 {
-		return buf
-	}
-	if cap(v.runs) == 0 {
-		v.runs = make([]labelRun, 0, labelRuns(es))
-	}
-	v.indexLabels()
 	return buf
 }
 
@@ -310,28 +233,6 @@ func sortedPrefix(es []Edge) int {
 	return min(p, len(es))
 }
 
-// labelRuns counts the label runs of the sorted list es.
-func labelRuns(es []Edge) int {
-	runs := 0
-	for j := range es {
-		if j == 0 || es[j].Label != es[j-1].Label {
-			runs++
-		}
-	}
-	return runs
-}
-
-// indexLabels appends the label runs of v's sorted edges to v.runs,
-// which arrives empty.
-func (v *vertex) indexLabels() {
-	es := v.edges
-	for j, e := range es {
-		if j == 0 || e.Label != es[j-1].Label {
-			v.runs = append(v.runs, labelRun{label: e.Label, start: int32(j)})
-		}
-	}
-}
-
 // NewFrozenGraph assembles a frozen graph from whole arrays, in the
 // state Freeze leaves a graph built vertex by vertex: vertex v has
 // label labels[v], payload data[v] and adjacency es[offs[v]:offs[v+1]].
@@ -340,17 +241,14 @@ func (v *vertex) indexLabels() {
 // Each vertex's list is a capped sub-slice of es, so a later AddEdge
 // reallocates it and never writes into the next vertex's list. A list
 // already sorted by (label, to), as a caller filling lists column by
-// column produces, costs one scan; any other is sorted. The label index
-// of every vertex is carved from one array allocated once. Dirty
-// tracking is armed, as after a first Freeze.
+// column produces, costs one scan; any other is sorted.
 func NewFrozenGraph(symbols *SymbolTable, labels []LabelID, data []any, offs []int32, es []Edge) *Graph {
 	n := len(labels)
 	if len(data) != n || len(offs) != n+1 || offs[0] != 0 || int(offs[n]) != len(es) {
 		panic("bsp: NewFrozenGraph with inconsistent arrays")
 	}
-	vs := make([]vertex, n)
-	runs := 0
-	for v := range vs {
+	adj := make([][]Edge, n)
+	for v := range adj {
 		lo, hi := offs[v], offs[v+1]
 		if lo == hi {
 			continue
@@ -359,22 +257,13 @@ func NewFrozenGraph(symbols *SymbolTable, labels []LabelID, data []any, offs []i
 		if sortedPrefix(list) < len(list) {
 			slices.SortFunc(list, cmpEdge)
 		}
-		vs[v].edges = list
-		runs += labelRuns(list)
-	}
-	index := make([]labelRun, runs)
-	for v := range vs {
-		vx := &vs[v]
-		r := labelRuns(vx.edges)
-		vx.runs = index[:0:r]
-		vx.indexLabels()
-		index = index[r:]
+		adj[v] = list
 	}
 	return &Graph{
 		Symbols:  symbols,
 		labels:   labels,
 		data:     data,
-		vertices: vs,
+		adj:      adj,
 		frozen:   true,
 		numEdges: len(es),
 		dirty:    make(map[VertexID]bool),
@@ -407,7 +296,7 @@ func (g *Graph) Thaw() { g.frozen = false }
 func (g *Graph) Frozen() bool { return g.frozen }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.vertices) }
+func (g *Graph) NumVertices() int { return len(g.adj) }
 
 // NumEdges returns the directed edge count.
 func (g *Graph) NumEdges() int { return g.numEdges }
@@ -422,25 +311,39 @@ func (g *Graph) Data(v VertexID) any { return g.data[v] }
 func (g *Graph) SetData(v VertexID, data any) { g.data[v] = data }
 
 // Edges returns the full adjacency list of v (read-only).
-func (g *Graph) Edges(v VertexID) []Edge { return g.vertices[v].edges }
+func (g *Graph) Edges(v VertexID) []Edge { return g.adj[v] }
 
 // EdgesWithLabel returns the contiguous run of v's edges carrying the
-// label, as a sub-slice of the frozen adjacency list.
+// label, as a sub-slice of the frozen adjacency list, found by two
+// binary searches: one for the first edge whose label is at least label,
+// one for the first whose label is above it.
 func (g *Graph) EdgesWithLabel(v VertexID, label LabelID) []Edge {
-	vx := &g.vertices[v]
 	if !g.frozen {
 		panic("bsp: EdgesWithLabel before Freeze")
 	}
-	runs := vx.runs
-	i := sort.Search(len(runs), func(k int) bool { return runs[k].label >= label })
-	if i == len(runs) || runs[i].label != label {
+	es := g.adj[v]
+	lo, hi := 0, len(es)
+	for lo < hi { // lo becomes the first edge whose label is at least label
+		m := int(uint(lo+hi) >> 1)
+		if es[m].Label < label {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(es) || es[lo].Label != label {
 		return nil
 	}
-	end := int32(len(vx.edges))
-	if i+1 < len(runs) {
-		end = runs[i+1].start
+	i, hi := lo+1, len(es)
+	for i < hi { // hi becomes the first edge whose label is above label
+		m := int(uint(i+hi) >> 1)
+		if es[m].Label > label {
+			hi = m
+		} else {
+			i = m + 1
+		}
 	}
-	return vx.edges[runs[i].start:end]
+	return es[lo:hi]
 }
 
 // DegreeWithLabel returns the number of v's out-edges carrying label;
@@ -459,8 +362,8 @@ func (g *Graph) HasEdgeWithLabel(v VertexID, label LabelID) bool {
 // load-size experiment.
 func (g *Graph) ByteSize() int {
 	n := 0
-	for i := range g.vertices {
-		n += 16 + len(g.vertices[i].edges)*8
+	for i, es := range g.adj {
+		n += 16 + len(es)*8
 		if s, ok := g.data[i].(interface{ Size() int }); ok {
 			n += s.Size()
 		}

@@ -8,23 +8,20 @@ import (
 	"testing"
 )
 
-// refAdjacency mirrors a Graph's edge lists and dirty set with plain
-// slices, in mutation order; a full sort of each list is the adjacency
-// a Freeze must produce.
+// refAdjacency mirrors a Graph's edge lists with plain slices, in
+// mutation order; a full sort of each list is the adjacency a Freeze
+// must produce.
 type refAdjacency struct {
 	edges [][]Edge
-	dirty map[VertexID]bool
 }
 
 func (r *refAdjacency) addUndirected(a, b VertexID, lbl LabelID) {
 	r.edges[a] = append(r.edges[a], Edge{Label: lbl, To: b})
 	r.edges[b] = append(r.edges[b], Edge{Label: lbl, To: a})
-	r.dirty[a], r.dirty[b] = true, true
 }
 
 func (r *refAdjacency) remove(from, to VertexID, lbl LabelID) {
 	r.edges[from] = slices.DeleteFunc(r.edges[from], func(e Edge) bool { return e.To == to && e.Label == lbl })
-	r.dirty[from] = true
 }
 
 func (r *refAdjacency) isolate(vs []VertexID) {
@@ -34,20 +31,15 @@ func (r *refAdjacency) isolate(vs []VertexID) {
 	}
 	nbrs := make(map[VertexID]bool)
 	for _, v := range vs {
-		if len(r.edges[v]) == 0 {
-			continue
-		}
 		for _, e := range r.edges[v] {
 			if !gone[e.To] {
 				nbrs[e.To] = true
 			}
 		}
 		r.edges[v] = nil
-		r.dirty[v] = true
 	}
 	for u := range nbrs {
 		r.edges[u] = slices.DeleteFunc(r.edges[u], func(e Edge) bool { return gone[e.To] })
-		r.dirty[u] = true
 	}
 }
 
@@ -68,7 +60,7 @@ func (r *refAdjacency) frozen() [][]Edge {
 }
 
 func (r *refAdjacency) clone() *refAdjacency {
-	c := &refAdjacency{edges: make([][]Edge, len(r.edges)), dirty: make(map[VertexID]bool)}
+	c := &refAdjacency{edges: make([][]Edge, len(r.edges))}
 	for v, es := range r.edges {
 		c.edges[v] = slices.Clone(es)
 	}
@@ -111,10 +103,13 @@ func checkFrozen(t *testing.T, what string, g *Graph, want [][]Edge) {
 // TestFreezeMatchesFullSort: random Thaw/mutate/Freeze histories, run on
 // a graph and then on a chain of Clones of it, freeze every vertex's
 // adjacency to exactly what a full sort of its edges gives, with the
-// same per-label runs and LastFrozenDirty set, and never disturb the
-// generations cloned from. The histories hold duplicate edges, several
-// labels per vertex, vertices emptied by removal and isolation, and new
-// edges that sort before, inside and after a vertex's existing ones.
+// same per-label runs, and never disturb the generations cloned from.
+// The histories hold duplicate edges, several labels per vertex,
+// vertices emptied by removal and isolation, and new edges that sort
+// before, inside and after a vertex's existing ones. Each clone point
+// also takes a sibling clone of the same generation and mutates it
+// op by op in step with the other: two clones appending to a list they
+// still share would write into the same spare capacity.
 func TestFreezeMatchesFullSort(t *testing.T) { runFreezeHistories(t, false) }
 
 // TestNewFrozenGraphMatchesFreeze: the same histories, starting from a
@@ -140,106 +135,122 @@ func (r *refAdjacency) assembled() *Graph {
 	return NewFrozenGraph(NewSymbolTable(), labels, make([]any, len(r.edges)), offs, es)
 }
 
+// freezeLine is one graph of a history and the reference it must match.
+type freezeLine struct {
+	g   *Graph
+	ref *refAdjacency
+}
+
+func (l *freezeLine) clone() *freezeLine {
+	return &freezeLine{g: l.g.Clone(), ref: l.ref.clone()}
+}
+
+func (l *freezeLine) addVertex() {
+	l.g.AddVertex(1, nil)
+	l.ref.edges = append(l.ref.edges, nil)
+}
+
+// randVertex skews toward low ids, so a few vertices grow long sorted
+// prefixes that later tails must merge into.
+func (l *freezeLine) randVertex(rng *rand.Rand) VertexID {
+	n := len(l.ref.edges)
+	if rng.Intn(2) == 0 {
+		return VertexID(rng.Intn(min(n, 3)))
+	}
+	return VertexID(rng.Intn(n))
+}
+
+func (l *freezeLine) addEdge(rng *rand.Rand) {
+	a, b := l.randVertex(rng), l.randVertex(rng)
+	lbl := LabelID(1 + rng.Intn(refLabels))
+	if es := l.ref.edges[a]; len(es) > 0 && rng.Intn(4) == 0 {
+		// Duplicate an existing edge.
+		e := es[rng.Intn(len(es))]
+		b, lbl = e.To, e.Label
+	}
+	l.g.AddUndirectedEdge(a, b, lbl)
+	l.ref.addUndirected(a, b, lbl)
+}
+
+// mutate applies one random operation to the graph and its reference.
+func (l *freezeLine) mutate(t *testing.T, rng *rand.Rand) {
+	switch k := rng.Intn(10); {
+	case k == 0:
+		l.addVertex()
+	case k < 6:
+		l.addEdge(rng)
+	case k < 8:
+		a := l.randVertex(rng)
+		es := l.ref.edges[a]
+		if len(es) == 0 {
+			return
+		}
+		e := es[rng.Intn(len(es))]
+		// Both directions: IsolateVertices needs symmetric edges.
+		l.g.RemoveEdge(a, e.To, e.Label)
+		l.g.RemoveEdge(e.To, a, e.Label)
+		l.ref.remove(a, e.To, e.Label)
+		l.ref.remove(e.To, a, e.Label)
+	default:
+		vs := make([]VertexID, 1+rng.Intn(3))
+		for i := range vs {
+			vs[i] = VertexID(rng.Intn(len(l.ref.edges)))
+		}
+		order := slices.Clone(vs)
+		l.g.IsolateVertices(vs)
+		l.ref.isolate(vs)
+		if !slices.Equal(vs, order) {
+			t.Fatalf("IsolateVertices reordered its argument: %v, was %v", vs, order)
+		}
+	}
+}
+
 func runFreezeHistories(t *testing.T, bulk bool) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := NewGraph()
-		ref := &refAdjacency{dirty: make(map[VertexID]bool)}
-		addVertex := func() {
-			g.AddVertex(1, nil)
-			ref.edges = append(ref.edges, nil)
-			ref.dirty[VertexID(len(ref.edges)-1)] = true
-		}
-		randVertex := func() VertexID {
-			// Skew toward low ids, so a few vertices grow long sorted
-			// prefixes that later tails must merge into.
-			n := len(ref.edges)
-			if rng.Intn(2) == 0 {
-				return VertexID(rng.Intn(min(n, 3)))
-			}
-			return VertexID(rng.Intn(n))
-		}
-		addEdge := func() {
-			a, b := randVertex(), randVertex()
-			lbl := LabelID(1 + rng.Intn(refLabels))
-			if es := ref.edges[a]; len(es) > 0 && rng.Intn(4) == 0 {
-				// Duplicate an existing edge.
-				e := es[rng.Intn(len(es))]
-				b, lbl = e.To, e.Label
-			}
-			g.AddUndirectedEdge(a, b, lbl)
-			ref.addUndirected(a, b, lbl)
-		}
+		cur := &freezeLine{g: NewGraph(), ref: &refAdjacency{}}
 		for i := 0; i < 12; i++ {
-			addVertex()
+			cur.addVertex()
 		}
 		for i := 0; i < 40; i++ {
-			addEdge()
+			cur.addEdge(rng)
 		}
-		g.Freeze()
+		cur.g.Freeze()
 		if bulk {
-			g = ref.assembled()
+			cur.g = cur.ref.assembled()
 		}
-		checkFrozen(t, fmt.Sprintf("seed %d initial", seed), g, ref.frozen())
-		if got := g.LastFrozenDirty(); len(got) != 0 {
-			t.Fatalf("seed %d: initial LastFrozenDirty = %v, want empty", seed, got)
-		}
-		clear(ref.dirty)
+		checkFrozen(t, fmt.Sprintf("seed %d initial", seed), cur.g, cur.ref.frozen())
 
 		type generation struct {
 			g    *Graph
 			want [][]Edge
 		}
 		var ancestors []generation
+		var sibling *freezeLine
 		for cycle := 0; cycle < 120; cycle++ {
 			if cycle > 0 && cycle%40 == 0 {
-				ancestors = append(ancestors, generation{g, ref.frozen()})
-				g = g.Clone()
-				ref = ref.clone()
+				ancestors = append(ancestors, generation{cur.g, cur.ref.frozen()})
+				if sibling != nil {
+					ancestors = append(ancestors, generation{sibling.g, sibling.ref.frozen()})
+				}
+				cur, sibling = cur.clone(), cur.clone()
 			}
-			g.Thaw()
+			lines := []*freezeLine{cur}
+			if sibling != nil {
+				lines = append(lines, sibling)
+			}
+			for _, l := range lines {
+				l.g.Thaw()
+			}
 			for op, n := 0, 1+rng.Intn(8); op < n; op++ {
-				switch k := rng.Intn(10); {
-				case k == 0:
-					addVertex()
-				case k < 6:
-					addEdge()
-				case k < 8:
-					a := randVertex()
-					es := ref.edges[a]
-					if len(es) == 0 {
-						continue
-					}
-					e := es[rng.Intn(len(es))]
-					// Both directions: IsolateVertices needs symmetric edges.
-					g.RemoveEdge(a, e.To, e.Label)
-					g.RemoveEdge(e.To, a, e.Label)
-					ref.remove(a, e.To, e.Label)
-					ref.remove(e.To, a, e.Label)
-				default:
-					vs := make([]VertexID, 1+rng.Intn(3))
-					for i := range vs {
-						vs[i] = VertexID(rng.Intn(len(ref.edges)))
-					}
-					order := slices.Clone(vs)
-					g.IsolateVertices(vs)
-					ref.isolate(vs)
-					if !slices.Equal(vs, order) {
-						t.Fatalf("seed %d: IsolateVertices reordered its argument: %v, was %v", seed, vs, order)
-					}
+				for _, l := range lines {
+					l.mutate(t, rng)
 				}
 			}
-			g.Freeze()
-			checkFrozen(t, fmt.Sprintf("seed %d cycle %d", seed, cycle), g, ref.frozen())
-			var dirty []VertexID
-			for v := range ref.dirty {
-				dirty = append(dirty, v)
+			for i, l := range lines {
+				l.g.Freeze()
+				checkFrozen(t, fmt.Sprintf("seed %d cycle %d line %d", seed, cycle, i), l.g, l.ref.frozen())
 			}
-			slices.Sort(dirty)
-			if got := g.LastFrozenDirty(); !slices.Equal(got, dirty) {
-				t.Fatalf("seed %d cycle %d: LastFrozenDirty = %v, want %v", seed, cycle, got, dirty)
-			}
-			clear(ref.dirty)
 			for i, a := range ancestors {
 				checkFrozen(t, fmt.Sprintf("seed %d cycle %d ancestor %d", seed, cycle, i), a.g, a.want)
 			}

@@ -18,7 +18,7 @@ import (
 //  1. clone the current generation's graph copy-on-write (O(|V|) slice
 //     headers and lookup maps; edge storage is shared until touched),
 //  2. apply every queued write op to the private clone, in arrival
-//     order — one Thaw/Freeze per op, re-indexing only the touched
+//     order — one Thaw/Freeze per op, re-sorting only the touched
 //     vertices. Each op is pre-validated, so a bad op is skipped (its
 //     caller gets the error) without poisoning the ops it shares the
 //     clone with,

@@ -92,7 +92,8 @@ func TestBuildEncodingPinned(t *testing.T) {
 // assembled in. Every vertex the batches did not touch must keep the
 // edges a fresh build gives it: an insert that appended past the end
 // of an attribute vertex's list would overwrite its neighbour's first
-// edge.
+// edge. The touched set is read off the batches: the inserted and the
+// deleted tuple vertices and their neighbours.
 func TestBulkAdjacencyIsolated(t *testing.T) {
 	fresh, err := Build(tpch.Generate(0.1, 7), nil)
 	if err != nil {
@@ -108,9 +109,12 @@ func TestBulkAdjacencyIsolated(t *testing.T) {
 	}
 	for name, g := range map[string]*Graph{"built": built, "loaded": loaded} {
 		touched := make(map[bsp.VertexID]bool)
-		note := func() {
-			for _, v := range g.G.LastFrozenDirty() {
+		note := func(vs []bsp.VertexID) {
+			for _, v := range vs {
 				touched[v] = true
+				for _, e := range g.G.Edges(v) {
+					touched[e.To] = true
+				}
 			}
 		}
 		// Rows the graph already holds, so every insert lands on existing
@@ -122,10 +126,11 @@ func TestBulkAdjacencyIsolated(t *testing.T) {
 				for j := 0; j < len(rows); j += 1 + len(rows)/5 {
 					batch = append(batch, rows[j])
 				}
-				if _, err := g.InsertBatch(table, batch); err != nil {
+				vs, err := g.InsertBatch(table, batch)
+				if err != nil {
 					t.Fatal(err)
 				}
-				note()
+				note(vs)
 			}
 		}
 		insert()
@@ -136,10 +141,10 @@ func TestBulkAdjacencyIsolated(t *testing.T) {
 				gone = append(gone, vs[j])
 			}
 		}
+		note(gone) // before the delete drops their edges
 		if err := g.DeleteBatch(gone); err != nil {
 			t.Fatal(err)
 		}
-		note()
 		insert()
 
 		kept := 0

@@ -39,7 +39,6 @@ func (t *Graph) Clone() *Graph {
 		deltaBase:    t.G.NumVertices(),
 		deltaInserts: make(map[string]int),
 		deltaDeletes: make(map[string]int),
-		deltaDirty:   make(map[bsp.VertexID]bool),
 	}
 	for k, v := range t.tupleVerts {
 		nt.tupleVerts[k] = v[:len(v):len(v)]

@@ -22,12 +22,11 @@ func (t *Graph) InsertTuple(table string, row relation.Tuple) (bsp.VertexID, err
 }
 
 // InsertBatch adds many tuples of one relation with a single Thaw/Freeze
-// cycle, so the adjacency lists are re-indexed once per batch instead of
-// once per row (and, after the first freeze, only for the vertices the
-// batch touched). This is the amortized maintenance path for bulk loads
-// and for serve-while-write: the serving layer calls it on a
-// copy-on-write Clone of the served graph and atomically publishes the
-// result as the next generation.
+// cycle, so the adjacency lists the batch touched are sorted once per
+// batch instead of once per row. This is the amortized maintenance path
+// for bulk loads and for serve-while-write: the serving layer calls it
+// on a copy-on-write Clone of the served graph and atomically publishes
+// the result as the next generation.
 func (t *Graph) InsertBatch(table string, rows []relation.Tuple) ([]bsp.VertexID, error) {
 	if err := t.ValidateInsert(table, rows); err != nil {
 		return nil, err
@@ -72,7 +71,6 @@ func (t *Graph) InsertBatch(table string, rows []relation.Tuple) ([]bsp.VertexID
 	t.G.Freeze()
 	if t.deltaInserts != nil {
 		t.deltaInserts[table] += len(rows)
-		t.noteFrozenDirty()
 	}
 	return out, nil
 }
@@ -189,9 +187,6 @@ func (t *Graph) DeleteBatch(vs []bsp.VertexID) error {
 		}
 	}
 	t.G.Freeze()
-	if t.deltaDirty != nil {
-		t.noteFrozenDirty()
-	}
 	return nil
 }
 

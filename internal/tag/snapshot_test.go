@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -83,6 +84,21 @@ func graphsStructurallyEqual(t *testing.T, got, want *Graph) {
 		ge, we := got.G.Edges(id), want.G.Edges(id)
 		if len(ge) != len(we) || (len(we) > 0 && !reflect.DeepEqual(ge, we)) {
 			t.Fatalf("vertex %d adjacency: got %v, want %v", v, ge, we)
+		}
+		// What readers read: each label's run, which both graphs must
+		// find, including labels the vertex does not carry.
+		for lbl := bsp.LabelID(0); int(lbl) <= want.G.Symbols.Len()+1; lbl++ {
+			var run []bsp.Edge
+			for _, e := range we {
+				if e.Label == lbl {
+					run = append(run, e)
+				}
+			}
+			for _, g := range []*Graph{got, want} {
+				if r := g.G.EdgesWithLabel(id, lbl); !slices.Equal(r, run) {
+					t.Fatalf("vertex %d label %d run: got %v, want %v", v, lbl, r, run)
+				}
+			}
 		}
 	}
 	if !reflect.DeepEqual(got.tupleVerts, want.tupleVerts) {
@@ -427,9 +443,9 @@ func TestSnapshotCorruption(t *testing.T) {
 // and deleted again, 2,000 and 8,000 of them: the live rows and the
 // attribute vertices stay the same, only the dead vertices grow. Per dead
 // vertex the image may grow by at most 3 bytes, and ReadSnapshot's
-// allocation by at most 104 B. A dead vertex costs 74 B: its label, its
-// payload pointer, its 48-byte adjacency record, its edge offset and its
-// two bytes in the frame buffer (76-83 B measured; an allocation rounds
+// allocation by at most 104 B. A dead vertex costs 50 B: its label, its
+// payload pointer, its 24-byte edge-list header, its edge offset and its
+// two bytes in the frame buffer (53-59 B measured; an allocation rounds
 // up to a whole size class). Version 1 measured 18 bytes and 1.1-1.3 KB
 // per dead vertex here: each record carried its table's arity of NULLs,
 // and the load built them into a row before dropping it.

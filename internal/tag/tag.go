@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/bsp"
@@ -91,13 +90,11 @@ type Graph struct {
 	// monotonically, so every vertex this graph created after the Clone
 	// has ID >= deltaBase, and a tuple vertex with ID < deltaBase
 	// existed (live) in the parent generation unless a delete touched
-	// it. InsertBatch/DeleteBatch maintain the per-table counters and
-	// the batch-touched vertex set. deltaBase < 0 means tracking is off
-	// (a freshly Built graph).
+	// it. InsertBatch/DeleteBatch maintain the per-table row counts.
+	// deltaBase < 0 means tracking is off (a freshly Built graph).
 	deltaBase    int
-	deltaInserts map[string]int        // lower(table) -> rows inserted since Clone
-	deltaDeletes map[string]int        // lower(table) -> rows deleted since Clone
-	deltaDirty   map[bsp.VertexID]bool // adjacency-touched vertices since Clone
+	deltaInserts map[string]int // lower(table) -> rows inserted since Clone
+	deltaDeletes map[string]int // lower(table) -> rows deleted since Clone
 }
 
 // Build encodes every relation in the catalog. A nil policy means
@@ -474,47 +471,4 @@ func (t *Graph) DeltaInserts(table string) int {
 // Clone (0 when untouched or not tracked).
 func (t *Graph) DeltaDeletes(table string) int {
 	return t.deltaDeletes[strings.ToLower(table)]
-}
-
-// DeltaTables returns the lower-cased names of every table a write
-// batch has touched (insert or delete) since the Clone, sorted.
-func (t *Graph) DeltaTables() []string {
-	seen := make(map[string]bool, len(t.deltaInserts)+len(t.deltaDeletes))
-	for tb := range t.deltaInserts {
-		seen[tb] = true
-	}
-	for tb := range t.deltaDeletes {
-		seen[tb] = true
-	}
-	out := make([]string, 0, len(seen))
-	for tb := range seen {
-		out = append(out, tb)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DirtyVertices returns, sorted, every vertex whose adjacency the
-// clone's write batches touched: new tuple vertices, the attribute
-// vertices they attached to, and the endpoints of deleted edges. This
-// is the union of the underlying bsp.Graph's per-Freeze dirty sets,
-// accumulated across every InsertBatch/DeleteBatch since Clone.
-func (t *Graph) DirtyVertices() []bsp.VertexID {
-	out := make([]bsp.VertexID, 0, len(t.deltaDirty))
-	for v := range t.deltaDirty {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// noteFrozenDirty folds the bsp layer's last-Freeze dirty set into the
-// clone's accumulated batch-touched set.
-func (t *Graph) noteFrozenDirty() {
-	if t.deltaDirty == nil {
-		return
-	}
-	for _, v := range t.G.LastFrozenDirty() {
-		t.deltaDirty[v] = true
-	}
 }
