@@ -115,7 +115,7 @@ func (e *Engine) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 		if blk == nil {
 			return nil, fmt.Errorf("baseline: unanalyzed subquery")
 		}
-		correlated := blockIsCorrelated(an, blk)
+		correlated := sql.BlockIsCorrelated(an, blk)
 		if !correlated {
 			if cached, ok := e.subCache[sub]; ok {
 				return cached, nil
@@ -131,16 +131,6 @@ func (e *Engine) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 		return out, nil
 	}
 	return fn
-}
-
-// blockIsCorrelated and aliasesOf are provided by the sql package and
-// shared with the TAG-join executor.
-func blockIsCorrelated(an *sql.Analysis, blk *sql.Analyzed) bool {
-	return sql.BlockIsCorrelated(an, blk)
-}
-
-func aliasesOf(an *sql.Analysis, e sql.Expr, offset int) map[string]bool {
-	return sql.AliasesOf(an, e, offset)
 }
 
 // joinKey renders a composite hash key for join/group columns using

@@ -56,7 +56,7 @@ func (e *Engine) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) (
 	var residual []sql.Expr
 	var equi []equiPred
 	for _, c := range conjs {
-		refs := aliasesOf(an, c, 0)
+		refs := sql.AliasesOf(an, c, 0)
 		switch len(refs) {
 		case 0:
 			residual = append(residual, c) // constant or purely correlated
@@ -129,7 +129,7 @@ func (e *Engine) scan(bt sql.BoundTable, preds []sql.Expr, outer *sql.Env, subq 
 	e.Stats.RowsScanned += int64(rel.Len())
 
 	if e.ColumnStore {
-		rows, rest, err := e.columnScan(rel, bt, preds, binding, outer, subq)
+		rows, rest, err := e.columnScan(rel, preds, binding, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -151,19 +151,11 @@ func (e *Engine) filterRowset(rs *rowset, preds []sql.Expr, outer *sql.Env, subq
 		return rs, nil
 	}
 	out := &rowset{binding: rs.binding, aliases: rs.aliases, width: rs.width}
-	env := &sql.Env{Binding: rs.binding, Parent: outer}
+	tests := sql.CompileAll(preds, rs.binding)
 	for _, row := range rs.rows {
-		env.Row = row
-		keep := true
-		for _, p := range preds {
-			v, err := sql.Eval(p, env, subq)
-			if err != nil {
-				return nil, err
-			}
-			if !v.AsBool() {
-				keep = false
-				break
-			}
+		keep, err := sql.Holds(tests, row, outer, subq)
+		if err != nil {
+			return nil, err
 		}
 		if keep {
 			out.rows = append(out.rows, row)
@@ -238,7 +230,7 @@ func (e *Engine) joinGreedy(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env,
 		// Apply residuals that became evaluable.
 		kept := (*residual)[:0]
 		for _, r := range *residual {
-			refs := aliasesOf(an, r, 0)
+			refs := sql.AliasesOf(an, r, 0)
 			ready := true
 			for a := range refs {
 				if !inSet[a] {
@@ -445,7 +437,7 @@ func (e *Engine) joinOn(l, r *rowset, on sql.Expr, an *sql.Analysis, outer *sql.
 	}
 
 	out := mergeShells(l, r)
-	env := &sql.Env{Binding: out.binding, Parent: outer}
+	tests := sql.CompileAll(rest, out.binding)
 
 	matchedRight := make([]bool, len(r.rows))
 	rslots := make([]int, len(hashPreds))
@@ -497,17 +489,9 @@ func (e *Engine) joinOn(l, r *rowset, on sql.Expr, an *sql.Analysis, outer *sql.
 		}
 		for _, ri := range candidates {
 			joinedRow := lrow.Concat(r.rows[ri])
-			ok := true
-			for _, c := range rest {
-				env.Row = joinedRow
-				v, err := sql.Eval(c, env, subq)
-				if err != nil {
-					return nil, err
-				}
-				if !v.AsBool() {
-					ok = false
-					break
-				}
+			ok, err := sql.Holds(tests, joinedRow, outer, subq)
+			if err != nil {
+				return nil, err
 			}
 			if ok {
 				matched = true
@@ -554,16 +538,14 @@ func (e *Engine) project(blk *sql.Analyzed, rs *rowset, outer *sql.Env, subq sql
 	out := relation.New("result", schema)
 
 	if !blk.HasAgg && len(sel.GroupBy) == 0 {
-		env := &sql.Env{Binding: rs.binding, Parent: outer}
+		items := make([]sql.Compiled, len(sel.Items))
+		for i, item := range sel.Items {
+			items[i] = sql.Compile(item.Expr, rs.binding)
+		}
 		for _, row := range rs.rows {
-			env.Row = row
-			t := make(relation.Tuple, len(sel.Items))
-			for i, item := range sel.Items {
-				v, err := sql.Eval(item.Expr, env, subq)
-				if err != nil {
-					return nil, err
-				}
-				t[i] = v
+			t, err := sql.EvalAll(items, row, outer, subq)
+			if err != nil {
+				return nil, err
 			}
 			out.Tuples = append(out.Tuples, t)
 		}
@@ -578,15 +560,18 @@ func (e *Engine) project(blk *sql.Analyzed, rs *rowset, outer *sql.Env, subq sql
 		}
 	}
 	slotOf := func(f *sql.FuncCall) int { return slots[f] }
-	items := make([]sql.Expr, len(sel.Items))
-	for i, it := range sel.Items {
-		items[i] = sql.RewriteAggregates(it.Expr, slotOf)
-	}
-	having := sql.RewriteAggregates(sel.Having, slotOf)
-
 	aggList := make([]*sql.FuncCall, len(slots))
 	for f, s := range slots {
 		aggList[s] = f
+	}
+	keys := sql.CompileAll(sel.GroupBy, rs.binding)
+	args := make([]sql.Compiled, len(aggList))
+	for i, f := range aggList {
+		arg := sql.Expr(&sql.Literal{Val: relation.Int(1)}) // COUNT(*) counts every row
+		if !f.Star {
+			arg = f.Args[0]
+		}
+		args[i] = sql.Compile(arg, rs.binding)
 	}
 
 	type group struct {
@@ -596,12 +581,10 @@ func (e *Engine) project(blk *sql.Analyzed, rs *rowset, outer *sql.Env, subq sql
 	groups := map[string]*group{}
 	var order []string
 
-	env := &sql.Env{Binding: rs.binding, Parent: outer}
-	keyVals := make([]relation.Value, len(sel.GroupBy))
+	keyVals := make([]relation.Value, len(keys))
 	for _, row := range rs.rows {
-		env.Row = row
-		for i, g := range sel.GroupBy {
-			v, err := sql.Eval(g, env, subq)
+		for i, g := range keys {
+			v, err := g(row, outer, subq)
 			if err != nil {
 				return nil, err
 			}
@@ -617,16 +600,10 @@ func (e *Engine) project(blk *sql.Analyzed, rs *rowset, outer *sql.Env, subq sql
 			groups[ks] = grp
 			order = append(order, ks)
 		}
-		for i, f := range aggList {
-			var v relation.Value
-			if f.Star {
-				v = relation.Int(1)
-			} else {
-				var err error
-				v, err = sql.Eval(f.Args[0], env, subq)
-				if err != nil {
-					return nil, err
-				}
+		for i, arg := range args {
+			v, err := arg(row, outer, subq)
+			if err != nil {
+				return nil, err
 			}
 			grp.aggs[i].Observe(v)
 		}
@@ -642,15 +619,32 @@ func (e *Engine) project(blk *sql.Analyzed, rs *rowset, outer *sql.Env, subq sql
 		order = append(order, "")
 	}
 
+	// Each group is evaluated as one row: its representative row, then
+	// its aggregate values.
+	gbinding := make(sql.Binding, len(rs.binding)+len(aggList))
+	for k, i := range rs.binding {
+		gbinding[k] = i
+	}
+	for i := range aggList {
+		gbinding[sql.AggKey(i)] = rs.width + i
+	}
+	items := make([]sql.Compiled, len(sel.Items))
+	for i, it := range sel.Items {
+		items[i] = sql.Compile(sql.RewriteAggregates(it.Expr, slotOf), gbinding)
+	}
+	var having sql.Compiled
+	if sel.Having != nil {
+		having = sql.Compile(sql.RewriteAggregates(sel.Having, slotOf), gbinding)
+	}
+	grow := make(relation.Tuple, rs.width+len(aggList))
 	for _, ks := range order {
 		grp := groups[ks]
-		genv := &sql.Env{Binding: rs.binding, Row: grp.rep, Parent: outer,
-			Aggs: make([]relation.Value, len(aggList))}
+		copy(grow, grp.rep)
 		for i, a := range grp.aggs {
-			genv.Aggs[i] = a.Result()
+			grow[rs.width+i] = a.Result()
 		}
 		if having != nil {
-			v, err := sql.Eval(having, genv, subq)
+			v, err := having(grow, outer, subq)
 			if err != nil {
 				return nil, err
 			}
@@ -658,13 +652,9 @@ func (e *Engine) project(blk *sql.Analyzed, rs *rowset, outer *sql.Env, subq sql
 				continue
 			}
 		}
-		t := make(relation.Tuple, len(items))
-		for i, it := range items {
-			v, err := sql.Eval(it, genv, subq)
-			if err != nil {
-				return nil, err
-			}
-			t[i] = v
+		t, err := sql.EvalAll(items, grow, outer, subq)
+		if err != nil {
+			return nil, err
 		}
 		out.Tuples = append(out.Tuples, t)
 	}

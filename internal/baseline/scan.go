@@ -5,41 +5,39 @@ import (
 	"repro/internal/sql"
 )
 
-// columnScan is the RDBMS-X In-Memory stand-in: simple predicates over a
-// single column are evaluated column-at-a-time into a selection bitmap
-// before any row is materialized, accelerating scan-heavy filters
-// (§8.1.3, §8.3). Predicates it cannot vectorize are returned for row-wise
-// evaluation on the survivors.
-func (e *Engine) columnScan(rel *relation.Relation, bt sql.BoundTable, preds []sql.Expr,
-	binding sql.Binding, outer *sql.Env, subq sql.SubqueryFn) ([]relation.Tuple, []sql.Expr, error) {
-
-	var vectorized []func(relation.Value) bool
-	var colIdx []int
+// columnScan is the RDBMS-X In-Memory stand-in: a predicate that reads
+// one column is evaluated column-at-a-time, one predicate at a time into
+// a selection bitmap, before any row is materialized, accelerating
+// scan-heavy filters (§8.1.3, §8.3). Other predicates are returned for
+// row-wise evaluation on the survivors.
+func (e *Engine) columnScan(rel *relation.Relation, preds []sql.Expr, binding sql.Binding, outer *sql.Env) ([]relation.Tuple, []sql.Expr, error) {
+	var vectorized []sql.Compiled
 	var rest []sql.Expr
 	for _, p := range preds {
-		slot, fn := vectorizePred(p, rel.Schema)
-		if fn == nil {
+		if vectorColumn(p, rel.Schema) < 0 {
 			rest = append(rest, p)
 			continue
 		}
-		vectorized = append(vectorized, fn)
-		colIdx = append(colIdx, slot)
+		vectorized = append(vectorized, sql.Compile(p, binding))
 	}
 	if len(vectorized) == 0 {
 		return rel.Tuples, rest, nil
 	}
 
-	// Selection bitmap, one predicate (column) at a time.
 	sel := make([]bool, len(rel.Tuples))
 	for i := range sel {
 		sel[i] = true
 	}
-	for k, fn := range vectorized {
-		c := colIdx[k]
+	for _, p := range vectorized {
 		for i, row := range rel.Tuples {
-			if sel[i] && !fn(row[c]) {
-				sel[i] = false
+			if !sel[i] {
+				continue
 			}
+			v, err := p(row, outer, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			sel[i] = v.AsBool()
 		}
 	}
 	var rows []relation.Tuple
@@ -51,120 +49,21 @@ func (e *Engine) columnScan(rel *relation.Relation, bt sql.BoundTable, preds []s
 	return rows, rest, nil
 }
 
-// vectorizePred recognizes col-vs-constant predicates: comparisons,
-// BETWEEN with literal bounds, IN over literals, LIKE, IS [NOT] NULL.
-// It returns the column slot and a per-value test, or nil.
-func vectorizePred(p sql.Expr, schema *relation.Schema) (int, func(relation.Value) bool) {
-	colSlot := func(x sql.Expr) (int, bool) {
-		c, ok := x.(*sql.ColRef)
-		if !ok || c.Depth != 0 {
-			return 0, false
-		}
+// vectorColumn returns the schema slot of the one column p reads, or -1
+// if it reads none or several, reads an outer scope or holds a subquery.
+func vectorColumn(p sql.Expr, schema *relation.Schema) int {
+	if len(sql.SubSelects(p)) > 0 {
+		return -1
+	}
+	ci := -1
+	for _, c := range sql.ColRefs(p) {
 		i := schema.Index(c.Column)
-		return i, i >= 0
+		if c.Depth != 0 || i < 0 || (ci >= 0 && i != ci) {
+			return -1
+		}
+		ci = i
 	}
-	lit := func(x sql.Expr) (relation.Value, bool) {
-		l, ok := x.(*sql.Literal)
-		if !ok {
-			return relation.Null, false
-		}
-		return l.Val, true
-	}
-
-	switch x := p.(type) {
-	case *sql.Binary:
-		slot, ok := colSlot(x.L)
-		if !ok {
-			return 0, nil
-		}
-		c, ok := lit(x.R)
-		if !ok {
-			return 0, nil
-		}
-		op := x.Op
-		return slot, func(v relation.Value) bool {
-			if v.IsNull() {
-				return false
-			}
-			cmp := v.Compare(c)
-			switch op {
-			case "=":
-				return cmp == 0
-			case "<>":
-				return cmp != 0
-			case "<":
-				return cmp < 0
-			case "<=":
-				return cmp <= 0
-			case ">":
-				return cmp > 0
-			case ">=":
-				return cmp >= 0
-			}
-			return false
-		}
-	case *sql.Between:
-		slot, ok := colSlot(x.X)
-		if !ok {
-			return 0, nil
-		}
-		lo, ok1 := lit(x.Lo)
-		hi, ok2 := lit(x.Hi)
-		if !ok1 || !ok2 {
-			return 0, nil
-		}
-		not := x.Not
-		return slot, func(v relation.Value) bool {
-			if v.IsNull() {
-				return false
-			}
-			in := v.Compare(lo) >= 0 && v.Compare(hi) <= 0
-			return in != not
-		}
-	case *sql.InList:
-		slot, ok := colSlot(x.X)
-		if !ok {
-			return 0, nil
-		}
-		set := make(map[relation.Value]struct{}, len(x.List))
-		for _, item := range x.List {
-			v, ok := lit(item)
-			if !ok {
-				return 0, nil
-			}
-			set[v.Key()] = struct{}{}
-		}
-		not := x.Not
-		return slot, func(v relation.Value) bool {
-			if v.IsNull() {
-				return false
-			}
-			_, in := set[v.Key()]
-			return in != not
-		}
-	case *sql.Like:
-		slot, ok := colSlot(x.X)
-		if !ok {
-			return 0, nil
-		}
-		pat, not := x.Pattern, x.Not
-		return slot, func(v relation.Value) bool {
-			if v.IsNull() {
-				return false
-			}
-			return sql.MatchLike(v.String(), pat) != not
-		}
-	case *sql.IsNull:
-		slot, ok := colSlot(x.X)
-		if !ok {
-			return 0, nil
-		}
-		not := x.Not
-		return slot, func(v relation.Value) bool {
-			return v.IsNull() != not
-		}
-	}
-	return 0, nil
+	return ci
 }
 
 // IndexBytes estimates the footprint of B-tree PK and FK indexes over the

@@ -53,10 +53,10 @@ func TestVectorizePredRejectsNonConstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	conjs := sql.SplitConjuncts(an.Root.Sel.Where)
-	if _, fn := vectorizePred(conjs[0], rel.Schema); fn != nil {
+	if vectorColumn(conjs[0], rel.Schema) >= 0 {
 		t.Error("col-vs-col comparison must not vectorize")
 	}
-	if _, fn := vectorizePred(conjs[1], rel.Schema); fn == nil {
+	if vectorColumn(conjs[1], rel.Schema) < 0 {
 		t.Error("col-vs-literal comparison should vectorize")
 	}
 }

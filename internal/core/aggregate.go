@@ -79,12 +79,17 @@ func (p *partialGroups) size() int {
 }
 
 // aggSetup precomputes the aggregate slot assignment and rewritten
-// SELECT/HAVING expressions of a block.
+// SELECT/HAVING expressions of a block, and the expressions evaluated
+// per row: the GROUP BY keys, then each aggregate's argument.
 type aggSetup struct {
 	list   []*sql.FuncCall
 	items  []sql.Expr
 	having sql.Expr
+	perRow []sql.Expr
 }
+
+// countStar is the argument of COUNT(*), which counts every row.
+var countStar = &sql.Literal{Val: relation.Int(1)}
 
 func newAggSetup(blk *sql.Analyzed) *aggSetup {
 	slots := map[*sql.FuncCall]int{}
@@ -102,6 +107,14 @@ func newAggSetup(blk *sql.Analyzed) *aggSetup {
 		s.items = append(s.items, sql.RewriteAggregates(it.Expr, slotOf))
 	}
 	s.having = sql.RewriteAggregates(blk.Sel.Having, slotOf)
+	s.perRow = append(make([]sql.Expr, 0, len(blk.Sel.GroupBy)+len(s.list)), blk.Sel.GroupBy...)
+	for _, f := range s.list {
+		if f.Star {
+			s.perRow = append(s.perRow, countStar)
+		} else {
+			s.perRow = append(s.perRow, f.Args[0])
+		}
+	}
 	return s
 }
 
@@ -128,8 +141,10 @@ func (s *aggSetup) newAccs() []*sql.Aggregator {
 type groupObserver struct {
 	c     *compiled
 	setup *aggSetup
+	outer *sql.Env
 	subq  sql.SubqueryFn
-	env   sql.Env
+	// forms are setup.perRow compiled per table shape.
+	forms shapeForms
 	key   []relation.Value
 	// stamp numbers the observe calls, so a group whose stamp is not
 	// the current call's is one this call has not touched yet.
@@ -143,7 +158,7 @@ type groupObserver struct {
 // distributed paths subq is nil (group keys and aggregate arguments are
 // vertex-safe there).
 func newGroupObserver(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.SubqueryFn, copyRep bool) *groupObserver {
-	return &groupObserver{c: c, setup: setup, subq: subq, env: sql.Env{Parent: outer},
+	return &groupObserver{c: c, setup: setup, outer: outer, subq: subq, forms: shapeForms{exprs: setup.perRow},
 		key: make([]relation.Value, len(c.blk.Sel.GroupBy)), copyRep: copyRep}
 }
 
@@ -160,18 +175,17 @@ func (o *groupObserver) observe(pg *partialGroups, t *table, rows [][]relation.V
 	}
 	before := pg.logicalGroups()
 	o.stamp++
-	env := &o.env
-	env.Binding = sql.Binding(t.index)
+	forms := o.forms.of(t)
+	keys, args := forms[:len(o.key)], forms[len(o.key):]
 	keyAt := func(i int) []relation.Value { return pg.groups[i].key }
 	size = 16
 	for r, row := range rows {
-		env.Row = relation.Tuple(row)
-		for i, g := range o.c.blk.Sel.GroupBy {
+		for i, g := range keys {
 			if i == 0 && firsts != nil {
 				o.key[0] = firsts[r]
 				continue
 			}
-			if o.key[i], err = sql.Eval(g, env, o.subq); err != nil {
+			if o.key[i], err = g(row, o.outer, o.subq); err != nil {
 				return touched, size, err
 			}
 		}
@@ -191,12 +205,10 @@ func (o *groupObserver) observe(pg *partialGroups, t *table, rows [][]relation.V
 			touched++
 			size += grp.size()
 		}
-		for i, f := range o.setup.list {
-			v := relation.Int(1)
-			if !f.Star {
-				if v, err = sql.Eval(f.Args[0], env, o.subq); err != nil {
-					return touched, size, err
-				}
+		for i, arg := range args {
+			v, err := arg(row, o.outer, o.subq)
+			if err != nil {
+				return touched, size, err
 			}
 			grp.aggs[i].Observe(v)
 		}
@@ -220,26 +232,25 @@ func newGroup(key, rep []relation.Value, aggs []*sql.Aggregator) *groupAcc {
 }
 
 // residualRows appends to dst the rows of t that pass the block's
-// residual predicates, evaluated in env (whose Parent is the outer
-// scope). With no residual predicates it returns t.rows itself.
-func residualRows(c *compiled, env *sql.Env, t *table, dst [][]relation.Value) ([][]relation.Value, error) {
-	if len(c.residual) == 0 {
+// residual predicates. With no residual predicates it returns t.rows
+// itself.
+func (r *componentRun) residualRows(t *table, dst [][]relation.Value) ([][]relation.Value, error) {
+	if len(r.c.residual) == 0 {
 		return t.rows, nil
 	}
-	env.Binding = sql.Binding(t.index)
-rows:
-	for _, row := range t.rows {
-		env.Row = relation.Tuple(row)
-		for _, p := range c.residual {
-			ok, err := p.eval(env, nil)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue rows
-			}
+	return keepRows(r.residualTests.of(t), t.rows, r.outer, nil, dst)
+}
+
+// keepRows appends to dst the rows for which every test holds.
+func keepRows(tests []sql.Compiled, rows [][]relation.Value, outer *sql.Env, subq sql.SubqueryFn, dst [][]relation.Value) ([][]relation.Value, error) {
+	for _, row := range rows {
+		ok, err := sql.Holds(tests, row, outer, subq)
+		if err != nil {
+			return nil, err
 		}
-		dst = append(dst, row)
+		if ok {
+			dst = append(dst, row)
+		}
 	}
 	return dst, nil
 }
@@ -260,11 +271,7 @@ func (e *Session) finalizeNone(c *compiled, res *componentResult, outer *sql.Env
 		if t == nil {
 			return
 		}
-		var env *sql.Env
-		if len(c.residual) > 0 {
-			env = &sql.Env{Parent: outer}
-		}
-		rows, err := residualRows(c, env, t, nil)
+		rows, err := res.run.residualRows(t, nil)
 		ctx.AddOps(len(t.rows))
 		if err != nil {
 			ctx.Fail(err)
@@ -308,7 +315,6 @@ type survivorFolder struct {
 // foldScratch is one worker's survivorFolder state.
 type foldScratch struct {
 	obs  *groupObserver
-	env  sql.Env
 	own  table              // a single-alias survivor's own row
 	rows [][]relation.Value // the survivor's rows past the residual predicates
 	// The local path's split of a survivor's rows by target: targets in
@@ -332,7 +338,6 @@ func (e *Session) newSurvivorFolder(c *compiled, res *componentResult, setup *ag
 		ws := &f.w[i]
 		// Own rows are rewritten per survivor, so groups copy theirs.
 		ws.obs = newGroupObserver(c, setup, outer, nil, res.values == nil)
-		ws.env.Parent = outer
 		ws.own.rows = make([][]relation.Value, 1)
 	}
 	return f
@@ -349,7 +354,7 @@ func (f *survivorFolder) survivor(ctx *bsp.Context, v bsp.VertexID) (*foldScratc
 	} else if t = f.res.values[v]; t == nil {
 		return ws, nil, nil, nil
 	}
-	rows, err := residualRows(f.c, &ws.env, t, ws.rows[:0])
+	rows, err := f.res.run.residualRows(t, ws.rows[:0])
 	if len(f.c.residual) > 0 {
 		ws.rows = rows
 	}
@@ -376,18 +381,17 @@ func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.Verte
 
 // splitByTarget orders rows by target into ws.sorted — targets in
 // first-seen order, rows in their order within a target — and returns
-// them with their first GROUP BY keys (keyOf) alongside. A row's target
+// them with their first GROUP BY keys alongside. A row's target
 // is targetOf its first key. It lists the targets in ws.targets with
 // the end of each one's run in ws.ends. Rows that all go to one target
 // are left where they are.
-func (ws *foldScratch) splitByTarget(t *table, rows [][]relation.Value, keyOf sql.Expr, targetOf func(relation.Value) bsp.VertexID) ([][]relation.Value, []relation.Value, error) {
+func (ws *foldScratch) splitByTarget(t *table, rows [][]relation.Value, targetOf func(relation.Value) bsp.VertexID) ([][]relation.Value, []relation.Value, error) {
 	ws.targets, ws.ends, ws.of, ws.firsts = ws.targets[:0], ws.ends[:0], ws.of[:0], ws.firsts[:0]
 	ws.index.reset()
 	keyAt := func(i int) []relation.Value { return ws.targets[i : i+1] }
-	ws.env.Binding = sql.Binding(t.index)
+	keyOf := ws.obs.forms.of(t)[0]
 	for _, row := range rows {
-		ws.env.Row = relation.Tuple(row)
-		k, err := sql.Eval(keyOf, &ws.env, nil)
+		k, err := keyOf(row, ws.obs.outer, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -428,7 +432,6 @@ func (ws *foldScratch) splitByTarget(t *table, rows [][]relation.Value, keyOf sq
 func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	setup := newAggSetup(c.blk)
 	f := e.newSurvivorFolder(c, res, setup, outer)
-	keyOf := c.blk.Sel.GroupBy[0]
 	targetOf := func(k relation.Value) bsp.VertexID {
 		if av, ok := e.TAG.AttrVertexOf(k); ok {
 			return av
@@ -446,7 +449,7 @@ func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.En
 			// survivor sends once per target its rows have.
 			var firsts []relation.Value
 			if err == nil {
-				rows, firsts, err = ws.splitByTarget(t, rows, keyOf, targetOf)
+				rows, firsts, err = ws.splitByTarget(t, rows, targetOf)
 			}
 			touched, start := 0, 0
 			for i := 0; err == nil && i < len(ws.targets); i++ {
@@ -591,25 +594,28 @@ func projectGroups(c *compiled, setup *aggSetup, groups []*groupAcc, srcHeader [
 	if len(blk.Sel.GroupBy) == 0 && blk.HasAgg && len(groups) == 0 {
 		groups = []*groupAcc{{rep: make([]relation.Value, len(header)), aggs: setup.newAccs()}}
 	}
+	// Each group is evaluated as one row: its representative row under
+	// header, then its aggregate values.
 	binding := sql.Binding{}
 	for i, h := range header {
 		binding[h] = i
 	}
-
+	for i := range setup.list {
+		binding[sql.AggKey(i)] = len(header) + i
+	}
+	var having sql.Compiled
+	if setup.having != nil {
+		having = sql.Compile(setup.having, binding)
+	}
+	items := sql.CompileAll(setup.items, binding)
+	row := make(relation.Tuple, len(header)+len(setup.list))
 	for _, g := range groups {
-		rep := g.rep
-		if len(rep) < len(header) {
-			padded := make([]relation.Value, len(header))
-			copy(padded, rep)
-			rep = padded
-		}
-		env := &sql.Env{Binding: binding, Row: rep, Parent: outer,
-			Aggs: make([]relation.Value, len(g.aggs))}
+		clear(row[copy(row[:len(header)], g.rep):len(header)])
 		for i, a := range g.aggs {
-			env.Aggs[i] = a.Result()
+			row[len(header)+i] = a.Result()
 		}
-		if setup.having != nil {
-			v, err := sql.Eval(setup.having, env, subq)
+		if having != nil {
+			v, err := having(row, outer, subq)
 			if err != nil {
 				return nil, err
 			}
@@ -617,15 +623,11 @@ func projectGroups(c *compiled, setup *aggSetup, groups []*groupAcc, srcHeader [
 				continue
 			}
 		}
-		row := make(relation.Tuple, len(setup.items))
-		for i, it := range setup.items {
-			v, err := sql.Eval(it, env, subq)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
+		tup, err := sql.EvalAll(items, row, outer, subq)
+		if err != nil {
+			return nil, err
 		}
-		out.Tuples = append(out.Tuples, row)
+		out.Tuples = append(out.Tuples, tup)
 	}
 	return dedup(out, blk.Sel.Distinct), nil
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/plan"
+	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/tag"
 )
@@ -36,15 +38,18 @@ func (a AggClass) String() string {
 	return "?"
 }
 
-// predicate is a filter: either an AST expression or a compiled closure
-// (produced by subquery decorrelation), tagged with the block aliases it
-// reads so it can be pushed to the right vertices.
+// predicate is a filter conjunct, tagged with the block aliases it reads
+// so it can be pushed to the right vertices.
 type predicate struct {
 	expr    sql.Expr
-	fn      func(env *sql.Env) (bool, error)
 	aliases map[string]bool
-	// cols lists "alias.column" bind keys a closure predicate reads (so
-	// the compiler can carry them through collection).
+	// decorr lists the subqueries decorrelation compiled away, with their
+	// lookup tables (empty for any other conjunct): the predicate answers
+	// them itself, so it is vertex-safe.
+	decorr []decorrSub
+	// cols lists the "alias.column" bind keys the predicate reads, for
+	// the ones the collection phase may apply early (vertex-safe
+	// residuals) and decorrelated ones.
 	cols []string
 	// hoisted marks an expression that holds a subquery decorrelation
 	// did not compile away: it would re-enter the engine inside a vertex
@@ -53,16 +58,86 @@ type predicate struct {
 	hoisted bool
 }
 
-// eval evaluates the predicate under env.
-func (p *predicate) eval(env *sql.Env, subq sql.SubqueryFn) (bool, error) {
-	if p.fn != nil {
-		return p.fn(env)
+// decorrSub is one decorrelated subquery and its lookup table.
+type decorrSub struct {
+	sub *sql.Select
+	dt  *decorrTable
+}
+
+// compile resolves p against the row shape b. A decorrelated predicate
+// answers its subqueries itself, so the form ignores the subq it is
+// given.
+func (p *predicate) compile(b sql.Binding) sql.Compiled {
+	eval := sql.Compile(p.expr, b)
+	if len(p.decorr) == 0 {
+		return eval
 	}
-	v, err := sql.Eval(p.expr, env, subq)
-	if err != nil {
-		return false, err
+	var keys []sql.Compiled // each subquery's key columns in turn
+	for _, d := range p.decorr {
+		keys = d.dt.appendKey(keys, b)
 	}
-	return v.AsBool(), nil
+	subq := func(sub *sql.Select, env *sql.Env) (*relation.Relation, error) {
+		key := keys
+		for _, d := range p.decorr {
+			n := len(d.dt.outerCols)
+			if d.sub == sub {
+				return d.dt.lookup(key[:n], env.Row, env.Parent)
+			}
+			key = key[n:]
+		}
+		return nil, errNoDecorr // a deeper subquery: not expected on this path
+	}
+	return func(row relation.Tuple, outer *sql.Env, _ sql.SubqueryFn) (relation.Value, error) {
+		return eval(row, outer, subq)
+	}
+}
+
+// compileTests resolves preds against the row shape b.
+func compileTests(preds []*predicate, b sql.Binding) []sql.Compiled {
+	out := make([]sql.Compiled, len(preds))
+	for i, p := range preds {
+		out[i] = p.compile(b)
+	}
+	return out
+}
+
+// shapeForms compiles preds, then exprs, once per table shape, keyed by
+// header identity as joiner keys join shapes; safe for concurrent use by
+// the vertex workers.
+type shapeForms struct {
+	preds []*predicate
+	exprs []sql.Expr
+
+	mu sync.Mutex
+	// A run meets few shapes, so a list finds them.
+	shapes []shapeForm
+}
+
+type shapeForm struct {
+	key   shapeKey
+	forms []sql.Compiled
+}
+
+// of returns the forms compiled for t's shape.
+func (s *shapeForms) of(t *table) []sql.Compiled {
+	k := keyOf(t.header, nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sh := range s.shapes {
+		if sh.key == k {
+			return sh.forms
+		}
+	}
+	b := sql.Binding(t.index)
+	forms := make([]sql.Compiled, 0, len(s.preds)+len(s.exprs))
+	for _, p := range s.preds {
+		forms = append(forms, p.compile(b))
+	}
+	for _, e := range s.exprs {
+		forms = append(forms, sql.Compile(e, b))
+	}
+	s.shapes = append(s.shapes, shapeForm{k, forms})
+	return forms
 }
 
 // compiled is the executable form of one SELECT block on the TAG engine.
@@ -151,7 +226,7 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 				a = x
 			}
 			c.filters[a] = append(c.filters[a], p)
-		case p.expr != nil && !c.hasOuter:
+		case !c.hasOuter:
 			if ep, ok := asEqui(p.expr); ok {
 				c.equi = append(c.equi, ep)
 				continue
@@ -183,11 +258,8 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 	// need, so the collection phase can apply them as soon as a partial
 	// table contains those columns (§7's pushed selections, line 31).
 	for _, pr := range c.residual {
-		if pr.fn != nil {
-			continue // closures already carry cols
-		}
-		if pr.hoisted {
-			continue // vertex-unsafe: central evaluation only
+		if len(pr.decorr) > 0 || pr.hoisted {
+			continue // cols already known, or central evaluation only
 		}
 		for _, ref := range sql.ColRefs(pr.expr) {
 			if ref.Depth == 0 {
@@ -218,7 +290,7 @@ func (e *Session) compilePredicate(an *sql.Analysis, blk *sql.Analyzed, conj sql
 func (c *compiled) pushImpliedRestrictions() {
 	aliases := c.sortAliases()
 	for _, p := range c.residual {
-		if b, ok := p.expr.(*sql.Binary); p.fn != nil || !ok || b.Op != "OR" || p.hoisted {
+		if b, ok := p.expr.(*sql.Binary); len(p.decorr) > 0 || !ok || b.Op != "OR" || p.hoisted {
 			continue
 		}
 		arms := sql.SplitDisjuncts(p.expr)
@@ -318,9 +390,7 @@ func (c *compiled) computeNeeded() {
 		addExpr(fi.On) // outer-join ONs are not part of conjs
 	}
 	for _, p := range c.residual {
-		if p.expr != nil {
-			addExpr(p.expr)
-		}
+		addExpr(p.expr)
 	}
 	if c.qp != nil {
 		for _, m := range flattenClasses(c.qp.Classes) {
@@ -339,9 +409,9 @@ func (c *compiled) computeNeeded() {
 			}
 		}
 	}
-	// Closure predicates: their column needs were recorded via needCols.
+	// Decorrelated predicates also read their subqueries' outer columns.
 	for _, p := range c.residual {
-		for _, key := range p.needCols() {
+		for _, key := range p.cols {
 			parts := strings.SplitN(key, ".", 2)
 			if len(parts) == 2 {
 				add(parts[0], parts[1])
@@ -454,9 +524,6 @@ func (c *compiled) isKeyColumn(t *tag.Graph, ref *sql.ColRef) bool {
 	}
 	return false
 }
-
-// needCols lets closure predicates declare the block columns they read.
-func (p *predicate) needCols() []string { return p.cols }
 
 // sortAliases returns the block's aliases sorted (determinism helper).
 func (c *compiled) sortAliases() []string {

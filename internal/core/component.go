@@ -30,11 +30,9 @@ type componentRun struct {
 	// it. Taken from the Session for the reduction and collection phases.
 	marks *markScratch
 
-	// filterOK memoizes pushed-filter evaluation per alias and vertex;
-	// the memos come from the Session and go back when the run ends.
-	filterOK map[string]*filterMemo
-	// bindings caches per-alias tuple bindings (read-only once built).
-	bindings map[string]sql.Binding
+	// filters holds each alias's pushed filters, compiled before any
+	// vertex program runs.
+	filters map[string]*aliasFilters
 	// prefilter restricts aliases whose filters could not run at vertices
 	// (vertex-unsafe subqueries) or that were reduced by a cycle pre-pass.
 	prefilter map[string]map[bsp.VertexID]bool
@@ -42,9 +40,11 @@ type componentRun struct {
 	// joiner carries the shared join-shape cache of the collection phase.
 	joiner *joiner
 
-	// collectPreds are the vertex-safe residual predicates eligible for
-	// early application during collection (§7 pushed selections).
-	collectPreds []*predicate
+	// residualTests compiles the residual predicates per table shape.
+	// collectPreds indexes the vertex-safe ones eligible for early
+	// application during collection (§7 pushed selections).
+	residualTests shapeForms
+	collectPreds  []int
 }
 
 // stepInfo is one traversal step resolved against the TAG graph.
@@ -74,22 +74,37 @@ type componentResult struct {
 // then the collection phase.
 func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env, subq sql.SubqueryFn) (*componentResult, error) {
 	r := &componentRun{ex: e, c: c, comp: comp, outer: outer, subq: subq,
-		filterOK:  map[string]*filterMemo{},
-		prefilter: map[string]map[bsp.VertexID]bool{},
-		bindings:  map[string]sql.Binding{},
-		joiner:    newJoiner(c.classCols),
+		filters:       map[string]*aliasFilters{},
+		prefilter:     map[string]map[bsp.VertexID]bool{},
+		joiner:        newJoiner(c.classCols),
+		residualTests: shapeForms{preds: c.residual},
 	}
 	defer r.release()
-	for _, bt := range c.blk.Tables {
-		binding := sql.Binding{}
-		for i, col := range bt.Schema.Columns {
-			binding[sql.BindKey(bt.Alias, col.Name)] = i
+	filters := make([]aliasFilters, len(c.blk.Tables))
+	for i, bt := range c.blk.Tables {
+		f := &filters[i]
+		f.table = bt.Table
+		if preds := c.filters[bt.Alias]; len(preds) > 0 {
+			binding := sql.Binding{}
+			for i, col := range bt.Schema.Columns {
+				binding[sql.BindKey(bt.Alias, col.Name)] = i
+			}
+			f.tests = compileTests(preds, binding)
+			f.safe = f.tests
+			if slices.ContainsFunc(preds, func(p *predicate) bool { return p.hoisted }) {
+				f.safe = nil
+				for i, p := range preds {
+					if !p.hoisted {
+						f.safe = append(f.safe, f.tests[i])
+					}
+				}
+			}
 		}
-		r.bindings[bt.Alias] = binding
+		r.filters[bt.Alias] = f
 	}
-	for _, pr := range c.residual {
+	for i, pr := range c.residual {
 		if len(pr.cols) > 0 && !pr.hoisted {
-			r.collectPreds = append(r.collectPreds, pr)
+			r.collectPreds = append(r.collectPreds, i)
 		}
 	}
 	if err := r.hoistUnsafeFilters(); err != nil {
@@ -136,10 +151,12 @@ func (r *componentRun) release() {
 		r.ex.releaseMarks(r.marks)
 		r.marks = nil
 	}
-	for _, m := range r.filterOK {
-		r.ex.freeMemos = append(r.ex.freeMemos, m)
+	for _, f := range r.filters {
+		if f.memo != nil {
+			r.ex.freeMemos = append(r.ex.freeMemos, f.memo)
+			f.memo = nil
+		}
 	}
-	clear(r.filterOK)
 }
 
 // cycleIsPKFK reports whether the cycle is PK-FK dominated: at most one
@@ -203,36 +220,26 @@ func (r *componentRun) resolveStep(s plan.Step) (stepInfo, error) {
 // un-decorrelated subqueries (they would re-enter the engine if run
 // inside a vertex program) into per-alias allowed sets.
 func (r *componentRun) hoistUnsafeFilters() error {
-	for alias, preds := range r.c.filters {
-		var unsafe []*predicate
-		for _, p := range preds {
+	for _, alias := range r.comp.Aliases {
+		preds := r.c.filters[alias]
+		var unsafe []sql.Compiled
+		for i, p := range preds {
 			if p.hoisted {
-				unsafe = append(unsafe, p)
+				unsafe = append(unsafe, r.filters[alias].tests[i])
 			}
 		}
 		if len(unsafe) == 0 {
 			continue
 		}
 		allowed := map[bsp.VertexID]bool{}
-		table := r.c.aliasTable[alias]
-		binding := r.aliasBinding(alias)
-		env := &sql.Env{Binding: binding, Parent: r.outer}
-		for _, v := range r.ex.TAG.TupleVertices(table) {
+		for _, v := range r.ex.TAG.TupleVertices(r.c.aliasTable[alias]) {
 			d := r.ex.TAG.TupleData(v)
 			if d == nil || d.Dead {
 				continue
 			}
-			env.Row = d.Row
-			ok := true
-			for _, p := range unsafe {
-				pass, err := p.eval(env, r.subq)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					ok = false
-					break
-				}
+			ok, err := sql.Holds(unsafe, d.Row, r.outer, r.subq)
+			if err != nil {
+				return err
 			}
 			if ok {
 				allowed[v] = true
@@ -256,9 +263,15 @@ func (r *componentRun) intersectPrefilter(alias string, allowed map[bsp.VertexID
 	r.prefilter[alias] = allowed
 }
 
-// aliasBinding returns the cached tuple binding of an alias.
-func (r *componentRun) aliasBinding(alias string) sql.Binding {
-	return r.bindings[alias]
+// aliasFilters is one alias's pushed filters: its relation, the filters
+// compiled against its tuple rows in c.filters order, the vertex-safe
+// ones among them, and, while a reduction or single-alias run evaluates
+// them, their memo.
+type aliasFilters struct {
+	table string
+	tests []sql.Compiled
+	safe  []sql.Compiled
+	memo  *filterMemo
 }
 
 // passes evaluates (and memoizes) the vertex-safe pushed filters of an
@@ -272,52 +285,30 @@ func (r *componentRun) passes(alias string, v bsp.VertexID) bool {
 		return false
 	}
 	d := r.ex.TAG.TupleData(v)
-	if d == nil || d.Dead || d.Table != r.c.aliasTable[alias] {
+	f := r.filters[alias]
+	if d == nil || d.Dead || d.Table != f.table {
 		return false
 	}
-	memo := r.filterOK[alias]
-	if memo == nil {
-		return r.evalFilters(alias, v, d.Row)
+	if f.memo != nil {
+		if ok, known := f.memo.lookup(v); known {
+			return ok
+		}
 	}
-	if ok, known := memo.lookup(v); known {
-		return ok
+	ok, err := sql.Holds(f.safe, d.Row, r.outer, nil)
+	ok = ok && err == nil
+	if f.memo != nil {
+		f.memo.record(v, ok)
 	}
-	ok := r.evalFilters(alias, v, d.Row)
-	memo.record(v, ok)
 	return ok
 }
 
 // prepareFilterMemo takes a memo for each alias with vertex-safe filters.
 func (r *componentRun) prepareFilterMemo() {
-	for alias, preds := range r.c.filters {
-		hasSafe := false
-		for _, p := range preds {
-			if !p.hoisted {
-				hasSafe = true
-			}
-		}
-		if hasSafe {
-			r.filterOK[alias] = r.ex.takeMemo()
+	for _, f := range r.filters {
+		if len(f.safe) > 0 {
+			f.memo = r.ex.takeMemo()
 		}
 	}
-}
-
-func (r *componentRun) evalFilters(alias string, v bsp.VertexID, row relation.Tuple) bool {
-	preds := r.c.filters[alias]
-	if len(preds) == 0 {
-		return true
-	}
-	env := &sql.Env{Binding: r.aliasBinding(alias), Row: row, Parent: r.outer}
-	for _, p := range preds {
-		if p.hoisted {
-			continue // pre-evaluated by hoistUnsafeFilters
-		}
-		ok, err := p.eval(env, nil)
-		if err != nil || !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // initialActives returns the tuple vertices of an alias a reduction
@@ -407,18 +398,19 @@ func (r *componentRun) attrSeeds(alias string, limit int) ([]bsp.VertexID, bool)
 	for i, p := range preds {
 		cols[i] = singleColumn(p, alias, schema)
 	}
-	holds := func(env *sql.Env, ci int) bool {
-		for i, p := range preds {
+	tests := r.filters[alias].tests
+	var row relation.Tuple // the dictionary value, otherwise NULL
+	holds := func(ci int) bool {
+		for i, t := range tests {
 			if cols[i] != ci {
 				continue
 			}
-			if ok, err := p.eval(env, nil); err != nil || !ok {
+			if v, err := t(row, r.outer, nil); err != nil || !v.AsBool() {
 				return false
 			}
 		}
 		return true
 	}
-	var env *sql.Env
 	for i, ci := range cols {
 		if best == 0 || ci < 0 || slices.Index(cols, ci) < i {
 			continue // nothing left to beat, not one column, or seen
@@ -432,17 +424,17 @@ func (r *componentRun) attrSeeds(alias string, limit int) ([]bsp.VertexID, bool)
 		if len(dict) > limit {
 			continue
 		}
-		if env == nil {
-			env = &sql.Env{Binding: r.aliasBinding(alias), Row: make(relation.Tuple, schema.Len()), Parent: r.outer}
+		if row == nil {
+			row = make(relation.Tuple, schema.Len())
 		}
-		if holds(env, ci) {
+		if holds(ci) {
 			continue // NULL cells have no edge to seed from
 		}
 		var vals []bsp.VertexID
 		n := 0
 		for _, av := range dict {
-			env.Row[ci], _ = g.AttrValue(av)
-			if !holds(env, ci) {
+			row[ci], _ = g.AttrValue(av)
+			if !holds(ci) {
 				continue
 			}
 			if n += g.G.DegreeWithLabel(av, lbl); n >= best {
@@ -450,7 +442,7 @@ func (r *componentRun) attrSeeds(alias string, limit int) ([]bsp.VertexID, bool)
 			}
 			vals = append(vals, av)
 		}
-		env.Row[ci] = relation.Null
+		row[ci] = relation.Null
 		if n < best {
 			winVals, winLbl, best = vals, lbl, n
 		}
@@ -473,9 +465,6 @@ func (r *componentRun) attrSeeds(alias string, limit int) ([]bsp.VertexID, bool)
 // table.col label, if the filter can enter there (see attrSeeds); a
 // literal with no vertex matches no tuple and is left out.
 func (r *componentRun) equalityValues(alias string, schema *relation.Schema, p *predicate) ([]bsp.VertexID, bsp.LabelID, bool) {
-	if p.fn != nil {
-		return nil, 0, false
-	}
 	col, lits := equalityLiterals(p.expr)
 	if col == nil || col.Depth != 0 || col.Alias != alias {
 		return nil, 0, false
@@ -505,9 +494,9 @@ func (r *componentRun) equalityValues(alias string, schema *relation.Schema, p *
 
 // singleColumn returns the schema slot of the one column of alias that
 // a pushed filter reads, or -1 if it reads none or several, reads an
-// outer scope, holds a subquery or is a compiled closure.
+// outer scope or holds a subquery.
 func singleColumn(p *predicate, alias string, schema *relation.Schema) int {
-	if p.fn != nil || p.hoisted {
+	if len(p.decorr) > 0 || p.hoisted {
 		return -1
 	}
 	ci := -1
@@ -561,8 +550,9 @@ func equalityLiterals(x sql.Expr) (*sql.ColRef, []relation.Value) {
 // whose columns just became available (present now, absent before this
 // vertex's join with its own tuple).
 func (r *componentRun) applyCollectPreds(ctx *bsp.Context, t *table, pre map[string]int) *table {
-	var apply []*predicate
-	for _, p := range r.collectPreds {
+	var apply []int // indexes into c.residual
+	for _, i := range r.collectPreds {
+		p := r.c.residual[i]
 		complete := true
 		wasComplete := pre != nil
 		for _, col := range p.cols {
@@ -577,20 +567,18 @@ func (r *componentRun) applyCollectPreds(ctx *bsp.Context, t *table, pre map[str
 			}
 		}
 		if complete && !wasComplete {
-			apply = append(apply, p)
+			apply = append(apply, i)
 		}
 	}
 	if len(apply) == 0 {
 		return t
 	}
+	tests := r.residualTests.of(t)
 	out := newTableShared(t.header, t.index)
-	env := &sql.Env{Binding: sql.Binding(t.index), Parent: r.outer}
 	for _, row := range t.rows {
-		env.Row = row
 		keep := true
-		for _, p := range apply {
-			ok, err := p.eval(env, nil)
-			if err != nil || !ok {
+		for _, i := range apply {
+			if v, err := tests[i](row, r.outer, nil); err != nil || !v.AsBool() {
 				keep = false
 				break
 			}

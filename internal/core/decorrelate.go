@@ -14,7 +14,7 @@ import (
 // the semi-join/anti-join evaluation of §7 (EXISTS/IN) and the grouped
 // rewrite of correlated scalar aggregates.
 type decorrTable struct {
-	outerCols []*sql.ColRef // evaluated in the outer row's env, in key order
+	outerCols []*sql.ColRef // evaluated in the outer row's scope, in key order
 	// keys[i] is the correlation key of the rows buckets[i]; index finds
 	// it. The index is complete once built, so lookups only read it.
 	keys    [][]relation.Value
@@ -25,13 +25,22 @@ type decorrTable struct {
 
 func (dt *decorrTable) keyAt(i int) []relation.Value { return dt.keys[i] }
 
-// lookup serves the subquery's result for the outer row in env. Vertex
-// workers call it concurrently.
-func (dt *decorrTable) lookup(env *sql.Env) (*relation.Relation, error) {
+// appendKey appends the correlation key's columns resolved against the
+// outer row shape b (a nil b finds them on the scope chain).
+func (dt *decorrTable) appendKey(key []sql.Compiled, b sql.Binding) []sql.Compiled {
+	for _, c := range dt.outerCols {
+		key = append(key, sql.Compile(c, b))
+	}
+	return key
+}
+
+// lookup serves the subquery's result for the outer row, whose key
+// columns keyOf reads. Vertex workers call it concurrently.
+func (dt *decorrTable) lookup(keyOf []sql.Compiled, row relation.Tuple, outer *sql.Env) (*relation.Relation, error) {
 	var buf [4]relation.Value // a narrow key needs no allocation per lookup
 	key := buf[:0]
-	for _, c := range dt.outerCols {
-		v, err := sql.Eval(c, env, nil)
+	for _, c := range keyOf {
+		v, err := c(row, outer, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -47,21 +56,20 @@ func (dt *decorrTable) lookup(env *sql.Env) (*relation.Relation, error) {
 }
 
 // tryDecorrelate attempts to turn a conjunct containing subqueries into a
-// vertex-safe closure predicate backed by decorrTable lookups. It returns
-// nil when any nested subquery does not fit the supported shape (single
-// block, correlation only through top-level equality predicates with the
-// current block, aggregates only in scalar form).
+// vertex-safe predicate that answers them from decorrTable lookups. It
+// returns nil when any nested subquery does not fit the supported shape
+// (single block, correlation only through top-level equality predicates
+// with the current block, aggregates only in scalar form).
 func (e *Session) tryDecorrelate(an *sql.Analysis, blk *sql.Analyzed, conj sql.Expr) *predicate {
 	subs := sql.SubSelects(conj)
 	if len(subs) == 0 {
 		return nil
 	}
-	aliases := map[string]bool{}
-	var cols []string
+	p := &predicate{expr: conj, aliases: map[string]bool{}}
 	for _, c := range sql.ColRefs(conj) {
 		if c.Depth == 0 {
-			aliases[c.Alias] = true
-			cols = append(cols, sql.BindKey(c.Alias, c.Column))
+			p.aliases[c.Alias] = true
+			p.cols = append(p.cols, sql.BindKey(c.Alias, c.Column))
 		}
 	}
 
@@ -75,31 +83,13 @@ func (e *Session) tryDecorrelate(an *sql.Analysis, blk *sql.Analyzed, conj sql.E
 			}
 			e.decorr[sub] = dt
 		}
+		p.decorr = append(p.decorr, decorrSub{sub, dt})
 		for _, oc := range dt.outerCols {
-			aliases[oc.Alias] = true
-			cols = append(cols, sql.BindKey(oc.Alias, oc.Column))
+			p.aliases[oc.Alias] = true
+			p.cols = append(p.cols, sql.BindKey(oc.Alias, oc.Column))
 		}
 	}
-
-	dtSubq := func(sub *sql.Select, env *sql.Env) (*relation.Relation, error) {
-		dt := e.decorr[sub]
-		if dt == nil {
-			// Nested deeper subqueries: not expected on this path.
-			return nil, errNoDecorr
-		}
-		return dt.lookup(env)
-	}
-	return &predicate{
-		fn: func(env *sql.Env) (bool, error) {
-			v, err := sql.Eval(conj, env, dtSubq)
-			if err != nil {
-				return false, err
-			}
-			return v.AsBool(), nil
-		},
-		aliases: aliases,
-		cols:    cols,
-	}
+	return p
 }
 
 var errNoDecorr = &decorrError{}

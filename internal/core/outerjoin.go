@@ -125,11 +125,7 @@ func (e *Session) tableJoinOn(c *compiled, l, r *table, on sql.Expr, outer *sql.
 
 	header := append(append([]string{}, l.header...), r.header...)
 	out := newTable(header)
-	binding := sql.Binding{}
-	for i, h := range header {
-		binding[h] = i
-	}
-	env := &sql.Env{Binding: binding, Parent: outer}
+	tests := sql.CompileAll(rest, sql.Binding(out.index))
 
 	// SQL equality: a NULL key joins nothing, on either side.
 	b := bucketRows(r.rows, rslots, true)
@@ -159,17 +155,9 @@ func (e *Session) tableJoinOn(c *compiled, l, r *table, on sql.Expr, outer *sql.
 		matched := false
 		for _, ri := range candidates {
 			joined := append(append([]relation.Value{}, lrow...), r.rows[ri]...)
-			ok := true
-			for _, cj := range rest {
-				env.Row = joined
-				v, err := sql.Eval(cj, env, subq)
-				if err != nil {
-					return nil, err
-				}
-				if !v.AsBool() {
-					ok = false
-					break
-				}
+			ok, err := sql.Holds(tests, joined, outer, subq)
+			if err != nil {
+				return nil, err
 			}
 			if ok {
 				matched = true

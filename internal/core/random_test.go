@@ -68,7 +68,7 @@ func randQuery(rng *rand.Rand) string {
 	// Filters.
 	for i := 0; i < rng.Intn(3); i++ {
 		a := rng.Intn(nAliases)
-		switch rng.Intn(14) {
+		switch rng.Intn(18) {
 		case 0:
 			conjs = append(conjs, fmt.Sprintf("%s > %d", col(a), rng.Intn(4)))
 		case 1:
@@ -105,6 +105,15 @@ func randQuery(rng *rand.Rand) string {
 			conjs = append(conjs, fmt.Sprintf("%s.s >= '%s'", aliases[a], []string{"x", "y", "z"}[rng.Intn(3)]))
 		case 13:
 			conjs = append(conjs, fmt.Sprintf("%s + 1 > %d.5", col(a), rng.Intn(6)))
+		// Bounds that are constant expressions, folded when compiled.
+		case 14:
+			conjs = append(conjs, fmt.Sprintf("%s < 1 + %d", col(a), rng.Intn(4)))
+		case 15:
+			conjs = append(conjs, fmt.Sprintf("%s BETWEEN 2 - 1 AND 2 * %d", col(a), 1+rng.Intn(3)))
+		case 16:
+			conjs = append(conjs, fmt.Sprintf("%s IN (1 + %d, NULL)", col(a), rng.Intn(5)))
+		case 17:
+			conjs = append(conjs, fmt.Sprintf("%s < NULL + 1", col(a)))
 		}
 	}
 	if nAliases >= 2 && rng.Intn(4) != 0 {

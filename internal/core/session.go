@@ -244,7 +244,7 @@ func (e *Session) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 	return func(sub *sql.Select, env *sql.Env) (*relation.Relation, error) {
 		// Decorrelated subqueries answer from their prebuilt lookup table.
 		if dt := e.decorr[sub]; dt != nil {
-			return dt.lookup(env)
+			return dt.lookup(dt.appendKey(nil, nil), nil, env)
 		}
 		blk := an.Blocks[sub]
 		if blk == nil {
@@ -263,10 +263,10 @@ func (e *Session) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 		}
 		memo := e.corrCache[sub]
 		if memo == nil {
-			memo = &corrMemo{}
+			memo = &corrMemo{refs: sql.OuterRefs(an, blk)}
 			e.corrCache[sub] = memo
 		}
-		key := corrKey(an, blk, env)
+		key := memo.key(env)
 		if i := memo.index.find(len(memo.keys), memo.keyAt, key); i >= 0 {
 			return memo.outs[i], nil
 		}
@@ -281,8 +281,9 @@ func (e *Session) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 }
 
 // corrMemo memoizes one correlated subquery's results by the values of
-// its outer references: outs[i] answers keys[i].
+// its outer references, refs: outs[i] answers keys[i].
 type corrMemo struct {
+	refs  []*sql.ColRef
 	keys  [][]relation.Value
 	outs  []*relation.Relation
 	index keyIndex
@@ -290,17 +291,12 @@ type corrMemo struct {
 
 func (m *corrMemo) keyAt(i int) []relation.Value { return m.keys[i] }
 
-// corrKey returns the memoization key of a correlated subquery: the
-// values of its outer references under env.
-func corrKey(an *sql.Analysis, blk *sql.Analyzed, env *sql.Env) []relation.Value {
-	refs := sql.OuterRefs(an, blk)
-	key := make([]relation.Value, len(refs))
-	for i, ref := range refs {
-		v, err := sql.Eval(&sql.ColRef{Alias: ref.Alias, Column: ref.Column, Table: ref.Table, Key: ref.Key}, env, nil)
-		if err != nil {
-			v = relation.Null
-		}
-		key[i] = v
+// key returns the memoization key of the subquery run under env: the
+// outer references' values (NULL where unbound).
+func (m *corrMemo) key(env *sql.Env) []relation.Value {
+	key := make([]relation.Value, len(m.refs))
+	for i, ref := range m.refs {
+		key[i], _ = env.Lookup(ref.Key)
 	}
 	return key
 }
@@ -384,25 +380,9 @@ func (e *Session) applyResidualCentral(c *compiled, t *table, outer *sql.Env, su
 		return t, nil
 	}
 	out := newTableShared(t.header, t.index)
-	env := &sql.Env{Binding: sql.Binding(t.index), Parent: outer}
-	for _, row := range t.rows {
-		env.Row = relation.Tuple(row)
-		keep := true
-		for _, p := range c.residual {
-			ok, err := p.eval(env, subq)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out, nil
+	var err error
+	out.rows, err = keepRows(compileTests(c.residual, sql.Binding(t.index)), t.rows, outer, subq, nil)
+	return out, err
 }
 
 // projectCentral applies grouping, aggregation, HAVING, the SELECT list
@@ -425,16 +405,14 @@ func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql
 		return projectGroups(c, setup, pg.groups, t.header, outer, subq)
 	}
 	out := relation.New("result", blk.OutputSchema())
-	env := &sql.Env{Binding: sql.Binding(t.index), Parent: outer}
+	items := make([]sql.Compiled, len(blk.Sel.Items))
+	for i, item := range blk.Sel.Items {
+		items[i] = sql.Compile(item.Expr, sql.Binding(t.index))
+	}
 	for _, row := range t.rows {
-		env.Row = row
-		tup := make(relation.Tuple, len(blk.Sel.Items))
-		for i, item := range blk.Sel.Items {
-			v, err := sql.Eval(item.Expr, env, subq)
-			if err != nil {
-				return nil, err
-			}
-			tup[i] = v
+		tup, err := sql.EvalAll(items, row, outer, subq)
+		if err != nil {
+			return nil, err
 		}
 		out.Tuples = append(out.Tuples, tup)
 	}

@@ -1,9 +1,7 @@
 package sql
 
 import (
-	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/relation"
 )
@@ -18,12 +16,10 @@ func BindKey(alias, column string) string {
 }
 
 // Env is the evaluation environment of one row, chained outward for
-// correlated subqueries. Aggs holds precomputed aggregate values for
-// AggRef nodes installed by RewriteAggregates.
+// correlated subqueries.
 type Env struct {
 	Binding Binding
 	Row     relation.Tuple
-	Aggs    []relation.Value
 	Parent  *Env
 }
 
@@ -32,8 +28,9 @@ type Env struct {
 // block recursively; the TAG engine runs a vertex program).
 type SubqueryFn func(sub *Select, env *Env) (*relation.Relation, error)
 
-// AggRef refers to the i-th precomputed aggregate in Env.Aggs. It is
-// installed by RewriteAggregates and never produced by the parser.
+// AggRef refers to the i-th precomputed aggregate of a group, which the
+// group's row binds under AggKey(i). It is installed by
+// RewriteAggregates and never produced by the parser.
 type AggRef struct{ Slot int }
 
 func (*AggRef) exprNode() {}
@@ -81,323 +78,6 @@ func RewriteAggregates(e Expr, slotOf func(*FuncCall) int) Expr {
 		return &FuncCall{Name: x.Name, Distinct: x.Distinct, Star: x.Star, Args: args}
 	}
 	return e
-}
-
-// Eval evaluates e under env with SQL three-valued logic. Comparisons
-// involving NULL yield NULL; filters must treat anything but TRUE as
-// non-qualifying. subq may be nil if e contains no subqueries.
-func Eval(e Expr, env *Env, subq SubqueryFn) (relation.Value, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Val, nil
-	case *AggRef:
-		for sc := env; sc != nil; sc = sc.Parent {
-			if x.Slot < len(sc.Aggs) {
-				return sc.Aggs[x.Slot], nil
-			}
-		}
-		return relation.Null, fmt.Errorf("sql: unbound aggregate slot %d", x.Slot)
-	case *ColRef:
-		key := x.Key
-		if key == "" {
-			key = BindKey(x.Alias, x.Column) // built by hand, not analyzed
-		}
-		scope := env
-		for d := 0; d < x.Depth; d++ {
-			if scope == nil {
-				break
-			}
-			scope = scope.Parent
-		}
-		for ; scope != nil; scope = scope.Parent {
-			if i, ok := scope.Binding[key]; ok {
-				return scope.Row[i], nil
-			}
-		}
-		return relation.Null, fmt.Errorf("sql: unbound column %s.%s", x.Alias, x.Column)
-	case *Unary:
-		v, err := Eval(x.X, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return relation.Null, nil
-			}
-			return relation.Bool(!v.AsBool()), nil
-		case "-":
-			return relation.Sub(relation.Int(0), v), nil
-		}
-		return relation.Null, fmt.Errorf("sql: unknown unary op %q", x.Op)
-	case *Binary:
-		return evalBinary(x, env, subq)
-	case *Between:
-		v, err := Eval(x.X, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		lo, err := Eval(x.Lo, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		hi, err := Eval(x.Hi, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return relation.Null, nil
-		}
-		in := v.Compare(lo) >= 0 && v.Compare(hi) <= 0
-		return relation.Bool(in != x.Not), nil
-	case *InList:
-		v, err := Eval(x.X, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		if v.IsNull() {
-			return relation.Null, nil
-		}
-		sawNull := false
-		for _, item := range x.List {
-			iv, err := Eval(item, env, subq)
-			if err != nil {
-				return relation.Null, err
-			}
-			if iv.IsNull() {
-				sawNull = true
-				continue
-			}
-			if v.Equal(iv) {
-				return relation.Bool(!x.Not), nil
-			}
-		}
-		if sawNull {
-			return relation.Null, nil
-		}
-		return relation.Bool(x.Not), nil
-	case *InSubquery:
-		if subq == nil {
-			return relation.Null, fmt.Errorf("sql: subquery evaluation not available")
-		}
-		v, err := Eval(x.X, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		if v.IsNull() {
-			return relation.Null, nil
-		}
-		rows, err := subq(x.Sub, env)
-		if err != nil {
-			return relation.Null, err
-		}
-		return inRows(rows, v, x.Not), nil
-	case *Exists:
-		if subq == nil {
-			return relation.Null, fmt.Errorf("sql: subquery evaluation not available")
-		}
-		rows, err := subq(x.Sub, env)
-		if err != nil {
-			return relation.Null, err
-		}
-		return relation.Bool((rows.Len() > 0) != x.Not), nil
-	case *ScalarSubquery:
-		if subq == nil {
-			return relation.Null, fmt.Errorf("sql: subquery evaluation not available")
-		}
-		rows, err := subq(x.Sub, env)
-		if err != nil {
-			return relation.Null, err
-		}
-		if rows.Len() == 0 {
-			return relation.Null, nil
-		}
-		if rows.Len() > 1 {
-			return relation.Null, fmt.Errorf("sql: scalar subquery returned %d rows", rows.Len())
-		}
-		return rows.Tuples[0][0], nil
-	case *Like:
-		v, err := Eval(x.X, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		if v.IsNull() {
-			return relation.Null, nil
-		}
-		return relation.Bool(MatchLike(v.String(), x.Pattern) != x.Not), nil
-	case *IsNull:
-		v, err := Eval(x.X, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		return relation.Bool(v.IsNull() != x.Not), nil
-	case *Case:
-		for _, w := range x.Whens {
-			c, err := Eval(w.Cond, env, subq)
-			if err != nil {
-				return relation.Null, err
-			}
-			if c.AsBool() {
-				return Eval(w.Then, env, subq)
-			}
-		}
-		if x.Else != nil {
-			return Eval(x.Else, env, subq)
-		}
-		return relation.Null, nil
-	case *FuncCall:
-		if x.IsAggregate() {
-			return relation.Null, fmt.Errorf("sql: aggregate %s outside aggregation context", x.Name)
-		}
-		return evalScalarFunc(x, env, subq)
-	}
-	return relation.Null, fmt.Errorf("sql: cannot evaluate %T", e)
-}
-
-func evalBinary(x *Binary, env *Env, subq SubqueryFn) (relation.Value, error) {
-	// Three-valued AND/OR with short-circuiting.
-	switch x.Op {
-	case "AND", "OR":
-		l, err := Eval(x.L, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		if x.Op == "AND" && !l.IsNull() && !l.AsBool() {
-			return relation.Bool(false), nil
-		}
-		if x.Op == "OR" && l.AsBool() {
-			return relation.Bool(true), nil
-		}
-		r, err := Eval(x.R, env, subq)
-		if err != nil {
-			return relation.Null, err
-		}
-		if x.Op == "AND" {
-			if !r.IsNull() && !r.AsBool() {
-				return relation.Bool(false), nil
-			}
-			if l.IsNull() || r.IsNull() {
-				return relation.Null, nil
-			}
-			return relation.Bool(true), nil
-		}
-		if r.AsBool() {
-			return relation.Bool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return relation.Null, nil
-		}
-		return relation.Bool(false), nil
-	}
-
-	l, err := Eval(x.L, env, subq)
-	if err != nil {
-		return relation.Null, err
-	}
-	r, err := Eval(x.R, env, subq)
-	if err != nil {
-		return relation.Null, err
-	}
-	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return relation.Null, nil
-		}
-		c := l.Compare(r)
-		var ok bool
-		switch x.Op {
-		case "=":
-			ok = c == 0
-		case "<>":
-			ok = c != 0
-		case "<":
-			ok = c < 0
-		case "<=":
-			ok = c <= 0
-		case ">":
-			ok = c > 0
-		case ">=":
-			ok = c >= 0
-		}
-		return relation.Bool(ok), nil
-	case "+":
-		return relation.Add(l, r), nil
-	case "-":
-		return relation.Sub(l, r), nil
-	case "*":
-		return relation.Mul(l, r), nil
-	case "/":
-		return relation.Div(l, r), nil
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return relation.Null, nil
-		}
-		return relation.Str(l.String() + r.String()), nil
-	}
-	return relation.Null, fmt.Errorf("sql: unknown operator %q", x.Op)
-}
-
-func evalScalarFunc(x *FuncCall, env *Env, subq SubqueryFn) (relation.Value, error) {
-	switch x.Name {
-	case "YEAR", "MONTH", "DAY":
-		if len(x.Args) != 1 {
-			return relation.Null, fmt.Errorf("sql: %s takes one argument", x.Name)
-		}
-		v, err := Eval(x.Args[0], env, subq)
-		if err != nil || v.IsNull() {
-			return relation.Null, err
-		}
-		t := time.Unix(v.AsInt()*86400, 0).UTC()
-		switch x.Name {
-		case "YEAR":
-			return relation.Int(int64(t.Year())), nil
-		case "MONTH":
-			return relation.Int(int64(t.Month())), nil
-		default:
-			return relation.Int(int64(t.Day())), nil
-		}
-	}
-	return relation.Null, fmt.Errorf("sql: unknown function %s", x.Name)
-}
-
-// MatchLike implements SQL LIKE with % (any run) and _ (any one byte)
-// wildcards, matching greedily with backtracking.
-func MatchLike(s, pattern string) bool {
-	var match func(si, pi int) bool
-	match = func(si, pi int) bool {
-		for pi < len(pattern) {
-			switch pattern[pi] {
-			case '%':
-				// Collapse consecutive %.
-				for pi < len(pattern) && pattern[pi] == '%' {
-					pi++
-				}
-				if pi == len(pattern) {
-					return true
-				}
-				for k := si; k <= len(s); k++ {
-					if match(k, pi) {
-						return true
-					}
-				}
-				return false
-			case '_':
-				if si >= len(s) {
-					return false
-				}
-				si++
-				pi++
-			default:
-				if si >= len(s) || s[si] != pattern[pi] {
-					return false
-				}
-				si++
-				pi++
-			}
-		}
-		return si == len(s)
-	}
-	return match(0, 0)
 }
 
 // Aggregator accumulates one aggregate function incrementally; used by

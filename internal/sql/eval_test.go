@@ -257,7 +257,7 @@ func TestRewriteAggregates(t *testing.T) {
 	if len(slots) != 2 {
 		t.Fatalf("slots = %d", len(slots))
 	}
-	env := &Env{Aggs: []relation.Value{relation.Int(10), relation.Int(3)}}
+	env := &Env{Binding: Binding{AggKey(0): 0, AggKey(1): 1}, Row: relation.Tuple{relation.Int(10), relation.Int(3)}}
 	v, err := Eval(rewritten, env, nil)
 	if err != nil {
 		t.Fatal(err)
