@@ -1,8 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§8), one testing.B target per computation (its doc comment
-// names every artifact it regenerates), plus the design-choice
-// ablations. Custom metrics expose the paper's cost measures (messages,
-// network bytes) alongside wall time.
+// names every artifact it regenerates). Custom metrics expose the
+// paper's cost measures (messages, network bytes) alongside wall time.
 //
 // Run everything:   go test -bench=. -benchmem
 // One experiment:   go test -bench=BenchmarkFig16Distributed
@@ -176,76 +175,3 @@ func BenchmarkFig16Distributed(b *testing.B) { distributedBench(b, "tpch") }
 // BenchmarkTable17DistributedTPCDS regenerates Table 17 and Figure 16's
 // TPC-DS side.
 func BenchmarkTable17DistributedTPCDS(b *testing.B) { distributedBench(b, "tpcds") }
-
-// --- Ablations ---
-
-// BenchmarkAblationThetaSweep sweeps the §6.1.2 heavy/light threshold.
-func BenchmarkAblationThetaSweep(b *testing.B) {
-	cfg := bench.Config{Runs: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.AblationTheta(cfg, benchScale, []float64{0, 1, 1e9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res[0].Messages), "sqrtIN_msgs")
-		b.ReportMetric(float64(res[1].Messages), "allheavy_msgs")
-		b.ReportMetric(float64(res[2].Messages), "alllight_msgs")
-	}
-}
-
-// BenchmarkAblationCartesian compares §6.3's Algorithms A and B.
-func BenchmarkAblationCartesian(b *testing.B) {
-	cfg := bench.Config{Runs: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.AblationCartesian(cfg, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res[0].Messages), "algA_msgs")
-		b.ReportMetric(float64(res[1].Messages), "algB_msgs")
-	}
-}
-
-// BenchmarkAblationAggPath compares the LA and (forced) GA paths of §7.
-func BenchmarkAblationAggPath(b *testing.B) {
-	cfg := bench.Config{Runs: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.AblationAggPath(cfg, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(bench.Ms(res[0].Elapsed), "la_ms")
-		b.ReportMetric(bench.Ms(res[1].Elapsed), "ga_ms")
-	}
-}
-
-// BenchmarkAblationWorkers measures intra-server thread scaling.
-func BenchmarkAblationWorkers(b *testing.B) {
-	cfg := bench.Config{Runs: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.AblationWorkers(cfg, benchScale, []int{1, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(bench.Ms(res[0].Elapsed), "w1_ms")
-		b.ReportMetric(bench.Ms(res[1].Elapsed), "w4_ms")
-	}
-}
-
-// BenchmarkAblationPolicy compares TAG materialization policies (§3).
-func BenchmarkAblationPolicy(b *testing.B) {
-	cfg := bench.Config{Runs: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.AblationPolicy(cfg, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res[0].Bytes)/1024, "default_kb")
-		b.ReportMetric(float64(res[1].Bytes)/1024, "all_kb")
-	}
-}

@@ -6,15 +6,14 @@
 //	tpcds       Tables 5/6/11-13, Figures 13(b)/15
 //	memory      Table 7 peak RAM during workload execution
 //	distributed Figure 16 + Tables 16/17 on the simulated cluster
-//	ablation    design-choice ablations (θ sweep, Cartesian A/B, LA vs GA,
-//	            thread scaling, materialization policy)
 //	all         everything above
 //
 // -exp accepts a comma-separated list (e.g. -exp tpch,memory); an
 // unknown name is an error listing the valid experiments. -quick
 // shrinks to one small scale and one run so a CI smoke pass finishes in
-// seconds. Serving, durability, maintenance and message-plane numbers
-// come from the benchmark module (benchmark/README.md), not from here.
+// seconds. Serving, durability, maintenance and message-plane numbers,
+// thread scaling among them, come from the benchmark module
+// (benchmark/README.md), not from here.
 package main
 
 import (
@@ -28,7 +27,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiments, comma-separated: load|tpch|tpcds|memory|distributed|ablation|all")
+	exp := flag.String("exp", "all", "experiments, comma-separated: load|tpch|tpcds|memory|distributed|all")
 	scalesFlag := flag.String("scales", "0.5,1,2", "comma-separated scale factors (stand-ins for SF-30/50/75)")
 	runs := flag.Int("runs", 3, "timed repetitions per query (after one warm-up)")
 	workers := flag.Int("workers", 0, "BSP worker threads (0 = GOMAXPROCS)")
@@ -64,7 +63,6 @@ func main() {
 		{"tpcds", func() error { return runWorkload(cfg, "tpcds") }},
 		{"memory", func() error { return runMemory(cfg) }},
 		{"distributed", func() error { return runDistributed(cfg) }},
-		{"ablation", func() error { return runAblation(cfg) }},
 	}
 	valid := map[string]bool{"all": true}
 	var names []string
@@ -180,35 +178,5 @@ func runDistributed(cfg bench.Config) error {
 		}
 		bench.PrintDistributed(cfg.Out, res)
 	}
-	return nil
-}
-
-func runAblation(cfg bench.Config) error {
-	sc := cfg.Scales[len(cfg.Scales)-1]
-	th, err := bench.AblationTheta(cfg, sc, []float64{0, 1, 4, 16, 1e9})
-	if err != nil {
-		return err
-	}
-	bench.PrintTheta(cfg.Out, th)
-	ca, err := bench.AblationCartesian(cfg, cfg.Scales[0])
-	if err != nil {
-		return err
-	}
-	bench.PrintCartesian(cfg.Out, ca)
-	ap, err := bench.AblationAggPath(cfg, sc)
-	if err != nil {
-		return err
-	}
-	bench.PrintAggPath(cfg.Out, ap)
-	wk, err := bench.AblationWorkers(cfg, sc, []int{1, 2, 4, 8})
-	if err != nil {
-		return err
-	}
-	bench.PrintWorkers(cfg.Out, wk)
-	pl, err := bench.AblationPolicy(cfg, sc)
-	if err != nil {
-		return err
-	}
-	bench.PrintPolicy(cfg.Out, pl)
 	return nil
 }

@@ -132,62 +132,6 @@ func TestRunDistributedSmall(t *testing.T) {
 	}
 }
 
-func TestAblations(t *testing.T) {
-	cfg := Config{Runs: 1, Workers: 4}
-	th, err := AblationTheta(cfg, 0.3, []float64{0, 1, 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Correctness must hold across thresholds.
-	for _, r := range th[1:] {
-		if r.Rows != th[0].Rows {
-			t.Errorf("theta sweep changed result: %+v vs %+v", r, th[0])
-		}
-	}
-	ca, err := AblationCartesian(cfg, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca[0].Rows != ca[1].Rows {
-		t.Error("cartesian algorithms disagree")
-	}
-	// Algorithm A communicates less but computes centrally; B's message
-	// count is on the order of the output.
-	if ca[1].Messages <= ca[0].Messages {
-		t.Errorf("algorithm B should send more messages: %+v", ca)
-	}
-	ap, err := AblationAggPath(cfg, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap[0].Rows != ap[1].Rows {
-		t.Errorf("LA and GA paths must agree on groups: %+v", ap)
-	}
-	wk, err := AblationWorkers(cfg, 0.3, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wk) != 2 {
-		t.Error("worker sweep incomplete")
-	}
-	pl, err := AblationPolicy(cfg, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl[1].AttrVerts <= pl[0].AttrVerts {
-		t.Errorf("materialize-all should create more attr vertices: %+v", pl)
-	}
-	var buf bytes.Buffer
-	PrintTheta(&buf, th)
-	PrintCartesian(&buf, ca)
-	PrintAggPath(&buf, ap)
-	PrintWorkers(&buf, wk)
-	PrintPolicy(&buf, pl)
-	if !strings.Contains(buf.String(), "sqrt(IN)") {
-		t.Error("ablation report malformed")
-	}
-}
-
 func TestPeakRAM(t *testing.T) {
 	peak, err := PeakRAM(func() error {
 		buf := make([]byte, 8<<20)

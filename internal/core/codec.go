@@ -37,7 +37,7 @@ const (
 	ctGroupAcc
 	ctTuple
 	ctValueSlice
-	ctCartMsg
+	_ // retired: §6.3 Algorithm A's tuple relay
 	ctOJReply
 	ctRootVal
 	ctRelayMark
@@ -63,9 +63,6 @@ func (c sessionCodec) Append(dst []byte, pay any) ([]byte, error) {
 		return appendValues(append(dst, ctTuple), m)
 	case []relation.Value:
 		return appendValues(append(dst, ctValueSlice), m)
-	case cartMsg:
-		dst = appendBool(append(dst, ctCartMsg), m.left)
-		return appendValues(dst, m.row)
 	case ojReply:
 		dst = appendBool(append(dst, ctOJReply), m.left)
 		return appendValues(dst, m.row)
@@ -144,16 +141,6 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 		return relation.Tuple(vals), nil
 	case ctValueSlice:
 		return decodeValues(d)
-	case ctCartMsg:
-		left, err := decodeBool(d)
-		if err != nil {
-			return nil, err
-		}
-		row, err := decodeValues(d)
-		if err != nil {
-			return nil, err
-		}
-		return cartMsg{left: left, row: row}, nil
 	case ctOJReply:
 		left, err := decodeBool(d)
 		if err != nil {

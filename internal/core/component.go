@@ -123,7 +123,7 @@ func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env
 	// relation, so the tree reduction plus the collection-phase class
 	// agreement on the broken predicate already stay within budget.
 	for _, cyc := range comp.Cycles {
-		if r.cycleIsPKFK(cyc) && !e.ForceCyclePrePass {
+		if r.cycleIsPKFK(cyc) {
 			continue
 		}
 		if err := r.runCyclePass(cyc); err != nil {

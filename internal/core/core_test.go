@@ -321,25 +321,6 @@ func TestCartesianProductQuery(t *testing.T) {
 	}
 }
 
-func TestCartesianAlgorithmsAgree(t *testing.T) {
-	cat := shopCatalog()
-	ex := newExec(t, cat)
-	a, err := ex.CartesianA("nation", "ord")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ex.CartesianB("nation", "ord")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 15 || b.Len() != 15 {
-		t.Fatalf("product sizes = %d, %d, want 15", a.Len(), b.Len())
-	}
-	if !relation.EqualMultiset(a, b) {
-		t.Error("algorithms A and B disagree")
-	}
-}
-
 func TestLeftOuterJoinVertexProgram(t *testing.T) {
 	got := checkAgainstBaseline(t, shopCatalog(),
 		"SELECT cname, nname FROM cust LEFT JOIN nation ON cnation = nkey")
@@ -473,6 +454,25 @@ func TestEqualitySeedsKeepCoercion(t *testing.T) {
 		"SELECT k FROM big WHERE f = NULL",
 	} {
 		checkAgainstBaseline(t, cat, q)
+	}
+}
+
+// TestExponentLiterals: a literal with an exponent is one FLOAT, not
+// an INT followed by a column alias, on TAG and refdb alike.
+func TestExponentLiterals(t *testing.T) {
+	cat := shopCatalog()
+	got := checkAgainstBaseline(t, cat, "SELECT 1.5e3 FROM nation")
+	if got.Schema.Len() != 1 || got.Len() != 3 || got.Tuples[0][0] != relation.Float(1500) {
+		t.Errorf("SELECT 1.5e3: columns %v rows %v, want one FLOAT 1500 per nation", got.Schema.Columns, got.Tuples)
+	}
+	for q, want := range map[string]int{
+		"SELECT nkey FROM nation WHERE nkey * 1e3 > 1.5E3": 2,
+		"SELECT nkey FROM nation WHERE nkey < 25e-1":       2,
+		"SELECT nkey FROM nation WHERE nkey > 2E+0":        1,
+	} {
+		if got := checkAgainstBaseline(t, cat, q); got.Len() != want {
+			t.Errorf("%s: %d rows, want %d", q, got.Len(), want)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func samplePayloads() []any {
 		grp,
 		relation.Tuple(row),
 		row,
-		cartMsg{left: true, row: row},
+		ojReply{left: true, row: row},
 		ojReply{row: row},
 		rootVal{v: 11, t: tbl},
 		relayMark{alias: "a", v: 12},

@@ -22,8 +22,8 @@ type ExecInfo struct {
 
 // Session holds all per-query mutable state of one evaluation over a
 // shared, frozen TAG graph: its own BSP engine (sparse inboxes, stats),
-// the subquery memoization caches, the decorrelation tables, and a
-// snapshot of the ablation knobs. A Session runs one query at a time,
+// the subquery memoization caches, the decorrelation tables, and the
+// heavy/light threshold θ. A Session runs one query at a time,
 // but any number of Sessions may evaluate concurrently over the same
 // tag.Graph — the TAG encoding is query-independent, so serving N
 // queries means N Sessions over one graph. The engine's message plane
@@ -41,21 +41,10 @@ type Session struct {
 	TAG  *tag.Graph
 	Opts bsp.Options
 
-	// Theta overrides the heavy/light threshold of cyclic queries
-	// (§6.1.2); 0 means the default θ = √IN. Exposed for the θ-sweep
-	// ablation benchmark.
+	// Theta overrides the heavy/light threshold of the §6.2 cycle
+	// pre-pass (§6.1.2); 0 means the default θ = √IN. Answers do not
+	// depend on it, only the pre-pass's cost does.
 	Theta float64
-
-	// ForceCyclePrePass runs the §6.2 heavy/light cycle reduction even on
-	// PK-FK-dominated cycles that would normally take the §6.1.1 shortcut;
-	// used by the θ-sweep ablation.
-	ForceCyclePrePass bool
-
-	// ForceGlobalAgg routes local-aggregation queries through the global
-	// aggregator vertex instead of parallel per-attribute-vertex
-	// aggregation, exposing the LA-vs-GA bottleneck of §7/§8.3 as an
-	// ablation.
-	ForceGlobalAgg bool
 
 	eng *bsp.Engine
 	// Info reports how the most recent query was executed.
@@ -353,7 +342,7 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 	if singleRes != nil && c.residualVertexSafe() {
 		switch c.agg {
 		case AggLocal:
-			if c.hasLocalAggKey(e.TAG) && !e.ForceGlobalAgg {
+			if c.hasLocalAggKey(e.TAG) {
 				return e.finalizeLocal(c, singleRes, outer, subq)
 			}
 			return e.finalizeGlobal(c, singleRes, outer, subq)

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -254,5 +257,59 @@ func TestJSONLargeInts(t *testing.T) {
 	}
 	if _, err := decodeRow(schema, []any{"not-a-number"}); err == nil {
 		t.Error("decodeRow accepted a non-numeric string for an INT column")
+	}
+}
+
+// TestJSONNonFiniteFloats: FLOAT cells JSON has no number for are
+// rendered as strings, /query answers them with a full body, and the
+// string form round-trips back through /write's row decoder.
+func TestJSONNonFiniteFloats(t *testing.T) {
+	schema := relation.MustSchema(relation.Col("f", relation.KindFloat))
+	for _, c := range []struct {
+		in   float64
+		want string
+	}{{math.NaN(), "NaN"}, {math.Inf(1), "+Inf"}, {math.Inf(-1), "-Inf"}} {
+		got := JSONValue(relation.Float(c.in))
+		if got != c.want {
+			t.Errorf("JSONValue(%v) = %v (%T), want %q", c.in, got, got, c.want)
+		}
+		row, err := decodeRow(schema, []any{got})
+		if err != nil {
+			t.Fatalf("decodeRow rejected the string form JSONValue emits: %v", err)
+		}
+		if f := row[0].F; row[0].Kind != relation.KindFloat || !(f == c.in || math.IsNaN(f) && math.IsNaN(c.in)) {
+			t.Errorf("round-tripped value = %v, want %v", row[0], c.in)
+		}
+	}
+	for _, bad := range []string{"inf", "Infinity", "nan", "1.5", ""} {
+		if _, err := decodeRow(schema, []any{bad}); err == nil {
+			t.Errorf("decodeRow accepted %q for a FLOAT column", bad)
+		}
+	}
+
+	g := buildTPCH(t, 0.02)
+	ts := httptest.NewServer(Handler(New(g, Options{Sessions: 1})))
+	defer ts.Close()
+	q := "SELECT SUM(9" + strings.Repeat("0", 307) + ".0) FROM nation"
+	body, _ := json.Marshal(QueryRequest{SQL: q})
+	resp, err := ts.Client().Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var qr QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+		t.Fatalf("status %d, undecodable body: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusOK || len(qr.Rows) != 1 || qr.Rows[0][0] != "+Inf" {
+		t.Errorf("status %d rows %v, want 200 and [[+Inf]]", resp.StatusCode, qr.Rows)
+	}
+
+	// A body JSON cannot encode answers 500 with an error, not 200 and
+	// nothing.
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, []float64{math.NaN()})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"error"`) {
+		t.Errorf("unencodable body: status %d body %q, want 500 with an error", rec.Code, rec.Body)
 	}
 }

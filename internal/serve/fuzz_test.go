@@ -3,10 +3,14 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // TestHTTPFuzzRejections fires a table of hostile and malformed
@@ -169,4 +173,91 @@ func TestHTTPWriteRejectionIsAtomic(t *testing.T) {
 func currentEpoch(t *testing.T, ts *httptest.Server) uint64 {
 	t.Helper()
 	return uint64(statInt(t, fetchStats(t, ts), "epoch"))
+}
+
+// FuzzDecodeWrite: /write hands decodeWrite whatever JSON a client
+// sends. On any body it never panics and never allocates more than a
+// constant factor of the bytes it was given, and every row it accepts,
+// rendered cell by cell as /query renders it and decoded again, is the
+// row it was.
+func FuzzDecodeWrite(f *testing.F) {
+	srv := New(buildTPCH(f, 0.02), Options{Sessions: 1})
+	cat := srv.Graph().Catalog
+	for _, name := range cat.Names() {
+		rel := cat.Get(name)
+		if rel.Len() == 0 {
+			continue
+		}
+		row := make([]any, len(rel.Tuples[0]))
+		for i, v := range rel.Tuples[0] {
+			row[i] = JSONValue(v)
+		}
+		b, err := json.Marshal(WriteRequest{Table: name, Insert: [][]any{row}, Delete: []int64{1}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, s := range []string{
+		`{"table": "nation", "insert": [["9007199254740993", "A", 1, "c"], [1, null, 1.5, ""]]}`,
+		`{"table": "customer", "insert": [[1, "c", 1, "s", "NaN", "x"], [2, "c", 1, "s", "-Inf", "x"], [3, "c", 1, "s", -0, "x"]]}`,
+		`{"table": "orders", "insert": [[1, 1, "O", 1.5, "1995-01-31", "1", 0, "c"], [2, 1, "O", "+Inf", 9000, "1", 0, "c"]]}`,
+		`{"table": "orders", "insert": [[3, 1, "O", 1e308, 9000000, "1", 0, "c"], [4, 1, "O", 0, -800000, "1", 0, "c"]]}`,
+		`{"table": "orders", "insert": [[5, 1, "O", 0, -719528, "1", 0, "c"], [6, 1, "O", 0, 2932896, "1", 0, "c"]]}`,
+		`{"table": "nation", "insert": [[1.5, "A", 1, "c"]], "delete": [-1, 99999999999]}`,
+		`{"table": "nation", "insert": [[1, "A", 1, [[[[1, 2, {"k": "v"}]]]]]]}`,
+		`{"insert": [[]], "delete": [0]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var req WriteRequest
+		err := json.Unmarshal(body, &req)
+		var op WriteOp
+		if err == nil {
+			op, err = decodeWrite(srv, req)
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(body))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(body), d)
+		}
+		if err != nil {
+			return
+		}
+		rel := cat.Get(op.Table)
+		for _, row := range op.Insert {
+			cells := make([]any, len(row))
+			for i, v := range row {
+				cells[i] = JSONValue(v)
+			}
+			b, err := json.Marshal(cells)
+			if err != nil {
+				t.Fatalf("row %v does not render: %v", row, err)
+			}
+			var raw []any
+			if err := json.Unmarshal(b, &raw); err != nil {
+				t.Fatal(err)
+			}
+			again, err := decodeRow(rel.Schema, raw)
+			if err != nil {
+				t.Fatalf("row %v renders as %s, which does not decode: %v", row, b, err)
+			}
+			for i := range row {
+				if !sameValue(row[i], again[i]) {
+					t.Fatalf("row %v renders as %s, which decodes to %v", row, b, again)
+				}
+			}
+		}
+	})
+}
+
+// sameValue reports whether two values are the same cell, NaN
+// included.
+func sameValue(a, b relation.Value) bool {
+	if a.Kind == relation.KindFloat && b.Kind == relation.KindFloat {
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
+	return a == b
 }

@@ -33,7 +33,8 @@ type QueryRequest struct {
 // the 2^53 range JSON clients can represent exactly; cells beyond
 // ±2^53 are emitted as decimal strings instead, because a JavaScript-
 // style client would silently round them. Clients that expect huge
-// integers should accept both forms.
+// integers should accept both forms. FLOAT cells JSON has no number
+// for are the strings "NaN", "+Inf" and "-Inf".
 type QueryResponse struct {
 	Columns  []string `json:"columns"`
 	Rows     [][]any  `json:"rows"`
@@ -51,9 +52,10 @@ type QueryResponse struct {
 // that already exist), published atomically as a single new graph
 // generation — a failed request changes nothing. Insert cells follow the
 // table schema: numbers for INT/FLOAT columns (INT also accepts decimal
-// strings, the form /query serves for cells beyond ±2^53), strings for
-// STRING columns, "YYYY-MM-DD" strings (or day numbers) for DATE
-// columns, booleans for BOOL columns, null for NULL.
+// strings, the form /query serves for cells beyond ±2^53, and FLOAT
+// "NaN", "+Inf" and "-Inf"), strings for STRING columns, "YYYY-MM-DD"
+// strings (or day numbers of those dates) for DATE columns, booleans
+// for BOOL columns, null for NULL.
 type WriteRequest struct {
 	Table  string  `json:"table,omitempty"`
 	Insert [][]any `json:"insert,omitempty"`
@@ -374,30 +376,15 @@ func toSubscribeResponse(res *SubscribeResult) SubscribeResponse {
 // Reason and Pins stay zero on the long-poll path (they are properties
 // of the pin, reported when it is made).
 func answerResponse(fp string, epoch uint64, answer *relation.Relation) SubscribeResponse {
-	out := SubscribeResponse{
-		FP:       fp,
-		Epoch:    epoch,
-		Columns:  make([]string, 0, answer.Schema.Len()),
-		Rows:     make([][]any, 0, len(answer.Tuples)),
-		RowCount: answer.Len(),
-	}
-	for _, c := range answer.Schema.Columns {
-		out.Columns = append(out.Columns, c.Name)
-	}
-	for _, t := range answer.Tuples {
-		row := make([]any, len(t))
-		for i, v := range t {
-			row[i] = JSONValue(v)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
+	cols, rows := jsonTable(answer)
+	return SubscribeResponse{FP: fp, Epoch: epoch, Columns: cols, Rows: rows, RowCount: answer.Len()}
 }
 
 func toQueryResponse(res *Result) QueryResponse {
-	out := QueryResponse{
-		Columns:  make([]string, 0, res.Rows.Schema.Len()),
-		Rows:     make([][]any, 0, len(res.Rows.Tuples)),
+	cols, rows := jsonTable(res.Rows)
+	return QueryResponse{
+		Columns:  cols,
+		Rows:     rows,
 		RowCount: res.Rows.Len(),
 		Agg:      res.Info.Agg.String(),
 		Acyclic:  res.Info.Acyclic,
@@ -406,17 +393,24 @@ func toQueryResponse(res *Result) QueryResponse {
 		Millis:   ms(res.Elapsed),
 		Messages: res.Cost.Messages,
 	}
-	for _, c := range res.Rows.Schema.Columns {
-		out.Columns = append(out.Columns, c.Name)
+}
+
+// jsonTable renders a relation's column names and rows, each cell by
+// JSONValue.
+func jsonTable(rel *relation.Relation) ([]string, [][]any) {
+	cols := make([]string, 0, rel.Schema.Len())
+	for _, c := range rel.Schema.Columns {
+		cols = append(cols, c.Name)
 	}
-	for _, t := range res.Rows.Tuples {
+	rows := make([][]any, 0, len(rel.Tuples))
+	for _, t := range rel.Tuples {
 		row := make([]any, len(t))
 		for i, v := range t {
 			row[i] = JSONValue(v)
 		}
-		out.Rows = append(out.Rows, row)
+		rows = append(rows, row)
 	}
-	return out
+	return cols, rows
 }
 
 // decodeWrite converts a WriteRequest to a Maintainer op, decoding
@@ -469,9 +463,14 @@ func decodeRow(schema *relation.Schema, raw []any) (relation.Tuple, error) {
 				if cell != math.Trunc(cell) || math.Abs(cell) > 1<<53 {
 					return nil, fmt.Errorf("column %s: %v is not an exact integer", col.Name, cell)
 				}
-				if col.Kind == relation.KindInt {
+				switch {
+				case col.Kind == relation.KindInt:
 					row[i] = relation.Int(int64(cell))
-				} else {
+				case cell < float64(minDay.I) || cell > float64(maxDay.I):
+					// Only these days have the "YYYY-MM-DD" form /query
+					// serves dates in.
+					return nil, fmt.Errorf("column %s: day %v is outside 0000-01-01..9999-12-31", col.Name, cell)
+				default:
 					row[i] = relation.Date(int64(cell))
 				}
 			case relation.KindFloat:
@@ -498,6 +497,13 @@ func decodeRow(schema *relation.Schema, raw []any) (relation.Tuple, error) {
 					return nil, fmt.Errorf("column %s: %w", col.Name, err)
 				}
 				row[i] = v
+			case relation.KindFloat:
+				// Mirror of the output encoding of non-finite floats.
+				f, ok := nonFinite[cell]
+				if !ok {
+					return nil, fmt.Errorf("column %s: %q is not NaN, +Inf or -Inf", col.Name, cell)
+				}
+				row[i] = relation.Float(f)
 			default:
 				return nil, fmt.Errorf("column %s: string for %s column", col.Name, col.Kind)
 			}
@@ -517,11 +523,20 @@ func decodeRow(schema *relation.Schema, raw []any) (relation.Tuple, error) {
 // JSON client decodes exactly (2^53).
 const maxExactJSONInt = int64(1) << 53
 
+// minDay and maxDay bound the DATE cells /write accepts as day numbers.
+var minDay, maxDay = relation.DateOf(0, 1, 1), relation.DateOf(9999, 12, 31)
+
+// nonFinite maps the strings JSONValue renders non-finite FLOAT cells
+// as back to their values.
+var nonFinite = map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
+
 // JSONValue maps a relation.Value to its natural JSON representation.
 // INT cells beyond ±2^53 are rendered as decimal strings: most JSON
 // clients decode numbers into float64, which would silently round them
-// (see the QueryResponse doc). Exported so cross-protocol identity
-// checks can render binary-protocol rows exactly as /query would.
+// (see the QueryResponse doc). FLOAT cells JSON has no number for are
+// rendered as "NaN", "+Inf" or "-Inf". Exported so cross-protocol
+// identity checks can render binary-protocol rows exactly as /query
+// would.
 func JSONValue(v relation.Value) any {
 	switch v.Kind {
 	case relation.KindNull:
@@ -532,6 +547,14 @@ func JSONValue(v relation.Value) any {
 		}
 		return v.I
 	case relation.KindFloat:
+		switch {
+		case math.IsNaN(v.F):
+			return "NaN"
+		case math.IsInf(v.F, 1):
+			return "+Inf"
+		case math.IsInf(v.F, -1):
+			return "-Inf"
+		}
 		return v.F
 	case relation.KindBool:
 		return v.I != 0
@@ -540,10 +563,18 @@ func JSONValue(v relation.Value) any {
 	}
 }
 
+// writeJSON encodes body before writing the status line, so a body
+// that cannot be encoded answers 500 with an error instead of the
+// intended status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(errorResponse{Error: err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
+	w.Write(append(b, '\n'))
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

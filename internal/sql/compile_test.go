@@ -86,6 +86,8 @@ func fuzzSeeds() []string {
 		"d < DATE '1995-09-01' + INTERVAL '30' DAY AND d NOT BETWEEN o.d AND p.d",
 		"a IN (SELECT x FROM q) AND EXISTS (SELECT 1 FROM q WHERE x = o.a) AND b > (SELECT x FROM q)",
 		"SUM(a) > 1 AND COUNT(*) < 3 AND UPPER(s) = 'A' AND YEAR(d, d) = 1",
+		"a * 1.5e3 > 2E-2 AND b - -1 < > 1e6 AND c = 2.0 AND d = 1 . 5",
+		"a\xca = 1 OR \xc3\x89 = 2",
 	}
 	for _, q := range tpch.Queries() {
 		if i := strings.Index(q.SQL, "WHERE"); i >= 0 {
@@ -93,6 +95,18 @@ func fuzzSeeds() []string {
 		}
 	}
 	return seeds
+}
+
+func sameKinds(a, b []Token) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind {
+			return false
+		}
+	}
+	return true
 }
 
 // fuzzValue returns a random cell: NULL, INT, FLOAT, DATE, STRING or
@@ -122,7 +136,21 @@ func FuzzCompile(f *testing.F) {
 		f.Add(s, int64(i))
 	}
 	f.Fuzz(func(t *testing.T, where string, seed int64) {
-		sel, err := Parse("SELECT * FROM t WHERE " + where)
+		q := "SELECT * FROM t WHERE " + where
+		// A fingerprint is a cache key: for any input that lexes it is a
+		// fixpoint, and it lexes to tokens of the input's kinds.
+		if toks, err := Lex(q); err == nil {
+			fp, _ := Fingerprint(q)
+			again, err := Fingerprint(fp)
+			if err != nil || again != fp {
+				t.Fatalf("%q: Fingerprint %q, then %q (%v)", q, fp, again, err)
+			}
+			fpToks, _ := Lex(fp)
+			if !sameKinds(toks, fpToks) {
+				t.Fatalf("%q: fingerprint %q changes token kinds", q, fp)
+			}
+		}
+		sel, err := Parse(q)
 		if err != nil || sel.Where == nil {
 			return
 		}

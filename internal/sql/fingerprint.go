@@ -37,9 +37,14 @@ func Fingerprint(query string) (string, error) {
 		case TokInt:
 			b.WriteString(t.Text)
 		case TokFloat:
-			// Fold "1.50" / "1.5" / "15e-1" to one spelling.
+			// Fold "1.50" / "1.5" / "15e-1" to one spelling, one that
+			// still lexes as a float: "2.0" folds to "2.0", not "2".
 			if f, ferr := strconv.ParseFloat(t.Text, 64); ferr == nil {
-				b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+				g := strconv.FormatFloat(f, 'g', -1, 64)
+				b.WriteString(g)
+				if !strings.ContainsAny(g, ".e") {
+					b.WriteString(".0")
+				}
 			} else {
 				b.WriteString(t.Text)
 			}
@@ -69,12 +74,24 @@ func needsSpace(prev, cur Token) bool {
 	if wordy(prev) && wordy(cur) {
 		return true
 	}
+	// Adjacent operators that would fuse into a longer one, or into a
+	// line comment.
+	if prev.Kind == TokOp && cur.Kind == TokOp {
+		switch prev.Text + cur.Text {
+		case "<>", "<=", ">=", "--":
+			return true
+		}
+	}
 	// Keep "a . b" unfused but compact: dots and commas bind tightly.
 	switch cur.Text {
 	case ".", ",", ")", ";":
 		return false
 	}
-	if prev.Text == "." || prev.Text == "(" {
+	if prev.Text == "." {
+		// "1 . 5" must not fuse into the float 1.5.
+		return cur.Kind == TokInt || cur.Kind == TokFloat
+	}
+	if prev.Text == "(" {
 		return false
 	}
 	return wordy(prev) || wordy(cur)

@@ -12,6 +12,7 @@ func TestFingerprintNormalizes(t *testing.T) {
 		{
 			"SELECT COUNT(*) FROM t WHERE p = 1.50",
 			"SELECT count( * ) FROM t WHERE p = 1.5",
+			"SELECT COUNT(*) FROM t WHERE p = 15e-1",
 		},
 		{
 			"SELECT a FROM t WHERE s = 'It''s'",
@@ -42,6 +43,9 @@ func TestFingerprintDistinguishesLiterals(t *testing.T) {
 		{"SELECT a FROM t", "SELECT b FROM t"},
 		// Case differs inside a string literal: semantically distinct.
 		{"SELECT a FROM t WHERE s = 'abc'", "SELECT a FROM t WHERE s = 'ABC'"},
+		// An integral FLOAT literal is not the INT of the same value.
+		{"SELECT a / 2 FROM t", "SELECT a / 2.0 FROM t"},
+		{"SELECT a / 1000000 FROM t", "SELECT a / 1e6 FROM t"},
 	}
 	for i, p := range pairs {
 		a, err1 := Fingerprint(p[0])
@@ -64,6 +68,7 @@ func TestFingerprintRoundTrips(t *testing.T) {
 		"SELECT COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k)",
 		"SELECT a FROM t WHERE d >= DATE '1994-01-01' GROUP BY a HAVING COUNT(*) > 2",
 		"SELECT x + -1, y * 2.5 FROM t WHERE s LIKE 'a%b' OR s IS NOT NULL",
+		"SELECT 1.5e3, 2E-2, 1e21, 4.0, 1e6 FROM t",
 	}
 	for _, q := range queries {
 		fp, err := Fingerprint(q)

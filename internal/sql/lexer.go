@@ -3,7 +3,6 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // Lex tokenizes a SQL string.
@@ -32,22 +31,22 @@ func Lex(input string) ([]Token, error) {
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: start})
 			}
-		case c >= '0' && c <= '9':
-			start := i
-			isFloat := false
-			for i < n && (input[i] >= '0' && input[i] <= '9') {
-				i++
+		case isDigit(c):
+			// digits[.digits][(e|E)[+-]digits]; a fraction or an
+			// exponent makes a float.
+			start, kind := i, TokInt
+			i = skipDigits(input, i)
+			if i+1 < n && input[i] == '.' && isDigit(input[i+1]) {
+				kind, i = TokFloat, skipDigits(input, i+1)
 			}
-			if i < n && input[i] == '.' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9' {
-				isFloat = true
-				i++
-				for i < n && input[i] >= '0' && input[i] <= '9' {
-					i++
+			if i < n && (input[i] == 'e' || input[i] == 'E') {
+				j := i + 1
+				if j < n && (input[j] == '+' || input[j] == '-') {
+					j++
 				}
-			}
-			kind := TokInt
-			if isFloat {
-				kind = TokFloat
+				if j < n && isDigit(input[j]) {
+					kind, i = TokFloat, skipDigits(input, j)
+				}
 			}
 			toks = append(toks, Token{Kind: kind, Text: input[start:i], Pos: start})
 		case c == '\'':
@@ -88,7 +87,7 @@ func Lex(input string) ([]Token, error) {
 				toks = append(toks, Token{Kind: TokOp, Text: string(c), Pos: start})
 				i++
 			default:
-				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", rune(c), i)
+				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", input[i:i+1], i)
 			}
 		}
 	}
@@ -96,10 +95,22 @@ func Lex(input string) ([]Token, error) {
 	return toks, nil
 }
 
+// Identifiers are ASCII: a byte outside [A-Za-z0-9_] ends one, so
+// every identifier is valid UTF-8 and case-folds byte for byte.
 func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
 func isIdentPart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || (c >= '0' && c <= '9')
+	return isIdentStart(c) || isDigit(c)
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// skipDigits returns the offset of the first non-digit at or after i.
+func skipDigits(s string, i int) int {
+	for i < len(s) && isDigit(s[i]) {
+		i++
+	}
+	return i
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -35,6 +36,47 @@ func TestLexErrors(t *testing.T) {
 	}
 	if _, err := Lex("SELECT @"); err == nil {
 		t.Error("bad character should error")
+	}
+}
+
+// TestLexNumbersAndIdentifiers: a fraction or an exponent makes a
+// float literal, an exponent needs digits after its optional sign, and
+// identifiers are ASCII only.
+func TestLexNumbersAndIdentifiers(t *testing.T) {
+	cases := []struct {
+		in   string
+		want string // kind:text per token, or "error"
+	}{
+		{"1.5e3", "float:1.5e3"},
+		{"1e3", "float:1e3"},
+		{"15e-1", "float:15e-1"},
+		{"2E+10", "float:2E+10"},
+		{"1.5", "float:1.5"},
+		{"12", "int:12"},
+		{"1e", "int:1 ident:e"},
+		{"1e+", "int:1 ident:e op:+"},
+		{"1.e3", "int:1 op:. ident:e3"},
+		{"1e3x", "float:1e3 ident:x"},
+		{"t.c1_2", "ident:t op:. ident:c1_2"},
+		{"_a", "ident:_a"},
+		{"a\xca", "error"},
+		{"\xc3\x89", "error"}, // valid UTF-8 É
+	}
+	kinds := map[TokKind]string{TokInt: "int", TokFloat: "float", TokIdent: "ident", TokOp: "op", TokKeyword: "kw", TokString: "str"}
+	for _, c := range cases {
+		toks, err := Lex(c.in)
+		var got []string
+		if err != nil {
+			got = []string{"error"}
+		}
+		for _, tk := range toks {
+			if tk.Kind != TokEOF {
+				got = append(got, kinds[tk.Kind]+":"+tk.Text)
+			}
+		}
+		if g := strings.Join(got, " "); g != c.want {
+			t.Errorf("Lex(%q) = %s, want %s", c.in, g, c.want)
+		}
 	}
 }
 
