@@ -118,7 +118,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-interval", 0, "checkpoint the served graph and truncate the covered WAL prefix every N epochs (0 = never; requires -wal)")
 	ckptBytes := flag.Int64("checkpoint-bytes", 0, "also checkpoint after this many bytes of WAL growth (0 = no byte trigger)")
 	ckptTruncate := flag.Bool("checkpoint-truncate", true, "truncate the covered WAL prefix after each periodic checkpoint (false keeps the full log: slower boots bound by the checkpoint, but a lost image can always fall back to full replay)")
-	admitWait := flag.Duration("admit-wait", 100*time.Millisecond, "admission-control bound: how long a query waits for a session (a write for queue space) before refusal with 429/RETRY (negative = unbounded waits)")
+	admitWait := flag.Duration("admit-wait", 100*time.Millisecond, "admission-control bound: how long a query waits for a session (a write for queue space) before refusal with 429/RETRY; must not be negative")
 	writeQueue := flag.Int("write-queue", 256, "max writes queued or applying at once (beyond it, writes wait -admit-wait then get 429)")
 	var pins pinFlags
 	flag.Var(&pins, "pin", "pin a query at boot: the server keeps its answer current across writes (incrementally when eligible); repeatable, and one flag may carry several statements separated by ';'")
@@ -141,6 +141,10 @@ func main() {
 		*readonly = true
 	}
 
+	if *admitWait < 0 {
+		fmt.Fprintln(os.Stderr, "-admit-wait must not be negative")
+		os.Exit(2)
+	}
 	walPolicy, err := wal.ParsePolicy(*walSync)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

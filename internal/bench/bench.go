@@ -332,9 +332,6 @@ func PrintSelected(w io.Writer, res WorkloadResult, title string, ids []string) 
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// Ms converts a duration to milliseconds (reporting helper).
-func Ms(d time.Duration) float64 { return ms(d) }
-
 // PeakRAM measures the peak heap while fn runs (Table 7's measure): an
 // initial sample, periodic samples from a watcher goroutine, and a final
 // sample after fn returns.

@@ -488,9 +488,6 @@ func (e *Engine) shardOf(v VertexID) int {
 	return int(v) % n
 }
 
-// Graph returns the underlying graph.
-func (e *Engine) Graph() *Graph { return e.g }
-
 // Workers returns the number of worker contexts Compute runs on.
 func (e *Engine) Workers() int { return len(e.ctxs) }
 

@@ -181,8 +181,7 @@ func (sh *mergeShard) planeBytes() int64 {
 }
 
 // InboxBytes estimates the resident memory of the message plane: every
-// shard's inbox, staging and sort arrays, live or pooled. Compare with
-// DenseInboxBytes, the O(|V|) plane this replaced.
+// shard's inbox, staging and sort arrays, live or pooled.
 func (e *Engine) InboxBytes() int64 {
 	var total int64
 	for s := range e.shards {
@@ -190,11 +189,6 @@ func (e *Engine) InboxBytes() int64 {
 	}
 	return total
 }
-
-// DenseInboxBytes returns what the pre-sharding dense message plane
-// held resident for a graph of n vertices: two arrays of O(|V|) slice
-// headers per engine, regardless of how many vertices were active.
-func DenseInboxBytes(n int) int64 { return int64(n) * 48 }
 
 // compute runs prog over one ascending chunk of the active set: one
 // binary search per shard places a cursor, and each vertex's inbox is at

@@ -358,7 +358,7 @@ func TestQueryAfterMaintenance(t *testing.T) {
 
 	// Delete it again.
 	verts := g.TupleVertices("cust")
-	if err := g.DeleteTuple(verts[len(verts)-1]); err != nil {
+	if err := g.DeleteBatch(verts[len(verts)-1:]); err != nil {
 		t.Fatal(err)
 	}
 	out, err = ex.Query(q)

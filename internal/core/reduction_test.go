@@ -106,8 +106,9 @@ func TestReductionEliminatesBeforeCollection(t *testing.T) {
 	// Reduction UP pass touches all |R| vertices once (O(IN)), but the
 	// DOWN pass and collection follow marks: total messages stay well
 	// under a constant multiple of IN.
-	if msgs := ex.Stats().Messages; msgs > 4*int64(cat.TotalTuples()) {
-		t.Errorf("messages = %d exceed 4*IN = %d", msgs, 4*cat.TotalTuples())
+	in := int64(r.Len() + s.Len())
+	if msgs := ex.Stats().Messages; msgs > 4*in {
+		t.Errorf("messages = %d exceed 4*IN = %d", msgs, 4*in)
 	}
 }
 

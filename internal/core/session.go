@@ -138,9 +138,7 @@ func (e *Session) ResetStats() { e.eng.ResetStats() }
 func (e *Session) DistErr() error { return e.eng.DistErr() }
 
 // InboxBytes reports the resident memory of this session's BSP message
-// plane (the flat inbox, staging and sort arrays, live or pooled);
-// compare with bsp.DenseInboxBytes for the dense O(|V|) plane it
-// replaced.
+// plane (the flat inbox, staging and sort arrays, live or pooled).
 func (e *Session) InboxBytes() int64 { return e.eng.InboxBytes() }
 
 // PeakInboxBytes reports the largest resident inbox footprint any of

@@ -116,20 +116,6 @@ func (c *Classes) ColumnOf(class int, alias string) (string, bool) {
 	return "", false
 }
 
-// AliasesOf returns the distinct aliases participating in a class, sorted.
-func (c *Classes) AliasesOf(class int) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range c.Members[class] {
-		if !seen[m.Alias] {
-			seen[m.Alias] = true
-			out = append(out, m.Alias)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ClassesOf returns the sorted class ids that alias participates in.
 func (c *Classes) ClassesOf(alias string) []int {
 	seen := map[int]bool{}

@@ -32,8 +32,8 @@ func TestBuildClasses(t *testing.T) {
 	if col, ok := c.ColumnOf(ra, "t"); !ok || col != "x" {
 		t.Errorf("ColumnOf = %q", col)
 	}
-	if got := c.AliasesOf(ra); len(got) != 3 {
-		t.Errorf("AliasesOf = %v", got)
+	if got := c.Members[ra]; len(got) != 3 {
+		t.Errorf("Members = %v", got)
 	}
 	if got := c.ClassesOf("s"); len(got) != 2 {
 		t.Errorf("ClassesOf(s) = %v", got)

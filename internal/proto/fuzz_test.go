@@ -123,3 +123,49 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeQuery: on any QUERY payload (after its kind byte)
+// decodeQuery never panics and never allocates more than a constant
+// factor of the bytes it was given. Whatever it accepts re-encodes with
+// appendQuery to a payload that decodes to the same statement, flag
+// and deadline and re-encodes to itself.
+func FuzzDecodeQuery(f *testing.F) {
+	for _, seed := range [][]byte{
+		appendQuery(nil, "SELECT COUNT(*) FROM items", false, 0),
+		appendQuery(nil, "select count(*) from items", true, 250*time.Millisecond),
+		appendQuery(nil, "", false, math.MaxInt64),
+	} {
+		f.Add(seed[1:])
+	}
+	overflow := []byte{0}
+	overflow = codec.AppendString(overflow, "SELECT 1")
+	overflow = binary.AppendUvarint(overflow, 18446744073710)
+	f.Add(binary.AppendUvarint(overflow, 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stmt, fp, deadline, err := decodeQuery(codec.NewDecoder(data))
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), d)
+		}
+		if err != nil {
+			return
+		}
+		if deadline < 0 {
+			t.Fatalf("accepted a negative deadline %v", deadline)
+		}
+		canon := appendQuery(nil, stmt, fp, deadline)[1:]
+		stmt2, fp2, deadline2, err := decodeQuery(codec.NewDecoder(canon))
+		if err != nil {
+			t.Fatalf("canonical re-encoding does not decode: %v", err)
+		}
+		if stmt2 != stmt || fp2 != fp || deadline2 != deadline {
+			t.Fatalf("re-encoding changed the query: %q %v %v, want %q %v %v", stmt2, fp2, deadline2, stmt, fp, deadline)
+		}
+		if again := appendQuery(nil, stmt2, fp2, deadline2)[1:]; !bytes.Equal(again, canon) {
+			t.Fatalf("re-encoding is not a fixpoint:\n got %x\nwant %x", again, canon)
+		}
+	})
+}

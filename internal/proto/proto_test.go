@@ -1,12 +1,15 @@
 package proto
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -173,7 +176,10 @@ func TestDeadlineAndRetryFrames(t *testing.T) {
 	defer c.Close()
 
 	pool := core.Generation().Pool()
-	sess := pool.Acquire() // hold the only session
+	sess, err := pool.AcquireContext(context.Background(), 0) // hold the only session
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if _, err := c.QueryDeadline("SELECT COUNT(*) FROM items", 5*time.Millisecond); err == nil {
 		t.Error("deadlined query on an exhausted pool succeeded")
@@ -204,6 +210,76 @@ func TestDeadlineAndRetryFrames(t *testing.T) {
 	}
 	if st.InFlight != 0 {
 		t.Errorf("InFlight = %d, want 0", st.InFlight)
+	}
+}
+
+// TestRetryHintAgreesAcrossProtocols: one refusal on each wire, with an
+// admission bound that is not a whole number of seconds, carries the
+// same rounded-up hint — HTTP's Retry-After header and the RETRY frame.
+func TestRetryHintAgreesAcrossProtocols(t *testing.T) {
+	core, _, addr := startServer(t, serve.Options{Sessions: 1, AdmitWait: 1500 * time.Millisecond})
+	hs := httptest.NewServer(serve.Handler(core))
+	defer hs.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pool := core.Generation().Pool()
+	sess, err := pool.AcquireContext(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Release(sess)
+
+	// Both refusals wait out the bound at the same time.
+	header := make(chan string, 1)
+	go func() {
+		resp, err := hs.Client().Get(hs.URL + "/query?sql=SELECT%20COUNT(*)%20FROM%20items")
+		if err != nil {
+			header <- err.Error()
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		header <- fmt.Sprintf("%d Retry-After %s", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}()
+	_, err = c.Query("SELECT COUNT(*) FROM items")
+	if re, ok := err.(*RetryError); !ok || re.After != 2*time.Second {
+		t.Errorf("TAGP1 refusal = %v, want a RETRY frame after 2s", err)
+	}
+	if got := <-header; got != "429 Retry-After 2" {
+		t.Errorf("HTTP refusal = %q, want \"429 Retry-After 2\"", got)
+	}
+}
+
+// TestQueryDeadlineEncoding: a QUERY frame's deadline survives the
+// wire. A positive deadline under 1ms stays a deadline, a non-positive
+// one means none, and a millisecond count that overflows a
+// time.Duration is a bad frame rather than a wrapped deadline.
+func TestQueryDeadlineEncoding(t *testing.T) {
+	for _, c := range []struct{ in, want time.Duration }{
+		{0, 0},
+		{-time.Second, 0},
+		{time.Microsecond, time.Millisecond},
+		{1500 * time.Microsecond, time.Millisecond},
+		{time.Hour, time.Hour},
+		{math.MaxInt64, math.MaxInt64 / time.Millisecond * time.Millisecond},
+	} {
+		b := appendQuery(nil, "SELECT 1", false, c.in)
+		_, _, got, err := decodeQuery(codec.NewDecoder(b[1:]))
+		if err != nil || got != c.want {
+			t.Errorf("deadline %v decodes to %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, ms := range []uint64{18446744073709, 18446744073710, math.MaxUint64} {
+		b := []byte{0}
+		b = codec.AppendString(b, "SELECT 1")
+		b = binary.AppendUvarint(b, ms)
+		b = binary.AppendUvarint(b, 0)
+		if _, _, d, err := decodeQuery(codec.NewDecoder(b)); err == nil {
+			t.Errorf("deadline of %dms decoded to %v, want a bad frame", ms, d)
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func (s *Server) answer(buf []byte, stmt string, fingerprint bool, deadline time
 	case err == nil:
 		return appendResult(buf, res, fp)
 	case errors.Is(err, serve.ErrOverloaded):
-		return appendRetry(buf, retryAfter(s.core.AdmitWait()), err.Error()), nil
+		return appendRetry(buf, s.core.RetryAfter(), err.Error()), nil
 	case errors.Is(err, context.DeadlineExceeded):
 		return appendError(buf, ErrorDeadline, err.Error()), nil
 	case errors.Is(err, context.Canceled):
@@ -215,17 +215,6 @@ func (s *Server) answer(buf []byte, stmt string, fingerprint bool, deadline time
 // A failed write is ignored — the connection is going away regardless.
 func (s *Server) refuse(bw *bufio.Writer, scratch []byte, code, msg string) {
 	writeFrame(bw, appendError(scratch[:0], code, msg))
-}
-
-// retryAfter rounds the admission bound up to whole seconds (floor 1s)
-// to match the HTTP surface's Retry-After header, so a client backing
-// off sees the same hint on either protocol.
-func retryAfter(wait time.Duration) time.Duration {
-	secs := (wait + time.Second - 1) / time.Second
-	if secs < 1 {
-		secs = 1
-	}
-	return secs * time.Second
 }
 
 // writeFrame frames payload and flushes it — every response reaches

@@ -23,6 +23,7 @@ package proto
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/codec"
@@ -100,7 +101,8 @@ func appendHello(b []byte) []byte {
 
 // appendQuery encodes a QUERY frame payload: flags, the statement (SQL
 // text, or a fingerprint when flagFingerprint is set), the deadline in
-// milliseconds (0 = none), and a reserved parameter count (must be 0;
+// milliseconds (0 = none; a positive deadline under 1ms is sent as 1ms
+// so it stays a deadline), and a reserved parameter count (must be 0;
 // room for bound parameters without a format break).
 func appendQuery(b []byte, stmt string, fingerprint bool, deadline time.Duration) []byte {
 	b = append(b, kindQuery)
@@ -110,7 +112,11 @@ func appendQuery(b []byte, stmt string, fingerprint bool, deadline time.Duration
 	}
 	b = append(b, flags)
 	b = codec.AppendString(b, stmt)
-	b = binary.AppendUvarint(b, uint64(deadline.Milliseconds()))
+	var ms int64
+	if deadline > 0 {
+		ms = max(deadline.Milliseconds(), 1)
+	}
+	b = binary.AppendUvarint(b, uint64(ms))
 	b = binary.AppendUvarint(b, 0)
 	return b
 }
@@ -134,6 +140,9 @@ func decodeQuery(d *codec.Decoder) (stmt string, fingerprint bool, deadline time
 	}
 	if nparams != 0 {
 		return "", false, 0, fmt.Errorf("proto: %d bound parameters unsupported", nparams)
+	}
+	if ms > math.MaxInt64/uint64(time.Millisecond) {
+		return "", false, 0, fmt.Errorf("proto: deadline %dms overflows", ms)
 	}
 	if err = d.Finish(); err != nil {
 		return "", false, 0, err

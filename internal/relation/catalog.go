@@ -126,16 +126,6 @@ func (c *Catalog) IsPKFKJoin(ta, ca, tb, cb string) bool {
 	return false
 }
 
-// TotalTuples returns the number of tuples across all relations (the
-// paper's IN measure).
-func (c *Catalog) TotalTuples() int {
-	n := 0
-	for _, r := range c.relations {
-		n += r.Len()
-	}
-	return n
-}
-
 // TotalBytes returns the data footprint across all relations.
 func (c *Catalog) TotalBytes() int {
 	n := 0

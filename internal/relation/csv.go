@@ -2,9 +2,7 @@ package relation
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
-	"strconv"
 )
 
 // WriteCSV writes the relation with a header row.
@@ -28,73 +26,4 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV reads rows (with header) into a relation with the given schema.
-// Empty fields become NULL.
-func ReadCSV(name string, schema *Schema, rd io.Reader) (*Relation, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = schema.Len()
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("relation: reading %s header: %w", name, err)
-	}
-	for i, h := range header {
-		if schema.Index(h) != i {
-			return nil, fmt.Errorf("relation: %s header column %d is %q, want %q", name, i, h, schema.Columns[i].Name)
-		}
-	}
-	out := New(name, schema)
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("relation: reading %s: %w", name, err)
-		}
-		t := make(Tuple, len(rec))
-		for i, field := range rec {
-			v, err := ParseValue(schema.Columns[i].Kind, field)
-			if err != nil {
-				return nil, fmt.Errorf("relation: %s row %d col %s: %w", name, len(out.Tuples)+1, schema.Columns[i].Name, err)
-			}
-			t[i] = v
-		}
-		out.Tuples = append(out.Tuples, t)
-	}
-	return out, nil
-}
-
-// ParseValue parses a textual field into a value of the given kind.
-// The empty string parses to NULL for every kind.
-func ParseValue(kind Kind, field string) (Value, error) {
-	if field == "" {
-		return Null, nil
-	}
-	switch kind {
-	case KindInt:
-		n, err := strconv.ParseInt(field, 10, 64)
-		if err != nil {
-			return Null, err
-		}
-		return Int(n), nil
-	case KindFloat:
-		f, err := strconv.ParseFloat(field, 64)
-		if err != nil {
-			return Null, err
-		}
-		return Float(f), nil
-	case KindString:
-		return Str(field), nil
-	case KindBool:
-		b, err := strconv.ParseBool(field)
-		if err != nil {
-			return Null, err
-		}
-		return Bool(b), nil
-	case KindDate:
-		return ParseDate(field)
-	}
-	return Null, fmt.Errorf("unsupported kind %v", kind)
 }

@@ -114,57 +114,6 @@ func (r *Relation) ByteSize() int {
 	return n
 }
 
-// Column returns the values of the named column in row order.
-func (r *Relation) Column(name string) ([]Value, error) {
-	i := r.Schema.Index(name)
-	if i < 0 {
-		return nil, fmt.Errorf("relation %s: no column %q", r.Name, name)
-	}
-	out := make([]Value, len(r.Tuples))
-	for j, t := range r.Tuples {
-		out[j] = t[i]
-	}
-	return out, nil
-}
-
-// Project returns a new relation with only the named columns.
-func (r *Relation) Project(names ...string) (*Relation, error) {
-	idx := make([]int, len(names))
-	cols := make([]Column, len(names))
-	for k, n := range names {
-		i := r.Schema.Index(n)
-		if i < 0 {
-			return nil, fmt.Errorf("relation %s: no column %q", r.Name, n)
-		}
-		idx[k] = i
-		cols[k] = r.Schema.Columns[i]
-	}
-	schema, err := NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	out := New(r.Name, schema)
-	for _, t := range r.Tuples {
-		nt := make(Tuple, len(idx))
-		for k, i := range idx {
-			nt[k] = t[i]
-		}
-		out.Tuples = append(out.Tuples, nt)
-	}
-	return out, nil
-}
-
-// Filter returns a new relation with tuples satisfying pred.
-func (r *Relation) Filter(pred func(Tuple) bool) *Relation {
-	out := New(r.Name, r.Schema)
-	for _, t := range r.Tuples {
-		if pred(t) {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
-}
-
 // SortedKeys returns canonical row keys in sorted order; used by
 // EqualMultiset and deterministic output.
 func (r *Relation) SortedKeys() []string {

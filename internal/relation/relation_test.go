@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bytes"
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,38 +40,6 @@ func TestRelationAppendArity(t *testing.T) {
 	}
 	if r.Len() != 3 {
 		t.Errorf("Len = %d, want 3", r.Len())
-	}
-}
-
-func TestProjectAndColumn(t *testing.T) {
-	r := sampleRelation(t)
-	p, err := r.Project("name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schema.Len() != 1 || p.Len() != 3 {
-		t.Fatalf("project shape wrong: %v", p)
-	}
-	if p.Tuples[0][0] != Str("USA") {
-		t.Errorf("projected value = %v", p.Tuples[0][0])
-	}
-	col, err := r.Column("nationkey")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(col) != 3 || col[2] != Int(3) {
-		t.Errorf("column = %v", col)
-	}
-	if _, err := r.Project("nope"); err == nil {
-		t.Error("projecting missing column should error")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := sampleRelation(t)
-	f := r.Filter(func(tp Tuple) bool { return tp[0].AsInt() >= 2 })
-	if f.Len() != 2 {
-		t.Errorf("filter kept %d rows, want 2", f.Len())
 	}
 }
 
@@ -127,9 +97,6 @@ func TestCatalog(t *testing.T) {
 	if c.IsPKFKJoin("a", "x", "b", "y") {
 		t.Error("unknown join should not be PK-FK")
 	}
-	if c.TotalTuples() != 3 {
-		t.Errorf("TotalTuples = %d", c.TotalTuples())
-	}
 	if !strings.Contains(c.String(), "nation") {
 		t.Error("String should mention relation")
 	}
@@ -139,53 +106,25 @@ func TestCSVRoundTrip(t *testing.T) {
 	r := New("t", MustSchema(
 		Col("i", KindInt), Col("f", KindFloat), Col("s", KindString),
 		Col("b", KindBool), Col("d", KindDate)))
-	r.MustAppend(Int(1), Float(1.5), Str("alpha"), Bool(true), DateOf(2020, 1, 2))
+	r.MustAppend(Int(1), Float(1.5), Str("alpha, \"beta\""), Bool(true), DateOf(2020, 1, 2))
 	r.MustAppend(Null, Null, Null, Null, Null)
 
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV("t", r.Schema, &buf)
+	// A CSV reader gets the header and every cell's text back, quoting
+	// undone; NULL is the empty field.
+	back, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EqualMultiset(r, back) {
-		t.Errorf("round trip mismatch:\n%v\nvs\n%v", r, back)
+	want := [][]string{
+		{"i", "f", "s", "b", "d"},
+		{"1", "1.5", `alpha, "beta"`, "true", "2020-01-02"},
+		{"", "", "", "", ""},
 	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	s := MustSchema(Col("i", KindInt))
-	if _, err := ReadCSV("t", s, strings.NewReader("wrong\n1\n")); err == nil {
-		t.Error("bad header should error")
-	}
-	if _, err := ReadCSV("t", s, strings.NewReader("i\nnotint\n")); err == nil {
-		t.Error("bad int should error")
-	}
-}
-
-func TestParseValueAllKinds(t *testing.T) {
-	cases := []struct {
-		kind Kind
-		in   string
-		want Value
-	}{
-		{KindInt, "42", Int(42)},
-		{KindFloat, "2.5", Float(2.5)},
-		{KindString, "hi", Str("hi")},
-		{KindBool, "true", Bool(true)},
-		{KindDate, "1999-12-31", DateOf(1999, 12, 31)},
-		{KindInt, "", Null},
-	}
-	for _, c := range cases {
-		got, err := ParseValue(c.kind, c.in)
-		if err != nil {
-			t.Errorf("ParseValue(%v,%q): %v", c.kind, c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseValue(%v,%q) = %v, want %v", c.kind, c.in, got, c.want)
-		}
+	if !reflect.DeepEqual(back, want) {
+		t.Errorf("round trip = %q, want %q", back, want)
 	}
 }

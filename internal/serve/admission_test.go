@@ -19,6 +19,26 @@ import (
 	"repro/internal/tag"
 )
 
+// mustAcquire takes a session the pool has idle or can still build.
+func mustAcquire(t *testing.T, p *Pool) *core.Session {
+	t.Helper()
+	s, err := p.AcquireContext(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	return s
+}
+
+// tryAcquire is mustAcquire that returns nil on an exhausted pool.
+func tryAcquire(t *testing.T, p *Pool) *core.Session {
+	t.Helper()
+	s, err := p.AcquireContext(context.Background(), 0)
+	if err != nil && !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("acquire: %v", err)
+	}
+	return s
+}
+
 // admissionServer builds a server over the items catalog with a short
 // admission bound, suitable for deterministic overload drills.
 func admissionServer(t *testing.T, opts Options) *Server {
@@ -79,7 +99,7 @@ func TestAdmissionRejectsWhenPoolExhausted(t *testing.T) {
 	defer ts.Close()
 
 	pool := srv.Generation().Pool()
-	sess := pool.Acquire()
+	sess := mustAcquire(t, pool)
 
 	if _, err := srv.Query("SELECT COUNT(*) FROM items"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("query on exhausted pool returned %v, want ErrOverloaded", err)
@@ -127,6 +147,22 @@ func TestAdmissionRejectsWhenPoolExhausted(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("post-release /query status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestRetryAfterRoundsUp: the retry hint is the admission bound rounded
+// up to whole seconds, never under one.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	for _, c := range []struct{ wait, want time.Duration }{
+		{25 * time.Millisecond, time.Second},
+		{time.Second, time.Second},
+		{1500 * time.Millisecond, 2 * time.Second},
+		{3 * time.Second, 3 * time.Second},
+	} {
+		srv := admissionServer(t, Options{AdmitWait: c.wait})
+		if got := srv.RetryAfter(); got != c.want {
+			t.Errorf("AdmitWait %v: RetryAfter = %v, want %v", c.wait, got, c.want)
+		}
 	}
 }
 
@@ -222,7 +258,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// One admission refusal so the rejected counter is visibly nonzero.
 	pool := srv.Generation().Pool()
-	sess := pool.Acquire()
+	sess := mustAcquire(t, pool)
 	if _, err := srv.Query("SELECT COUNT(*) FROM items"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expected overload, got %v", err)
 	}

@@ -185,19 +185,19 @@ func TestPoolLazyCreation(t *testing.T) {
 	if p.Created() != 0 {
 		t.Fatalf("fresh pool built %d sessions, want 0", p.Created())
 	}
-	a := p.Acquire()
+	a := mustAcquire(t, p)
 	if p.Created() != 1 {
 		t.Errorf("after one acquire: created = %d, want 1", p.Created())
 	}
-	b := p.Acquire()
+	b := mustAcquire(t, p)
 	if p.Created() != 2 || a == b {
 		t.Errorf("after two acquires: created = %d (want 2), distinct = %v", p.Created(), a != b)
 	}
-	if s := p.TryAcquire(); s != nil {
-		t.Error("TryAcquire beyond the bound must return nil")
+	if s := tryAcquire(t, p); s != nil {
+		t.Error("acquiring beyond the bound must be refused")
 	}
 	p.Release(a)
-	if s := p.TryAcquire(); s != a {
+	if s := tryAcquire(t, p); s != a {
 		t.Error("released session must be reused, not rebuilt")
 	}
 	if p.Created() != 2 {

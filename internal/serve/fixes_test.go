@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -220,6 +221,61 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s %s: status %d, want 200", probe.method, probe.path, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPMillisecondParams: a deadline_ms or wait_ms too large for a
+// time.Duration is clamped (to no deadline, and to maxWait) instead of
+// wrapping negative, and a non-finite one answers 400.
+func TestHTTPMillisecondParams(t *testing.T) {
+	g, err := tag.Build(itemsCatalog(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(g, Options{Sessions: 1})
+	ts := httptest.NewServer(Handler(srv))
+	defer ts.Close()
+	sub, err := srv.Subscribe("SELECT COUNT(*) FROM items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = "/query?sql=SELECT%20COUNT(*)%20FROM%20items&deadline_ms="
+	poll := "/subscribe?fp=" + url.QueryEscape(sub.FP) + "&wait_ms="
+	cases := []struct {
+		method, path, body string
+		status             int
+	}{
+		{http.MethodGet, query + "1e13", "", http.StatusOK},
+		{http.MethodGet, query + "1e300", "", http.StatusOK},
+		{http.MethodPost, "/query", `{"sql": "SELECT COUNT(*) FROM items", "deadline_ms": 1e13}`, http.StatusOK},
+		{http.MethodGet, query + "Inf", "", http.StatusBadRequest},
+		{http.MethodGet, query + "-Inf", "", http.StatusBadRequest},
+		{http.MethodGet, query + "NaN", "", http.StatusBadRequest},
+		{http.MethodGet, poll + "NaN", "", http.StatusBadRequest},
+		{http.MethodGet, poll + "Inf", "", http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out QueryResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.status)
+			continue
+		}
+		if c.status == http.StatusOK && (err != nil || out.RowCount != 1 || len(out.Rows) != 1) {
+			t.Errorf("%s %s: %d rows (%v), want 1", c.method, c.path, out.RowCount, err)
+		}
+	}
+	if d, err := clampWait(1e13); err != nil || d != maxWait {
+		t.Errorf("clampWait(1e13) = %v, %v; want %v", d, err, maxWait)
 	}
 }
 

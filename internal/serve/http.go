@@ -132,14 +132,8 @@ func handler(s *Server, readOnly bool) http.Handler {
 			writeJSON(w, http.StatusForbidden, errorResponse{Error: "server is read-only"})
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
 		var req WriteRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		if !readJSON(w, r, 16<<20, &req) {
 			return
 		}
 		op, err := decodeWrite(s, req)
@@ -150,8 +144,7 @@ func handler(s *Server, readOnly bool) http.Handler {
 		res, err := maint.Apply(op)
 		if err != nil {
 			if errors.Is(err, ErrOverloaded) {
-				w.Header().Set("Retry-After", retryAfterSeconds(s.opts.AdmitWait))
-				writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+				writeRetry(w, s, err)
 				return
 			}
 			writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
@@ -170,24 +163,14 @@ func handler(s *Server, readOnly bool) http.Handler {
 			return
 		}
 		query := r.URL.Query().Get("sql")
-		deadlineMS := 0.0
-		if v := r.URL.Query().Get("deadline_ms"); v != "" {
-			d, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad deadline_ms: " + err.Error()})
-				return
-			}
-			deadlineMS = d
+		deadlineMS, err := msParam(r, "deadline_ms")
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			return
 		}
 		if r.Method == http.MethodPost {
-			body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-				return
-			}
 			var req QueryRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+			if !readJSON(w, r, 1<<20, &req) {
 				return
 			}
 			query = req.SQL
@@ -199,13 +182,19 @@ func handler(s *Server, readOnly bool) http.Handler {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing sql"})
 			return
 		}
+		deadline, err := millis("deadline_ms", deadlineMS)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			return
+		}
 		// The request context carries client disconnects; a per-query
-		// deadline layers on top. Either way a done context aborts the
-		// query at the next superstep barrier and frees its session.
+		// deadline layers on top, unless it is too far off for a
+		// time.Duration. Either way a done context aborts the query at
+		// the next superstep barrier and frees its session.
 		ctx := r.Context()
-		if deadlineMS > 0 {
+		if deadline > 0 && deadline < math.MaxInt64 {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS*float64(time.Millisecond)))
+			ctx, cancel = context.WithTimeout(ctx, deadline)
 			defer cancel()
 		}
 		res, err := s.QueryContext(ctx, query)
@@ -218,14 +207,8 @@ func handler(s *Server, readOnly bool) http.Handler {
 	mux.HandleFunc("/subscribe", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPost:
-			body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-				return
-			}
 			var req SubscribeRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+			if !readJSON(w, r, 1<<20, &req) {
 				return
 			}
 			if req.SQL == "" {
@@ -253,14 +236,10 @@ func handler(s *Server, readOnly bool) http.Handler {
 				}
 				after = n
 			}
-			waitMS := 0.0
-			if v := r.URL.Query().Get("wait_ms"); v != "" {
-				d, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad wait_ms: " + err.Error()})
-					return
-				}
-				waitMS = d
+			waitMS, err := msParam(r, "wait_ms")
+			if err != nil {
+				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+				return
 			}
 			wait, err := clampWait(waitMS)
 			if err != nil {
@@ -325,8 +304,7 @@ func handler(s *Server, readOnly bool) http.Handler {
 func writeQueryError(w http.ResponseWriter, s *Server, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opts.AdmitWait))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		writeRetry(w, s, err)
 	case errors.Is(err, dist.ErrDegraded):
 		// The distributed topology lost a node; no retry will succeed
 		// until the cluster is restarted.
@@ -338,16 +316,60 @@ func writeQueryError(w http.ResponseWriter, s *Server, err error) {
 	}
 }
 
-// retryAfterSeconds renders the Retry-After hint: at least one second
-// (the header's granularity), rounded up from the admission wait —
-// once that wait expired full, the pool was saturated for its whole
-// span, so anything shorter would invite an immediate second refusal.
-func retryAfterSeconds(wait time.Duration) string {
-	secs := int64((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+// writeRetry answers an admission refusal: 429 with the server's
+// Retry-After hint in whole seconds.
+func writeRetry(w http.ResponseWriter, s *Server, err error) {
+	w.Header().Set("Retry-After", strconv.FormatInt(int64(s.RetryAfter()/time.Second), 10))
+	writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+}
+
+// readJSON decodes a request body of at most limit bytes into v. On
+// failure it answers 400 and reports false.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return false
 	}
-	return strconv.FormatInt(secs, 10)
+	if err := json.Unmarshal(body, v); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// msParam reads a millisecond URL parameter (deadline_ms, wait_ms); an
+// absent one reads as 0.
+func msParam(r *http.Request, name string) (float64, error) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	ms, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s: %w", name, err)
+	}
+	return ms, nil
+}
+
+// millis converts a client's millisecond count to a Duration; a count
+// that is not positive is 0. A non-finite count is refused. A count past
+// the Duration range saturates at the largest Duration instead of
+// wrapping negative, so a huge deadline_ms means no deadline and a huge
+// wait_ms clamps to maxWait.
+func millis(name string, ms float64) (time.Duration, error) {
+	if math.IsNaN(ms) || math.IsInf(ms, 0) {
+		return 0, fmt.Errorf("bad %s: %v is not finite", name, ms)
+	}
+	// float64(math.MaxInt64) is 2^63, one past the range.
+	switch ns := ms * float64(time.Millisecond); {
+	case ns >= math.MaxInt64:
+		return math.MaxInt64, nil
+	case ns <= 0:
+		return 0, nil
+	default:
+		return time.Duration(ns), nil
+	}
 }
 
 // allowMethods enforces an endpoint's method set: an unsupported method

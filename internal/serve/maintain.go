@@ -91,23 +91,21 @@ func (m *Maintainer) Apply(op WriteOp) (*WriteResult, error) {
 	// without limit. Boot-time replay bypasses Apply (and applyBatch: it
 	// feeds logged ops to applyOps on its own clone) and is never
 	// admission-limited.
-	if s.writeSlots != nil {
+	select {
+	case s.writeSlots <- struct{}{}:
+	default:
+		timer := time.NewTimer(s.opts.AdmitWait)
 		select {
 		case s.writeSlots <- struct{}{}:
-		default:
-			timer := time.NewTimer(s.opts.AdmitWait)
-			select {
-			case s.writeSlots <- struct{}{}:
-				timer.Stop()
-			case <-timer.C:
-				s.statsMu.Lock()
-				s.stats.WriteRejected++
-				s.statsMu.Unlock()
-				return nil, fmt.Errorf("serve: write queue full: %w", ErrOverloaded)
-			}
+			timer.Stop()
+		case <-timer.C:
+			s.statsMu.Lock()
+			s.stats.WriteRejected++
+			s.statsMu.Unlock()
+			return nil, fmt.Errorf("serve: write queue full: %w", ErrOverloaded)
 		}
-		defer func() { <-s.writeSlots }()
 	}
+	defer func() { <-s.writeSlots }()
 
 	qw := &queuedWrite{op: op, done: make(chan struct{})}
 	s.queueMu.Lock()

@@ -42,33 +42,14 @@ func NewPool(g *tag.Graph, engine bsp.Options, size int) *Pool {
 	return p
 }
 
-// Acquire returns an idle session, builds one if the pool is below its
-// bound, or blocks until a session is free. The caller owns the session
+// AcquireContext returns an idle session, or builds one if the pool is
+// below its bound; otherwise the caller waits at most wait for one to
+// free and is then refused with ErrOverloaded — the
+// bounded-wait-then-refuse discipline that keeps an overloaded
+// server's queue from growing without limit. A ctx cancelled while
+// waiting returns ctx.Err() instead (the caller gave up; that is a
+// cancellation, not an overload). The caller owns the session
 // exclusively until Release.
-func (p *Pool) Acquire() *core.Session {
-	select {
-	case s := <-p.free:
-		return s
-	default:
-	}
-	select {
-	case s := <-p.free:
-		return s
-	case <-p.slots:
-		p.created.Add(1)
-		return core.NewSession(p.g, p.engine)
-	}
-}
-
-// AcquireContext is Acquire with admission control: a session that is
-// idle (or buildable within the bound) returns immediately; otherwise
-// the caller waits at most wait for one to free and is then refused
-// with ErrOverloaded — the bounded-wait-then-refuse discipline that
-// keeps an overloaded server's queue from growing without limit. A
-// ctx cancelled while waiting returns ctx.Err() instead (the caller
-// gave up; that is a cancellation, not an overload). A negative wait
-// disables the bound: the caller blocks until a session frees or ctx
-// is done.
 func (p *Pool) AcquireContext(ctx context.Context, wait time.Duration) (*core.Session, error) {
 	select {
 	case s := <-p.free:
@@ -83,17 +64,6 @@ func (p *Pool) AcquireContext(ctx context.Context, wait time.Duration) (*core.Se
 		return core.NewSession(p.g, p.engine), nil
 	default:
 	}
-	if wait < 0 {
-		select {
-		case s := <-p.free:
-			return s, nil
-		case <-p.slots:
-			p.created.Add(1)
-			return core.NewSession(p.g, p.engine), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
@@ -106,25 +76,6 @@ func (p *Pool) AcquireContext(ctx context.Context, wait time.Duration) (*core.Se
 		return nil, ctx.Err()
 	case <-timer.C:
 		return nil, ErrOverloaded
-	}
-}
-
-// TryAcquire returns a session (idle or newly built within the bound)
-// or nil without blocking.
-func (p *Pool) TryAcquire() *core.Session {
-	select {
-	case s := <-p.free:
-		return s
-	default:
-	}
-	select {
-	case s := <-p.free:
-		return s
-	case <-p.slots:
-		p.created.Add(1)
-		return core.NewSession(p.g, p.engine)
-	default:
-		return nil
 	}
 }
 

@@ -100,13 +100,12 @@ type Options struct {
 	// for a pooled session — and a write for queue space — before the
 	// server refuses it with ErrOverloaded instead of queueing
 	// unboundedly (HTTP maps the refusal to 429 + Retry-After, the
-	// binary protocol to a RETRY frame). Defaults to 100ms; negative
-	// disables admission control and restores unbounded waits.
+	// binary protocol to a RETRY frame). Defaults to 100ms when not
+	// positive.
 	AdmitWait time.Duration
 	// WriteQueue bounds how many writes may be queued or applying at
 	// once; writes beyond it wait AdmitWait for space and are then
-	// refused with ErrOverloaded. Defaults to 256. Ignored when
-	// AdmitWait is negative.
+	// refused with ErrOverloaded. Defaults to 256.
 	WriteQueue int
 
 	// VerifyIncremental checks every incrementally folded pinned-query
@@ -144,7 +143,7 @@ func (o Options) withDefaults() Options {
 	if o.WALSyncInterval <= 0 {
 		o.WALSyncInterval = 100 * time.Millisecond
 	}
-	if o.AdmitWait == 0 {
+	if o.AdmitWait <= 0 {
 		o.AdmitWait = 100 * time.Millisecond
 	}
 	if o.WriteQueue <= 0 {
@@ -254,7 +253,7 @@ type Server struct {
 	writeQ  []*queuedWrite
 	// writeSlots bounds the write queue: a write occupies a slot from
 	// admission until its result is final, so len(writeSlots) is the
-	// queue-depth gauge. Nil when admission control is disabled.
+	// queue-depth gauge.
 	writeSlots chan struct{}
 
 	// lat holds the per-protocol query latency histograms exported on
@@ -309,11 +308,9 @@ func New(g *tag.Graph, opts Options) *Server {
 	if !g.G.Frozen() {
 		g.G.Freeze()
 	}
-	s := &Server{opts: opts, subs: map[string]*subscription{}}
+	s := &Server{opts: opts, subs: map[string]*subscription{},
+		writeSlots: make(chan struct{}, opts.WriteQueue)}
 	s.prepared.init(opts.PreparedLimit)
-	if opts.AdmitWait >= 0 {
-		s.writeSlots = make(chan struct{}, opts.WriteQueue)
-	}
 	s.lat = map[string]*Histogram{
 		ProtoHTTP:   NewHistogram(),
 		ProtoBinary: NewHistogram(),
@@ -559,19 +556,14 @@ func (s *Server) publish(g *tag.Graph, epoch uint64, swaps, ops, inserted, delet
 	return gen
 }
 
-// Prepare analyzes a query, consulting the fingerprint-keyed LRU cache.
-// It returns the shared Analysis (execution is read-only on it) and
-// whether it was a cache hit. Prepared statements stay valid across
-// generation swaps: schemas are immutable, and execution resolves rows
-// through the session's own generation, not the Analysis.
-func (s *Server) Prepare(query string) (*sql.Analysis, bool, error) {
-	an, _, hit, err := s.prepareFP(query)
-	return an, hit, err
-}
-
-// prepareFP is Prepare plus the normalized fingerprint, which the
-// binary protocol hands to clients so later requests can skip SQL
-// parsing entirely (see QueryPrepared).
+// prepareFP analyzes a query, consulting the fingerprint-keyed LRU
+// cache. It returns the shared Analysis (execution is read-only on it),
+// the normalized fingerprint, which the binary protocol hands to
+// clients so later requests can skip SQL parsing entirely (see
+// QueryPrepared), and whether it was a cache hit. Prepared statements
+// stay valid across generation swaps: schemas are immutable, and
+// execution resolves rows through the session's own generation, not
+// the Analysis.
 func (s *Server) prepareFP(query string) (*sql.Analysis, string, bool, error) {
 	fp, err := sql.Fingerprint(query)
 	if err != nil {
@@ -747,7 +739,7 @@ func (s *Server) Stats() Stats {
 	st := s.stats
 	st.Epoch = s.gen.Load().Epoch
 	st.GenerationsLive = s.live.Load()
-	st.WriteQueueDepth = s.writeQueueDepth()
+	st.WriteQueueDepth = int64(len(s.writeSlots))
 	st.PreparedSize = int64(s.prepared.len())
 	if s.wal != nil {
 		ws := s.wal.Stats()
@@ -780,26 +772,20 @@ func (s *Server) ResetStats() {
 	s.statsMu.Unlock()
 }
 
-// writeQueueDepth reports how many writes are queued or applying right
-// now. With admission control disabled it falls back to the coalescing
-// queue's length (writes applying under the leader are then invisible,
-// which is fine for a diagnostic gauge).
-func (s *Server) writeQueueDepth() int64 {
-	if s.writeSlots != nil {
-		return int64(len(s.writeSlots))
-	}
-	s.queueMu.Lock()
-	defer s.queueMu.Unlock()
-	return int64(len(s.writeQ))
-}
-
 // Latency returns the per-protocol query latency histogram (ProtoHTTP
 // or ProtoBinary) that /metrics exports, or nil for an unknown label.
 func (s *Server) Latency(proto string) *Histogram { return s.lat[proto] }
 
-// AdmitWait returns the admission-control bound, which the protocol
-// layers turn into their Retry-After hints.
-func (s *Server) AdmitWait() time.Duration { return s.opts.AdmitWait }
+// RetryAfter is the backoff both protocols hint with an ErrOverloaded
+// refusal (HTTP's Retry-After header, TAGP1's RETRY frame): the
+// admission bound rounded up to whole seconds, at least one — once
+// that wait expired full, the pool (or write queue) was saturated for
+// its whole span, so anything shorter would invite an immediate second
+// refusal.
+func (s *Server) RetryAfter() time.Duration {
+	d := (s.opts.AdmitWait + time.Second - 1).Truncate(time.Second)
+	return max(d, time.Second)
+}
 
 // Close releases the server's durability resources: it fsyncs and
 // closes the attached WAL (releasing the dir's writer lock so a

@@ -151,15 +151,15 @@ func TestPreparedCacheNormalization(t *testing.T) {
 func TestPoolBlocksAtCapacity(t *testing.T) {
 	g := buildTPCH(t, 0.01)
 	p := NewPool(g, bsp.Options{Workers: 1}, 2)
-	a, b := p.Acquire(), p.Acquire()
-	if a == nil || b == nil || a == b {
+	a, b := mustAcquire(t, p), mustAcquire(t, p)
+	if a == b {
 		t.Fatal("pool must hand out distinct sessions")
 	}
-	if s := p.TryAcquire(); s != nil {
-		t.Fatal("TryAcquire must fail on an exhausted pool")
+	if s := tryAcquire(t, p); s != nil {
+		t.Fatal("acquire must be refused on an exhausted pool")
 	}
 	p.Release(a)
-	if s := p.TryAcquire(); s != a {
+	if s := tryAcquire(t, p); s != a {
 		t.Fatal("released session should be reacquired")
 	}
 }

@@ -151,20 +151,6 @@ func (s *Server) Unsubscribe(fp string) (remaining int, ok bool) {
 	return remaining, true
 }
 
-// SubscriptionAnswer returns a pinned query's current answer and the
-// epoch it is valid for, or ok == false for an unknown fingerprint.
-func (s *Server) SubscriptionAnswer(fp string) (answer *relation.Relation, epoch uint64, ok bool) {
-	s.subMu.Lock()
-	sub, ok := s.subs[fp]
-	s.subMu.Unlock()
-	if !ok {
-		return nil, 0, false
-	}
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	return sub.answer, sub.epoch, true
-}
-
 // WaitAnswer long-polls a subscription: it returns as soon as the
 // subscription's answer is for an epoch > after (immediately, if it
 // already is), or when ctx expires — then with the current answer and
@@ -192,13 +178,6 @@ func (s *Server) WaitAnswer(ctx context.Context, fp string, after uint64) (answe
 			return answer, epoch, true
 		}
 	}
-}
-
-// Pinned reports how many queries are currently pinned.
-func (s *Server) Pinned() int {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return len(s.subs)
 }
 
 // refreshSubscriptions advances every pinned query to the just-published
@@ -292,15 +271,14 @@ const (
 )
 
 func clampWait(ms float64) (time.Duration, error) {
-	if ms < 0 {
+	d, err := millis("wait_ms", ms)
+	switch {
+	case err != nil:
+		return 0, err
+	case ms < 0:
 		return 0, fmt.Errorf("serve: negative wait_ms")
-	}
-	if ms == 0 {
+	case ms == 0:
 		return defaultWait, nil
 	}
-	d := time.Duration(ms * float64(time.Millisecond))
-	if d > maxWait {
-		d = maxWait
-	}
-	return d, nil
+	return min(d, maxWait), nil
 }

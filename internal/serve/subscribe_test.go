@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -19,6 +20,14 @@ import (
 	"repro/internal/relation"
 	"repro/internal/tag"
 )
+
+// currentAnswer is a subscription's answer and epoch right now: a
+// long-poll whose wait is already over.
+func currentAnswer(srv *Server, fp string) (*relation.Relation, uint64, bool) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return srv.WaitAnswer(ctx, fp, math.MaxUint64)
+}
 
 // TestSubscribeIncrementalMaintenance pins a mix of incrementally
 // eligible and ineligible queries, drives a write stream through the
@@ -58,7 +67,7 @@ func TestSubscribeIncrementalMaintenance(t *testing.T) {
 		}
 		fps[i] = res.FP
 	}
-	if n := srv.Pinned(); n != len(queries) {
+	if n := srv.Stats().PinnedQueries; n != int64(len(queries)) {
 		t.Fatalf("pinned = %d, want %d", n, len(queries))
 	}
 
@@ -70,14 +79,14 @@ func TestSubscribeIncrementalMaintenance(t *testing.T) {
 	if res.FP != fps[0] || res.Pins != 2 {
 		t.Errorf("re-pin: fp %s pins %d, want %s / 2", res.FP, res.Pins, fps[0])
 	}
-	if n := srv.Pinned(); n != len(queries) {
+	if n := srv.Stats().PinnedQueries; n != int64(len(queries)) {
 		t.Errorf("pinned after re-pin = %d, want %d", n, len(queries))
 	}
 
 	checkAll := func(epoch uint64) {
 		t.Helper()
 		for i, q := range queries {
-			answer, gotEpoch, ok := srv.SubscriptionAnswer(fps[i])
+			answer, gotEpoch, ok := currentAnswer(srv, fps[i])
 			if !ok {
 				t.Fatalf("subscription %s vanished", fps[i])
 			}
@@ -156,7 +165,7 @@ func TestSubscribeIncrementalMaintenance(t *testing.T) {
 	if _, ok := srv.Unsubscribe(fps[0]); ok {
 		t.Error("unpinning a dead subscription reported ok")
 	}
-	if n := srv.Pinned(); n != len(queries)-1 {
+	if n := srv.Stats().PinnedQueries; n != int64(len(queries))-1 {
 		t.Errorf("pinned after unpins = %d, want %d", n, len(queries)-1)
 	}
 }
@@ -232,9 +241,9 @@ func TestSubscribeHTTP(t *testing.T) {
 
 	// The refreshed answer matches a cold /query byte-for-byte via the
 	// exported metrics' mismatch counter (verify mode is on) and directly.
-	answer, epoch, ok := srv.SubscriptionAnswer(fp)
+	answer, epoch, ok := currentAnswer(srv, fp)
 	if !ok || epoch != 1 {
-		t.Fatalf("SubscriptionAnswer: epoch %d ok %v", epoch, ok)
+		t.Fatalf("current answer: epoch %d ok %v", epoch, ok)
 	}
 	cold, err := srv.Query("SELECT grp, COUNT(*) FROM items GROUP BY grp")
 	if err != nil {
@@ -315,7 +324,7 @@ func TestSubscribeHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unsubscribe: status %d", resp.StatusCode)
 	}
-	if n := srv.Pinned(); n != 0 {
+	if n := srv.Stats().PinnedQueries; n != 0 {
 		t.Errorf("pinned after DELETE = %d, want 0", n)
 	}
 }
@@ -439,7 +448,7 @@ func TestSubscribeConcurrentWithWrites(t *testing.T) {
 	if st.WriteOps != 20 || st.Epoch != uint64(st.Swaps) {
 		t.Errorf("write ops %d, epoch %d, swaps %d; want 20 ops and epoch == swaps", st.WriteOps, st.Epoch, st.Swaps)
 	}
-	answer, epoch, ok := srv.SubscriptionAnswer(fp)
+	answer, epoch, ok := currentAnswer(srv, fp)
 	if !ok || epoch != st.Epoch {
 		t.Fatalf("final answer: epoch %d ok %v, want %d", epoch, ok, st.Epoch)
 	}

@@ -111,14 +111,6 @@ func (t *Graph) addAttrByEdge(lbl bsp.LabelID, av bsp.VertexID) {
 	t.attrByEdge[lbl] = verts
 }
 
-// DeleteTuple removes a tuple vertex: its edges are deleted in both
-// directions and the vertex is marked dead. Attribute vertices are left in
-// place even if orphaned (they are harmless: with no edges they never join
-// anything). Again a purely local operation.
-func (t *Graph) DeleteTuple(v bsp.VertexID) error {
-	return t.DeleteBatch([]bsp.VertexID{v})
-}
-
 // ValidateDelete checks everything DeleteBatch would reject — every id
 // names a live tuple vertex, none appears twice — without mutating
 // anything. DeleteBatch runs it before touching the graph, and the
@@ -149,8 +141,9 @@ func (t *Graph) ValidateDelete(vs []bsp.VertexID) error {
 }
 
 // DeleteBatch removes many tuple vertices with a single Thaw/Freeze
-// cycle (the batched counterpart of DeleteTuple). The whole batch is
-// validated before any mutation, so on error the graph is unchanged.
+// cycle. The whole batch is validated before any mutation, so on error
+// the graph is unchanged. Attribute vertices stay even when orphaned:
+// with no edges they never join anything.
 //
 // Cost: O(batch + rows of the touched tables + adjacency of the touched
 // attribute vertices), never O(batch × table). Each deleted vertex gets

@@ -32,7 +32,7 @@ import (
 type TupleData struct {
 	Table string
 	Row   relation.Tuple
-	Dead  bool // set by DeleteTuple; dead vertices take no part in queries
+	Dead  bool // set by DeleteBatch; dead vertices take no part in queries
 }
 
 // Size implements the bsp payload sizing hook.
@@ -376,12 +376,6 @@ func (d *attrDict) clone() attrDict {
 // EdgeLabel returns the interned id of the "table.column" edge label.
 func (t *Graph) EdgeLabel(table, column string) (bsp.LabelID, bool) {
 	id, ok := t.edgeLabel[strings.ToLower(table)+"."+strings.ToLower(column)]
-	return id, ok
-}
-
-// TupleLabel returns the vertex label of a relation's tuple vertices.
-func (t *Graph) TupleLabel(table string) (bsp.LabelID, bool) {
-	id, ok := t.tupleLabel[strings.ToLower(table)]
 	return id, ok
 }
 

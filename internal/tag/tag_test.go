@@ -100,7 +100,7 @@ func TestEdgeLabelAndLookups(t *testing.T) {
 	if _, ok := g.EdgeLabel("nation", "nope"); ok {
 		t.Error("bogus column should not resolve")
 	}
-	if _, ok := g.TupleLabel("customer"); !ok {
+	if _, ok := g.tupleLabel["customer"]; !ok {
 		t.Error("tuple label missing")
 	}
 	if n := len(g.TupleVertices("orders")); n != 2 {
@@ -232,7 +232,7 @@ func TestDeleteTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	tv := g.TupleVertices("customer")[0]
-	if err := g.DeleteTuple(tv); err != nil {
+	if err := g.DeleteBatch([]bsp.VertexID{tv}); err != nil {
 		t.Fatal(err)
 	}
 	if len(g.G.Edges(tv)) != 0 {
@@ -250,11 +250,11 @@ func TestDeleteTuple(t *testing.T) {
 	if g.G.HasEdgeWithLabel(av, lbl) {
 		t.Error("attr vertex must lose its back-edge")
 	}
-	if err := g.DeleteTuple(tv); err == nil {
+	if err := g.DeleteBatch([]bsp.VertexID{tv}); err == nil {
 		t.Error("double delete should error")
 	}
 	av2, _ := g.AttrVertexOf(relation.Int(1))
-	if err := g.DeleteTuple(av2); err == nil {
+	if err := g.DeleteBatch([]bsp.VertexID{av2}); err == nil {
 		t.Error("deleting an attribute vertex should error")
 	}
 }

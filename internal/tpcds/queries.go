@@ -233,13 +233,3 @@ FROM web_sales, date_dim
 WHERE ws_sold_date_sk = d_date_sk AND d_year = 2001 AND ws_quantity BETWEEN 10 AND 90`},
 	}
 }
-
-// ByID returns the query with the given id, or nil.
-func ByID(id string) *Query {
-	for _, q := range Queries() {
-		if q.ID == id {
-			return &q
-		}
-	}
-	return nil
-}

@@ -124,8 +124,8 @@ func (o Options) withDefaults() Options {
 type WriterStats struct {
 	Records     int64 // records appended
 	Bytes       int64 // bytes appended (headers included)
-	Fsyncs      int64 // fsyncs issued by the sync policy (and Close/Truncate)
-	Truncations int64 // compactions (Truncate and TruncatePrefix)
+	Fsyncs      int64 // fsyncs issued by the sync policy (and Close)
+	Truncations int64 // compactions (TruncatePrefix)
 }
 
 const (
@@ -349,31 +349,6 @@ func (w *Writer) syncLocked() error {
 	return nil
 }
 
-// Truncate resets the log to empty — the compaction half of
-// snapshot-then-truncate when the snapshot covers every record. Call it
-// only once the state the log protects has been durably captured
-// elsewhere (a snapshot): after Truncate, a recovery replays nothing,
-// so the snapshot is the new baseline — and it must actually BE the
-// baseline the next recovery starts from. The checkpointer uses
-// TruncatePrefix instead, which keeps the records the snapshot does
-// not cover.
-func (w *Writer) Truncate() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("wal: writer is closed")
-	}
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	w.off = 0
-	w.stats.Truncations++
-	return w.syncLocked()
-}
-
 // TruncatePrefix drops every record with epoch <= covered, keeping the
 // suffix a snapshot-load boot still needs to replay. Epochs are
 // appended in increasing order, so the covered records are a byte
@@ -496,9 +471,6 @@ func (w *Writer) Stats() WriterStats {
 	defer w.mu.Unlock()
 	return w.stats
 }
-
-// Path returns the log file's path.
-func (w *Writer) Path() string { return w.path }
 
 // ReplayStats summarizes one Replay pass.
 type ReplayStats struct {

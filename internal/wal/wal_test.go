@@ -156,16 +156,17 @@ func TestTornTailIgnoredAndRecovered(t *testing.T) {
 	}
 }
 
-// TestTruncate: snapshot-then-truncate compaction resets the log to
-// empty and the writer keeps working.
+// TestTruncate: a checkpoint that covers every record compacts the log
+// to empty and the writer keeps working.
 func TestTruncate(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{Policy: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w, sampleRecords())
-	if err := w.Truncate(); err != nil {
+	recs := sampleRecords()
+	appendAll(t, w, recs)
+	if err := w.TruncatePrefix(recs[len(recs)-1].Epoch); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := replayAll(t, dir)
