@@ -117,3 +117,45 @@ func TestTPCHImpliedRestrictionMessages(t *testing.T) {
 		}
 	}
 }
+
+// TestTPCHReductionMessages bounds the messages of one warm run at scale
+// 0.1 on one worker for the queries whose reduction walk re-enters a
+// join-tree node or can start at a selective leaf. The UP pass climbs
+// back out of a subtree only along the marks its descent left, so a
+// tuple the descent did not reach is not brought back, and the walk
+// starts at the leaf that seeds the fewest tuples. Each ceiling sits
+// about midway between the count when the climb flooded every labelled
+// edge and the walk started at the rightmost leaf, and the count after
+// (q2 183 -> 80; q8 1,500 -> 448; q9 3,177 -> 1,736; q12 472 -> 7).
+func TestTPCHReductionMessages(t *testing.T) {
+	cat := Generate(0.1, 2021)
+	g, err := tag.Build(cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceilings := map[string]int64{
+		"q2":  131,
+		"q8":  974,
+		"q9":  2456,
+		"q12": 239,
+	}
+	for _, q := range Queries() {
+		ceiling, ok := ceilings[q.ID]
+		if !ok {
+			continue
+		}
+		s := core.NewSession(g, bsp.Options{Workers: 1})
+		if _, err := s.Query(q.SQL); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		s.ResetStats()
+		if _, err := s.Query(q.SQL); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		msgs := s.Stats().Messages
+		t.Logf("%s: %d messages", q.ID, msgs)
+		if msgs > ceiling {
+			t.Errorf("%s: %d messages, ceiling %d", q.ID, msgs, ceiling)
+		}
+	}
+}
