@@ -151,6 +151,10 @@ type compiled struct {
 	equi       []plan.EquiPred
 	qp         *plan.QueryPlan
 
+	// pushed holds, per alias of an inner block, its filters compiled
+	// against its tuple rows and its seed vertices.
+	pushed map[string]*aliasFilters
+
 	// needed lists, per alias, the columns carried through collection
 	// (referenced columns plus all join-class columns), with their schema
 	// slots; bindKeys are the "alias.column" header names in order.
@@ -185,19 +189,10 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		ownIndex:   map[string]map[string]int{},
 	}
 	sel := blk.Sel
-	card := map[string]int{}
 	for _, bt := range blk.Tables {
 		c.aliasTable[bt.Alias] = bt.Table
-		rel := e.TAG.Catalog.Get(bt.Table)
-		if rel == nil {
+		if e.TAG.Catalog.Get(bt.Table) == nil {
 			return nil, fmt.Errorf("core: table %q not in TAG catalog", bt.Table)
-		}
-		card[bt.Alias] = rel.Len()
-		if w, ok := e.restrict[bt.Alias]; ok {
-			// A window-restricted alias contributes only its windowed
-			// vertices; using that count makes GYO remove the (tiny)
-			// delta alias first, so it lands at a leaf of the join tree.
-			card[bt.Alias] = len(w.slice(e.TAG.TupleVertices(bt.Table)))
 		}
 	}
 	for _, fi := range sel.From {
@@ -237,14 +232,25 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		}
 	}
 
-	// Structural plan (inner blocks only; outer blocks use the table path).
+	// Structural plan (inner blocks only; outer blocks use the table
+	// path). Each alias counts the tuples it seeds: a selection that
+	// enters at attribute vertices, or a restriction window such as
+	// incremental maintenance's write delta, makes it small, so GYO
+	// removes it early and the walk starts at it.
 	if !c.hasOuter {
 		c.pushImpliedRestrictions()
-		var aliases []string
-		for _, bt := range blk.Tables {
-			aliases = append(aliases, bt.Alias)
+		aliases := make([]string, len(blk.Tables))
+		card := make(map[string]int, len(blk.Tables))
+		c.pushed = make(map[string]*aliasFilters, len(blk.Tables))
+		pushed := make([]aliasFilters, len(blk.Tables))
+		for i, bt := range blk.Tables {
+			f := &pushed[i]
+			f.compile(bt, c.filters[bt.Alias])
+			c.pushed[bt.Alias] = f
+			f.seeds = e.seedVertices(c, bt.Alias)
+			aliases[i], card[bt.Alias] = bt.Alias, len(f.seeds)
 		}
-		qp, err := plan.Build(aliases, c.equi, plan.Options{Cardinality: card, PreferStart: e.deltaAlias})
+		qp, err := plan.Build(aliases, c.equi, plan.Options{Cardinality: card})
 		if err != nil {
 			return nil, err
 		}

@@ -30,9 +30,6 @@ type componentRun struct {
 	// it. Taken from the Session for the reduction and collection phases.
 	marks *markScratch
 
-	// filters holds each alias's pushed filters, compiled before any
-	// vertex program runs.
-	filters map[string]*aliasFilters
 	// prefilter restricts aliases whose filters could not run at vertices
 	// (vertex-unsafe subqueries) or that were reduced by a cycle pre-pass.
 	prefilter map[string]map[bsp.VertexID]bool
@@ -57,6 +54,10 @@ type stepInfo struct {
 	toRel string
 	// fromRel mirrors it for the sending side.
 	fromRel string
+	// viaMarks marks a reduction step that sends only along the marks
+	// the opposite crossing of its plan edge left: every DOWN step, and
+	// an UP step crossing an edge an earlier UP step crossed.
+	viaMarks bool
 }
 
 // componentResult is the distributed output of one component run.
@@ -74,34 +75,11 @@ type componentResult struct {
 // then the collection phase.
 func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env, subq sql.SubqueryFn) (*componentResult, error) {
 	r := &componentRun{ex: e, c: c, comp: comp, outer: outer, subq: subq,
-		filters:       map[string]*aliasFilters{},
 		prefilter:     map[string]map[bsp.VertexID]bool{},
 		joiner:        newJoiner(c.classCols),
 		residualTests: shapeForms{preds: c.residual},
 	}
 	defer r.release()
-	filters := make([]aliasFilters, len(c.blk.Tables))
-	for i, bt := range c.blk.Tables {
-		f := &filters[i]
-		f.table = bt.Table
-		if preds := c.filters[bt.Alias]; len(preds) > 0 {
-			binding := sql.Binding{}
-			for i, col := range bt.Schema.Columns {
-				binding[sql.BindKey(bt.Alias, col.Name)] = i
-			}
-			f.tests = compileTests(preds, binding)
-			f.safe = f.tests
-			if slices.ContainsFunc(preds, func(p *predicate) bool { return p.hoisted }) {
-				f.safe = nil
-				for i, p := range preds {
-					if !p.hoisted {
-						f.safe = append(f.safe, f.tests[i])
-					}
-				}
-			}
-		}
-		r.filters[bt.Alias] = f
-	}
 	for i, pr := range c.residual {
 		if len(pr.cols) > 0 && !pr.hoisted {
 			r.collectPreds = append(r.collectPreds, i)
@@ -151,7 +129,7 @@ func (r *componentRun) release() {
 		r.ex.releaseMarks(r.marks)
 		r.marks = nil
 	}
-	for _, f := range r.filters {
+	for _, f := range r.c.pushed {
 		if f.memo != nil {
 			r.ex.freeMemos = append(r.ex.freeMemos, f.memo)
 			f.memo = nil
@@ -183,11 +161,12 @@ func (r *componentRun) resolveSteps() error {
 	up := p.Steps
 	all := append(append([]plan.Step{}, up...), plan.Reversed(up)...)
 	r.nUp = len(up)
-	for _, s := range all {
+	for i, s := range all {
 		info, err := r.resolveStep(s)
 		if err != nil {
 			return err
 		}
+		info.viaMarks = i >= r.nUp || slices.ContainsFunc(r.steps, func(prev stepInfo) bool { return prev.edgeID == info.edgeID })
 		r.steps = append(r.steps, info)
 	}
 	return nil
@@ -225,7 +204,7 @@ func (r *componentRun) hoistUnsafeFilters() error {
 		var unsafe []sql.Compiled
 		for i, p := range preds {
 			if p.hoisted {
-				unsafe = append(unsafe, r.filters[alias].tests[i])
+				unsafe = append(unsafe, r.c.pushed[alias].tests[i])
 			}
 		}
 		if len(unsafe) == 0 {
@@ -265,13 +244,36 @@ func (r *componentRun) intersectPrefilter(alias string, allowed map[bsp.VertexID
 
 // aliasFilters is one alias's pushed filters: its relation, the filters
 // compiled against its tuple rows in c.filters order, the vertex-safe
-// ones among them, and, while a reduction or single-alias run evaluates
-// them, their memo.
+// ones among them, the alias's seed vertices (seedVertices) and, while
+// a reduction or single-alias run evaluates the filters, their memo.
 type aliasFilters struct {
 	table string
 	tests []sql.Compiled
 	safe  []sql.Compiled
+	seeds []bsp.VertexID
 	memo  *filterMemo
+}
+
+// compile resolves an alias's pushed filters against its tuple rows.
+func (f *aliasFilters) compile(bt sql.BoundTable, preds []*predicate) {
+	f.table = bt.Table
+	if len(preds) == 0 {
+		return
+	}
+	binding := sql.Binding{}
+	for i, col := range bt.Schema.Columns {
+		binding[sql.BindKey(bt.Alias, col.Name)] = i
+	}
+	f.tests = compileTests(preds, binding)
+	f.safe = f.tests
+	if slices.ContainsFunc(preds, func(p *predicate) bool { return p.hoisted }) {
+		f.safe = nil
+		for i, p := range preds {
+			if !p.hoisted {
+				f.safe = append(f.safe, f.tests[i])
+			}
+		}
+	}
 }
 
 // passes evaluates (and memoizes) the vertex-safe pushed filters of an
@@ -285,7 +287,7 @@ func (r *componentRun) passes(alias string, v bsp.VertexID) bool {
 		return false
 	}
 	d := r.ex.TAG.TupleData(v)
-	f := r.filters[alias]
+	f := r.c.pushed[alias]
 	if d == nil || d.Dead || d.Table != f.table {
 		return false
 	}
@@ -304,7 +306,7 @@ func (r *componentRun) passes(alias string, v bsp.VertexID) bool {
 
 // prepareFilterMemo takes a memo for each alias with vertex-safe filters.
 func (r *componentRun) prepareFilterMemo() {
-	for _, f := range r.filters {
+	for _, f := range r.c.pushed {
 		if len(f.safe) > 0 {
 			f.memo = r.ex.takeMemo()
 		}
@@ -315,7 +317,7 @@ func (r *componentRun) prepareFilterMemo() {
 // starts from: its seeds that pass the alias's filters.
 func (r *componentRun) initialActives(alias string) []bsp.VertexID {
 	var out []bsp.VertexID
-	for _, v := range r.seedVertices(alias) {
+	for _, v := range r.c.pushed[alias].seeds {
 		if r.passes(alias, v) {
 			out = append(out, v)
 		}
@@ -334,13 +336,13 @@ func (r *componentRun) initialActives(alias string) []bsp.VertexID {
 // ascending ID order (vertices are appended as they are created), so a
 // window is a contiguous sub-slice found by binary search, which keeps
 // a delta-restricted seed O(log n + |delta|).
-func (r *componentRun) seedVertices(alias string) []bsp.VertexID {
-	verts := r.ex.TAG.TupleVertices(r.c.aliasTable[alias])
-	w, windowed := r.ex.restrict[alias]
+func (e *Session) seedVertices(c *compiled, alias string) []bsp.VertexID {
+	verts := e.TAG.TupleVertices(c.aliasTable[alias])
+	w, windowed := e.restrict[alias]
 	if windowed {
 		verts = w.slice(verts)
 	}
-	seeds, ok := r.attrSeeds(alias, len(verts)/4)
+	seeds, ok := e.attrSeeds(c, alias, len(verts)/4)
 	if !ok {
 		return verts
 	}
@@ -370,18 +372,18 @@ func (r *componentRun) seedVertices(alias string) []bsp.VertexID {
 //     values, if the conjuncts hold on NULL (NULL cells have no edge), or
 //     if it is FLOAT or BOOL: their vertices hold the value's Key, not the
 //     cell (FLOAT 2.0 is INT 2, and INT 1 is not TRUE).
-func (r *componentRun) attrSeeds(alias string, limit int) ([]bsp.VertexID, bool) {
-	g := r.ex.TAG
-	table := r.c.aliasTable[alias]
+func (e *Session) attrSeeds(c *compiled, alias string, limit int) ([]bsp.VertexID, bool) {
+	g := e.TAG
+	table := c.aliasTable[alias]
 	schema := g.Catalog.Get(table).Schema
-	preds := r.c.filters[alias]
+	preds := c.filters[alias]
 	var (
 		winVals []bsp.VertexID // the winner's attribute vertices
 		winLbl  bsp.LabelID
 		best    = limit + 1 // the winner reaches fewer tuples than this
 	)
 	for _, p := range preds {
-		vals, lbl, ok := r.equalityValues(alias, schema, p)
+		vals, lbl, ok := e.equalityValues(c, alias, schema, p)
 		if !ok {
 			continue
 		}
@@ -398,14 +400,15 @@ func (r *componentRun) attrSeeds(alias string, limit int) ([]bsp.VertexID, bool)
 	for i, p := range preds {
 		cols[i] = singleColumn(p, alias, schema)
 	}
-	tests := r.filters[alias].tests
+	tests := c.pushed[alias].tests
 	var row relation.Tuple // the dictionary value, otherwise NULL
 	holds := func(ci int) bool {
 		for i, t := range tests {
 			if cols[i] != ci {
 				continue
 			}
-			if v, err := t(row, r.outer, nil); err != nil || !v.AsBool() {
+			// A one-column conjunct reads no outer scope.
+			if v, err := t(row, nil, nil); err != nil || !v.AsBool() {
 				return false
 			}
 		}
@@ -464,13 +467,13 @@ func (r *componentRun) attrSeeds(alias string, limit int) ([]bsp.VertexID, bool)
 // pushed col = literal or col IN (literal, ...) filter and the
 // table.col label, if the filter can enter there (see attrSeeds); a
 // literal with no vertex matches no tuple and is left out.
-func (r *componentRun) equalityValues(alias string, schema *relation.Schema, p *predicate) ([]bsp.VertexID, bsp.LabelID, bool) {
+func (e *Session) equalityValues(c *compiled, alias string, schema *relation.Schema, p *predicate) ([]bsp.VertexID, bsp.LabelID, bool) {
 	col, lits := equalityLiterals(p.expr)
 	if col == nil || col.Depth != 0 || col.Alias != alias {
 		return nil, 0, false
 	}
-	g := r.ex.TAG
-	table := r.c.aliasTable[alias]
+	g := e.TAG
+	table := c.aliasTable[alias]
 	ci := schema.Index(col.Column)
 	lbl, ok := g.EdgeLabel(table, col.Column)
 	if ci < 0 || !ok || !g.Materialized(table, col.Column) {
@@ -602,7 +605,7 @@ func (r *componentRun) runSingle(alias string) (*componentResult, error) {
 			ctx.Emit(v)
 		}
 	})
-	if err := r.ex.runProg(prog, r.seedVertices(alias)); err != nil {
+	if err := r.ex.runProg(prog, r.c.pushed[alias].seeds); err != nil {
 		return nil, err
 	}
 	for _, e := range r.ex.eng.Emitted() {

@@ -270,13 +270,13 @@ func (e *Session) FoldDelta(st *QueryState, epoch uint64) (FoldOutcome, error) {
 				win[ot.Alias] = vertexWindow{lo: 0, hi: base}
 			}
 		}
-		e.restrict, e.deltaAlias = win, bt.Alias
+		e.restrict = win
 		if st.agg {
 			e.capture = &stateCapture{}
 		}
 		out, err := e.Run(st.An)
 		sc := e.capture
-		e.restrict, e.deltaAlias, e.capture = nil, "", nil
+		e.restrict, e.capture = nil, nil
 		if err != nil {
 			return FoldFallback, err
 		}

@@ -369,3 +369,126 @@ func TestQueryAfterMaintenance(t *testing.T) {
 		t.Fatalf("after delete rows = %d, want %d", out.Len(), before)
 	}
 }
+
+// bushyCatalog builds five tables whose columns a, b and c take ten
+// values (NULL now and then). Half the tables hold 40-60 rows, so a
+// column's values are at most a quarter of its rows and a range can
+// seed from the dictionary; the rest hold 6-20.
+func bushyCatalog(rng *rand.Rand) *relation.Catalog {
+	cat := relation.NewCatalog()
+	for i := 0; i < 5; i++ {
+		r := relation.New(fmt.Sprintf("b%d", i), relation.MustSchema(
+			relation.Col("a", relation.KindInt),
+			relation.Col("b", relation.KindInt),
+			relation.Col("c", relation.KindInt)))
+		rows := 6 + rng.Intn(15)
+		if rng.Intn(2) == 0 {
+			rows = 40 + rng.Intn(21)
+		}
+		for j := 0; j < rows; j++ {
+			val := func() relation.Value {
+				if rng.Intn(15) == 0 {
+					return relation.Null
+				}
+				return relation.Int(int64(rng.Intn(10)))
+			}
+			r.MustAppend(val(), val(), val())
+		}
+		cat.MustAdd(r)
+	}
+	return cat
+}
+
+// bushyQuery builds a star or snowflake of 4-5 aliases over
+// bushyCatalog: r0 is the hub, every other alias joins r0 or, in a
+// snowflake, an earlier spoke. Every spoke may carry a selection that
+// can enter at its attribute vertices (an equality, an IN list or a
+// one-column range), so the walk can start at any leaf and re-enters a
+// node from several filtered subtrees.
+func bushyQuery(rng *rand.Rand) string {
+	n := 4 + rng.Intn(2)
+	cols := []string{"a", "b", "c"}
+	col := func(i int) string { return fmt.Sprintf("r%d.%s", i, cols[rng.Intn(3)]) }
+	var from, conjs []string
+	for i := 0; i < n; i++ {
+		from = append(from, fmt.Sprintf("b%d r%d", rng.Intn(5), i))
+		if i == 0 {
+			continue
+		}
+		parent := 0
+		if i > 1 && rng.Intn(3) == 0 {
+			parent = 1 + rng.Intn(i-1) // snowflake: hang off a spoke
+		}
+		conjs = append(conjs, fmt.Sprintf("%s = %s", col(parent), col(i)))
+	}
+	for i := 1; i < n; i++ {
+		switch rng.Intn(6) {
+		case 0:
+			conjs = append(conjs, fmt.Sprintf("%s = %d", col(i), rng.Intn(10)))
+		case 1:
+			conjs = append(conjs, fmt.Sprintf("%s IN (%d, %d, %d)", col(i), rng.Intn(10), rng.Intn(10), rng.Intn(10)))
+		case 2:
+			conjs = append(conjs, fmt.Sprintf("%s BETWEEN %d AND %d", col(i), rng.Intn(5), 3+rng.Intn(7)))
+		case 3:
+			c := col(i)
+			conjs = append(conjs, fmt.Sprintf("%s >= %d AND %s < %d", c, rng.Intn(6), c, 4+rng.Intn(6)))
+		case 4:
+			conjs = append(conjs, fmt.Sprintf("%s < %d", col(i), 1+rng.Intn(9)))
+		}
+	}
+	where := " WHERE " + strings.Join(conjs, " AND ")
+	switch rng.Intn(3) {
+	case 0:
+		return fmt.Sprintf("SELECT %s, %s FROM %s%s", col(0), col(n-1), strings.Join(from, ", "), where)
+	case 1:
+		g := col(rng.Intn(n))
+		return fmt.Sprintf("SELECT %s, COUNT(*), SUM(%s) FROM %s%s GROUP BY %s",
+			g, col(rng.Intn(n)), strings.Join(from, ", "), where, g)
+	default:
+		return fmt.Sprintf("SELECT COUNT(*), MIN(%s), MAX(%s) FROM %s%s",
+			col(rng.Intn(n)), col(rng.Intn(n)), strings.Join(from, ", "), where)
+	}
+}
+
+// TestRandomizedBushyJoins cross-checks star and snowflake joins of 4-5
+// aliases against the baseline under the engine configurations of
+// TestRandomizedDifferential. Their reduction walks re-enter the hub
+// from several subtrees and start at whichever leaf seeds the fewest
+// tuples, which randQuery's joins of at most three aliases never do.
+func TestRandomizedBushyJoins(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts bsp.Options
+	}{
+		{"workers1", bsp.Options{Workers: 1}},
+		{"workers4", bsp.Options{Workers: 4}},
+		{"workers4-uncombined", bsp.Options{Workers: 4, NoCombine: true}},
+		{"partitions2", bsp.Options{Partitions: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(52))
+			for round := 0; round < 15; round++ {
+				cat := bushyCatalog(rng)
+				g, err := tag.Build(cat, tag.MaterializeAll)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := NewSession(g, tc.opts)
+				ref := baseline.New(cat)
+				for qi := 0; qi < 10; qi++ {
+					q := bushyQuery(rng)
+					got, err1 := ex.Query(q)
+					want, err2 := ref.Query(q)
+					if err1 != nil || err2 != nil {
+						t.Fatalf("round %d q %d errors: tag=%v base=%v\nquery: %s", round, qi, err1, err2, q)
+					}
+					if !relation.EqualMultiset(got, want) {
+						onlyG, onlyW := relation.DiffMultiset(got, want, 4)
+						t.Fatalf("round %d mismatch (%d vs %d rows)\nquery: %s\nonly TAG: %v\nonly base: %v",
+							round, got.Len(), want.Len(), q, onlyG, onlyW)
+					}
+				}
+			}
+		})
+	}
+}

@@ -12,8 +12,12 @@ import (
 // leaving marks that correspond to the fully reduced relations (§5.2).
 //
 // Superstep s processes the messages sent along step s-1 (recording
-// marks) and sends along step s; UP steps send along every edge with the
-// step's label, DOWN steps only along marked ones.
+// marks) and sends along step s. An UP step that first crosses a plan
+// edge sends along every edge with the step's label; the UP step that
+// climbs back across an edge the walk descended, and every DOWN step,
+// send only along the marks the opposite crossing left, so a tuple the
+// descent did not reach is not brought back (a semijoin, as in
+// Yannakakis's full reducer).
 type reductionProgram struct {
 	r *componentRun
 	// current superstep's index into r.steps (set by the master hook).
@@ -48,13 +52,14 @@ func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp
 		return
 	}
 	cur := r.steps[p.cur]
-	if p.cur < r.nUp {
-		// UP: along every edge carrying the label (lines 11-13).
+	if !cur.viaMarks {
+		// UP, first crossing: along every edge carrying the label
+		// (lines 11-13).
 		ctx.SendAlong(v, cur.label, nil)
 		return
 	}
-	// DOWN: only along edges marked by the opposite pass (lines 15-18),
-	// in ascending id order.
+	// Only along the edges marked by the opposite crossing (lines
+	// 15-18), in ascending id order.
 	for _, t := range r.marks.edgeIDs(v, cur.edgeID) {
 		ctx.Send(v, t, nil)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -196,5 +197,108 @@ func TestCollectionPushedSelections(t *testing.T) {
 	want, _ := baseline.New(cat).Query(q)
 	if !relation.EqualMultiset(got, want) {
 		t.Fatalf("pushed-selection mismatch: %d vs %d rows", got.Len(), want.Len())
+	}
+}
+
+// TestReductionClimbsAlongMarks runs the reduction of a 4-relation star
+// whose root f is re-entered from two filtered subtrees, x and y, after
+// the walk arrives from the start leaf z. f holds every combination of
+// three bits (a, b, c); z keeps a = 0 (z.a = 2 dangles), x keeps b = 0
+// and y keeps c = 1. So the first arrival reaches the four f tuples
+// with a = 0, and the climbs back from x and y must reach only the ones
+// among them that joined: f(0,0,0) and f(0,0,1), then f(0,0,1). Had the
+// climbs flooded every f.b and f.c edge, x's would have reached the two
+// a = 1 tuples with b = 0 too, y's the four c = 1 tuples, and the
+// survivors of those floods would have sent again: 46 reduction
+// messages instead of 31.
+func TestReductionClimbsAlongMarks(t *testing.T) {
+	cat := relation.NewCatalog()
+	ints := func(name string, cols []string, rows ...[]int64) {
+		var cs []relation.Column
+		for _, c := range cols {
+			cs = append(cs, relation.Col(c, relation.KindInt))
+		}
+		r := relation.New(name, relation.MustSchema(cs...))
+		for _, row := range rows {
+			tup := make(relation.Tuple, len(row))
+			for i, v := range row {
+				tup[i] = relation.Int(v)
+			}
+			r.MustAppend(tup...)
+		}
+		cat.MustAdd(r)
+	}
+	var fRows [][]int64
+	for i := int64(0); i < 8; i++ {
+		fRows = append(fRows, []int64{i & 1, i >> 1 & 1, i >> 2 & 1})
+	}
+	ints("f", []string{"a", "b", "c"}, fRows...)
+	ints("x", []string{"b", "q"}, []int64{0, 1}, []int64{1, 0}, []int64{7, 1})
+	ints("y", []string{"c", "r"}, []int64{0, 0}, []int64{1, 1}, []int64{7, 0})
+	ints("z", []string{"a"}, []int64{0}, []int64{2})
+
+	g, err := tag.Build(cat, tag.MaterializeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewSession(g, bsp.Options{Workers: 2})
+	an, err := sql.AnalyzeString(cat, `SELECT z.a FROM f, x, y, z
+		WHERE f.a = z.a AND f.b = x.b AND f.c = y.c AND x.q = 1 AND y.r = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ex.compileBlock(an, an.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := c.qp.Components[0]
+	p := comp.TAGPlan
+	if p.Nodes[p.Root].Alias != "f" || p.StartAlias != "z" {
+		t.Fatalf("plan roots at %s and starts at %s, want f and z:\n%s", p.Nodes[p.Root].Alias, p.StartAlias, p)
+	}
+	r := &componentRun{ex: ex, c: c, comp: comp, prefilter: map[string]map[bsp.VertexID]bool{}}
+	defer r.release()
+	if err := r.resolveSteps(); err != nil {
+		t.Fatal(err)
+	}
+	r.marks = ex.takeMarks()
+	ex.ResetStats()
+	survivors, err := r.runReduction()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs := ex.Stats().Messages; msgs != 31 {
+		t.Errorf("reduction sent %d messages, want 31", msgs)
+	}
+
+	// The start leaf's survivors are its semijoin-reduced tuples.
+	var got []int64
+	for _, v := range survivors {
+		got = append(got, ex.TAG.TupleData(v).Row[0].AsInt())
+	}
+	ref, err := baseline.New(cat).Query(`SELECT z.a FROM z WHERE EXISTS (SELECT 1 FROM f WHERE f.a = z.a
+		AND EXISTS (SELECT 1 FROM x WHERE x.b = f.b AND x.q = 1)
+		AND EXISTS (SELECT 1 FROM y WHERE y.c = f.c AND y.r = 1))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, row := range ref.Tuples {
+		want = append(want, row[0].AsInt())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("start survivors = %v, want %v", got, want)
+	}
+
+	// No f tuple the first arrival missed (a = 1) heard from a climb
+	// back out of x or y: the root receives nothing in the DOWN pass, so
+	// its marks on those plan edges are the climbs'.
+	for _, leaf := range []string{"x", "y"} {
+		edge := p.Nodes[p.RelNodeOf(leaf)].Parent // the f-side plan edge
+		for _, v := range g.TupleVertices("f") {
+			if row := g.TupleData(v).Row; row[0].AsInt() != 0 && len(r.marks.edgeIDs(v, edge)) > 0 {
+				t.Errorf("f%v heard from the climb out of %s", row, leaf)
+			}
+		}
 	}
 }

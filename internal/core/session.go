@@ -56,15 +56,14 @@ type Session struct {
 
 	// restrict limits which tuple vertices of an alias participate in a
 	// run, by vertex-ID window (incremental maintenance's old/delta
-	// split); nil means unrestricted. deltaAlias names the alias whose
-	// window is the write delta, so planning can seed the reduction
-	// there. capture, when non-nil, snapshots the pre-projection group
-	// state of the next aggregate run. All three are managed by the
-	// incremental runner (incremental.go) and are nil/"" for ordinary
+	// split); nil means unrestricted. A window also narrows the alias's
+	// seed count, so the reduction starts at the write delta when it is
+	// a leaf. capture, when non-nil, snapshots the pre-projection group
+	// state of the next aggregate run. Both are managed by the
+	// incremental runner (incremental.go) and are nil for ordinary
 	// queries.
-	restrict   map[string]vertexWindow
-	deltaAlias string
-	capture    *stateCapture
+	restrict map[string]vertexWindow
+	capture  *stateCapture
 
 	// freeMarks and freeMemos are the released per-vertex buffers of
 	// earlier component runs (scratch.go); reusing them keeps a run's

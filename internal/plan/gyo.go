@@ -62,17 +62,10 @@ type QueryPlan struct {
 // Options tunes planning.
 type Options struct {
 	// Cardinality supplies |alias| estimates used to root the join tree
-	// at the largest relation and remove small ears first. Missing
-	// entries default to 1.
+	// at the largest relation, remove small ears first and start the
+	// bottom-up walk at the leaf with the fewest tuples. Missing entries
+	// default to 1.
 	Cardinality map[string]int
-
-	// PreferStart names an alias the traversal should start from when
-	// that alias ends up a leaf of its join tree. Incremental query
-	// maintenance sets it to the delta-restricted alias so the reduction
-	// seeds from the (tiny) write delta instead of a full relation; it
-	// never changes what the plan computes, only where the bottom-up
-	// walk begins.
-	PreferStart string
 }
 
 func (o Options) card(alias string) int {
@@ -183,9 +176,7 @@ func buildComponent(aliases []string, allPreds []EquiPred, classes *Classes, opt
 			comp.Tree = tree
 			remapTreeClasses(tree, cls, classes)
 			comp.TAGPlan = BuildTAGPlan(tree, classes)
-			if opts.PreferStart != "" {
-				comp.TAGPlan.PreferStart(lower(opts.PreferStart), classes)
-			}
+			comp.TAGPlan.startAtSmallestLeaf(opts.card, classes)
 			return comp, acyclic, nil
 		}
 		acyclic = false

@@ -309,3 +309,42 @@ func TestPlanString(t *testing.T) {
 		t.Errorf("String() = %s", s)
 	}
 }
+
+// TestStartAtSmallestLeaf checks that the walk starts at the leaf with
+// the smallest Cardinality, which need not be the rightmost one, and
+// that a tie keeps the rightmost leaf.
+func TestStartAtSmallestLeaf(t *testing.T) {
+	preds := []EquiPred{
+		pred("r", "a", "s", "a"),
+		pred("s", "b", "t", "b"),
+		pred("s", "b", "v", "b"),
+	}
+	for _, tc := range []struct {
+		name string
+		card map[string]int
+		want string
+	}{
+		{"smaller-left-leaf", map[string]int{"r": 1000, "s": 500, "t": 10, "v": 50}, "t"},
+		{"tie", map[string]int{"r": 1000, "s": 500, "t": 50, "v": 50}, "v"},
+	} {
+		qp, err := Build([]string{"r", "s", "t", "v"}, preds, Options{Cardinality: tc.card})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := qp.Components[0].TAGPlan
+		if p.StartAlias != tc.want {
+			t.Errorf("%s: start = %s, want %s\n%s", tc.name, p.StartAlias, tc.want, p)
+		}
+		if first := p.Nodes[p.Steps[0].From]; first.Alias != p.StartAlias {
+			t.Errorf("%s: walk starts at %q, not the start alias %s", tc.name, first.Alias, p.StartAlias)
+		}
+		for i := 1; i < len(p.Steps); i++ {
+			if p.Steps[i].From != p.Steps[i-1].To {
+				t.Errorf("%s: step %d is disconnected\n%s", tc.name, i, p)
+			}
+		}
+		if p.Steps[len(p.Steps)-1].To != p.Root {
+			t.Errorf("%s: traversal must end at the root\n%s", tc.name, p)
+		}
+	}
+}

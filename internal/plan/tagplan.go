@@ -155,16 +155,23 @@ func (p *TAGPlan) genSteps(classes *Classes) {
 	}
 }
 
-// PreferStart re-anchors the traversal at the given alias when its plan
-// node is a leaf: the nodes along the root-to-leaf path are rotated to
-// the last-child position of their parents (genSteps is valid for any
-// child order), then the step list is regenerated so the bottom-up walk
-// begins at that leaf. A non-leaf or unknown alias leaves the plan
-// untouched. Incremental maintenance uses this to start the reduction
-// at the delta-restricted relation.
-func (p *TAGPlan) PreferStart(alias string, classes *Classes) {
-	leaf := p.RelNodeOf(alias)
-	if leaf < 0 || len(p.Nodes[leaf].Children) > 0 || p.Nodes[leaf].Parent < 0 {
+// startAtSmallestLeaf re-anchors the traversal at the leaf whose alias
+// has the smallest card, so the bottom-up walk begins where the fewest
+// tuples are seeded (an alias's pushed selections, or incremental
+// maintenance's write delta). A tie keeps the rightmost leaf; among
+// other tied leaves the first in node order wins. The
+// nodes along the root-to-leaf path are rotated to the last-child
+// position of their parents (genSteps is valid for any child order),
+// then the step list is regenerated.
+func (p *TAGPlan) startAtSmallestLeaf(card func(string) int, classes *Classes) {
+	start := p.RelNodeOf(p.StartAlias) // the rightmost leaf
+	leaf := start
+	for _, n := range p.Nodes {
+		if n.Kind == RelNode && len(n.Children) == 0 && n.Parent >= 0 && card(n.Alias) < card(p.Nodes[leaf].Alias) {
+			leaf = n.ID
+		}
+	}
+	if leaf == start {
 		return
 	}
 	for n := leaf; p.Nodes[n].Parent >= 0; n = p.Nodes[n].Parent {
