@@ -175,8 +175,7 @@ func buildComponent(aliases []string, allPreds []EquiPred, classes *Classes, opt
 		if ok {
 			comp.Tree = tree
 			remapTreeClasses(tree, cls, classes)
-			comp.TAGPlan = BuildTAGPlan(tree, classes)
-			comp.TAGPlan.startAtSmallestLeaf(opts.card, classes)
+			comp.TAGPlan = BuildTAGPlan(tree, classes, opts.card)
 			return comp, acyclic, nil
 		}
 		acyclic = false

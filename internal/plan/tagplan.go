@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -43,8 +44,9 @@ type TAGPlan struct {
 
 // BuildTAGPlan constructs the TAG plan of a join tree per §5.1: one node
 // per relation, one node per join attribute class (shared), edges labeled
-// with the relation-side alias.column, then the Algorithm 1 step list.
-func BuildTAGPlan(t *Tree, classes *Classes) *TAGPlan {
+// with the relation-side alias.column, then the Algorithm 1 step list,
+// starting at the leaf with the smallest card.
+func BuildTAGPlan(t *Tree, classes *Classes, card func(string) int) *TAGPlan {
 	p := &TAGPlan{}
 	relNode := map[string]int{}
 	attrNode := map[int]int{}
@@ -75,6 +77,7 @@ func BuildTAGPlan(t *Tree, classes *Classes) *TAGPlan {
 		relNode[alias] = addNode(Node{Kind: RelNode, Alias: alias, Parent: an, Class: -1})
 	}
 
+	p.startAtSmallestLeaf(card)
 	p.genSteps(classes)
 	return p
 }
@@ -155,37 +158,29 @@ func (p *TAGPlan) genSteps(classes *Classes) {
 	}
 }
 
-// startAtSmallestLeaf re-anchors the traversal at the leaf whose alias
-// has the smallest card, so the bottom-up walk begins where the fewest
-// tuples are seeded (an alias's pushed selections, or incremental
-// maintenance's write delta). A tie keeps the rightmost leaf; among
-// other tied leaves the first in node order wins. The
-// nodes along the root-to-leaf path are rotated to the last-child
-// position of their parents (genSteps is valid for any child order),
-// then the step list is regenerated.
-func (p *TAGPlan) startAtSmallestLeaf(card func(string) int, classes *Classes) {
-	start := p.RelNodeOf(p.StartAlias) // the rightmost leaf
-	leaf := start
+// startAtSmallestLeaf makes the leaf whose alias has the smallest card
+// the rightmost one, where genSteps starts the walk, so the bottom-up
+// walk begins where the fewest tuples are seeded (an alias's pushed
+// selections, or incremental maintenance's write delta). A tie keeps
+// the rightmost leaf; among other tied leaves the first in node order
+// wins. The nodes along the root-to-leaf path move to the last-child
+// position of their parents; genSteps is valid for any child order.
+func (p *TAGPlan) startAtSmallestLeaf(card func(string) int) {
+	leaf := p.Root
+	for ch := p.Nodes[leaf].Children; len(ch) > 0; ch = p.Nodes[leaf].Children {
+		leaf = ch[len(ch)-1]
+	}
 	for _, n := range p.Nodes {
 		if n.Kind == RelNode && len(n.Children) == 0 && n.Parent >= 0 && card(n.Alias) < card(p.Nodes[leaf].Alias) {
 			leaf = n.ID
 		}
 	}
-	if leaf == start {
-		return
-	}
 	for n := leaf; p.Nodes[n].Parent >= 0; n = p.Nodes[n].Parent {
 		ch := p.Nodes[p.Nodes[n].Parent].Children
-		for i, c := range ch {
-			if c == n {
-				copy(ch[i:], ch[i+1:])
-				ch[len(ch)-1] = n
-				break
-			}
-		}
+		i := slices.Index(ch, n)
+		copy(ch[i:], ch[i+1:])
+		ch[len(ch)-1] = n
 	}
-	p.Steps = nil
-	p.genSteps(classes)
 }
 
 // Reversed returns the top-down step list: the bottom-up steps reversed
