@@ -255,51 +255,6 @@ func keepRows(tests []sql.Compiled, rows [][]relation.Value, outer *sql.Env, sub
 	return dst, nil
 }
 
-// vertexTable returns the collection value of a survivor vertex.
-func (res *componentResult) vertexTable(v bsp.VertexID) *table {
-	if res.values == nil {
-		return res.run.ownRow(res.rootAlias, v)
-	}
-	return res.values[v]
-}
-
-// finalizeNone handles blocks without aggregation: survivors filter their
-// tables vertex-parallel and emit rows; projection happens centrally.
-func (e *Session) finalizeNone(c *compiled, res *componentResult, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
-	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
-		t := res.vertexTable(v)
-		if t == nil {
-			return
-		}
-		rows, err := res.run.residualRows(t, nil)
-		ctx.AddOps(len(t.rows))
-		if err != nil {
-			ctx.Fail(err)
-			return
-		}
-		if len(rows) > 0 {
-			out := newTableShared(t.header, t.index)
-			out.rows = rows
-			ctx.Emit(out)
-		}
-	})
-	if err := e.runProg(prog, res.survivors); err != nil {
-		return nil, err
-	}
-	var all *table
-	for _, em := range e.eng.Emitted() {
-		t := em.(*table)
-		if all == nil {
-			all = newTableShared(t.header, t.index)
-		}
-		all.rows = append(all.rows, t.rows...)
-	}
-	if all == nil {
-		all = newTable(c.componentHeader(c.qp.Components[0]))
-	}
-	return e.projectCentral(c, all, outer, subq)
-}
-
 // survivorFolder is step 0 of the distributed finalizations: a survivor
 // keeps the rows of its table that pass the residual predicates and
 // observes them straight into its worker's fold stream toward each
@@ -426,84 +381,46 @@ func (ws *foldScratch) splitByTarget(t *table, rows [][]relation.Value, targetOf
 	return ws.sorted, ws.sortedFirsts, nil
 }
 
-// finalizeLocal is the §7 local-aggregation path: survivors pre-aggregate
-// their rows toward the attribute vertex of the group key, where each
-// group's aggregation completes in parallel with all other groups.
-func (e *Session) finalizeLocal(c *compiled, res *componentResult, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
-	setup := newAggSetup(c.blk)
-	f := e.newSurvivorFolder(c, res, setup, outer)
-	targetOf := func(k relation.Value) bsp.VertexID {
-		if av, ok := e.TAG.AttrVertexOf(k); ok {
-			return av
-		}
-		return e.TAG.Aggregator // NULL or unmaterialized key value
+// sendByTarget observes rows into one fold stream from v per target
+// (splitByTarget) and returns how many groups the rows touched.
+func (f *survivorFolder) sendByTarget(ctx *bsp.Context, ws *foldScratch, v bsp.VertexID, t *table, rows [][]relation.Value, targetOf func(relation.Value) bsp.VertexID) (int, error) {
+	rows, firsts, err := ws.splitByTarget(t, rows, targetOf)
+	touched, start := 0, 0
+	for i := 0; err == nil && i < len(ws.targets); i++ {
+		var n int
+		to := bsp.VertexID(ws.targets[i].I)
+		n, err = f.send(ctx, ws, v, to, t, rows[start:ws.ends[i]], firsts[start:ws.ends[i]])
+		touched += n
+		start = ws.ends[i]
 	}
-	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
-		switch ctx.Step() {
-		case 0:
-			ws, t, rows, err := f.survivor(ctx, v)
-			if t == nil && err == nil {
-				return
-			}
-			// A group goes to the attribute vertex of its first key, so a
-			// survivor sends once per target its rows have.
-			var firsts []relation.Value
-			if err == nil {
-				rows, firsts, err = ws.splitByTarget(t, rows, targetOf)
-			}
-			touched, start := 0, 0
-			for i := 0; err == nil && i < len(ws.targets); i++ {
-				var n int
-				to := bsp.VertexID(ws.targets[i].I)
-				n, err = f.send(ctx, ws, v, to, t, rows[start:ws.ends[i]], firsts[start:ws.ends[i]])
-				touched += n
-				start = ws.ends[i]
-			}
-			if err != nil {
-				ctx.Fail(err)
-				return
-			}
-			ctx.AddOps(len(t.rows) + touched)
-		case 1:
-			// Attribute vertices merge the partials of their groups; each
-			// vertex handles its own groups independently (LA parallelism).
-			// The merged groups ride one emitted partialGroups so the
-			// source header reaches every process with the result.
-			merged := &partialGroups{}
-			for _, m := range inbox {
-				merged.fold(m.Payload.(*partialGroups))
-			}
-			ctx.AddOps(len(merged.groups))
-			if len(merged.groups) > 0 {
-				ctx.Emit(merged)
-			}
-		}
-	})
-	if err := e.runProg(bsp.WithCombiner(prog, pgCombiner{}), res.survivors); err != nil {
-		return nil, err
-	}
-	return e.projectEmitted(c, setup, outer, subq)
+	return touched, err
 }
 
-// finalizeGlobal is the §7 global/scalar aggregation path: survivors
-// pre-aggregate their rows toward the single global aggregator vertex,
-// which merges the partials sequentially (the bottleneck the paper
-// measures on GA queries).
-func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
+// finalizeGroups is §7's aggregation finalization: survivors pre-aggregate
+// their rows toward an aggregation target, which merges the partials of
+// its groups and emits them. With targetOf nil the target is the single
+// global aggregator vertex (the GA and scalar paths; its sequential merge
+// is the bottleneck the paper measures). Otherwise a group goes to
+// targetOf its first GROUP BY key, the attribute vertex of the key (the
+// LA path), where each group completes in parallel with all others.
+func (e *Session) finalizeGroups(c *compiled, res *componentResult, targetOf func(relation.Value) bsp.VertexID, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	setup := newAggSetup(c.blk)
 	f := e.newSurvivorFolder(c, res, setup, outer)
 
-	// With a partitioned (distributed) graph, partials are first combined
-	// at one relay vertex per machine, so only one combined message per
-	// machine crosses the network to the global aggregator — the
-	// per-machine accumulator combining of Pregel-style engines and the
-	// partial-aggregation optimization §7 describes. Partition p's relay
-	// is vertex p, which bsp.PartitionOf places on partition p.
+	// With a partitioned graph, aggregator-bound partials first meet at
+	// one relay vertex per machine: partition p's relay is vertex p, which
+	// bsp.PartitionOf places on partition p. The relay is not what keeps
+	// the aggregator at one message per machine — combining alone does
+	// that, since the workers' accumulators merge at the barrier. It fixes
+	// the aggregator's group order: every machine's groups reach it in
+	// the relay's merge order, so a combined and an uncombined run list
+	// their groups alike (without it q1 and q9 differ at Partitions 6,
+	// TestCombinedMatchesUncombinedTPCH).
 	parts := e.Opts.Partitions
-	relayed := parts > 1
-	relayStep := 0
+	relayed := targetOf == nil && parts > 1
+	last := 1
 	if relayed {
-		relayStep = 1
+		last = 2
 	}
 	mergeInbox := func(ctx *bsp.Context, inbox []bsp.Message) *partialGroups {
 		merged := &partialGroups{}
@@ -517,14 +434,16 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 		return merged
 	}
 	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
-		switch {
-		case ctx.Step() == 0:
+		switch ctx.Step() {
+		case 0:
 			ws, t, rows, err := f.survivor(ctx, v)
 			if t == nil && err == nil {
 				return
 			}
 			touched := 0
-			if err == nil && len(rows) > 0 {
+			if err == nil && targetOf != nil {
+				touched, err = f.sendByTarget(ctx, ws, v, t, rows, targetOf)
+			} else if err == nil && len(rows) > 0 {
 				to := e.TAG.Aggregator
 				if relayed {
 					to = bsp.VertexID(bsp.PartitionOf(v, parts))
@@ -536,19 +455,17 @@ func (e *Session) finalizeGlobal(c *compiled, res *componentResult, outer *sql.E
 				return
 			}
 			ctx.AddOps(len(t.rows) + touched)
-		case relayed && ctx.Step() == relayStep:
-			// Per-machine relay: combine and forward one message.
-			if pg := mergeInbox(ctx, inbox); len(pg.groups) > 0 {
-				ctx.Send(v, e.TAG.Aggregator, pg)
-			}
-		case ctx.Step() == relayStep+1:
-			// The single aggregator vertex merges everything (the GA
-			// bottleneck of §8.3 — now fed at most one message per worker
-			// per machine, since aggregator-bound partials fold en route).
-			// The merged result rides the emit stream so every process —
-			// not just the aggregator vertex's owner — can project it.
+		case last:
+			// The targets merge the partials of their groups. The merged
+			// groups ride the emit stream, so every process — not just the
+			// target's owner — can project them with the source header.
 			if out := mergeInbox(ctx, inbox); len(out.groups) > 0 {
 				ctx.Emit(out)
+			}
+		default:
+			// Per-machine relay: merge and forward one message.
+			if pg := mergeInbox(ctx, inbox); len(pg.groups) > 0 {
+				ctx.Send(v, e.TAG.Aggregator, pg)
 			}
 		}
 	})

@@ -334,20 +334,21 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 		}
 	}
 
-	// Distributed finalization for single-component blocks whose residual
-	// predicates are vertex-safe; central finalization otherwise.
-	if singleRes != nil && c.residualVertexSafe() {
-		switch c.agg {
-		case AggLocal:
-			if c.hasLocalAggKey(e.TAG) {
-				return e.finalizeLocal(c, singleRes, outer, subq)
+	// Aggregation finalizes vertex-parallel when the block has one
+	// component whose residual predicates are vertex-safe. Everything else
+	// assembles centrally: a non-aggregate block's survivors already hold
+	// the collection output on every node.
+	if singleRes != nil && c.agg != AggNone && c.residualVertexSafe() {
+		var targetOf func(relation.Value) bsp.VertexID
+		if c.agg == AggLocal && c.hasLocalAggKey(e.TAG) {
+			targetOf = func(k relation.Value) bsp.VertexID {
+				if av, ok := e.TAG.AttrVertexOf(k); ok {
+					return av
+				}
+				return e.TAG.Aggregator // NULL or unmaterialized key value
 			}
-			return e.finalizeGlobal(c, singleRes, outer, subq)
-		case AggGlobal, AggScalar:
-			return e.finalizeGlobal(c, singleRes, outer, subq)
-		default:
-			return e.finalizeNone(c, singleRes, outer, subq)
 		}
+		return e.finalizeGroups(c, singleRes, targetOf, outer, subq)
 	}
 	if singleRes != nil {
 		combined = singleRes.assemble(c)
