@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -52,11 +51,12 @@ type Coordinator struct {
 	hub    *hub
 	wire   wireCounters
 
-	mu      sync.Mutex
-	workers []*workerLink // index by part; [0] unused
-	joined  int
-	joinCh  chan struct{} // closed when the last worker joins
-	readyCh chan struct{} // one send per worker READY
+	mu       sync.Mutex
+	workers  []*workerLink // index by part; [0] unused
+	joined   int
+	welcomed int
+	joinCh   chan struct{} // closed when the last worker is welcomed
+	readyCh  chan struct{} // one send per worker READY
 
 	g    *tag.Graph
 	sess *core.Session
@@ -168,14 +168,8 @@ func (c *Coordinator) admitCtrl(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	d := codec.NewDecoder(payload[1:])
-	magic, err := d.Str()
-	if err != nil || magic != joinMagic {
-		conn.Close()
-		return
-	}
-	dataAddr, err := d.Str()
-	if err != nil || d.Finish() != nil {
+	dataAddr, err := decodeJoin(payload[1:])
+	if err != nil {
 		conn.Close()
 		return
 	}
@@ -191,25 +185,26 @@ func (c *Coordinator) admitCtrl(conn net.Conn) {
 	part := c.joined
 	l := &workerLink{part: part, conn: conn, dataAddr: dataAddr}
 	c.workers[part] = l
-	last := c.joined == c.cfg.Parts-1
 	c.mu.Unlock()
 
-	welcome := []byte{ckWelcome}
-	welcome = binary.AppendUvarint(welcome, uint64(part))
-	welcome = binary.AppendUvarint(welcome, uint64(c.cfg.Parts))
-	welcome = codec.AppendString(welcome, c.cfg.DB)
-	welcome = binary.LittleEndian.AppendUint64(welcome, math.Float64bits(c.cfg.Scale))
-	welcome = binary.AppendVarint(welcome, c.cfg.Seed)
-	welcome = codec.AppendString(welcome, c.token)
-	if err := c.send(l, welcome); err != nil {
+	w := welcome{part: part, parts: c.cfg.Parts, db: c.cfg.DB, scale: c.cfg.Scale, seed: c.cfg.Seed, token: c.token}
+	if err := sendWelcome(c, l, appendWelcome([]byte{ckWelcome}, w)); err != nil {
 		c.hub.fail(fmt.Errorf("dist: welcoming worker %d: %w", part, err))
 		return
 	}
 	go c.readWorker(l, br)
-	if last {
+	// joinCh closes only once every worker holds its WELCOME: form()
+	// sends TOPOLOGY next, and a worker must read WELCOME first.
+	c.mu.Lock()
+	c.welcomed++
+	if c.welcomed == c.cfg.Parts-1 {
 		close(c.joinCh)
 	}
+	c.mu.Unlock()
 }
+
+// sendWelcome indirects the WELCOME write, so a test can hold one back.
+var sendWelcome = (*Coordinator).send
 
 func (c *Coordinator) refuse(conn net.Conn, reason string) {
 	payload := codec.AppendString([]byte{ckRefuse}, reason)
@@ -259,15 +254,14 @@ func (c *Coordinator) form() {
 			fail(err)
 			return
 		}
-		topo := []byte{ckTopology}
-		topo = binary.AppendUvarint(topo, uint64(c.cfg.Parts))
-		topo = codec.AppendString(topo, net.JoinHostPort("", dataPort))
 		c.mu.Lock()
 		links := append([]*workerLink(nil), c.workers[1:]...)
 		c.mu.Unlock()
+		addrs := []string{net.JoinHostPort("", dataPort)}
 		for _, l := range links {
-			topo = codec.AppendString(topo, l.dataAddr)
+			addrs = append(addrs, l.dataAddr)
 		}
+		topo := appendTopology([]byte{ckTopology}, addrs)
 		for _, l := range links {
 			if err := c.send(l, topo); err != nil {
 				fail(fmt.Errorf("dist: sending topology to worker %d: %w", l.part, err))

@@ -174,6 +174,109 @@ const joinMagic = "tagdist1"
 // pin an accept loop.
 const handshakeTimeout = 10 * time.Second
 
+// appendJoin serializes a JOIN frame after the leading kind byte: the
+// magic, then the joiner's data-mesh address.
+func appendJoin(dst []byte, dataAddr string) []byte {
+	return codec.AppendString(codec.AppendString(dst, joinMagic), dataAddr)
+}
+
+// decodeJoin reads a whole JOIN payload and returns its data-mesh
+// address.
+func decodeJoin(payload []byte) (string, error) {
+	d := codec.NewDecoder(payload)
+	magic, err := d.Str()
+	if err != nil {
+		return "", err
+	}
+	if magic != joinMagic {
+		return "", fmt.Errorf("dist: join magic %q", magic)
+	}
+	addr, err := d.Str()
+	if err == nil {
+		err = d.Finish()
+	}
+	return addr, err
+}
+
+// welcome is the WELCOME frame: the joiner's partition, the topology
+// size, the dataset triple every node builds, and the mesh token.
+type welcome struct {
+	part, parts int
+	db          string
+	scale       float64
+	seed        int64
+	token       string
+}
+
+func appendWelcome(dst []byte, w welcome) []byte {
+	dst = binary.AppendUvarint(dst, uint64(w.part))
+	dst = binary.AppendUvarint(dst, uint64(w.parts))
+	dst = codec.AppendString(dst, w.db)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w.scale))
+	dst = binary.AppendVarint(dst, w.seed)
+	return codec.AppendString(dst, w.token)
+}
+
+// decodeWelcome reads a whole WELCOME payload; the assigned partition
+// must be a worker's, 1 ≤ part < parts.
+func decodeWelcome(payload []byte) (welcome, error) {
+	var w welcome
+	d := codec.NewDecoder(payload)
+	part, err := d.Uvarint()
+	if err != nil {
+		return w, err
+	}
+	parts, err := d.Uvarint()
+	if err != nil {
+		return w, err
+	}
+	if part < 1 || part >= parts || parts > math.MaxInt32 {
+		return w, fmt.Errorf("dist: welcome assigned partition %d of %d", part, parts)
+	}
+	w.part, w.parts = int(part), int(parts)
+	if w.db, err = d.Str(); err != nil {
+		return w, err
+	}
+	scale, err := d.Take(8)
+	if err != nil {
+		return w, err
+	}
+	w.scale = math.Float64frombits(binary.LittleEndian.Uint64(scale))
+	if w.seed, err = d.Varint(); err != nil {
+		return w, err
+	}
+	if w.token, err = d.Str(); err != nil {
+		return w, err
+	}
+	return w, d.Finish()
+}
+
+// appendTopology serializes a TOPOLOGY frame after the leading kind
+// byte: every node's data-mesh address, in partition order.
+func appendTopology(dst []byte, addrs []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(addrs)))
+	for _, a := range addrs {
+		dst = codec.AppendString(dst, a)
+	}
+	return dst
+}
+
+// decodeTopology reads a whole TOPOLOGY payload.
+func decodeTopology(payload []byte) ([]string, error) {
+	d := codec.NewDecoder(payload)
+	n, err := d.Length()
+	if err != nil {
+		return nil, err
+	}
+	addrs := make([]string, n)
+	for i := range addrs {
+		if addrs[i], err = d.Str(); err != nil {
+			return nil, err
+		}
+	}
+	return addrs, d.Finish()
+}
+
 // appendBarrierFrame serializes a bsp.BarrierFrame after the leading
 // kind byte: step, active count, abort flag, failure and stats.
 func appendBarrierFrame(dst []byte, bf bsp.BarrierFrame) []byte {

@@ -149,6 +149,32 @@ func TestDistMatchesSimulationTPCH(t *testing.T) {
 	}
 }
 
+// TestTopologyWaitsForEveryWelcome holds back the first joiner's WELCOME
+// until the last joiner has been welcomed: formation must not send
+// TOPOLOGY to a worker still waiting for its WELCOME, which would fail
+// that worker's join with "expected welcome".
+func TestTopologyWaitsForEveryWelcome(t *testing.T) {
+	orig := sendWelcome
+	defer func() { sendWelcome = orig }()
+	sendWelcome = func(c *Coordinator, l *workerLink, payload []byte) error {
+		if l.part == 1 {
+			// Park until formation could start — right away if joinCh
+			// closed without this welcome, else after a bound — and give a
+			// premature TOPOLOGY time to reach the link first.
+			select {
+			case <-c.joinCh:
+				time.Sleep(50 * time.Millisecond)
+			case <-time.After(300 * time.Millisecond):
+			}
+		}
+		return orig(c, l, payload)
+	}
+	c, _ := startTopology(t, testGraph(t), 3)
+	if _, err := c.Query("SELECT count(*) FROM region"); err != nil {
+		t.Fatalf("query: %v", err)
+	}
+}
+
 // TestWorkerDeathDegradesTopology kills one worker and checks the
 // fail-stop contract: the in-flight (or next) query fails, every later
 // query is refused with ErrDegraded, and the surviving worker leaves
@@ -257,9 +283,7 @@ func TestHostileFramesNeverWedge(t *testing.T) {
 		t.Fatalf("join dial: %v", err)
 	}
 	defer conn.Close()
-	join := codec.AppendString([]byte{ckJoin}, joinMagic)
-	join = codec.AppendString(join, "127.0.0.1:1")
-	if err := codec.WriteFrame(conn, join); err != nil {
+	if err := codec.WriteFrame(conn, appendJoin([]byte{ckJoin}, "127.0.0.1:1")); err != nil {
 		t.Fatalf("join write: %v", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -72,4 +73,65 @@ func FuzzDecodeBarrierFrame(f *testing.F) {
 			t.Fatalf("re-encoding is not a fixpoint:\n got %x\nwant %x", re, canon)
 		}
 	})
+}
+
+// FuzzDecodeHandshake: the coordinator decodes every JOIN a fresh
+// control connection sends, and a joining worker decodes its WELCOME
+// and TOPOLOGY. Every input goes to all three decoders. On any input
+// none panics or allocates more than a constant factor of the bytes it
+// was given, and whatever one accepts re-encodes to a canonical form
+// that decodes to the same frame and re-encodes to itself.
+func FuzzDecodeHandshake(f *testing.F) {
+	for _, b := range [][]byte{
+		appendJoin(nil, "127.0.0.1:40000"),
+		appendJoin(nil, ""),
+		appendWelcome(nil, welcome{part: 1, parts: 4, db: "tpch", scale: 0.1, seed: 42, token: "00ff"}),
+		appendWelcome(nil, welcome{part: 3, parts: 1 << 20, scale: math.Inf(1), seed: math.MinInt64}),
+		appendTopology(nil, []string{":40000", "10.0.0.2:40001", "10.0.0.3:40002"}),
+		appendTopology(nil, nil),
+	} {
+		for _, n := range []int{0, 1, len(b) / 2, len(b) - 1} {
+			f.Add(b[:n])
+		}
+		f.Add(b)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		addr, joinErr := decodeJoin(data)
+		w, welcomeErr := decodeWelcome(data)
+		addrs, topoErr := decodeTopology(data)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), d)
+		}
+		if joinErr == nil {
+			roundTrip(t, addr, appendJoin, decodeJoin)
+		}
+		if welcomeErr == nil {
+			roundTrip(t, w, appendWelcome, decodeWelcome)
+		}
+		if topoErr == nil {
+			roundTrip(t, addrs, appendTopology, decodeTopology)
+		}
+	})
+}
+
+// roundTrip checks that v, which a decoder accepted, re-encodes to a
+// canonical form that decodes to v and re-encodes to itself. Values
+// compare by their printed form, so a NaN scale equals itself.
+func roundTrip[T any](t *testing.T, v T, enc func([]byte, T) []byte, dec func([]byte) (T, error)) {
+	t.Helper()
+	canon := enc(nil, v)
+	again, err := dec(canon)
+	if err != nil {
+		t.Fatalf("canonical frame %x does not decode: %v", canon, err)
+	}
+	if got, want := fmt.Sprintf("%#v", again), fmt.Sprintf("%#v", v); got != want {
+		t.Fatalf("canonical frame decodes to %s, want %s", got, want)
+	}
+	if re := enc(nil, again); !bytes.Equal(re, canon) {
+		t.Fatalf("re-encoding is not a fixpoint:\n got %x\nwant %x", re, canon)
+	}
 }

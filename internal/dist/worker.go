@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -115,10 +114,7 @@ func (w *Worker) form(coordAddr string, workers int, build GraphBuilder) error {
 	}
 	w.dataLn = dataLn
 
-	join := []byte{ckJoin}
-	join = codec.AppendString(join, joinMagic)
-	join = codec.AppendString(join, dataLn.Addr().String())
-	if err := w.send(join); err != nil {
+	if err := w.send(appendJoin([]byte{ckJoin}, dataLn.Addr().String())); err != nil {
 		return fmt.Errorf("dist: joining %s: %w", coordAddr, err)
 	}
 
@@ -135,42 +131,14 @@ func (w *Worker) form(coordAddr string, workers int, build GraphBuilder) error {
 	if len(payload) == 0 || payload[0] != ckWelcome {
 		return fmt.Errorf("dist: expected welcome, got kind %#x", frameKind(payload))
 	}
-	d := codec.NewDecoder(payload[1:])
-	part64, err := d.Uvarint()
+	wel, err := decodeWelcome(payload[1:])
 	if err != nil {
 		return err
 	}
-	parts64, err := d.Uvarint()
-	if err != nil {
-		return err
-	}
-	db, err := d.Str()
-	if err != nil {
-		return err
-	}
-	scaleRaw, err := d.Take(8)
-	if err != nil {
-		return err
-	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(scaleRaw))
-	seed, err := d.Varint()
-	if err != nil {
-		return err
-	}
-	token, err := d.Str()
-	if err != nil {
-		return err
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	w.part, w.parts, w.token = int(part64), int(parts64), token
-	if w.part < 1 || w.part >= w.parts {
-		return fmt.Errorf("dist: welcome assigned partition %d of %d", w.part, w.parts)
-	}
+	w.part, w.parts, w.token = wel.part, wel.parts, wel.token
 
-	accept := newAcceptPeers(dataLn, token, w.part, w.parts)
-	g, err := build(db, scale, seed)
+	accept := newAcceptPeers(dataLn, wel.token, w.part, w.parts)
+	g, err := build(wel.db, wel.scale, wel.seed)
 	if err != nil {
 		return fmt.Errorf("dist: worker graph build: %w", err)
 	}
@@ -183,22 +151,12 @@ func (w *Worker) form(coordAddr string, workers int, build GraphBuilder) error {
 	if len(payload) == 0 || payload[0] != ckTopology {
 		return fmt.Errorf("dist: expected topology, got kind %#x", frameKind(payload))
 	}
-	d = codec.NewDecoder(payload[1:])
-	n64, err := d.Uvarint()
+	addrs, err := decodeTopology(payload[1:])
 	if err != nil {
 		return err
 	}
-	if int(n64) != w.parts {
-		return fmt.Errorf("dist: topology lists %d nodes, expected %d", n64, w.parts)
-	}
-	addrs := make([]string, w.parts)
-	for i := range addrs {
-		if addrs[i], err = d.Str(); err != nil {
-			return err
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return err
+	if len(addrs) != w.parts {
+		return fmt.Errorf("dist: topology lists %d nodes, expected %d", len(addrs), w.parts)
 	}
 	// The coordinator's entry has an empty host: fill in the host we
 	// dialed it at — the one address we know reaches it.
@@ -212,7 +170,7 @@ func (w *Worker) form(coordAddr string, workers int, build GraphBuilder) error {
 
 	w.m = newMesh(w.part, w.parts, &w.wire)
 	for i := 0; i < w.part; i++ {
-		pc, err := dialPeer(addrs[i], token, w.part)
+		pc, err := dialPeer(addrs[i], w.token, w.part)
 		if err != nil {
 			return fmt.Errorf("dist: dialing node %d at %s: %w", i, addrs[i], err)
 		}

@@ -150,6 +150,31 @@ func TestAdmissionRejectsWhenPoolExhausted(t *testing.T) {
 	}
 }
 
+// pastDeadline is a context whose deadline has passed but whose Done
+// channel never closes: the state a context.WithTimeout is in between
+// its deadline and the runtime timer that cancels it.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestAdmissionWaitPastDeadlineIsTimeout: when the admission wait and
+// the caller's deadline have both expired, the caller timed out; the
+// refusal is not an overload, even if the context has not noticed yet.
+func TestAdmissionWaitPastDeadlineIsTimeout(t *testing.T) {
+	g, err := tag.Build(itemsCatalog(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(g, bsp.Options{Workers: 1}, 1)
+	mustAcquire(t, p)
+	if _, err := p.AcquireContext(pastDeadline{context.Background()}, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("acquire past the deadline returned %v, want context.DeadlineExceeded", err)
+	}
+	if _, err := p.AcquireContext(context.Background(), time.Millisecond); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("acquire without a deadline returned %v, want ErrOverloaded", err)
+	}
+}
+
 // TestRetryAfterRoundsUp: the retry hint is the admission bound rounded
 // up to whole seconds, never under one.
 func TestRetryAfterRoundsUp(t *testing.T) {

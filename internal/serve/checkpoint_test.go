@@ -365,11 +365,11 @@ func TestCheckpointCrashAndCorruptionFallbacks(t *testing.T) {
 	})
 }
 
-// TestPeriodicCheckpoint: with CheckpointEvery set, the Maintainer
-// checkpoints in the background every N epochs and truncates the
-// covered prefix; a crash then boots from the snapshot.
+// TestPeriodicCheckpoint: with CheckpointEvery or CheckpointBytes set,
+// the Maintainer checkpoints in the background once the policy is due
+// (truncating the covered prefix unless told not to); a crash then
+// boots from the snapshot.
 func TestPeriodicCheckpoint(t *testing.T) {
-	dir := t.TempDir()
 	build := func() *tag.Graph {
 		g, err := tag.Build(itemsCatalog(), nil)
 		if err != nil {
@@ -377,53 +377,112 @@ func TestPeriodicCheckpoint(t *testing.T) {
 		}
 		return g
 	}
-	srv, err := Open(build(), Options{Sessions: 1, WALDir: dir, WALSync: wal.SyncAlways, CheckpointEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maint := srv.Maintainer()
-	for i := 0; i < 4; i++ {
-		rows := []relation.Tuple{{relation.Int(int64(7000 + i)), relation.Str("g0"), relation.Int(1)}}
-		if _, err := maint.InsertBatch("items", rows); err != nil {
+	t.Run("every", func(t *testing.T) {
+		dir := t.TempDir()
+		srv, err := Open(build(), Options{Sessions: 1, WALDir: dir, WALSync: wal.SyncAlways, CheckpointEvery: 3})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// The trigger fired at epoch 3; the snapshot lands asynchronously.
-	deadline := time.Now().Add(10 * time.Second)
-	var st Stats
-	for {
-		st = srv.Stats()
-		if st.Checkpoints >= 1 {
-			break
+		maint := srv.Maintainer()
+		for i := 0; i < 4; i++ {
+			rows := []relation.Tuple{{relation.Int(int64(7000 + i)), relation.Str("g0"), relation.Int(1)}}
+			if _, err := maint.InsertBatch("items", rows); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no periodic checkpoint after 4 writes with CheckpointEvery=3 (stats %+v)", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st.CheckpointEpoch < 3 || st.CheckpointErrors != 0 || st.WALTruncations < 1 {
-		t.Fatalf("checkpoint epoch/errors/truncations = %d/%d/%d, want >=3/0/>=1",
-			st.CheckpointEpoch, st.CheckpointErrors, st.WALTruncations)
-	}
 
-	if err := srv.WAL().Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Open(build(), Options{Sessions: 1, WALDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rst := rec.Stats()
-	if rst.Epoch != 4 || rst.WALReplayed > 4-int64(rst.CheckpointEpoch) {
-		t.Fatalf("rebooted epoch/replayed = %d/%d with checkpoint at %d",
-			rst.Epoch, rst.WALReplayed, rst.CheckpointEpoch)
-	}
-	res, err := rec.Query("SELECT COUNT(*) FROM items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Rows.Tuples[0][0].AsInt(); n != 64 {
-		t.Errorf("COUNT(*) = %d, want 64", n)
-	}
+		// The trigger fired at epoch 3; the snapshot lands asynchronously.
+		deadline := time.Now().Add(10 * time.Second)
+		var st Stats
+		for {
+			st = srv.Stats()
+			if st.Checkpoints >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no periodic checkpoint after 4 writes with CheckpointEvery=3 (stats %+v)", st)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if st.CheckpointEpoch < 3 || st.CheckpointErrors != 0 || st.WALTruncations < 1 {
+			t.Fatalf("checkpoint epoch/errors/truncations = %d/%d/%d, want >=3/0/>=1",
+				st.CheckpointEpoch, st.CheckpointErrors, st.WALTruncations)
+		}
+
+		if err := srv.WAL().Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Open(build(), Options{Sessions: 1, WALDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rst := rec.Stats()
+		if rst.Epoch != 4 || rst.WALReplayed > 4-int64(rst.CheckpointEpoch) {
+			t.Fatalf("rebooted epoch/replayed = %d/%d with checkpoint at %d",
+				rst.Epoch, rst.WALReplayed, rst.CheckpointEpoch)
+		}
+		res, err := rec.Query("SELECT COUNT(*) FROM items")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows.Tuples[0][0].AsInt(); n != 64 {
+			t.Errorf("COUNT(*) = %d, want 64", n)
+		}
+	})
+
+	// The byte trigger: nothing until the log grows past the bound, one
+	// checkpoint after; the log is kept, so the reboot skips the records
+	// the checkpoint covers.
+	t.Run("bytes", func(t *testing.T) {
+		const bound = 200
+		dir := t.TempDir()
+		srv, err := Open(build(), Options{Sessions: 1, WALDir: dir, WALSync: wal.SyncAlways,
+			CheckpointBytes: bound, CheckpointNoTruncate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		maint := srv.Maintainer()
+		n := 0
+		for ; srv.WAL().Stats().Bytes < bound; n++ {
+			if st := srv.Stats(); st.Checkpoints != 0 {
+				t.Fatalf("checkpoint after %d log bytes, under the %d-byte bound", srv.WAL().Stats().Bytes, bound)
+			}
+			rows := []relation.Tuple{{relation.Int(int64(7000 + n)), relation.Str("g0"), relation.Int(1)}}
+			if _, err := maint.InsertBatch("items", rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n < 2 {
+			t.Fatalf("one record grew the log past the %d-byte bound", bound)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Stats().Checkpoints < 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("no checkpoint after %d log bytes (stats %+v)", srv.WAL().Stats().Bytes, srv.Stats())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if st := srv.Stats(); st.CheckpointErrors != 0 || st.WALTruncations != 0 {
+			t.Fatalf("checkpoint errors/truncations = %d/%d, want 0/0", st.CheckpointErrors, st.WALTruncations)
+		}
+
+		if err := srv.WAL().Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Open(build(), Options{Sessions: 1, WALDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rst := rec.Stats()
+		if rst.Epoch != uint64(n) || rst.WALSkipped < 1 || rst.WALSkipped+rst.WALReplayed != int64(n) {
+			t.Fatalf("rebooted epoch/skipped/replayed = %d/%d/%d after %d writes", rst.Epoch, rst.WALSkipped, rst.WALReplayed, n)
+		}
+		res, err := rec.Query("SELECT COUNT(*) FROM items")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows.Tuples[0][0].AsInt(); got != int64(60+n) {
+			t.Errorf("COUNT(*) = %d, want %d", got, 60+n)
+		}
+	})
 }

@@ -47,9 +47,9 @@ func NewPool(g *tag.Graph, engine bsp.Options, size int) *Pool {
 // free and is then refused with ErrOverloaded — the
 // bounded-wait-then-refuse discipline that keeps an overloaded
 // server's queue from growing without limit. A ctx cancelled while
-// waiting returns ctx.Err() instead (the caller gave up; that is a
-// cancellation, not an overload). The caller owns the session
-// exclusively until Release.
+// waiting, or whose deadline passed, returns its error instead (the
+// caller gave up; that is a cancellation, not an overload). The
+// caller owns the session exclusively until Release.
 func (p *Pool) AcquireContext(ctx context.Context, wait time.Duration) (*core.Session, error) {
 	select {
 	case s := <-p.free:
@@ -75,6 +75,16 @@ func (p *Pool) AcquireContext(ctx context.Context, wait time.Duration) (*core.Se
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-timer.C:
+		// A deadline that passed while we waited is a timeout, not an
+		// overload, even before ctx notices: ctx.Err turns non-nil only
+		// when a runtime timer fires, so the deadline is read as a
+		// wall-clock fact, as core.Session.RunContext does.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			return nil, context.DeadlineExceeded
+		}
 		return nil, ErrOverloaded
 	}
 }
