@@ -30,10 +30,10 @@ import (
 // Each term is the original query run with alias j restricted to the
 // delta window, later aliases to the old window, and earlier aliases
 // unrestricted — the windows are enforced at the single vertex
-// admission chokepoint (componentRun.passes), the reduction seeds from
-// the delta window, and planning biases the delta alias to the start
-// leaf, so a term touches the batch's vertices and their join
-// frontier, not the graph.
+// admission chokepoint (componentRun.passes), and the window narrows
+// the delta alias's seed count, so planning starts the reduction at the
+// delta when it is the most selective leaf: a term touches the batch's
+// vertices and their join frontier, not the graph.
 //
 // Folding a term into the cached state reuses the combiner's group fold
 // (partialGroups.fold): aggregate terms merge group-by-group, exactly,

@@ -1,7 +1,8 @@
 // Package sql implements the SQL frontend of the reproduction: a lexer,
 // a recursive-descent parser producing an AST, a name-resolution analyzer,
-// and a row-at-a-time expression evaluator shared by the TAG-join executor
-// and the baseline relational engines.
+// and an expression compiler, which turns each expression into a closure
+// over one row shape, shared by the TAG-join executor and the baseline
+// relational engines.
 //
 // The dialect covers the query shapes of the paper's TPC-H/TPC-DS
 // workloads (§8.1.1): SELECT [DISTINCT] with expressions and aggregates,
@@ -25,8 +26,7 @@ const (
 	TokInt
 	TokFloat
 	TokString
-	TokOp    // = <> != < <= > >= + - * / ( ) , . ;
-	TokParam // unused placeholder for future
+	TokOp // = <> != < <= > >= + - * / ( ) , . ;
 )
 
 // Token is one lexical token with its source position.
