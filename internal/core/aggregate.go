@@ -133,8 +133,8 @@ func (s *aggSetup) newAccs() []*sql.Aggregator {
 // groupObserver is §7's eager aggregation: it observes rows straight
 // into the groups of a partialGroups, evaluating each row's GROUP BY
 // key, finding or starting the key's group, and observing the row's
-// aggregate arguments into the group's accumulators. The distributed
-// finalizations observe a survivor's rows into its worker's fold stream
+// aggregate arguments into the group's accumulators. finalizeGroups
+// observes a survivor's rows into its worker's fold stream
 // (bsp.Context.SendFold); the central path observes a whole table into
 // one partialGroups. An observer belongs to one goroutine and reuses
 // its buffers across calls.
@@ -255,7 +255,7 @@ func keepRows(tests []sql.Compiled, rows [][]relation.Value, outer *sql.Env, sub
 	return dst, nil
 }
 
-// survivorFolder is step 0 of the distributed finalizations: a survivor
+// survivorFolder is step 0 of finalizeGroups: a survivor
 // keeps the rows of its table that pass the residual predicates and
 // observes them straight into its worker's fold stream toward each
 // aggregation target (bsp.Context.SendFold). No per-vertex partial is
@@ -475,9 +475,9 @@ func (e *Session) finalizeGroups(c *compiled, res *componentResult, targetOf fun
 	return e.projectEmitted(c, setup, outer, subq)
 }
 
-// projectEmitted projects the merged groups a distributed finalization
-// emitted — first snapshotting them when incremental maintenance armed
-// a capture, so only these paths yield foldable state.
+// projectEmitted projects the merged groups finalizeGroups emitted —
+// first snapshotting them when incremental maintenance armed a capture,
+// so only this path yields foldable state.
 func (e *Session) projectEmitted(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	var groups []*groupAcc
 	var header []string

@@ -373,10 +373,11 @@ func (e *Session) applyResidualCentral(c *compiled, t *table, outer *sql.Env, su
 }
 
 // projectCentral applies grouping, aggregation, HAVING, the SELECT list
-// and DISTINCT to an assembled table (used for multi-component blocks and
-// blocks with vertex-unsafe expressions). Its groups are never captured
-// for incremental maintenance: that state comes only from the
-// distributed finalizations (projectEmitted).
+// and DISTINCT to an assembled table (used for blocks without
+// aggregation, multi-component blocks and blocks with vertex-unsafe
+// expressions). Its groups are never captured for incremental
+// maintenance: that state comes only from finalizeGroups
+// (projectEmitted).
 func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	if t == nil {
 		t = unitTable()
