@@ -70,7 +70,6 @@ type WorkloadQuery struct {
 	ID    string
 	SQL   string
 	Class string
-	Corr  bool
 }
 
 // WorkloadQueries returns the named workload ("tpch" or "tpcds").
@@ -79,11 +78,11 @@ func WorkloadQueries(name string) []WorkloadQuery {
 	switch name {
 	case "tpch":
 		for _, q := range tpch.Queries() {
-			out = append(out, WorkloadQuery{ID: q.ID, SQL: q.SQL, Class: q.Class, Corr: q.Corr})
+			out = append(out, WorkloadQuery{ID: q.ID, SQL: q.SQL, Class: q.Class})
 		}
 	case "tpcds":
 		for _, q := range tpcds.Queries() {
-			out = append(out, WorkloadQuery{ID: q.ID, SQL: q.SQL, Class: q.Class, Corr: q.Corr})
+			out = append(out, WorkloadQuery{ID: q.ID, SQL: q.SQL, Class: q.Class})
 		}
 	}
 	return out
@@ -152,7 +151,6 @@ func (e *Env) runOn(engine, query string) (*relation.Relation, error) {
 type QueryResult struct {
 	ID    string
 	Class string
-	Corr  bool
 	Rows  int
 	Times map[string]time.Duration
 	Agree bool
@@ -216,7 +214,7 @@ func RunWorkload(cfg Config, env *Env) (WorkloadResult, error) {
 	cfg = cfg.withDefaults()
 	res := WorkloadResult{Workload: env.Workload, Scale: env.Scale, Aggregate: map[string]time.Duration{}}
 	for _, q := range WorkloadQueries(env.Workload) {
-		qr := QueryResult{ID: q.ID, Class: q.Class, Corr: q.Corr, Times: map[string]time.Duration{}, Agree: true}
+		qr := QueryResult{ID: q.ID, Class: q.Class, Times: map[string]time.Duration{}, Agree: true}
 		answers := map[string]*relation.Relation{}
 		for _, engine := range Engines {
 			// Warm-up run (caches, §8.1.5 methodology), then timed runs.

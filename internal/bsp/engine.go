@@ -497,12 +497,14 @@ func (e *Engine) Stats() Stats { return e.stats }
 // ResetStats zeroes the accumulated cost measures.
 func (e *Engine) ResetStats() { e.stats = Stats{} }
 
-// AddExternal records communication performed outside a vertex program
-// (e.g. the Algorithm B Cartesian combination of component results) in
-// the cost measures.
-func (e *Engine) AddExternal(msgs, bytes int64) {
+// AddExternal records work performed outside a vertex program in the
+// cost measures: communication such as the Algorithm B Cartesian
+// combination of component results, and compute such as the executor's
+// central joins, filters and projections.
+func (e *Engine) AddExternal(msgs, bytes, ops int64) {
 	e.stats.Messages += msgs
 	e.stats.MessageBytes += bytes
+	e.stats.ComputeOps += ops
 }
 
 // Emitted returns values emitted via Context.Emit during the last Run, in

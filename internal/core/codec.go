@@ -34,14 +34,14 @@ const (
 	ctTable
 	ctTableBatch
 	ctPartialGroups
-	ctGroupAcc
-	ctTuple
+	_ // retired: a bare aggregation group (groups travel in ctPartialGroups)
+	_ // retired: a relation.Tuple (emitted rows are value slices)
 	ctValueSlice
 	_ // retired: §6.3 Algorithm A's tuple relay
-	ctOJReply
+	_ // retired: §7's two-way outer-join reply
 	ctRootVal
 	ctRelayMark
-	ctValue
+	_ // retired: a bare relation.Value
 )
 
 // Append implements bsp.PayloadCodec.
@@ -57,23 +57,14 @@ func (c sessionCodec) Append(dst []byte, pay any) ([]byte, error) {
 		return appendTable(append(dst, ctTableBatch), m.t)
 	case *partialGroups:
 		return appendPartialGroups(append(dst, ctPartialGroups), m)
-	case *groupAcc:
-		return appendGroup(append(dst, ctGroupAcc), m)
-	case relation.Tuple:
-		return appendValues(append(dst, ctTuple), m)
 	case []relation.Value:
 		return appendValues(append(dst, ctValueSlice), m)
-	case ojReply:
-		dst = appendBool(append(dst, ctOJReply), m.left)
-		return appendValues(dst, m.row)
 	case rootVal:
 		dst = binary.AppendUvarint(append(dst, ctRootVal), uint64(m.v))
 		return appendTable(dst, m.t)
 	case relayMark:
 		dst = codec.AppendString(append(dst, ctRelayMark), m.alias)
 		return binary.AppendUvarint(dst, uint64(m.v)), nil
-	case relation.Value:
-		return relation.AppendValue(append(dst, ctValue), m)
 	default:
 		return c.basic.Append(append(dst, ctBasic), pay)
 	}
@@ -131,26 +122,8 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 		return &tableBatch{t: t, owned: true}, nil
 	case ctPartialGroups:
 		return decodePartialGroups(d)
-	case ctGroupAcc:
-		return decodeGroup(d)
-	case ctTuple:
-		vals, err := decodeValues(d)
-		if err != nil {
-			return nil, err
-		}
-		return relation.Tuple(vals), nil
 	case ctValueSlice:
 		return decodeValues(d)
-	case ctOJReply:
-		left, err := decodeBool(d)
-		if err != nil {
-			return nil, err
-		}
-		row, err := decodeValues(d)
-		if err != nil {
-			return nil, err
-		}
-		return ojReply{left: left, row: row}, nil
 	case ctRootVal:
 		v, err := d.Uvarint()
 		if err != nil {
@@ -171,23 +144,9 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 			return nil, err
 		}
 		return relayMark{alias: alias, v: bsp.VertexID(v)}, nil
-	case ctValue:
-		return relation.DecodeValue(d)
 	default:
 		return nil, fmt.Errorf("core: unknown payload tag %#x", tag)
 	}
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func decodeBool(d *codec.Decoder) (bool, error) {
-	b, err := d.Byte()
-	return b != 0, err
 }
 
 func appendValues(b []byte, vals []relation.Value) ([]byte, error) {

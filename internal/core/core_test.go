@@ -321,7 +321,7 @@ func TestCartesianProductQuery(t *testing.T) {
 	}
 }
 
-func TestLeftOuterJoinVertexProgram(t *testing.T) {
+func TestLeftOuterJoin(t *testing.T) {
 	got := checkAgainstBaseline(t, shopCatalog(),
 		"SELECT cname, nname FROM cust LEFT JOIN nation ON cnation = nkey")
 	if got.Len() != 4 {

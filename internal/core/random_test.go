@@ -217,21 +217,26 @@ func randCrossOr(rng *rand.Rand, aliases []string) string {
 	return "(" + strings.Join(arms, " OR ") + ")"
 }
 
+// engineConfigs are the engine configurations the randomized tests run
+// under: one worker, four with and without the message combiners, and
+// two partitions.
+var engineConfigs = []struct {
+	name string
+	opts bsp.Options
+}{
+	{"workers1", bsp.Options{Workers: 1}},
+	{"workers4", bsp.Options{Workers: 4}},
+	{"workers4-uncombined", bsp.Options{Workers: 4, NoCombine: true}},
+	{"partitions2", bsp.Options{Partitions: 2}},
+}
+
 // TestRandomizedDifferential cross-checks the TAG-join executor against
 // the baseline engine on hundreds of randomly generated queries over
 // randomly generated databases (small domains: duplicate-heavy,
 // NULL-heavy, skewed), on one worker, on four with and without the
 // message combiners, and across two partitions.
 func TestRandomizedDifferential(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts bsp.Options
-	}{
-		{"workers1", bsp.Options{Workers: 1}},
-		{"workers4", bsp.Options{Workers: 4}},
-		{"workers4-uncombined", bsp.Options{Workers: 4, NoCombine: true}},
-		{"partitions2", bsp.Options{Partitions: 2}},
-	} {
+	for _, tc := range engineConfigs {
 		t.Run(tc.name, func(t *testing.T) { randomizedDifferential(t, tc.opts) })
 	}
 }
@@ -266,38 +271,50 @@ func randomizedDifferential(t *testing.T, opts bsp.Options) {
 	}
 }
 
-// TestRandomizedOuterJoins cross-checks LEFT/RIGHT/FULL joins (both the
-// §7 two-way vertex program and the table-level path) against the
-// baseline on random data.
+// TestRandomizedOuterJoins cross-checks LEFT/RIGHT/FULL joins, which
+// all take the table path (a vertex-parallel scan per table, then
+// left-deep joins at the executor), against the baseline on random data
+// under every engine configuration. Three query forms: a two-way join
+// on one equality, an inner join before the outer one, and q13's shape,
+// a two-way join whose ON clause adds a one-side conjunct.
 func TestRandomizedOuterJoins(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for round := 0; round < 12; round++ {
-		cat := randCatalog(rng)
-		g, err := tag.Build(cat, tag.MaterializeAll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := NewSession(g, bsp.Options{Workers: 4})
-		ref := baseline.New(cat)
-		jt := []string{"LEFT JOIN", "RIGHT JOIN", "FULL JOIN"}[rng.Intn(3)]
-		c1, c2 := []string{"a", "b", "c"}[rng.Intn(3)], []string{"a", "b", "c"}[rng.Intn(3)]
-		q := fmt.Sprintf("SELECT l.a, l.b, r.c FROM t%d l %s t%d r ON l.%s = r.%s",
-			rng.Intn(4), jt, rng.Intn(4), c1, c2)
-		if rng.Intn(2) == 0 {
-			// Three-way: an inner join before the outer one (table path).
-			q = fmt.Sprintf("SELECT l.a, m.b, r.c FROM t%d l JOIN t%d m ON l.a = m.a %s t%d r ON m.%s = r.%s",
-				rng.Intn(4), rng.Intn(4), jt, rng.Intn(4), c1, c2)
-		}
-		got, err1 := ex.Query(q)
-		want, err2 := ref.Query(q)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("round %d errors: tag=%v base=%v\nquery: %s", round, err1, err2, q)
-		}
-		if !relation.EqualMultiset(got, want) {
-			onlyG, onlyW := relation.DiffMultiset(got, want, 4)
-			t.Fatalf("round %d outer-join mismatch (%d vs %d rows)\nquery: %s\nonly TAG: %v\nonly base: %v",
-				round, got.Len(), want.Len(), q, onlyG, onlyW)
-		}
+	for _, tc := range engineConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			for round := 0; round < 12; round++ {
+				cat := randCatalog(rng)
+				g, err := tag.Build(cat, tag.MaterializeAll)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := NewSession(g, tc.opts)
+				ref := baseline.New(cat)
+				jt := []string{"LEFT JOIN", "RIGHT JOIN", "FULL JOIN"}[rng.Intn(3)]
+				c1, c2 := []string{"a", "b", "c"}[rng.Intn(3)], []string{"a", "b", "c"}[rng.Intn(3)]
+				var q string
+				switch rng.Intn(3) {
+				case 0:
+					q = fmt.Sprintf("SELECT l.a, l.b, r.c FROM t%d l %s t%d r ON l.%s = r.%s",
+						rng.Intn(4), jt, rng.Intn(4), c1, c2)
+				case 1:
+					q = fmt.Sprintf("SELECT l.a, m.b, r.c FROM t%d l JOIN t%d m ON l.a = m.a %s t%d r ON m.%s = r.%s",
+						rng.Intn(4), rng.Intn(4), jt, rng.Intn(4), c1, c2)
+				default:
+					q = fmt.Sprintf("SELECT l.a, l.b, r.c FROM t%d l %s t%d r ON l.%s = r.%s AND %s.b > %d",
+						rng.Intn(4), jt, rng.Intn(4), c1, c2, []string{"l", "r"}[rng.Intn(2)], rng.Intn(6))
+				}
+				got, err1 := ex.Query(q)
+				want, err2 := ref.Query(q)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("round %d errors: tag=%v base=%v\nquery: %s", round, err1, err2, q)
+				}
+				if !relation.EqualMultiset(got, want) {
+					onlyG, onlyW := relation.DiffMultiset(got, want, 4)
+					t.Fatalf("round %d outer-join mismatch (%d vs %d rows)\nquery: %s\nonly TAG: %v\nonly base: %v",
+						round, got.Len(), want.Len(), q, onlyG, onlyW)
+				}
+			}
+		})
 	}
 }
 
@@ -456,15 +473,7 @@ func bushyQuery(rng *rand.Rand) string {
 // from several subtrees and start at whichever leaf seeds the fewest
 // tuples, which randQuery's joins of at most three aliases never do.
 func TestRandomizedBushyJoins(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts bsp.Options
-	}{
-		{"workers1", bsp.Options{Workers: 1}},
-		{"workers4", bsp.Options{Workers: 4}},
-		{"workers4-uncombined", bsp.Options{Workers: 4, NoCombine: true}},
-		{"partitions2", bsp.Options{Partitions: 2}},
-	} {
+	for _, tc := range engineConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(52))
 			for round := 0; round < 15; round++ {

@@ -141,10 +141,11 @@ func TestEngineGrowsWithGraph(t *testing.T) {
 	}
 }
 
-// TestVertexOuterJoinNullKeys exercises the §7 two-way outer join's
-// NULL-key sweep: preserved tuples whose join column is NULL have no
-// attribute edge at all and must still be NULL-extended.
-func TestVertexOuterJoinNullKeys(t *testing.T) {
+// TestOuterJoinNullKeys checks that the table path NULL-extends
+// preserved tuples whose join column is NULL: SQL equality joins a NULL
+// key to nothing, so such a tuple matches no row and has no attribute
+// edge on the join column.
+func TestOuterJoinNullKeys(t *testing.T) {
 	cat := relation.NewCatalog()
 	l := relation.New("l", relation.MustSchema(
 		relation.Col("id", relation.KindInt), relation.Col("k", relation.KindInt)))

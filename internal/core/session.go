@@ -13,11 +13,9 @@ import (
 
 // ExecInfo reports how the last query was executed.
 type ExecInfo struct {
-	Agg        AggClass
-	Acyclic    bool
-	Components int
-	Cycles     int
-	Fallbacks  int // blocks executed on the table-level (outer join) path
+	Agg     AggClass
+	Acyclic bool
+	Cycles  int
 }
 
 // Session holds all per-query mutable state of one evaluation over a
@@ -101,8 +99,6 @@ func payloadSize(p any) int {
 		return 8
 	case *table:
 		return m.size()
-	case relation.Value:
-		return m.Size()
 	case cycleMsg:
 		return 8 + m.val.Size()
 	case *partialGroups:
@@ -297,62 +293,62 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 		e.Info.Agg = c.agg
 	}
 
-	if c.hasOuter {
-		e.Info.Fallbacks++
-		return e.runOuterBlock(c, outer)
-	}
-
-	e.Info.Components += len(c.qp.Components)
-	if !c.qp.Acyclic {
-		e.Info.Acyclic = false
-	}
-
 	subq := e.subqueryFn(an)
-
-	// One TAG-join run per component, then Cartesian-combine (§6.3/§6.4).
 	var combined *table
-	j := newJoiner(c.classCols)
-	var singleRes *componentResult
-	for _, comp := range c.qp.Components {
-		e.Info.Cycles += len(comp.Cycles)
-		res, err := e.runComponent(c, comp, outer, subq)
-		if err != nil {
+	if c.hasOuter {
+		if combined, err = e.runOuterBlock(c, outer, subq); err != nil {
 			return nil, err
 		}
-		if len(c.qp.Components) == 1 {
-			singleRes = res
-			break
+	} else {
+		if !c.qp.Acyclic {
+			e.Info.Acyclic = false
 		}
-		t := res.assemble(c)
-		if combined == nil {
-			combined = t
-		} else {
-			// Cartesian product of components: account the Algorithm B
-			// communication cost (|L|·|R| messages, §6.3).
-			e.eng.AddExternal(int64(len(combined.rows))*int64(len(t.rows)), int64(combined.size()))
-			combined = j.join(combined, t)
-		}
-	}
-
-	// Aggregation finalizes vertex-parallel when the block has one
-	// component whose residual predicates are vertex-safe. Everything else
-	// assembles centrally: a non-aggregate block's survivors already hold
-	// the collection output on every node.
-	if singleRes != nil && c.agg != AggNone && c.residualVertexSafe() {
-		var targetOf func(relation.Value) bsp.VertexID
-		if c.agg == AggLocal && c.hasLocalAggKey(e.TAG) {
-			targetOf = func(k relation.Value) bsp.VertexID {
-				if av, ok := e.TAG.AttrVertexOf(k); ok {
-					return av
-				}
-				return e.TAG.Aggregator // NULL or unmaterialized key value
+		// One TAG-join run per component, then Cartesian-combine (§6.3/§6.4).
+		j := newJoiner(c.classCols)
+		var singleRes *componentResult
+		for _, comp := range c.qp.Components {
+			e.Info.Cycles += len(comp.Cycles)
+			res, err := e.runComponent(c, comp, outer, subq)
+			if err != nil {
+				return nil, err
+			}
+			if len(c.qp.Components) == 1 {
+				singleRes = res
+				break
+			}
+			t := res.assemble(c)
+			if combined == nil {
+				combined = t
+			} else {
+				// Cartesian product of components: account the Algorithm B
+				// communication cost (|L|·|R| messages, §6.3).
+				e.eng.AddExternal(int64(len(combined.rows))*int64(len(t.rows)), int64(combined.size()), 0)
+				combined = j.join(combined, t)
 			}
 		}
-		return e.finalizeGroups(c, singleRes, targetOf, outer, subq)
+
+		// Aggregation finalizes vertex-parallel when the block has one
+		// component whose residual predicates are vertex-safe. Everything
+		// else assembles centrally: a non-aggregate block's survivors
+		// already hold the collection output on every node.
+		if singleRes != nil && c.agg != AggNone && c.residualVertexSafe() {
+			var targetOf func(relation.Value) bsp.VertexID
+			if c.agg == AggLocal && c.hasLocalAggKey(e.TAG) {
+				targetOf = func(k relation.Value) bsp.VertexID {
+					if av, ok := e.TAG.AttrVertexOf(k); ok {
+						return av
+					}
+					return e.TAG.Aggregator // NULL or unmaterialized key value
+				}
+			}
+			return e.finalizeGroups(c, singleRes, targetOf, outer, subq)
+		}
+		if singleRes != nil {
+			combined = singleRes.assemble(c)
+		}
 	}
-	if singleRes != nil {
-		combined = singleRes.assemble(c)
-	}
+	// Outer-join, multi-component and non-aggregate blocks, and blocks
+	// with vertex-unsafe residuals, finish here.
 	combined, err = e.applyResidualCentral(c, combined, outer, subq)
 	if err != nil {
 		return nil, err
@@ -361,11 +357,12 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 }
 
 // applyResidualCentral filters an assembled table by the residual
-// predicates.
+// predicates, charging one op per input row.
 func (e *Session) applyResidualCentral(c *compiled, t *table, outer *sql.Env, subq sql.SubqueryFn) (*table, error) {
 	if len(c.residual) == 0 || t == nil {
 		return t, nil
 	}
+	e.eng.AddExternal(0, 0, int64(len(t.rows)))
 	out := newTableShared(t.header, t.index)
 	var err error
 	out.rows, err = keepRows(compileTests(c.residual, sql.Binding(t.index)), t.rows, outer, subq, nil)
@@ -373,9 +370,9 @@ func (e *Session) applyResidualCentral(c *compiled, t *table, outer *sql.Env, su
 }
 
 // projectCentral applies grouping, aggregation, HAVING, the SELECT list
-// and DISTINCT to an assembled table (used for blocks without
-// aggregation, multi-component blocks and blocks with vertex-unsafe
-// expressions). Its groups are never captured for incremental
+// and DISTINCT to an assembled table (used for outer-join blocks,
+// blocks without aggregation, multi-component blocks and blocks with
+// vertex-unsafe expressions). It charges one op per input row. Its groups are never captured for incremental
 // maintenance: that state comes only from finalizeGroups
 // (projectEmitted).
 func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
@@ -383,6 +380,7 @@ func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql
 		t = unitTable()
 		t.rows = nil
 	}
+	e.eng.AddExternal(0, 0, int64(len(t.rows)))
 	blk := c.blk
 	if blk.HasAgg || len(blk.Sel.GroupBy) > 0 {
 		setup := newAggSetup(blk)

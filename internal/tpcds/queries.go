@@ -5,7 +5,6 @@ type Query struct {
 	ID    string
 	SQL   string
 	Class string // "noagg", "local", "global", "scalar"
-	Corr  bool
 	Note  string
 }
 
@@ -97,7 +96,7 @@ WHERE cs_item_sk = i_item_sk AND cs_sold_date_sk = d_date_sk
   AND d_year = 2001 AND d_moy = 2 AND i_category = 'Music'
 GROUP BY i_item_id`},
 
-		{ID: "q1", Class: "local", Corr: true, Note: "store-returns correlation becomes a per-store profit threshold", SQL: `
+		{ID: "q1", Class: "local", Note: "store-returns correlation becomes a per-store profit threshold", SQL: `
 SELECT c_customer_id, COUNT(*) AS cnt
 FROM store_sales, customer
 WHERE ss_customer_sk = c_customer_sk
@@ -136,7 +135,7 @@ WHERE ws_bill_customer_sk = c_customer_sk AND c_current_addr_sk = ca_address_sk
   AND ws_sold_date_sk = d_date_sk AND d_qoy = 2
 GROUP BY ca_city, d_year`},
 
-		{ID: "q69", Class: "global", Corr: true, SQL: `
+		{ID: "q69", Class: "global", SQL: `
 SELECT ca_state, c_preferred_cust_flag, COUNT(*) AS cnt
 FROM customer, customer_address
 WHERE c_current_addr_sk = ca_address_sk
@@ -197,7 +196,7 @@ WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk
 GROUP BY i_manufact_id, d_moy`},
 
 		// ---- scalar aggregation ----
-		{ID: "q32", Class: "scalar", Corr: true, SQL: `
+		{ID: "q32", Class: "scalar", SQL: `
 SELECT SUM(cs_ext_sales_price) AS excess_discount
 FROM catalog_sales, item, date_dim
 WHERE cs_item_sk = i_item_sk AND cs_sold_date_sk = d_date_sk
@@ -206,7 +205,7 @@ WHERE cs_item_sk = i_item_sk AND cs_sold_date_sk = d_date_sk
                             FROM catalog_sales cs2
                             WHERE cs2.cs_item_sk = cs_item_sk)`},
 
-		{ID: "q94", Class: "scalar", Corr: true, Note: "order-number self-exclusion becomes a cross-channel NOT EXISTS", SQL: `
+		{ID: "q94", Class: "scalar", Note: "order-number self-exclusion becomes a cross-channel NOT EXISTS", SQL: `
 SELECT COUNT(*) AS order_count, SUM(ws_ext_sales_price) AS total_price
 FROM web_sales, date_dim, customer_address
 WHERE ws_sold_date_sk = d_date_sk AND d_year = 2000

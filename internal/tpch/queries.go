@@ -6,7 +6,6 @@ type Query struct {
 	ID    string
 	SQL   string
 	Class string // "noagg", "local", "global", "scalar"
-	Corr  bool   // contains a correlated subquery
 	Cycle bool   // cyclic join graph
 	Note  string // adaptation applied vs. the official query, if any
 }
@@ -27,7 +26,7 @@ FROM lineitem
 WHERE l_shipdate <= DATE '1998-09-02'
 GROUP BY l_returnflag, l_linestatus`},
 
-		{ID: "q2", Class: "noagg", Corr: true, Note: "min-cost subquery keeps only the partsupp correlation (no nested region join)", SQL: `
+		{ID: "q2", Class: "noagg", Note: "min-cost subquery keeps only the partsupp correlation (no nested region join)", SQL: `
 SELECT s_acctbal, s_name, n_name, p_partkey
 FROM part, supplier, partsupp, nation, region
 WHERE p_partkey = ps_partkey AND s_suppkey = ps_suppkey AND p_size = 15
@@ -43,7 +42,7 @@ WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey AND l_orderkey = o_ord
   AND o_orderdate < DATE '1995-03-15' AND l_shipdate > DATE '1995-03-15'
 GROUP BY l_orderkey, o_orderdate, o_shippriority`},
 
-		{ID: "q4", Class: "local", Corr: true, SQL: `
+		{ID: "q4", Class: "local", SQL: `
 SELECT o_orderpriority, COUNT(*) AS order_count
 FROM orders
 WHERE o_orderdate >= DATE '1993-07-01'
@@ -168,7 +167,7 @@ WHERE p_partkey = ps_partkey AND p_brand <> 'Brand#33'
                          WHERE s_comment LIKE '%Customer%Complaints%')
 GROUP BY p_brand, p_type, p_size`},
 
-		{ID: "q17", Class: "scalar", Corr: true, SQL: `
+		{ID: "q17", Class: "scalar", SQL: `
 SELECT SUM(l_extendedprice) / 7.0 AS avg_yearly
 FROM lineitem, part
 WHERE p_partkey = l_partkey AND p_brand = 'Brand#23' AND p_container = 'MED BOX'
@@ -197,7 +196,7 @@ WHERE p_partkey = l_partkey
         AND l_quantity BETWEEN 20 AND 30 AND p_size BETWEEN 1 AND 15
         AND l_shipmode IN ('AIR', 'REG AIR') AND l_shipinstruct = 'DELIVER IN PERSON'))`},
 
-		{ID: "q20", Class: "noagg", Corr: true, SQL: `
+		{ID: "q20", Class: "noagg", SQL: `
 SELECT s_name, s_acctbal
 FROM supplier, nation
 WHERE s_suppkey IN (SELECT ps_suppkey FROM partsupp
@@ -210,7 +209,7 @@ WHERE s_suppkey IN (SELECT ps_suppkey FROM partsupp
                                            AND l_shipdate < DATE '1994-01-01' + INTERVAL '365' DAY))
   AND s_nationkey = n_nationkey AND n_name = 'CANADA'`},
 
-		{ID: "q21", Class: "local", Corr: true, Note: "the suppkey-inequality arms of the official EXISTS pair are dropped (equality-only correlation)", SQL: `
+		{ID: "q21", Class: "local", Note: "the suppkey-inequality arms of the official EXISTS pair are dropped; the unqualified l_orderkey in each subquery binds to that subquery's own lineitem (innermost scope), so neither is correlated, the NOT EXISTS is false once any late lineitem shipped by AIR exists, and the query answers the empty set", SQL: `
 SELECT s_name, COUNT(*) AS numwait
 FROM supplier, lineitem, orders, nation
 WHERE s_suppkey = l_suppkey AND o_orderkey = l_orderkey AND o_orderstatus = 'F'
