@@ -27,9 +27,7 @@ import (
 // (vertex, superstep) survives no matter how many neighbors sent.
 type minCombiner struct{}
 
-func (minCombiner) Slot(any) int { return 0 }
-
-func (minCombiner) Fold(acc any, _ bsp.VertexID, payload any) any {
+func (minCombiner) Fold(acc, payload any) any {
 	if acc == nil || payload.(int64) < acc.(int64) {
 		return payload
 	}

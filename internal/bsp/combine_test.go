@@ -101,33 +101,71 @@ func TestCombinedMatchesUncombined(t *testing.T) {
 	}
 }
 
-// foldProgram is sumProgram sending through SendFold: each send adds
-// its value to the destination stream's accumulator in place, and its
-// size depends on the value, so the accounting must price every logical
-// send as the payload it stands for.
-type foldProgram struct{ sumProgram }
+// sizedInt is an int64 payload whose size depends on its value, so the
+// accounting must price every logical send as the payload it stands for.
+type sizedInt int64
 
-func foldSize(x int64) int { return 8 + int(x%5) }
+func (x sizedInt) Size() int { return 8 + int(x%5) }
+
+// sizedSum is SumCombiner over sizedInt.
+type sizedSum struct{}
+
+func (sizedSum) Fold(acc, payload any) any {
+	if acc == nil {
+		return payload
+	}
+	return acc.(sizedInt) + payload.(sizedInt)
+}
+func (sizedSum) Merge(acc, other any) any { return acc.(sizedInt) + other.(sizedInt) }
+
+// sizedCodec puts sizedInt on the wire as a BasicCodec int64.
+type sizedCodec struct{}
+
+func (sizedCodec) Append(dst []byte, pay any) ([]byte, error) {
+	return BasicCodec{}.Append(dst, int64(pay.(sizedInt)))
+}
+func (sizedCodec) Decode(data []byte) (any, error) {
+	pay, err := BasicCodec{}.Decode(data)
+	if x, ok := pay.(int64); ok {
+		return sizedInt(x), nil
+	}
+	return pay, err
+}
+
+// foldProgram is sumProgram over sizedInt payloads, sending through
+// SendFold when fold is set — each send adds its value to the
+// destination stream's accumulator in place and reports the size of
+// the payload it stands for — and through Send otherwise.
+type foldProgram struct {
+	sumProgram
+	fold bool
+}
+
+func (p *foldProgram) Combiner() Combiner { return sizedSum{} }
 
 func (p *foldProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 	ctx.AddOps(1 + InboxCount(inbox))
-	var total int64
+	var total sizedInt
 	for _, m := range inbox {
-		total += m.Payload.(int64)
+		total += m.Payload.(sizedInt)
 	}
 	if len(inbox) > 0 {
-		ctx.Emit([3]int64{int64(v), total, int64(InboxCount(inbox))})
+		ctx.Emit([3]int64{int64(v), int64(total), int64(InboxCount(inbox))})
 	}
 	if ctx.Step() >= p.hops {
 		return
 	}
-	x := int64(int(v)*7+ctx.Step()*13) % 100
+	x := sizedInt(int(v)*7+ctx.Step()*13) % 100
+	if !p.fold {
+		ctx.SendAlong(v, p.lbl, x)
+		return
+	}
 	for _, e := range ctx.Graph().EdgesWithLabel(v, p.lbl) {
 		ctx.SendFold(v, e.To, func(acc any) (any, int) {
 			if acc == nil {
-				return x, foldSize(x)
+				return x, x.Size()
 			}
-			return acc.(int64) + x, foldSize(x)
+			return acc.(sizedInt) + x, x.Size()
 		})
 	}
 }
@@ -137,7 +175,6 @@ func (p *foldProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 // the same paper-facing Stats; only where the payload is built differs.
 func TestSendFoldMatchesSend(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	size := func(p any) int { return foldSize(p.(int64)) }
 	for trial := 0; trial < 6; trial++ {
 		n := 20 + rng.Intn(120)
 		k := 1 + rng.Intn(6)
@@ -146,8 +183,8 @@ func TestSendFoldMatchesSend(t *testing.T) {
 
 		// The reference sends the same values with Send, uncombined.
 		g, lbl := meshGraph(n, k)
-		base := NewEngine(g, Options{Workers: 1, NoCombine: true, PayloadSize: size})
-		baseStats := base.Run(&sumProgram{lbl: lbl, hops: hops}, initial)
+		base := NewEngine(g, Options{Workers: 1, NoCombine: true})
+		baseStats := base.Run(&foldProgram{sumProgram: sumProgram{lbl: lbl, hops: hops}}, initial)
 		baseEmit := append([]any(nil), base.Emitted()...)
 
 		for _, opts := range []Options{
@@ -158,9 +195,9 @@ func TestSendFoldMatchesSend(t *testing.T) {
 			{Workers: 2, Partitions: 2, NoCombine: true},
 		} {
 			g, lbl := meshGraph(n, k)
-			opts.PayloadSize = size
+			opts.Codec = sizedCodec{}
 			eng := NewEngine(g, opts)
-			stats := eng.Run(&foldProgram{sumProgram{lbl: lbl, hops: hops}}, initial)
+			stats := eng.Run(&foldProgram{sumProgram: sumProgram{lbl: lbl, hops: hops}, fold: true}, initial)
 			if err := eng.RunErr(); err != nil {
 				t.Fatalf("trial %d %+v: %v", trial, opts, err)
 			}
@@ -240,68 +277,12 @@ func TestCombineAccounting(t *testing.T) {
 	}
 }
 
-// slotCombiner folds int64s separately per parity, proving slots keep
-// independent fold streams to one destination apart.
-type slotCombiner struct{ SumCombiner }
-
-func (slotCombiner) Slot(payload any) int {
-	if payload.(int64) < 0 {
-		return -1 // opted out: delivered as a plain message
-	}
-	return int(payload.(int64) % 2)
-}
-
-func TestCombinerSlots(t *testing.T) {
-	g := NewGraph()
-	lbl := g.Symbols.Intern("e")
-	root := g.AddVertex(lbl, nil)
-	var leaves []VertexID
-	for i := 0; i < 6; i++ {
-		leaf := g.AddVertex(lbl, nil)
-		g.AddEdge(leaf, root, lbl)
-		leaves = append(leaves, leaf)
-	}
-	g.Freeze()
-
-	var inboxSizes []int
-	var sums []int64
-	prog := WithCombiner(ProgramFunc(func(ctx *Context, v VertexID, inbox []Message) {
-		if ctx.Step() == 0 {
-			// Evens fold in slot 0, odds in slot 1, and one opted-out
-			// plain message (-1) rides alongside.
-			ctx.SendAlong(v, lbl, int64(v)%2+2) // 2 or 3 → slots 0 and 1
-			if v == leaves[0] {
-				ctx.SendAlong(v, lbl, int64(-1))
-			}
-			return
-		}
-		inboxSizes = append(inboxSizes, len(inbox))
-		for _, m := range inbox {
-			sums = append(sums, m.Payload.(int64))
-		}
-	}), slotCombiner{})
-	eng := NewEngine(g, Options{Workers: 1})
-	eng.Run(prog, leaves)
-
-	// One plain message first, then one combined message per slot.
-	if len(inboxSizes) != 1 || inboxSizes[0] != 3 {
-		t.Fatalf("inbox sizes = %v, want [3]", inboxSizes)
-	}
-	if sums[0] != -1 {
-		t.Errorf("plain message must deliver before combined ones: %v", sums)
-	}
-	if sums[1]+sums[2] != 3*2+3*3 || sums[1] == sums[2] {
-		t.Errorf("per-slot sums = %v, want {6,9} in some order", sums[1:])
-	}
-}
-
 // concatCombiner folds string payloads by concatenation, so one fold
 // stream's accumulator — and the wire record that ships it — grows
 // with the fan-in.
 type concatCombiner struct{}
 
-func (concatCombiner) Slot(any) int { return 0 }
-func (concatCombiner) Fold(acc any, _ VertexID, payload any) any {
+func (concatCombiner) Fold(acc, payload any) any {
 	if acc == nil {
 		return payload.(string)
 	}
@@ -313,7 +294,7 @@ func (concatCombiner) Merge(acc, other any) any { return acc.(string) + other.(s
 // far past the pooling budget must not keep that peak resident once
 // idle — the combiner storage obeys the same end-of-Run budget as the
 // message plane, and a wire record's retained payload and dest storage
-// count against it as well as its slot.
+// count against it as well as the record itself.
 func TestCombinePoolTrim(t *testing.T) {
 	g := NewGraph()
 	lbl := g.Symbols.Intern("to-hub")

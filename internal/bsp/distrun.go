@@ -19,7 +19,7 @@ func (e *Engine) deliverFrames(step int, in []Frame) error {
 		return nil
 	}
 	for i := range in {
-		if err := decodeRecords(in[i].Payload, step, e.opts.Codec, e.deliverRemote); err != nil {
+		if err := decodeRecords(in[i].Payload, step, e.opts.Codec, e.comb != nil, e.deliverRemote); err != nil {
 			return err
 		}
 	}
@@ -30,25 +30,23 @@ func (e *Engine) deliverFrames(step int, in []Frame) error {
 }
 
 // deliverRemote lands one remote wire record in the local message
-// plane: plain records (slot < 0) stage inbox messages, combined
-// records Merge into the pending fold table exactly as the loopback
-// re-merge would.
-func (e *Engine) deliverRemote(from VertexID, slot int32, pay any, to VertexID, count int32) error {
+// plane. Every node of a run agrees on whether a combiner runs: with
+// one, the record carries a folded accumulator and Merges into the
+// pending fold table exactly as the loopback re-merge would; without,
+// it stages plain inbox messages.
+func (e *Engine) deliverRemote(from VertexID, pay any, to VertexID, count int32) error {
 	if !e.owns(to) {
 		return fmt.Errorf("bsp: remote record for vertex %d not owned by partition %d", to, e.localPart)
 	}
 	sh := &e.shards[e.shardOf(to)]
-	if slot < 0 {
-		for i := int32(0); i < count; i++ {
-			sh.stage(to, Message{From: from, Count: 1, Payload: pay})
-		}
-		sh.remote = true
+	if e.comb != nil {
+		e.foldPend(sh, accKey{to: to, src: -1}, accEntry{from: from, count: count, pay: pay})
 		return nil
 	}
-	if e.comb == nil {
-		return fmt.Errorf("bsp: combined wire record for vertex %d but no combiner is running", to)
+	for i := int32(0); i < count; i++ {
+		sh.stage(to, Message{From: from, Count: 1, Payload: pay})
 	}
-	e.foldPend(sh, accKey{to: to, slot: slot, src: -1}, accEntry{from: from, count: count, pay: pay})
+	sh.remote = true
 	return nil
 }
 

@@ -14,7 +14,7 @@ import (
 // was sent, per the BSP discipline of §2.
 //
 // When the running program declares a Combiner, messages bound for the
-// same (destination, slot) are folded into one delivered Message whose
+// same destination are folded into one delivered Message whose
 // Payload is the accumulated value: From is the first folded sender (in
 // delivery order) and Count is the number of logical sends the message
 // represents. Uncombined deliveries carry Count == 1. Programs that
@@ -72,12 +72,13 @@ type ProgramFunc func(ctx *Context, v VertexID, inbox []Message)
 func (f ProgramFunc) Compute(ctx *Context, v VertexID, inbox []Message) { f(ctx, v, inbox) }
 
 // Combiner folds the payloads of messages bound for the same
-// (destination vertex, slot) into one accumulated payload, the
-// Pregel-style message combiner. The engine applies it at two points:
-// at Send time into a per-(shard, destination, slot) accumulator in the
-// sending worker's outbox, and after the compute barrier when the shard
-// merge folds colliding accumulators from different workers — so a
-// vertex's inbox carries at most one Message per slot.
+// destination vertex into one accumulated payload, the Pregel-style
+// message combiner. A run with a combiner folds every send. The engine
+// applies it at two points: at Send time into a per-(shard,
+// destination) accumulator in the sending worker's outbox, and after
+// the compute barrier when the shard merge folds colliding accumulators
+// from different workers — so a vertex's inbox carries at most one
+// Message.
 //
 // The fold must be insensitive to regrouping of the send stream
 // (commutative/associative in spirit). Within one partition the engine
@@ -98,17 +99,9 @@ func (f ProgramFunc) Compute(ctx *Context, v VertexID, inbox []Message) { f(ctx,
 // are unaffected by folding; the folding itself is reported in
 // Stats.MessagesCombined.
 type Combiner interface {
-	// Slot classifies a payload into an independent fold stream:
-	// payloads in different slots never fold together and arrive as
-	// separate messages. Programs that send one kind of message per
-	// superstep return 0. A negative slot opts the payload out of
-	// combining entirely (it is delivered as a plain message, before
-	// any combined messages for the same destination).
-	Slot(payload any) int
 	// Fold merges one sent payload into the accumulator and returns
-	// the new accumulator; acc is nil for the first send. from is the
-	// sending vertex.
-	Fold(acc any, from VertexID, payload any) any
+	// the new accumulator; acc is nil for the first send.
+	Fold(acc, payload any) any
 	// Merge folds another worker's accumulator (a value previously
 	// returned by Fold) into acc and returns the result.
 	Merge(acc, other any) any
@@ -152,11 +145,8 @@ func (c *combinedProgram) BeforeSuperstep(step int) bool {
 // in Message.Count.
 type SignalCombiner struct{}
 
-// Slot implements Combiner.
-func (SignalCombiner) Slot(any) int { return 0 }
-
 // Fold implements Combiner; the accumulator stays nil.
-func (SignalCombiner) Fold(acc any, _ VertexID, _ any) any { return acc }
+func (SignalCombiner) Fold(acc, _ any) any { return acc }
 
 // Merge implements Combiner.
 func (SignalCombiner) Merge(acc, _ any) any { return acc }
@@ -166,11 +156,8 @@ func (SignalCombiner) Merge(acc, _ any) any { return acc }
 // their inbox.
 type SumCombiner struct{}
 
-// Slot implements Combiner.
-func (SumCombiner) Slot(any) int { return 0 }
-
 // Fold implements Combiner.
-func (SumCombiner) Fold(acc any, _ VertexID, payload any) any {
+func (SumCombiner) Fold(acc, payload any) any {
 	if acc == nil {
 		return payload.(int64)
 	}
@@ -196,11 +183,6 @@ type Options struct {
 	// is the Transport's business — the accounting path is the same
 	// either way.
 	Partitions int
-	// PayloadSize estimates the in-memory size of a message payload in
-	// bytes for the MessageBytes measure; defaults to 8 bytes per
-	// payload. Network bytes are not estimated: at Partitions > 1 they
-	// are counted from the actual encoded wire frames.
-	PayloadSize func(any) int
 	// Transport is the seam every Run goes through: it carries the sealed
 	// cross-partition frames, reduces each superstep's barrier frame and
 	// gathers the emitted values. Defaults to Loopback(Partitions), which
@@ -238,9 +220,6 @@ func (o Options) withDefaults() Options {
 	if o.Partitions <= 0 {
 		o.Partitions = 1
 	}
-	if o.PayloadSize == nil {
-		o.PayloadSize = func(any) int { return 8 }
-	}
 	if o.Codec == nil {
 		o.Codec = BasicCodec{}
 	}
@@ -263,7 +242,7 @@ func PartitionOf(v VertexID, parts int) int { return int(v) % parts }
 type Stats struct {
 	Supersteps      int64
 	Messages        int64 // logical sends — combining never changes this (the paper's M)
-	MessageBytes    int64
+	MessageBytes    int64 // payloadBytes of every logical send
 	NetworkMessages int64 // messages crossing partition boundaries
 	NetworkBytes    int64
 	ComputeOps      int64
@@ -889,7 +868,7 @@ func (c *Context) Step() int { return c.step }
 // merge can run shard-parallel without locks.
 //
 // When the running program declares a Combiner, the payload folds into
-// this worker's per-(shard, destination, slot) accumulator instead of
+// this worker's per-(shard, destination) accumulator instead of
 // occupying an outbox slot: a worker emits at most one combined message
 // per fold stream per superstep. The paper-facing cost measures still
 // count the logical send (the message "happened"; the engine just never
@@ -897,54 +876,55 @@ func (c *Context) Step() int { return c.step }
 func (c *Context) Send(from, to VertexID, payload any) {
 	s := c.eng.shardOf(to)
 	if comb := c.eng.comb; comb != nil {
-		if slot := comb.Slot(payload); slot >= 0 {
-			c.sendCombined(comb, s, slot, from, to, payload)
-			return
-		}
+		entry := c.foldStream(s, from, to)
+		entry.pay = comb.Fold(entry.pay, payload)
+		c.countFold(entry, payloadBytes(payload))
+		return
 	}
 	c.out[s] = append(c.out[s], outMsg{from: from, to: to, payload: payload})
 }
 
-// sendCombined folds one logical send into the worker-local accumulator
-// of its (shard, destination, slot) stream, accounting the send as if it
-// had been materialized.
-func (c *Context) sendCombined(comb Combiner, s, slot int, from, to VertexID, payload any) {
-	entry := c.foldStream(s, slot, from, to)
-	entry.pay = comb.Fold(entry.pay, from, payload)
-	c.countFold(entry, c.eng.opts.PayloadSize(payload))
+// payloadBytes prices one payload for the MessageBytes measure: its own
+// Size() when it has one, else 8 bytes. Network bytes are not
+// estimated: at Partitions > 1 they are counted from the actual encoded
+// wire frames.
+func payloadBytes(payload any) int {
+	if s, ok := payload.(interface{ Size() int }); ok {
+		return s.Size()
+	}
+	return 8
 }
 
 // SendFold sends one logical message to `to` whose payload fold builds
 // straight into its fold stream, so a sender never materializes a
 // message the combiner would only merge and drop. With a combiner
-// running, fold receives this worker's accumulator for the (to, slot 0)
-// stream — nil when the stream is new — and returns the new accumulator
+// running, fold receives this worker's accumulator for the stream to
+// `to` — nil when the stream is new — and returns the new accumulator
 // and the size of the logical message it folded in. That size must be
-// what Options.PayloadSize gives for fold(nil)'s payload — the one the
-// sender would otherwise have built and Sent — or combined and
-// uncombined runs disagree on MessageBytes; a program that uses SendFold
-// therefore owns its PayloadSize. The engine keeps the accumulator and
-// accounts one send of that size, exactly as Send would have. Without a
-// combiner (Options.NoCombine, or a program that declares none) fold(nil)
-// is enqueued as a plain message and priced by PayloadSize. The combiner's Merge must
-// accept what fold returns. Partition keying and the combine-plane
-// bookkeeping are those of Send.
+// the payloadBytes of fold(nil)'s payload — the one the sender would
+// otherwise have built and Sent — or combined and uncombined runs
+// disagree on MessageBytes. The engine keeps the
+// accumulator and accounts one send of that size, exactly as Send would
+// have. Without a combiner (Options.NoCombine, or a program that
+// declares none) fold(nil) is enqueued as a plain message. The
+// combiner's Merge must accept what fold returns. Partition keying and
+// the combine-plane bookkeeping are those of Send.
 func (c *Context) SendFold(from, to VertexID, fold func(acc any) (any, int)) {
 	if c.eng.comb == nil {
 		pay, _ := fold(nil)
 		c.Send(from, to, pay)
 		return
 	}
-	entry := c.foldStream(c.eng.shardOf(to), 0, from, to)
+	entry := c.foldStream(c.eng.shardOf(to), from, to)
 	var size int
 	entry.pay, size = fold(entry.pay)
 	c.countFold(entry, size)
 }
 
 // foldStream returns this worker's accumulator entry for the (shard,
-// destination, slot) stream of a send from `from`, starting an empty one
-// (nil payload, no sends) on the stream's first send.
-func (c *Context) foldStream(s, slot int, from, to VertexID) *accEntry {
+// destination) stream of a send from `from`, starting an empty one (nil
+// payload, no sends) on the stream's first send.
+func (c *Context) foldStream(s int, from, to VertexID) *accEntry {
 	// Fold streams split by the sender's partition: each partition's
 	// share of a stream is exactly the folded accumulator it would ship
 	// as one wire record, so the accounting (and the distributed
@@ -954,7 +934,7 @@ func (c *Context) foldStream(s, slot int, from, to VertexID) *accEntry {
 		src = int32(PartitionOf(from, p))
 	}
 	a := &c.acc[s]
-	k := accKey{to: to, slot: int32(slot), src: src}
+	k := accKey{to: to, src: src}
 	i := a.last
 	if i < 0 || int(i) >= len(a.keys) || a.keys[i] != k {
 		var ok bool

@@ -352,11 +352,6 @@ func (g *Graph) DegreeWithLabel(v VertexID, label LabelID) int {
 	return len(g.EdgesWithLabel(v, label))
 }
 
-// HasEdgeWithLabel reports whether v has at least one out-edge with label.
-func (g *Graph) HasEdgeWithLabel(v VertexID, label LabelID) bool {
-	return len(g.EdgesWithLabel(v, label)) > 0
-}
-
 // ByteSize estimates the in-memory footprint of the graph structure plus
 // payloads that implement interface{ Size() int }; used by the Figure 14
 // load-size experiment.

@@ -7,26 +7,44 @@ import (
 	"testing"
 )
 
-// orderProgram mixes plain and combined sends into shared destinations:
-// every vertex folds an int64 along its edges (combined under
-// sumOrPlain), every other vertex also sends a string along them
-// (plain), and every vertex sends two plain strings to one of five hubs,
-// which its mesh neighbours also reach. Each vertex emits its whole
-// inbox as an ordered string of (From, Count, Payload), so any change to
-// the order of one inbox changes the emit stream.
+// orderProgram sends several payloads into shared destinations: every
+// vertex sends an int64 along its edges, every other vertex also sends
+// a string along them, and every vertex sends two strings to one of
+// five hubs, which its mesh neighbours also reach. Each vertex emits its
+// whole inbox as an ordered string of (From, Count, Payload), so any
+// change to the order of one inbox — or, combined, to its one message's
+// first sender, count or total — changes the emit stream.
 type orderProgram struct {
 	lbl     LabelID
 	hops    int
-	comb    bool // declare sumOrPlain as the combiner
+	comb    bool // declare weightCombiner as the combiner
 	clobber bool // append to the inbox after reading it
 }
 
 func (p *orderProgram) Combiner() Combiner {
 	if p.comb {
-		return sumOrPlain{}
+		return weightCombiner{}
 	}
 	return nil
 }
+
+// weightCombiner folds orderProgram's payloads into one int64 total: an
+// int64 weighs its value, a string its length. Addition is insensitive
+// to how the send stream is regrouped across partitions, as the
+// Combiner contract requires.
+type weightCombiner struct{}
+
+func (weightCombiner) Fold(acc, payload any) any {
+	w, _ := payload.(int64)
+	if s, ok := payload.(string); ok {
+		w = int64(len(s))
+	}
+	if acc == nil {
+		return w
+	}
+	return acc.(int64) + w
+}
+func (weightCombiner) Merge(acc, other any) any { return acc.(int64) + other.(int64) }
 
 func (p *orderProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 	if len(inbox) > 0 {
@@ -55,14 +73,15 @@ func (p *orderProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 }
 
 // TestInboxOrderIsPinned: the order of every inbox — plain messages by
-// sender, in send order per sender, then the combined messages — is the
+// sender, in send order per sender — and every combined message are the
 // same on every worker count and partitioning, on loopback and on a
 // multi-node run. The sum-only identity tests cannot see a plane that
 // reorders an inbox; this one can. A program that appends to its inbox
 // must not change any other vertex's inbox either. At one worker a
-// superstep stages 576 deliveries into the one shard combined and 832
-// uncombined, and every hub's inbox holds about 50 plain messages, so
-// the sorts behind seal and the nodes' by-sender order see real input.
+// superstep stages 832 deliveries into the one shard uncombined (128
+// combined, one per vertex), and every hub's inbox holds about 50 plain
+// messages, so the sorts behind seal and the nodes' by-sender order see
+// real input.
 func TestInboxOrderIsPinned(t *testing.T) {
 	g, lbl := meshGraph(128, 3)
 	var initial []VertexID
@@ -118,7 +137,7 @@ func TestInboxOrderIsPinned(t *testing.T) {
 				return // the nodes' NoCombine reference is the "no combiner" case
 			}
 			for _, parts := range []int{2, 3} {
-				emits, _ := runDistNodes(t, g, parts, mk(false), initial)
+				emits, _ := runDistNodes(t, g, parts, nil, mk(false), initial)
 				check(fmt.Sprintf("%d nodes", parts), emits)
 			}
 		})

@@ -13,16 +13,15 @@ type outMsg struct {
 	payload  any
 }
 
-// accKey identifies one fold stream: a destination vertex, the
-// combiner-assigned slot, and the sender's partition. Splitting streams
-// by source partition is what makes a fold stream shippable — each
-// partition's share of a stream is exactly the folded accumulator that
-// partition would put on the wire as one record. At Partitions == 1
-// src is always 0 and the key degenerates to (to, slot).
+// accKey identifies one fold stream: a destination vertex and the
+// sender's partition. Splitting streams by source partition is what
+// makes a fold stream shippable — each partition's share of a stream is
+// exactly the folded accumulator that partition would put on the wire
+// as one record. At Partitions == 1 src is always 0 and the key
+// degenerates to the destination.
 type accKey struct {
-	to   VertexID
-	slot int32
-	src  int32
+	to  VertexID
+	src int32
 }
 
 // accEntry is one running fold: the first sender (the From of the
@@ -68,7 +67,8 @@ func (a *ctxAcc) trim(budget int64) {
 // and stats, so the parallel merge needs no locks.
 type mergeShard struct {
 	// stageTo and stageMsg hold this superstep's deliveries in delivery
-	// order: plain sends in (worker, send) order, then the fold streams.
+	// order: plain sends in (worker, send) order, or, in a run with a
+	// combiner, the fold streams in first-seen order.
 	stageTo  []VertexID
 	stageMsg []Message
 	// order is the sort scratch: key<<32 | staging index, so one sort of
@@ -284,12 +284,12 @@ func (e *Engine) mergeShard(s int) {
 		for i := range msgs {
 			m := &msgs[i]
 			sh.stats.Messages++
-			sh.stats.MessageBytes += int64(e.opts.PayloadSize(m.payload))
+			sh.stats.MessageBytes += int64(payloadBytes(m.payload))
 			deliver := true
 			if partitions > 1 {
 				srcP, dstP := PartitionOf(m.from, partitions), PartitionOf(m.to, partitions)
 				if srcP != dstP {
-					e.record(sh, srcP, dstP, m.from, -1, m.payload, m.to, 1)
+					e.record(sh, srcP, dstP, m.from, m.payload, m.to, 1)
 				}
 				// A node delivers only its own partition's messages
 				// locally; the rest exist as wire records.
@@ -316,8 +316,8 @@ func (e *Engine) mergeShard(s int) {
 	}
 }
 
-// sealShard ends a shard's communication stage: the fold streams are
-// staged after the plain deliveries, and the staging becomes the inbox.
+// sealShard ends a shard's communication stage: a combined run's fold
+// streams are staged, and the staging becomes the inbox.
 func (e *Engine) sealShard(sh *mergeShard) {
 	if sh.remote {
 		sh.sortStageByFrom()
@@ -331,7 +331,7 @@ func (e *Engine) sealShard(sh *mergeShard) {
 // record encodes one cross-partition send into its (src, dst) pair
 // stream. A payload the codec cannot encode fails the run through
 // sh.err; the send is still delivered wherever it is local.
-func (e *Engine) record(sh *mergeShard, srcP, dstP int, from VertexID, slot int32, pay any, to VertexID, count int32) {
+func (e *Engine) record(sh *mergeShard, srcP, dstP int, from VertexID, pay any, to VertexID, count int32) {
 	enc, err := e.opts.Codec.Append(sh.encBuf[:0], pay)
 	if err != nil {
 		if sh.err == nil {
@@ -340,11 +340,11 @@ func (e *Engine) record(sh *mergeShard, srcP, dstP int, from VertexID, slot int3
 		return
 	}
 	sh.encBuf = enc
-	e.stream(srcP, dstP).add(from, slot, enc, to, count)
+	e.stream(srcP, dstP).add(from, enc, to, count)
 }
 
 // foldAccs is the first half of the combined plane's communication
-// stage: fold the workers' per-(destination, slot, source partition)
+// stage: fold the workers' per-(destination, source partition)
 // accumulators into the shard's pending table — colliding streams merge
 // in worker order, exactly the order the uncombined plane would have
 // delivered in.
@@ -388,9 +388,9 @@ func (e *Engine) foldPend(sh *mergeShard, k accKey, p accEntry) {
 // cross-partition fold stream is encoded into its (src, dst) pair stream
 // — one record carrying the folded accumulator — and the pending table
 // is compacted down to what this engine delivers itself, re-keyed by
-// (destination, slot). On loopback that re-merges streams split by
-// source partition, keeping the first-seen entry and Merging later ones
-// in, so the per-(to, slot) fold count comes out the same as the
+// destination. On loopback that re-merges streams split by source
+// partition, keeping the first-seen entry and Merging later ones in, so
+// the per-destination fold count comes out the same as the
 // single-partition engine's. A node instead drops the streams it just
 // shipped; the owner makes the same Merge calls when the records arrive
 // (deliverRemote), so the fold trees agree. The compacted table is
@@ -405,7 +405,7 @@ func (e *Engine) recordPend(sh *mergeShard) {
 		p := pend[i]
 		pend[i] = accEntry{}
 		if dstP := PartitionOf(k.to, e.opts.Partitions); int(k.src) != dstP {
-			e.record(sh, int(k.src), dstP, p.from, k.slot, p.pay, k.to, p.count)
+			e.record(sh, int(k.src), dstP, p.from, p.pay, k.to, p.count)
 		}
 		if e.owns(k.to) {
 			k.src = -1
@@ -415,9 +415,7 @@ func (e *Engine) recordPend(sh *mergeShard) {
 }
 
 // flushPend stages the surviving fold streams, one Message each, in
-// first-seen order. They follow every plain (slot < 0) delivery in the
-// staging, so combined messages land after the plain ones for the same
-// destination.
+// first-seen order.
 func (e *Engine) flushPend(sh *mergeShard) {
 	for i := range sh.pend {
 		p := &sh.pend[i]

@@ -269,12 +269,11 @@ type destRef struct {
 }
 
 // wireRecord is one deduped unit of cross-partition traffic: a sender,
-// a combiner slot (-1 for plain messages), an encoded payload — the
-// folded accumulator for combined streams — and the destination
-// vertices it fans out to on the receiving partition.
+// an encoded payload — the folded accumulator in a run with a combiner
+// — and the destination vertices it fans out to on the receiving
+// partition.
 type wireRecord struct {
 	from  VertexID
-	slot  int32
 	enc   []byte
 	dests []destRef
 }
@@ -293,17 +292,17 @@ type pairStream struct {
 }
 
 // add appends one send to the stream, merging into the previous record
-// when sender, slot and encoded payload all match — the run-length
+// when sender and encoded payload both match — the run-length
 // dedup that turns a fan-out (one payload, many destinations) into one
 // record with a dest list. Only the immediately preceding record is a
 // merge candidate, so delivery order on the receiving side is
 // preserved exactly. A new record reuses the payload and dest storage
-// its slot held in earlier supersteps.
-func (ps *pairStream) add(from VertexID, slot int32, enc []byte, to VertexID, count int32) {
+// its place in recs held in earlier supersteps.
+func (ps *pairStream) add(from VertexID, enc []byte, to VertexID, count int32) {
 	n := len(ps.recs)
 	if n > 0 {
 		last := &ps.recs[n-1]
-		if last.from == from && last.slot == slot && string(last.enc) == string(enc) {
+		if last.from == from && string(last.enc) == string(enc) {
 			if m := len(last.dests); m > 0 && last.dests[m-1].to == to {
 				last.dests[m-1].count += count
 			} else {
@@ -318,7 +317,7 @@ func (ps *pairStream) add(from VertexID, slot int32, enc []byte, to VertexID, co
 		ps.recs = append(ps.recs, wireRecord{})
 	}
 	r := &ps.recs[n]
-	r.from, r.slot = from, slot
+	r.from = from
 	r.enc = append(r.enc[:0], enc...)
 	r.dests = append(r.dests[:0], destRef{to: to, count: count})
 }
@@ -337,12 +336,14 @@ func (ps *pairStream) retainedBytes() int64 {
 }
 
 // frameKindRecords tags a sealed superstep frame; hostile or corrupt
-// frames with any other leading byte are refused by decodeRecords.
-const frameKindRecords = 0x52 // 'R'
+// frames with any other leading byte are refused by decodeRecords. It
+// names the record layout: 'R' was a layout whose records carried a
+// combiner slot, so such a frame is refused rather than misparsed.
+const frameKindRecords = 0x72 // 'r'
 
 // sealRecords serializes one pair stream into a frame payload appended
 // to buf: kind byte, superstep, record count, then each record as
-// (from, slot+1, payload length, payload, dest count, dests). An empty
+// (from, payload length, payload, dest count, dests). An empty
 // stream still seals to a (tiny) frame — synchronization frames cross
 // the wire every superstep, so the accounting prices them every
 // superstep.
@@ -353,7 +354,6 @@ func sealRecords(buf []byte, step int, recs []wireRecord) []byte {
 	for i := range recs {
 		r := &recs[i]
 		buf = binary.AppendUvarint(buf, uint64(r.from))
-		buf = binary.AppendUvarint(buf, uint64(r.slot+1))
 		buf = binary.AppendUvarint(buf, uint64(len(r.enc)))
 		buf = append(buf, r.enc...)
 		buf = binary.AppendUvarint(buf, uint64(len(r.dests)))
@@ -386,12 +386,15 @@ func FrameRecordCount(payload []byte) int64 {
 }
 
 // decodeRecords parses a sealed frame payload, invoking fn once per
-// (record, destination). The payload is decoded once per record and
-// shared across its fan-out, mirroring how an in-process fan-out
-// shares one payload value. A vertex, slot or count that does not fit
-// its int32 field is refused rather than narrowed onto another one.
-func decodeRecords(payload []byte, wantStep int, codec PayloadCodec,
-	fn func(from VertexID, slot int32, pay any, to VertexID, count int32) error) error {
+// (record, destination). Unless perDest is set, the payload is decoded
+// once per record and shared across its fan-out, mirroring how an
+// in-process fan-out shares one payload value. A combined run sets
+// perDest: each destination's payload becomes that destination's
+// accumulator, which later Merges change in place, so no two
+// destinations may share one. A vertex or count that does not fit its
+// int32 field is refused rather than narrowed onto another one.
+func decodeRecords(payload []byte, wantStep int, codec PayloadCodec, perDest bool,
+	fn func(from VertexID, pay any, to VertexID, count int32) error) error {
 	if len(payload) == 0 || payload[0] != frameKindRecords {
 		return fmt.Errorf("bsp: not a records frame")
 	}
@@ -410,20 +413,17 @@ func decodeRecords(payload []byte, wantStep int, codec PayloadCodec,
 	}
 	rest = rest[n:]
 	for i := uint64(0); i < nrec; i++ {
-		from, slot, encLen := uint64(0), uint64(0), uint64(0)
+		from, encLen := uint64(0), uint64(0)
 		if from, n = binary.Uvarint(rest); n <= 0 || from > math.MaxInt32 {
 			return fmt.Errorf("bsp: bad record sender")
-		}
-		rest = rest[n:]
-		if slot, n = binary.Uvarint(rest); n <= 0 || slot > math.MaxInt32 {
-			return fmt.Errorf("bsp: bad record slot")
 		}
 		rest = rest[n:]
 		if encLen, n = binary.Uvarint(rest); n <= 0 || encLen > uint64(len(rest)-n) {
 			return fmt.Errorf("bsp: bad record payload length")
 		}
 		rest = rest[n:]
-		pay, err := codec.Decode(rest[:encLen])
+		enc := rest[:encLen]
+		pay, err := codec.Decode(enc)
 		if err != nil {
 			return err
 		}
@@ -444,7 +444,12 @@ func decodeRecords(payload []byte, wantStep int, codec PayloadCodec,
 				return fmt.Errorf("bsp: bad record dest count")
 			}
 			rest = rest[n:]
-			if err := fn(VertexID(from), int32(slot)-1, pay, VertexID(to), int32(count)); err != nil {
+			if perDest && j > 0 {
+				if pay, err = codec.Decode(enc); err != nil {
+					return err
+				}
+			}
+			if err := fn(VertexID(from), pay, VertexID(to), int32(count)); err != nil {
 				return err
 			}
 		}

@@ -9,14 +9,13 @@ import (
 )
 
 // recordsFrame hand-builds a one-record, one-destination records frame
-// whose sender, slot field and destination are raw uvarints, so values
-// no encoder would write can be put on the wire.
-func recordsFrame(from, slot, to uint64) []byte {
+// whose sender and destination are raw uvarints, so values no encoder
+// would write can be put on the wire.
+func recordsFrame(from, to uint64) []byte {
 	b := []byte{frameKindRecords}
 	b = binary.AppendUvarint(b, 0) // step
 	b = binary.AppendUvarint(b, 1) // records
 	b = binary.AppendUvarint(b, from)
-	b = binary.AppendUvarint(b, slot)
 	enc, _ := BasicCodec{}.Append(nil, int64(7))
 	b = binary.AppendUvarint(b, uint64(len(enc)))
 	b = append(b, enc...)
@@ -36,34 +35,32 @@ func emitStream(step, v uint64) []byte {
 	return append(b, enc...)
 }
 
-// TestDecodersRefuseNarrowing: a vertex id, combiner slot or superstep
-// on the wire that does not fit its int32 field is refused, not
-// truncated onto a different value: destination 2^32+5 is not vertex 5,
-// slot field 2^32 is not the plain-message slot -1, and emit step
+// TestDecodersRefuseNarrowing: a vertex id or superstep on the wire
+// that does not fit its int32 field is refused, not truncated onto a
+// different value: destination 2^32+5 is not vertex 5, and emit step
 // 2^32+1 does not sort as step 1. The same frames with the values in
 // range decode.
 func TestDecodersRefuseNarrowing(t *testing.T) {
 	const big = 1 << 32
 	deliver := func(payload []byte) (delivered []VertexID, err error) {
-		err = decodeRecords(payload, 0, BasicCodec{}, func(_ VertexID, _ int32, _ any, to VertexID, _ int32) error {
+		err = decodeRecords(payload, 0, BasicCodec{}, false, func(_ VertexID, _ any, to VertexID, _ int32) error {
 			delivered = append(delivered, to)
 			return nil
 		})
 		return delivered, err
 	}
-	if got, err := deliver(recordsFrame(1, 3, 5)); err != nil || len(got) != 1 || got[0] != 5 {
+	if got, err := deliver(recordsFrame(1, 5)); err != nil || len(got) != 1 || got[0] != 5 {
 		t.Fatalf("in-range frame: delivered %v, err %v", got, err)
 	}
 	for _, tc := range []struct {
-		name           string
-		from, slot, to uint64
+		name     string
+		from, to uint64
 	}{
-		{"dest 2^32+5", 1, 3, big + 5},
-		{"dest 2^31", 1, 3, math.MaxInt32 + 1},
-		{"slot field 2^32", 1, big, 5},
-		{"sender 2^32+1", big + 1, 3, 5},
+		{"dest 2^32+5", 1, big + 5},
+		{"dest 2^31", 1, math.MaxInt32 + 1},
+		{"sender 2^32+1", big + 1, 5},
 	} {
-		if got, err := deliver(recordsFrame(tc.from, tc.slot, tc.to)); err == nil || len(got) != 0 {
+		if got, err := deliver(recordsFrame(tc.from, tc.to)); err == nil || len(got) != 0 {
 			t.Errorf("%s: delivered %v, err %v; want refused", tc.name, got, err)
 		}
 	}
@@ -97,19 +94,18 @@ func TestDecodersRefuseNarrowing(t *testing.T) {
 // delivery is one fn call of decodeRecords.
 type delivery struct {
 	from  VertexID
-	slot  int32
 	pay   any
 	to    VertexID
 	count int32
 }
 
 // canonicalRecords re-seals what decodeRecords delivered from payload:
-// consecutive deliveries with one sender, slot and re-encoded payload
-// become one record's destination list.
+// consecutive deliveries with one sender and re-encoded payload become
+// one record's destination list.
 func canonicalRecords(payload []byte) ([]byte, error) {
 	var ds []delivery
-	err := decodeRecords(payload, -1, BasicCodec{}, func(from VertexID, slot int32, pay any, to VertexID, count int32) error {
-		ds = append(ds, delivery{from, slot, pay, to, count})
+	err := decodeRecords(payload, -1, BasicCodec{}, false, func(from VertexID, pay any, to VertexID, count int32) error {
+		ds = append(ds, delivery{from, pay, to, count})
 		return nil
 	})
 	if err != nil {
@@ -122,11 +118,11 @@ func canonicalRecords(payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n := len(recs); n > 0 && recs[n-1].from == d.from && recs[n-1].slot == d.slot && bytes.Equal(recs[n-1].enc, enc) {
+		if n := len(recs); n > 0 && recs[n-1].from == d.from && bytes.Equal(recs[n-1].enc, enc) {
 			recs[n-1].dests = append(recs[n-1].dests, destRef{to: d.to, count: d.count})
 			continue
 		}
-		recs = append(recs, wireRecord{from: d.from, slot: d.slot, enc: enc, dests: []destRef{{to: d.to, count: d.count}}})
+		recs = append(recs, wireRecord{from: d.from, enc: enc, dests: []destRef{{to: d.to, count: d.count}}})
 	}
 	return sealRecords(nil, int(step), recs), nil
 }
@@ -151,13 +147,13 @@ func FuzzDecodeRecords(f *testing.F) {
 	for i, p := range payloads {
 		encs[i], _ = BasicCodec{}.Append(nil, p)
 	}
-	fanOut := wireRecord{from: 3, slot: -1, enc: encs[1], dests: []destRef{{to: 4, count: 1}, {to: 9, count: 2}, {to: 70000, count: 1}}}
-	combined := wireRecord{from: 5, slot: 0, enc: encs[0], dests: []destRef{{to: 6, count: 3}}}
+	fanOut := wireRecord{from: 3, enc: encs[1], dests: []destRef{{to: 4, count: 1}, {to: 9, count: 2}, {to: 70000, count: 1}}}
+	counted := wireRecord{from: 5, enc: encs[0], dests: []destRef{{to: 6, count: 3}}}
 	var seeds [][]byte
 	seeds = append(seeds,
 		sealRecords(nil, 0, nil),
 		sealRecords(nil, 7, []wireRecord{fanOut}),
-		sealRecords(nil, 2, []wireRecord{combined, fanOut, {from: 1, slot: 2, enc: encs[2], dests: []destRef{{to: 0, count: 1}}}}),
+		sealRecords(nil, 2, []wireRecord{counted, fanOut, {from: 1, enc: encs[2], dests: []destRef{{to: 0, count: 1}}}}),
 	)
 	for _, blob := range [][]any{nil, payloads} {
 		tags := make([]emitTag, len(blob))
@@ -176,13 +172,13 @@ func FuzzDecodeRecords(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Add(recordsFrame(1, 1<<32, 5))
+	f.Add(recordsFrame(1, 1<<32+5))
 	f.Add(emitStream(1<<32+1, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		errR := decodeRecords(data, -1, BasicCodec{}, func(VertexID, int32, any, VertexID, int32) error { return nil })
+		errR := decodeRecords(data, -1, BasicCodec{}, false, func(VertexID, any, VertexID, int32) error { return nil })
 		_, _, errE := decodeEmits(data, nil, nil, BasicCodec{})
 		runtime.ReadMemStats(&after)
 		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(data))+1<<20 {

@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -114,29 +115,9 @@ func (t *memNode) FinishRun(emits []byte) ([][]byte, error) {
 	return h.gather, nil
 }
 
-// sumOrPlain combines int64 payloads by addition and opts everything
-// else (the test's string pings) out of combining — so one program
-// exercises combined and plain wire records at once.
-type sumOrPlain struct{}
-
-func (sumOrPlain) Slot(p any) int {
-	if _, ok := p.(int64); ok {
-		return 0
-	}
-	return -1
-}
-func (sumOrPlain) Fold(acc any, _ VertexID, payload any) any {
-	if acc == nil {
-		return payload.(int64)
-	}
-	return acc.(int64) + payload.(int64)
-}
-func (sumOrPlain) Merge(acc, other any) any { return acc.(int64) + other.(int64) }
-
-// distSumProgram floods vertex ids along edges (combined) plus string
-// pings to a rotating destination (plain), and emits each received
-// total: it exercises plain records, combined records and the emit
-// allgather at once.
+// distSumProgram floods vertex ids plus received totals along edges,
+// folded by SumCombiner, and emits each received total: it exercises
+// combined records and the emit allgather at once.
 type distSumProgram struct {
 	lbl  LabelID
 	hops int
@@ -146,30 +127,22 @@ func (p *distSumProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 	ctx.AddOps(1 + InboxCount(inbox))
 	var total int64
 	for _, m := range inbox {
-		switch pay := m.Payload.(type) {
-		case int64:
-			total += pay
-		case string:
-			total += int64(len(pay)) + int64(m.From)
-		}
+		total += m.Payload.(int64)
 	}
 	if len(inbox) > 0 {
 		ctx.Emit(total)
 	}
 	if ctx.Step() < p.hops {
 		ctx.SendAlong(v, p.lbl, int64(v)+total)
-		if v%5 == 0 {
-			ctx.Send(v, (v+7)%64, "ping")
-		}
 	}
 }
 
-func (p *distSumProgram) Combiner() Combiner { return sumOrPlain{} }
+func (p *distSumProgram) Combiner() Combiner { return SumCombiner{} }
 
 // runDistNodes executes prog over parts in-process nodes joined by a
-// memHub, one engine per node, and returns node 0's emits and stats
-// after checking every node agreed.
-func runDistNodes(t *testing.T, g *Graph, parts int, mkProg func() Program, initial []VertexID) ([]any, Stats) {
+// memHub, one engine per node with codec (nil for the default), and
+// returns node 0's emits and stats after checking every node agreed.
+func runDistNodes(t *testing.T, g *Graph, parts int, codec PayloadCodec, mkProg func() Program, initial []VertexID) ([]any, Stats) {
 	t.Helper()
 	hub := newMemHub(parts)
 	emits := make([][]any, parts)
@@ -184,6 +157,7 @@ func runDistNodes(t *testing.T, g *Graph, parts int, mkProg func() Program, init
 				Workers:    1 + p, // node-varying worker counts must not matter
 				Partitions: parts,
 				Transport:  hub.node(p),
+				Codec:      codec,
 			})
 			stats[p] = eng.Run(mkProg(), initial)
 			emits[p] = append([]any(nil), eng.Emitted()...)
@@ -223,7 +197,7 @@ func TestDistMatchesLoopback(t *testing.T) {
 		simStats := sim.Run(mk(), initial)
 		simEmits := append([]any(nil), sim.Emitted()...)
 
-		distEmits, distStats := runDistNodes(t, g, parts, mk, initial)
+		distEmits, distStats := runDistNodes(t, g, parts, nil, mk, initial)
 
 		if distStats != simStats {
 			t.Errorf("parts=%d stats diverge:\n  loopback %v\n  dist     %v", parts, simStats, distStats)
@@ -231,6 +205,91 @@ func TestDistMatchesLoopback(t *testing.T) {
 		if !slices.Equal(distEmits, simEmits) {
 			t.Errorf("parts=%d emits diverge: loopback %d values, dist %d values", parts, len(simEmits), len(distEmits))
 		}
+	}
+}
+
+// box is a mutable accumulator: boxCombiner's Merge appends into it in
+// place, so two destinations sharing one box would see each other's
+// merges.
+type box struct{ vals []VertexID }
+
+type boxCombiner struct{}
+
+func (boxCombiner) Fold(acc, payload any) any {
+	if acc == nil {
+		return &box{vals: []VertexID{payload.(VertexID)}}
+	}
+	b := acc.(*box)
+	b.vals = append(b.vals, payload.(VertexID))
+	return b
+}
+
+func (boxCombiner) Merge(acc, other any) any {
+	b := acc.(*box)
+	b.vals = append(b.vals, other.(*box).vals...)
+	return b
+}
+
+// boxCodec puts a box on the wire as a BasicCodec []VertexID.
+type boxCodec struct{}
+
+func (boxCodec) Append(dst []byte, pay any) ([]byte, error) {
+	if b, ok := pay.(*box); ok {
+		pay = b.vals
+	}
+	return BasicCodec{}.Append(dst, pay)
+}
+
+func (boxCodec) Decode(data []byte) (any, error) {
+	pay, err := BasicCodec{}.Decode(data)
+	if vals, ok := pay.([]VertexID); ok {
+		return &box{vals: vals}, nil
+	}
+	return pay, err
+}
+
+// TestDistFanOutKeepsAccumulatorsDistinct: vertex 0 folds the same
+// value toward vertices 1 and 4, so partition 0 ships one wire record
+// fanning out to both, and vertex 2's value then Merges into vertex 1's
+// accumulator on the receiving node. Each destination must own its
+// accumulator there, as it does on loopback: vertex 4 receives [7]
+// alone.
+func TestDistFanOutKeepsAccumulatorsDistinct(t *testing.T) {
+	g := NewGraph()
+	lbl := g.Symbols.Intern("v")
+	for i := 0; i < 5; i++ {
+		g.AddVertex(lbl, nil)
+	}
+	g.Freeze()
+	mk := func() Program {
+		return WithCombiner(ProgramFunc(func(ctx *Context, v VertexID, inbox []Message) {
+			if ctx.Step() == 0 {
+				if v == 0 {
+					ctx.Send(v, 1, VertexID(7))
+					ctx.Send(v, 4, VertexID(7))
+				} else {
+					ctx.Send(v, 1, VertexID(9))
+				}
+				return
+			}
+			for _, m := range inbox {
+				ctx.Emit(fmt.Sprintf("%d<-%v", v, m.Payload.(*box).vals))
+			}
+		}), boxCombiner{})
+	}
+	initial := []VertexID{0, 2}
+	want := []any{"1<-[7 9]", "4<-[7]"}
+
+	sim := NewEngine(g, Options{Workers: 1, Partitions: 3, Codec: boxCodec{}})
+	sim.Run(mk(), initial)
+	if err := sim.RunErr(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Emitted(); !slices.Equal(got, want) {
+		t.Errorf("loopback delivered %v, want %v", got, want)
+	}
+	if got, _ := runDistNodes(t, g, 3, boxCodec{}, mk, initial); !slices.Equal(got, want) {
+		t.Errorf("nodes delivered %v, want %v", got, want)
 	}
 }
 
@@ -263,7 +322,7 @@ func TestDistUncombined(t *testing.T) {
 	simStats := sim.Run(mk(), initial)
 	simEmits := append([]any(nil), sim.Emitted()...)
 
-	distEmits, distStats := runDistNodes(t, g, 2, mk, initial)
+	distEmits, distStats := runDistNodes(t, g, 2, nil, mk, initial)
 
 	if distStats != simStats {
 		t.Errorf("stats diverge:\n  loopback %v\n  dist     %v", simStats, distStats)

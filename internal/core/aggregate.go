@@ -70,7 +70,9 @@ func (p *partialGroups) logicalGroups() int {
 	return len(p.groups)
 }
 
-func (p *partialGroups) size() int {
+// Size prices the partials as a message payload in bytes (the
+// MessageBytes measure).
+func (p *partialGroups) Size() int {
 	n := 16
 	for _, g := range p.groups {
 		n += g.size()

@@ -8,8 +8,8 @@ import (
 // This file declares the message combiners of the TAG-join vertex
 // programs: folds applied by the BSP engine at Send time (per worker)
 // and at the shard merge (across workers), so aggregate-heavy
-// traversals deliver one message per (active vertex, slot) instead of
-// one per sender. Every combiner here computes what its receiving
+// traversals deliver one message per active vertex instead of one per
+// sender. Every combiner here computes what its receiving
 // vertex computes over an uncombined inbox — structural folds in the
 // same (worker, send) order, aggregate merges exact under any grouping
 // — so combined execution is byte-identical in rows and paper-facing
@@ -25,13 +25,10 @@ import (
 // exact.
 type pgCombiner struct{}
 
-// Slot implements bsp.Combiner.
-func (pgCombiner) Slot(any) int { return 0 }
-
 // Fold implements bsp.Combiner. The first sender's partials are
 // borrowed rather than copied: a partialGroups is sent to exactly one
 // destination and never touched by its sender again.
-func (pgCombiner) Fold(acc any, _ bsp.VertexID, payload any) any {
+func (pgCombiner) Fold(acc, payload any) any {
 	pg := payload.(*partialGroups)
 	if acc == nil {
 		return pg
@@ -76,11 +73,8 @@ func (b *valueBatch) add(val relation.Value) {
 // destination.
 type valueCombiner struct{}
 
-// Slot implements bsp.Combiner.
-func (valueCombiner) Slot(any) int { return 0 }
-
 // Fold implements bsp.Combiner.
-func (valueCombiner) Fold(acc any, _ bsp.VertexID, payload any) any {
+func (valueCombiner) Fold(acc, payload any) any {
 	val := payload.(cycleMsg).val
 	if acc == nil {
 		return &valueBatch{
@@ -141,11 +135,8 @@ func (b *tableBatch) union(t *table) {
 // messages into one tableBatch per destination.
 type tableUnionCombiner struct{}
 
-// Slot implements bsp.Combiner.
-func (tableUnionCombiner) Slot(any) int { return 0 }
-
 // Fold implements bsp.Combiner.
-func (tableUnionCombiner) Fold(acc any, _ bsp.VertexID, payload any) any {
+func (tableUnionCombiner) Fold(acc, payload any) any {
 	if acc == nil {
 		return &tableBatch{t: payload.(*table)}
 	}

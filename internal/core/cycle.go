@@ -14,6 +14,9 @@ type cycleMsg struct {
 	val relation.Value
 }
 
+// Size prices the message in bytes (the MessageBytes measure).
+func (m cycleMsg) Size() int { return 8 + m.val.Size() }
+
 // pathHop is one traversal hop of a cycle propagation path.
 type pathHop struct {
 	label    bsp.LabelID

@@ -72,13 +72,8 @@ type Session struct {
 
 // NewSession prepares an independent evaluation session over t. The
 // returned Session owns a private BSP engine, so it shares nothing
-// mutable with other sessions on the same graph. opts.PayloadSize is
-// replaced by payloadSize: aggregation senders report their payload
-// sizes themselves (bsp.Context.SendFold, groupObserver.observe), and
-// those reports agree with payloadSize only, so one pricing keeps
-// combined and uncombined runs' MessageBytes equal.
+// mutable with other sessions on the same graph.
 func NewSession(t *tag.Graph, opts bsp.Options) *Session {
-	opts.PayloadSize = payloadSize
 	if opts.Codec == nil {
 		// The SQL layer's payload registry: lets the engine put this
 		// package's message and emit types on the wire (and price the
@@ -89,22 +84,6 @@ func NewSession(t *tag.Graph, opts bsp.Options) *Session {
 		TAG:  t,
 		Opts: opts,
 		eng:  bsp.NewEngine(t.G, opts),
-	}
-}
-
-// payloadSize estimates message wire sizes for the cost accounting.
-func payloadSize(p any) int {
-	switch m := p.(type) {
-	case nil:
-		return 8
-	case *table:
-		return m.size()
-	case cycleMsg:
-		return 8 + m.val.Size()
-	case *partialGroups:
-		return m.size()
-	default:
-		return 8
 	}
 }
 
@@ -322,7 +301,7 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 			} else {
 				// Cartesian product of components: account the Algorithm B
 				// communication cost (|L|·|R| messages, §6.3).
-				e.eng.AddExternal(int64(len(combined.rows))*int64(len(t.rows)), int64(combined.size()), 0)
+				e.eng.AddExternal(int64(len(combined.rows))*int64(len(t.rows)), int64(combined.Size()), 0)
 				combined = j.join(combined, t)
 			}
 		}

@@ -67,10 +67,10 @@ func (t *table) clone() *table {
 	return &table{header: t.header, index: t.index, rows: t.rows}
 }
 
-// size estimates the wire size of the table in bytes (message
-// accounting). The header/schema is negotiated once per query, so only
-// row payloads count.
-func (t *table) size() int {
+// Size prices the table as a message payload in bytes (the
+// MessageBytes measure). The header/schema is negotiated once per
+// query, so only row payloads count.
+func (t *table) Size() int {
 	n := 8
 	for _, r := range t.rows {
 		for _, v := range r {

@@ -361,6 +361,15 @@ func Matrix() []Scenario {
 			},
 		},
 		{
+			Name: "combiners",
+			Tier: Quick,
+			Doc:  "Send-time folding gives the unfolded plane's answers, at the raw BSP level and through a SQL aggregation",
+			Steps: []Step{
+				ExampleRun{Name: "combiners",
+					Want: []string{"identical on both planes", "byte-identical answers"}},
+			},
+		},
+		{
 			Name: "bigint-string-roundtrip",
 			Tier: Quick,
 			Doc:  "INTs beyond 2^53 round-trip through their decimal-string form and survive replay",

@@ -6,7 +6,6 @@ type Query struct {
 	ID    string
 	SQL   string
 	Class string // "noagg", "local", "global", "scalar"
-	Cycle bool   // cyclic join graph
 	Note  string // adaptation applied vs. the official query, if any
 }
 
@@ -51,7 +50,7 @@ WHERE o_orderdate >= DATE '1993-07-01'
               WHERE l_orderkey = o_orderkey AND l_commitdate < l_receiptdate)
 GROUP BY o_orderpriority`},
 
-		{ID: "q5", Class: "local", Cycle: true, SQL: `
+		{ID: "q5", Class: "local", SQL: `
 SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
 FROM customer, orders, lineitem, supplier, nation, region
 WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey AND l_suppkey = s_suppkey
