@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -91,6 +92,57 @@ func TestDecodersRefuseNarrowing(t *testing.T) {
 	}
 }
 
+// fanOutFrame seals a frame whose first record fans a string payload
+// of payLen bytes out to dests destinations, padded by a one-destination
+// record to about frameLen bytes.
+func fanOutFrame(payLen, dests, frameLen int) []byte {
+	enc, _ := BasicCodec{}.Append(nil, strings.Repeat("x", payLen))
+	fan := wireRecord{from: 1, enc: enc}
+	for i := range dests {
+		fan.dests = append(fan.dests, destRef{to: VertexID(100 + i), count: 1})
+	}
+	b := sealRecords(nil, 0, []wireRecord{fan})
+	if pad := frameLen - len(b) - 16; pad > 0 {
+		enc, _ := BasicCodec{}.Append(nil, strings.Repeat("y", pad))
+		b = sealRecords(nil, 0, []wireRecord{fan, {from: 2, enc: enc, dests: []destRef{{to: 3, count: 1}}}})
+	}
+	return b
+}
+
+// TestPerDestFanOutBound: a combined run decodes a record's payload once
+// per destination, so a small frame fanning a large payload out widely
+// would decode into many times its size. Such a frame (a 4 KB string
+// to 2,000 destinations in under 10 KB, which decoded into 8 MB) is
+// refused in per-destination mode, and still decodes once in shared
+// mode; frames shaped like the heaviest honest ones (TPC-H scale 10 on
+// 2 and 3 partitions) decode in both.
+func TestPerDestFanOutBound(t *testing.T) {
+	decode := func(frame []byte, perDest bool) error {
+		return decodeRecords(frame, 0, BasicCodec{}, perDest, func(VertexID, any, VertexID, int32) error { return nil })
+	}
+	hostile := fanOutFrame(4096, 2000, 0)
+	if err := decode(hostile, true); err == nil {
+		t.Errorf("per-destination decode accepted a %d-byte frame fanning 4 KB out to 2,000 destinations", len(hostile))
+	}
+	if err := decode(hostile, false); err != nil {
+		t.Errorf("shared decode refused it: %v", err)
+	}
+	for _, h := range []struct{ extra, frameLen, payLen int }{
+		{587671, 73550, 3626}, // the most bytes fanned out
+		{16678, 934, 100},     // the most fanned out per frame byte
+	} {
+		frame := fanOutFrame(h.payLen, h.extra/h.payLen+2, h.frameLen)
+		if len(frame) > h.frameLen {
+			t.Fatalf("built a %d-byte frame, want at most %d", len(frame), h.frameLen)
+		}
+		for _, perDest := range []bool{false, true} {
+			if err := decode(frame, perDest); err != nil {
+				t.Errorf("%d bytes fanned out of a %d-byte frame (perDest %v): %v", h.extra, len(frame), perDest, err)
+			}
+		}
+	}
+}
+
 // delivery is one fn call of decodeRecords.
 type delivery struct {
 	from  VertexID
@@ -138,9 +190,13 @@ func canonicalEmits(data []byte) ([]byte, error) {
 
 // FuzzDecodeRecords: a distributed node feeds decodeRecords the frames
 // and decodeEmits the emit streams its peers send. Every input goes to
-// both. On any input neither panics, neither allocates more than a
-// constant factor of the bytes it was given, and whatever one accepts
-// re-encodes to a canonical form that decodes and re-encodes to itself.
+// both, and to decodeRecords in both modes. On any input none panics,
+// the shared decodes allocate at most a constant factor of the bytes
+// they were given, and the per-destination decode at most that factor
+// of the bytes plus the fanOutBytes it may decode beyond them. A frame
+// the per-destination decode accepts is accepted shared too, and
+// whatever a decoder accepts re-encodes to a canonical form that
+// decodes and re-encodes to itself.
 func FuzzDecodeRecords(f *testing.F) {
 	payloads := []any{int64(-3), "ping", []VertexID{1, 2, 40000}, nil, true, 2.5, VertexID(12)}
 	encs := make([][]byte, len(payloads))
@@ -172,6 +228,8 @@ func FuzzDecodeRecords(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	f.Add(fanOutFrame(64, 300, 0))
+	f.Add(fanOutFrame(4096, 2000, 0))
 	f.Add(recordsFrame(1, 1<<32+5))
 	f.Add(emitStream(1<<32+1, 0))
 
@@ -183,6 +241,15 @@ func FuzzDecodeRecords(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(data))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), d)
+		}
+		runtime.ReadMemStats(&before)
+		errP := decodeRecords(data, -1, BasicCodec{}, true, func(VertexID, any, VertexID, int32) error { return nil })
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64*(uint64(len(data))+fanOutBytes(len(data)))+1<<20 {
+			t.Fatalf("decoding %d bytes per destination allocated %d", len(data), d)
+		}
+		if errP == nil && errR != nil {
+			t.Fatalf("per-destination decode accepted a frame shared decode refuses: %v", errR)
 		}
 		for _, c := range []struct {
 			name      string

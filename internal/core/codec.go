@@ -35,8 +35,8 @@ const (
 	ctTableBatch
 	ctPartialGroups
 	_ // retired: a bare aggregation group (groups travel in ctPartialGroups)
-	_ // retired: a relation.Tuple (emitted rows are value slices)
-	ctValueSlice
+	_ // retired: a relation.Tuple
+	_ // retired: a []relation.Value (single-alias scans emit vertex ids)
 	_ // retired: §6.3 Algorithm A's tuple relay
 	_ // retired: §7's two-way outer-join reply
 	ctRootVal
@@ -57,8 +57,6 @@ func (c sessionCodec) Append(dst []byte, pay any) ([]byte, error) {
 		return appendTable(append(dst, ctTableBatch), m.t)
 	case *partialGroups:
 		return appendPartialGroups(append(dst, ctPartialGroups), m)
-	case []relation.Value:
-		return appendValues(append(dst, ctValueSlice), m)
 	case rootVal:
 		dst = binary.AppendUvarint(append(dst, ctRootVal), uint64(m.v))
 		return appendTable(dst, m.t)
@@ -122,8 +120,6 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 		return &tableBatch{t: t, owned: true}, nil
 	case ctPartialGroups:
 		return decodePartialGroups(d)
-	case ctValueSlice:
-		return decodeValues(d)
 	case ctRootVal:
 		v, err := d.Uvarint()
 		if err != nil {

@@ -151,18 +151,16 @@ type compiled struct {
 	equi       []plan.EquiPred
 	qp         *plan.QueryPlan
 
-	// pushed holds, per alias of an inner block, its filters compiled
-	// against its tuple rows and its seed vertices.
+	// pushed holds, per alias, its filters compiled against its tuple
+	// rows and its seed vertices.
 	pushed map[string]*aliasFilters
 
-	// needed lists, per alias, the columns carried through collection
-	// (referenced columns plus all join-class columns), with their schema
-	// slots; bindKeys are the "alias.column" header names in order.
-	// ownHeader/ownIndex are the per-alias single-row table shapes,
+	// neededIdx lists, per alias, the schema slots of the columns carried
+	// through collection (referenced columns plus all join-class
+	// columns). ownHeader/ownIndex are the per-alias own-row table shapes
+	// (those columns' "alias.column" bind keys, then the id column),
 	// shared read-only by every tuple vertex of the alias.
-	needed    map[string][]string
 	neededIdx map[string][]int
-	bindKeys  map[string][]string
 	ownHeader map[string][]string
 	ownIndex  map[string]map[string]int
 
@@ -182,9 +180,7 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		blk:        blk,
 		aliasTable: map[string]string{},
 		filters:    map[string][]*predicate{},
-		needed:     map[string][]string{},
 		neededIdx:  map[string][]int{},
-		bindKeys:   map[string][]string{},
 		ownHeader:  map[string][]string{},
 		ownIndex:   map[string]map[string]int{},
 	}
@@ -232,24 +228,28 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		}
 	}
 
-	// Structural plan (inner blocks only; outer blocks use the table
-	// path). Each alias counts the tuples it seeds: a selection that
-	// enters at attribute vertices, or a restriction window such as
-	// incremental maintenance's write delta, makes it small, so GYO
-	// removes it early and the walk starts at it.
+	// Every alias gets its pushed filters and seeds; an outer block has
+	// no pushed filters, so its aliases seed every tuple. The structural
+	// plan is for inner blocks only (outer blocks use the table path).
+	// Each alias counts the tuples it seeds: a selection that enters at
+	// attribute vertices, or a restriction window such as incremental
+	// maintenance's write delta, makes it small, so GYO removes it early
+	// and the walk starts at it.
 	if !c.hasOuter {
 		c.pushImpliedRestrictions()
-		aliases := make([]string, len(blk.Tables))
-		card := make(map[string]int, len(blk.Tables))
-		c.pushed = make(map[string]*aliasFilters, len(blk.Tables))
-		pushed := make([]aliasFilters, len(blk.Tables))
-		for i, bt := range blk.Tables {
-			f := &pushed[i]
-			f.compile(bt, c.filters[bt.Alias])
-			c.pushed[bt.Alias] = f
-			f.seeds = e.seedVertices(c, bt.Alias)
-			aliases[i], card[bt.Alias] = bt.Alias, len(f.seeds)
-		}
+	}
+	aliases := make([]string, len(blk.Tables))
+	card := make(map[string]int, len(blk.Tables))
+	c.pushed = make(map[string]*aliasFilters, len(blk.Tables))
+	pushed := make([]aliasFilters, len(blk.Tables))
+	for i, bt := range blk.Tables {
+		f := &pushed[i]
+		f.compile(bt, c.filters[bt.Alias])
+		c.pushed[bt.Alias] = f
+		f.seeds = e.seedVertices(c, bt.Alias)
+		aliases[i], card[bt.Alias] = bt.Alias, len(f.seeds)
+	}
+	if !c.hasOuter {
 		qp, err := plan.Build(aliases, c.equi, plan.Options{Cardinality: card})
 		if err != nil {
 			return nil, err
@@ -428,18 +428,15 @@ func (c *compiled) computeNeeded() {
 	for _, bt := range c.blk.Tables {
 		alias := bt.Alias
 		cols := sortedKeys(want[alias])
-		c.needed[alias] = cols
 		idx := make([]int, len(cols))
-		keys := make([]string, len(cols))
+		header := make([]string, len(cols), len(cols)+1)
 		for i, col := range cols {
 			idx[i] = bt.Schema.Index(col)
-			keys[i] = sql.BindKey(alias, col)
+			header[i] = sql.BindKey(alias, col)
 		}
 		c.neededIdx[alias] = idx
-		c.bindKeys[alias] = keys
-		header := append(append([]string{}, keys...), idCol(alias))
-		c.ownHeader[alias] = header
-		c.ownIndex[alias] = buildIndex(header)
+		c.ownHeader[alias] = append(header, idCol(alias))
+		c.ownIndex[alias] = buildIndex(c.ownHeader[alias])
 	}
 }
 

@@ -630,14 +630,19 @@ func (r *componentRun) ownRow(alias string, v bsp.VertexID) *table {
 // writeOwnRow makes the one-row table t v's own-row table, reusing t's
 // row storage.
 func (r *componentRun) writeOwnRow(t *table, alias string, v bsp.VertexID) *table {
-	d := r.ex.TAG.TupleData(v)
 	t.header, t.index = r.c.ownHeader[alias], r.c.ownIndex[alias]
-	row := t.rows[0][:0]
+	t.rows[0] = r.appendOwnRow(t.rows[0][:0], alias, v)
+	return t
+}
+
+// appendOwnRow appends v's own row (its needed columns, then its id) to
+// row.
+func (r *componentRun) appendOwnRow(row []relation.Value, alias string, v bsp.VertexID) []relation.Value {
+	d := r.ex.TAG.TupleData(v)
 	for _, si := range r.c.neededIdx[alias] {
 		row = append(row, d.Row[si])
 	}
-	t.rows[0] = append(row, relation.Int(int64(v)))
-	return t
+	return append(row, relation.Int(int64(v)))
 }
 
 // canonicalHeader lists every alias's bind keys plus id columns; used for
@@ -645,8 +650,7 @@ func (r *componentRun) writeOwnRow(t *table, alias string, v bsp.VertexID) *tabl
 func (c *compiled) canonicalHeader() []string {
 	var out []string
 	for _, alias := range c.sortAliases() {
-		out = append(out, c.bindKeys[alias]...)
-		out = append(out, idCol(alias))
+		out = append(out, c.ownHeader[alias]...)
 	}
 	return out
 }
@@ -656,12 +660,15 @@ func (c *compiled) canonicalHeader() []string {
 // doing so is OUT, §4.1.2).
 func (res *componentResult) assemble(c *compiled) *table {
 	if res.values == nil {
-		// Single-alias component.
+		// Single-alias component: the survivors' own rows.
 		alias := res.rootAlias
-		header := append(append([]string{}, c.bindKeys[alias]...), idCol(alias))
-		out := newTable(header)
+		out := newTableShared(c.ownHeader[alias], c.ownIndex[alias])
+		out.rows = make([][]relation.Value, 0, len(res.survivors))
+		rows := rowArena{width: len(out.header)}
+		rows.reserve(len(res.survivors))
 		for _, v := range res.survivors {
-			out.rows = append(out.rows, res.run.ownRow(alias, v).rows[0])
+			res.run.appendOwnRow(rows.next()[:0], alias, v)
+			out.rows = append(out.rows, rows.keep())
 		}
 		return out
 	}
@@ -688,8 +695,7 @@ func (res *componentResult) assemble(c *compiled) *table {
 func (c *compiled) componentHeader(comp *plan.Component) []string {
 	var out []string
 	for _, alias := range comp.Aliases {
-		out = append(out, c.bindKeys[alias]...)
-		out = append(out, idCol(alias))
+		out = append(out, c.ownHeader[alias]...)
 	}
 	return out
 }

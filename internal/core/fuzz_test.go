@@ -34,7 +34,6 @@ func samplePayloads() []any {
 		tbl,
 		&tableBatch{t: tbl, owned: true},
 		&partialGroups{header: tbl.header, groups: []*groupAcc{grp}, logical: 3},
-		row,
 		rootVal{v: 11, t: tbl},
 		relayMark{alias: "a", v: 12},
 	}
@@ -78,14 +77,21 @@ func FuzzSessionCodec(f *testing.F) {
 			bodies = append(bodies, b[1:])
 		}
 	}
-	for _, tag := range []byte{3, 7, 8, 10, 11, 14} {
-		for _, body := range bodies {
-			b := append([]byte{tag}, body...)
-			if pay, err := c.Decode(b); err == nil {
-				f.Fatalf("retired tag %d decodes to %T", tag, pay)
-			}
-			f.Add(b)
+	retired := func(b []byte) {
+		if pay, err := c.Decode(b); err == nil {
+			f.Fatalf("retired tag %d decodes to %T", b[0], pay)
 		}
+		f.Add(b)
+	}
+	for _, tag := range []byte{3, 7, 8, 9, 10, 11, 14} {
+		for _, body := range bodies {
+			retired(append([]byte{tag}, body...))
+		}
+	}
+	// Byte 9 fronted a bare value list: a row a table scan emitted.
+	for _, vals := range [][]relation.Value{nil, {relation.Null}, {relation.Int(7), relation.Str("p")}} {
+		b, _ := appendValues([]byte{9}, vals)
+		retired(b)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,26 +3,26 @@ package core
 import (
 	"slices"
 
-	"repro/internal/bsp"
 	"repro/internal/relation"
 	"repro/internal/sql"
 )
 
 // runOuterBlock joins a block containing LEFT/RIGHT/FULL joins on the
-// table path: it scans each table vertex-parallel and performs the
-// left-deep joins at the executor, returning the joined table for
-// runBlock's central tail. §7 sketches a two-way outer join decided at
-// the attribute vertices; this path answers that shape too, with the
-// same rows and no messages.
+// table path: it scans each table vertex-parallel as a single-alias
+// component and performs the left-deep joins at the executor, returning
+// the joined table for runBlock's central tail. §7 sketches a two-way
+// outer join decided at the attribute vertices; this path answers that
+// shape too, with the same rows and no messages.
 func (e *Session) runOuterBlock(c *compiled, outer *sql.Env, subq sql.SubqueryFn) (*table, error) {
 	var cur *table
+	r := &componentRun{ex: e, c: c, outer: outer, subq: subq}
 	j := newJoiner(c.classCols)
 	for i, fi := range c.blk.Sel.From {
-		alias := c.blk.Tables[i].Alias
-		right, err := e.scanAlias(c, alias)
+		res, err := r.runSingle(c.blk.Tables[i].Alias)
 		if err != nil {
 			return nil, err
 		}
+		right := res.assemble(c)
 		if cur == nil {
 			cur = right
 			continue
@@ -44,33 +44,6 @@ func (e *Session) runOuterBlock(c *compiled, outer *sql.Env, subq sql.SubqueryFn
 		}
 	}
 	return cur, nil
-}
-
-// scanAlias materializes an alias's needed columns vertex-parallel.
-func (e *Session) scanAlias(c *compiled, alias string) (*table, error) {
-	header := append(append([]string{}, c.bindKeys[alias]...), idCol(alias))
-	out := newTable(header)
-	idx := c.neededIdx[alias]
-	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
-		d := e.TAG.TupleData(v)
-		if d == nil || d.Dead {
-			return
-		}
-		ctx.AddOps(1)
-		row := make([]relation.Value, 0, len(header))
-		for _, si := range idx {
-			row = append(row, d.Row[si])
-		}
-		row = append(row, relation.Int(int64(v)))
-		ctx.Emit(row)
-	})
-	if err := e.runProg(prog, e.TAG.TupleVertices(c.aliasTable[alias])); err != nil {
-		return nil, err
-	}
-	for _, em := range e.eng.Emitted() {
-		out.rows = append(out.rows, em.([]relation.Value))
-	}
-	return out, nil
 }
 
 // tableJoinOn hash-joins two tables on the equi conjuncts of ON and
@@ -103,6 +76,15 @@ func (e *Session) tableJoinOn(c *compiled, l, r *table, on sql.Expr, outer *sql.
 	header := append(append([]string{}, l.header...), r.header...)
 	out := newTable(header)
 	tests := sql.CompileAll(rest, sql.Binding(out.index))
+	rows := rowArena{width: len(header)}
+	rows.reserve(len(l.rows))
+	// fill lays lrow and rrow side by side in the arena's next row, which
+	// only rows.keep takes: a candidate the ON conjuncts reject is reused.
+	fill := func(lrow, rrow []relation.Value) []relation.Value {
+		row := rows.next()
+		copy(row[copy(row, lrow):], rrow)
+		return row
+	}
 
 	// SQL equality: a NULL key joins nothing, on either side.
 	b := bucketRows(r.rows, rslots, true)
@@ -131,25 +113,26 @@ func (e *Session) tableJoinOn(c *compiled, l, r *table, on sql.Expr, outer *sql.
 		}
 		matched := false
 		for _, ri := range candidates {
-			joined := append(append([]relation.Value{}, lrow...), r.rows[ri]...)
-			ok, err := sql.Holds(tests, joined, outer, subq)
+			ok, err := sql.Holds(tests, fill(lrow, r.rows[ri]), outer, subq)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				matched = true
 				matchedRight[ri] = true
-				out.rows = append(out.rows, joined)
+				out.rows = append(out.rows, rows.keep())
 			}
 		}
 		if !matched && leftOuter {
-			out.rows = append(out.rows, append(append([]relation.Value{}, lrow...), nullRight...))
+			fill(lrow, nullRight)
+			out.rows = append(out.rows, rows.keep())
 		}
 	}
 	if rightOuter {
 		for ri, m := range matchedRight {
 			if !m {
-				out.rows = append(out.rows, append(append([]relation.Value{}, nullLeft...), r.rows[ri]...))
+				fill(nullLeft, r.rows[ri])
+				out.rows = append(out.rows, rows.keep())
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bsp"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/tag"
@@ -295,7 +296,8 @@ func TestReductionClimbsAlongMarks(t *testing.T) {
 	// back out of x or y: the root receives nothing in the DOWN pass, so
 	// its marks on those plan edges are the climbs'.
 	for _, leaf := range []string{"x", "y"} {
-		edge := p.Nodes[p.RelNodeOf(leaf)].Parent // the f-side plan edge
+		i := slices.IndexFunc(p.Nodes, func(n plan.Node) bool { return n.Kind == plan.RelNode && n.Alias == leaf })
+		edge := p.Nodes[i].Parent // the f-side plan edge
 		for _, v := range g.TupleVertices("f") {
 			if row := g.TupleData(v).Row; row[0].AsInt() != 0 && len(r.marks.edgeIDs(v, edge)) > 0 {
 				t.Errorf("f%v heard from the climb out of %s", row, leaf)

@@ -111,10 +111,6 @@ func (e *Session) ResetStats() { e.eng.ResetStats() }
 // topology.
 func (e *Session) DistErr() error { return e.eng.DistErr() }
 
-// InboxBytes reports the resident memory of this session's BSP message
-// plane (the flat inbox, staging and sort arrays, live or pooled).
-func (e *Session) InboxBytes() int64 { return e.eng.InboxBytes() }
-
 // PeakInboxBytes reports the largest resident inbox footprint any of
 // this session's supersteps reached (requires Opts.Profile). Together
 // with Stats().MessagesCombined / InboxBytesSaved it quantifies what

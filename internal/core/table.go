@@ -234,13 +234,13 @@ func (s *joinShape) emit(out *table, rows *rowArena, r1, r2 []relation.Value) {
 			}
 		}
 	}
-	rows.keep()
-	out.rows = append(out.rows, row)
+	out.rows = append(out.rows, rows.keep())
 }
 
 // rowArena carves fixed-width rows out of shared backing arrays. A row
 // handed out by next is only taken if keep follows; otherwise the next
-// call reuses its space.
+// call reuses its space. Rows are capped at the width, so appending to
+// one never writes into its neighbour.
 type rowArena struct {
 	width int
 	buf   []relation.Value
@@ -262,10 +262,12 @@ func (a *rowArena) next() []relation.Value {
 	return a.buf[:a.width:a.width]
 }
 
-// keep takes the row last returned by next.
-func (a *rowArena) keep() {
+// keep takes and returns the row last returned by next.
+func (a *rowArena) keep() []relation.Value {
+	row := a.buf[:a.width:a.width]
 	a.buf = a.buf[a.width:]
 	a.kept++
+	return row
 }
 
 // sortedKeys returns map keys sorted (test/determinism helper).

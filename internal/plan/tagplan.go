@@ -194,16 +194,6 @@ func Reversed(steps []Step) []Step {
 	return out
 }
 
-// RelNodeOf returns the plan node id of an alias, or -1.
-func (p *TAGPlan) RelNodeOf(alias string) int {
-	for _, n := range p.Nodes {
-		if n.Kind == RelNode && n.Alias == alias {
-			return n.ID
-		}
-	}
-	return -1
-}
-
 // String renders the plan tree and steps for debugging.
 func (p *TAGPlan) String() string {
 	var b strings.Builder

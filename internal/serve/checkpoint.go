@@ -43,7 +43,9 @@ func (s *Server) maybeCheckpoint(gen *Generation) {
 	// newer image covers strictly more of the log, so take it) and
 	// snapshot it off the write path.
 	pinned := s.acquireGen()
+	s.ckptWG.Add(1)
 	go func() {
+		defer s.ckptWG.Done()
 		defer pinned.release()
 		_, err := s.checkpointNow(pinned, !s.opts.CheckpointNoTruncate)
 		s.ckptMu.Lock()
@@ -62,7 +64,7 @@ func (s *Server) maybeCheckpoint(gen *Generation) {
 // truncate reports the error (the next attempt re-snapshots and
 // re-truncates — correctness never depends on truncation happening).
 func (s *Server) checkpointNow(gen *Generation, truncate bool) (uint64, error) {
-	if _, err := checkpoint.Write(s.opts.WALDir, gen.Graph, gen.Epoch, s.baseFP); err != nil {
+	if _, err := writeCheckpoint(s.opts.WALDir, gen.Graph, gen.Epoch, s.baseFP); err != nil {
 		return 0, fmt.Errorf("serve: %w", err)
 	}
 	if truncate {
@@ -77,6 +79,10 @@ func (s *Server) checkpointNow(gen *Generation, truncate bool) (uint64, error) {
 	s.ckptMu.Unlock()
 	return gen.Epoch, nil
 }
+
+// writeCheckpoint indirects checkpoint.Write so tests can hold a
+// checkpoint in flight.
+var writeCheckpoint = checkpoint.Write
 
 // Checkpoint synchronously snapshots the currently served generation
 // into the WAL dir and returns the epoch the image captures. With

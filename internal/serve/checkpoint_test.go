@@ -365,6 +365,49 @@ func TestCheckpointCrashAndCorruptionFallbacks(t *testing.T) {
 	})
 }
 
+// TestCloseWaitsForCheckpoint: Close waits for a background checkpoint
+// however long it takes, so the checkpoint truncates its prefix with
+// no error counted, and nothing writes the WAL dir once Close has
+// released it.
+func TestCloseWaitsForCheckpoint(t *testing.T) {
+	g, err := tag.Build(itemsCatalog(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Open(g, Options{Sessions: 1, WALDir: t.TempDir(), WALSync: wal.SyncAlways, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, finished := make(chan struct{}), make(chan struct{})
+	orig := writeCheckpoint
+	writeCheckpoint = func(dir string, g *tag.Graph, epoch uint64, baseFP string) (string, error) {
+		close(started)
+		defer close(finished)
+		time.Sleep(1500 * time.Millisecond) // past any fixed wait in Close
+		return orig(dir, g, epoch, baseFP)
+	}
+	defer func() { writeCheckpoint = orig }()
+	defer func() { <-finished }() // the temp dir outlives the checkpoint
+
+	rows := []relation.Tuple{{relation.Int(7000), relation.Str("g0"), relation.Int(1)}}
+	if _, err := srv.Maintainer().InsertBatch("items", rows); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-finished:
+	default:
+		t.Fatal("Close returned while the checkpoint was still writing the WAL dir")
+	}
+	if st := srv.Stats(); st.Checkpoints != 1 || st.CheckpointErrors != 0 || st.WALTruncations != 1 {
+		t.Errorf("checkpoints/errors/truncations = %d/%d/%d, want 1/0/1",
+			st.Checkpoints, st.CheckpointErrors, st.WALTruncations)
+	}
+}
+
 // TestPeriodicCheckpoint: with CheckpointEvery or CheckpointBytes set,
 // the Maintainer checkpoints in the background once the policy is due
 // (truncating the covered prefix unless told not to); a crash then

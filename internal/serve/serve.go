@@ -282,6 +282,7 @@ type Server struct {
 	// background goroutine on a pinned (immutable) generation, off the
 	// write path.
 	ckptMu        sync.Mutex
+	ckptWG        sync.WaitGroup // the background checkpoint, while one runs
 	ckptInflight  bool
 	ckptLastEpoch uint64 // epoch covered by the newest checkpoint
 	ckptLastBytes int64  // wal bytes counter when it was taken
@@ -796,17 +797,10 @@ func (s *Server) RetryAfter() time.Duration {
 // no-op.
 func (s *Server) Close() error {
 	// Let a mid-flight periodic checkpoint finish (or fail) before the
-	// WAL goes away: closing under it would fail its TruncatePrefix and
-	// count a spurious checkpoint error on every clean shutdown.
-	for i := 0; i < 100; i++ {
-		s.ckptMu.Lock()
-		busy := s.ckptInflight
-		s.ckptMu.Unlock()
-		if !busy {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// WAL goes away: closing under it would fail its TruncatePrefix,
+	// counting a spurious checkpoint error, and leave it writing the
+	// WAL dir after the dir lock is released.
+	s.ckptWG.Wait()
 	if s.wal == nil {
 		return nil
 	}

@@ -317,14 +317,3 @@ func (b *Analyzed) OutputSchema() *relation.Schema {
 	}
 	return relation.MustSchema(cols...)
 }
-
-// FindTable returns the bound table for an alias, or nil.
-func (b *Analyzed) FindTable(alias string) *BoundTable {
-	alias = strings.ToLower(alias)
-	for i := range b.Tables {
-		if b.Tables[i].Alias == alias {
-			return &b.Tables[i]
-		}
-	}
-	return nil
-}

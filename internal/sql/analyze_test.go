@@ -159,17 +159,3 @@ func TestAnalyzeKindInference(t *testing.T) {
 		}
 	}
 }
-
-func TestFindTable(t *testing.T) {
-	cat := testCatalog()
-	an, err := AnalyzeString(cat, "SELECT r.a FROM r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.Root.FindTable("R") == nil {
-		t.Error("FindTable should be case-insensitive")
-	}
-	if an.Root.FindTable("zz") != nil {
-		t.Error("unknown alias should be nil")
-	}
-}
