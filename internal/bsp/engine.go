@@ -57,14 +57,6 @@ type Program interface {
 	Compute(ctx *Context, v VertexID, inbox []Message)
 }
 
-// MasterProgram is an optional extension: BeforeSuperstep runs at the
-// barrier before each superstep (step counts from 0) and may halt the
-// computation by returning false. This is where label-stack-driven
-// programs (Algorithm 2) pop the next traversal step.
-type MasterProgram interface {
-	BeforeSuperstep(step int) bool
-}
-
 // ProgramFunc adapts a function to the Program interface.
 type ProgramFunc func(ctx *Context, v VertexID, inbox []Message)
 
@@ -115,8 +107,7 @@ type CombinerProvider interface {
 }
 
 // WithCombiner attaches a combiner to a program that cannot implement
-// CombinerProvider itself (e.g. a ProgramFunc closure). The wrapper
-// forwards MasterProgram to the wrapped program if it implements it.
+// CombinerProvider itself (e.g. a ProgramFunc closure).
 func WithCombiner(p Program, c Combiner) Program {
 	return &combinedProgram{prog: p, comb: c}
 }
@@ -131,13 +122,6 @@ func (c *combinedProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 }
 
 func (c *combinedProgram) Combiner() Combiner { return c.comb }
-
-func (c *combinedProgram) BeforeSuperstep(step int) bool {
-	if m, ok := c.prog.(MasterProgram); ok {
-		return m.BeforeSuperstep(step)
-	}
-	return true
-}
 
 // SignalCombiner combines pure-signal messages — sends whose payload
 // the receiver never reads (activation pings, nil payloads) — into one
@@ -570,8 +554,8 @@ func (e *Engine) PeakInboxBytes() int64 { return e.peakInbox }
 func (e *Engine) MergeDuration() time.Duration { return time.Duration(e.mergeNs) }
 
 // Run executes prog starting from the initial active set until no vertex
-// is active, the master halts, or MaxSupersteps is reached. It returns the
-// stats for this run only (engine totals keep accumulating).
+// is active — no message is in flight — or MaxSupersteps is reached. It
+// returns the stats for this run only (engine totals keep accumulating).
 //
 // This is the engine's one superstep loop, for every Transport. It
 // touches the Transport at four seam points — the owned share of the
@@ -619,8 +603,6 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 		}
 	}
 
-	master, hasMaster := prog.(MasterProgram)
-
 	// Establish the global active count and abort flag: a node whose own
 	// share is empty must still run the supersteps the others run.
 	gb, err := tr.Barrier(BarrierFrame{Step: -1, Active: int64(len(active)), Abort: e.ctxDone()})
@@ -641,15 +623,11 @@ func (e *Engine) Run(prog Program, initial []VertexID) Stats {
 	}
 
 	for step := 0; step < e.opts.MaxSupersteps; step++ {
-		// Loop-break decisions read only the step and barrier-reduced
-		// state, so every node breaks at the same superstep.
-		if hasMaster && !master.BeforeSuperstep(step) {
-			break
-		}
-		// gb.Abort is the cancellation point: breaking here is clean — the
-		// previous superstep's merge fully drained every outbox, so the
-		// cleanup below leaves the pooled planes consistent for the next
-		// Run.
+		// Loop-break decisions read only barrier-reduced state, so every
+		// node breaks at the same superstep. gb.Abort is the cancellation
+		// point: breaking here is clean — the previous superstep's merge
+		// fully drained every outbox, so the cleanup below leaves the
+		// pooled planes consistent for the next Run.
 		if gb.Active == 0 || gb.Abort {
 			break
 		}

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -280,20 +281,20 @@ func TestEngineNetworkAccounting(t *testing.T) {
 	}
 }
 
-// haltMaster halts before the second superstep.
-type haltMaster struct{ lbl LabelID }
+// failAfterSend sends along its label and then fails the run, which
+// stops after one superstep with its sends undelivered.
+type failAfterSend struct{ lbl LabelID }
 
-func (p *haltMaster) Compute(ctx *Context, v VertexID, inbox []Message) {
+func (p *failAfterSend) Compute(ctx *Context, v VertexID, inbox []Message) {
 	ctx.SendAlong(v, p.lbl, nil)
+	ctx.Fail(errors.New("halt"))
 }
-
-func (p *haltMaster) BeforeSuperstep(step int) bool { return step < 1 }
 
 func TestEngineSequentialRunsIsolated(t *testing.T) {
 	g, lbl := chainGraph(5)
 	eng := NewEngine(g, Options{Workers: 2})
-	s1 := eng.Run(&haltMaster{lbl: lbl}, []VertexID{0})
-	// The halted run left undelivered messages; the next run must not see them.
+	s1 := eng.Run(&failAfterSend{lbl: lbl}, []VertexID{0})
+	// The failed run left undelivered messages; the next run must not see them.
 	s2 := eng.Run(&propagateProgram{lbl: lbl}, []VertexID{0})
 	if s1.Messages != 1 {
 		t.Errorf("first run messages = %d", s1.Messages)

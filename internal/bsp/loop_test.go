@@ -114,10 +114,10 @@ func sameOutcomes(t *testing.T, label string, got, want []runOutcome, modNetwork
 	}
 }
 
-// TestLoopControl drives every way out of the superstep loop — master
-// halt, the MaxSupersteps guard, a cancel landing mid-run, a context
-// dead on arrival, a deadline whose timer never fired — over all three
-// transports. The loop exists once, so each exit must leave identical
+// TestLoopControl drives every way out of the superstep loop — a
+// program failure, the MaxSupersteps guard, a cancel landing mid-run, a
+// context dead on arrival, a deadline whose timer never fired — over all
+// three transports. The loop exists once, so each exit must leave identical
 // Stats and Emitted() however the Run is wired (a node that is not the
 // one that saw the cancel learns of it from the barrier), and an engine
 // that can run the full chain propagation afterwards.
@@ -149,9 +149,9 @@ func TestLoopControl(t *testing.T) {
 		opts     Options
 		scenario func(t *testing.T, eng *Engine, run runFn)
 	}{
-		{"master-halt", chain, Options{Workers: 1}, func(t *testing.T, eng *Engine, run runFn) {
-			if stats := run(&haltMaster{lbl: lbl}, []VertexID{0}); stats.Supersteps != 1 {
-				t.Errorf("supersteps = %d, want 1 (master halted)", stats.Supersteps)
+		{"program-failure", chain, Options{Workers: 1}, func(t *testing.T, eng *Engine, run runFn) {
+			if stats := run(&failAfterSend{lbl: lbl}, []VertexID{0}); stats.Supersteps != 1 {
+				t.Errorf("supersteps = %d, want 1 (the program failed)", stats.Supersteps)
 			}
 			rerun(t, eng, run)
 		}},

@@ -141,7 +141,6 @@ func (s *aggSetup) newAccs() []*sql.Aggregator {
 // one partialGroups. An observer belongs to one goroutine and reuses
 // its buffers across calls.
 type groupObserver struct {
-	c     *compiled
 	setup *aggSetup
 	outer *sql.Env
 	subq  sql.SubqueryFn
@@ -160,7 +159,7 @@ type groupObserver struct {
 // distributed paths subq is nil (group keys and aggregate arguments are
 // vertex-safe there).
 func newGroupObserver(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.SubqueryFn, copyRep bool) *groupObserver {
-	return &groupObserver{c: c, setup: setup, outer: outer, subq: subq, forms: shapeForms{exprs: setup.perRow},
+	return &groupObserver{setup: setup, outer: outer, subq: subq, forms: shapeForms{exprs: setup.perRow},
 		key: make([]relation.Value, len(c.blk.Sel.GroupBy)), copyRep: copyRep}
 }
 

@@ -11,19 +11,13 @@ import (
 // messages carry partial join tables. Each vertex joins the tables it
 // receives (union within a superstep — they come from the same plan edge
 // — and natural join with its own tuple at relation vertices), then
-// forwards its value along the current step's marked edges.
+// forwards its value along the current step's marked edges. Superstep
+// s sends along UP step s; at superstep nUp the root emits and sends
+// nothing, so the run ends there.
 type collectionProgram struct {
-	r   *componentRun
-	cur int
+	r *componentRun
 	// own[w] is worker w's one-row table for the vertex's own tuple.
 	own []*table
-}
-
-// BeforeSuperstep drives the bottom-up label schedule once more and
-// allows one final superstep for the root to absorb its inbox.
-func (p *collectionProgram) BeforeSuperstep(step int) bool {
-	p.cur = step
-	return step <= p.r.nUp
 }
 
 // Combiner folds the partial tables bound for one parent into a single
@@ -35,6 +29,7 @@ func (p *collectionProgram) Combiner() bsp.Combiner { return tableUnionCombiner{
 func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 	r := p.r
 	pl := r.comp.TAGPlan
+	step := ctx.Step()
 
 	// Union the incoming tables (same plan edge => same header): a single
 	// append pass, not pairwise unions. A combined inbox is one message
@@ -63,10 +58,10 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 	// Determine the plan node this superstep addresses: the To node of
 	// the previous step (or the start leaf at superstep 0).
 	var node plan.Node
-	if p.cur == 0 {
+	if step == 0 {
 		node = pl.Nodes[pl.Steps[0].From]
 	} else {
-		node = pl.Nodes[r.steps[p.cur-1].step.To]
+		node = pl.Nodes[r.steps[step-1].step.To]
 	}
 
 	// Relation vertices join their own tuple (lines 32-36); the hidden
@@ -101,7 +96,7 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 		}
 	}
 
-	if p.cur >= r.nUp {
+	if step >= r.nUp {
 		// Root reached: emit the distributed output (line 42). The value
 		// rides the emit stream instead of being written into a shared
 		// table directly so that, under a distributed transport, every process
@@ -112,8 +107,7 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 
 	// Forward along the current step's marked edges (lines 37-40), in
 	// ascending id order.
-	cur := r.steps[p.cur]
-	for _, t := range r.marks.edgeIDs(v, cur.edgeID) {
+	for _, t := range r.marks.edgeIDs(v, r.steps[step].edgeID) {
 		ctx.Send(v, t, value)
 	}
 }

@@ -52,8 +52,6 @@ type stepInfo struct {
 	// toRel is the alias if the receiving side is a relation node
 	// (filters apply there); "" for attribute nodes.
 	toRel string
-	// fromRel mirrors it for the sending side.
-	fromRel string
 	// viaMarks marks a reduction step that sends only along the marks
 	// the opposite crossing of its plan edge left: every DOWN step, and
 	// an UP step crossing an edge an earlier UP step crossed.
@@ -114,7 +112,7 @@ func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env
 	}
 	r.marks = e.takeMarks()
 
-	survivors, err := r.runReduction()
+	survivors, err := r.runReduction(p.StartAlias)
 	if err != nil {
 		return nil, err
 	}
@@ -189,15 +187,14 @@ func (r *componentRun) resolveStep(s plan.Step) (stepInfo, error) {
 	if p.Nodes[s.To].Kind == plan.RelNode {
 		info.toRel = p.Nodes[s.To].Alias
 	}
-	if p.Nodes[s.From].Kind == plan.RelNode {
-		info.fromRel = p.Nodes[s.From].Alias
-	}
 	return info, nil
 }
 
 // hoistUnsafeFilters pre-evaluates pushed filters that contain
 // un-decorrelated subqueries (they would re-enter the engine if run
-// inside a vertex program) into per-alias allowed sets.
+// inside a vertex program) into per-alias allowed sets. It visits the
+// alias's seeds, a superset of its passing tuples, and charges one op
+// per seed: the pass runs centrally, outside any vertex program.
 func (r *componentRun) hoistUnsafeFilters() error {
 	for _, alias := range r.comp.Aliases {
 		preds := r.c.filters[alias]
@@ -211,7 +208,9 @@ func (r *componentRun) hoistUnsafeFilters() error {
 			continue
 		}
 		allowed := map[bsp.VertexID]bool{}
-		for _, v := range r.ex.TAG.TupleVertices(r.c.aliasTable[alias]) {
+		seeds := r.c.pushed[alias].seeds
+		r.ex.eng.AddExternal(0, 0, int64(len(seeds)))
+		for _, v := range seeds {
 			d := r.ex.TAG.TupleData(v)
 			if d == nil || d.Dead {
 				continue
@@ -311,18 +310,6 @@ func (r *componentRun) prepareFilterMemo() {
 			f.memo = r.ex.takeMemo()
 		}
 	}
-}
-
-// initialActives returns the tuple vertices of an alias a reduction
-// starts from: its seeds that pass the alias's filters.
-func (r *componentRun) initialActives(alias string) []bsp.VertexID {
-	var out []bsp.VertexID
-	for _, v := range r.c.pushed[alias].seeds {
-		if r.passes(alias, v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // seedVertices returns, in ascending ID order, the candidate tuple
@@ -594,24 +581,15 @@ func (r *componentRun) applyCollectPreds(ctx *bsp.Context, t *table, pre map[str
 	return out
 }
 
-// runSingle handles a single-alias component: one superstep in which the
-// alias's vertices filter themselves and report survival.
+// runSingle handles a single-alias component: the zero-step reduction,
+// one superstep in which the alias's seeds filter themselves and the
+// survivors report.
 func (r *componentRun) runSingle(alias string) (*componentResult, error) {
-	r.prepareFilterMemo()
-	res := &componentResult{run: r, rootAlias: alias}
-	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
-		ctx.AddOps(1)
-		if r.passes(alias, v) {
-			ctx.Emit(v)
-		}
-	})
-	if err := r.ex.runProg(prog, r.c.pushed[alias].seeds); err != nil {
+	survivors, err := r.runReduction(alias)
+	if err != nil {
 		return nil, err
 	}
-	for _, e := range r.ex.eng.Emitted() {
-		res.survivors = append(res.survivors, e.(bsp.VertexID))
-	}
-	return res, nil
+	return &componentResult{run: r, rootAlias: alias, survivors: survivors}, nil
 }
 
 // ownRow builds the needed-columns row table of a tuple vertex; the

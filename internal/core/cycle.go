@@ -317,7 +317,6 @@ func (r *componentRun) cycleForward(start []bsp.VertexID, hops []pathHop, fwd, a
 // cycleBackwardProgram walks surviving values back from the middle,
 // marking every tuple vertex that relayed one (§6.2's signal-back).
 type cycleBackwardProgram struct {
-	r         *componentRun
 	hops      []pathHop
 	fwd       []map[relation.Value]struct{}
 	surviving []map[relation.Value]struct{}
@@ -373,7 +372,7 @@ func (p *cycleBackwardProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox [
 
 func (r *componentRun) cycleBackward(mids []bsp.VertexID, hops []pathHop, fwd []map[relation.Value]struct{}, surviving []map[relation.Value]struct{}, survivors map[string]map[bsp.VertexID]bool) error {
 	prog := &cycleBackwardProgram{
-		r: r, hops: hops, fwd: fwd, surviving: surviving,
+		hops: hops, fwd: fwd, surviving: surviving,
 		seen: make([]map[relation.Value]struct{}, r.ex.TAG.G.NumVertices()),
 	}
 	if err := r.ex.runProg(prog, mids); err != nil {

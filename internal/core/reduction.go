@@ -11,35 +11,36 @@ import (
 // reversed top-down (DOWN) pass that only signals along marked edges,
 // leaving marks that correspond to the fully reduced relations (§5.2).
 //
-// Superstep s processes the messages sent along step s-1 (recording
-// marks) and sends along step s. An UP step that first crosses a plan
-// edge sends along every edge with the step's label; the UP step that
-// climbs back across an edge the walk descended, and every DOWN step,
-// send only along the marks the opposite crossing left, so a tuple the
-// descent did not reach is not brought back (a semijoin, as in
-// Yannakakis's full reducer).
+// Superstep 0 admits the start alias's seeds that pass its filters
+// (§7 selections, charged like any other vertex activation) and sends
+// along step 0. Superstep s > 0 processes the messages sent along step
+// s-1 (recording marks) and sends along step s. An UP step that first
+// crosses a plan edge sends along every edge with the step's label; the
+// UP step that climbs back across an edge the walk descended, and every
+// DOWN step, send only along the marks the opposite crossing left, so a
+// tuple the descent did not reach is not brought back (a semijoin, as in
+// Yannakakis's full reducer). Superstep len(steps) emits the survivors
+// and sends nothing, so the run ends there; with no steps, superstep 0
+// is a single-alias scan.
 type reductionProgram struct {
-	r *componentRun
-	// current superstep's index into r.steps (set by the master hook).
-	cur int
-}
-
-// BeforeSuperstep drives the label schedule (the stack-popping master of
-// Algorithm 2) and stops one superstep after the schedule is exhausted so
-// the final DOWN recipients can record survival.
-func (p *reductionProgram) BeforeSuperstep(step int) bool {
-	p.cur = step
-	return step <= len(p.r.steps)
+	r     *componentRun
+	start string // the alias whose seeds are the initial active set
 }
 
 // Compute is the per-vertex reduction kernel.
 func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 	r := p.r
+	step := ctx.Step()
 	ctx.AddOps(1 + bsp.InboxCount(inbox))
 
-	// Computation stage: process receipts from the previous step.
-	if p.cur > 0 {
-		prev := r.steps[p.cur-1]
+	// Computation stage: admit the seed, or process receipts from the
+	// previous step.
+	if step == 0 {
+		if !r.passes(p.start, v) {
+			return // filtered out at its vertex (§7 selections)
+		}
+	} else {
+		prev := r.steps[step-1]
 		if prev.toRel != "" && !r.passes(prev.toRel, v) {
 			return // filtered out: no marks, no propagation (§7 selections)
 		}
@@ -47,11 +48,11 @@ func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp
 	}
 
 	// Communication stage: send along the current step.
-	if p.cur >= len(r.steps) {
-		ctx.Emit(v) // survivor of the final DOWN step
+	if step >= len(r.steps) {
+		ctx.Emit(v) // survivor of the final step
 		return
 	}
-	cur := r.steps[p.cur]
+	cur := r.steps[step]
 	if !cur.viaMarks {
 		// UP, first crossing: along every edge carrying the label
 		// (lines 11-13).
@@ -95,13 +96,12 @@ func (r *componentRun) mark(ctx *bsp.Context, v bsp.VertexID, edge int, inbox []
 	m.slot[v] = run
 }
 
-// runReduction executes the reduction phase and returns the survivors of
-// the start alias (the vertices the collection phase starts from).
-func (r *componentRun) runReduction() ([]bsp.VertexID, error) {
+// runReduction executes the reduction phase from start's seeds and
+// returns the survivors of start (the vertices the collection phase
+// starts from).
+func (r *componentRun) runReduction(start string) ([]bsp.VertexID, error) {
 	r.prepareFilterMemo()
-	prog := &reductionProgram{r: r}
-	initial := r.initialActives(r.comp.TAGPlan.StartAlias)
-	if err := r.ex.runProg(prog, initial); err != nil {
+	if err := r.ex.runProg(&reductionProgram{r: r, start: start}, r.c.pushed[start].seeds); err != nil {
 		return nil, err
 	}
 	var survivors []bsp.VertexID

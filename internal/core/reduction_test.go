@@ -265,7 +265,7 @@ func TestReductionClimbsAlongMarks(t *testing.T) {
 	}
 	r.marks = ex.takeMarks()
 	ex.ResetStats()
-	survivors, err := r.runReduction()
+	survivors, err := r.runReduction(p.StartAlias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,6 +302,43 @@ func TestReductionClimbsAlongMarks(t *testing.T) {
 			if row := g.TupleData(v).Row; row[0].AsInt() != 0 && len(r.marks.edgeIDs(v, edge)) > 0 {
 				t.Errorf("f%v heard from the climb out of %s", row, leaf)
 			}
+		}
+	}
+}
+
+// TestSeedsAdmittedAtVertices checks that the reduction admits its start
+// alias at the tuple vertices (§7 selections) and charges every seed to
+// the cost measure: with a filter no seed passes, the run is one
+// superstep in which each seed is visited and computes once, and no
+// message is sent. The filters compare two columns, so no selection
+// enters at attribute vertices and every tuple is a seed.
+func TestSeedsAdmittedAtVertices(t *testing.T) {
+	const n = 6
+	cat := relation.NewCatalog()
+	for _, name := range []string{"x", "y"} {
+		r := relation.New(name, relation.MustSchema(
+			relation.Col("a", relation.KindInt),
+			relation.Col("b", relation.KindInt),
+			relation.Col("c", relation.KindInt)))
+		for i := range int64(n) {
+			r.MustAppend(relation.Int(i), relation.Int(i), relation.Int(i+1))
+		}
+		cat.MustAdd(r)
+	}
+	g, err := tag.Build(cat, tag.MaterializeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []bsp.Options{{Workers: 1}, {Workers: 2}, {Workers: 2, Partitions: 2}} {
+		ex := NewSession(g, opts)
+		out, err := ex.Query("SELECT x.a FROM x, y WHERE x.a = y.a AND x.b > x.c AND y.b > y.c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ex.Stats()
+		if out.Len() != 0 || st.Supersteps != 1 || st.ActiveVisits != n || st.ComputeOps != n || st.Messages != 0 {
+			t.Errorf("%+v: %d rows, stats %v; want 0 rows, 1 superstep, %d visits, %d ops, no messages",
+				opts, out.Len(), st, n, n)
 		}
 	}
 }

@@ -34,8 +34,6 @@ import (
 // normalized fingerprint, so textual variants of the same query share
 // one subscription; pins counts how many subscribers hold it.
 type subscription struct {
-	fp       string
-	sql      string
 	an       *sql.Analysis
 	eligible bool
 	reason   string // why incremental maintenance is off (eligible == false)
@@ -106,7 +104,7 @@ func (s *Server) Subscribe(query string) (*SubscribeResult, error) {
 
 	gen := s.gen.Load() // stable: we hold writeMu
 	sess := core.NewSession(gen.Graph, s.opts.Engine)
-	sub := &subscription{fp: fp, sql: query, an: an, pins: 1, epoch: gen.Epoch,
+	sub := &subscription{an: an, pins: 1, epoch: gen.Epoch,
 		notify: make(chan struct{})}
 	sub.eligible, sub.reason = sess.IncrementalEligible(an)
 	if sub.eligible {

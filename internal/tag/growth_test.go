@@ -24,8 +24,6 @@ func (countProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Messag
 	ctx.Emit(len(inbox))
 }
 
-func (countProgram) BeforeSuperstep(step int) bool { return step < 2 }
-
 // TestEngineRunAcrossInsertBatches interleaves tag.InsertBatch with
 // Engine.Run on the same engine: the engine's sparse inboxes must
 // absorb vertices created after the engine was built, with messages
