@@ -5,7 +5,8 @@
 // serve.Maintainer applies each insert/delete batch to a copy-on-write
 // clone of the served TAG graph and publishes it as the next epoch with
 // an atomic pointer swap. Readers pin the generation they start on, so
-// they are never blocked and never see a half-applied batch.
+// they are never blocked and never see a half-applied batch: a reader
+// whose count is not the base count plus its epoch exits non-zero.
 //
 //	go run ./examples/maintenance
 package main
@@ -29,6 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	base := int64(cat.Get("nation").Len()) // one row per published epoch
 	srv := serve.New(g, serve.Options{Sessions: 4})
 	maint := srv.Maintainer()
 
@@ -68,8 +70,11 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				fmt.Printf("reader %d: epoch %d sees %v nations\n",
-					c, res.Epoch, res.Rows.Tuples[0][0])
+				n := res.Rows.Tuples[0][0]
+				fmt.Printf("reader %d: epoch %d sees %v nations\n", c, res.Epoch, n)
+				if n.I != base+int64(res.Epoch) {
+					log.Fatalf("reader %d: epoch %d sees %v nations, want %d", c, res.Epoch, n, base+int64(res.Epoch))
+				}
 				time.Sleep(3 * time.Millisecond)
 			}
 		}(c)

@@ -1,5 +1,6 @@
 // Quickstart: build a TAG graph from a small relational database and run
-// SQL on it with the vertex-centric TAG-join executor.
+// SQL on it with the vertex-centric TAG-join executor. Every answer is
+// checked against the baseline engine; a mismatch exits non-zero.
 //
 //	go run ./examples/quickstart
 package main
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/baseline"
 	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/relation"
@@ -59,15 +61,11 @@ func main() {
 
 	// 3. Run SQL with the TAG-join vertex program (§4-§7).
 	ex := core.NewSession(g, bsp.Options{})
-	out, err := ex.Query(`
+	fmt.Print(query(ex, cat, `
 		SELECT n_name, SUM(o_total) AS revenue
 		FROM nation, customer, orders
 		WHERE c_nationkey = n_nationkey AND o_custkey = c_custkey
-		GROUP BY n_name`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(out)
+		GROUP BY n_name`))
 
 	// 4. Inspect how it executed: aggregation class, plan shape and the
 	// BSP cost measures (§2) — supersteps, messages, computation.
@@ -80,9 +78,19 @@ func main() {
 		relation.Int(103), relation.Int(20), relation.Int(99)}); err != nil {
 		log.Fatal(err)
 	}
-	out, err = ex.Query("SELECT c_name FROM customer, orders WHERE o_custkey = c_custkey AND o_total > 90")
+	fmt.Print(query(ex, cat, "SELECT c_name FROM customer, orders WHERE o_custkey = c_custkey AND o_total > 90"))
+	fmt.Print(query(ex, cat, "SELECT COUNT(*), SUM(o_total) FROM orders WHERE o_total > (SELECT AVG(o_total) FROM orders)"))
+}
+
+// query answers q with TAG-join, exiting non-zero if the baseline differs.
+func query(ex *core.Session, cat *relation.Catalog, q string) *relation.Relation {
+	got, err := ex.Query(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(out)
+	want, err := baseline.New(cat).Query(q)
+	if err != nil || !relation.EqualMultisetFuzzy(got, want) {
+		log.Fatalf("TAG answer %v differs from the baseline's %v (%v)", got, want, err)
+	}
+	return got
 }

@@ -70,11 +70,12 @@ func (g *Graph) Clone() *Graph {
 		panic("bsp: Clone of unfrozen graph")
 	}
 	n := len(g.adj)
+	// Room to grow spares a written clone's first AddVertex a second copy.
 	return &Graph{
 		Symbols:  g.Symbols,
 		labels:   g.labels[:n:n],
-		data:     slices.Clone(g.data),
-		adj:      slices.Clone(g.adj),
+		data:     append(make([]any, 0, n+n/8), g.data...),
+		adj:      append(make([][]Edge, 0, n+n/8), g.adj...),
 		frozen:   true,
 		numEdges: g.numEdges,
 		cowLimit: n,

@@ -144,39 +144,34 @@ type groupObserver struct {
 	setup *aggSetup
 	outer *sql.Env
 	subq  sql.SubqueryFn
-	// forms are setup.perRow compiled per table shape.
-	forms shapeForms
 	key   []relation.Value
 	// stamp numbers the observe calls, so a group whose stamp is not
 	// the current call's is one this call has not touched yet.
 	stamp uint64
-	// copyRep copies a new group's representative row, for rows that
-	// live in scratch the caller overwrites.
-	copyRep bool
 }
 
 // newGroupObserver returns an observer for the block's groups. On the
 // distributed paths subq is nil (group keys and aggregate arguments are
 // vertex-safe there).
-func newGroupObserver(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.SubqueryFn, copyRep bool) *groupObserver {
-	return &groupObserver{setup: setup, outer: outer, subq: subq, forms: shapeForms{exprs: setup.perRow},
-		key: make([]relation.Value, len(c.blk.Sel.GroupBy)), copyRep: copyRep}
+func newGroupObserver(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.SubqueryFn) *groupObserver {
+	return &groupObserver{setup: setup, outer: outer, subq: subq, key: make([]relation.Value, len(c.blk.Sel.GroupBy))}
 }
 
-// observe folds rows, shaped by t's header, into pg's groups; new keys
-// start groups in first-seen order. firsts, when not nil, holds each
+// observe folds rows into pg's groups, evaluating forms, the block's
+// per-row expressions (aggSetup.perRow) compiled against the rows, and
+// keeping each new group's row as its representative under header; new
+// keys start groups in first-seen order. firsts, when not nil, holds each
 // row's first GROUP BY key, already evaluated. It returns how many of
 // pg's groups the rows touched and the size of a partialGroups holding
 // only those groups: exactly the group count and payload size of the
 // partial the rows' sender would have built on its own, whatever pg
 // already held.
-func (o *groupObserver) observe(pg *partialGroups, t *table, rows [][]relation.Value, firsts []relation.Value) (touched, size int, err error) {
+func (o *groupObserver) observe(pg *partialGroups, header []string, forms []sql.Compiled, rows [][]relation.Value, firsts []relation.Value) (touched, size int, err error) {
 	if pg.header == nil {
-		pg.header = t.header
+		pg.header = header
 	}
 	before := pg.logicalGroups()
 	o.stamp++
-	forms := o.forms.of(t)
 	keys, args := forms[:len(o.key)], forms[len(o.key):]
 	keyAt := func(i int) []relation.Value { return pg.groups[i].key }
 	size = 16
@@ -194,11 +189,7 @@ func (o *groupObserver) observe(pg *partialGroups, t *table, rows [][]relation.V
 		if i := pg.index.find(len(pg.groups), keyAt, o.key); i >= 0 {
 			grp = pg.groups[i]
 		} else {
-			rep := row
-			if o.copyRep {
-				rep = append([]relation.Value(nil), row...)
-			}
-			grp = newGroup(o.key, rep, o.setup.newAccs())
+			grp = newGroup(o.key, row, o.setup.newAccs())
 			pg.groups = append(pg.groups, grp)
 		}
 		if grp.stamp != o.stamp {
@@ -232,16 +223,6 @@ func newGroup(key, rep []relation.Value, aggs []*sql.Aggregator) *groupAcc {
 	return &g.groupAcc
 }
 
-// residualRows appends to dst the rows of t that pass the block's
-// residual predicates. With no residual predicates it returns t.rows
-// itself.
-func (r *componentRun) residualRows(t *table, dst [][]relation.Value) ([][]relation.Value, error) {
-	if len(r.c.residual) == 0 {
-		return t.rows, nil
-	}
-	return keepRows(r.residualTests.of(t), t.rows, r.outer, nil, dst)
-}
-
 // keepRows appends to dst the rows for which every test holds.
 func keepRows(tests []sql.Compiled, rows [][]relation.Value, outer *sql.Env, subq sql.SubqueryFn, dst [][]relation.Value) ([][]relation.Value, error) {
 	for _, row := range rows {
@@ -256,23 +237,31 @@ func keepRows(tests []sql.Compiled, rows [][]relation.Value, outer *sql.Env, sub
 	return dst, nil
 }
 
-// survivorFolder is step 0 of finalizeGroups: a survivor
-// keeps the rows of its table that pass the residual predicates and
-// observes them straight into its worker's fold stream toward each
-// aggregation target (bsp.Context.SendFold). No per-vertex partial is
-// built; under NoCombine each SendFold still builds one, as the plain
-// message the reference run delivers.
+// survivorFolder is step 0 of finalizeGroups: a survivor keeps its
+// rows that pass the residual predicates and observes them straight
+// into its worker's fold stream toward each aggregation target
+// (bsp.Context.SendFold). No per-vertex partial is built; under
+// NoCombine each SendFold still builds one, as the plain message the
+// reference run delivers.
+//
+// A single-alias block's survivors are its alias's seeds, admitted here
+// and read in place (one pass: scan, selection, aggregation) by forms
+// compiled once against the tuple rows.
 type survivorFolder struct {
-	c   *compiled
-	res *componentResult
-	w   []foldScratch
+	c                         *compiled
+	res                       *componentResult
+	w                         []foldScratch
+	tupleResidual, tupleForms []sql.Compiled
 }
 
 // foldScratch is one worker's survivorFolder state.
 type foldScratch struct {
-	obs  *groupObserver
-	own  table              // a single-alias survivor's own row
-	rows [][]relation.Value // the survivor's rows past the residual predicates
+	obs    *groupObserver
+	shapes shapeForms          // aggSetup.perRow per collection table shape
+	header []string            // the header of the current survivor's representatives
+	forms  []sql.Compiled      // aggSetup.perRow compiled against its rows
+	one    [1][]relation.Value // a seed's tuple row
+	rows   [][]relation.Value  // the survivor's rows past the residual predicates
 	// The local path's split of a survivor's rows by target: targets in
 	// first-seen order as INT values, index finds a target's position,
 	// ends[i] is the end of target i's run in sorted, of is each row's
@@ -290,37 +279,51 @@ type foldScratch struct {
 
 func (e *Session) newSurvivorFolder(c *compiled, res *componentResult, setup *aggSetup, outer *sql.Env) *survivorFolder {
 	f := &survivorFolder{c: c, res: res, w: make([]foldScratch, e.eng.Workers())}
+	if res.values == nil {
+		b := c.pushed[res.rootAlias].bind(c.blk.Tables[0])
+		f.tupleResidual, f.tupleForms = compileTests(c.residual, b), sql.CompileAll(setup.perRow, b)
+	}
 	for i := range f.w {
-		ws := &f.w[i]
-		// Own rows are rewritten per survivor, so groups copy theirs.
-		ws.obs = newGroupObserver(c, setup, outer, nil, res.values == nil)
-		ws.own.rows = make([][]relation.Value, 1)
+		f.w[i].obs, f.w[i].shapes.exprs = newGroupObserver(c, setup, outer, nil), setup.perRow
 	}
 	return f
 }
 
-// survivor returns the calling worker's scratch, v's table and the rows
-// of it that pass the residual predicates; a nil table means v holds no
-// value.
-func (f *survivorFolder) survivor(ctx *bsp.Context, v bsp.VertexID) (*foldScratch, *table, [][]relation.Value, error) {
-	ws := &f.w[ctx.Worker()]
-	var t *table
+// survivor returns the worker's scratch, set to v's shape, v's rows that
+// pass the residuals and how many rows v holds. A seed costs one op and
+// holds its tuple row if passes admits it.
+func (f *survivorFolder) survivor(ctx *bsp.Context, v bsp.VertexID) (*foldScratch, [][]relation.Value, int, error) {
+	ws, run := &f.w[ctx.Worker()], f.res.run
+	var rows [][]relation.Value
+	tests, t := f.tupleResidual, f.res.values[v]
 	if f.res.values == nil {
-		t = f.res.run.writeOwnRow(&ws.own, f.res.rootAlias, v)
-	} else if t = f.res.values[v]; t == nil {
-		return ws, nil, nil, nil
+		ctx.AddOps(1)
+		if !run.passes(ctx, f.res.rootAlias, v) {
+			return ws, nil, 0, nil
+		}
+		ws.one[0] = run.ex.TAG.TupleData(v).Row
+		rows = ws.one[:]
+		ws.header, ws.forms = f.c.ownHeader[f.res.rootAlias], f.tupleForms
+	} else if t != nil {
+		rows = t.rows
+		ws.header, ws.forms = t.header, ws.shapes.of(t)
 	}
-	rows, err := f.res.run.residualRows(t, ws.rows[:0])
-	if len(f.c.residual) > 0 {
-		ws.rows = rows
+	n := len(rows)
+	if n == 0 || len(f.c.residual) == 0 {
+		return ws, rows, n, nil
 	}
-	return ws, t, rows, err
+	if t != nil {
+		tests = run.residualTests.of(t)
+	}
+	var err error
+	ws.rows, err = keepRows(tests, rows, run.outer, nil, ws.rows[:0])
+	return ws, ws.rows, n, err
 }
 
 // send observes rows (with firsts as observe takes them) into the fold
 // stream from v to `to`, one logical send, and returns how many groups
 // the rows touched.
-func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.VertexID, t *table, rows [][]relation.Value, firsts []relation.Value) (int, error) {
+func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.VertexID, rows [][]relation.Value, firsts []relation.Value) (int, error) {
 	var touched int
 	var err error
 	ctx.SendFold(v, to, func(acc any) (any, int) {
@@ -329,7 +332,12 @@ func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.Verte
 			pg = &partialGroups{}
 		}
 		var size int
-		touched, size, err = ws.obs.observe(pg, t, rows, firsts)
+		n := len(pg.groups)
+		touched, size, err = ws.obs.observe(pg, ws.header, ws.forms, rows, firsts)
+		if f.res.values == nil && len(pg.groups) > n {
+			// A seed's new group keeps the alias's own row, not the tuple's.
+			pg.groups[n].rep = f.res.run.appendOwnRow(make([]relation.Value, 0, len(ws.header)), f.res.rootAlias, v)
+		}
 		return pg, size
 	})
 	return touched, err
@@ -341,11 +349,11 @@ func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.Verte
 // is targetOf its first key. It lists the targets in ws.targets with
 // the end of each one's run in ws.ends. Rows that all go to one target
 // are left where they are.
-func (ws *foldScratch) splitByTarget(t *table, rows [][]relation.Value, targetOf func(relation.Value) bsp.VertexID) ([][]relation.Value, []relation.Value, error) {
+func (ws *foldScratch) splitByTarget(rows [][]relation.Value, targetOf func(relation.Value) bsp.VertexID) ([][]relation.Value, []relation.Value, error) {
 	ws.targets, ws.ends, ws.of, ws.firsts = ws.targets[:0], ws.ends[:0], ws.of[:0], ws.firsts[:0]
 	ws.index.reset()
 	keyAt := func(i int) []relation.Value { return ws.targets[i : i+1] }
-	keyOf := ws.obs.forms.of(t)[0]
+	keyOf := ws.forms[0]
 	for _, row := range rows {
 		k, err := keyOf(row, ws.obs.outer, nil)
 		if err != nil {
@@ -384,13 +392,13 @@ func (ws *foldScratch) splitByTarget(t *table, rows [][]relation.Value, targetOf
 
 // sendByTarget observes rows into one fold stream from v per target
 // (splitByTarget) and returns how many groups the rows touched.
-func (f *survivorFolder) sendByTarget(ctx *bsp.Context, ws *foldScratch, v bsp.VertexID, t *table, rows [][]relation.Value, targetOf func(relation.Value) bsp.VertexID) (int, error) {
-	rows, firsts, err := ws.splitByTarget(t, rows, targetOf)
+func (f *survivorFolder) sendByTarget(ctx *bsp.Context, ws *foldScratch, v bsp.VertexID, rows [][]relation.Value, targetOf func(relation.Value) bsp.VertexID) (int, error) {
+	rows, firsts, err := ws.splitByTarget(rows, targetOf)
 	touched, start := 0, 0
 	for i := 0; err == nil && i < len(ws.targets); i++ {
 		var n int
 		to := bsp.VertexID(ws.targets[i].I)
-		n, err = f.send(ctx, ws, v, to, t, rows[start:ws.ends[i]], firsts[start:ws.ends[i]])
+		n, err = f.send(ctx, ws, v, to, rows[start:ws.ends[i]], firsts[start:ws.ends[i]])
 		touched += n
 		start = ws.ends[i]
 	}
@@ -437,25 +445,25 @@ func (e *Session) finalizeGroups(c *compiled, res *componentResult, targetOf fun
 	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
 		switch ctx.Step() {
 		case 0:
-			ws, t, rows, err := f.survivor(ctx, v)
-			if t == nil && err == nil {
+			ws, rows, n, err := f.survivor(ctx, v)
+			if n == 0 && err == nil {
 				return
 			}
 			touched := 0
 			if err == nil && targetOf != nil {
-				touched, err = f.sendByTarget(ctx, ws, v, t, rows, targetOf)
+				touched, err = f.sendByTarget(ctx, ws, v, rows, targetOf)
 			} else if err == nil && len(rows) > 0 {
 				to := e.TAG.Aggregator
 				if relayed {
 					to = bsp.VertexID(bsp.PartitionOf(v, parts))
 				}
-				touched, err = f.send(ctx, ws, v, to, t, rows, nil)
+				touched, err = f.send(ctx, ws, v, to, rows, nil)
 			}
 			if err != nil {
 				ctx.Fail(err)
 				return
 			}
-			ctx.AddOps(len(t.rows) + touched)
+			ctx.AddOps(n + touched)
 		case last:
 			// The targets merge the partials of their groups. The merged
 			// groups ride the emit stream, so every process — not just the

@@ -1,0 +1,108 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/bsp"
+	"repro/internal/relation"
+	"repro/internal/tag"
+)
+
+// TestSingleAliasAggregateOnePass checks that a single-table aggregate
+// block admits, filters and folds its seeds in the aggregation's first
+// superstep, with no reduction run before it. Its counts are the
+// reduction's and the fold's together, less the superstep and the
+// survivor visits the second pass cost: one op per seed, two per
+// survivor (the fold of its row and the group it touches) and the
+// targets' merge ops, with one message per survivor and, through the
+// per-machine relay, one per relay. The filter compares two columns, so
+// no selection enters at attribute vertices and every tuple is a seed;
+// 1 < 2 is a residual predicate (it reads no alias). The survivors
+// sit on both partitions of Partitions 2.
+func TestSingleAliasAggregateOnePass(t *testing.T) {
+	cat := relation.NewCatalog()
+	x := relation.New("x", relation.MustSchema(
+		relation.Col("a", relation.KindInt),
+		relation.Col("b", relation.KindInt),
+		relation.Col("c", relation.KindInt)))
+	for i := range int64(24) {
+		x.MustAppend(relation.Int(2*i), relation.Int(i%3), relation.Int(i%4))
+	}
+	cat.MustAdd(x)
+	g, err := tag.Build(cat, tag.MaterializeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := g.TupleVertices("x")
+	var survivors []bsp.VertexID
+	for _, v := range seeds {
+		if row := g.TupleData(v).Row; row[1].I < row[2].I {
+			survivors = append(survivors, v)
+		}
+	}
+	// groupsOf returns the distinct group keys of the survivors, per
+	// relay vertex (one relay for parts <= 1).
+	groupsOf := func(key func(relation.Tuple) [2]int64, parts int) map[bsp.VertexID]map[[2]int64]bool {
+		out := map[bsp.VertexID]map[[2]int64]bool{}
+		for _, v := range survivors {
+			relay := bsp.VertexID(0)
+			if parts > 1 {
+				relay = bsp.VertexID(bsp.PartitionOf(v, parts))
+			}
+			if out[relay] == nil {
+				out[relay] = map[[2]int64]bool{}
+			}
+			out[relay][key(g.TupleData(v).Row)] = true
+		}
+		return out
+	}
+	rows := []struct {
+		name, sql string
+		local     bool // LA: the targets are the key's attribute vertices
+		key       func(relation.Tuple) [2]int64
+	}{
+		{"scalar", "SELECT COUNT(*), SUM(x.a) FROM x WHERE x.b < x.c AND 1 < 2", false,
+			func(relation.Tuple) [2]int64 { return [2]int64{} }},
+		{"GA", "SELECT x.b, x.c, COUNT(*) FROM x WHERE x.b < x.c GROUP BY x.b, x.c", false,
+			func(r relation.Tuple) [2]int64 { return [2]int64{r[1].I, r[2].I} }},
+		{"LA", "SELECT x.c, SUM(x.a) FROM x WHERE x.b < x.c GROUP BY x.c HAVING SUM(x.a) > 40", true,
+			func(r relation.Tuple) [2]int64 { return [2]int64{r[2].I} }},
+	}
+	for _, row := range rows {
+		want, err := baseline.New(cat).Query(row.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []bsp.Options{{Workers: 1}, {Workers: 2}, {Workers: 2, Partitions: 2}} {
+			ex := NewSession(g, opts)
+			out, err := ex.Query(row.sql)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", row.name, opts, err)
+			}
+			if !relation.EqualMultiset(out, want) {
+				t.Errorf("%s %+v: rows %v, want %v", row.name, opts, out.Tuples, want.Tuples)
+			}
+			n, s := int64(len(seeds)), int64(len(survivors))
+			steps, targets, msgs, merges := int64(2), int64(0), s, s
+			if row.local {
+				targets = int64(len(groupsOf(row.key, 1)[0]))
+			} else if relays := groupsOf(row.key, opts.Partitions); opts.Partitions > 1 {
+				if len(relays) != 2 {
+					t.Fatalf("survivors on %d partitions, want 2", len(relays))
+				}
+				steps, targets, msgs = 3, int64(len(relays))+1, s+int64(len(relays))
+				for _, groups := range relays {
+					merges += int64(len(groups))
+				}
+			} else {
+				targets = 1
+			}
+			st := ex.Stats()
+			if st.Supersteps != steps || st.ActiveVisits != n+targets || st.Messages != msgs || st.ComputeOps != n+2*s+merges {
+				t.Errorf("%s %+v: stats %v; want %d supersteps, %d visits, %d messages, %d ops",
+					row.name, opts, st, steps, n+targets, msgs, n+2*s+merges)
+			}
+		}
+	}
+}

@@ -6,8 +6,10 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/bsp"
 	"repro/internal/relation"
+	"repro/internal/sql"
 	"repro/internal/tag"
 	"repro/internal/tpch"
 )
@@ -188,5 +190,83 @@ func TestRangeSeedCostFollowsAnswer(t *testing.T) {
 				t.Errorf("%s scale %v: %d visits, want %d seeds", row.name, scale, visits, seeds)
 			}
 		}
+	}
+}
+
+// TestUncorrelatedSubqueryIsConstant pins an uncorrelated subquery in a
+// filter to one evaluation. Decorrelation runs it once and writes its
+// answer into the filter as a literal, so a scan that filters by it
+// allocates nothing per row: the allocations of one run of the pinned
+// statement below are the same at every scale. Its rows must equal the
+// baseline engine's when the subquery answers no row (NULL), one row,
+// or an EXISTS, and a scalar subquery of several rows still fails.
+func TestUncorrelatedSubqueryIsConstant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three TPC-H graphs")
+	}
+	const pinned = "SELECT COUNT(*) FROM lineitem WHERE l_quantity > (SELECT AVG(l_quantity) FROM lineitem)"
+	var allocs []float64
+	for _, scale := range boundsScales {
+		g, err := tag.Build(tpch.Generate(scale, 42), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := NewSession(g, bsp.Options{Workers: 1})
+		if _, err := ex.Query(pinned); err != nil { // sizes the pooled scratch
+			t.Fatal(err)
+		}
+		a := testing.AllocsPerRun(5, func() {
+			if _, err := ex.Query(pinned); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("scale %v: %d lineitems, %.0f allocations per run", scale, len(g.TupleVertices("lineitem")), a)
+		allocs = append(allocs, a)
+	}
+	for i, a := range allocs[1:] {
+		if a > 1.02*allocs[0] {
+			t.Errorf("scale %v: %.0f allocations per run, scale %v: %.0f; want within 2%%",
+				boundsScales[i+1], a, boundsScales[0], allocs[0])
+		}
+	}
+
+	cat := shopCatalog()
+	ex := newExec(t, cat)
+	for _, q := range []string{
+		"SELECT COUNT(*), SUM(price) FROM ord WHERE price > (SELECT okey FROM ord WHERE okey > 1000)",
+		"SELECT okey FROM ord WHERE NOT (price > (SELECT okey FROM ord WHERE okey > 1000))",
+		"SELECT okey FROM ord WHERE price > (SELECT MIN(price) FROM ord) + 3",
+		"SELECT ckey FROM cust WHERE EXISTS (SELECT 1 FROM ord WHERE price > 40)",
+		"SELECT cnation, COUNT(*) FROM cust WHERE NOT EXISTS (SELECT 1 FROM ord WHERE price > 40) OR ckey > 10 GROUP BY cnation",
+	} {
+		got, err := ex.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want, err := baseline.New(cat).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.EqualMultiset(got, want) {
+			t.Errorf("%s: rows %v, want %v", q, got.Tuples, want.Tuples)
+		}
+	}
+	// The zero-row answer is a NULL literal in the filter, not a lookup.
+	an, err := sql.AnalyzeString(cat, "SELECT COUNT(*) FROM ord WHERE price > (SELECT okey FROM ord WHERE okey > 1000)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.decorr = map[*sql.Select]*decorrTable{}
+	c, err := ex.compileBlock(an, an.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := c.filters["ord"]
+	if lit, ok := f[0].expr.(*sql.Binary).R.(*sql.Literal); len(f) != 1 || len(f[0].decorr) > 0 || !ok || !lit.Val.IsNull() {
+		t.Errorf("filter %#v, want price > NULL with no lookup", f[0])
+	}
+	const several = "SELECT COUNT(*) FROM ord WHERE price > (SELECT okey FROM ord)"
+	if _, err := ex.Query(several); err == nil {
+		t.Errorf("%s: no error, want one for a scalar subquery of several rows", several)
 	}
 }

@@ -479,6 +479,12 @@ func (c *compiled) hasLocalAggKey(t *tag.Graph) bool {
 	return ok && t.Materialized(c.aliasTable[ref.Alias], ref.Column)
 }
 
+// finalizesAtVertices reports whether finalizeGroups runs the block's
+// aggregation: one component, with vertex-safe residual predicates.
+func (c *compiled) finalizesAtVertices() bool {
+	return c.agg != AggNone && len(c.qp.Components) == 1 && c.residualVertexSafe()
+}
+
 // residualVertexSafe reports whether all residual predicates can run
 // inside vertex programs (no un-decorrelated subqueries that would
 // re-enter the engine).

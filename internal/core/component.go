@@ -88,6 +88,10 @@ func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env
 	}
 
 	p := comp.TAGPlan
+	if len(p.Steps) == 0 && c.finalizesAtVertices() {
+		// No reduction: finalizeGroups admits the seeds itself.
+		return &componentResult{run: r, rootAlias: p.StartAlias, survivors: c.pushed[p.StartAlias].seeds}, nil
+	}
 	if len(p.Steps) == 0 {
 		// Single-alias component: one filtering superstep.
 		return r.runSingle(p.StartAlias)
@@ -241,16 +245,28 @@ func (r *componentRun) intersectPrefilter(alias string, allowed map[bsp.VertexID
 	r.prefilter[alias] = allowed
 }
 
-// aliasFilters is one alias's pushed filters: its relation, the filters
-// compiled against its tuple rows in c.filters order, the vertex-safe
-// ones among them, the alias's seed vertices (seedVertices) and, while
-// a reduction or single-alias run evaluates the filters, their memo.
+// aliasFilters is one alias's pushed filters: its relation, its tuple
+// rows' binding (bind), the filters compiled against it in c.filters
+// order, the vertex-safe ones, the alias's seeds (seedVertices) and,
+// while a reduction or single-alias run evaluates the filters, a memo.
 type aliasFilters struct {
-	table string
-	tests []sql.Compiled
-	safe  []sql.Compiled
-	seeds []bsp.VertexID
-	memo  *filterMemo
+	table   string
+	binding sql.Binding
+	tests   []sql.Compiled
+	safe    []sql.Compiled
+	seeds   []bsp.VertexID
+	memo    *filterMemo
+}
+
+// bind returns the binding of the alias's tuple rows, built on first use.
+func (f *aliasFilters) bind(bt sql.BoundTable) sql.Binding {
+	if f.binding == nil {
+		f.binding = make(sql.Binding, len(bt.Schema.Columns))
+		for i, col := range bt.Schema.Columns {
+			f.binding[sql.BindKey(bt.Alias, col.Name)] = i
+		}
+	}
+	return f.binding
 }
 
 // compile resolves an alias's pushed filters against its tuple rows.
@@ -259,11 +275,7 @@ func (f *aliasFilters) compile(bt sql.BoundTable, preds []*predicate) {
 	if len(preds) == 0 {
 		return
 	}
-	binding := sql.Binding{}
-	for i, col := range bt.Schema.Columns {
-		binding[sql.BindKey(bt.Alias, col.Name)] = i
-	}
-	f.tests = compileTests(preds, binding)
+	f.tests = compileTests(preds, f.bind(bt))
 	f.safe = f.tests
 	if slices.ContainsFunc(preds, func(p *predicate) bool { return p.hoisted }) {
 		f.safe = nil
@@ -276,9 +288,10 @@ func (f *aliasFilters) compile(bt sql.BoundTable, preds []*predicate) {
 }
 
 // passes evaluates (and memoizes) the vertex-safe pushed filters of an
-// alias for vertex v; unsafe filters were hoisted into prefilter.
-// Safe for concurrent use: the memo slice is per-alias, per-vertex slot.
-func (r *componentRun) passes(alias string, v bsp.VertexID) bool {
+// alias for vertex v; unsafe filters were hoisted into prefilter. A
+// filter that fails fails the run. Safe for concurrent use: the memo
+// slice is per-alias, per-vertex slot.
+func (r *componentRun) passes(ctx *bsp.Context, alias string, v bsp.VertexID) bool {
 	if w, ok := r.ex.restrict[alias]; ok && !w.contains(v) {
 		return false
 	}
@@ -296,7 +309,9 @@ func (r *componentRun) passes(alias string, v bsp.VertexID) bool {
 		}
 	}
 	ok, err := sql.Holds(f.safe, d.Row, r.outer, nil)
-	ok = ok && err == nil
+	if err != nil {
+		ctx.Fail(err)
+	}
 	if f.memo != nil {
 		f.memo.record(v, ok)
 	}

@@ -183,7 +183,7 @@ func (r *componentRun) wakeNeighbors(start []bsp.VertexID, h0, h1 pathHop) ([]bs
 		case 0:
 			ctx.SendAlong(v, h0.label, nil)
 		case 1:
-			if !r.passes(h0.relAlias, v) {
+			if !r.passes(ctx, h0.relAlias, v) {
 				return
 			}
 			ctx.SendAlong(v, h1.label, nil)
@@ -281,7 +281,7 @@ func (p *cycleForwardProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []
 		return
 	}
 	hop := p.hops[step-1]
-	if hop.relAlias != "" && !p.r.passes(hop.relAlias, v) {
+	if hop.relAlias != "" && !p.r.passes(ctx, hop.relAlias, v) {
 		return
 	}
 	last := step == len(p.hops)

@@ -59,37 +59,81 @@ func (dt *decorrTable) lookup(keyOf []sql.Compiled, row relation.Tuple, outer *s
 // vertex-safe predicate that answers them from decorrTable lookups. It
 // returns nil when any nested subquery does not fit the supported shape
 // (single block, correlation only through top-level equality predicates
-// with the current block, aggregates only in scalar form).
+// with the current block, aggregates only in scalar form). A subquery
+// with no correlation has one answer, which settle puts into the
+// predicate as a literal where it can.
 func (e *Session) tryDecorrelate(an *sql.Analysis, blk *sql.Analyzed, conj sql.Expr) *predicate {
 	subs := sql.SubSelects(conj)
 	if len(subs) == 0 {
 		return nil
 	}
-	p := &predicate{expr: conj, aliases: map[string]bool{}}
-	for _, c := range sql.ColRefs(conj) {
-		if c.Depth == 0 {
-			p.aliases[c.Alias] = true
-			p.cols = append(p.cols, sql.BindKey(c.Alias, c.Column))
-		}
-	}
-
 	for _, sub := range subs {
-		dt, done := e.decorr[sub]
-		if !done {
-			var ok bool
-			dt, ok = e.decorrelateSub(an, sub)
+		if e.decorr[sub] == nil {
+			dt, ok := e.decorrelateSub(an, sub)
 			if !ok {
 				return nil
 			}
 			e.decorr[sub] = dt
 		}
+	}
+	expr := e.settle(conj)
+	// A decorrelated subquery's outer references are its correlations.
+	p := &predicate{expr: expr, aliases: sql.AliasesOf(an, expr, 0)}
+	if subs = sql.SubSelects(expr); len(subs) == 0 {
+		return p
+	}
+	for _, c := range sql.ColRefs(expr) {
+		if c.Depth == 0 {
+			p.cols = append(p.cols, sql.BindKey(c.Alias, c.Column))
+		}
+	}
+	for _, sub := range subs {
+		dt := e.decorr[sub]
 		p.decorr = append(p.decorr, decorrSub{sub, dt})
 		for _, oc := range dt.outerCols {
-			p.aliases[oc.Alias] = true
 			p.cols = append(p.cols, sql.BindKey(oc.Alias, oc.Column))
 		}
 	}
 	return p
+}
+
+// settle returns x with each uncorrelated scalar subquery of at most one
+// row replaced by its value (NULL for none), and each uncorrelated
+// EXISTS by TRUE or FALSE, under operators and BETWEEN; other subqueries
+// keep their lookup (several rows still fail per row). It builds new
+// nodes over the analysed tree, which sessions share.
+func (e *Session) settle(x sql.Expr) sql.Expr {
+	switch n := x.(type) {
+	case *sql.ScalarSubquery:
+		if rows := e.decorr[n.Sub].constant(); rows != nil && rows.Len() <= 1 {
+			v := relation.Null
+			if rows.Len() == 1 {
+				v = rows.Tuples[0][0]
+			}
+			return &sql.Literal{Val: v}
+		}
+	case *sql.Exists:
+		if rows := e.decorr[n.Sub].constant(); rows != nil {
+			return &sql.Literal{Val: relation.Bool((rows.Len() > 0) != n.Not)}
+		}
+	case *sql.Unary:
+		return &sql.Unary{Op: n.Op, X: e.settle(n.X)}
+	case *sql.Binary:
+		return &sql.Binary{Op: n.Op, L: e.settle(n.L), R: e.settle(n.R)}
+	case *sql.Between:
+		return &sql.Between{X: e.settle(n.X), Lo: e.settle(n.Lo), Hi: e.settle(n.Hi), Not: n.Not}
+	}
+	return x
+}
+
+// constant returns the rows of a subquery with no correlation, which
+// every row that asks gets, and nil for a correlated one.
+func (dt *decorrTable) constant() *relation.Relation {
+	if len(dt.outerCols) > 0 {
+		return nil
+	}
+	rows, _ := dt.lookup(nil, nil, nil)
+	return rows
 }
 
 var errNoDecorr = &decorrError{}

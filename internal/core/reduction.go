@@ -36,12 +36,12 @@ func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp
 	// Computation stage: admit the seed, or process receipts from the
 	// previous step.
 	if step == 0 {
-		if !r.passes(p.start, v) {
+		if !r.passes(ctx, p.start, v) {
 			return // filtered out at its vertex (§7 selections)
 		}
 	} else {
 		prev := r.steps[step-1]
-		if prev.toRel != "" && !r.passes(prev.toRel, v) {
+		if prev.toRel != "" && !r.passes(ctx, prev.toRel, v) {
 			return // filtered out: no marks, no propagation (§7 selections)
 		}
 		r.mark(ctx, v, prev.edgeID, inbox)

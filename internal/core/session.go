@@ -306,7 +306,7 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 		// component whose residual predicates are vertex-safe. Everything
 		// else assembles centrally: a non-aggregate block's survivors
 		// already hold the collection output on every node.
-		if singleRes != nil && c.agg != AggNone && c.residualVertexSafe() {
+		if c.finalizesAtVertices() {
 			var targetOf func(relation.Value) bsp.VertexID
 			if c.agg == AggLocal && c.hasLocalAggKey(e.TAG) {
 				targetOf = func(k relation.Value) bsp.VertexID {
@@ -360,7 +360,8 @@ func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql
 	if blk.HasAgg || len(blk.Sel.GroupBy) > 0 {
 		setup := newAggSetup(blk)
 		var pg partialGroups
-		if _, _, err := newGroupObserver(c, setup, outer, subq, false).observe(&pg, t, t.rows, nil); err != nil {
+		forms := sql.CompileAll(setup.perRow, sql.Binding(t.index))
+		if _, _, err := newGroupObserver(c, setup, outer, subq).observe(&pg, t.header, forms, t.rows, nil); err != nil {
 			return nil, err
 		}
 		return projectGroups(c, setup, pg.groups, t.header, outer, subq)

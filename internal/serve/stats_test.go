@@ -126,7 +126,7 @@ tagserve_incremental_mismatches_total 0
 tagserve_bsp_messages_total 120
 # HELP tagserve_bsp_supersteps_total BSP supersteps run by all queries.
 # TYPE tagserve_bsp_supersteps_total counter
-tagserve_bsp_supersteps_total 6
+tagserve_bsp_supersteps_total 4
 # HELP tagserve_sessions_in_flight Queries currently executing.
 # TYPE tagserve_sessions_in_flight gauge
 tagserve_sessions_in_flight 0
@@ -187,7 +187,7 @@ func TestStatsViewsGolden(t *testing.T) {
 		"max_ms": strconv.FormatFloat(ms(snap.MaxTime), 'g', -1, 64),
 		"epoch":  "1", "swaps": "1", "write_ops": "1", "generations_live": "1",
 		"rows_inserted": "1", "rows_deleted": "0",
-		"bsp_supersteps": "6", "bsp_messages": "120", "bsp_message_bytes": "5760",
+		"bsp_supersteps": "4", "bsp_messages": "120", "bsp_message_bytes": "5760",
 		"bsp_compute_ops": "480", "bsp_messages_combined": "118", "bsp_inbox_bytes_saved": "2832",
 		"wal_records": "0", "wal_bytes": "0", "wal_fsyncs": "0",
 		"wal_replayed_epochs": "0", "wal_skipped_epochs": "0", "wal_truncations": "0",

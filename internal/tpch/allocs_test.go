@@ -38,8 +38,12 @@ func TestTPCHAllocsPerQuery(t *testing.T) {
 	// blocks scanned through the single-alias path and built their rows
 	// in the row arena and the count after (q4 1,563 -> 1,063; q13 639 ->
 	// 303; q20 1,161 -> 1,096; q21 2,453 -> 1,579; q22 889 -> 664).
+	// q1, q17 and q18 then sit midway between the count before
+	// single-table aggregates admitted, filtered and folded their seeds
+	// in one pass and the count after (q1 694 -> 306; q17 992 -> 632;
+	// q18 2,131 -> 1,759).
 	ceilings := map[string]float64{
-		"q1":  3400,
+		"q1":  500,
 		"q2":  883,
 		"q3":  470,
 		"q4":  1313,
@@ -54,8 +58,8 @@ func TestTPCHAllocsPerQuery(t *testing.T) {
 		"q13": 471,
 		"q14": 850,
 		"q15": 935,
-		"q17": 2500,
-		"q18": 3550,
+		"q17": 812,
+		"q18": 1945,
 		"q19": 5500,
 		"q20": 1129,
 		"q21": 2016,
