@@ -244,24 +244,24 @@ func keepRows(tests []sql.Compiled, rows [][]relation.Value, outer *sql.Env, sub
 // NoCombine each SendFold still builds one, as the plain message the
 // reference run delivers.
 //
-// A single-alias block's survivors are its alias's seeds, admitted here
-// and read in place (one pass: scan, selection, aggregation) by forms
-// compiled once against the tuple rows.
+// Survivors' rows share one binding, compiled against once: the
+// collection root's header, or, in a single-alias block, the alias's
+// tuple rows, whose seeds are admitted here and read in place (one
+// pass: scan, selection, aggregation). header is the one the groups'
+// representatives are kept under.
 type survivorFolder struct {
-	c                         *compiled
-	res                       *componentResult
-	w                         []foldScratch
-	tupleResidual, tupleForms []sql.Compiled
+	c               *compiled
+	res             *componentResult
+	w               []foldScratch
+	header          []string
+	residual, forms []sql.Compiled // c.residual and aggSetup.perRow
 }
 
 // foldScratch is one worker's survivorFolder state.
 type foldScratch struct {
-	obs    *groupObserver
-	shapes shapeForms          // aggSetup.perRow per collection table shape
-	header []string            // the header of the current survivor's representatives
-	forms  []sql.Compiled      // aggSetup.perRow compiled against its rows
-	one    [1][]relation.Value // a seed's tuple row
-	rows   [][]relation.Value  // the survivor's rows past the residual predicates
+	obs  *groupObserver
+	one  [1][]relation.Value // a seed's tuple row
+	rows [][]relation.Value  // the survivor's rows past the residual predicates
 	// The local path's split of a survivor's rows by target: targets in
 	// first-seen order as INT values, index finds a target's position,
 	// ends[i] is the end of target i's run in sorted, of is each row's
@@ -279,23 +279,28 @@ type foldScratch struct {
 
 func (e *Session) newSurvivorFolder(c *compiled, res *componentResult, setup *aggSetup, outer *sql.Env) *survivorFolder {
 	f := &survivorFolder{c: c, res: res, w: make([]foldScratch, e.eng.Workers())}
-	if res.values == nil {
-		b := c.pushed[res.rootAlias].bind(c.blk.Tables[0])
-		f.tupleResidual, f.tupleForms = compileTests(c.residual, b), sql.CompileAll(setup.perRow, b)
+	var b sql.Binding
+	switch {
+	case res.values == nil:
+		f.header, b = c.ownHeader[res.rootAlias], c.pushed[res.rootAlias].bind(c.blk.Tables[0])
+	case res.root != nil:
+		f.header, b = res.root.header, sql.Binding(res.root.index)
+	}
+	if b != nil {
+		f.residual, f.forms = compileTests(c.residual, b), sql.CompileAll(setup.perRow, b)
 	}
 	for i := range f.w {
-		f.w[i].obs, f.w[i].shapes.exprs = newGroupObserver(c, setup, outer, nil), setup.perRow
+		f.w[i].obs = newGroupObserver(c, setup, outer, nil)
 	}
 	return f
 }
 
-// survivor returns the worker's scratch, set to v's shape, v's rows that
-// pass the residuals and how many rows v holds. A seed costs one op and
-// holds its tuple row if passes admits it.
+// survivor returns the worker's scratch, v's rows that pass the
+// residuals and how many rows v holds. A seed costs one op and holds
+// its tuple row if passes admits it.
 func (f *survivorFolder) survivor(ctx *bsp.Context, v bsp.VertexID) (*foldScratch, [][]relation.Value, int, error) {
 	ws, run := &f.w[ctx.Worker()], f.res.run
 	var rows [][]relation.Value
-	tests, t := f.tupleResidual, f.res.values[v]
 	if f.res.values == nil {
 		ctx.AddOps(1)
 		if !run.passes(ctx, f.res.rootAlias, v) {
@@ -303,20 +308,15 @@ func (f *survivorFolder) survivor(ctx *bsp.Context, v bsp.VertexID) (*foldScratc
 		}
 		ws.one[0] = run.ex.TAG.TupleData(v).Row
 		rows = ws.one[:]
-		ws.header, ws.forms = f.c.ownHeader[f.res.rootAlias], f.tupleForms
-	} else if t != nil {
+	} else if t := f.res.values[v]; t != nil {
 		rows = t.rows
-		ws.header, ws.forms = t.header, ws.shapes.of(t)
 	}
 	n := len(rows)
-	if n == 0 || len(f.c.residual) == 0 {
+	if n == 0 || len(f.residual) == 0 {
 		return ws, rows, n, nil
 	}
-	if t != nil {
-		tests = run.residualTests.of(t)
-	}
 	var err error
-	ws.rows, err = keepRows(tests, rows, run.outer, nil, ws.rows[:0])
+	ws.rows, err = keepRows(f.residual, rows, run.outer, nil, ws.rows[:0])
 	return ws, ws.rows, n, err
 }
 
@@ -333,10 +333,10 @@ func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.Verte
 		}
 		var size int
 		n := len(pg.groups)
-		touched, size, err = ws.obs.observe(pg, ws.header, ws.forms, rows, firsts)
+		touched, size, err = ws.obs.observe(pg, f.header, f.forms, rows, firsts)
 		if f.res.values == nil && len(pg.groups) > n {
 			// A seed's new group keeps the alias's own row, not the tuple's.
-			pg.groups[n].rep = f.res.run.appendOwnRow(make([]relation.Value, 0, len(ws.header)), f.res.rootAlias, v)
+			pg.groups[n].rep = f.res.run.appendOwnRow(make([]relation.Value, 0, len(f.header)), f.res.rootAlias, v)
 		}
 		return pg, size
 	})
@@ -345,15 +345,14 @@ func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.Verte
 
 // splitByTarget orders rows by target into ws.sorted — targets in
 // first-seen order, rows in their order within a target — and returns
-// them with their first GROUP BY keys alongside. A row's target
-// is targetOf its first key. It lists the targets in ws.targets with
-// the end of each one's run in ws.ends. Rows that all go to one target
-// are left where they are.
-func (ws *foldScratch) splitByTarget(rows [][]relation.Value, targetOf func(relation.Value) bsp.VertexID) ([][]relation.Value, []relation.Value, error) {
+// them with their first GROUP BY keys, keyOf each row, alongside. A
+// row's target is targetOf its first key. It lists the targets in
+// ws.targets with the end of each one's run in ws.ends. Rows that all
+// go to one target are left where they are.
+func (ws *foldScratch) splitByTarget(rows [][]relation.Value, keyOf sql.Compiled, targetOf func(relation.Value) bsp.VertexID) ([][]relation.Value, []relation.Value, error) {
 	ws.targets, ws.ends, ws.of, ws.firsts = ws.targets[:0], ws.ends[:0], ws.of[:0], ws.firsts[:0]
 	ws.index.reset()
 	keyAt := func(i int) []relation.Value { return ws.targets[i : i+1] }
-	keyOf := ws.forms[0]
 	for _, row := range rows {
 		k, err := keyOf(row, ws.obs.outer, nil)
 		if err != nil {
@@ -393,7 +392,7 @@ func (ws *foldScratch) splitByTarget(rows [][]relation.Value, targetOf func(rela
 // sendByTarget observes rows into one fold stream from v per target
 // (splitByTarget) and returns how many groups the rows touched.
 func (f *survivorFolder) sendByTarget(ctx *bsp.Context, ws *foldScratch, v bsp.VertexID, rows [][]relation.Value, targetOf func(relation.Value) bsp.VertexID) (int, error) {
-	rows, firsts, err := ws.splitByTarget(rows, targetOf)
+	rows, firsts, err := ws.splitByTarget(rows, f.forms[0], targetOf)
 	touched, start := 0, 0
 	for i := 0; err == nil && i < len(ws.targets); i++ {
 		var n int

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/plan"
 	"repro/internal/relation"
@@ -99,45 +98,6 @@ func compileTests(preds []*predicate, b sql.Binding) []sql.Compiled {
 		out[i] = p.compile(b)
 	}
 	return out
-}
-
-// shapeForms compiles preds, then exprs, once per table shape, keyed by
-// header identity as joiner keys join shapes; safe for concurrent use by
-// the vertex workers.
-type shapeForms struct {
-	preds []*predicate
-	exprs []sql.Expr
-
-	mu sync.Mutex
-	// A run meets few shapes, so a list finds them.
-	shapes []shapeForm
-}
-
-type shapeForm struct {
-	key   shapeKey
-	forms []sql.Compiled
-}
-
-// of returns the forms compiled for t's shape.
-func (s *shapeForms) of(t *table) []sql.Compiled {
-	k := keyOf(t.header, nil)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range s.shapes {
-		if sh.key == k {
-			return sh.forms
-		}
-	}
-	b := sql.Binding(t.index)
-	forms := make([]sql.Compiled, 0, len(s.preds)+len(s.exprs))
-	for _, p := range s.preds {
-		forms = append(forms, p.compile(b))
-	}
-	for _, e := range s.exprs {
-		forms = append(forms, sql.Compile(e, b))
-	}
-	s.shapes = append(s.shapes, shapeForm{k, forms})
-	return forms
 }
 
 // compiled is the executable form of one SELECT block on the TAG engine.

@@ -33,15 +33,6 @@ type componentRun struct {
 	// prefilter restricts aliases whose filters could not run at vertices
 	// (vertex-unsafe subqueries) or that were reduced by a cycle pre-pass.
 	prefilter map[string]map[bsp.VertexID]bool
-
-	// joiner carries the shared join-shape cache of the collection phase.
-	joiner *joiner
-
-	// residualTests compiles the residual predicates per table shape.
-	// collectPreds indexes the vertex-safe ones eligible for early
-	// application during collection (§7 pushed selections).
-	residualTests shapeForms
-	collectPreds  []int
 }
 
 // stepInfo is one traversal step resolved against the TAG graph.
@@ -63,9 +54,11 @@ type componentResult struct {
 	run       *componentRun
 	rootAlias string
 	survivors []bsp.VertexID
-	// values[v] is the final table at root vertex v; a nil map means a
-	// single-alias component (rows come from the vertices).
+	// values[v] is the final table at root vertex v, under root's header;
+	// a nil map means a single-alias component (rows come from the
+	// vertices). root is nil if the collection had no survivors.
 	values map[bsp.VertexID]*table
+	root   *collectStep
 }
 
 // runComponent executes TAG-join for one plan component: the optional
@@ -73,16 +66,9 @@ type componentResult struct {
 // then the collection phase.
 func (e *Session) runComponent(c *compiled, comp *plan.Component, outer *sql.Env, subq sql.SubqueryFn) (*componentResult, error) {
 	r := &componentRun{ex: e, c: c, comp: comp, outer: outer, subq: subq,
-		prefilter:     map[string]map[bsp.VertexID]bool{},
-		joiner:        newJoiner(c.classCols),
-		residualTests: shapeForms{preds: c.residual},
+		prefilter: map[string]map[bsp.VertexID]bool{},
 	}
 	defer r.release()
-	for i, pr := range c.residual {
-		if len(pr.cols) > 0 && !pr.hoisted {
-			r.collectPreds = append(r.collectPreds, i)
-		}
-	}
 	if err := r.hoistUnsafeFilters(); err != nil {
 		return nil, err
 	}
@@ -371,9 +357,11 @@ func (e *Session) seedVertices(c *compiled, alias string) []bsp.VertexID {
 //     AttrVertices(table.col), with the value in an otherwise-NULL row.
 //     Running the SQL itself keeps its comparison and coercion rules. A
 //     column cannot enter this way if it has more than limit distinct
-//     values, if the conjuncts hold on NULL (NULL cells have no edge), or
-//     if it is FLOAT or BOOL: their vertices hold the value's Key, not the
-//     cell (FLOAT 2.0 is INT 2, and INT 1 is not TRUE).
+//     values, if the conjuncts hold on NULL (NULL cells have no edge),
+//     if they fail to evaluate on some value (the scan's passes then
+//     reports the error), or if it is FLOAT or BOOL: their vertices hold
+//     the value's Key, not the cell (FLOAT 2.0 is INT 2, and INT 1 is
+//     not TRUE).
 func (e *Session) attrSeeds(c *compiled, alias string, limit int) ([]bsp.VertexID, bool) {
 	g := e.TAG
 	table := c.aliasTable[alias]
@@ -404,17 +392,17 @@ func (e *Session) attrSeeds(c *compiled, alias string, limit int) ([]bsp.VertexI
 	}
 	tests := c.pushed[alias].tests
 	var row relation.Tuple // the dictionary value, otherwise NULL
-	holds := func(ci int) bool {
+	holds := func(ci int) (bool, error) {
 		for i, t := range tests {
 			if cols[i] != ci {
 				continue
 			}
 			// A one-column conjunct reads no outer scope.
 			if v, err := t(row, nil, nil); err != nil || !v.AsBool() {
-				return false
+				return false, err
 			}
 		}
-		return true
+		return true, nil
 	}
 	for i, ci := range cols {
 		if best == 0 || ci < 0 || slices.Index(cols, ci) < i {
@@ -432,14 +420,21 @@ func (e *Session) attrSeeds(c *compiled, alias string, limit int) ([]bsp.VertexI
 		if row == nil {
 			row = make(relation.Tuple, schema.Len())
 		}
-		if holds(ci) {
-			continue // NULL cells have no edge to seed from
+		if ok, err := holds(ci); ok || err != nil {
+			// NULL cells have no edge to seed from; a conjunct that
+			// fails to evaluate is left to the scan, where passes
+			// reports it.
+			continue
 		}
 		var vals []bsp.VertexID
 		n := 0
+		var err error
 		for _, av := range dict {
 			row[ci], _ = g.AttrValue(av)
-			if !holds(ci) {
+			if ok, err = holds(ci); !ok {
+				if err != nil {
+					break
+				}
 				continue
 			}
 			if n += g.G.DegreeWithLabel(av, lbl); n >= best {
@@ -448,7 +443,7 @@ func (e *Session) attrSeeds(c *compiled, alias string, limit int) ([]bsp.VertexI
 			vals = append(vals, av)
 		}
 		row[ci] = relation.Null
-		if n < best {
+		if n < best && err == nil {
 			winVals, winLbl, best = vals, lbl, n
 		}
 	}
@@ -549,51 +544,6 @@ func equalityLiterals(x sql.Expr) (*sql.ColRef, []relation.Value) {
 		return col, vals
 	}
 	return nil, nil
-}
-
-// applyCollectPreds filters a partial table by every residual predicate
-// whose columns just became available (present now, absent before this
-// vertex's join with its own tuple).
-func (r *componentRun) applyCollectPreds(ctx *bsp.Context, t *table, pre map[string]int) *table {
-	var apply []int // indexes into c.residual
-	for _, i := range r.collectPreds {
-		p := r.c.residual[i]
-		complete := true
-		wasComplete := pre != nil
-		for _, col := range p.cols {
-			if _, ok := t.index[col]; !ok {
-				complete = false
-				break
-			}
-			if wasComplete {
-				if _, ok := pre[col]; !ok {
-					wasComplete = false
-				}
-			}
-		}
-		if complete && !wasComplete {
-			apply = append(apply, i)
-		}
-	}
-	if len(apply) == 0 {
-		return t
-	}
-	tests := r.residualTests.of(t)
-	out := newTableShared(t.header, t.index)
-	for _, row := range t.rows {
-		keep := true
-		for _, i := range apply {
-			if v, err := tests[i](row, r.outer, nil); err != nil || !v.AsBool() {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out.rows = append(out.rows, row)
-		}
-	}
-	ctx.AddOps(len(t.rows))
-	return out
 }
 
 // runSingle handles a single-alias component: the zero-step reduction,

@@ -16,7 +16,6 @@ import (
 func (e *Session) runOuterBlock(c *compiled, outer *sql.Env, subq sql.SubqueryFn) (*table, error) {
 	var cur *table
 	r := &componentRun{ex: e, c: c, outer: outer, subq: subq}
-	j := newJoiner(c.classCols)
 	for i, fi := range c.blk.Sel.From {
 		res, err := r.runSingle(c.blk.Tables[i].Alias)
 		if err != nil {
@@ -29,7 +28,7 @@ func (e *Session) runOuterBlock(c *compiled, outer *sql.Env, subq sql.SubqueryFn
 		}
 		switch fi.Join {
 		case sql.JoinComma:
-			cur = j.join(cur, right)
+			cur = joinTables(cur, right, c.classCols)
 		case sql.JoinInner:
 			cur, err = e.tableJoinOn(c, cur, right, fi.On, outer, subq, false, false)
 		case sql.JoinLeft:

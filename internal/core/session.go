@@ -279,7 +279,6 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 			e.Info.Acyclic = false
 		}
 		// One TAG-join run per component, then Cartesian-combine (§6.3/§6.4).
-		j := newJoiner(c.classCols)
 		var singleRes *componentResult
 		for _, comp := range c.qp.Components {
 			e.Info.Cycles += len(comp.Cycles)
@@ -298,7 +297,7 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 				// Cartesian product of components: account the Algorithm B
 				// communication cost (|L|·|R| messages, §6.3).
 				e.eng.AddExternal(int64(len(combined.rows))*int64(len(t.rows)), int64(combined.Size()), 0)
-				combined = j.join(combined, t)
+				combined = joinTables(combined, t, c.classCols)
 			}
 		}
 

@@ -16,7 +16,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/relation"
 )
@@ -68,8 +67,9 @@ func (t *table) clone() *table {
 }
 
 // Size prices the table as a message payload in bytes (the
-// MessageBytes measure). The header/schema is negotiated once per
-// query, so only row payloads count.
+// MessageBytes measure): its row values only, since the plan fixes the
+// header. NetworkBytes does count the header, because appendTable
+// writes it with every record.
 func (t *table) Size() int {
 	n := 8
 	for _, r := range t.rows {
@@ -88,8 +88,8 @@ type classAgreement [][]string
 
 // joinShape is the precomputed plan of joining two table shapes: shared
 // column slot pairs, the t2-only slots, the merged header/index, and the
-// class-agreement slot sets. Shapes recur across every vertex of a
-// superstep, so they are cached by header identity.
+// class-agreement slot sets. The collection phase builds one per UP step
+// from the plan (collectSchedule); a central join builds its own.
 type joinShape struct {
 	// left[i] and right[i] are the slots of the i-th shared column in
 	// t1 and t2.
@@ -100,59 +100,24 @@ type joinShape struct {
 	agreeSets   [][]int
 }
 
-type shapeKey struct {
-	h1, h2 *string
-	l1, l2 int
-}
-
-func keyOf(h1, h2 []string) shapeKey {
-	k := shapeKey{l1: len(h1), l2: len(h2)}
-	if len(h1) > 0 {
-		k.h1 = &h1[0]
-	}
-	if len(h2) > 0 {
-		k.h2 = &h2[0]
-	}
-	return k
-}
-
-// joiner joins tables with shared-column natural-join semantics plus
-// class agreement; it is safe for concurrent use by the vertex workers.
-type joiner struct {
-	classes classAgreement
-
-	mu     sync.Mutex
-	shapes map[shapeKey]*joinShape
-}
-
-func newJoiner(classes classAgreement) *joiner {
-	return &joiner{classes: classes, shapes: make(map[shapeKey]*joinShape)}
-}
-
-func (j *joiner) shape(t1, t2 *table) *joinShape {
-	k := keyOf(t1.header, t2.header)
-	j.mu.Lock()
-	if s, ok := j.shapes[k]; ok {
-		j.mu.Unlock()
-		return s
-	}
-	j.mu.Unlock()
-
+// newJoinShape plans joining a table with header h1 (index idx1) to
+// one with header h2, enforcing the agreement of classes.
+func newJoinShape(h1 []string, idx1 map[string]int, h2 []string, classes classAgreement) *joinShape {
 	s := &joinShape{}
-	for i2, h := range t2.header {
-		if i1, ok := t1.index[h]; ok {
+	for i2, h := range h2 {
+		if i1, ok := idx1[h]; ok {
 			s.left = append(s.left, i1)
 			s.right = append(s.right, i2)
 		} else {
 			s.extra = append(s.extra, i2)
 		}
 	}
-	s.header = append([]string{}, t1.header...)
+	s.header = append([]string{}, h1...)
 	for _, i2 := range s.extra {
-		s.header = append(s.header, t2.header[i2])
+		s.header = append(s.header, h2[i2])
 	}
 	s.index = buildIndex(s.header)
-	for _, members := range j.classes {
+	for _, members := range classes {
 		var slots []int
 		for _, m := range members {
 			if sl, ok := s.index[m]; ok {
@@ -163,19 +128,20 @@ func (j *joiner) shape(t1, t2 *table) *joinShape {
 			s.agreeSets = append(s.agreeSets, slots)
 		}
 	}
-
-	j.mu.Lock()
-	j.shapes[k] = s
-	j.mu.Unlock()
 	return s
 }
 
-// join computes t1 ⋈ t2: rows must agree on shared header columns and on
-// all class member columns present in the merged header. Output rows
-// follow t1's row order, and t2's within one t1 row; they are carved
-// from shared backing arrays rather than allocated one by one.
-func (j *joiner) join(t1, t2 *table) *table {
-	s := j.shape(t1, t2)
+// joinTables joins two tables through a shape built for them alone.
+func joinTables(t1, t2 *table, classes classAgreement) *table {
+	return newJoinShape(t1.header, t1.index, t2.header, classes).join(t1, t2)
+}
+
+// join computes t1 ⋈ t2, whose headers are the ones s was built for:
+// rows must agree on shared header columns and on all class member
+// columns present in the merged header. Output rows follow t1's row
+// order, and t2's within one t1 row; they are carved from shared
+// backing arrays rather than allocated one by one.
+func (s *joinShape) join(t1, t2 *table) *table {
 	out := newTableShared(s.header, s.index)
 	rows := rowArena{width: len(s.header)}
 	switch {

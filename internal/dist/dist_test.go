@@ -17,7 +17,7 @@ import (
 )
 
 const (
-	testScale = 0.01
+	testScale = 0.05
 	testSeed  = 1
 )
 
