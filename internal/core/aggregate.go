@@ -254,7 +254,7 @@ type survivorFolder struct {
 	res             *componentResult
 	w               []foldScratch
 	header          []string
-	residual, forms []sql.Compiled // c.residual and aggSetup.perRow
+	residual, forms []sql.Compiled // the residuals left to apply, and aggSetup.perRow
 }
 
 // foldScratch is one worker's survivorFolder state.
@@ -280,14 +280,17 @@ type foldScratch struct {
 func (e *Session) newSurvivorFolder(c *compiled, res *componentResult, setup *aggSetup, outer *sql.Env) *survivorFolder {
 	f := &survivorFolder{c: c, res: res, w: make([]foldScratch, e.eng.Workers())}
 	var b sql.Binding
+	var residual []*predicate
 	switch {
 	case res.values == nil:
 		f.header, b = c.ownHeader[res.rootAlias], c.pushed[res.rootAlias].bind(c.blk.Tables[0])
+		residual = c.residual
 	case res.root != nil:
 		f.header, b = res.root.header, sql.Binding(res.root.index)
+		residual = res.root.rest // the collection applied the others
 	}
 	if b != nil {
-		f.residual, f.forms = compileTests(c.residual, b), sql.CompileAll(setup.perRow, b)
+		f.residual, f.forms = compileTests(residual, b), sql.CompileAll(setup.perRow, b)
 	}
 	for i := range f.w {
 		f.w[i].obs = newGroupObserver(c, setup, outer, nil)

@@ -42,6 +42,7 @@ const (
 	ctRootVal
 	ctRelayMark
 	_ // retired: a bare relation.Value
+	ctValueTuples
 )
 
 // Append implements bsp.PayloadCodec.
@@ -63,6 +64,9 @@ func (c sessionCodec) Append(dst []byte, pay any) ([]byte, error) {
 	case relayMark:
 		dst = codec.AppendString(append(dst, ctRelayMark), m.alias)
 		return binary.AppendUvarint(dst, uint64(m.v)), nil
+	case *valueTuples:
+		dst = binary.AppendUvarint(append(dst, ctValueTuples), uint64(m.width))
+		return appendValues(dst, m.vals)
 	default:
 		return c.basic.Append(append(dst, ctBasic), pay)
 	}
@@ -105,7 +109,7 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 		// Rebuilt through add, so a batch repeating a value decodes to
 		// the batch the combiner would have built, and the set is sized
 		// by the distinct values rather than by a count off the wire.
-		b := &valueBatch{vals: vals[:0], seen: map[relation.Value]struct{}{}}
+		b := &valueBatch{vals: vals[:0]}
 		for _, v := range vals {
 			b.add(v)
 		}
@@ -140,6 +144,25 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 			return nil, err
 		}
 		return relayMark{alias: alias, v: bsp.VertexID(v)}, nil
+	case ctValueTuples:
+		w, err := d.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		vals, err := decodeValues(d)
+		if err != nil {
+			return nil, err
+		}
+		if w < 2 || w > uint64(len(vals)) || uint64(len(vals))%w != 0 {
+			return nil, fmt.Errorf("core: %d carried values do not make tuples of %d", len(vals), w)
+		}
+		// Rebuilt through insert, so repeated tuples decode to the set
+		// the attribute vertex would have built.
+		t := &valueTuples{width: int(w), vals: vals[:0]}
+		for i := 0; i < len(vals); i += int(w) {
+			t.insert(vals[i : i+int(w)])
+		}
+		return t, nil
 	default:
 		return nil, fmt.Errorf("core: unknown payload tag %#x", tag)
 	}

@@ -40,12 +40,15 @@ type collectStep struct {
 	index  map[string]int
 	join   *joinShape
 	preds  []sql.Compiled
+	// rest, on the root's step, lists the residuals no step applied.
+	rest []*predicate
 }
 
 // collectSchedule compiles the collection's steps: superstep s
 // addresses the start leaf (s = 0) or the To node of UP step s-1. A
 // vertex-safe residual applies at the first step whose header holds
-// all its columns; prune reports whether the block has any.
+// all its columns; prune reports whether the block has any. The root's
+// step keeps the residuals none applied.
 func (r *componentRun) collectSchedule() (sched []collectStep, prune bool) {
 	pl, c := r.comp.TAGPlan, r.c
 	sched = make([]collectStep, r.nUp+1)
@@ -74,6 +77,12 @@ func (r *componentRun) collectSchedule() (sched []collectStep, prune bool) {
 			}
 		}
 		prev = cs.index
+	}
+	root := &sched[r.nUp]
+	for _, p := range c.residual {
+		if len(p.cols) == 0 || p.hoisted || !holdsAll(root.index, p.cols) {
+			root.rest = append(root.rest, p)
+		}
 	}
 	return sched, prune
 }
@@ -194,7 +203,9 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 	// Pushed selections (§7): apply residual predicates at the earliest
 	// round where the partial table contains their columns — i.e. they
 	// just became complete at this vertex.
-	if value = cs.filter(ctx, value, r.outer); p.prune && len(value.rows) == 0 {
+	value = cs.filter(ctx, value, r.outer)
+	empty := len(value.rows) == 0
+	if p.prune && empty {
 		return
 	}
 
@@ -203,13 +214,20 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 		// rides the emit stream instead of being written into a shared
 		// table directly so that, under a distributed transport, every process
 		// reconstructs the full survivor set from the emit allgather.
+		if empty {
+			r.ex.emptyTables.Add(1)
+		}
 		ctx.Emit(rootVal{v: v, t: value})
 		return
 	}
 
 	// Forward along the current step's marked edges (lines 37-40), in
 	// ascending id order.
-	for _, t := range r.marks.edgeIDs(v, r.steps[step].edgeID) {
+	to := r.marks.edgeIDs(v, r.steps[step].edgeID)
+	if empty {
+		r.ex.emptyTables.Add(int64(len(to)))
+	}
+	for _, t := range to {
 		ctx.Send(v, t, value)
 	}
 }

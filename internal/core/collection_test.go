@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/relation"
+	"repro/internal/sql"
 	"repro/internal/tag"
 	"repro/internal/tpch"
 )
@@ -99,5 +100,53 @@ func TestCollectStepAdoptsDecodedHeader(t *testing.T) {
 		if _, err := cs.adopt(src); err == nil {
 			t.Errorf("header %q adopted under %q", src.header, header)
 		}
+	}
+}
+
+// TestRootKeepsOnlyUnappliedResiduals checks that the collection
+// root's step lists only the residuals no collection step applied, so
+// the survivor fold does not evaluate the others on every root row
+// again: a residual over two aliases is applied where both meet, a
+// constant one is not.
+func TestRootKeepsOnlyUnappliedResiduals(t *testing.T) {
+	cat := tpch.Generate(0.01, 2021)
+	g, err := tag.Build(cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := "SELECT COUNT(*) FROM nation, region WHERE n_regionkey = r_regionkey AND n_name > r_name AND 2 > 1"
+	want, err := baseline.New(cat).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ec := range engineConfigs {
+		t.Run(ec.name, func(t *testing.T) {
+			ex := NewSession(g, ec.opts)
+			got, err := ex.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.EqualMultiset(got, want) {
+				t.Errorf("rows %v, baseline's %v", got.Tuples, want.Tuples)
+			}
+			an, err := sql.AnalyzeString(cat, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := ex.compileBlock(an, an.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ex.runComponent(c, c.qp.Components[0], nil, ex.subqueryFn(an))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.residual) != 2 || res.root == nil {
+				t.Fatalf("%d residuals, root step %v", len(c.residual), res.root)
+			}
+			if len(res.root.rest) != 1 || len(res.root.rest[0].cols) != 0 {
+				t.Errorf("the root keeps %d residuals, want only the constant one", len(res.root.rest))
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bsp"
 	"repro/internal/relation"
 )
@@ -56,18 +58,65 @@ func combineGroups(a, b *partialGroups) *partialGroups {
 // order. Receivers dedup per value anyway (the per-vertex fwd/seen
 // sets), so dropping within-superstep duplicates early changes nothing
 // they observe — it is the §6 value propagation's natural MIN-style
-// fold.
+// fold. The reduction forwards one as the set of one carried class's
+// values, holding their keys (a carriedSet).
+//
+// A batch finds a value by comparing until it holds more than
+// linearKeys values, and in seen from then on. Only add writes, so a
+// built batch can go to many receivers.
 type valueBatch struct {
 	vals []relation.Value
 	seen map[relation.Value]struct{}
 }
 
 func (b *valueBatch) add(val relation.Value) {
-	if _, ok := b.seen[val]; !ok {
+	if b.contains(val) {
+		return
+	}
+	b.vals = append(b.vals, val)
+	if b.seen != nil {
 		b.seen[val] = struct{}{}
-		b.vals = append(b.vals, val)
+	} else if len(b.vals) > linearKeys {
+		b.seen = make(map[relation.Value]struct{}, 2*len(b.vals))
+		for _, v := range b.vals {
+			b.seen[v] = struct{}{}
+		}
 	}
 }
+
+// contains reports whether val is in the batch.
+func (b *valueBatch) contains(val relation.Value) bool {
+	if b.seen != nil {
+		_, ok := b.seen[val]
+		return ok
+	}
+	return slices.Contains(b.vals, val)
+}
+
+// Size prices the batch in bytes (the MessageBytes measure).
+func (b *valueBatch) Size() int {
+	n := 8
+	for _, v := range b.vals {
+		n += v.Size()
+	}
+	return n
+}
+
+// insertAt adds the key of vals[pos[0]] unless it is NULL.
+func (b *valueBatch) insertAt(vals []relation.Value, pos []int) {
+	if pos[0] < len(vals) && !vals[pos[0]].IsNull() {
+		b.add(keyValue(vals[pos[0]]))
+	}
+}
+
+// has reports whether the key of row[slots[0]] is in a batch of keys.
+// NULL is in none.
+func (b *valueBatch) has(row []relation.Value, slots []int) bool {
+	v := row[slots[0]]
+	return !v.IsNull() && b.contains(keyValue(v))
+}
+
+func (b *valueBatch) empty() bool { return len(b.vals) == 0 }
 
 // valueCombiner folds cycleMsg payloads into one valueBatch per
 // destination.
@@ -77,10 +126,7 @@ type valueCombiner struct{}
 func (valueCombiner) Fold(acc, payload any) any {
 	val := payload.(cycleMsg).val
 	if acc == nil {
-		return &valueBatch{
-			vals: append(make([]relation.Value, 0, 4), val),
-			seen: map[relation.Value]struct{}{val: {}},
-		}
+		return &valueBatch{vals: append(make([]relation.Value, 0, 4), val)}
 	}
 	b := acc.(*valueBatch)
 	b.add(val)

@@ -47,6 +47,18 @@ type stepInfo struct {
 	// the opposite crossing of its plan edge left: every DOWN step, and
 	// an UP step crossing an edge an earlier UP step crossed.
 	viaMarks bool
+	// The semijoin on carried classes (resolveCarried). carry lists the
+	// sender's schema slots whose values a step into an attribute node
+	// carries (nil: bare signals). On a step out of one, setPos picks
+	// the set's values out of those kept with the vertex's marks on plan
+	// edge setEdge; then either the receiving tuples check their own
+	// values at check (a first crossing), or the attribute vertex checks
+	// each marked sender's kept values at markPos (a crossing along
+	// marks).
+	carry           []int
+	setEdge         int
+	setPos, markPos []int
+	check           []int
 }
 
 // componentResult is the distributed output of one component run.
@@ -157,6 +169,7 @@ func (r *componentRun) resolveSteps() error {
 		info.viaMarks = i >= r.nUp || slices.ContainsFunc(r.steps, func(prev stepInfo) bool { return prev.edgeID == info.edgeID })
 		r.steps = append(r.steps, info)
 	}
+	r.resolveCarried()
 	return nil
 }
 

@@ -24,13 +24,36 @@ func samplePayloads() []any {
 	count := sql.NewAggregator(&sql.FuncCall{Name: "COUNT", Star: true})
 	count.Observe(relation.Int(1))
 	grp := &groupAcc{key: row[:2], rep: row, aggs: []*sql.Aggregator{sum, count}}
-	vb := &valueBatch{seen: map[relation.Value]struct{}{}}
+	vb := &valueBatch{}
 	vb.add(relation.Int(1))
 	vb.add(relation.Str("two"))
+	// The reduction's carried values: one class's value as a cycleMsg,
+	// two classes' values (a k = 3 edge) as one tuple, and the sets an
+	// attribute vertex forwards, of one class's keys and of two classes'
+	// values, past the linear scan.
+	keys := &valueBatch{}
+	for i := range 10 {
+		keys.add(relation.Int(int64(i * i)))
+	}
+	keys.add(relation.Str("supplier#7"))
+	one := &valueTuples{width: 2}
+	one.insert([]relation.Value{relation.Int(7), relation.Str("s#7")})
+	set := &valueTuples{width: 2}
+	for i := range 10 {
+		set.insert([]relation.Value{relation.Int(int64(i)), relation.Float(float64(i) + 0.5)})
+	}
+	set.insert([]relation.Value{relation.Null, relation.Str("")})
 	return []any{
 		nil, true, 42, int64(-5), "basic", bsp.VertexID(9), []bsp.VertexID{1, 2, 3},
 		cycleMsg{val: relation.Date(19000)},
+		cycleMsg{val: relation.Null},
+		cycleMsg{val: relation.Int(-42)},
+		cycleMsg{val: relation.Float(2.5)},
+		cycleMsg{val: relation.Str("supplier#7")},
 		vb,
+		keys,
+		one,
+		set,
 		tbl,
 		&tableBatch{t: tbl, owned: true},
 		&partialGroups{header: tbl.header, groups: []*groupAcc{grp}, logical: 3},
@@ -66,6 +89,8 @@ func FuzzSessionCodec(f *testing.F) {
 		return append(b, suffix...)
 	}
 	f.Add(many([]byte{ctValueBatch}, n, []byte{byte(relation.KindNull)}, nil))
+	f.Add(many([]byte{ctValueTuples, 2}, n, []byte{byte(relation.KindNull)}, nil))
+	f.Add(many([]byte{ctValueTuples, 3}, n, []byte{byte(relation.KindNull)}, nil))
 	f.Add(many([]byte{ctTable}, n, []byte{0}, []byte{0}))
 	f.Add(many([]byte{ctTable, 0}, n, nil, bytes.Repeat([]byte{0}, n)))
 	f.Add(many([]byte{ctTable, 1, 0}, n, []byte{byte(relation.KindNull)}, nil))

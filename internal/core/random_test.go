@@ -418,14 +418,19 @@ func bushyCatalog(rng *rand.Rand) *relation.Catalog {
 
 // bushyQuery builds a star or snowflake of 4-5 aliases over
 // bushyCatalog: r0 is the hub, every other alias joins r0 or, in a
-// snowflake, an earlier spoke. Every spoke may carry a selection that
-// can enter at its attribute vertices (an equality, an IN list or a
-// one-column range), so the walk can start at any leaf and re-enters a
-// node from several filtered subtrees.
+// snowflake, an earlier spoke. A spoke may join its parent on a second
+// column pair, so its tree edge shares two classes. Every spoke may
+// carry a selection that can enter at its attribute vertices (an
+// equality, an IN list or a one-column range), so the walk can start at
+// any leaf and re-enters a node from several filtered subtrees.
 func bushyQuery(rng *rand.Rand) string {
 	n := 4 + rng.Intn(2)
 	cols := []string{"a", "b", "c"}
 	col := func(i int) string { return fmt.Sprintf("r%d.%s", i, cols[rng.Intn(3)]) }
+	other := func(c string) string { // another column of the same alias
+		i := strings.LastIndexByte(c, '.') + 1
+		return c[:i] + cols[(strings.Index("abc", c[i:])+1+rng.Intn(2))%3]
+	}
 	var from, conjs []string
 	for i := 0; i < n; i++ {
 		from = append(from, fmt.Sprintf("b%d r%d", rng.Intn(5), i))
@@ -436,7 +441,11 @@ func bushyQuery(rng *rand.Rand) string {
 		if i > 1 && rng.Intn(3) == 0 {
 			parent = 1 + rng.Intn(i-1) // snowflake: hang off a spoke
 		}
-		conjs = append(conjs, fmt.Sprintf("%s = %s", col(parent), col(i)))
+		pc, cc := col(parent), col(i)
+		conjs = append(conjs, fmt.Sprintf("%s = %s", pc, cc))
+		if rng.Intn(3) == 0 {
+			conjs = append(conjs, fmt.Sprintf("%s = %s", other(pc), other(cc)))
+		}
 	}
 	for i := 1; i < n; i++ {
 		switch rng.Intn(6) {

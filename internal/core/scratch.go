@@ -1,13 +1,16 @@
 package core
 
-import "repro/internal/bsp"
+import (
+	"repro/internal/bsp"
+	"repro/internal/relation"
+)
 
 // markScratch holds the reduction marks of one component run. slot[v]
 // is v's newest markRun (nil: v has no marks, 8 bytes a vertex); each
 // run lists, ascending and without duplicates, the senders v last heard
-// from on one plan edge, and links to v's run for another edge. Runs
-// and their ids are carved from per-worker arenas, so marking allocates
-// only when an arena grows.
+// from on one plan edge, and links to v's run for another edge. Runs,
+// their ids and their carried values are carved from per-worker arenas,
+// so marking allocates only when an arena grows.
 //
 // A Session keeps released buffers and hands them to later runs, so a
 // run allocates nothing O(|V|): it writes only the slots of the
@@ -21,23 +24,40 @@ type markScratch struct {
 }
 
 // markRun is the set of senders a vertex last heard from on one plan
-// edge.
+// edge. When their messages carried values (stepInfo.carry), vals holds
+// them beside the ids: width values per sender, in the order of ids.
 type markRun struct {
 	edge int
 	ids  []bsp.VertexID
+	vals []relation.Value
 	next *markRun // the vertex's run for another edge
 }
 
-// markArena is one worker's storage for runs and ids: chunks that never
-// move once allocated, so a run or an id slice handed out stays valid
-// (and readable by another worker in a later superstep) while the
-// arena keeps carving. Chunks start small and double; a rewind keeps
-// the first ones for the next run of the Session.
+// carried returns the values sender i of the run carried.
+func (run *markRun) carried(i int) []relation.Value {
+	w := len(run.vals) / len(run.ids)
+	return run.vals[i*w : (i+1)*w]
+}
+
+// markArena is one worker's storage for runs, ids and carried values:
+// chunks that never move once allocated, so a run or a slice handed out
+// stays valid (and readable by another worker in a later superstep)
+// while the arena keeps carving. Chunks start small and double; a
+// rewind keeps the first ones for the next run of the Session. order is
+// the worker's scratch for sorting a carrying inbox by sender.
 type markArena struct {
 	runs   [][]markRun
 	ri, rj int // next run: runs[ri][rj]
-	ids    [][]bsp.VertexID
-	ii, ij int // next id: ids[ii][ij]
+	ids    chunks[bsp.VertexID]
+	vals   chunks[relation.Value]
+	order  []carriedFrom
+}
+
+// carriedFrom is one message of a carrying inbox: its sender and its
+// position.
+type carriedFrom struct {
+	from bsp.VertexID
+	at   int
 }
 
 const (
@@ -65,30 +85,8 @@ func (a *markArena) newRun() *markRun {
 	return run
 }
 
-// take returns room for n ids.
-func (a *markArena) take(n int) []bsp.VertexID {
-	for a.ii < len(a.ids) && len(a.ids[a.ii])-a.ij < n {
-		if a.ij == 0 {
-			// Too small even when empty: replace it with one that fits.
-			a.ids[a.ii] = make([]bsp.VertexID, max(n, 2*len(a.ids[a.ii])))
-			break
-		}
-		a.ii, a.ij = a.ii+1, 0
-	}
-	if a.ii == len(a.ids) {
-		size := firstMarkChunk
-		if a.ii > 0 {
-			size = 2 * len(a.ids[a.ii-1])
-		}
-		a.ids = append(a.ids, make([]bsp.VertexID, max(n, size)))
-	}
-	out := a.ids[a.ii][a.ij : a.ij+n : a.ij+n]
-	a.ij += n
-	return out
-}
-
-// rewind forgets every run and id handed out, dropping the chunks past
-// the kept budget.
+// rewind forgets every run, id and value handed out, dropping the
+// chunks past the kept budget.
 func (a *markArena) rewind() {
 	kept := 0
 	for i := range a.runs {
@@ -100,22 +98,75 @@ func (a *markArena) rewind() {
 			break
 		}
 	}
-	kept = 0
-	for i := range a.ids {
-		if kept += len(a.ids[i]); kept > keptMarkIDs {
-			a.ids = a.ids[:i]
+	a.ri, a.rj = 0, 0
+	a.ids.rewind(keptMarkIDs, false)
+	a.vals.rewind(keptMarkIDs, true)
+}
+
+// chunks is an arena of T: slices carved from chunks that never move.
+type chunks[T any] struct {
+	c    [][]T
+	i, j int // next element: c[i][j]
+}
+
+// take returns room for n elements.
+func (a *chunks[T]) take(n int) []T {
+	for a.i < len(a.c) && len(a.c[a.i])-a.j < n {
+		if a.j == 0 {
+			// Too small even when empty: replace it with one that fits.
+			a.c[a.i] = make([]T, max(n, 2*len(a.c[a.i])))
+			break
+		}
+		a.i, a.j = a.i+1, 0
+	}
+	if a.i == len(a.c) {
+		size := firstMarkChunk
+		if a.i > 0 {
+			size = 2 * len(a.c[a.i-1])
+		}
+		a.c = append(a.c, make([]T, max(n, size)))
+	}
+	out := a.c[a.i][a.j : a.j+n : a.j+n]
+	a.j += n
+	return out
+}
+
+// rewind forgets everything handed out, keeping chunks up to kept
+// elements; zero clears what was handed out first, so the arena holds
+// no pointers into a finished run.
+func (a *chunks[T]) rewind(kept int, zero bool) {
+	if zero {
+		for i := 0; i < a.i && i < len(a.c); i++ {
+			clear(a.c[i])
+		}
+		if a.i < len(a.c) {
+			clear(a.c[a.i][:a.j])
+		}
+	}
+	n := 0
+	for i := range a.c {
+		if n += len(a.c[i]); n > kept {
+			a.c = a.c[:i]
 			break
 		}
 	}
-	a.ri, a.rj, a.ii, a.ij = 0, 0, 0, 0
+	a.i, a.j = 0, 0
+}
+
+// edgeRun returns v's run for a plan edge, or nil.
+func (m *markScratch) edgeRun(v bsp.VertexID, edge int) *markRun {
+	for run := m.slot[v]; run != nil; run = run.next {
+		if run.edge == edge {
+			return run
+		}
+	}
+	return nil
 }
 
 // edgeIDs returns the senders v last heard from on a plan edge.
 func (m *markScratch) edgeIDs(v bsp.VertexID, edge int) []bsp.VertexID {
-	for run := m.slot[v]; run != nil; run = run.next {
-		if run.edge == edge {
-			return run.ids
-		}
+	if run := m.edgeRun(v, edge); run != nil {
+		return run.ids
 	}
 	return nil
 }

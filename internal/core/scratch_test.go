@@ -83,13 +83,20 @@ func assertMarksReleased(t *testing.T, e *Session) {
 			}
 		}
 		for w, a := range m.arenas {
-			if a.ri != 0 || a.rj != 0 || a.ii != 0 || a.ij != 0 {
+			if a.ri != 0 || a.rj != 0 || a.ids.i != 0 || a.ids.j != 0 || a.vals.i != 0 || a.vals.j != 0 {
 				t.Fatalf("worker %d's mark arena is not rewound", w)
+			}
+			for _, chunk := range a.vals.c {
+				for _, v := range chunk {
+					if v != (relation.Value{}) {
+						t.Fatalf("worker %d's rewound arena still holds a carried value", w)
+					}
+				}
 			}
 			runs := 0
 			for _, chunk := range a.runs {
 				for i := range chunk {
-					if chunk[i].ids != nil || chunk[i].next != nil {
+					if chunk[i].ids != nil || chunk[i].vals != nil || chunk[i].next != nil {
 						t.Fatalf("worker %d's rewound arena still holds a run", w)
 					}
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bsp"
@@ -68,6 +69,10 @@ type Session struct {
 	// set-up O(touched) instead of O(|V|).
 	freeMarks []*markScratch
 	freeMemos []*filterMemo
+
+	// emptyTables counts the zero-row tables the collection sent or
+	// emitted: work a full reduction leaves none of (tests read it).
+	emptyTables atomic.Int64
 }
 
 // NewSession prepares an independent evaluation session over t. The

@@ -11,9 +11,12 @@ import (
 type Tree struct {
 	Root   string
 	Parent map[string]string
-	// EdgeClass is the coordinating class shared with the parent (§4.2
-	// picks one attribute to resolve multi-attribute joins; the remaining
-	// shared classes are enforced during collection joins).
+	// EdgeClass is the class whose attribute node the alias hangs under:
+	// the lowest class it shares with its parent (§4.2 picks one
+	// attribute to coordinate a multi-attribute join). The TAG plan lists
+	// the other classes the alias shares with the relation above that
+	// attribute node (Node.Carried), and the reduction semijoins on all
+	// of them.
 	EdgeClass map[string]int
 	// Order lists aliases root-first in BFS order (deterministic).
 	Order []string

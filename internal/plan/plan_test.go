@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -346,5 +347,81 @@ func TestStartAtSmallestLeaf(t *testing.T) {
 		if p.Steps[len(p.Steps)-1].To != p.Root {
 			t.Errorf("%s: traversal must end at the root\n%s", tc.name, p)
 		}
+	}
+}
+
+// carriedOf returns the Carried classes of alias's relation node.
+func carriedOf(p *TAGPlan, alias string) []int {
+	for _, n := range p.Nodes {
+		if n.Kind == RelNode && n.Alias == alias {
+			return n.Carried
+		}
+	}
+	return nil
+}
+
+// TestPlanEdgesCarryEverySharedClass builds TPC-H q9's join graph:
+// lineitem and partsupp share partkey and suppkey, every other edge one
+// class. partsupp hangs under the partkey node, the lowest class it
+// shares with lineitem, and carries suppkey; no other node carries
+// anything.
+func TestPlanEdgesCarryEverySharedClass(t *testing.T) {
+	preds := []EquiPred{
+		pred("supplier", "s_suppkey", "lineitem", "l_suppkey"),
+		pred("partsupp", "ps_suppkey", "lineitem", "l_suppkey"),
+		pred("partsupp", "ps_partkey", "lineitem", "l_partkey"),
+		pred("part", "p_partkey", "lineitem", "l_partkey"),
+		pred("orders", "o_orderkey", "lineitem", "l_orderkey"),
+		pred("supplier", "s_nationkey", "nation", "n_nationkey"),
+	}
+	qp, err := Build([]string{"part", "supplier", "lineitem", "partsupp", "orders", "nation"}, preds, Options{
+		Cardinality: map[string]int{"lineitem": 6000, "orders": 1500, "partsupp": 800, "part": 200, "supplier": 10, "nation": 25},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, cl := qp.Components[0], qp.Classes
+	partkey, suppkey := cl.Of[NewColRef("lineitem", "l_partkey")], cl.Of[NewColRef("lineitem", "l_suppkey")]
+	if comp.Tree.Parent["partsupp"] != "lineitem" || comp.Tree.EdgeClass["partsupp"] != min(partkey, suppkey) {
+		t.Fatalf("partsupp: parent %q, edge class %d", comp.Tree.Parent["partsupp"], comp.Tree.EdgeClass["partsupp"])
+	}
+	for _, n := range comp.TAGPlan.Nodes {
+		want := []int(nil)
+		if n.Kind == RelNode && n.Alias == "partsupp" {
+			want = []int{max(partkey, suppkey)}
+		}
+		if !slices.Equal(n.Carried, want) {
+			t.Errorf("node %d (%s) carries %v, want %v", n.ID, n.Alias, n.Carried, want)
+		}
+	}
+}
+
+// TestCarriedClassesAfterCycleBreaking: a triangle r-s-t whose r-s
+// side is two predicates. Breaking the cycle at t-r leaves r under s,
+// sharing two classes; the carried one is named in the full numbering.
+func TestCarriedClassesAfterCycleBreaking(t *testing.T) {
+	preds := []EquiPred{
+		pred("r", "a", "s", "a"),
+		pred("r", "b", "s", "b"),
+		pred("s", "c", "t", "c"),
+		pred("t", "d", "r", "d"),
+	}
+	qp, err := Build([]string{"r", "s", "t"}, preds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := qp.Components[0]
+	if len(comp.Broken) != 1 || comp.Broken[0] != pred("t", "d", "r", "d") {
+		t.Fatalf("broken = %v, want [t.d = r.d]", comp.Broken)
+	}
+	a, b := qp.Classes.Of[NewColRef("r", "a")], qp.Classes.Of[NewColRef("r", "b")]
+	if comp.Tree.Parent["r"] != "s" || comp.Tree.EdgeClass["r"] != a {
+		t.Fatalf("r: parent %q, edge class %d; want s, %d", comp.Tree.Parent["r"], comp.Tree.EdgeClass["r"], a)
+	}
+	if got := carriedOf(comp.TAGPlan, "r"); !slices.Equal(got, []int{b}) {
+		t.Errorf("r carries %v, want [%d]", got, b)
+	}
+	if got := carriedOf(comp.TAGPlan, "t"); got != nil {
+		t.Errorf("t carries %v, want nothing", got)
 	}
 }

@@ -24,6 +24,13 @@ type Node struct {
 	Class    int    // AttrNode only
 	Parent   int    // -1 at root
 	Children []int
+	// Carried lists, ascending, every class other than its attribute
+	// node's that a non-root relation node's alias shares with the
+	// relation above that attribute node (RelNode only; nil when they
+	// share one class). Reduction messages between the two carry the
+	// sender's values of these classes, so each crossing is a semijoin
+	// on every class the two share.
+	Carried []int
 }
 
 // Step is one traversal step of the vertex program: the edge between
@@ -75,6 +82,12 @@ func BuildTAGPlan(t *Tree, classes *Classes, card func(string) int) *TAGPlan {
 			attrNode[cls] = an
 		}
 		relNode[alias] = addNode(Node{Kind: RelNode, Alias: alias, Parent: an, Class: -1})
+		n, above := &p.Nodes[relNode[alias]], classes.ClassesOf(p.Nodes[p.Nodes[an].Parent].Alias)
+		for _, c := range classes.ClassesOf(alias) {
+			if c != cls && slices.Contains(above, c) {
+				n.Carried = append(n.Carried, c)
+			}
+		}
 	}
 
 	p.startAtSmallestLeaf(card)
