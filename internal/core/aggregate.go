@@ -31,9 +31,11 @@ func (g *groupAcc) size() int {
 // pre-aggregated groups (the eager aggregation of §7). It is also the
 // accumulator every merge of groups folds into (fold): index finds
 // groups by key, and logical preserves the pre-combine group count of a
-// combined message for the receiver's ComputeOps accounting.
+// combined message for the receiver's ComputeOps accounting. It carries
+// no header: the plan fixes the one its representatives were built
+// under (survivorFolder.header), and a QueryState's are under the
+// block's canonical one (compiled.canonicalHeader).
 type partialGroups struct {
-	header  []string
 	groups  []*groupAcc
 	index   keyIndex
 	logical int
@@ -45,9 +47,6 @@ type partialGroups struct {
 // the same bits whether they fold at the shard merge, at a relay, at the
 // receiving vertex or into a cached incremental state.
 func (p *partialGroups) fold(b *partialGroups) {
-	if p.header == nil {
-		p.header = b.header
-	}
 	keyAt := func(i int) []relation.Value { return p.groups[i].key }
 	for _, g := range b.groups {
 		if i := p.index.find(len(p.groups), keyAt, g.key); i >= 0 {
@@ -71,7 +70,8 @@ func (p *partialGroups) logicalGroups() int {
 }
 
 // Size prices the partials as a message payload in bytes (the
-// MessageBytes measure).
+// MessageBytes measure): the groups' keys and accumulators, as the wire
+// carries no header either.
 func (p *partialGroups) Size() int {
 	n := 16
 	for _, g := range p.groups {
@@ -159,17 +159,14 @@ func newGroupObserver(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.Sub
 
 // observe folds rows into pg's groups, evaluating forms, the block's
 // per-row expressions (aggSetup.perRow) compiled against the rows, and
-// keeping each new group's row as its representative under header; new
-// keys start groups in first-seen order. firsts, when not nil, holds each
+// keeping each new group's row as its representative; new keys start
+// groups in first-seen order. firsts, when not nil, holds each
 // row's first GROUP BY key, already evaluated. It returns how many of
 // pg's groups the rows touched and the size of a partialGroups holding
 // only those groups: exactly the group count and payload size of the
 // partial the rows' sender would have built on its own, whatever pg
 // already held.
-func (o *groupObserver) observe(pg *partialGroups, header []string, forms []sql.Compiled, rows [][]relation.Value, firsts []relation.Value) (touched, size int, err error) {
-	if pg.header == nil {
-		pg.header = header
-	}
+func (o *groupObserver) observe(pg *partialGroups, forms []sql.Compiled, rows [][]relation.Value, firsts []relation.Value) (touched, size int, err error) {
 	before := pg.logicalGroups()
 	o.stamp++
 	keys, args := forms[:len(o.key)], forms[len(o.key):]
@@ -336,7 +333,7 @@ func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.Verte
 		}
 		var size int
 		n := len(pg.groups)
-		touched, size, err = ws.obs.observe(pg, f.header, f.forms, rows, firsts)
+		touched, size, err = ws.obs.observe(pg, f.forms, rows, firsts)
 		if f.res.values == nil && len(pg.groups) > n {
 			// A seed's new group keeps the alias's own row, not the tuple's.
 			pg.groups[n].rep = f.res.run.appendOwnRow(make([]relation.Value, 0, len(f.header)), f.res.rootAlias, v)
@@ -469,7 +466,7 @@ func (e *Session) finalizeGroups(c *compiled, res *componentResult, targetOf fun
 		case last:
 			// The targets merge the partials of their groups. The merged
 			// groups ride the emit stream, so every process — not just the
-			// target's owner — can project them with the source header.
+			// target's owner — can project them with the folder's header.
 			if out := mergeInbox(ctx, inbox); len(out.groups) > 0 {
 				ctx.Emit(out)
 			}
@@ -483,19 +480,17 @@ func (e *Session) finalizeGroups(c *compiled, res *componentResult, targetOf fun
 	if err := e.runProg(bsp.WithCombiner(prog, pgCombiner{}), res.survivors); err != nil {
 		return nil, err
 	}
-	return e.projectEmitted(c, setup, outer, subq)
+	return e.projectEmitted(c, setup, f.header, outer, subq)
 }
 
-// projectEmitted projects the merged groups finalizeGroups emitted —
-// first snapshotting them when incremental maintenance armed a capture,
-// so only this path yields foldable state.
-func (e *Session) projectEmitted(c *compiled, setup *aggSetup, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
+// projectEmitted projects the merged groups finalizeGroups emitted,
+// whose representatives are rows under header — first snapshotting
+// them when incremental maintenance armed a capture, so only this path
+// yields foldable state.
+func (e *Session) projectEmitted(c *compiled, setup *aggSetup, header []string, outer *sql.Env, subq sql.SubqueryFn) (*relation.Relation, error) {
 	var groups []*groupAcc
-	var header []string
 	for _, em := range e.eng.Emitted() {
-		pg := em.(*partialGroups)
-		header = pg.header
-		groups = append(groups, pg.groups...)
+		groups = append(groups, em.(*partialGroups).groups...)
 	}
 	if e.capture != nil && !e.capture.done {
 		e.capture.record(c, groups, header)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/bsp"
 	"repro/internal/codec"
@@ -62,7 +63,7 @@ func (c sessionCodec) Append(dst []byte, pay any) ([]byte, error) {
 		dst = binary.AppendUvarint(append(dst, ctRootVal), uint64(m.v))
 		return appendTable(dst, m.t)
 	case relayMark:
-		dst = codec.AppendString(append(dst, ctRelayMark), m.alias)
+		dst = binary.AppendUvarint(append(dst, ctRelayMark), uint64(m.hop))
 		return binary.AppendUvarint(dst, uint64(m.v)), nil
 	case *valueTuples:
 		dst = binary.AppendUvarint(append(dst, ctValueTuples), uint64(m.width))
@@ -135,7 +136,7 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 		}
 		return rootVal{v: bsp.VertexID(v), t: t}, nil
 	case ctRelayMark:
-		alias, err := d.Str()
+		hop, err := d.Uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +144,10 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return relayMark{alias: alias, v: bsp.VertexID(v)}, nil
+		if hop > math.MaxInt32 {
+			return nil, fmt.Errorf("core: relay mark hop %d", hop)
+		}
+		return relayMark{hop: int(hop), v: bsp.VertexID(v)}, nil
 	case ctValueTuples:
 		w, err := d.Uvarint()
 		if err != nil {
@@ -197,40 +201,22 @@ func decodeValues(d *codec.Decoder) ([]relation.Value, error) {
 	return vals, nil
 }
 
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = codec.AppendString(b, s)
-	}
-	return b
-}
-
-func decodeStrings(d *codec.Decoder) ([]string, error) {
-	n, err := d.Length()
-	if err != nil {
-		return nil, err
-	}
-	ss := make([]string, 0, codec.CapHint(n))
-	for i := 0; i < n; i++ {
-		s, err := d.Str()
-		if err != nil {
-			return nil, err
-		}
-		ss = append(ss, s)
-	}
-	return ss, nil
-}
-
-// appendTable encodes header and rows; the index is rebuilt on decode.
-// Every row of a plane-crossing table has header arity (they are built
-// against the header by construction), so rows encode values only.
+// appendTable encodes a table's rows: their count and, if there are
+// any, their width and their values row by row. The header is not
+// written: every node compiles the same plan from the same SQL and
+// catalog, so the receiving collection step supplies it
+// (collectStep.adopt).
 func appendTable(b []byte, t *table) ([]byte, error) {
-	b = appendStrings(b, t.header)
 	b = binary.AppendUvarint(b, uint64(len(t.rows)))
+	if len(t.rows) == 0 {
+		return b, nil
+	}
+	w := len(t.rows[0])
+	b = binary.AppendUvarint(b, uint64(w))
 	var err error
 	for _, row := range t.rows {
-		if len(row) != len(t.header) {
-			return nil, fmt.Errorf("core: table row arity %d != header arity %d", len(row), len(t.header))
+		if len(row) != w {
+			return nil, fmt.Errorf("core: table row width %d != %d", len(row), w)
 		}
 		for _, v := range row {
 			if b, err = relation.AppendValue(b, v); err != nil {
@@ -241,23 +227,28 @@ func appendTable(b []byte, t *table) ([]byte, error) {
 	return b, nil
 }
 
+// decodeTable decodes a table without a header: its rows are adopted
+// under a collection step's.
 func decodeTable(d *codec.Decoder) (*table, error) {
-	header, err := decodeStrings(d)
-	if err != nil {
-		return nil, err
-	}
 	nrows, err := d.Length()
 	if err != nil {
 		return nil, err
 	}
-	// Every value takes at least one byte, so a table the bytes left
-	// cannot back is refused before its rows are sized; the rows are
-	// then carved from one backing array.
-	w := len(header)
-	if w > 0 && nrows > d.Remaining()/w {
+	t := &table{}
+	if nrows == 0 {
+		return t, nil
+	}
+	w, err := d.Length()
+	if err != nil {
+		return nil, err
+	}
+	// Every value takes at least one byte, so rows the bytes left cannot
+	// back are refused before they are sized; the rows are then carved
+	// from one backing array. A collection row holds at least its id
+	// column.
+	if w == 0 || nrows > d.Remaining()/w {
 		return nil, codec.ErrCorrupt
 	}
-	t := newTable(header)
 	vals := make([]relation.Value, nrows*w)
 	t.rows = make([][]relation.Value, nrows)
 	for i := range t.rows {
@@ -315,11 +306,11 @@ func decodeGroup(d *codec.Decoder) (*groupAcc, error) {
 	return g, nil
 }
 
-// appendPartialGroups encodes the aggregation fold stream: the shared
-// source header, the logical pre-combine group count, and the groups in
-// first-arrival order (the receiver's group order).
+// appendPartialGroups encodes the aggregation fold stream: the logical
+// pre-combine group count, and the groups in first-arrival order (the
+// receiver's group order). The representatives' header is the plan's
+// (survivorFolder.header), so it is not written.
 func appendPartialGroups(b []byte, pg *partialGroups) ([]byte, error) {
-	b = appendStrings(b, pg.header)
 	b = binary.AppendUvarint(b, uint64(pg.logicalGroups()))
 	b = binary.AppendUvarint(b, uint64(len(pg.groups)))
 	var err error
@@ -332,10 +323,6 @@ func appendPartialGroups(b []byte, pg *partialGroups) ([]byte, error) {
 }
 
 func decodePartialGroups(d *codec.Decoder) (*partialGroups, error) {
-	header, err := decodeStrings(d)
-	if err != nil {
-		return nil, err
-	}
 	logical, err := d.Uvarint()
 	if err != nil {
 		return nil, err
@@ -344,7 +331,7 @@ func decodePartialGroups(d *codec.Decoder) (*partialGroups, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg := &partialGroups{header: header, logical: int(logical),
+	pg := &partialGroups{logical: int(logical),
 		groups: make([]*groupAcc, 0, codec.CapHint(n))}
 	for i := 0; i < n; i++ {
 		g, err := decodeGroup(d)

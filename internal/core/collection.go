@@ -21,10 +21,6 @@ import (
 type collectionProgram struct {
 	r     *componentRun
 	sched []collectStep
-	// prune stops a table the residuals leave empty. It is set when the
-	// block has residuals the collection applies, even if none applies
-	// to this component.
-	prune bool
 	// own[w] is worker w's one-row table for the vertex's own tuple.
 	own []*table
 }
@@ -47,11 +43,10 @@ type collectStep struct {
 // collectSchedule compiles the collection's steps: superstep s
 // addresses the start leaf (s = 0) or the To node of UP step s-1. A
 // vertex-safe residual applies at the first step whose header holds
-// all its columns; prune reports whether the block has any. The root's
-// step keeps the residuals none applied.
-func (r *componentRun) collectSchedule() (sched []collectStep, prune bool) {
+// all its columns. The root's step keeps the residuals none applied.
+func (r *componentRun) collectSchedule() []collectStep {
 	pl, c := r.comp.TAGPlan, r.c
-	sched = make([]collectStep, r.nUp+1)
+	sched := make([]collectStep, r.nUp+1)
 	var prev map[string]int
 	for s := range sched {
 		cs := &sched[s]
@@ -71,7 +66,6 @@ func (r *componentRun) collectSchedule() (sched []collectStep, prune bool) {
 			if len(p.cols) == 0 || p.hoisted {
 				continue
 			}
-			prune = true
 			if holdsAll(cs.index, p.cols) && !holdsAll(prev, p.cols) {
 				cs.preds = append(cs.preds, p.compile(sql.Binding(cs.index)))
 			}
@@ -84,7 +78,24 @@ func (r *componentRun) collectSchedule() (sched []collectStep, prune bool) {
 			root.rest = append(root.rest, p)
 		}
 	}
-	return sched, prune
+	return sched
+}
+
+// unapplied returns the residuals of preds that the collection of res
+// did not apply: all of them if it compiled no schedule, else those
+// its root step keeps. A run with no schedule had no survivors, or no
+// collection at all (a single-alias component).
+func (res *componentResult) unapplied(preds []*predicate) []*predicate {
+	if res.root == nil {
+		return preds
+	}
+	var out []*predicate
+	for _, p := range preds {
+		if slices.Contains(res.root.rest, p) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // holdsAll reports whether index holds every key.
@@ -98,17 +109,20 @@ func holdsAll(index map[string]int, keys []string) bool {
 }
 
 // adopt returns t under the step's shared header and index. A table
-// decoded off the wire carries its own copy of the header, compared
-// here once; one that differs is input from another process that the
-// plan cannot place, so it is refused.
+// decoded off the wire carries no header, only rows, and takes the
+// step's here. Rows of another width are input from another process
+// that the plan cannot place, so they are refused; a combined batch
+// may hold rows from both, so every row is checked.
 func (cs *collectStep) adopt(t *table) (*table, error) {
-	switch {
-	case len(t.header) == len(cs.header) && (len(t.header) == 0 || &t.header[0] == &cs.header[0]):
-		return t, nil
-	case slices.Equal(t.header, cs.header):
-		return &table{header: cs.header, index: cs.index, rows: t.rows}, nil
+	for _, row := range t.rows {
+		if len(row) != len(cs.header) {
+			return nil, fmt.Errorf("core: collection table row of width %d, the plan's header has %d columns", len(row), len(cs.header))
+		}
 	}
-	return nil, fmt.Errorf("core: collection table header %q, the plan's is %q", t.header, cs.header)
+	if t.header != nil {
+		return t, nil
+	}
+	return &table{header: cs.header, index: cs.index, rows: t.rows}, nil
 }
 
 // union returns the union of the tables in an inbox sent along this
@@ -194,6 +208,12 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 			own := r.writeOwnRow(p.own[ctx.Worker()], cs.node.Alias, v)
 			value = cs.join.join(value, own)
 			ctx.AddOps(len(value.rows))
+			if len(value.rows) == 0 {
+				// No row agrees with the own tuple: work a full
+				// reduction leaves none of.
+				r.ex.emptyTables.Add(1)
+				return
+			}
 		}
 	}
 	if value == nil {
@@ -202,10 +222,8 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 
 	// Pushed selections (§7): apply residual predicates at the earliest
 	// round where the partial table contains their columns — i.e. they
-	// just became complete at this vertex.
-	value = cs.filter(ctx, value, r.outer)
-	empty := len(value.rows) == 0
-	if p.prune && empty {
+	// just became complete at this vertex. A table they empty stops.
+	if value = cs.filter(ctx, value, r.outer); len(value.rows) == 0 {
 		return
 	}
 
@@ -214,20 +232,13 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 		// rides the emit stream instead of being written into a shared
 		// table directly so that, under a distributed transport, every process
 		// reconstructs the full survivor set from the emit allgather.
-		if empty {
-			r.ex.emptyTables.Add(1)
-		}
 		ctx.Emit(rootVal{v: v, t: value})
 		return
 	}
 
 	// Forward along the current step's marked edges (lines 37-40), in
 	// ascending id order.
-	to := r.marks.edgeIDs(v, r.steps[step].edgeID)
-	if empty {
-		r.ex.emptyTables.Add(int64(len(to)))
-	}
-	for _, t := range to {
+	for _, t := range r.marks.edgeIDs(v, r.steps[step].edgeID) {
 		ctx.Send(v, t, value)
 	}
 }
@@ -248,7 +259,7 @@ func (r *componentRun) runCollection(starters []bsp.VertexID) (*componentResult,
 		prog.own[w] = &table{rows: make([][]relation.Value, 1)}
 	}
 	if len(starters) > 0 {
-		prog.sched, prog.prune = r.collectSchedule()
+		prog.sched = r.collectSchedule()
 	}
 	if err := r.ex.runProg(prog, starters); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -54,18 +53,21 @@ func TestEvaluationErrorsFailLikeBaseline(t *testing.T) {
 }
 
 // TestCollectStepAdoptsDecodedHeader checks that a collection table
-// decoded off the wire, which carries its own copy of the header, is
-// taken under the step's shared header when the two are equal and
-// refused when they are not.
+// decoded off the wire, which carries rows but no header, is taken
+// under the step's shared header when its rows have the header's width
+// and refused when they are a column short or long.
 func TestCollectStepAdoptsDecodedHeader(t *testing.T) {
 	header := []string{"a.x", "#a", "b.y", "#b"}
 	cs := &collectStep{header: header, index: buildIndex(header)}
-	roundTrip := func(h []string) *table {
+	roundTrip := func(width int) *table {
 		t.Helper()
-		src := newTable(h)
-		src.rows = [][]relation.Value{
-			{relation.Int(1), relation.Int(10), relation.Str("p"), relation.Int(20)},
-			{relation.Int(2), relation.Int(11), relation.Str("q"), relation.Int(21)},
+		src := &table{}
+		for i := range 2 {
+			row := make([]relation.Value, width)
+			for j := range row {
+				row[j] = relation.Int(int64(10*i + j))
+			}
+			src.rows = append(src.rows, row)
 		}
 		enc, err := sessionCodec{}.Append(nil, src)
 		if err != nil {
@@ -78,27 +80,21 @@ func TestCollectStepAdoptsDecodedHeader(t *testing.T) {
 		return pay.(*table)
 	}
 
-	dec := roundTrip(slices.Clone(header))
-	got, err := cs.adopt(dec)
+	got, err := cs.adopt(roundTrip(len(header)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got.header[0] != &header[0] || got.index["b.y"] != 2 || len(got.rows) != 2 || got.rows[1][2] != relation.Str("q") {
+	if &got.header[0] != &header[0] || got.index["b.y"] != 2 || len(got.rows) != 2 || got.rows[1][2] != relation.Int(12) {
 		t.Errorf("adopted table %v %v, want the step's header over the decoded rows", got.header, got.rows)
 	}
 	if again, err := cs.adopt(got); err != nil || again != got {
 		t.Errorf("a table under the step's header was not taken as is: %v", err)
 	}
 
-	// A decoded table whose header orders the columns differently, and
-	// tables one column short or long.
-	for _, src := range []*table{
-		roundTrip([]string{"a.x", "#a", "#b", "b.y"}),
-		newTable([]string{"a.x", "#a", "b.y"}),
-		newTable([]string{"a.x", "#a", "b.y", "#b", "c.z"}),
-	} {
-		if _, err := cs.adopt(src); err == nil {
-			t.Errorf("header %q adopted under %q", src.header, header)
+	// Decoded rows one column short or long.
+	for _, w := range []int{len(header) - 1, len(header) + 1} {
+		if _, err := cs.adopt(roundTrip(w)); err == nil {
+			t.Errorf("rows of width %d adopted under %q", w, header)
 		}
 	}
 }
@@ -146,6 +142,61 @@ func TestRootKeepsOnlyUnappliedResiduals(t *testing.T) {
 			}
 			if len(res.root.rest) != 1 || len(res.root.rest[0].cols) != 0 {
 				t.Errorf("the root keeps %d residuals, want only the constant one", len(res.root.rest))
+			}
+		})
+	}
+}
+
+// TestResidualEvaluatedOnce checks that a non-aggregate block evaluates
+// each residual once. A two-alias join's vertex-safe residual becomes
+// complete at the collection root, which evaluates it on every joined
+// row, an op each; the projection then charges only the rows it kept.
+// Against the join without the residual, the query so costs exactly
+// its own row count more ComputeOps, and a second evaluation on the
+// assembled rows would double that. Residuals that span components
+// stay central and still filter.
+func TestResidualEvaluatedOnce(t *testing.T) {
+	cat := tpch.Generate(0.01, 2021)
+	g, err := tag.Build(cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const join = "SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey"
+	queries := []string{
+		join + " AND n_name > r_name",
+		// Two components, the residual within one and across both.
+		"SELECT n_name, r_name, s_name FROM nation, region, supplier WHERE n_regionkey = r_regionkey AND n_name > r_name AND s_suppkey < 3",
+		"SELECT n_name, r_name, s_name FROM nation, region, supplier WHERE n_regionkey = r_regionkey AND s_name > n_name AND s_suppkey < 5",
+	}
+	for _, ec := range engineConfigs {
+		t.Run(ec.name, func(t *testing.T) {
+			ops := func(q string) (*relation.Relation, int64) {
+				t.Helper()
+				want, err := baseline.New(cat).Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := NewSession(g, ec.opts)
+				got, err := ex.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !relation.EqualMultiset(got, want) {
+					onlyG, onlyW := relation.DiffMultiset(got, want, 4)
+					t.Errorf("%s: %d rows, baseline's %d\nonly TAG: %v\nonly baseline: %v", q, got.Len(), want.Len(), onlyG, onlyW)
+				}
+				return got, ex.Stats().ComputeOps
+			}
+			for _, q := range queries[1:] {
+				ops(q)
+			}
+			filtered, withResidual := ops(queries[0])
+			all, without := ops(join)
+			if len(filtered.Tuples) == 0 || len(filtered.Tuples) == len(all.Tuples) {
+				t.Fatalf("the residual keeps %d of %d rows; the check needs it to filter", len(filtered.Tuples), len(all.Tuples))
+			}
+			if d := withResidual - without; d != int64(len(filtered.Tuples)) {
+				t.Errorf("the residual costs %d ops over %d rows, want one per row", d, len(filtered.Tuples))
 			}
 		})
 	}

@@ -347,7 +347,7 @@ func (p *cycleBackwardProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox [
 	if have == nil {
 		return
 	}
-	landedAlias := p.hops[idx-1].relAlias
+	landed := p.hops[idx-1].relAlias != ""
 	seen := p.seen[v]
 	if seen == nil {
 		seen = map[relation.Value]struct{}{}
@@ -362,8 +362,8 @@ func (p *cycleBackwardProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox [
 				return
 			}
 			seen[val] = struct{}{}
-			if landedAlias != "" {
-				ctx.Emit(relayMark{alias: landedAlias, v: v})
+			if landed {
+				ctx.Emit(relayMark{hop: idx - 1, v: v})
 			}
 			ctx.SendAlong(v, p.hops[idx-1].label, cycleMsg{val: val})
 		})
@@ -380,13 +380,17 @@ func (r *componentRun) cycleBackward(mids []bsp.VertexID, hops []pathHop, fwd []
 	}
 	for _, e := range r.ex.eng.Emitted() {
 		mk := e.(relayMark)
-		survivors[mk.alias][mk.v] = true
+		if mk.hop >= len(hops) || hops[mk.hop].relAlias == "" {
+			return fmt.Errorf("core: relay mark on hop %d, which lands on no tuple", mk.hop)
+		}
+		survivors[hops[mk.hop].relAlias][mk.v] = true
 	}
 	return nil
 }
 
-// relayMark reports a tuple vertex that relayed a surviving cycle value.
+// relayMark reports a tuple vertex that relayed a surviving cycle value:
+// the hop of the path that landed on it, which names its alias.
 type relayMark struct {
-	alias string
-	v     bsp.VertexID
+	hop int
+	v   bsp.VertexID
 }

@@ -56,9 +56,10 @@ func samplePayloads() []any {
 		set,
 		tbl,
 		&tableBatch{t: tbl, owned: true},
-		&partialGroups{header: tbl.header, groups: []*groupAcc{grp}, logical: 3},
+		&partialGroups{groups: []*groupAcc{grp}, logical: 3},
 		rootVal{v: 11, t: tbl},
-		relayMark{alias: "a", v: 12},
+		rootVal{v: 13, t: &table{}},
+		relayMark{hop: 3, v: 12},
 	}
 }
 
@@ -80,8 +81,8 @@ func FuzzSessionCodec(f *testing.F) {
 		f.Add(b)
 	}
 	// Counts the input backs one byte per element: a value batch of
-	// NULLs, a header of empty names, many rows of no columns, and many
-	// one-column rows of NULL.
+	// NULLs, many rows of no columns (refused), and many one-column rows
+	// of NULL.
 	const n = 1 << 14
 	many := func(prefix []byte, count int, elem []byte, suffix []byte) []byte {
 		b := binary.AppendUvarint(append([]byte(nil), prefix...), uint64(count))
@@ -91,9 +92,8 @@ func FuzzSessionCodec(f *testing.F) {
 	f.Add(many([]byte{ctValueBatch}, n, []byte{byte(relation.KindNull)}, nil))
 	f.Add(many([]byte{ctValueTuples, 2}, n, []byte{byte(relation.KindNull)}, nil))
 	f.Add(many([]byte{ctValueTuples, 3}, n, []byte{byte(relation.KindNull)}, nil))
-	f.Add(many([]byte{ctTable}, n, []byte{0}, []byte{0}))
-	f.Add(many([]byte{ctTable, 0}, n, nil, bytes.Repeat([]byte{0}, n)))
-	f.Add(many([]byte{ctTable, 1, 0}, n, []byte{byte(relation.KindNull)}, nil))
+	f.Add(many([]byte{ctTable}, n, []byte{0}, nil))
+	f.Add(many([]byte{ctTable}, n, nil, append([]byte{1}, bytes.Repeat([]byte{byte(relation.KindNull)}, n)...)))
 	// Retired tag bytes name no payload kind: each must fail to decode,
 	// bare or in front of the well-formed body of any live kind.
 	bodies := [][]byte{nil}

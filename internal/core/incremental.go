@@ -81,7 +81,7 @@ func (sc *stateCapture) record(c *compiled, groups []*groupAcc, srcHeader []stri
 	sc.done = true
 	canon := c.canonicalHeader()
 	idx := buildIndex(srcHeader)
-	sc.state = partialGroups{header: canon, groups: make([]*groupAcc, 0, len(groups))}
+	sc.state = partialGroups{groups: make([]*groupAcc, 0, len(groups))}
 	for _, g := range groups {
 		rep := make([]relation.Value, len(canon))
 		for i, col := range canon {
@@ -107,7 +107,7 @@ type QueryState struct {
 
 	agg      bool
 	distinct bool
-	groups   partialGroups // header is the block's canonical header
+	groups   partialGroups // representatives under compiled.canonicalHeader
 	rows     *relation.Relation
 }
 
@@ -309,7 +309,7 @@ func (e *Session) FoldDelta(st *QueryState, epoch uint64) (FoldOutcome, error) {
 	if err != nil {
 		return FoldFallback, err
 	}
-	out, err := projectGroups(c, newAggSetup(blk), st.groups.groups, st.groups.header, nil, nil)
+	out, err := projectGroups(c, newAggSetup(blk), st.groups.groups, c.canonicalHeader(), nil, nil)
 	if err != nil {
 		return FoldFallback, err
 	}

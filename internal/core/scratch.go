@@ -46,11 +46,10 @@ func (run *markRun) carried(i int) []relation.Value {
 // rewind keeps the first ones for the next run of the Session. order is
 // the worker's scratch for sorting a carrying inbox by sender.
 type markArena struct {
-	runs   [][]markRun
-	ri, rj int // next run: runs[ri][rj]
-	ids    chunks[bsp.VertexID]
-	vals   chunks[relation.Value]
-	order  []carriedFrom
+	runs  chunks[markRun]
+	ids   chunks[bsp.VertexID]
+	vals  chunks[relation.Value]
+	order []carriedFrom
 }
 
 // carriedFrom is one message of a carrying inbox: its sender and its
@@ -69,36 +68,13 @@ const (
 )
 
 // newRun returns a zeroed run.
-func (a *markArena) newRun() *markRun {
-	if a.ri < len(a.runs) && a.rj == len(a.runs[a.ri]) {
-		a.ri, a.rj = a.ri+1, 0
-	}
-	if a.ri == len(a.runs) {
-		n := firstMarkChunk
-		if a.ri > 0 {
-			n = 2 * len(a.runs[a.ri-1])
-		}
-		a.runs = append(a.runs, make([]markRun, n))
-	}
-	run := &a.runs[a.ri][a.rj]
-	a.rj++
-	return run
-}
+func (a *markArena) newRun() *markRun { return &a.runs.take(1)[0] }
 
 // rewind forgets every run, id and value handed out, dropping the
-// chunks past the kept budget.
+// chunks past the kept budget. Runs are cleared, so none keeps a
+// pointer into a finished run's ids or values.
 func (a *markArena) rewind() {
-	kept := 0
-	for i := range a.runs {
-		if i <= a.ri {
-			clear(a.runs[i]) // drop the runs' pointers into id chunks
-		}
-		if kept += len(a.runs[i]); kept > keptMarkRuns {
-			a.runs = a.runs[:i]
-			break
-		}
-	}
-	a.ri, a.rj = 0, 0
+	a.runs.rewind(keptMarkRuns, true)
 	a.ids.rewind(keptMarkIDs, false)
 	a.vals.rewind(keptMarkIDs, true)
 }

@@ -83,7 +83,7 @@ func assertMarksReleased(t *testing.T, e *Session) {
 			}
 		}
 		for w, a := range m.arenas {
-			if a.ri != 0 || a.rj != 0 || a.ids.i != 0 || a.ids.j != 0 || a.vals.i != 0 || a.vals.j != 0 {
+			if a.runs.i != 0 || a.runs.j != 0 || a.ids.i != 0 || a.ids.j != 0 || a.vals.i != 0 || a.vals.j != 0 {
 				t.Fatalf("worker %d's mark arena is not rewound", w)
 			}
 			for _, chunk := range a.vals.c {
@@ -94,7 +94,7 @@ func assertMarksReleased(t *testing.T, e *Session) {
 				}
 			}
 			runs := 0
-			for _, chunk := range a.runs {
+			for _, chunk := range a.runs.c {
 				for i := range chunk {
 					if chunk[i].ids != nil || chunk[i].vals != nil || chunk[i].next != nil {
 						t.Fatalf("worker %d's rewound arena still holds a run", w)
@@ -102,7 +102,7 @@ func assertMarksReleased(t *testing.T, e *Session) {
 				}
 				runs += len(chunk)
 			}
-			if len(a.runs) > 1 && runs > 2*keptMarkRuns {
+			if len(a.runs.c) > 1 && runs > 2*keptMarkRuns {
 				t.Fatalf("worker %d's rewound arena keeps %d runs", w, runs)
 			}
 		}

@@ -70,8 +70,9 @@ type Session struct {
 	freeMarks []*markScratch
 	freeMemos []*filterMemo
 
-	// emptyTables counts the zero-row tables the collection sent or
-	// emitted: work a full reduction leaves none of (tests read it).
+	// emptyTables counts the collection's joins with a vertex's own row
+	// that no row agrees with, whose tables stop there: work a full
+	// reduction leaves none of (tests read it).
 	emptyTables atomic.Int64
 }
 
@@ -275,6 +276,7 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 
 	subq := e.subqueryFn(an)
 	var combined *table
+	residual := c.residual // those the central pass applies
 	if c.hasOuter {
 		if combined, err = e.runOuterBlock(c, outer, subq); err != nil {
 			return nil, err
@@ -291,6 +293,7 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 			if err != nil {
 				return nil, err
 			}
+			residual = res.unapplied(residual)
 			if len(c.qp.Components) == 1 {
 				singleRes = res
 				break
@@ -328,7 +331,7 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 	}
 	// Outer-join, multi-component and non-aggregate blocks, and blocks
 	// with vertex-unsafe residuals, finish here.
-	combined, err = e.applyResidualCentral(c, combined, outer, subq)
+	combined, err = e.applyResidualCentral(residual, combined, outer, subq)
 	if err != nil {
 		return nil, err
 	}
@@ -336,15 +339,15 @@ func (e *Session) runBlock(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 }
 
 // applyResidualCentral filters an assembled table by the residual
-// predicates, charging one op per input row.
-func (e *Session) applyResidualCentral(c *compiled, t *table, outer *sql.Env, subq sql.SubqueryFn) (*table, error) {
-	if len(c.residual) == 0 || t == nil {
+// predicates no collection applied, charging one op per input row.
+func (e *Session) applyResidualCentral(residual []*predicate, t *table, outer *sql.Env, subq sql.SubqueryFn) (*table, error) {
+	if len(residual) == 0 || t == nil {
 		return t, nil
 	}
 	e.eng.AddExternal(0, 0, int64(len(t.rows)))
 	out := newTableShared(t.header, t.index)
 	var err error
-	out.rows, err = keepRows(compileTests(c.residual, sql.Binding(t.index)), t.rows, outer, subq, nil)
+	out.rows, err = keepRows(compileTests(residual, sql.Binding(t.index)), t.rows, outer, subq, nil)
 	return out, err
 }
 
@@ -365,7 +368,7 @@ func (e *Session) projectCentral(c *compiled, t *table, outer *sql.Env, subq sql
 		setup := newAggSetup(blk)
 		var pg partialGroups
 		forms := sql.CompileAll(setup.perRow, sql.Binding(t.index))
-		if _, _, err := newGroupObserver(c, setup, outer, subq).observe(&pg, t.header, forms, t.rows, nil); err != nil {
+		if _, _, err := newGroupObserver(c, setup, outer, subq).observe(&pg, forms, t.rows, nil); err != nil {
 			return nil, err
 		}
 		return projectGroups(c, setup, pg.groups, t.header, outer, subq)

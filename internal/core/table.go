@@ -31,6 +31,8 @@ func idCol(alias string) string { return "#" + alias }
 // a header of "alias.column" bind keys (plus hidden #alias id columns)
 // over rows of values. The header and index are immutable and shared
 // between tables of the same shape (they are per-plan-edge, not per-row).
+// A table decoded off the wire has rows only, until the collection
+// step it arrives at gives it the plan's header (collectStep.adopt).
 type table struct {
 	header []string
 	index  map[string]int
@@ -68,8 +70,8 @@ func (t *table) clone() *table {
 
 // Size prices the table as a message payload in bytes (the
 // MessageBytes measure): its row values only, since the plan fixes the
-// header. NetworkBytes does count the header, because appendTable
-// writes it with every record.
+// header. The wire leaves it out too (appendTable writes the row count
+// and width, then the values).
 func (t *table) Size() int {
 	n := 8
 	for _, r := range t.rows {

@@ -338,21 +338,13 @@ func (c *Coordinator) readWorker(l *workerLink, br *bufio.Reader) {
 		case ckFinishRun:
 			err = c.hub.deposit(l.part, ckFinishRun, nil, payload[1:], "")
 		case ckQueryDone:
-			d := codec.NewDecoder(payload[1:])
-			qid, derr := d.Uvarint()
-			var msg string
-			if derr == nil {
-				msg, derr = d.Str()
-			}
-			if derr == nil {
-				derr = d.Finish()
-			}
-			if derr != nil || qid != c.curQID.Load() {
-				err = fmt.Errorf("dist: worker %d query-done desync (qid %d, want %d)", l.part, qid, c.curQID.Load())
+			done, derr := decodeQueryFrame(payload[1:])
+			if derr != nil || done.id != c.curQID.Load() {
+				err = fmt.Errorf("dist: worker %d query-done desync (qid %d, want %d)", l.part, done.id, c.curQID.Load())
 				c.hub.fail(err)
 				return
 			}
-			err = c.hub.deposit(l.part, ckQueryDone, nil, nil, msg)
+			err = c.hub.deposit(l.part, ckQueryDone, nil, nil, done.text)
 		default:
 			err = fmt.Errorf("dist: worker %d sent unknown control kind %#x", l.part, payload[0])
 			c.hub.fail(err)
@@ -422,9 +414,7 @@ func (c *Coordinator) Query(sql string) (*Result, error) {
 		return nil, fmt.Errorf("%w: %v", ErrDegraded, err)
 	}
 	qid := c.curQID.Add(1)
-	dispatch := []byte{ckQuery}
-	dispatch = binary.AppendUvarint(dispatch, qid)
-	dispatch = codec.AppendString(dispatch, sql)
+	dispatch := appendQueryFrame([]byte{ckQuery}, queryFrame{id: qid, text: sql})
 	c.mu.Lock()
 	links := append([]*workerLink(nil), c.workers[1:]...)
 	c.mu.Unlock()

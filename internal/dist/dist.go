@@ -277,6 +277,65 @@ func decodeTopology(payload []byte) ([]string, error) {
 	return addrs, d.Finish()
 }
 
+// queryFrame is the body of a QUERY frame (query id, SQL text) and of a
+// QUERYDONE frame (query id, error string): the two share one layout.
+type queryFrame struct {
+	id   uint64
+	text string
+}
+
+// appendQueryFrame serializes a QUERY or QUERYDONE frame after the
+// leading kind byte.
+func appendQueryFrame(dst []byte, q queryFrame) []byte {
+	return codec.AppendString(binary.AppendUvarint(dst, q.id), q.text)
+}
+
+// decodeQueryFrame reads a whole QUERY or QUERYDONE payload.
+func decodeQueryFrame(payload []byte) (queryFrame, error) {
+	var q queryFrame
+	var err error
+	d := codec.NewDecoder(payload)
+	if q.id, err = d.Uvarint(); err != nil {
+		return q, err
+	}
+	if q.text, err = d.Str(); err != nil {
+		return q, err
+	}
+	return q, d.Finish()
+}
+
+// peerHello is the PEER frame a node dials a lower-numbered one with:
+// the cluster token and the dialer's partition. An unauthenticated data
+// port reads it.
+type peerHello struct {
+	token string
+	from  int
+}
+
+// appendPeerHello serializes a PEER frame after the leading kind byte.
+func appendPeerHello(dst []byte, p peerHello) []byte {
+	return binary.AppendUvarint(codec.AppendString(dst, p.token), uint64(p.from))
+}
+
+// decodePeerHello reads a whole PEER payload.
+func decodePeerHello(payload []byte) (peerHello, error) {
+	var p peerHello
+	var err error
+	d := codec.NewDecoder(payload)
+	if p.token, err = d.Str(); err != nil {
+		return p, err
+	}
+	from, err := d.Uvarint()
+	if err != nil {
+		return p, err
+	}
+	if from > math.MaxInt32 {
+		return p, fmt.Errorf("dist: peer partition %d", from)
+	}
+	p.from = int(from)
+	return p, d.Finish()
+}
+
 // appendBarrierFrame serializes a bsp.BarrierFrame after the leading
 // kind byte: step, active count, abort flag, failure and stats.
 func appendBarrierFrame(dst []byte, bf bsp.BarrierFrame) []byte {

@@ -135,3 +135,43 @@ func roundTrip[T any](t *testing.T, v T, enc func([]byte, T) []byte, dec func([]
 		t.Fatalf("re-encoding is not a fixpoint:\n got %x\nwant %x", re, canon)
 	}
 }
+
+// FuzzDecodeControl: a worker decodes every QUERY the coordinator
+// dispatches, the coordinator every QUERYDONE a worker reports (both
+// one layout, decodeQueryFrame), and a node's data port the PEER frame
+// of whoever dials it, before any token is checked. Every input goes to
+// both decoders. On any input neither panics or allocates more than a
+// constant factor of the bytes it was given, and whatever one accepts
+// re-encodes to a canonical form that decodes to the same frame and
+// re-encodes to itself.
+func FuzzDecodeControl(f *testing.F) {
+	for _, b := range [][]byte{
+		appendQueryFrame(nil, queryFrame{id: 1, text: "SELECT COUNT(*) FROM orders"}),
+		appendQueryFrame(nil, queryFrame{id: math.MaxUint64}),
+		appendQueryFrame(nil, queryFrame{id: 7, text: "sql: unknown table foo"}),
+		appendPeerHello(nil, peerHello{token: "00ff00ff", from: 3}),
+		appendPeerHello(nil, peerHello{from: math.MaxInt32}),
+	} {
+		for _, n := range []int{0, 1, len(b) / 2, len(b) - 1} {
+			f.Add(b[:n])
+		}
+		f.Add(b)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		q, queryErr := decodeQueryFrame(data)
+		p, peerErr := decodePeerHello(data)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), d)
+		}
+		if queryErr == nil {
+			roundTrip(t, q, appendQueryFrame, decodeQueryFrame)
+		}
+		if peerErr == nil {
+			roundTrip(t, p, appendPeerHello, decodePeerHello)
+		}
+	})
+}

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -162,8 +161,7 @@ func dialPeer(addr, token string, from int) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	hello := append([]byte{ckPeer}, codec.AppendString(nil, token)...)
-	hello = binary.AppendUvarint(hello, uint64(from))
+	hello := appendPeerHello([]byte{ckPeer}, peerHello{token: token, from: from})
 	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 	if err := codec.WriteFrame(conn, hello); err != nil {
 		conn.Close()
@@ -229,20 +227,10 @@ func (a *acceptPeers) admit(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	d := codec.NewDecoder(payload[1:])
-	token, err := d.Str()
-	if err != nil || token != a.token {
-		conn.Close()
-		return
-	}
-	from64, err := d.Uvarint()
-	if err != nil || d.Finish() != nil {
-		conn.Close()
-		return
-	}
-	from := int(from64)
+	hello, err := decodePeerHello(payload[1:])
+	from := hello.from
 	// Only higher-numbered nodes dial us, each exactly once.
-	if from <= a.local || from >= a.parts {
+	if err != nil || hello.token != a.token || from <= a.local || from >= a.parts {
 		conn.Close()
 		return
 	}

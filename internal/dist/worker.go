@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -27,12 +26,6 @@ type ctrlMsg struct {
 	payload []byte
 }
 
-// queryMsg is one dispatched query.
-type queryMsg struct {
-	id  uint64
-	sql string
-}
-
 // Worker is one non-coordinator node: it joins a coordinator, builds
 // the identical graph, meshes with its peers, and then runs every
 // dispatched query through its own full session — computing the same
@@ -54,7 +47,7 @@ type Worker struct {
 	dataLn net.Listener
 
 	ctrl    chan ctrlMsg
-	queries chan queryMsg
+	queries chan queryFrame
 
 	mu    sync.Mutex
 	err   error
@@ -80,7 +73,7 @@ func Join(coordAddr string, workers int, build GraphBuilder) (*Worker, error) {
 	w := &Worker{
 		conn:    conn,
 		ctrl:    make(chan ctrlMsg, 2),
-		queries: make(chan queryMsg, 4),
+		queries: make(chan queryFrame, 4),
 		done:    make(chan struct{}),
 	}
 	if err := w.form(coordAddr, workers, build); err != nil {
@@ -317,20 +310,12 @@ func (w *Worker) readCtrl(br *bufio.Reader) {
 		}
 		switch payload[0] {
 		case ckQuery:
-			d := codec.NewDecoder(payload[1:])
-			qid, err := d.Uvarint()
-			var sql string
-			if err == nil {
-				sql, err = d.Str()
-			}
-			if err == nil {
-				err = d.Finish()
-			}
+			q, err := decodeQueryFrame(payload[1:])
 			if err != nil {
 				w.fail(fmt.Errorf("dist: query dispatch frame: %w", err))
 				return
 			}
-			w.queries <- queryMsg{id: qid, sql: sql}
+			w.queries <- q
 		case ckStartRun, ckBarrier, ckFinishRun:
 			w.ctrl <- ctrlMsg{kind: payload[0], payload: payload[1:]}
 		case ckShutdown:
@@ -349,7 +334,7 @@ func (w *Worker) readCtrl(br *bufio.Reader) {
 // error string so the coordinator can verify SPMD agreement.
 func (w *Worker) runLoop() {
 	for q := range w.queries {
-		_, qerr := w.sess.Query(q.sql)
+		_, qerr := w.sess.Query(q.text)
 		if derr := w.sess.DistErr(); derr != nil {
 			// Transport failure: the engine is permanently latched, so
 			// this node can never serve another distributed query.
@@ -360,9 +345,7 @@ func (w *Worker) runLoop() {
 		if qerr != nil {
 			errstr = qerr.Error()
 		}
-		done := []byte{ckQueryDone}
-		done = binary.AppendUvarint(done, q.id)
-		done = codec.AppendString(done, errstr)
+		done := appendQueryFrame([]byte{ckQueryDone}, queryFrame{id: q.id, text: errstr})
 		if err := w.send(done); err != nil {
 			w.fail(fmt.Errorf("dist: reporting query done: %w", err))
 			break
