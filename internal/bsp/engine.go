@@ -123,18 +123,6 @@ func (c *combinedProgram) Compute(ctx *Context, v VertexID, inbox []Message) {
 
 func (c *combinedProgram) Combiner() Combiner { return c.comb }
 
-// SignalCombiner combines pure-signal messages — sends whose payload
-// the receiver never reads (activation pings, nil payloads) — into one
-// nil-payload message per destination. The logical send count survives
-// in Message.Count.
-type SignalCombiner struct{}
-
-// Fold implements Combiner; the accumulator stays nil.
-func (SignalCombiner) Fold(acc, _ any) any { return acc }
-
-// Merge implements Combiner.
-func (SignalCombiner) Merge(acc, _ any) any { return acc }
-
 // SumCombiner combines int64 payloads by addition — the canonical
 // COUNT/SUM message combiner for programs whose receivers only total
 // their inbox.

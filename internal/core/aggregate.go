@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/bsp"
@@ -45,11 +46,13 @@ type partialGroups struct {
 // is borrowed (appended, not copied) and an existing key's absorbs it
 // with sql.Aggregator.Merge. Merges are exact, so the same partials give
 // the same bits whether they fold at the shard merge, at a relay, at the
-// receiving vertex or into a cached incremental state.
+// receiving vertex or into a cached incremental state. A group decoded
+// off the wire with another accumulator count than its key's is kept
+// apart, not merged, for projectGroups to refuse.
 func (p *partialGroups) fold(b *partialGroups) {
 	keyAt := func(i int) []relation.Value { return p.groups[i].key }
 	for _, g := range b.groups {
-		if i := p.index.find(len(p.groups), keyAt, g.key); i >= 0 {
+		if i := p.index.find(len(p.groups), keyAt, g.key); i >= 0 && len(p.groups[i].aggs) == len(g.aggs) {
 			have := p.groups[i]
 			for k := range have.aggs {
 				have.aggs[k].Merge(g.aggs[k])
@@ -533,6 +536,10 @@ func projectGroups(c *compiled, setup *aggSetup, groups []*groupAcc, srcHeader [
 	items := sql.CompileAll(setup.items, binding)
 	row := make(relation.Tuple, len(header)+len(setup.list))
 	for _, g := range groups {
+		if len(g.aggs) != len(setup.list) {
+			// Input from another process that the plan cannot place.
+			return nil, fmt.Errorf("core: aggregation group with %d accumulators, the plan has %d", len(g.aggs), len(setup.list))
+		}
 		clear(row[copy(row[:len(header)], g.rep):len(header)])
 		for i, a := range g.aggs {
 			row[len(header)+i] = a.Result()

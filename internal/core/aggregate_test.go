@@ -6,6 +6,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bsp"
 	"repro/internal/relation"
+	"repro/internal/sql"
 	"repro/internal/tag"
 )
 
@@ -104,5 +105,53 @@ func TestSingleAliasAggregateOnePass(t *testing.T) {
 					row.name, opts, st, steps, n+targets, msgs, n+2*s+merges)
 			}
 		}
+	}
+}
+
+// TestForeignAccumulatorCountFailsTheRun folds a one-COUNT group, as a
+// peer's record decodes, into a two-COUNT group of the same key, as the
+// cluster's shard merge does (pgCombiner.Merge). The fold keeps it apart
+// instead of indexing past its accumulators, and projecting the groups
+// fails with an error instead of a panic.
+func TestForeignAccumulatorCountFailsTheRun(t *testing.T) {
+	ex := newExec(t, shopCatalog())
+	an, err := sql.AnalyzeString(ex.TAG.Catalog, "SELECT cnation, COUNT(*), COUNT(ckey) FROM cust GROUP BY cnation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.corrCache = map[*sql.Select]*corrMemo{}
+	ex.decorr = map[*sql.Select]*decorrTable{}
+	c, err := ex.compileBlock(an, an.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := newAggSetup(c.blk)
+	key := []relation.Value{relation.Int(1)}
+	group := func(n int) *groupAcc {
+		g := &groupAcc{key: key, rep: key}
+		for range n {
+			a := sql.NewAggregator(&sql.FuncCall{Name: "COUNT", Star: true})
+			a.Observe(relation.Int(1))
+			g.aggs = append(g.aggs, a)
+		}
+		return g
+	}
+	wire, err := sessionCodec{}.Append(nil, &partialGroups{groups: []*groupAcc{group(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := sessionCodec{}.Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := pgCombiner{}.Merge(&partialGroups{groups: []*groupAcc{group(2)}}, peer).(*partialGroups)
+	if len(merged.groups) != 2 {
+		t.Fatalf("%d groups after the fold, want the foreign one kept apart", len(merged.groups))
+	}
+	if _, err := projectGroups(c, setup, merged.groups, nil, nil, nil); err == nil {
+		t.Fatal("projecting a group of the wrong accumulator count succeeded")
+	}
+	if _, err := projectGroups(c, setup, merged.groups[:1], nil, nil, nil); err != nil {
+		t.Fatalf("the block's own group: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/bsp"
 	"repro/internal/codec"
@@ -41,7 +40,7 @@ const (
 	_ // retired: §6.3 Algorithm A's tuple relay
 	_ // retired: §7's two-way outer-join reply
 	ctRootVal
-	ctRelayMark
+	_ // retired: a cycle pre-pass relay mark (workers record survivors)
 	_ // retired: a bare relation.Value
 	ctValueTuples
 )
@@ -62,9 +61,6 @@ func (c sessionCodec) Append(dst []byte, pay any) ([]byte, error) {
 	case rootVal:
 		dst = binary.AppendUvarint(append(dst, ctRootVal), uint64(m.v))
 		return appendTable(dst, m.t)
-	case relayMark:
-		dst = binary.AppendUvarint(append(dst, ctRelayMark), uint64(m.hop))
-		return binary.AppendUvarint(dst, uint64(m.v)), nil
 	case *valueTuples:
 		dst = binary.AppendUvarint(append(dst, ctValueTuples), uint64(m.width))
 		return appendValues(dst, m.vals)
@@ -135,19 +131,6 @@ func decodeTagged(tag byte, d *codec.Decoder) (any, error) {
 			return nil, err
 		}
 		return rootVal{v: bsp.VertexID(v), t: t}, nil
-	case ctRelayMark:
-		hop, err := d.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if hop > math.MaxInt32 {
-			return nil, fmt.Errorf("core: relay mark hop %d", hop)
-		}
-		return relayMark{hop: int(hop), v: bsp.VertexID(v)}, nil
 	case ctValueTuples:
 		w, err := d.Uvarint()
 		if err != nil {

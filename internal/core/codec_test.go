@@ -53,7 +53,6 @@ func TestWireCarriesNoHeader(t *testing.T) {
 		{"tableBatch", &tableBatch{t: tbl}, append([]byte{ctTableBatch}, rows...)},
 		{"rootVal", rootVal{v: 300, t: tbl}, append(binary.AppendUvarint([]byte{ctRootVal}, 300), rows...)},
 		{"partialGroups", &partialGroups{groups: []*groupAcc{grp}, logical: 5}, append([]byte{ctPartialGroups, 5, 1}, group...)},
-		{"relayMark", relayMark{hop: 3, v: 300}, binary.AppendUvarint([]byte{ctRelayMark, 3}, 300)},
 	} {
 		got, err := sessionCodec{}.Append(nil, tc.pay)
 		if err != nil {

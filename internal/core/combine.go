@@ -55,8 +55,8 @@ func combineGroups(a, b *partialGroups) *partialGroups {
 
 // valueBatch is the combined payload of the cycle pre-pass propagation:
 // the distinct join-attribute values folded at Send time, in first-send
-// order. Receivers dedup per value anyway (the per-vertex fwd/seen
-// sets), so dropping within-superstep duplicates early changes nothing
+// order. Receivers dedup per value anyway (cycleWalk's set per hop and
+// vertex), so dropping within-superstep duplicates early changes nothing
 // they observe — it is the §6 value propagation's natural MIN-style
 // fold. The reduction forwards one as the set of one carried class's
 // values, holding their keys (a carriedSet).
@@ -69,9 +69,10 @@ type valueBatch struct {
 	seen map[relation.Value]struct{}
 }
 
-func (b *valueBatch) add(val relation.Value) {
+// add inserts val and reports whether it was new.
+func (b *valueBatch) add(val relation.Value) bool {
 	if b.contains(val) {
-		return
+		return false
 	}
 	b.vals = append(b.vals, val)
 	if b.seen != nil {
@@ -82,6 +83,7 @@ func (b *valueBatch) add(val relation.Value) {
 			b.seen[v] = struct{}{}
 		}
 	}
+	return true
 }
 
 // contains reports whether val is in the batch.
@@ -119,11 +121,15 @@ func (b *valueBatch) has(row []relation.Value, slots []int) bool {
 func (b *valueBatch) empty() bool { return len(b.vals) == 0 }
 
 // valueCombiner folds cycleMsg payloads into one valueBatch per
-// destination.
+// destination, and bare signals (nil payloads, which receivers never
+// read) into nil.
 type valueCombiner struct{}
 
 // Fold implements bsp.Combiner.
 func (valueCombiner) Fold(acc, payload any) any {
+	if payload == nil {
+		return acc
+	}
 	val := payload.(cycleMsg).val
 	if acc == nil {
 		return &valueBatch{vals: append(make([]relation.Value, 0, 4), val)}
@@ -135,6 +141,9 @@ func (valueCombiner) Fold(acc, payload any) any {
 
 // Merge implements bsp.Combiner.
 func (valueCombiner) Merge(acc, other any) any {
+	if other == nil {
+		return acc
+	}
 	a, b := acc.(*valueBatch), other.(*valueBatch)
 	for _, v := range b.vals {
 		a.add(v)

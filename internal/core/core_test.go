@@ -254,6 +254,36 @@ func TestExistsJoinInside(t *testing.T) {
 		WHERE EXISTS (SELECT 1 FROM cust, ord WHERE ocust = ckey AND cnation = nkey AND price > 6)`)
 }
 
+// TestDepthTwoCorrelation: a block that reads a column two scopes out
+// answers per value of it, not from a memo keyed by its nearer outer
+// references alone.
+func TestDepthTwoCorrelation(t *testing.T) {
+	cat := relation.NewCatalog()
+	a := relation.New("a", relation.MustSchema(relation.Col("ak", relation.KindInt)))
+	a.MustAppend(relation.Int(1))
+	a.MustAppend(relation.Int(2))
+	b := relation.New("b", relation.MustSchema(relation.Col("bk", relation.KindInt), relation.Col("bv", relation.KindInt)))
+	b.MustAppend(relation.Int(1), relation.Int(7))
+	b.MustAppend(relation.Int(2), relation.Int(7))
+	c := relation.New("c", relation.MustSchema(relation.Col("ck", relation.KindInt), relation.Col("cv", relation.KindInt)))
+	c.MustAppend(relation.Int(1), relation.Int(7))
+	for _, r := range []*relation.Relation{a, b, c} {
+		cat.MustAdd(r)
+	}
+	for _, tc := range []struct{ name, q string }{
+		{"exists", `SELECT ak FROM a WHERE EXISTS (SELECT 1 FROM b WHERE bk = ak
+			AND EXISTS (SELECT 1 FROM c WHERE ck = ak AND cv = bv))`},
+		{"in", `SELECT ak FROM a WHERE ak IN (SELECT bk FROM b WHERE bk = ak
+			AND bv IN (SELECT cv FROM c WHERE ck = ak))`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := checkAgainstBaseline(t, cat, tc.q); got.Len() != 1 {
+				t.Errorf("rows = %v, want only ak = 1", got)
+			}
+		})
+	}
+}
+
 func TestTriangleQuery(t *testing.T) {
 	cat := triangleCatalog()
 	ex := newExec(t, cat)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"repro/internal/bsp"
@@ -17,42 +18,39 @@ type cycleMsg struct {
 // Size prices the message in bytes (the MessageBytes measure).
 func (m cycleMsg) Size() int { return 8 + m.val.Size() }
 
-// pathHop is one traversal hop of a cycle propagation path.
+// pathHop is one hop of a cycle walk: the TAG label it crosses and, when
+// it lands on tuple vertices, their alias.
 type pathHop struct {
 	label    bsp.LabelID
 	relAlias string // non-empty when the hop lands on tuple vertices
 }
 
+// ringLink is one alias of a cycle and the labels of its two cycle
+// columns: in for the class it shares with the alias before it in the
+// ring, out for the one it shares with the alias after it.
+type ringLink struct {
+	alias   string
+	in, out bsp.LabelID
+}
+
 // runCyclePass reduces the members of one join cycle before the tree
-// reduction (§6.2): attribute values of the cycle-closing class split
-// into heavy and light by the θ threshold (θ=√IN by default, matching
-// the AGM-bound analysis); heavy values propagate themselves around both
-// sides of the cycle to be intersected at the middle attribute, light
-// values wake their successor attribute which propagates instead. A
-// backward pass marks the tuple vertices that relayed surviving values;
-// everything else is excluded from the main reduction.
+// reduction (§6.2). Position p of the ring is the class alias p enters
+// by; position 0 is X1, the cycle-closing class. X1's attribute vertices
+// split into heavy and light by their degree against θ (θ=√IN by
+// default, matching the AGM-bound analysis). Heavy values walk both ways
+// around the ring to the middle position, where the two directions'
+// arrivals intersect; light values wake their successors at position 1,
+// which walk instead. The values that survive the middle walk back, and
+// a tuple vertex that passed one on survives; every other tuple of the
+// cycle's aliases is excluded from the main reduction.
 func (r *componentRun) runCyclePass(cyc plan.Cycle) error {
 	n := len(cyc.Aliases)
 	if n < 3 {
 		return fmt.Errorf("core: degenerate cycle %v", cyc.Aliases)
 	}
 	classes := r.c.qp.Classes
-
-	// classOfPred[i] is X_{i+1}: the class joining alias i and i+1;
-	// classOfPred[n-1] is X1, the cycle-closing class.
-	classOf := make([]int, n)
-	for i, p := range cyc.Preds {
-		classOf[i] = classes.Of[p.A]
-	}
-	x := func(i int) int { // X_i, 1-based per the paper
-		if i == 1 {
-			return classOf[n-1]
-		}
-		return classOf[i-2]
-	}
-	alias := func(i int) string { return cyc.Aliases[((i-1)%n+n)%n] } // A_i, 1-based
-
-	label := func(class int, a string) (bsp.LabelID, error) {
+	label := func(pred plan.EquiPred, a string) (bsp.LabelID, error) {
+		class := classes.Of[pred.A]
 		col, ok := classes.ColumnOf(class, a)
 		if !ok {
 			return 0, fmt.Errorf("core: alias %s has no column in class %d", a, class)
@@ -63,61 +61,40 @@ func (r *componentRun) runCyclePass(cyc plan.Cycle) error {
 		}
 		return lbl, nil
 	}
+	// Preds[i] joins alias i to alias i+1.
+	ring := make([]ringLink, n)
+	for i, a := range cyc.Aliases {
+		in, err := label(cyc.Preds[(i+n-1)%n], a)
+		if err != nil {
+			return err
+		}
+		out, err := label(cyc.Preds[i], a)
+		if err != nil {
+			return err
+		}
+		ring[i] = ringLink{alias: a, in: in, out: out}
+	}
 
-	mid := (n+1)/2 + 1 // X_{⌈n/2⌉+1}
-
-	// buildPath walks from attribute X_from around the given direction to
-	// X_mid: +1 walks A_from, X_{from+1}, ...; -1 walks A_{from-1},
-	// X_{from-1}, ...
-	buildPath := func(from, dir int) ([]pathHop, error) {
+	// path returns the hops from position `from` to the middle one
+	// (X_{⌈n/2⌉+1} in the paper's numbering): forward through alias p,
+	// in then out, or backward through alias p-1, out then in.
+	mid := (n + 1) / 2
+	path := func(from, dir int) []pathHop {
 		var hops []pathHop
-		xi := from
-		for xi != mid || len(hops) == 0 {
-			var a string
+		for p := from; p != mid; p = (p + dir + n) % n {
 			if dir > 0 {
-				a = alias(xi)
+				l := ring[p]
+				hops = append(hops, pathHop{l.in, l.alias}, pathHop{label: l.out})
 			} else {
-				a = alias(xi - 1)
-			}
-			l1, err := label(x(xi), a)
-			if err != nil {
-				return nil, err
-			}
-			hops = append(hops, pathHop{label: l1, relAlias: a})
-			next := xi + dir
-			if next > n {
-				next = 1
-			}
-			if next < 1 {
-				next = n
-			}
-			l2, err := label(x(next), a)
-			if err != nil {
-				return nil, err
-			}
-			hops = append(hops, pathHop{label: l2})
-			xi = next
-			if len(hops) > 2*n+2 {
-				return nil, fmt.Errorf("core: cycle path construction diverged")
-			}
-			if xi == mid {
-				break
+				l := ring[(p+n-1)%n]
+				hops = append(hops, pathHop{l.out, l.alias}, pathHop{label: l.in})
 			}
 		}
-		return hops, nil
+		return hops
 	}
 
-	leftH, err := buildPath(1, +1)
-	if err != nil {
-		return err
-	}
-	rightH, err := buildPath(1, -1)
-	if err != nil {
-		return err
-	}
-
-	// Split X1 attribute vertices into heavy and light by their R1-side
-	// degree against θ (§6.1.2).
+	// Split X1 attribute vertices into heavy and light by their degree
+	// toward alias 0 against θ (§6.1.2).
 	theta := r.ex.Theta
 	if theta <= 0 {
 		in := 0
@@ -126,10 +103,9 @@ func (r *componentRun) runCyclePass(cyc plan.Cycle) error {
 		}
 		theta = math.Sqrt(float64(in))
 	}
-	x1Label := leftH[0].label
 	var heavy, light []bsp.VertexID
-	for _, v := range r.ex.TAG.AttrVertices(x1Label) {
-		if float64(r.ex.TAG.G.DegreeWithLabel(v, x1Label)) > theta {
+	for _, v := range r.ex.TAG.AttrVertices(ring[0].in) {
+		if float64(r.ex.TAG.G.DegreeWithLabel(v, ring[0].in)) > theta {
 			heavy = append(heavy, v)
 		} else {
 			light = append(light, v)
@@ -140,31 +116,25 @@ func (r *componentRun) runCyclePass(cyc plan.Cycle) error {
 	for _, a := range cyc.Aliases {
 		survivors[a] = map[bsp.VertexID]bool{}
 	}
-
-	// Heavy: propagate X1 values both ways, intersect at the middle.
 	if len(heavy) > 0 {
-		if err := r.cycleRound(heavy, leftH, rightH, survivors); err != nil {
+		if err := r.cycleRound(heavy, path(0, +1), path(0, -1), survivors); err != nil {
 			return err
 		}
 	}
-	// Light: wake X2 through R1, then propagate X2 values both ways.
 	if len(light) > 0 {
-		lightStart, err := r.wakeNeighbors(light, leftH[0], leftH[1])
-		if err != nil {
+		// The wake (§6.1.2 step 3): light X1 vertices signal through alias
+		// 0's tuples to position 1. Each node walks on from the vertices it
+		// woke; a node that woke none still runs the round's supersteps.
+		wake := r.newCycleWalk(path(0, +1)[:2], walkWake)
+		if err := wake.run(light); err != nil {
 			return err
 		}
-		if len(lightStart) > 0 {
-			left2, err := buildPath(2, +1)
-			if err != nil {
-				return err
-			}
-			right2, err := buildPath(2, -1)
-			if err != nil {
-				return err
-			}
-			if err := r.cycleRound(lightStart, left2, right2, survivors); err != nil {
-				return err
-			}
+		woken := make([]bsp.VertexID, 0, len(wake.arrived))
+		for v := range wake.arrived {
+			woken = append(woken, v)
+		}
+		if err := r.cycleRound(woken, path(1, +1), path(1, -1), survivors); err != nil {
+			return err
 		}
 	}
 
@@ -174,223 +144,200 @@ func (r *componentRun) runCyclePass(cyc plan.Cycle) error {
 	return nil
 }
 
-// wakeNeighbors performs the light-case wake-up (§6.1.2 step 3): the
-// light X1 vertices signal through R1 tuples to activate X2 vertices.
-func (r *componentRun) wakeNeighbors(start []bsp.VertexID, h0, h1 pathHop) ([]bsp.VertexID, error) {
-	woken := map[bsp.VertexID]bool{}
-	prog := bsp.ProgramFunc(func(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
-		switch ctx.Step() {
-		case 0:
-			ctx.SendAlong(v, h0.label, nil)
-		case 1:
-			if !r.passes(ctx, h0.relAlias, v) {
-				return
-			}
-			ctx.SendAlong(v, h1.label, nil)
-		case 2:
-			ctx.Emit(v)
-		}
-		ctx.AddOps(1)
-	})
-	// The wake-up is a pure activation signal — receivers never read the
-	// inbox — so the plane folds it to one message per woken vertex.
-	if err := r.ex.runProg(bsp.WithCombiner(prog, bsp.SignalCombiner{}), start); err != nil {
-		return nil, err
-	}
-	var out []bsp.VertexID
-	for _, e := range r.ex.eng.Emitted() {
-		vid := e.(bsp.VertexID)
-		if !woken[vid] {
-			woken[vid] = true
-			out = append(out, vid)
-		}
-	}
-	return out, nil
-}
-
-// cycleRound runs one forward+backward propagation round: start vertices
-// send their own value down both paths; arrivals intersect at the middle
-// attribute vertices; surviving values travel back, marking every tuple
-// vertex that relayed them.
+// cycleRound walks the start vertices' values down both paths to the
+// middle, intersects the two directions' arrivals there and walks the
+// survivors back along each path, adding the tuple vertices that passed
+// one on to survivors. Each node sees the arrivals and marks of the
+// vertices it owns, which are the only ones it reads prefilter for.
 func (r *componentRun) cycleRound(start []bsp.VertexID, left, right []pathHop, survivors map[string]map[bsp.VertexID]bool) error {
-	nv := r.ex.TAG.G.NumVertices()
-	leftFwd := make([]map[relation.Value]struct{}, nv)
-	rightFwd := make([]map[relation.Value]struct{}, nv)
-	leftArr := make([]map[relation.Value]struct{}, nv)
-	rightArr := make([]map[relation.Value]struct{}, nv)
-
-	if err := r.cycleForward(start, left, leftFwd, leftArr); err != nil {
-		return err
+	walks := [2]*cycleWalk{r.newCycleWalk(left, walkOut), r.newCycleWalk(right, walkOut)}
+	for _, w := range walks {
+		if err := w.run(start); err != nil {
+			return err
+		}
 	}
-	if err := r.cycleForward(start, right, rightFwd, rightArr); err != nil {
-		return err
-	}
-
-	// Intersect at the middle attribute vertices.
-	surviving := make([]map[relation.Value]struct{}, nv)
-	var mids []bsp.VertexID
-	for v := range leftArr {
-		if leftArr[v] == nil || rightArr[v] == nil {
+	mids := map[bsp.VertexID]*valueBatch{}
+	var at []bsp.VertexID
+	for v, lv := range walks[0].arrived {
+		rv := walks[1].arrived[v]
+		if rv == nil {
 			continue
 		}
-		both := map[relation.Value]struct{}{}
-		for val := range leftArr[v] {
-			if _, ok := rightArr[v][val]; ok {
-				both[val] = struct{}{}
+		both := &valueBatch{}
+		for _, val := range lv.vals {
+			if rv.contains(val) {
+				both.add(val)
 			}
 		}
-		if len(both) > 0 {
-			surviving[v] = both
-			mids = append(mids, bsp.VertexID(v))
+		if len(both.vals) > 0 {
+			mids[v] = both
+			at = append(at, v)
 		}
 	}
-
-	if err := r.cycleBackward(mids, left, leftFwd, surviving, survivors); err != nil {
-		return err
-	}
-	return r.cycleBackward(mids, right, rightFwd, surviving, survivors)
-}
-
-// cycleForwardProgram propagates each start vertex's own value along the
-// hop path, recording the values each vertex forwarded and the arrivals
-// at the final (middle) attribute vertices.
-type cycleForwardProgram struct {
-	r    *componentRun
-	hops []pathHop
-	fwd  []map[relation.Value]struct{}
-	arr  []map[relation.Value]struct{}
-}
-
-// Combiner folds the propagated values into one valueBatch per
-// destination (receivers dedup per value, so within-superstep
-// duplicates fold away en route).
-func (p *cycleForwardProgram) Combiner() bsp.Combiner { return valueCombiner{} }
-
-// Compute implements the forward propagation kernel.
-func (p *cycleForwardProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
-	step := ctx.Step()
-	ctx.AddOps(1 + bsp.InboxCount(inbox))
-
-	if step == 0 {
-		// Start attribute vertices inject their own value.
-		val, ok := p.r.ex.TAG.AttrValue(v)
-		if !ok {
-			return
+	for _, w := range walks {
+		w.mode, w.mids = walkBack, mids
+		if err := w.run(at); err != nil {
+			return err
 		}
-		ctx.SendAlong(v, p.hops[0].label, cycleMsg{val: val})
-		return
-	}
-	hop := p.hops[step-1]
-	if hop.relAlias != "" && !p.r.passes(ctx, hop.relAlias, v) {
-		return
-	}
-	last := step == len(p.hops)
-	set := p.fwd[v]
-	if last {
-		set = p.arr[v]
-	}
-	if set == nil {
-		set = map[relation.Value]struct{}{}
-		if last {
-			p.arr[v] = set
-		} else {
-			p.fwd[v] = set
+		for _, m := range w.marked {
+			survivors[w.hops[m.hop].relAlias][m.v] = true
 		}
-	}
-	for _, msg := range inbox {
-		eachCycleVal(msg, func(val relation.Value) {
-			if _, seen := set[val]; seen {
-				return
-			}
-			set[val] = struct{}{}
-			if !last {
-				ctx.SendAlong(v, p.hops[step].label, cycleMsg{val: val})
-			}
-		})
-	}
-}
-
-func (r *componentRun) cycleForward(start []bsp.VertexID, hops []pathHop, fwd, arr []map[relation.Value]struct{}) error {
-	return r.ex.runProg(&cycleForwardProgram{r: r, hops: hops, fwd: fwd, arr: arr}, start)
-}
-
-// cycleBackwardProgram walks surviving values back from the middle,
-// marking every tuple vertex that relayed one (§6.2's signal-back).
-type cycleBackwardProgram struct {
-	hops      []pathHop
-	fwd       []map[relation.Value]struct{}
-	surviving []map[relation.Value]struct{}
-	seen      []map[relation.Value]struct{}
-}
-
-// Combiner folds the surviving values walking back into one valueBatch
-// per destination.
-func (p *cycleBackwardProgram) Combiner() bsp.Combiner { return valueCombiner{} }
-
-// Compute implements the backward marking kernel. Backward superstep s
-// lands on the source vertices of hop len(hops)-s.
-func (p *cycleBackwardProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
-	step := ctx.Step()
-	ctx.AddOps(1 + bsp.InboxCount(inbox))
-	if step == 0 {
-		for val := range p.surviving[v] {
-			ctx.SendAlong(v, p.hops[len(p.hops)-1].label, cycleMsg{val: val})
-		}
-		return
-	}
-	idx := len(p.hops) - step // this vertex is the source of hop idx
-	have := p.fwd[v]
-	if idx == 0 {
-		// Back at the start attribute vertices: nothing left to mark.
-		return
-	}
-	if have == nil {
-		return
-	}
-	landed := p.hops[idx-1].relAlias != ""
-	seen := p.seen[v]
-	if seen == nil {
-		seen = map[relation.Value]struct{}{}
-		p.seen[v] = seen
-	}
-	for _, msg := range inbox {
-		eachCycleVal(msg, func(val relation.Value) {
-			if _, ok := have[val]; !ok {
-				return
-			}
-			if _, dup := seen[val]; dup {
-				return
-			}
-			seen[val] = struct{}{}
-			if landed {
-				ctx.Emit(relayMark{hop: idx - 1, v: v})
-			}
-			ctx.SendAlong(v, p.hops[idx-1].label, cycleMsg{val: val})
-		})
-	}
-}
-
-func (r *componentRun) cycleBackward(mids []bsp.VertexID, hops []pathHop, fwd []map[relation.Value]struct{}, surviving []map[relation.Value]struct{}, survivors map[string]map[bsp.VertexID]bool) error {
-	prog := &cycleBackwardProgram{
-		hops: hops, fwd: fwd, surviving: surviving,
-		seen: make([]map[relation.Value]struct{}, r.ex.TAG.G.NumVertices()),
-	}
-	if err := r.ex.runProg(prog, mids); err != nil {
-		return err
-	}
-	for _, e := range r.ex.eng.Emitted() {
-		mk := e.(relayMark)
-		if mk.hop >= len(hops) || hops[mk.hop].relAlias == "" {
-			return fmt.Errorf("core: relay mark on hop %d, which lands on no tuple", mk.hop)
-		}
-		survivors[hops[mk.hop].relAlias][mk.v] = true
 	}
 	return nil
 }
 
-// relayMark reports a tuple vertex that relayed a surviving cycle value:
-// the hop of the path that landed on it, which names its alias.
-type relayMark struct {
+// walkMode is what a cycleWalk run does.
+type walkMode int
+
+const (
+	walkWake walkMode = iota // bare signals down the hops
+	walkOut                  // the start vertices' values down the hops
+	walkBack                 // the middle's survivors back up them
+)
+
+// hopVertex is vertex v at hop h of a walk. One vertex can stand at
+// several hops (a tuple under two aliases of its table, or an attribute
+// vertex whose value is in two classes), and what it passed on at one
+// says nothing of another.
+type hopVertex struct {
 	hop int
 	v   bsp.VertexID
+}
+
+// walkState is what a walk keeps for the next run: kept[{h, v}] holds
+// the values v passed on at hop h, arrived[v] those that reached v at
+// the last hop (none, for a woken vertex), and marked the tuple vertices
+// that passed a survivor back, by the hop that reached them.
+type walkState struct {
+	kept    map[hopVertex]*valueBatch
+	arrived map[bsp.VertexID]*valueBatch
+	marked  []hopVertex
+}
+
+func newWalkState() walkState {
+	return walkState{kept: map[hopVertex]*valueBatch{}, arrived: map[bsp.VertexID]*valueBatch{}}
+}
+
+// cycleWalk is the cycle pre-pass's vertex program: one path of a round,
+// run out and then back (§6.2). Superstep s computes the receivers of
+// hop s-1 going out, and of hop len(hops)-s-1 coming back, so each
+// (hop, vertex) pair is computed in exactly one superstep and a set
+// local to Compute deduplicates its inbox. Workers record into their
+// share of w; run gathers the shares into the walk's state.
+type cycleWalk struct {
+	r    *componentRun
+	hops []pathHop
+	mode walkMode
+	mids map[bsp.VertexID]*valueBatch // walkBack: each middle vertex's survivors
+	walkState
+	w []walkState
+}
+
+func (r *componentRun) newCycleWalk(hops []pathHop, mode walkMode) *cycleWalk {
+	return &cycleWalk{r: r, hops: hops, mode: mode, walkState: newWalkState()}
+}
+
+// Combiner folds the values bound for one vertex into one valueBatch
+// (receivers dedup per value) and the wake's signals into none.
+func (p *cycleWalk) Combiner() bsp.Combiner { return valueCombiner{} }
+
+// run runs the walk from start and gathers what the workers recorded.
+func (p *cycleWalk) run(start []bsp.VertexID) error {
+	p.w = make([]walkState, p.r.ex.eng.Workers())
+	for i := range p.w {
+		p.w[i] = newWalkState()
+	}
+	if err := p.r.ex.runProg(p, start); err != nil {
+		return err
+	}
+	for _, s := range p.w {
+		maps.Copy(p.kept, s.kept)
+		maps.Copy(p.arrived, s.arrived)
+		p.marked = append(p.marked, s.marked...)
+	}
+	p.w = nil
+	return nil
+}
+
+// Compute implements bsp.Program.
+func (p *cycleWalk) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp.Message) {
+	w, step := &p.w[ctx.Worker()], ctx.Step()
+	if p.mode == walkWake {
+		// One op per vertex a signal reaches and admits.
+		if step > 0 && !p.admits(ctx, step-1, v) {
+			return
+		}
+		ctx.AddOps(1)
+		if step < len(p.hops) {
+			ctx.SendAlong(v, p.hops[step].label, nil)
+		} else {
+			w.arrived[v] = nil
+		}
+		return
+	}
+	ctx.AddOps(1 + bsp.InboxCount(inbox))
+	if p.mode == walkBack {
+		p.walkBack(ctx, w, v, inbox)
+		return
+	}
+	if step == 0 {
+		if val, ok := p.r.ex.TAG.AttrValue(v); ok {
+			ctx.SendAlong(v, p.hops[0].label, cycleMsg{val: val})
+		}
+		return
+	}
+	h := step - 1
+	if !p.admits(ctx, h, v) {
+		return
+	}
+	last := step == len(p.hops)
+	passed := &valueBatch{}
+	for _, msg := range inbox {
+		eachCycleVal(msg, func(val relation.Value) {
+			if passed.add(val) && !last {
+				ctx.SendAlong(v, p.hops[step].label, cycleMsg{val: val})
+			}
+		})
+	}
+	if last {
+		w.arrived[v] = passed
+	} else {
+		w.kept[hopVertex{h, v}] = passed
+	}
+}
+
+// admits reports whether v, reached by hop h, passes its alias's
+// filters; an attribute vertex always does.
+func (p *cycleWalk) admits(ctx *bsp.Context, h int, v bsp.VertexID) bool {
+	a := p.hops[h].relAlias
+	return a == "" || p.r.passes(ctx, a, v)
+}
+
+// walkBack passes on, back along hop h, each arriving survivor that v
+// passed on at h going out; a tuple vertex that passes one is marked.
+// The start vertices, reached last (h = -1), kept nothing.
+func (p *cycleWalk) walkBack(ctx *bsp.Context, w *walkState, v bsp.VertexID, inbox []bsp.Message) {
+	step := ctx.Step()
+	if step == 0 {
+		for _, val := range p.mids[v].vals {
+			ctx.SendAlong(v, p.hops[len(p.hops)-1].label, cycleMsg{val: val})
+		}
+		return
+	}
+	h := len(p.hops) - step - 1
+	have := p.kept[hopVertex{h, v}]
+	if have == nil {
+		return
+	}
+	back := &valueBatch{}
+	for _, msg := range inbox {
+		eachCycleVal(msg, func(val relation.Value) {
+			if have.contains(val) && back.add(val) {
+				ctx.SendAlong(v, p.hops[h].label, cycleMsg{val: val})
+			}
+		})
+	}
+	if len(back.vals) > 0 && p.hops[h].relAlias != "" {
+		w.marked = append(w.marked, hopVertex{h, v})
+	}
 }

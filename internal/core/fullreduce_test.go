@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -154,7 +155,6 @@ func reductionSurvivors(t *testing.T, ex *Session, q string) map[string][]int64 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.subCache = map[*sql.Select]*relation.Relation{}
 	ex.corrCache = map[*sql.Select]*corrMemo{}
 	ex.decorr = map[*sql.Select]*decorrTable{}
 	c, err := ex.compileBlock(an, an.Root)
@@ -191,4 +191,47 @@ func reductionSurvivors(t *testing.T, ex *Session, q string) map[string][]int64 
 		slices.Sort(vs)
 	}
 	return out
+}
+
+// TestTreeParentEdgesLeaveNoEmptyTables runs a join whose tree hangs r0
+// under r1 on a class the root r4 also joins on, with a second class r0
+// shares only with r1. The plan puts r0 under r1's attribute node, so
+// the reduction semijoins r0 with r1 on both classes and the collection
+// never joins a vertex's own row into an empty table.
+func TestTreeParentEdgesLeaveNoEmptyTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cat := relation.NewCatalog()
+	for i := range 5 {
+		r := relation.New(fmt.Sprintf("t%d", i), relation.MustSchema(
+			relation.Col("a", relation.KindInt), relation.Col("b", relation.KindInt), relation.Col("c", relation.KindInt)))
+		for range 60 {
+			r.MustAppend(relation.Int(int64(rng.Intn(12))), relation.Int(int64(rng.Intn(12))), relation.Int(int64(rng.Intn(12))))
+		}
+		cat.MustAdd(r)
+	}
+	g, err := tag.Build(cat, tag.MaterializeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := `SELECT r0.a, r1.a, r2.a, r3.a, r4.a FROM t0 r0, t1 r1, t2 r2, t3 r3, t4 r4
+		WHERE r0.a = r1.b AND r0.c = r1.c AND r1.c = r2.b AND r1.a = r2.c AND r0.c = r3.c AND r0.a = r4.c`
+	want, err := baseline.New(cat).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range engineConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			ex := NewSession(g, tc.opts)
+			rows, err := ex.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.EqualMultiset(rows, want) {
+				t.Errorf("%d rows, baseline %d", rows.Len(), want.Len())
+			}
+			if empty := ex.emptyTables.Load(); empty != 0 {
+				t.Errorf("the collection sent or emitted %d empty tables", empty)
+			}
+		})
+	}
 }

@@ -57,9 +57,11 @@ func samplePayloads() []any {
 		tbl,
 		&tableBatch{t: tbl, owned: true},
 		&partialGroups{groups: []*groupAcc{grp}, logical: 3},
+		// A peer's group of one accumulator beside one of two under the
+		// same key: it decodes, and projectGroups refuses it.
+		&partialGroups{groups: []*groupAcc{grp, {key: row[:2], rep: row, aggs: []*sql.Aggregator{count}}}},
 		rootVal{v: 11, t: tbl},
 		rootVal{v: 13, t: &table{}},
-		relayMark{hop: 3, v: 12},
 	}
 }
 
@@ -108,7 +110,7 @@ func FuzzSessionCodec(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, tag := range []byte{3, 7, 8, 9, 10, 11, 14} {
+	for _, tag := range []byte{3, 7, 8, 9, 10, 11, 13, 14} {
 		for _, body := range bodies {
 			retired(append([]byte{tag}, body...))
 		}

@@ -24,7 +24,6 @@ func compileRoot(t *testing.T, cat *relation.Catalog, query string) *compiled {
 		t.Fatal(err)
 	}
 	ex := NewSession(g, bsp.Options{Workers: 1})
-	ex.subCache = map[*sql.Select]*relation.Relation{}
 	ex.corrCache = map[*sql.Select]*corrMemo{}
 	ex.decorr = map[*sql.Select]*decorrTable{}
 	c, err := ex.compileBlock(an, an.Root)

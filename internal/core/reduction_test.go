@@ -29,7 +29,6 @@ func TestLemma51FullReducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.subCache = map[*sql.Select]*relation.Relation{}
 	ex.corrCache = map[*sql.Select]*corrMemo{}
 	ex.decorr = map[*sql.Select]*decorrTable{}
 	c, err := ex.compileBlock(an, an.Root)

@@ -49,7 +49,6 @@ type Session struct {
 	// Info reports how the most recent query was executed.
 	Info ExecInfo
 
-	subCache  map[*sql.Select]*relation.Relation
 	corrCache map[*sql.Select]*corrMemo
 	decorr    map[*sql.Select]*decorrTable
 
@@ -139,7 +138,6 @@ func (e *Session) Query(query string) (*relation.Relation, error) {
 // Run executes an analyzed query. The Analysis may be shared across
 // sessions (prepared-statement style): execution never mutates it.
 func (e *Session) Run(an *sql.Analysis) (*relation.Relation, error) {
-	e.subCache = map[*sql.Select]*relation.Relation{}
 	e.corrCache = map[*sql.Select]*corrMemo{}
 	e.decorr = map[*sql.Select]*decorrTable{}
 	e.Info = ExecInfo{Acyclic: true}
@@ -200,9 +198,9 @@ func (e *Session) runChain(an *sql.Analysis, blk *sql.Analyzed, outer *sql.Env) 
 	return out, nil
 }
 
-// subqueryFn evaluates nested blocks: uncorrelated blocks run once and
-// cache; correlated ones run per distinct correlation key (memoized),
-// each as its own TAG vertex program.
+// subqueryFn evaluates nested blocks: each runs once per distinct value
+// of its outer references (memoized), as its own TAG vertex program. An
+// uncorrelated block has no outer references, so it runs once.
 func (e *Session) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 	return func(sub *sql.Select, env *sql.Env) (*relation.Relation, error) {
 		// Decorrelated subqueries answer from their prebuilt lookup table.
@@ -212,17 +210,6 @@ func (e *Session) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 		blk := an.Blocks[sub]
 		if blk == nil {
 			return nil, fmt.Errorf("core: unanalyzed subquery")
-		}
-		if !sql.BlockIsCorrelated(an, blk) {
-			if cached, ok := e.subCache[sub]; ok {
-				return cached, nil
-			}
-			out, err := e.runChain(an, blk, env)
-			if err != nil {
-				return nil, err
-			}
-			e.subCache[sub] = out
-			return out, nil
 		}
 		memo := e.corrCache[sub]
 		if memo == nil {
@@ -243,8 +230,8 @@ func (e *Session) subqueryFn(an *sql.Analysis) sql.SubqueryFn {
 	}
 }
 
-// corrMemo memoizes one correlated subquery's results by the values of
-// its outer references, refs: outs[i] answers keys[i].
+// corrMemo memoizes one subquery's results by the values of its outer
+// references at every depth, refs: outs[i] answers keys[i].
 type corrMemo struct {
 	refs  []*sql.ColRef
 	keys  [][]relation.Value

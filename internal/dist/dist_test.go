@@ -97,6 +97,10 @@ func TestDistMatchesSimulationTPCH(t *testing.T) {
 	if len(queries) != 22 {
 		t.Fatalf("expected 22 TPC-H queries, have %d", len(queries))
 	}
+	// A many-to-many cycle, so each node's share of the §6.2 pre-pass
+	// survivors is checked on real sockets too.
+	queries = append(queries, tpch.Query{ID: "cycle", SQL: `SELECT COUNT(*) FROM orders o1, orders o2, customer c
+WHERE o1.o_custkey = c.c_custkey AND o2.o_custkey = c.c_nationkey AND o1.o_shippriority = o2.o_shippriority`})
 	for _, parts := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
 			c, workers := startTopology(t, g, parts)

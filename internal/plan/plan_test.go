@@ -425,3 +425,49 @@ func TestCarriedClassesAfterCycleBreaking(t *testing.T) {
 		t.Errorf("t carries %v, want nothing", got)
 	}
 }
+
+// TestEveryAliasHangsUnderItsTreeParent builds a join graph whose
+// join tree gives two aliases one edge class under different parents:
+// r1 joins the root r4 on the class of r0.a, and r0 joins r1 on it too,
+// sharing r0.c's class with r1 as well. Each relation node hangs under
+// an attribute node whose parent is its join-tree parent, and carries
+// every other class it shares with that parent; a node per class alone
+// would hang r0 under r4 and carry nothing.
+func TestEveryAliasHangsUnderItsTreeParent(t *testing.T) {
+	preds := []EquiPred{
+		pred("r0", "a", "r1", "b"),
+		pred("r0", "c", "r1", "c"),
+		pred("r1", "c", "r2", "b"),
+		pred("r1", "a", "r2", "c"),
+		pred("r0", "c", "r3", "c"),
+		pred("r0", "a", "r4", "c"),
+	}
+	qp, err := Build([]string{"r0", "r1", "r2", "r3", "r4"}, preds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, cl := qp.Components[0], qp.Classes
+	p := comp.TAGPlan
+	for _, n := range p.Nodes {
+		if n.Kind != RelNode || n.Parent < 0 {
+			continue
+		}
+		attr := p.Nodes[n.Parent]
+		treeParent := comp.Tree.Parent[n.Alias]
+		if got := p.Nodes[attr.Parent].Alias; got != treeParent {
+			t.Errorf("%s hangs under %s, its join-tree parent is %s", n.Alias, got, treeParent)
+		}
+		var want []int
+		for _, c := range cl.ClassesOf(n.Alias) {
+			if c != attr.Class && slices.Contains(cl.ClassesOf(treeParent), c) {
+				want = append(want, c)
+			}
+		}
+		if !slices.Equal(n.Carried, want) {
+			t.Errorf("%s carries %v, want %v", n.Alias, n.Carried, want)
+		}
+	}
+	if got, want := carriedOf(p, "r0"), []int{cl.Of[NewColRef("r0", "c")]}; !slices.Equal(got, want) {
+		t.Errorf("r0 carries %v, want %v\n%s", got, want, p)
+	}
+}

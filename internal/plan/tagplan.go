@@ -50,13 +50,19 @@ type TAGPlan struct {
 }
 
 // BuildTAGPlan constructs the TAG plan of a join tree per §5.1: one node
-// per relation, one node per join attribute class (shared), edges labeled
-// with the relation-side alias.column, then the Algorithm 1 step list,
-// starting at the leaf with the smallest card.
+// per relation, one node per join attribute class under each relation
+// whose children join it on that class (shared by those children), edges
+// labeled with the relation-side alias.column, then the Algorithm 1 step
+// list, starting at the leaf with the smallest card. Every alias thus
+// hangs under its join-tree parent.
 func BuildTAGPlan(t *Tree, classes *Classes, card func(string) int) *TAGPlan {
 	p := &TAGPlan{}
 	relNode := map[string]int{}
-	attrNode := map[int]int{}
+	type attrKey struct {
+		parent string
+		class  int
+	}
+	attrNode := map[attrKey]int{}
 
 	addNode := func(n Node) int {
 		n.ID = len(p.Nodes)
@@ -76,13 +82,13 @@ func BuildTAGPlan(t *Tree, classes *Classes, card func(string) int) *TAGPlan {
 		}
 		parent := t.Parent[alias]
 		cls := t.EdgeClass[alias]
-		an, ok := attrNode[cls]
+		an, ok := attrNode[attrKey{parent, cls}]
 		if !ok {
 			an = addNode(Node{Kind: AttrNode, Class: cls, Parent: relNode[parent], Alias: ""})
-			attrNode[cls] = an
+			attrNode[attrKey{parent, cls}] = an
 		}
 		relNode[alias] = addNode(Node{Kind: RelNode, Alias: alias, Parent: an, Class: -1})
-		n, above := &p.Nodes[relNode[alias]], classes.ClassesOf(p.Nodes[p.Nodes[an].Parent].Alias)
+		n, above := &p.Nodes[relNode[alias]], classes.ClassesOf(parent)
 		for _, c := range classes.ClassesOf(alias) {
 			if c != cls && slices.Contains(above, c) {
 				n.Carried = append(n.Carried, c)

@@ -96,30 +96,12 @@ func AliasesOf(an *Analysis, e Expr, offset int) map[string]bool {
 // BlockIsCorrelated reports whether blk (or any nested block) references
 // columns from a scope enclosing blk itself.
 func BlockIsCorrelated(an *Analysis, blk *Analyzed) bool {
-	correlated := false
-	var visit func(x Expr, depth int)
-	visit = func(x Expr, depth int) {
-		if x == nil {
-			return
-		}
-		for _, c := range ColRefs(x) {
-			if c.Depth > depth {
-				correlated = true
-			}
-		}
-		for _, subSel := range SubSelects(x) {
-			if b := an.Blocks[subSel]; b != nil {
-				VisitBlockExprs(b, depth+1, visit)
-			}
-		}
-	}
-	VisitBlockExprs(blk, 0, visit)
-	return correlated
+	return len(OuterRefs(an, blk)) > 0
 }
 
 // OuterRefs returns the ColRefs inside blk (including nested blocks) that
-// resolve exactly one scope outside blk — i.e. blk's direct correlation
-// points.
+// resolve to a scope outside blk, however far out: every value blk's
+// answer can depend on besides its own tables.
 func OuterRefs(an *Analysis, blk *Analyzed) []*ColRef {
 	var out []*ColRef
 	var visit func(x Expr, depth int)
@@ -128,7 +110,7 @@ func OuterRefs(an *Analysis, blk *Analyzed) []*ColRef {
 			return
 		}
 		for _, c := range ColRefs(x) {
-			if c.Depth == depth+1 {
+			if c.Depth > depth {
 				out = append(out, c)
 			}
 		}

@@ -118,6 +118,22 @@ func TestOuterRefs(t *testing.T) {
 			t.Errorf("outer ref = %+v", r)
 		}
 	}
+
+	// A reference two scopes out is one of the inner block's too.
+	an, err = AnalyzeString(cat, `SELECT a FROM r WHERE EXISTS (SELECT 1 FROM s
+		WHERE EXISTS (SELECT 1 FROM s s2 WHERE s2.a = r.a AND s2.c = s.c))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := an.Blocks[an.Root.Sel.Where.(*Exists).Sub]
+	inner := an.Blocks[mid.Sel.Where.(*Exists).Sub]
+	var got []string
+	for _, r := range OuterRefs(an, inner) {
+		got = append(got, r.Alias+"."+r.Column)
+	}
+	if len(got) != 2 || got[0] != "r.a" || got[1] != "s.c" {
+		t.Errorf("inner outer refs = %v, want [r.a s.c]", got)
+	}
 }
 
 func TestSubSelectsFindsAllForms(t *testing.T) {
