@@ -72,9 +72,9 @@ func buildHashIndexes(cat *relation.Catalog) {
 		if i < 0 {
 			return
 		}
-		idx := make(map[relation.Value][]int, rel.Len())
+		idx := make(map[relation.Ident][]int, rel.Len())
 		for r, t := range rel.Tuples {
-			idx[t[i].Key()] = append(idx[t[i].Key()], r)
+			idx[t[i].Ident()] = append(idx[t[i].Ident()], r)
 		}
 		_ = idx
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/relation"
@@ -69,5 +70,68 @@ func TestWireCarriesNoHeader(t *testing.T) {
 		if _, err := (sessionCodec{}).Decode(got); err != nil {
 			t.Errorf("%s does not decode: %v", tc.name, err)
 		}
+	}
+}
+
+// TestWireKeepsKeyIdentity: a set of keys that crosses the wire decodes
+// to the identities it held. NaN keys of any bit pattern are one key on
+// both sides, and 2.0 is INT 2.
+func TestWireKeepsKeyIdentity(t *testing.T) {
+	nan, otherNaN := relation.Float(math.NaN()), relation.Float(-math.NaN())
+	cells := []relation.Value{nan, relation.Float(2), otherNaN, relation.Int(2), relation.Float(2.5), relation.Float(math.Copysign(0, -1))}
+	wantIDs := []relation.Ident{nan.Ident(), relation.Int(2).Ident(), relation.Float(2.5).Ident(), relation.Int(0).Ident()}
+	hop := func(pay any) any {
+		t.Helper()
+		b, err := sessionCodec{}.Append(nil, pay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sessionCodec{}.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	keys := &valueBatch{}
+	for _, v := range cells {
+		keys.insertAt([]relation.Value{v}, []int{0})
+	}
+	got := hop(keys).(*valueBatch)
+	if len(got.vals) != len(wantIDs) {
+		t.Fatalf("batch of %d keys decodes to %d: %v", len(wantIDs), len(got.vals), got.vals)
+	}
+	for i, id := range wantIDs {
+		if got.vals[i].Ident() != id || !got.contains(id.Value()) {
+			t.Errorf("key %d decodes to %v, want identity %v", i, got.vals[i], id)
+		}
+	}
+
+	tuples := &valueTuples{width: 2}
+	for _, v := range cells {
+		tuples.insert([]relation.Value{v, relation.Str("x")})
+	}
+	gotT := hop(tuples).(*valueTuples)
+	if n := len(gotT.vals) / gotT.width; n != len(wantIDs) {
+		t.Fatalf("%d tuples decode to %d", len(wantIDs), n)
+	}
+	for _, v := range cells {
+		if !gotT.has([]relation.Value{v, relation.Str("x")}, []int{0, 1}) {
+			t.Errorf("decoded tuples lack (%v, x)", v)
+		}
+	}
+
+	if got := hop(cycleMsg{val: otherNaN}).(cycleMsg); got.val.Ident() != nan.Ident() {
+		t.Errorf("cycle value decodes to %v, want the NaN key", got.val)
+	}
+
+	distinct := sql.NewAggregator(&sql.FuncCall{Name: "COUNT", Distinct: true})
+	for _, v := range cells {
+		distinct.Observe(v)
+	}
+	grp := &groupAcc{aggs: []*sql.Aggregator{distinct}}
+	pg := hop(&partialGroups{groups: []*groupAcc{grp}}).(*partialGroups)
+	if got, want := pg.groups[0].aggs[0].Result(), relation.Int(int64(len(wantIDs))); got != want {
+		t.Errorf("COUNT(DISTINCT) decodes to %v, want %v", got, want)
 	}
 }

@@ -61,12 +61,13 @@ func combineGroups(a, b *partialGroups) *partialGroups {
 // fold. The reduction forwards one as the set of one carried class's
 // values, holding their keys (a carriedSet).
 //
-// A batch finds a value by comparing until it holds more than
-// linearKeys values, and in seen from then on. Only add writes, so a
-// built batch can go to many receivers.
+// Members are matched by identity (relation.Ident), so a batch holds one
+// value per key. A batch finds a value by comparing until it holds more
+// than linearKeys values, and in seen from then on. Only add writes, so
+// a built batch can go to many receivers.
 type valueBatch struct {
 	vals []relation.Value
-	seen map[relation.Value]struct{}
+	seen map[relation.Ident]struct{}
 }
 
 // add inserts val and reports whether it was new.
@@ -76,23 +77,24 @@ func (b *valueBatch) add(val relation.Value) bool {
 	}
 	b.vals = append(b.vals, val)
 	if b.seen != nil {
-		b.seen[val] = struct{}{}
+		b.seen[val.Ident()] = struct{}{}
 	} else if len(b.vals) > linearKeys {
-		b.seen = make(map[relation.Value]struct{}, 2*len(b.vals))
+		b.seen = make(map[relation.Ident]struct{}, 2*len(b.vals))
 		for _, v := range b.vals {
-			b.seen[v] = struct{}{}
+			b.seen[v.Ident()] = struct{}{}
 		}
 	}
 	return true
 }
 
-// contains reports whether val is in the batch.
+// contains reports whether val's key is in the batch.
 func (b *valueBatch) contains(val relation.Value) bool {
+	id := val.Ident()
 	if b.seen != nil {
-		_, ok := b.seen[val]
+		_, ok := b.seen[id]
 		return ok
 	}
-	return slices.Contains(b.vals, val)
+	return slices.ContainsFunc(b.vals, func(v relation.Value) bool { return v.Ident() == id })
 }
 
 // Size prices the batch in bytes (the MessageBytes measure).
@@ -107,7 +109,7 @@ func (b *valueBatch) Size() int {
 // insertAt adds the key of vals[pos[0]] unless it is NULL.
 func (b *valueBatch) insertAt(vals []relation.Value, pos []int) {
 	if pos[0] < len(vals) && !vals[pos[0]].IsNull() {
-		b.add(keyValue(vals[pos[0]]))
+		b.add(vals[pos[0]].Key())
 	}
 }
 
@@ -115,7 +117,7 @@ func (b *valueBatch) insertAt(vals []relation.Value, pos []int) {
 // NULL is in none.
 func (b *valueBatch) has(row []relation.Value, slots []int) bool {
 	v := row[slots[0]]
-	return !v.IsNull() && b.contains(keyValue(v))
+	return !v.IsNull() && b.contains(v)
 }
 
 func (b *valueBatch) empty() bool { return len(b.vals) == 0 }

@@ -43,6 +43,17 @@ func samplePayloads() []any {
 		set.insert([]relation.Value{relation.Int(int64(i)), relation.Float(float64(i) + 0.5)})
 	}
 	set.insert([]relation.Value{relation.Null, relation.Str("")})
+	// The NaN key, which every NaN cell shares, in a carried set of one
+	// class's keys and in a set of two classes' values.
+	nan, otherNaN := relation.Float(math.NaN()), relation.Float(-math.NaN())
+	nanKeys := &valueBatch{}
+	for _, v := range []relation.Value{nan, relation.Float(2), otherNaN, relation.Float(2.5)} {
+		nanKeys.insertAt([]relation.Value{v}, []int{0})
+	}
+	nanTuples := &valueTuples{width: 2}
+	for _, tu := range [][]relation.Value{{nan, relation.Int(1)}, {otherNaN, relation.Int(1)}, {relation.Int(1), nan}} {
+		nanTuples.insert(tu)
+	}
 	return []any{
 		nil, true, 42, int64(-5), "basic", bsp.VertexID(9), []bsp.VertexID{1, 2, 3},
 		cycleMsg{val: relation.Date(19000)},
@@ -50,10 +61,13 @@ func samplePayloads() []any {
 		cycleMsg{val: relation.Int(-42)},
 		cycleMsg{val: relation.Float(2.5)},
 		cycleMsg{val: relation.Str("supplier#7")},
+		cycleMsg{val: nan},
 		vb,
 		keys,
 		one,
 		set,
+		nanKeys,
+		nanTuples,
 		tbl,
 		&tableBatch{t: tbl, owned: true},
 		&partialGroups{groups: []*groupAcc{grp}, logical: 3},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"hash/maphash"
-	"math"
 	"math/bits"
 
 	"repro/internal/relation"
@@ -10,40 +9,26 @@ import (
 
 // Keys. Joins, groups, DISTINCT, decorrelated lookups and the
 // correlated-subquery memo all ask one question of a tuple of values:
-// which earlier tuple has the same key? A key value is keyValue(v):
-// Value.Key() (FLOAT 2.0 is INT 2, a BOOL is its INT), with every NaN
-// folded onto nanKey so that NaNs meet each other. A one-value key is
-// that comparable value itself; a wider key is a hash of its canonical
-// values, and a hash hit is confirmed value by value, so keys are
-// injective whatever bytes a string holds.
+// which earlier tuple has the same key? Two values are the same key when
+// their relation.Idents are ==. A one-value key is that identity itself;
+// a wider key is a hash of its values' identities, and a hash hit is
+// confirmed value by value, so keys are injective whatever bytes a
+// string holds.
 
-// nanKey is the canonical key of every NaN: a FLOAT value no real float
-// carries (a float value keeps I zero).
-var nanKey = relation.Value{Kind: relation.KindFloat, I: 1}
-
-// keyValue returns v's canonical key value.
-func keyValue(v relation.Value) relation.Value {
-	k := v.Key()
-	if k.Kind == relation.KindFloat && k.F != k.F {
-		return nanKey
-	}
-	return k
-}
-
-// valueKey is the map key of a tuple of values: the canonical value of
-// a one-value tuple, or the hash of a wider one's canonical values.
+// valueKey is the map key of a tuple of values: the identity of a
+// one-value tuple, or the hash of a wider one's identities.
 type valueKey struct {
-	v relation.Value
-	h uint64
+	id relation.Ident
+	h  uint64
 }
 
 var keySeed = maphash.MakeSeed()
 
-// mixKey folds one canonical value into a running tuple hash.
-func mixKey(h uint64, k relation.Value) uint64 {
-	x := uint64(k.I) ^ math.Float64bits(k.F) ^ uint64(k.Kind)<<56
-	if k.Kind == relation.KindString {
-		x ^= maphash.String(keySeed, k.S)
+// mixKey folds one identity into a running tuple hash.
+func mixKey(h uint64, id relation.Ident) uint64 {
+	x := uint64(id.I) ^ uint64(id.Kind)<<56
+	if id.Kind == relation.KindString {
+		x ^= maphash.String(keySeed, id.S)
 	}
 	hi, lo := bits.Mul64(h^x, 0x9e3779b97f4a7c15)
 	return hi ^ lo
@@ -52,11 +37,11 @@ func mixKey(h uint64, k relation.Value) uint64 {
 // tupleKey returns the map key of the tuple vals.
 func tupleKey(vals []relation.Value) valueKey {
 	if len(vals) == 1 {
-		return valueKey{v: keyValue(vals[0])}
+		return valueKey{id: vals[0].Ident()}
 	}
 	h := uint64(len(vals))
 	for _, v := range vals {
-		h = mixKey(h, keyValue(v))
+		h = mixKey(h, v.Ident())
 	}
 	return valueKey{h: h}
 }
@@ -64,11 +49,11 @@ func tupleKey(vals []relation.Value) valueKey {
 // slotsKey returns the map key of the tuple row[slots[0]], row[slots[1]], ...
 func slotsKey(row []relation.Value, slots []int) valueKey {
 	if len(slots) == 1 {
-		return valueKey{v: keyValue(row[slots[0]])}
+		return valueKey{id: row[slots[0]].Ident()}
 	}
 	h := uint64(len(slots))
 	for _, s := range slots {
-		h = mixKey(h, keyValue(row[s]))
+		h = mixKey(h, row[s].Ident())
 	}
 	return valueKey{h: h}
 }
@@ -79,7 +64,7 @@ func tuplesEqual(a, b []relation.Value) bool {
 		return false
 	}
 	for i := range a {
-		if keyValue(a[i]) != keyValue(b[i]) {
+		if a[i].Ident() != b[i].Ident() {
 			return false
 		}
 	}
@@ -90,7 +75,7 @@ func tuplesEqual(a, b []relation.Value) bool {
 // same key.
 func slotsEqual(a []relation.Value, as []int, b []relation.Value, bs []int) bool {
 	for i := range as {
-		if keyValue(a[as[i]]) != keyValue(b[bs[i]]) {
+		if a[as[i]].Ident() != b[bs[i]].Ident() {
 			return false
 		}
 	}

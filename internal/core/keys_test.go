@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/relation"
+	"repro/internal/tag"
 )
 
 // renderRows renders a result as sorted "[v1 v2 ...]" rows, quoting
@@ -81,6 +82,92 @@ func TestKeySemanticsPinned(t *testing.T) {
 		[]string{"[-0 0 2]", "[0 0 3]", "[2 2 4]"})
 	checkBothEngines(t, cat, "SELECT y, COUNT(*), SUM(x) FROM fl, ik WHERE f = k GROUP BY y",
 		[]string{"[10 2 5]", "[20 1 4]"})
+	checkBothEngines(t, cat, "SELECT a.x, b.x FROM fl a, fl b WHERE a.f = b.f AND a.x < 2",
+		[]string{"[0 0]", "[0 1]", "[1 0]", "[1 1]"})
+	checkBothEngines(t, cat, "SELECT COUNT(DISTINCT f), COUNT(f) FROM fl",
+		[]string{"[4 6]"})
+}
+
+// floatKeyCatalog holds FLOAT join keys with every identity case: NaN
+// (several cells), -0.0 against 0.0, 2.0 against INT 2, and 2.5. Every
+// column repeats its values, so every join is many to many.
+func floatKeyCatalog() *relation.Catalog {
+	cat := relation.NewCatalog()
+	nan := math.NaN()
+	add := func(name, col string, kind relation.Kind, rows [][2]relation.Value) {
+		r := relation.New(name, relation.MustSchema(
+			relation.Col("id", relation.KindInt),
+			relation.Col("a", relation.KindInt),
+			relation.Col(col, kind)))
+		for i, row := range rows {
+			r.MustAppend(relation.Int(int64(i)), row[0], row[1])
+		}
+		cat.MustAdd(r)
+	}
+	f, i := relation.Float, relation.Int
+	add("p", "f", relation.KindFloat, [][2]relation.Value{
+		{i(1), f(nan)}, {i(2), f(nan)}, {i(1), f(math.Copysign(0, -1))}, {i(2), f(2)},
+		{i(1), f(2.5)}, {i(1), f(nan)}, {i(2), relation.Null},
+	})
+	add("q", "f", relation.KindFloat, [][2]relation.Value{
+		{i(1), f(nan)}, {i(1), f(0)}, {i(2), f(nan)}, {i(2), f(2.5)}, {i(1), f(2)},
+	})
+	add("r", "k", relation.KindInt, [][2]relation.Value{
+		{i(1), i(2)}, {i(2), i(0)}, {i(1), i(1)}, {i(2), i(2)}, {i(1), i(1)}, {i(2), relation.Null},
+	})
+	return cat
+}
+
+// TestFloatJoinKeys checks TAG-join against the baseline on FLOAT join
+// keys under every engine configuration: a NaN joins every NaN, -0.0
+// joins 0.0, 2.0 joins INT 2, and 2.5 only 2.5. The keys are decided
+// once (relation.Ident), so the attribute vertices, the reduction's
+// carried sets, the collection's class agreement, the cycle pre-pass
+// and DISTINCT all agree with the baseline's hash keys.
+func TestFloatJoinKeys(t *testing.T) {
+	cat := floatKeyCatalog()
+	policies := map[string]tag.Policy{"all": tag.MaterializeAll, "default": tag.DefaultPolicy}
+	cases := []struct {
+		name, policy, sql string
+	}{
+		{"one-class", "all", "SELECT p.id, q.id FROM p, q WHERE p.f = q.f"},
+		{"one-class-int", "all", "SELECT p.id, r.id FROM p, r WHERE p.f = r.k"},
+		{"two-class-edge", "all", "SELECT p.id, q.id FROM p, q WHERE p.a = q.a AND p.f = q.f"},
+		{"two-class-edge", "default", "SELECT p.id, q.id FROM p, q WHERE p.a = q.a AND p.f = q.f"},
+		{"triangle", "all", "SELECT p.id, q.id, r.id FROM p, q, r WHERE p.a = r.a AND r.k = q.a AND q.f = p.f"},
+		{"count-distinct", "all", "SELECT COUNT(DISTINCT f), COUNT(f) FROM p"},
+		{"count-distinct-grouped", "default", "SELECT a, COUNT(DISTINCT f), SUM(DISTINCT f) FROM p GROUP BY a"},
+		{"count-distinct-joined", "all", "SELECT COUNT(DISTINCT q.f) FROM p, q WHERE p.a = q.a"},
+	}
+	ref := baseline.New(cat)
+	for _, pol := range []string{"all", "default"} {
+		g, err := tag.Build(cat, policies[pol])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ec := range engineConfigs {
+			ex := NewSession(g, ec.opts)
+			for _, tc := range cases {
+				if tc.policy != pol {
+					continue
+				}
+				t.Run(tc.name+"/"+pol+"/"+ec.name, func(t *testing.T) {
+					want, err := ref.Query(tc.sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ex.Query(tc.sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !relation.EqualMultiset(got, want) {
+						onlyG, onlyW := relation.DiffMultiset(got, want, 4)
+						t.Fatalf("%d rows, baseline %d\nonly TAG: %v\nonly baseline: %v", got.Len(), want.Len(), onlyG, onlyW)
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestKeysContainingSeparatorBytes checks that composite keys are

@@ -174,7 +174,7 @@ func carriedVals(pay any, one *[1]relation.Value) []relation.Value {
 
 // carriedSet is the set of carried values an attribute vertex forwards:
 // a valueBatch of keys for one class, valueTuples for several.
-// Membership is key identity (keyValue), as for the attribute vertices,
+// Membership is key identity (relation.Ident), as for the attribute vertices,
 // and NULL is a member of none.
 type carriedSet interface {
 	// insertAt adds vals[pos[0]], vals[pos[1]], ... unless one is NULL.

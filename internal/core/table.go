@@ -84,8 +84,9 @@ func (t *table) Size() int {
 
 // classAgreement describes, for one join-attribute class, the bind keys
 // of its member columns; a joined row is valid only if all present member
-// columns hold equal non-NULL values (this enforces multi-attribute join
-// conditions and broken cycle-closing predicates, §4.2/§6.2).
+// columns hold one non-NULL key, by relation.Ident (this enforces
+// multi-attribute join conditions and broken cycle-closing predicates,
+// §4.2/§6.2).
 type classAgreement [][]string
 
 // joinShape is the precomputed plan of joining two table shapes: shared
@@ -197,7 +198,7 @@ func (s *joinShape) emit(out *table, rows *rowArena, r1, r2 []relation.Value) {
 	for _, slots := range s.agreeSets {
 		first := row[slots[0]]
 		for _, sl := range slots[1:] {
-			if !first.Equal(row[sl]) {
+			if first.IsNull() || first.Ident() != row[sl].Ident() {
 				return
 			}
 		}

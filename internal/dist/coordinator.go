@@ -3,7 +3,6 @@ package dist
 import (
 	"bufio"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"net"
@@ -368,12 +367,7 @@ func (c *Coordinator) release(kind byte) error {
 	case ckBarrier:
 		payload = appendBarrierFrame([]byte{ckBarrier}, c.hub.gb)
 	case ckFinishRun:
-		payload = []byte{ckFinishRun}
-		payload = binary.AppendUvarint(payload, uint64(len(c.hub.out)))
-		for _, blob := range c.hub.out {
-			payload = binary.AppendUvarint(payload, uint64(len(blob)))
-			payload = append(payload, blob...)
-		}
+		payload = appendFinishRelease([]byte{ckFinishRun}, c.hub.out)
 	default:
 		return fmt.Errorf("dist: no release for kind %#x", kind)
 	}

@@ -304,6 +304,41 @@ func decodeQueryFrame(payload []byte) (queryFrame, error) {
 	return q, d.Finish()
 }
 
+// appendFinishRelease serializes a FINISHRUN release after the leading
+// kind byte: the blob count, then each partition's emit blob,
+// length-prefixed, in partition order.
+func appendFinishRelease(dst []byte, blobs [][]byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(blobs)))
+	for _, b := range blobs {
+		dst = append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+	}
+	return dst
+}
+
+// decodeFinishRelease reads a whole FINISHRUN release, which must carry
+// one blob per partition of parts. The blobs alias payload.
+func decodeFinishRelease(payload []byte, parts int) ([][]byte, error) {
+	d := codec.NewDecoder(payload)
+	n, err := d.Length()
+	if err != nil {
+		return nil, err
+	}
+	if n != parts {
+		return nil, fmt.Errorf("dist: finish-run release carries %d blobs, expected %d", n, parts)
+	}
+	blobs := make([][]byte, n)
+	for i := range blobs {
+		ln, err := d.Length()
+		if err != nil {
+			return nil, err
+		}
+		if blobs[i], err = d.Take(ln); err != nil {
+			return nil, err
+		}
+	}
+	return blobs, d.Finish()
+}
+
 // peerHello is the PEER frame a node dials a lower-numbered one with:
 // the cluster token and the dialer's partition. An unauthenticated data
 // port reads it.

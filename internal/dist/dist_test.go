@@ -4,14 +4,17 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/bsp"
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/relation"
 	"repro/internal/tag"
 	"repro/internal/tpch"
 )
@@ -150,6 +153,96 @@ WHERE o1.o_custkey = c.c_custkey AND o2.o_custkey = c.c_nationkey AND o1.o_shipp
 				t.Errorf("records on wire: measured %d, simulation priced %d", gotRecords, wantRecords)
 			}
 		})
+	}
+}
+
+// nanKeyCatalog is a fixture whose FLOAT join keys are half NaN: r has
+// 40 rows and s 6, each with a NaN f in every other row, and both join
+// on a and f.
+func nanKeyCatalog() *relation.Catalog {
+	cat := relation.NewCatalog()
+	for _, tb := range []struct {
+		name string
+		rows int
+	}{{"r", 40}, {"s", 6}} {
+		rel := relation.New(tb.name, relation.MustSchema(
+			relation.Col("a", relation.KindInt),
+			relation.Col("f", relation.KindFloat)))
+		for i := 0; i < tb.rows; i++ {
+			f := relation.Float(math.NaN())
+			if i%2 == 1 {
+				f = relation.Float(float64(i%3) / 2)
+			}
+			rel.MustAppend(relation.Int(int64(i%5)), f)
+		}
+		cat.MustAdd(rel)
+	}
+	return cat
+}
+
+// TestDistNaNKeysMatchLoopback runs FLOAT joins whose keys are half NaN
+// on real-socket topologies of 2 and 4 nodes: rows and Stats must equal
+// the loopback session's at the same partition count, and rows the
+// baseline's. Under MaterializeAll the NaN key crosses the wire in the
+// reduction's carried sets and the cycle walk; under the default policy
+// the collection's class agreement decides it; COUNT(DISTINCT) ships it
+// in aggregator partials.
+func TestDistNaNKeysMatchLoopback(t *testing.T) {
+	cat := nanKeyCatalog()
+	// A query that joins on f alone needs f materialized (onlyAll).
+	queries := []struct {
+		sql     string
+		onlyAll bool
+	}{
+		{"SELECT COUNT(*) FROM r, s WHERE r.a = s.a AND r.f = s.f AND s.a < 5", false},
+		{"SELECT s.a, COUNT(DISTINCT r.f) FROM r, s WHERE r.a = s.a GROUP BY s.a", false},
+		{"SELECT r.a, COUNT(*) FROM r, s WHERE r.f = s.f GROUP BY r.a", true},
+		{"SELECT COUNT(*) FROM r, s, r r2 WHERE r.f = s.f AND s.a = r2.a AND r2.f = r.a", true},
+	}
+	ref := baseline.New(cat)
+	for _, pol := range []struct {
+		name   string
+		policy tag.Policy
+	}{{"default", nil}, {"all", tag.MaterializeAll}} {
+		g, err := tag.Build(cat, pol.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parts := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/parts=%d", pol.name, parts), func(t *testing.T) {
+				c, _ := startTopology(t, g, parts)
+				sim := core.NewSession(g, bsp.Options{Partitions: parts})
+				for _, qc := range queries {
+					if qc.onlyAll && pol.policy == nil {
+						continue
+					}
+					q := qc.sql
+					want, err := ref.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					before := sim.Stats()
+					simRows, err := sim.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					simCost := sim.Stats().Sub(before)
+					res, err := c.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					if got, want := rowsKey(res.Rows), rowsKey(want); got != want {
+						t.Errorf("%s: dist rows %q, baseline %q", q, got, want)
+					}
+					if got, want := rowsKey(res.Rows), rowsKey(simRows); got != want {
+						t.Errorf("%s: dist rows %q, loopback %q", q, got, want)
+					}
+					if res.Cost != simCost {
+						t.Errorf("%s: cost diverges\ndist: %+v\nsim:  %+v", q, res.Cost, simCost)
+					}
+				}
+			})
+		}
 	}
 }
 

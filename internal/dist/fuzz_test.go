@@ -138,10 +138,13 @@ func roundTrip[T any](t *testing.T, v T, enc func([]byte, T) []byte, dec func([]
 
 // FuzzDecodeControl: a worker decodes every QUERY the coordinator
 // dispatches, the coordinator every QUERYDONE a worker reports (both
-// one layout, decodeQueryFrame), and a node's data port the PEER frame
-// of whoever dials it, before any token is checked. Every input goes to
-// both decoders. On any input neither panics or allocates more than a
-// constant factor of the bytes it was given, and whatever one accepts
+// one layout, decodeQueryFrame), a node's data port the PEER frame of
+// whoever dials it, before any token is checked, and a worker the
+// FINISHRUN release that hands it every partition's emit blob. Every
+// input goes to every decoder, the release decoder at 1, 2 and 4
+// partitions. On any input none panics or allocates more than a
+// constant factor of the bytes it was given, a release whose blob count
+// is not the partition count is refused, and whatever a decoder accepts
 // re-encodes to a canonical form that decodes to the same frame and
 // re-encodes to itself.
 func FuzzDecodeControl(f *testing.F) {
@@ -151,6 +154,8 @@ func FuzzDecodeControl(f *testing.F) {
 		appendQueryFrame(nil, queryFrame{id: 7, text: "sql: unknown table foo"}),
 		appendPeerHello(nil, peerHello{token: "00ff00ff", from: 3}),
 		appendPeerHello(nil, peerHello{from: math.MaxInt32}),
+		appendFinishRelease(nil, [][]byte{{1, 2, 3}, {}}),
+		appendFinishRelease(nil, [][]byte{{}, {0xff}, bytes.Repeat([]byte{7}, 200), {4}}),
 	} {
 		for _, n := range []int{0, 1, len(b) / 2, len(b) - 1} {
 			f.Add(b[:n])
@@ -163,6 +168,11 @@ func FuzzDecodeControl(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		q, queryErr := decodeQueryFrame(data)
 		p, peerErr := decodePeerHello(data)
+		var blobs [3][][]byte
+		var blobErrs [3]error
+		for i, parts := range []int{1, 2, 4} {
+			blobs[i], blobErrs[i] = decodeFinishRelease(data, parts)
+		}
 		runtime.ReadMemStats(&after)
 		if d := after.TotalAlloc - before.TotalAlloc; d > 64*uint64(len(data))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), d)
@@ -172,6 +182,20 @@ func FuzzDecodeControl(f *testing.F) {
 		}
 		if peerErr == nil {
 			roundTrip(t, p, appendPeerHello, decodePeerHello)
+		}
+		for i, parts := range []int{1, 2, 4} {
+			if blobErrs[i] != nil {
+				continue
+			}
+			if len(blobs[i]) != parts {
+				t.Fatalf("release for %d partitions decoded %d blobs", parts, len(blobs[i]))
+			}
+			roundTrip(t, blobs[i], appendFinishRelease, func(b []byte) ([][]byte, error) {
+				return decodeFinishRelease(b, parts)
+			})
+			if _, err := decodeFinishRelease(data, parts+1); err == nil {
+				t.Fatalf("release of %d blobs accepted for %d partitions", parts, parts+1)
+			}
 		}
 	})
 }

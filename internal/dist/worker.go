@@ -416,26 +416,5 @@ func (wc workerColl) finishRun(blob []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := codec.NewDecoder(m.payload)
-	n, err := d.Length()
-	if err != nil {
-		return nil, err
-	}
-	if n != wc.w.parts {
-		return nil, fmt.Errorf("dist: finish-run release carries %d blobs, expected %d", n, wc.w.parts)
-	}
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		ln, err := d.Length()
-		if err != nil {
-			return nil, err
-		}
-		if out[i], err = d.Take(ln); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return decodeFinishRelease(m.payload, wc.w.parts)
 }

@@ -1,9 +1,9 @@
 // Package relation implements the relational substrate of the TAG-join
 // reproduction: typed values, schemas, relations, catalogs and CSV I/O.
 //
-// Values are small comparable structs (no interface boxing), so they can be
-// used directly as map keys in join and aggregation hash tables and as the
-// identity of TAG attribute vertices.
+// Values are small structs (no interface boxing). A value's Ident, its
+// join-key identity, is comparable: join and aggregation hash tables and
+// the TAG attribute vertices all key on it.
 package relation
 
 import (
@@ -211,17 +211,46 @@ func (v Value) Equal(o Value) bool {
 
 // Key canonicalizes v for use as a join/group key: integral floats fold
 // into ints so that 2 and 2.0 land on the same attribute vertex, matching
-// the TAG model's one-vertex-per-active-domain-value rule.
-func (v Value) Key() Value {
-	if v.Kind == KindFloat {
-		if t := math.Trunc(v.F); t == v.F && !math.IsInf(v.F, 0) {
-			return Int(int64(t))
+// the TAG model's one-vertex-per-active-domain-value rule. It is the
+// value of v's Ident, so every NaN keys as one NaN.
+func (v Value) Key() Value { return v.Ident().Value() }
+
+// Ident is the join-key identity of a value, the one rule by which
+// every layer decides that two values are the same key: they share an
+// attribute vertex (§3), join, group, deduplicate and meet in a semijoin
+// set exactly when their Idents are ==. An integral FLOAT (in int64's
+// range) and a BOOL are their INT, a DATE is never an INT, and every
+// NaN is one key. SQL comparison (Compare, Equal) is another rule.
+type Ident struct {
+	Kind Kind
+	I    int64  // INT, DATE: the value; FLOAT: its bits, one pattern for every NaN
+	S    string // STRING: the value
+}
+
+// Ident returns v's join-key identity.
+func (v Value) Ident() Ident {
+	switch v.Kind {
+	case KindFloat:
+		if t := math.Trunc(v.F); t == v.F && t >= -(1<<63) && t < 1<<63 {
+			return Ident{Kind: KindInt, I: int64(t)}
 		}
+		if v.F != v.F {
+			v.F = math.NaN() // one bit pattern for every NaN
+		}
+		return Ident{Kind: KindFloat, I: int64(math.Float64bits(v.F))}
+	case KindBool:
+		return Ident{Kind: KindInt, I: v.I}
 	}
-	if v.Kind == KindBool {
-		return Int(v.I)
+	return Ident{Kind: v.Kind, I: v.I, S: v.S}
+}
+
+// Value returns the canonical value of the identity: v.Key() for every
+// v with that identity, so the NaN key's value is a NaN.
+func (id Ident) Value() Value {
+	if id.Kind == KindFloat {
+		return Float(math.Float64frombits(uint64(id.I)))
 	}
-	return v
+	return Value{Kind: id.Kind, I: id.I, S: id.S}
 }
 
 // Size returns the approximate in-memory footprint of the value in bytes,

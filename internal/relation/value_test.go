@@ -98,6 +98,38 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestIdentRule pins the join-key identity: which values are one key,
+// which are not, that every NaN is one key whose value is a NaN, and
+// that the identity of an identity's value is the identity itself.
+func TestIdentRule(t *testing.T) {
+	nan, otherNaN := Float(math.NaN()), Float(math.Float64frombits(0xfff0000000000123))
+	for _, pair := range [][2]Value{
+		{Float(2), Int(2)}, {Bool(true), Int(1)}, {Float(math.Copysign(0, -1)), Int(0)},
+		{nan, otherNaN}, {Float(-(1 << 63)), Int(math.MinInt64)}, {Str("x"), Str("x")},
+	} {
+		if pair[0].Ident() != pair[1].Ident() {
+			t.Errorf("%v %v and %v %v are two keys, want one", pair[0].Kind, pair[0], pair[1].Kind, pair[1])
+		}
+	}
+	for _, pair := range [][2]Value{
+		{Date(5), Int(5)}, {Float(2.5), Int(2)}, {nan, Int(0)}, {nan, Float(0)},
+		{Float(1e19), Float(-1e19)}, {Float(1e19), Int(math.MinInt64)}, {Float(math.Inf(1)), Float(math.Inf(-1))},
+		{Null, Int(0)}, {Str(""), Null},
+	} {
+		if pair[0].Ident() == pair[1].Ident() {
+			t.Errorf("%v %v and %v %v are one key, want two", pair[0].Kind, pair[0], pair[1].Kind, pair[1])
+		}
+	}
+	if k := otherNaN.Key(); k.Kind != KindFloat || !math.IsNaN(k.F) {
+		t.Errorf("NaN's key is %v %v, want a FLOAT NaN", k.Kind, k)
+	}
+	for _, v := range []Value{nan, otherNaN, Float(2), Float(2.5), Float(1e19), Bool(false), Date(3), Str("s"), Null} {
+		if id := v.Ident(); id.Value().Ident() != id {
+			t.Errorf("%v %v: identity of its identity's value is %+v, want %+v", v.Kind, v, id.Value().Ident(), id)
+		}
+	}
+}
+
 func TestArithmetic(t *testing.T) {
 	cases := []struct {
 		got, want Value

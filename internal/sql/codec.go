@@ -3,7 +3,6 @@ package sql
 import (
 	"cmp"
 	"encoding/binary"
-	"math"
 	"slices"
 
 	"repro/internal/codec"
@@ -23,8 +22,8 @@ import (
 
 // AppendBinary appends a's complete partial state: function name, a
 // flags byte (star, distinct), the observation count, the exact sum,
-// the min/max values, and (for DISTINCT) the deferred value set in a
-// canonical order.
+// the min/max values, and (for DISTINCT) the deferred keys in a
+// canonical order, each written as its identity's value.
 func (a *Aggregator) AppendBinary(b []byte) ([]byte, error) {
 	b = codec.AppendString(b, a.fn.Name)
 	var flags byte
@@ -44,22 +43,16 @@ func (a *Aggregator) AppendBinary(b []byte) ([]byte, error) {
 		}
 	}
 	if a.distinct != nil {
-		vals := make([]relation.Value, 0, len(a.distinct))
-		for v := range a.distinct {
-			vals = append(vals, v)
+		ids := make([]relation.Ident, 0, len(a.distinct))
+		for id := range a.distinct {
+			ids = append(ids, id)
 		}
-		slices.SortFunc(vals, func(x, y relation.Value) int {
-			if x.Kind != y.Kind {
-				return int(x.Kind) - int(y.Kind)
-			}
-			if x.Kind == relation.KindFloat { // a total order, NaNs included
-				return cmp.Or(cmp.Compare(x.F, y.F), cmp.Compare(math.Float64bits(x.F), math.Float64bits(y.F)))
-			}
-			return x.Compare(y)
+		slices.SortFunc(ids, func(x, y relation.Ident) int {
+			return cmp.Or(cmp.Compare(x.Kind, y.Kind), cmp.Compare(x.I, y.I), cmp.Compare(x.S, y.S))
 		})
-		b = binary.AppendUvarint(b, uint64(len(vals)))
-		for _, v := range vals {
-			if b, err = relation.AppendValue(b, v); err != nil {
+		b = binary.AppendUvarint(b, uint64(len(ids)))
+		for _, id := range ids {
+			if b, err = relation.AppendValue(b, id.Value()); err != nil {
 				return nil, err
 			}
 		}
@@ -101,7 +94,7 @@ func DecodeAggregator(d *codec.Decoder) (*Aggregator, error) {
 			if err != nil {
 				return nil, err
 			}
-			a.distinct[v] = struct{}{}
+			a.distinct[v.Ident()] = struct{}{}
 		}
 	}
 	return a, nil

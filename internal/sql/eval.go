@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"maps"
 	"strings"
 
 	"repro/internal/relation"
@@ -87,14 +88,14 @@ type Aggregator struct {
 	count    int64
 	sum      exactSum
 	min, max relation.Value
-	distinct map[relation.Value]struct{}
+	distinct map[relation.Ident]struct{} // DISTINCT: the observed keys
 }
 
 // NewAggregator prepares an accumulator for fn.
 func NewAggregator(fn *FuncCall) *Aggregator {
 	a := &Aggregator{fn: fn, min: relation.Null, max: relation.Null}
 	if fn.Distinct {
-		a.distinct = make(map[relation.Value]struct{})
+		a.distinct = make(map[relation.Ident]struct{})
 	}
 	return a
 }
@@ -107,7 +108,7 @@ func (a *Aggregator) Observe(v relation.Value) {
 		return // SQL aggregates skip NULLs
 	}
 	if a.distinct != nil {
-		a.distinct[v.Key()] = struct{}{}
+		a.distinct[v.Ident()] = struct{}{}
 		return
 	}
 	a.observeRaw(v)
@@ -131,9 +132,7 @@ func (a *Aggregator) observeRaw(v relation.Value) {
 // over the same observations gives the same Result bits.
 func (a *Aggregator) Merge(b *Aggregator) {
 	if a.distinct != nil {
-		for v := range b.distinct {
-			a.distinct[v] = struct{}{}
-		}
+		maps.Copy(a.distinct, b.distinct)
 		return
 	}
 	a.count += b.count
@@ -152,8 +151,8 @@ func (a *Aggregator) Merge(b *Aggregator) {
 func (a *Aggregator) Result() relation.Value {
 	if a.distinct != nil {
 		fold := NewAggregator(&FuncCall{Name: a.fn.Name, Star: a.fn.Star})
-		for v := range a.distinct {
-			fold.observeRaw(v)
+		for id := range a.distinct {
+			fold.observeRaw(id.Value())
 		}
 		return fold.Result()
 	}

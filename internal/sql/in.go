@@ -4,16 +4,16 @@ import "repro/internal/relation"
 
 // inSet is the hash probe of one IN-subquery result, kept as the
 // result's memo (relation.Relation.Memo) so it lives and dies with it.
-// The first probe of a result builds its set. The set holds the first column's non-NULL values only when they
-// all have one kind among INT, DATE and STRING, and it answers only
-// probes of that kind: Compare equates INT, DATE and FLOAT through
-// AsFloat, and a NaN compares equal to every number, so any other probe
-// is scanned.
+// The first probe of a result builds its set. The set holds the first
+// column's non-NULL values only when they all have one kind among INT,
+// DATE and STRING, where SQL equality is key identity
+// (relation.Ident), and it answers only probes of that kind: Compare
+// equates INT, DATE and FLOAT through AsFloat, and a NaN compares equal
+// to every number, so any other probe is scanned.
 type inSet struct {
 	hashable bool
 	kind     relation.Kind // the values' kind; KindNull when there are none
-	ints     map[int64]struct{}
-	strs     map[string]struct{}
+	ids      map[relation.Ident]struct{}
 	sawNull  bool
 }
 
@@ -23,11 +23,7 @@ type inSet struct {
 func inRows(rows *relation.Relation, v relation.Value, not bool) relation.Value {
 	found, sawNull := false, false
 	if s := probeSet(rows); s.hashable && (s.kind == relation.KindNull || s.kind == v.Kind) {
-		if v.Kind == relation.KindString {
-			_, found = s.strs[v.S]
-		} else {
-			_, found = s.ints[v.I]
-		}
+		_, found = s.ids[v.Ident()]
 		sawNull = s.sawNull
 	} else {
 		for _, t := range rows.Tuples {
@@ -71,25 +67,15 @@ func buildInSet(rows *relation.Relation) *inSet {
 		case v.IsNull():
 			s.sawNull = true
 			continue
+		case v.Kind != relation.KindInt && v.Kind != relation.KindDate && v.Kind != relation.KindString:
+			return &inSet{}
 		case s.kind == relation.KindNull:
 			s.kind = v.Kind
+			s.ids = make(map[relation.Ident]struct{}, len(rows.Tuples))
 		case v.Kind != s.kind:
 			return &inSet{}
 		}
-		switch v.Kind {
-		case relation.KindInt, relation.KindDate:
-			if s.ints == nil {
-				s.ints = make(map[int64]struct{}, len(rows.Tuples))
-			}
-			s.ints[v.I] = struct{}{}
-		case relation.KindString:
-			if s.strs == nil {
-				s.strs = make(map[string]struct{}, len(rows.Tuples))
-			}
-			s.strs[v.S] = struct{}{}
-		default:
-			return &inSet{}
-		}
+		s.ids[v.Ident()] = struct{}{}
 	}
 	return s
 }

@@ -34,8 +34,9 @@ func identityCatalog(extra ...relation.Tuple) *relation.Catalog {
 // and 5, DATE 5 and 7, "x" and "y", and FLOAT 0.5.
 const identityAttrs = 9
 
-// checkAttrIdentity asserts which values share an attribute vertex.
-func checkAttrIdentity(t *testing.T, g *Graph) {
+// checkAttrIdentity asserts which values share an attribute vertex, and
+// whether NaN has one (all NaN cells on the one vertex lookup finds).
+func checkAttrIdentity(t *testing.T, g *Graph, hasNaN bool) {
 	t.Helper()
 	vertexOf := func(v relation.Value) int {
 		t.Helper()
@@ -70,69 +71,82 @@ func checkAttrIdentity(t *testing.T, g *Graph) {
 	if n := len(g.G.Edges(x)); n < 2 {
 		t.Errorf(`"x" has %d edges, want one per row holding it`, n)
 	}
+	nan, ok := g.AttrVertexOf(relation.Float(math.NaN()))
+	if ok != hasNaN {
+		t.Fatalf("NaN has a vertex: %v, want %v", ok, hasNaN)
+	}
+	if !ok {
+		return
+	}
+	same(relation.Float(math.NaN()), relation.Float(-math.NaN()))
+	if !g.IsAttr(nan) {
+		t.Fatalf("NaN's vertex %d is not an attribute vertex", nan)
+	}
+	if v, _ := g.AttrValue(nan); !math.IsNaN(v.AsFloat()) || v.Kind != relation.KindFloat {
+		t.Errorf("NaN's vertex holds %v %v, want a FLOAT NaN", v.Kind, v)
+	}
+	if n := len(g.G.Edges(nan)); n < 2 {
+		t.Errorf("NaN has %d edges, want one per cell holding it", n)
+	}
 }
 
 // TestAttrIdentityPinned pins which values share an attribute vertex
 // (§3: one vertex per active-domain value) on built, cloned and loaded
 // graphs: integral floats and booleans are integers, -0.0 is 0, a date
-// is never an integer, and NaN is never equal to anything, itself
-// included.
+// is never an integer, and every NaN is one value.
 func TestAttrIdentityPinned(t *testing.T) {
-	built, err := Build(identityCatalog(), MaterializeAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(snapshotBytes(t, built))))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Every value of this row already has a vertex, so inserting it into
 	// a clone adds none.
 	dup := relation.Tuple{relation.Int(0), relation.Float(5.0), relation.Bool(true), relation.Date(5), relation.Str("y")}
-	for name, g := range map[string]*Graph{"built": built, "loaded": loaded} {
-		t.Run(name, func(t *testing.T) {
-			checkAttrIdentity(t, g)
-			if n := g.NumAttrVertices(); n != identityAttrs {
-				t.Fatalf("%d attribute vertices, want %d", n, identityAttrs)
-			}
-			c := g.Clone()
-			if _, err := c.InsertBatch("cells", []relation.Tuple{dup}); err != nil {
-				t.Fatal(err)
-			}
-			checkAttrIdentity(t, c)
-			if n := c.NumAttrVertices(); n != identityAttrs {
-				t.Fatalf("clone after inserting known values: %d attribute vertices, want %d", n, identityAttrs)
-			}
-		})
-	}
-
-	// NaN cells never share: each one is its own vertex, and no lookup
-	// finds it. (An image cannot hold a NaN attribute vertex: the loader
-	// re-derives edges by looking cell values up, so these graphs are
-	// checked built and cloned only.)
 	nan := relation.Float(math.NaN())
 	nanRow := relation.Tuple{relation.Int(2), nan, relation.Null, relation.Null, relation.Str("x")}
-	g, err := Build(identityCatalog(nanRow, nanRow), MaterializeAll)
-	if err != nil {
-		t.Fatal(err)
+	// The second fixture adds two NaN cells, which reach one NaN vertex.
+	type fixture struct {
+		built, loaded *Graph
+		attrs         int
+		hasNaN        bool
 	}
-	checkAttrIdentity(t, g)
-	if n := g.NumAttrVertices(); n != identityAttrs+2 {
-		t.Fatalf("two NaN cells: %d attribute vertices, want %d", n, identityAttrs+2)
+	var fixtures []fixture
+	for _, extra := range [][]relation.Tuple{nil, {nanRow, nanRow}} {
+		built, err := Build(identityCatalog(extra...), MaterializeAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadSnapshot(bufio.NewReader(bytes.NewReader(snapshotBytes(t, built))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fixture{built: built, loaded: loaded, attrs: identityAttrs, hasNaN: len(extra) > 0}
+		if f.hasNaN {
+			f.attrs++
+		}
+		fixtures = append(fixtures, f)
 	}
-	if _, ok := g.AttrVertexOf(nan); ok {
-		t.Fatal("NaN has an attribute vertex a lookup finds")
-	}
-	c := g.Clone()
-	if _, err := c.InsertBatch("cells", []relation.Tuple{nanRow}); err != nil {
-		t.Fatal(err)
-	}
-	checkAttrIdentity(t, c)
-	if n, m := c.NumAttrVertices(), g.NumAttrVertices(); n != identityAttrs+3 || m != identityAttrs+2 {
-		t.Fatalf("clone after a third NaN: %d attribute vertices, original %d; want %d and %d",
-			n, m, identityAttrs+3, identityAttrs+2)
-	}
-	if _, ok := c.AttrVertexOf(nan); ok {
-		t.Fatal("NaN has an attribute vertex a lookup finds in the clone")
+	for _, name := range []string{"built", "loaded"} {
+		t.Run(name, func(t *testing.T) {
+			for _, f := range fixtures {
+				g := f.built
+				if name == "loaded" {
+					g = f.loaded
+				}
+				checkAttrIdentity(t, g, f.hasNaN)
+				if n := g.NumAttrVertices(); n != f.attrs {
+					t.Fatalf("%d attribute vertices, want %d", n, f.attrs)
+				}
+				// A NaN inserted into a clone lands on the NaN vertex,
+				// which the first one creates if the graph has none.
+				c := g.Clone()
+				if _, err := c.InsertBatch("cells", []relation.Tuple{dup, nanRow, nanRow}); err != nil {
+					t.Fatal(err)
+				}
+				checkAttrIdentity(t, c, true)
+				if n := c.NumAttrVertices(); n != identityAttrs+1 {
+					t.Fatalf("clone after inserting known values and two NaNs: %d attribute vertices, want %d", n, identityAttrs+1)
+				}
+				if n := g.NumAttrVertices(); n != f.attrs {
+					t.Fatalf("inserting into the clone changed the original to %d attribute vertices", n)
+				}
+			}
+		})
 	}
 }

@@ -438,17 +438,19 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 				if err != nil {
 					return nil, err
 				}
-				if v.IsNull() || v.Key() != v {
+				// An attribute value is its own key: Ident keeps its kind.
+				key := v.Ident()
+				if v.IsNull() || key.Kind != v.Kind {
 					return nil, codec.ErrCorrupt
 				}
 				if attrLbl[v.Kind] == bsp.NoLabel {
 					attrLbl[v.Kind] = syms.Lookup("#attr:" + v.Kind.String())
 				}
-				if _, dup := t.attrs.lookup(v); dup || lbl != attrLbl[v.Kind] {
+				if _, dup := t.attrs.lookup(key); dup || lbl != attrLbl[v.Kind] {
 					return nil, codec.ErrCorrupt
 				}
 				payload = attrs.new(AttrData{Value: v})
-				t.attrs.add(v, id)
+				t.attrs.add(key, id)
 				t.attrKindLbl[v.Kind] = lbl
 			default:
 				return nil, codec.ErrCorrupt
@@ -496,7 +498,7 @@ func ReadSnapshot(br *bufio.Reader) (*Graph, error) {
 					c.attrs[j] = noVertex
 					continue
 				}
-				av, ok := t.attrs.lookup(row[i].Key())
+				av, ok := t.attrs.lookup(row[i].Ident())
 				if !ok {
 					return nil, codec.ErrCorrupt
 				}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -166,7 +167,8 @@ func TestSnapshotRefusesUnbackedChunk(t *testing.T) {
 }
 
 // snapshotSeedGraphs returns graphs of snapshotCatalog: as built, under
-// MaterializeAll, and a Clone after inserts and deletes.
+// MaterializeAll, a Clone after inserts and deletes, and under
+// MaterializeAll with two NaN cells.
 func snapshotSeedGraphs(t testing.TB) []*Graph {
 	built, err := Build(snapshotCatalog(), nil)
 	if err != nil {
@@ -192,7 +194,18 @@ func snapshotSeedGraphs(t testing.TB) []*Graph {
 	if err := c.DeleteBatch([]bsp.VertexID{items[1], items[3], c.TupleVertices("groups")[0]}); err != nil {
 		t.Fatal(err)
 	}
-	return []*Graph{built, all, c}
+	// Two NaN prices, materialized: one attribute vertex both cells
+	// reach, which the loader finds by looking their values up.
+	nanCat := snapshotCatalog()
+	nanItems := nanCat.Get("items")
+	for _, id := range []int64{7, 8} {
+		nanItems.Tuples = append(nanItems.Tuples, relation.Tuple{relation.Int(id), relation.Str("n"), relation.Float(math.NaN()), relation.Null})
+	}
+	nans, err := Build(nanCat, MaterializeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*Graph{built, all, c, nans}
 }
 
 // snapshotRegressions are images no graph writes but the decoder once

@@ -170,12 +170,12 @@ func Build(cat *relation.Catalog, policy Policy) (*Graph, error) {
 					c.attrs[j] = noVertex
 					continue
 				}
-				key := v.Key()
+				key := v.Ident()
 				id, ok := t.attrs.lookup(key)
 				if !ok {
 					id = bsp.VertexID(len(labels))
 					labels = append(labels, t.attrLabel(syms, key.Kind))
-					data = append(data, attrs.new(AttrData{Value: key}))
+					data = append(data, attrs.new(AttrData{Value: key.Value()}))
 					t.attrs.add(key, id)
 				}
 				c.attrs[j] = id
@@ -279,14 +279,14 @@ func assemble(syms *bsp.SymbolTable, labels []bsp.LabelID, data []any, cols []ed
 }
 
 // attrVertexFor returns the (shared) attribute vertex for value v,
-// creating it on first use. Identity is the canonical Key of the value, so
+// creating it on first use. A vertex is one identity (relation.Ident), so
 // e.g. 2 and 2.0 share a vertex (one vertex per active-domain value).
 func (t *Graph) attrVertexFor(v relation.Value) bsp.VertexID {
-	key := v.Key()
+	key := v.Ident()
 	if id, ok := t.attrs.lookup(key); ok {
 		return id
 	}
-	id := t.G.AddVertex(t.attrLabel(t.G.Symbols, key.Kind), &AttrData{Value: key})
+	id := t.G.AddVertex(t.attrLabel(t.G.Symbols, key.Kind), &AttrData{Value: key.Value()})
 	t.attrs.add(key, id)
 	return id
 }
@@ -302,17 +302,15 @@ func (t *Graph) attrLabel(syms *bsp.SymbolTable, kind relation.Kind) bsp.LabelID
 	return lbl
 }
 
-// attrDict maps canonical values (Value.Key) to their attribute
-// vertices, one map per kind a key can have, so a lookup hashes the
-// payload alone rather than a whole Value. A NaN key equals nothing,
-// itself included: each NaN cell gets its own vertex, which no lookup
-// finds and only the count remembers.
+// attrDict maps join-key identities (relation.Ident) to their attribute
+// vertices, one map per kind an identity can have, so a lookup hashes
+// the payload alone rather than a whole Ident. Every NaN is one
+// identity, so NaN cells share one vertex that lookup finds.
 type attrDict struct {
-	ints   map[int64]bsp.VertexID // INT, and the FLOAT and BOOL values Key folds into INT
+	ints   map[int64]bsp.VertexID // INT, and the FLOAT and BOOL values that are an INT key
 	dates  map[int64]bsp.VertexID
 	strs   map[string]bsp.VertexID
-	floats map[uint64]bsp.VertexID // math.Float64bits of a non-integral float
-	nans   int
+	floats map[int64]bsp.VertexID // the bits of a FLOAT key
 }
 
 func newAttrDict() attrDict {
@@ -320,47 +318,45 @@ func newAttrDict() attrDict {
 		ints:   make(map[int64]bsp.VertexID),
 		dates:  make(map[int64]bsp.VertexID),
 		strs:   make(map[string]bsp.VertexID),
-		floats: make(map[uint64]bsp.VertexID),
+		floats: make(map[int64]bsp.VertexID),
 	}
 }
 
-// lookup returns the vertex of canonical value key.
-func (d *attrDict) lookup(key relation.Value) (bsp.VertexID, bool) {
-	var id bsp.VertexID
-	var ok bool
-	switch key.Kind {
+// kindMap returns the map holding identities of id's kind (nil for
+// strings and NULL).
+func (d *attrDict) kindMap(id relation.Ident) map[int64]bsp.VertexID {
+	switch id.Kind {
 	case relation.KindInt:
-		id, ok = d.ints[key.I]
+		return d.ints
 	case relation.KindDate:
-		id, ok = d.dates[key.I]
-	case relation.KindString:
-		id, ok = d.strs[key.S]
+		return d.dates
 	case relation.KindFloat:
-		id, ok = d.floats[math.Float64bits(key.F)]
+		return d.floats
 	}
-	return id, ok
+	return nil
 }
 
-// add records id as the vertex of canonical, non-NULL value key.
-func (d *attrDict) add(key relation.Value, id bsp.VertexID) {
-	switch key.Kind {
-	case relation.KindInt:
-		d.ints[key.I] = id
-	case relation.KindDate:
-		d.dates[key.I] = id
-	case relation.KindString:
-		d.strs[key.S] = id
-	case relation.KindFloat:
-		if math.IsNaN(key.F) {
-			d.nans++
-			return
-		}
-		d.floats[math.Float64bits(key.F)] = id
+// lookup returns the vertex of identity id.
+func (d *attrDict) lookup(id relation.Ident) (bsp.VertexID, bool) {
+	if id.Kind == relation.KindString {
+		v, ok := d.strs[id.S]
+		return v, ok
 	}
+	v, ok := d.kindMap(id)[id.I]
+	return v, ok
+}
+
+// add records v as the vertex of non-NULL identity id.
+func (d *attrDict) add(id relation.Ident, v bsp.VertexID) {
+	if id.Kind == relation.KindString {
+		d.strs[id.S] = v
+		return
+	}
+	d.kindMap(id)[id.I] = v
 }
 
 func (d *attrDict) len() int {
-	return len(d.ints) + len(d.dates) + len(d.strs) + len(d.floats) + d.nans
+	return len(d.ints) + len(d.dates) + len(d.strs) + len(d.floats)
 }
 
 func (d *attrDict) clone() attrDict {
@@ -369,7 +365,6 @@ func (d *attrDict) clone() attrDict {
 		dates:  maps.Clone(d.dates),
 		strs:   maps.Clone(d.strs),
 		floats: maps.Clone(d.floats),
-		nans:   d.nans,
 	}
 }
 
@@ -393,7 +388,7 @@ func (t *Graph) AttrVertices(label bsp.LabelID) []bsp.VertexID {
 // AttrVertexOf returns the attribute vertex representing value v, if
 // materialized.
 func (t *Graph) AttrVertexOf(v relation.Value) (bsp.VertexID, bool) {
-	return t.attrs.lookup(v.Key())
+	return t.attrs.lookup(v.Ident())
 }
 
 // Materialized reports whether table.column values have attribute vertices.
