@@ -16,8 +16,8 @@ import (
 // receives (union within a superstep — they come from the same plan edge
 // — and natural join with its own tuple at relation vertices), then
 // forwards its value along the current step's marked edges. Superstep
-// s sends along UP step s; at superstep nUp the root emits and sends
-// nothing, so the run ends there.
+// s sends along the collection's UP step s; at the superstep after its
+// last, the root emits and sends nothing, so the run ends there.
 type collectionProgram struct {
 	r     *componentRun
 	sched []collectStep
@@ -41,19 +41,19 @@ type collectStep struct {
 }
 
 // collectSchedule compiles the collection's steps: superstep s
-// addresses the start leaf (s = 0) or the To node of UP step s-1. A
+// addresses the start leaf (s = 0) or the To node of its UP step s-1. A
 // vertex-safe residual applies at the first step whose header holds
 // all its columns. The root's step keeps the residuals none applied.
 func (r *componentRun) collectSchedule() []collectStep {
 	pl, c := r.comp.TAGPlan, r.c
-	sched := make([]collectStep, r.nUp+1)
+	sched := make([]collectStep, len(r.collect)+1)
 	var prev map[string]int
 	for s := range sched {
 		cs := &sched[s]
 		if s == 0 {
-			cs.node = pl.Nodes[pl.Steps[0].From]
+			cs.node = pl.Nodes[r.collect[0].step.From]
 		} else {
-			cs.node = pl.Nodes[r.steps[s-1].step.To]
+			cs.node = pl.Nodes[r.collect[s-1].step.To]
 			cs.header, cs.index = sched[s-1].header, sched[s-1].index
 		}
 		if a := cs.node.Alias; cs.node.Kind == plan.RelNode && s == 0 {
@@ -72,7 +72,7 @@ func (r *componentRun) collectSchedule() []collectStep {
 		}
 		prev = cs.index
 	}
-	root := &sched[r.nUp]
+	root := &sched[len(r.collect)]
 	for _, p := range c.residual {
 		if len(p.cols) == 0 || p.hoisted || !holdsAll(root.index, p.cols) {
 			root.rest = append(root.rest, p)
@@ -227,7 +227,7 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 		return
 	}
 
-	if step >= r.nUp {
+	if step >= len(r.collect) {
 		// Root reached: emit the distributed output (line 42). The value
 		// rides the emit stream instead of being written into a shared
 		// table directly so that, under a distributed transport, every process
@@ -238,7 +238,7 @@ func (p *collectionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bs
 
 	// Forward along the current step's marked edges (lines 37-40), in
 	// ascending id order.
-	for _, t := range r.marks.edgeIDs(v, r.steps[step].edgeID) {
+	for _, t := range r.marks.edgeIDs(v, r.collect[step].edgeID) {
 		ctx.Send(v, t, value)
 	}
 }
@@ -251,7 +251,7 @@ type rootVal struct {
 }
 
 // runCollection executes the collection phase from the reduction
-// survivors of the start alias and returns the distributed result. The
+// survivors of its start leaf and returns the distributed result. The
 // schedule is compiled only if there are survivors to start from.
 func (r *componentRun) runCollection(starters []bsp.VertexID) (*componentResult, error) {
 	prog := &collectionProgram{r: r, own: make([]*table, r.ex.eng.Workers())}
@@ -271,7 +271,7 @@ func (r *componentRun) runCollection(starters []bsp.VertexID) (*componentResult,
 		values:    map[bsp.VertexID]*table{},
 	}
 	if len(prog.sched) > 0 {
-		res.root = &prog.sched[r.nUp]
+		res.root = &prog.sched[len(r.collect)]
 	}
 	for _, e := range r.ex.eng.Emitted() {
 		rv := e.(rootVal)

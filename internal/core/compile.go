@@ -191,15 +191,18 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 	// Every alias gets its pushed filters and seeds; an outer block has
 	// no pushed filters, so its aliases seed every tuple. The structural
 	// plan is for inner blocks only (outer blocks use the table path).
-	// Each alias counts the tuples it seeds: a selection that enters at
-	// attribute vertices, or a restriction window such as incremental
-	// maintenance's write delta, makes it small, so GYO removes it early
-	// and the walk starts at it.
+	// Each alias tells the planner the tuples it seeds and whether a
+	// selection narrows them: a pushed filter (implied restrictions
+	// included) or a restriction window such as incremental
+	// maintenance's write delta. A selection that enters at attribute
+	// vertices, or a window, makes the count small, so GYO removes the
+	// alias early. The collection's walk starts at the leaf with the
+	// fewest seeds, the reduction's at the selected leaf with the fewest.
 	if !c.hasOuter {
 		c.pushImpliedRestrictions()
 	}
 	aliases := make([]string, len(blk.Tables))
-	card := make(map[string]int, len(blk.Tables))
+	card := make(map[string]plan.Card, len(blk.Tables))
 	c.pushed = make(map[string]*aliasFilters, len(blk.Tables))
 	pushed := make([]aliasFilters, len(blk.Tables))
 	for i, bt := range blk.Tables {
@@ -207,7 +210,9 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		f.compile(bt, c.filters[bt.Alias])
 		c.pushed[bt.Alias] = f
 		f.seeds = e.seedVertices(c, bt.Alias)
-		aliases[i], card[bt.Alias] = bt.Alias, len(f.seeds)
+		_, windowed := e.restrict[bt.Alias]
+		aliases[i] = bt.Alias
+		card[bt.Alias] = plan.Card{Tuples: len(f.seeds), Selected: len(c.filters[bt.Alias]) > 0 || windowed}
 	}
 	if !c.hasOuter {
 		qp, err := plan.Build(aliases, c.equi, plan.Options{Cardinality: card})

@@ -24,6 +24,12 @@ type componentRun struct {
 	// list followed by its reversal (DOWN).
 	steps []stepInfo
 	nUp   int
+	// collect is the collection's UP list (plan.TAGPlan.Collect); it is
+	// steps[:nUp] when both walks start at one leaf. The reduction emits
+	// the collection start's survivors at superstep emitAt, the one that
+	// receives its last step into that leaf.
+	collect []stepInfo
+	emitAt  int
 
 	// marks.marks[v][edgeID] records the senders v received from on that
 	// plan edge (most recent pass wins); DOWN and collection sends follow
@@ -155,7 +161,8 @@ func (r *componentRun) cycleIsPKFK(cyc plan.Cycle) bool {
 	return nonKey <= 1
 }
 
-// resolveSteps maps plan steps to TAG labels and plan edges.
+// resolveSteps maps plan steps to TAG labels and plan edges: the
+// reduction's, and the collection's if its walk starts elsewhere.
 func (r *componentRun) resolveSteps() error {
 	p := r.comp.TAGPlan
 	up := p.Steps
@@ -170,6 +177,23 @@ func (r *componentRun) resolveSteps() error {
 		r.steps = append(r.steps, info)
 	}
 	r.resolveCarried()
+	r.collect, r.emitAt = r.steps[:r.nUp], len(r.steps)
+	if p.CollectAlias == p.StartAlias {
+		return nil
+	}
+	r.collect = make([]stepInfo, len(p.Collect))
+	for i, s := range p.Collect {
+		info, err := r.resolveStep(s)
+		if err != nil {
+			return err
+		}
+		r.collect[i] = info
+	}
+	for i, info := range r.steps {
+		if info.step.To == p.Collect[0].From {
+			r.emitAt = i + 1
+		}
+	}
 	return nil
 }
 

@@ -146,7 +146,7 @@ func TestMultiClassEdgeIsFullyReduced(t *testing.T) {
 
 // reductionSurvivors runs the reduction of q's one component and
 // returns the sorted payloads (the last column) of the surviving tuples
-// of its start alias, which are the run's output, and of its root
+// of the collection's start alias, which are the run's output, and of its root
 // alias, which are the tuples marked on the last UP step's plan edge:
 // the walk reaches the root along that edge once, and DOWN starts there.
 func reductionSurvivors(t *testing.T, ex *Session, q string) map[string][]int64 {
@@ -168,8 +168,8 @@ func reductionSurvivors(t *testing.T, ex *Session, q string) map[string][]int64 
 		t.Fatal(err)
 	}
 	r.marks = ex.takeMarks()
-	start := comp.TAGPlan.StartAlias
-	survivors, err := r.runReduction(start)
+	start := comp.TAGPlan.CollectAlias
+	survivors, err := r.runReduction(comp.TAGPlan.StartAlias)
 	if err != nil {
 		t.Fatal(err)
 	}

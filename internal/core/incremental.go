@@ -30,10 +30,12 @@ import (
 // Each term is the original query run with alias j restricted to the
 // delta window, later aliases to the old window, and earlier aliases
 // unrestricted — the windows are enforced at the single vertex
-// admission chokepoint (componentRun.passes), and the window narrows
-// the delta alias's seed count, so planning starts the reduction at the
-// delta when it is the most selective leaf: a term touches the batch's
-// vertices and their join frontier, not the graph.
+// admission chokepoint (componentRun.passes). A window is a selection
+// and narrows the delta alias's seed count, so when the delta alias is
+// a leaf, planning starts the reduction there unless a selected leaf
+// seeds fewer tuples, and the collection too unless any leaf does: a
+// term touches the batch's vertices and their join frontier, not the
+// graph.
 //
 // Folding a term into the cached state reuses the combiner's group fold
 // (partialGroups.fold): aggregate terms merge group-by-group, exactly,

@@ -88,6 +88,77 @@ func TestKeySemanticsPinned(t *testing.T) {
 		[]string{"[4 6]"})
 }
 
+// TestNaNComparison pins SQL comparison on a FLOAT column holding NaN:
+// NaN sorts above every number and equals only NaN, so =, IN and
+// BETWEEN drop NaN rows, > keeps them, and MIN and MAX, per group and
+// over a join whose partials merge at vertices in worker order, give
+// one answer. Both engines, under every engine configuration. (The
+// dialect has no ORDER BY; relation's TestCompareIsTotalWithNaN pins the
+// sort order.)
+func TestNaNComparison(t *testing.T) {
+	cat := relation.NewCatalog()
+	fl := relation.New("fl", relation.MustSchema(
+		relation.Col("f", relation.KindFloat),
+		relation.Col("g", relation.KindInt),
+		relation.Col("x", relation.KindInt)))
+	nan := math.NaN()
+	for i, f := range []float64{5, nan, 7, nan, 1.5, nan, 5, 2} {
+		fl.MustAppend(relation.Float(f), relation.Int(int64(i%3)), relation.Int(int64(i)))
+	}
+	fl.MustAppend(relation.Null, relation.Int(1), relation.Int(8))
+	fl.MustAppend(relation.Float(nan), relation.Int(3), relation.Int(9))
+	gs := relation.New("gs", relation.MustSchema(
+		relation.Col("g", relation.KindInt),
+		relation.Col("y", relation.KindInt)))
+	for g := range 4 {
+		gs.MustAppend(relation.Int(int64(g)), relation.Int(int64(10*g)))
+		gs.MustAppend(relation.Int(int64(g)), relation.Int(int64(10*g+1)))
+	}
+	cat.MustAdd(fl)
+	cat.MustAdd(gs)
+	g, err := tag.Build(cat, tag.MaterializeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT x FROM fl WHERE f = 5", []string{"[0]", "[6]"}},
+		{"SELECT x FROM fl WHERE f <> 5", []string{"[1]", "[2]", "[3]", "[4]", "[5]", "[7]", "[9]"}},
+		{"SELECT x FROM fl WHERE f IN (5, 7)", []string{"[0]", "[2]", "[6]"}},
+		{"SELECT x FROM fl WHERE f NOT IN (5, 7)", []string{"[1]", "[3]", "[4]", "[5]", "[7]", "[9]"}},
+		{"SELECT x FROM fl WHERE f BETWEEN 5 AND 5", []string{"[0]", "[6]"}},
+		{"SELECT x FROM fl WHERE f BETWEEN 2 AND 7", []string{"[0]", "[2]", "[6]", "[7]"}},
+		{"SELECT x FROM fl WHERE f > 6", []string{"[1]", "[2]", "[3]", "[5]", "[9]"}},
+		{"SELECT x FROM fl WHERE f < 6", []string{"[0]", "[4]", "[6]", "[7]"}},
+		{"SELECT MIN(f), MAX(f) FROM fl", []string{"[1.5 NaN]"}},
+		{"SELECT g, MIN(f), MAX(f) FROM fl GROUP BY g", []string{"[0 5 NaN]", "[1 1.5 NaN]", "[2 7 NaN]", "[3 NaN NaN]"}},
+		{"SELECT MIN(fl.f), MAX(fl.f) FROM fl, gs WHERE fl.g = gs.g AND gs.y < 20", []string{"[1.5 NaN]"}},
+		{"SELECT gs.y, MIN(fl.f), MAX(fl.f) FROM fl, gs WHERE fl.g = gs.g GROUP BY gs.y",
+			[]string{"[0 5 NaN]", "[1 5 NaN]", "[10 1.5 NaN]", "[11 1.5 NaN]", "[20 7 NaN]", "[21 7 NaN]", "[30 NaN NaN]", "[31 NaN NaN]"}},
+	}
+	ref := baseline.New(cat)
+	for _, tc := range cases {
+		want, err := ref.Query(tc.sql)
+		if err != nil {
+			t.Fatalf("baseline %q: %v", tc.sql, err)
+		}
+		if rows := renderRows(want); !slices.Equal(rows, tc.want) {
+			t.Errorf("baseline %q:\n got %q\nwant %q", tc.sql, rows, tc.want)
+		}
+		for _, ec := range engineConfigs {
+			got, err := NewSession(g, ec.opts).Query(tc.sql)
+			if err != nil {
+				t.Fatalf("TAG %s %q: %v", ec.name, tc.sql, err)
+			}
+			if rows := renderRows(got); !slices.Equal(rows, tc.want) {
+				t.Errorf("TAG %s %q:\n got %q\nwant %q", ec.name, tc.sql, rows, tc.want)
+			}
+		}
+	}
+}
+
 // floatKeyCatalog holds FLOAT join keys with every identity case: NaN
 // (several cells), -0.0 against 0.0, 2.0 against INT 2, and 2.5. Every
 // column repeats its values, so every join is many to many.

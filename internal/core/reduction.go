@@ -22,9 +22,15 @@ import (
 // UP step that climbs back across an edge the walk descended, and every
 // DOWN step, send only along the marks the opposite crossing left, so a
 // tuple the descent did not reach is not brought back (a semijoin, as in
-// Yannakakis's full reducer). Superstep len(steps) emits the survivors
-// and sends nothing, so the run ends there; with no steps, superstep 0
-// is a single-alias scan.
+// Yannakakis's full reducer). Superstep len(steps) sends nothing, so the
+// run ends there; with no steps, superstep 0 is a single-alias scan.
+//
+// The run emits the survivors of the collection's start leaf, at the
+// superstep that receives the DOWN pass's step into it (emitAt). That
+// is the final superstep when both walks start at one leaf; otherwise
+// the collection's leaf lies off the reduction's root path, so DOWN
+// enters it once and leaves it again, and its survivors are the tuples
+// that entry reaches.
 //
 // A plan edge whose aliases share further classes besides the one the
 // walk traverses (plan.Node.Carried) is crossed as a semijoin on all
@@ -69,9 +75,12 @@ func (p *reductionProgram) Compute(ctx *bsp.Context, v bsp.VertexID, inbox []bsp
 		r.mark(ctx, v, prev.edgeID, inbox, len(prev.carry))
 	}
 
+	if step == r.emitAt {
+		ctx.Emit(v) // a survivor of the collection's start leaf
+	}
+
 	// Communication stage: send along the current step.
 	if cur == nil {
-		ctx.Emit(v) // survivor of the final step
 		return
 	}
 	if cur.setPos != nil {
@@ -429,8 +438,8 @@ func positions(list, sub []int) []int {
 }
 
 // runReduction executes the reduction phase from start's seeds and
-// returns the survivors of start (the vertices the collection phase
-// starts from).
+// returns the survivors of the collection's start leaf (the vertices
+// the collection phase starts from).
 func (r *componentRun) runReduction(start string) ([]bsp.VertexID, error) {
 	r.prepareFilterMemo()
 	if err := r.ex.runProg(&reductionProgram{r: r, start: start}, r.c.pushed[start].seeds); err != nil {

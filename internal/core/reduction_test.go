@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -211,7 +212,9 @@ func TestCollectionPushedSelections(t *testing.T) {
 // climbs flooded every f.b and f.c edge, x's would have reached the two
 // a = 1 tuples with b = 0 too, y's the four c = 1 tuples, and the
 // survivors of those floods would have sent again: 46 reduction
-// messages instead of 31.
+// messages instead of 31. z's selection z.a >= 0 keeps both its rows;
+// it makes z a selected leaf with fewer seeds than x and y, so the
+// reduction starts there.
 func TestReductionClimbsAlongMarks(t *testing.T) {
 	cat := relation.NewCatalog()
 	ints := func(name string, cols []string, rows ...[]int64) {
@@ -244,7 +247,7 @@ func TestReductionClimbsAlongMarks(t *testing.T) {
 	}
 	ex := NewSession(g, bsp.Options{Workers: 2})
 	an, err := sql.AnalyzeString(cat, `SELECT z.a FROM f, x, y, z
-		WHERE f.a = z.a AND f.b = x.b AND f.c = y.c AND x.q = 1 AND y.r = 1`)
+		WHERE f.a = z.a AND f.b = x.b AND f.c = y.c AND x.q = 1 AND y.r = 1 AND z.a >= 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +303,107 @@ func TestReductionClimbsAlongMarks(t *testing.T) {
 		for _, v := range g.TupleVertices("f") {
 			if row := g.TupleData(v).Row; row[0].AsInt() != 0 && len(r.marks.edgeIDs(v, edge)) > 0 {
 				t.Errorf("f%v heard from the climb out of %s", row, leaf)
+			}
+		}
+	}
+}
+
+// selectionStarCatalog builds a fact table f of n rows over a 4-row
+// dimension d and a leaf s of n/4 rows. Fact row i joins d on i % 4 and
+// s on i / 4, so each s key has four fact rows; s.flag is 1 on every
+// sixteenth key, so a selection on it keeps a fixed fraction of s.
+func selectionStarCatalog(n int) *relation.Catalog {
+	cat := relation.NewCatalog()
+	d := relation.New("d", relation.MustSchema(relation.Col("id", relation.KindInt), relation.Col("name", relation.KindString)))
+	for i := range 4 {
+		d.MustAppend(relation.Int(int64(i)), relation.Str(fmt.Sprintf("d%d", i)))
+	}
+	s := relation.New("s", relation.MustSchema(relation.Col("k", relation.KindInt), relation.Col("flag", relation.KindInt)))
+	for k := range n / 4 {
+		flag := int64(0)
+		if k%16 == 0 {
+			flag = 1
+		}
+		s.MustAppend(relation.Int(int64(k)), relation.Int(flag))
+	}
+	f := relation.New("f", relation.MustSchema(relation.Col("d", relation.KindInt), relation.Col("s", relation.KindInt), relation.Col("v", relation.KindInt)))
+	for i := range n {
+		f.MustAppend(relation.Int(int64(i%4)), relation.Int(int64(i/4)), relation.Int(int64(i)))
+	}
+	cat.MustAdd(d)
+	cat.MustAdd(s)
+	cat.MustAdd(f)
+	return cat
+}
+
+// TestReductionStartsAtSelection runs a star whose smallest leaf, the
+// 4-row dimension d, has no selection, while the leaf s has one that
+// keeps a sixteenth of it. The reduction starts at s, so its messages
+// follow the fact rows the selection reaches (n/16), not the fact
+// table: a start at d would wake all n fact rows before s's selection
+// removed any, and send at least 2n messages. The collection still
+// starts at d, from the reduction's survivors there, and the rows equal
+// the baseline's under every engine configuration.
+func TestReductionStartsAtSelection(t *testing.T) {
+	const q = `SELECT d.name, f.v, s.k FROM f, d, s WHERE f.d = d.id AND f.s = s.k AND s.flag = 1`
+	for _, n := range []int{512, 1024, 2048} {
+		cat := selectionStarCatalog(n)
+		g, err := tag.Build(cat, tag.MaterializeAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := baseline.New(cat).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reached := n / 16 // the fact rows joining a selected s key
+		if want.Len() != reached {
+			t.Fatalf("n=%d: the baseline answers %d rows, want %d", n, want.Len(), reached)
+		}
+
+		ex := NewSession(g, bsp.Options{Workers: 2})
+		an, err := sql.AnalyzeString(cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ex.compileBlock(an, an.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp := c.qp.Components[0]
+		p := comp.TAGPlan
+		if p.Nodes[p.Root].Alias != "f" || p.StartAlias != "s" || p.CollectAlias != "d" {
+			t.Fatalf("n=%d: plan roots at %s, reduces from %s and collects from %s; want f, s and d:\n%s",
+				n, p.Nodes[p.Root].Alias, p.StartAlias, p.CollectAlias, p)
+		}
+		r := &componentRun{ex: ex, c: c, comp: comp, prefilter: map[string]map[bsp.VertexID]bool{}}
+		if err := r.resolveSteps(); err != nil {
+			t.Fatal(err)
+		}
+		r.marks = ex.takeMarks()
+		ex.ResetStats()
+		survivors, err := r.runReduction(p.StartAlias)
+		r.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := ex.Stats().Messages
+		t.Logf("n=%d: %d reduction messages for %d reached fact rows", n, msgs, reached)
+		if msgs > int64(8*reached) {
+			t.Errorf("n=%d: the reduction sent %d messages, over 8 per reached fact row (%d)", n, msgs, 8*reached)
+		}
+		// The survivors are the collection's start: all four d tuples.
+		if len(survivors) != 4 || ex.TAG.TupleData(survivors[0]).Table != "d" {
+			t.Errorf("n=%d: the reduction emitted %d survivors, want d's 4", n, len(survivors))
+		}
+
+		for _, ec := range engineConfigs {
+			rows, err := NewSession(g, ec.opts).Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.EqualMultiset(rows, want) {
+				t.Errorf("n=%d %s: %d rows, baseline %d", n, ec.name, rows.Len(), want.Len())
 			}
 		}
 	}

@@ -62,24 +62,34 @@ type QueryPlan struct {
 	Acyclic bool
 }
 
-// Options tunes planning.
-type Options struct {
-	// Cardinality supplies |alias| estimates used to root the join tree
-	// at the largest relation, remove small ears first and start the
-	// bottom-up walk at the leaf with the fewest tuples. Missing entries
-	// default to 1.
-	Cardinality map[string]int
+// Card is the planner's estimate for one alias: the tuples it seeds,
+// and whether a selection narrows them (a pushed filter, a restriction
+// a residual OR implies, or a restriction window such as incremental
+// maintenance's write delta).
+type Card struct {
+	Tuples   int
+	Selected bool
 }
 
-func (o Options) card(alias string) int {
-	if o.Cardinality == nil {
-		return 1
-	}
-	if n, ok := o.Cardinality[alias]; ok {
-		return n
-	}
-	return 1
+// Options tunes planning.
+type Options struct {
+	// Cardinality supplies per-alias estimates. The tuple counts root
+	// the join tree at the largest relation, remove small ears first and
+	// start the collection's walk at the leaf with the fewest tuples;
+	// the reduction's walk starts at the selected leaf with the fewest,
+	// if a leaf is selected (BuildTAGPlan). Missing entries count one
+	// tuple and no selection.
+	Cardinality map[string]Card
 }
+
+func (o Options) estimate(alias string) Card {
+	if c, ok := o.Cardinality[alias]; ok {
+		return c
+	}
+	return Card{Tuples: 1}
+}
+
+func (o Options) card(alias string) int { return o.estimate(alias).Tuples }
 
 // Build computes the query plan for the given aliases and equi-join
 // predicates.
@@ -178,7 +188,7 @@ func buildComponent(aliases []string, allPreds []EquiPred, classes *Classes, opt
 		if ok {
 			comp.Tree = tree
 			remapTreeClasses(tree, cls, classes)
-			comp.TAGPlan = BuildTAGPlan(tree, classes, opts.card)
+			comp.TAGPlan = BuildTAGPlan(tree, classes, opts.estimate)
 			return comp, acyclic, nil
 		}
 		acyclic = false

@@ -54,7 +54,7 @@ func figure4Plan(t *testing.T) *QueryPlan {
 		pred("s", "b", "v", "b"),
 	}
 	qp, err := Build([]string{"r", "s", "t", "v"}, preds, Options{
-		Cardinality: map[string]int{"r": 1000, "s": 500, "t": 100, "v": 50},
+		Cardinality: tuples(map[string]int{"r": 1000, "s": 500, "t": 100, "v": 50}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestSnowflakeTree(t *testing.T) {
 		pred("dim1", "s", "subdim", "s"),
 	}
 	qp, err := Build([]string{"fact", "dim1", "dim2", "dim3", "dim4", "subdim"}, preds, Options{
-		Cardinality: map[string]int{"fact": 100000, "dim1": 100, "dim2": 100, "dim3": 100, "dim4": 100, "subdim": 10},
+		Cardinality: tuples(map[string]int{"fact": 100000, "dim1": 100, "dim2": 100, "dim3": 100, "dim4": 100, "subdim": 10}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestSharedAttrNode(t *testing.T) {
 		pred("s", "x", "t", "x"),
 	}
 	qp, err := Build([]string{"r", "s", "t"}, preds, Options{
-		Cardinality: map[string]int{"r": 100, "s": 10, "t": 10},
+		Cardinality: tuples(map[string]int{"r": 100, "s": 10, "t": 10}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,20 +283,12 @@ func TestStepsConnectedProperty(t *testing.T) {
 			aliases = append(aliases, d)
 			preds = append(preds, pred("fact", "k"+d, d, "k"))
 		}
-		qp, err := Build(aliases, preds, Options{Cardinality: map[string]int{"fact": 10000}})
+		qp, err := Build(aliases, preds, Options{Cardinality: tuples(map[string]int{"fact": 10000})})
 		if err != nil || len(qp.Components) != 1 {
 			return false
 		}
 		p := qp.Components[0].TAGPlan
-		if len(p.Steps) == 0 {
-			return false
-		}
-		for i := 1; i < len(p.Steps); i++ {
-			if p.Steps[i].From != p.Steps[i-1].To {
-				return false
-			}
-		}
-		return p.Steps[len(p.Steps)-1].To == p.Root
+		return checkWalk(p, p.Steps, p.StartAlias)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -328,7 +320,7 @@ func TestStartAtSmallestLeaf(t *testing.T) {
 		{"smaller-left-leaf", map[string]int{"r": 1000, "s": 500, "t": 10, "v": 50}, "t"},
 		{"tie", map[string]int{"r": 1000, "s": 500, "t": 50, "v": 50}, "v"},
 	} {
-		qp, err := Build([]string{"r", "s", "t", "v"}, preds, Options{Cardinality: tc.card})
+		qp, err := Build([]string{"r", "s", "t", "v"}, preds, Options{Cardinality: tuples(tc.card)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,16 +328,70 @@ func TestStartAtSmallestLeaf(t *testing.T) {
 		if p.StartAlias != tc.want {
 			t.Errorf("%s: start = %s, want %s\n%s", tc.name, p.StartAlias, tc.want, p)
 		}
-		if first := p.Nodes[p.Steps[0].From]; first.Alias != p.StartAlias {
-			t.Errorf("%s: walk starts at %q, not the start alias %s", tc.name, first.Alias, p.StartAlias)
+		if !checkWalk(p, p.Steps, p.StartAlias) {
+			t.Errorf("%s: the walk is not connected from the start alias to the root\n%s", tc.name, p)
 		}
-		for i := 1; i < len(p.Steps); i++ {
-			if p.Steps[i].From != p.Steps[i-1].To {
-				t.Errorf("%s: step %d is disconnected\n%s", tc.name, i, p)
-			}
+	}
+}
+
+// tuples gives each alias its tuple count and no selection.
+func tuples(n map[string]int) map[string]Card {
+	out := make(map[string]Card, len(n))
+	for a, k := range n {
+		out[a] = Card{Tuples: k}
+	}
+	return out
+}
+
+// checkWalk reports whether steps is a connected walk from alias's leaf
+// to the root.
+func checkWalk(p *TAGPlan, steps []Step, alias string) bool {
+	if len(steps) == 0 || p.Nodes[steps[0].From].Alias != alias || steps[len(steps)-1].To != p.Root {
+		return false
+	}
+	for i := 1; i < len(steps); i++ {
+		if steps[i].From != steps[i-1].To {
+			return false
 		}
-		if p.Steps[len(p.Steps)-1].To != p.Root {
-			t.Errorf("%s: traversal must end at the root\n%s", tc.name, p)
+	}
+	return true
+}
+
+// TestReductionStartsAtSelectedLeaf checks the two starts: the
+// reduction's walk starts at the selected leaf with the fewest tuples,
+// the collection's at the leaf with the fewest tuples, and with no
+// selected leaf, or when the smallest leaf is selected, both walks are
+// one list.
+func TestReductionStartsAtSelectedLeaf(t *testing.T) {
+	preds := []EquiPred{
+		pred("r", "a", "s", "a"),
+		pred("s", "b", "t", "b"),
+		pred("s", "b", "v", "b"),
+		pred("s", "c", "w", "c"),
+	}
+	for _, tc := range []struct {
+		name            string
+		card            map[string]Card
+		reduce, collect string
+	}{
+		{"none-selected", map[string]Card{"r": {Tuples: 1000}, "s": {Tuples: 500}, "t": {Tuples: 100}, "v": {Tuples: 50}, "w": {Tuples: 80}}, "v", "v"},
+		{"smallest-selected", map[string]Card{"r": {Tuples: 1000}, "s": {Tuples: 500}, "t": {Tuples: 100, Selected: true}, "v": {Tuples: 50, Selected: true}, "w": {Tuples: 80}}, "v", "v"},
+		{"larger-selected", map[string]Card{"r": {Tuples: 1000}, "s": {Tuples: 500}, "t": {Tuples: 100, Selected: true}, "v": {Tuples: 50}, "w": {Tuples: 80, Selected: true}}, "w", "v"},
+		{"root-selected-only", map[string]Card{"r": {Tuples: 1000, Selected: true}, "s": {Tuples: 500}, "t": {Tuples: 100}, "v": {Tuples: 50}, "w": {Tuples: 80}}, "v", "v"},
+	} {
+		qp, err := Build([]string{"r", "s", "t", "v", "w"}, preds, Options{Cardinality: tc.card})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := qp.Components[0].TAGPlan
+		if p.StartAlias != tc.reduce || p.CollectAlias != tc.collect {
+			t.Errorf("%s: reduction starts at %s, collection at %s; want %s and %s\n%s", tc.name, p.StartAlias, p.CollectAlias, tc.reduce, tc.collect, p)
+		}
+		if !checkWalk(p, p.Steps, p.StartAlias) || !checkWalk(p, p.Collect, p.CollectAlias) {
+			t.Errorf("%s: a walk is not connected from its start to the root\n%s", tc.name, p)
+		}
+		if same := &p.Steps[0] == &p.Collect[0]; same != (tc.reduce == tc.collect) {
+			t.Errorf("%s: walks share one list = %v, want %v", tc.name, same, tc.reduce == tc.collect)
 		}
 	}
 }
@@ -375,7 +421,7 @@ func TestPlanEdgesCarryEverySharedClass(t *testing.T) {
 		pred("supplier", "s_nationkey", "nation", "n_nationkey"),
 	}
 	qp, err := Build([]string{"part", "supplier", "lineitem", "partsupp", "orders", "nation"}, preds, Options{
-		Cardinality: map[string]int{"lineitem": 6000, "orders": 1500, "partsupp": 800, "part": 200, "supplier": 10, "nation": 25},
+		Cardinality: tuples(map[string]int{"lineitem": 6000, "orders": 1500, "partsupp": 800, "part": 200, "supplier": 10, "nation": 25}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,22 +40,38 @@ type Step struct {
 	Label    ColRef
 }
 
-// TAGPlan is the tree of relation and attribute nodes plus the connected
-// bottom-up traversal (Algorithm 1) that drives the vertex program.
+// TAGPlan is the tree of relation and attribute nodes plus the two
+// connected bottom-up traversals (Algorithm 1) that drive the vertex
+// programs: the reduction's, from StartAlias, and the collection's,
+// from CollectAlias.
 type TAGPlan struct {
 	Nodes      []Node
 	Root       int
 	Steps      []Step
 	StartAlias string
+	// Collect is the collection's walk; it is Steps itself when the two
+	// walks start at the same leaf.
+	Collect      []Step
+	CollectAlias string
 }
 
 // BuildTAGPlan constructs the TAG plan of a join tree per §5.1: one node
 // per relation, one node per join attribute class under each relation
 // whose children join it on that class (shared by those children), edges
 // labeled with the relation-side alias.column, then the Algorithm 1 step
-// list, starting at the leaf with the smallest card. Every alias thus
-// hangs under its join-tree parent.
-func BuildTAGPlan(t *Tree, classes *Classes, card func(string) int) *TAGPlan {
+// lists. Every alias hangs under its join-tree parent.
+//
+// The collection's walk starts at the leaf that seeds the fewest tuples.
+// The reduction's starts at the selected leaf that seeds the fewest, or
+// at the collection's start if no leaf is selected. The reduction's
+// survivors are the same from any start (a semijoin program), only its
+// cost is not, and that cost falls when it starts where a selection has
+// already removed tuples. The collection gathers partial join tables
+// toward the root, and starting it at a selected leaf can gather every
+// fact row of a small dimension at that leaf's vertices; so it keeps the
+// leaf with the fewest tuples and follows the reduction's marks from
+// there.
+func BuildTAGPlan(t *Tree, classes *Classes, est func(string) Card) *TAGPlan {
 	p := &TAGPlan{}
 	relNode := map[string]int{}
 	type attrKey struct {
@@ -96,8 +112,14 @@ func BuildTAGPlan(t *Tree, classes *Classes, card func(string) int) *TAGPlan {
 		}
 	}
 
-	p.startAtSmallestLeaf(card)
+	p.startAt(p.smallestLeaf(est, false))
 	p.genSteps(classes)
+	p.Collect, p.CollectAlias = p.Steps, p.StartAlias
+	if leaf := p.smallestLeaf(est, true); p.Nodes[leaf].Alias != p.CollectAlias {
+		p.Steps = nil
+		p.startAt(leaf)
+		p.genSteps(classes)
+	}
 	return p
 }
 
@@ -177,23 +199,37 @@ func (p *TAGPlan) genSteps(classes *Classes) {
 	}
 }
 
-// startAtSmallestLeaf makes the leaf whose alias has the smallest card
-// the rightmost one, where genSteps starts the walk, so the bottom-up
-// walk begins where the fewest tuples are seeded (an alias's pushed
-// selections, or incremental maintenance's write delta). A tie keeps
-// the rightmost leaf; among other tied leaves the first in node order
-// wins. The nodes along the root-to-leaf path move to the last-child
-// position of their parents; genSteps is valid for any child order.
-func (p *TAGPlan) startAtSmallestLeaf(card func(string) int) {
+// smallestLeaf returns the leaf whose alias seeds the fewest tuples;
+// with selected, the fewest among the leaves with a selection, if there
+// is one. A tie keeps the rightmost leaf, where genSteps starts the
+// walk; among other tied leaves the first in node order wins.
+func (p *TAGPlan) smallestLeaf(est func(string) Card, selected bool) int {
 	leaf := p.Root
 	for ch := p.Nodes[leaf].Children; len(ch) > 0; ch = p.Nodes[leaf].Children {
 		leaf = ch[len(ch)-1]
 	}
+	best := -1
+	if !selected || est(p.Nodes[leaf].Alias).Selected {
+		best = leaf
+	}
 	for _, n := range p.Nodes {
-		if n.Kind == RelNode && len(n.Children) == 0 && n.Parent >= 0 && card(n.Alias) < card(p.Nodes[leaf].Alias) {
-			leaf = n.ID
+		if n.Kind != RelNode || len(n.Children) > 0 || n.Parent < 0 {
+			continue
+		}
+		if c := est(n.Alias); (!selected || c.Selected) && (best < 0 || c.Tuples < est(p.Nodes[best].Alias).Tuples) {
+			best = n.ID
 		}
 	}
+	if best < 0 {
+		return p.smallestLeaf(est, false)
+	}
+	return best
+}
+
+// startAt makes leaf the rightmost one, where genSteps starts the walk:
+// the nodes along the root-to-leaf path move to the last-child position
+// of their parents. genSteps is valid for any child order.
+func (p *TAGPlan) startAt(leaf int) {
 	for n := leaf; p.Nodes[n].Parent >= 0; n = p.Nodes[n].Parent {
 		ch := p.Nodes[p.Nodes[n].Parent].Children
 		i := slices.Index(ch, n)
@@ -238,5 +274,8 @@ func (p *TAGPlan) String() string {
 		b.WriteString(s.Label.String())
 	}
 	b.WriteByte('\n')
+	if p.CollectAlias != p.StartAlias {
+		fmt.Fprintf(&b, "collect=%s\n", p.CollectAlias)
+	}
 	return b.String()
 }

@@ -152,7 +152,9 @@ func numericKind(k Kind) bool {
 
 // Compare orders two values: -1 if v < o, 0 if equal, +1 if v > o.
 // NULL sorts before everything. Numeric kinds compare by value across
-// int/float/date; other cross-kind comparisons order by kind.
+// int/float/date, with NaN above every number and equal to NaN, as in
+// PostgreSQL, so the order is total; other cross-kind comparisons
+// order by kind.
 func (v Value) Compare(o Value) int {
 	if v.Kind == KindNull || o.Kind == KindNull {
 		switch {
@@ -180,8 +182,12 @@ func (v Value) Compare(o Value) int {
 			return -1
 		case a > b:
 			return 1
+		case a == b || (a != a && b != b):
+			return 0
+		case a != a:
+			return 1
 		}
-		return 0
+		return -1
 	}
 	if v.Kind != o.Kind {
 		switch {

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,6 +65,11 @@ func TestCompareOrdering(t *testing.T) {
 		{Date(10), Date(20), -1},
 		{Date(10), Int(10), 0}, // numeric cross-kind
 		{Bool(false), Bool(true), -1},
+		{Float(math.NaN()), Float(math.NaN()), 0},
+		{Float(math.NaN()), Float(math.Inf(1)), 1},
+		{Int(5), Float(math.NaN()), -1},
+		{Float(math.NaN()), Date(10), 1},
+		{Null, Float(math.NaN()), -1},
 	}
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {
@@ -164,9 +171,6 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 
 func TestCompareTransitivityProperty(t *testing.T) {
 	f := func(a, b, c float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) {
-			return true
-		}
 		va, vb, vc := Float(a), Float(b), Float(c)
 		if va.Compare(vb) <= 0 && vb.Compare(vc) <= 0 {
 			return va.Compare(vc) <= 0
@@ -175,6 +179,45 @@ func TestCompareTransitivityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCompareIsTotalWithNaN checks that Compare is a total order over
+// values that include NaN (two bit patterns), the infinities, NULL and
+// the numeric kinds: antisymmetric and transitive on every pair and
+// triple, with NaN above every number and equal to NaN, so a sort by
+// Compare puts the values in one order whatever order they start in.
+func TestCompareIsTotalWithNaN(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	vals := []Value{Float(math.NaN()), Int(3), Float(math.Inf(1)), Null, Float(nan2),
+		Float(-2.5), Float(math.Inf(-1)), Date(4), Int(-7), Bool(true)}
+	for _, a := range vals {
+		for _, b := range vals {
+			if a.Compare(b) != -b.Compare(a) {
+				t.Errorf("Compare(%v, %v) = %d, Compare(%v, %v) = %d", a, b, a.Compare(b), b, a, b.Compare(a))
+			}
+			for _, c := range vals {
+				if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+					t.Errorf("%v <= %v <= %v but Compare(%v, %v) = %d", a, b, c, a, c, a.Compare(c))
+				}
+			}
+		}
+	}
+	want := slices.Clone(vals)
+	slices.SortStableFunc(want, Value.Compare)
+	if last := want[len(want)-2:]; !math.IsNaN(last[0].F) || !math.IsNaN(last[1].F) {
+		t.Errorf("sorted %v: NaN is not last", want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 50 {
+		got := slices.Clone(vals)
+		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		slices.SortFunc(got, Value.Compare)
+		for i := range got {
+			if got[i].Compare(want[i]) != 0 {
+				t.Fatalf("sorted %v, want %v", got, want)
+			}
+		}
 	}
 }
 

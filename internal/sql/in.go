@@ -8,8 +8,8 @@ import "repro/internal/relation"
 // column's non-NULL values only when they all have one kind among INT,
 // DATE and STRING, where SQL equality is key identity
 // (relation.Ident), and it answers only probes of that kind: Compare
-// equates INT, DATE and FLOAT through AsFloat, and a NaN compares equal
-// to every number, so any other probe is scanned.
+// equates INT, DATE and FLOAT through AsFloat, so any other probe is
+// scanned.
 type inSet struct {
 	hashable bool
 	kind     relation.Kind // the values' kind; KindNull when there are none
