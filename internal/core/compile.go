@@ -168,8 +168,24 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		}
 	}
 
-	for _, conj := range conjs {
-		p := e.compilePredicate(an, blk, conj)
+	// Conjuncts compile in two passes and keep their written order: first
+	// those whose subqueries, if any, are uncorrelated, then the
+	// correlated ones, whose subqueries run only for the outer keys the
+	// first pass's filters leave (outerKeys).
+	preds := make([]*predicate, len(conjs))
+	keys := &outerKeys{e: e, c: c, preds: preds}
+	var later []int
+	for i, conj := range conjs {
+		if correlatedSubs(an, conj) {
+			later = append(later, i)
+		} else {
+			preds[i] = e.compilePredicate(an, conj, keys)
+		}
+	}
+	for _, i := range later {
+		preds[i] = e.compilePredicate(an, conjs[i], keys)
+	}
+	for _, p := range preds {
 		switch {
 		case len(p.aliases) == 1 && !c.hasOuter:
 			var a string
@@ -209,7 +225,7 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		f := &pushed[i]
 		f.compile(bt, c.filters[bt.Alias])
 		c.pushed[bt.Alias] = f
-		f.seeds = e.seedVertices(c, bt.Alias)
+		f.seeds = e.seedVertices(bt.Alias, f)
 		_, windowed := e.restrict[bt.Alias]
 		aliases[i] = bt.Alias
 		card[bt.Alias] = plan.Card{Tuples: len(f.seeds), Selected: len(c.filters[bt.Alias]) > 0 || windowed}
@@ -242,8 +258,8 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 }
 
 // compilePredicate wraps a conjunct, attempting subquery decorrelation.
-func (e *Session) compilePredicate(an *sql.Analysis, blk *sql.Analyzed, conj sql.Expr) *predicate {
-	if p := e.tryDecorrelate(an, blk, conj); p != nil {
+func (e *Session) compilePredicate(an *sql.Analysis, conj sql.Expr, keys *outerKeys) *predicate {
+	if p := e.tryDecorrelate(an, conj, keys); p != nil {
 		return p
 	}
 	return &predicate{expr: conj, aliases: sql.AliasesOf(an, conj, 0), hoisted: len(sql.SubSelects(conj)) > 0}

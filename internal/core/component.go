@@ -269,12 +269,14 @@ func (r *componentRun) intersectPrefilter(alias string, allowed map[bsp.VertexID
 }
 
 // aliasFilters is one alias's pushed filters: its relation, its tuple
-// rows' binding (bind), the filters compiled against it in c.filters
-// order, the vertex-safe ones, the alias's seeds (seedVertices) and,
-// while a reduction or single-alias run evaluates the filters, a memo.
+// rows' binding (bind), the filters and their forms compiled against it,
+// in c.filters order, the vertex-safe ones, the alias's seeds
+// (seedVertices) and, while a reduction or single-alias run evaluates
+// the filters, a memo.
 type aliasFilters struct {
 	table   string
 	binding sql.Binding
+	preds   []*predicate
 	tests   []sql.Compiled
 	safe    []sql.Compiled
 	seeds   []bsp.VertexID
@@ -294,7 +296,7 @@ func (f *aliasFilters) bind(bt sql.BoundTable) sql.Binding {
 
 // compile resolves an alias's pushed filters against its tuple rows.
 func (f *aliasFilters) compile(bt sql.BoundTable, preds []*predicate) {
-	f.table = bt.Table
+	f.table, f.preds = bt.Table, preds
 	if len(preds) == 0 {
 		return
 	}
@@ -351,7 +353,7 @@ func (r *componentRun) prepareFilterMemo() {
 }
 
 // seedVertices returns, in ascending ID order, the candidate tuple
-// vertices of an alias: a superset of the ones that pass its filters,
+// vertices of an alias: a superset of the ones that pass its filters f,
 // which callers still check with passes. They are the n tuple vertices
 // a scan would visit (the relation's, narrowed to the alias's
 // restriction window if it has one) unless attrSeeds finds a pushed
@@ -361,13 +363,13 @@ func (r *componentRun) prepareFilterMemo() {
 // ascending ID order (vertices are appended as they are created), so a
 // window is a contiguous sub-slice found by binary search, which keeps
 // a delta-restricted seed O(log n + |delta|).
-func (e *Session) seedVertices(c *compiled, alias string) []bsp.VertexID {
-	verts := e.TAG.TupleVertices(c.aliasTable[alias])
+func (e *Session) seedVertices(alias string, f *aliasFilters) []bsp.VertexID {
+	verts := e.TAG.TupleVertices(f.table)
 	w, windowed := e.restrict[alias]
 	if windowed {
 		verts = w.slice(verts)
 	}
-	seeds, ok := e.attrSeeds(c, alias, len(verts)/4)
+	seeds, ok := e.attrSeeds(alias, f, len(verts)/4)
 	if !ok {
 		return verts
 	}
@@ -378,7 +380,7 @@ func (e *Session) seedVertices(c *compiled, alias string) []bsp.VertexID {
 }
 
 // attrSeeds returns the sorted, deduplicated tuple vertices reached by
-// the pushed selection of alias that reaches the fewest tuples, if that
+// the selection among alias's filters f that reaches the fewest tuples, if that
 // is at most limit. A selection's count is exact: the sum of
 // DegreeWithLabel along table.col over the values it keeps. Two kinds
 // of selection enter at attribute vertices:
@@ -399,18 +401,18 @@ func (e *Session) seedVertices(c *compiled, alias string) []bsp.VertexID {
 //     reports the error), or if it is FLOAT or BOOL: their vertices hold
 //     the value's Key, not the cell (FLOAT 2.0 is INT 2, and INT 1 is
 //     not TRUE).
-func (e *Session) attrSeeds(c *compiled, alias string, limit int) ([]bsp.VertexID, bool) {
+func (e *Session) attrSeeds(alias string, f *aliasFilters, limit int) ([]bsp.VertexID, bool) {
 	g := e.TAG
-	table := c.aliasTable[alias]
+	table := f.table
 	schema := g.Catalog.Get(table).Schema
-	preds := c.filters[alias]
+	preds := f.preds
 	var (
 		winVals []bsp.VertexID // the winner's attribute vertices
 		winLbl  bsp.LabelID
 		best    = limit + 1 // the winner reaches fewer tuples than this
 	)
 	for _, p := range preds {
-		vals, lbl, ok := e.equalityValues(c, alias, schema, p)
+		vals, lbl, ok := e.equalityValues(table, alias, schema, p)
 		if !ok {
 			continue
 		}
@@ -427,7 +429,7 @@ func (e *Session) attrSeeds(c *compiled, alias string, limit int) ([]bsp.VertexI
 	for i, p := range preds {
 		cols[i] = singleColumn(p, alias, schema)
 	}
-	tests := c.pushed[alias].tests
+	tests := f.tests
 	var row relation.Tuple // the dictionary value, otherwise NULL
 	holds := func(ci int) (bool, error) {
 		for i, t := range tests {
@@ -501,13 +503,12 @@ func (e *Session) attrSeeds(c *compiled, alias string, limit int) ([]bsp.VertexI
 // pushed col = literal or col IN (literal, ...) filter and the
 // table.col label, if the filter can enter there (see attrSeeds); a
 // literal with no vertex matches no tuple and is left out.
-func (e *Session) equalityValues(c *compiled, alias string, schema *relation.Schema, p *predicate) ([]bsp.VertexID, bsp.LabelID, bool) {
+func (e *Session) equalityValues(table, alias string, schema *relation.Schema, p *predicate) ([]bsp.VertexID, bsp.LabelID, bool) {
 	col, lits := equalityLiterals(p.expr)
 	if col == nil || col.Depth != 0 || col.Alias != alias {
 		return nil, 0, false
 	}
 	g := e.TAG
-	table := c.aliasTable[alias]
 	ci := schema.Index(col.Column)
 	lbl, ok := g.EdgeLabel(table, col.Column)
 	if ci < 0 || !ok || !g.Materialized(table, col.Column) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -9,10 +10,13 @@ import (
 
 // decorrTable is the lookup structure of a decorrelated subquery: the
 // subquery was executed once with its correlation predicates removed and
-// the correlated inner columns prepended to its SELECT list; rows are
-// grouped by the correlation key. Looking it up per outer row realizes
-// the semi-join/anti-join evaluation of §7 (EXISTS/IN) and the grouped
-// rewrite of correlated scalar aggregates.
+// the correlated inner columns prepended to its SELECT list (an EXISTS
+// keeps only them), for the outer keys alone where its block has them
+// (outerKeys); rows are grouped by the correlation key. Looking it up
+// per outer row realizes the semi-join/anti-join evaluation of §7
+// (EXISTS/IN) and the grouped rewrite of correlated scalar aggregates.
+// A key outside the outer keys finds no rows, which only a row its
+// block drops anyway asks for.
 type decorrTable struct {
 	outerCols []*sql.ColRef // evaluated in the outer row's scope, in key order
 	// keys[i] is the correlation key of the rows buckets[i]; index finds
@@ -62,14 +66,15 @@ func (dt *decorrTable) lookup(keyOf []sql.Compiled, row relation.Tuple, outer *s
 // with the current block, aggregates only in scalar form). A subquery
 // with no correlation has one answer, which settle puts into the
 // predicate as a literal where it can.
-func (e *Session) tryDecorrelate(an *sql.Analysis, blk *sql.Analyzed, conj sql.Expr) *predicate {
+func (e *Session) tryDecorrelate(an *sql.Analysis, conj sql.Expr, keys *outerKeys) *predicate {
 	subs := sql.SubSelects(conj)
 	if len(subs) == 0 {
 		return nil
 	}
+	exists := sql.ExistsSelects(conj)
 	for _, sub := range subs {
 		if e.decorr[sub] == nil {
-			dt, ok := e.decorrelateSub(an, sub)
+			dt, ok := e.decorrelateSub(an, sub, slices.Contains(exists, sub), keys)
 			if !ok {
 				return nil
 			}
@@ -143,8 +148,11 @@ type decorrError struct{}
 func (*decorrError) Error() string { return "core: subquery not decorrelated" }
 
 // decorrelateSub checks the shape of one subquery and, if supported,
-// executes its decorrelated variant and builds the lookup table.
-func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select) (*decorrTable, bool) {
+// executes its decorrelated variant, for the block's outer keys where it
+// has them (keys), and builds the lookup table. exists marks a subquery
+// read only through [NOT] EXISTS, whose rows matter but not their
+// columns.
+func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select, exists bool, keys *outerKeys) (*decorrTable, bool) {
 	subBlk := an.Blocks[sub]
 	if subBlk == nil || sub.Union != nil {
 		return nil, false
@@ -212,15 +220,42 @@ func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select) (*decorrTabl
 		return nil, false
 	}
 
+	// A correlation whose outer column has outer keys reads only them:
+	// inner IN (K) joins the variant's WHERE. An empty K leaves no row
+	// to ask, so the variant does not run.
+	keep = cloneAll(keep)
+	runs := true
+	for _, cr := range corrs {
+		vals, ok := keys.of(cr.inner, cr.outer)
+		if !ok {
+			continue
+		}
+		if len(vals) == 0 {
+			runs = false
+			break
+		}
+		list := make([]sql.Expr, len(vals))
+		for i, v := range vals {
+			list[i] = &sql.Literal{Val: v}
+		}
+		keep = append(keep, &sql.InList{X: &sql.ColRef{Qualifier: cr.inner.Alias, Column: cr.inner.Column}, List: list})
+	}
+
 	// Build the decorrelated variant: SELECT innerCols..., <items> with
 	// correlation conjuncts removed; aggregates become GROUP BY innerCols.
+	// A row-only EXISTS selects its keys alone (1 when it has none).
 	mod := sql.CloneSelect(sub)
-	mod.Where = sql.AndAll(cloneAll(keep))
+	mod.Where = sql.AndAll(keep)
 	var items []sql.SelectItem
 	for _, cr := range corrs {
 		items = append(items, sql.SelectItem{Expr: &sql.ColRef{Qualifier: cr.inner.Alias, Column: cr.inner.Column}})
 	}
-	items = append(items, mod.Items...)
+	switch {
+	case !exists || subBlk.HasAgg || len(sub.GroupBy) > 0:
+		items = append(items, mod.Items...)
+	case len(items) == 0:
+		items = []sql.SelectItem{{Expr: &sql.Literal{Val: relation.Int(1)}}}
+	}
 	mod.Items = items
 	if subBlk.HasAgg {
 		mod.GroupBy = nil
@@ -235,8 +270,10 @@ func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select) (*decorrTabl
 	if err != nil {
 		return nil, false
 	}
-	res, err := e.runChain(modAn, modAn.Root, nil)
-	if err != nil {
+	var res *relation.Relation
+	if !runs {
+		res = relation.New("sub", modAn.Root.OutputSchema())
+	} else if res, err = e.runChain(modAn, modAn.Root, nil); err != nil {
 		return nil, false
 	}
 
@@ -244,6 +281,14 @@ func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select) (*decorrTabl
 	k := len(corrs)
 	payloadSchema := payloadSchemaOf(res, k)
 	dt := &decorrTable{empty: relation.New("sub", payloadSchema)}
+	if subBlk.HasAgg {
+		// A scalar aggregate answers one row even for a key with no rows.
+		row, err := aggregateOfNothing(subBlk)
+		if err != nil {
+			return nil, false
+		}
+		dt.empty.Tuples = []relation.Tuple{row}
+	}
 	for _, cr := range corrs {
 		dt.outerCols = append(dt.outerCols, &sql.ColRef{
 			Alias: cr.outer.Alias, Column: cr.outer.Column, Table: cr.outer.Table, Key: cr.outer.Key,
@@ -271,6 +316,28 @@ rows:
 	return dt, true
 }
 
+// aggregateOfNothing evaluates a scalar aggregate block's SELECT list
+// over no input rows: COUNT is 0, every other aggregate NULL, and so is
+// a bare column.
+func aggregateOfNothing(blk *sql.Analyzed) (relation.Tuple, error) {
+	setup := newAggSetup(blk)
+	binding := sql.Binding{}
+	row := make(relation.Tuple, len(setup.list), len(setup.list)+1)
+	for i, a := range setup.newAccs() {
+		binding[sql.AggKey(i)] = i
+		row[i] = a.Result()
+	}
+	for _, it := range setup.items {
+		for _, c := range sql.ColRefs(it) {
+			if _, ok := binding[c.Key]; !ok && c.Depth == 0 {
+				binding[c.Key] = len(row)
+				row = append(row, relation.Null)
+			}
+		}
+	}
+	return sql.EvalAll(sql.CompileAll(setup.items, binding), row, nil, nil)
+}
+
 func payloadSchemaOf(res *relation.Relation, skip int) *relation.Schema {
 	cols := make([]relation.Column, 0, res.Schema.Len()-skip)
 	for i, c := range res.Schema.Columns[skip:] {
@@ -288,4 +355,119 @@ func cloneAll(exprs []sql.Expr) []sql.Expr {
 		out[i] = sql.CloneExpr(e)
 	}
 	return out
+}
+
+// correlatedSubs reports whether conj holds a subquery that reads an
+// enclosing scope.
+func correlatedSubs(an *sql.Analysis, conj sql.Expr) bool {
+	for _, sub := range sql.SubSelects(conj) {
+		if blk := an.Blocks[sub]; blk != nil && sql.BlockIsCorrelated(an, blk) {
+			return true
+		}
+	}
+	return false
+}
+
+// outerKeys finds the outer keys of a block's correlations: for an
+// outer column of alias A, the distinct non-NULL values it takes over
+// A's seeds that pass A's filters that hold no subquery and read no
+// outer scope. A row of the block's answer passes every filter of A,
+// so its key is among them, and a correlated subquery need only run for
+// them (Magic decorrelation: Seshadri, Pirahesh and Leung, ICDE 1996).
+// A filter that reads an outer scope is left out because the table is
+// kept for the whole run, while a block run once per outer value
+// compiles again under other values. Each column's keys are computed
+// once, centrally, over the seeds: every node of a distributed run
+// holds the whole graph and derives the same keys.
+type outerKeys struct {
+	e     *Session
+	c     *compiled
+	preds []*predicate       // the block's conjuncts, nil where not yet compiled
+	cols  map[string]keyList // by the outer column's bind key
+}
+
+// keyList is one outer column's keys; ok is false if none apply.
+type keyList struct {
+	vals []relation.Value
+	ok   bool
+}
+
+// of returns the outer keys of the correlation inner = outer, or false
+// if the subquery must run for every key: the block has an outer join,
+// A has no qualifying filter or a filter fails on a seed, or the two
+// columns are not of one kind among INT, DATE and STRING, where SQL
+// equality is key identity.
+func (k *outerKeys) of(inner, outer *sql.ColRef) ([]relation.Value, bool) {
+	cat := k.e.TAG.Catalog
+	kind, ok1 := columnKind(cat, inner)
+	outerKind, ok2 := columnKind(cat, outer)
+	if !ok1 || !ok2 || kind != outerKind || (kind != relation.KindInt && kind != relation.KindDate && kind != relation.KindString) || k.c.hasOuter {
+		return nil, false
+	}
+	key := sql.BindKey(outer.Alias, outer.Column)
+	l, known := k.cols[key]
+	if !known {
+		if k.cols == nil {
+			k.cols = map[string]keyList{}
+		}
+		l.vals, l.ok = k.compute(outer)
+		k.cols[key] = l
+	}
+	return l.vals, l.ok
+}
+
+// compute scans the outer column's alias's seeds for its keys.
+func (k *outerKeys) compute(outer *sql.ColRef) ([]relation.Value, bool) {
+	var preds []*predicate
+	for _, p := range k.preds {
+		if p != nil && len(p.aliases) == 1 && p.aliases[outer.Alias] && !readsOuterOrSub(p.expr) {
+			preds = append(preds, p)
+		}
+	}
+	i := slices.IndexFunc(k.c.blk.Tables, func(bt sql.BoundTable) bool { return bt.Alias == outer.Alias })
+	if len(preds) == 0 || i < 0 {
+		return nil, false
+	}
+	bt := k.c.blk.Tables[i]
+	ci := bt.Schema.Index(outer.Column)
+	var f aliasFilters
+	f.compile(bt, preds)
+	seeds := k.e.seedVertices(bt.Alias, &f)
+	k.e.eng.AddExternal(0, 0, int64(len(seeds)))
+	seen := map[relation.Ident]bool{}
+	var vals []relation.Value
+	for _, v := range seeds {
+		d := k.e.TAG.TupleData(v)
+		if d == nil || d.Dead {
+			continue
+		}
+		ok, err := sql.Holds(f.tests, d.Row, nil, nil)
+		if err != nil {
+			return nil, false // the run's own evaluation reports it
+		}
+		if x := d.Row[ci]; ok && !x.IsNull() && !seen[x.Ident()] {
+			seen[x.Ident()] = true
+			vals = append(vals, x)
+		}
+	}
+	return vals, true
+}
+
+// readsOuterOrSub reports whether x holds a subquery or reads an outer
+// scope.
+func readsOuterOrSub(x sql.Expr) bool {
+	return len(sql.SubSelects(x)) > 0 || slices.ContainsFunc(sql.ColRefs(x), func(c *sql.ColRef) bool { return c.Depth != 0 })
+}
+
+// columnKind returns the schema kind of a resolved column.
+func columnKind(cat *relation.Catalog, c *sql.ColRef) (relation.Kind, bool) {
+	r := cat.Get(c.Table)
+	if r == nil {
+		return 0, false
+	}
+	i := r.Schema.Index(c.Column)
+	if i < 0 {
+		return 0, false
+	}
+	return r.Schema.Columns[i].Kind, true
 }

@@ -363,18 +363,32 @@ var binaryOps = map[string]func(l, r relation.Value) (relation.Value, error){
 	},
 }
 
+// hashedList is the length past which an IN list of constants probes a
+// set instead of scanning its items.
+const hashedList = 8
+
 func compileInList(x *InList, b Binding) node {
 	v, not := compile(x.X, b), x.Not
 	items := make([]node, len(x.List))
-	konst := v.konst
+	konst, folded := v.konst, true
 	for i, it := range x.List {
 		items[i] = compile(it, b)
 		konst = konst && items[i].konst
+		folded = folded && items[i].eval == nil
+	}
+	var set *inSet // the folded items' set, for a long list of constants
+	if folded && len(items) > hashedList {
+		set = newInSet(len(items), func(i int) relation.Value { return items[i].val })
 	}
 	return fold(func(row relation.Tuple, outer *Env, subq SubqueryFn) (relation.Value, error) {
 		xv, err := v.get(row, outer, subq)
 		if err != nil || xv.IsNull() {
 			return relation.Null, err
+		}
+		if set != nil {
+			if found, sawNull, ok := set.probe(xv); ok {
+				return inAnswer(found, sawNull, not), nil
+			}
 		}
 		// Items run in order up to the first match, as the list reads.
 		sawNull := false
@@ -389,10 +403,7 @@ func compileInList(x *InList, b Binding) node {
 				return relation.Bool(!not), nil
 			}
 		}
-		if sawNull {
-			return relation.Null, nil
-		}
-		return relation.Bool(not), nil
+		return inAnswer(false, sawNull, not), nil
 	}, konst)
 }
 

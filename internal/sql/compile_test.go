@@ -88,6 +88,10 @@ func fuzzSeeds() []string {
 		"SUM(a) > 1 AND COUNT(*) < 3 AND UPPER(s) = 'A' AND YEAR(d, d) = 1",
 		"a * 1.5e3 > 2E-2 AND b - -1 < > 1e6 AND c = 2.0 AND d = 1 . 5",
 		"a\xca = 1 OR \xc3\x89 = 2",
+		// Twelve items: past the length at which a constant list hashes.
+		"a IN (1, 2, 3, NULL, 5, 6, 7, 8, 9, 10, 11, 12) OR b NOT IN (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, NULL)",
+		"a IN (1, 2.0, 'a', DATE '1995-09-01', NULL, 6, 7, 8, 9, 10, 11, 12) AND s NOT IN ('a', 'ab', 'b%', '', 'MED BOX', 'x', 'y', 'z', 'w', 'v', 'u', NULL)",
+		"d IN (DATE '1995-09-01', DATE '1995-09-02', DATE '1995-09-03', DATE '1995-09-04', DATE '1995-09-05', DATE '1995-09-06', NULL, DATE '1995-09-08', DATE '1995-09-09', DATE '1995-09-10', DATE '1995-09-11', DATE '1995-09-12')",
 	}
 	for _, q := range tpch.Queries() {
 		if i := strings.Index(q.SQL, "WHERE"); i >= 0 {

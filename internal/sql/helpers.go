@@ -49,6 +49,19 @@ func SubSelects(e Expr) []*Select {
 	return out
 }
 
+// ExistsSelects returns the subqueries e reads only through [NOT]
+// EXISTS, which asks whether they have rows and never reads a column.
+func ExistsSelects(e Expr) []*Select {
+	var out []*Select
+	walkExpr(e, func(x Expr) bool {
+		if n, ok := x.(*Exists); ok {
+			out = append(out, n.Sub)
+		}
+		return true
+	})
+	return out
+}
+
 // VisitBlockExprs applies visit to every expression of a block (and its
 // UNION ALL arms) with the given depth offset.
 func VisitBlockExprs(b *Analyzed, off int, visit func(Expr, int)) {

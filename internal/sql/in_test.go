@@ -119,3 +119,71 @@ func TestInSubqueryConcurrentProbes(t *testing.T) {
 		t.Errorf("memo %+v, want a built set", rows.Memo())
 	}
 }
+
+// TestInListHashMatchesTreeWalker holds IN lists of constants long
+// enough to probe a set to the tree walker, for IN and NOT IN, on a
+// pool of probes of every kind. A probe of the set's kind answers from
+// the set; any other probe, and any list that is not of one kind among
+// INT, DATE and STRING, is scanned.
+func TestInListHashMatchesTreeWalker(t *testing.T) {
+	ints := func(lo, hi int64) []relation.Value {
+		var out []relation.Value
+		for i := lo; i <= hi; i++ {
+			out = append(out, relation.Int(i))
+		}
+		return out
+	}
+	var dates, strs, floats []relation.Value
+	for i := int64(0); i < 10; i++ {
+		dates = append(dates, relation.Date(9400+i))
+		strs = append(strs, relation.Str(string(rune('a'+i))))
+		floats = append(floats, relation.Float(float64(i)))
+	}
+	probes := []relation.Value{
+		relation.Int(3), relation.Int(42), relation.Int(9403), relation.Float(2), relation.Float(2.5),
+		relation.Float(math.NaN()), relation.Date(9403), relation.Date(1), relation.Str("c"),
+		relation.Str("zz"), relation.Str("3"), relation.Bool(true), relation.Null,
+	}
+	for _, tc := range []struct {
+		name  string
+		items []relation.Value
+	}{
+		{"int", ints(1, 10)},
+		{"int with NULL", append(ints(1, 10), relation.Null)},
+		{"NULL first", append([]relation.Value{relation.Null}, ints(1, 10)...)},
+		{"date", dates},
+		{"date with NULL", append(append([]relation.Value(nil), dates...), relation.Null)},
+		{"string", strs},
+		{"float", floats},
+		{"mixed kinds", append(ints(1, 9), relation.Str("c"), relation.Date(9403), relation.Null)},
+		{"only NULL", []relation.Value{relation.Null, relation.Null, relation.Null, relation.Null,
+			relation.Null, relation.Null, relation.Null, relation.Null, relation.Null}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if len(tc.items) <= hashedList {
+				t.Fatalf("%d items do not reach the hashed form", len(tc.items))
+			}
+			list := make([]Expr, len(tc.items))
+			for i, v := range tc.items {
+				list[i] = &Literal{Val: v}
+			}
+			x := &ColRef{Alias: "t", Column: "x", Key: "t.x"}
+			b := Binding{"t.x": 0}
+			for _, not := range []bool{false, true} {
+				e := &InList{X: x, List: list, Not: not}
+				compiled := Compile(e, b)
+				for _, probe := range probes {
+					row := relation.Tuple{probe}
+					got, err := compiled(row, nil, nil)
+					want, wantErr := evalRef(e, &Env{Binding: b, Row: row}, nil)
+					if err != nil || wantErr != nil {
+						t.Fatalf("%v IN %v (not=%v): errors %v, %v", probe, tc.items, not, err, wantErr)
+					}
+					if got.Kind != want.Kind || got.I != want.I {
+						t.Errorf("%v IN %v (not=%v) = %v, want %v", probe, tc.items, not, got, want)
+					}
+				}
+			}
+		})
+	}
+}
