@@ -282,12 +282,13 @@ func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select, exists bool,
 	payloadSchema := payloadSchemaOf(res, k)
 	dt := &decorrTable{empty: relation.New("sub", payloadSchema)}
 	if subBlk.HasAgg {
-		// A scalar aggregate answers one row even for a key with no rows.
-		row, err := aggregateOfNothing(subBlk)
+		// A scalar aggregate answers one row even for a key with no rows:
+		// its SELECT list over no input.
+		none, err := projectGroups(&compiled{blk: subBlk}, newAggSetup(subBlk), nil, []string{}, nil, nil)
 		if err != nil {
 			return nil, false
 		}
-		dt.empty.Tuples = []relation.Tuple{row}
+		dt.empty.Tuples = none.Tuples
 	}
 	for _, cr := range corrs {
 		dt.outerCols = append(dt.outerCols, &sql.ColRef{
@@ -314,28 +315,6 @@ rows:
 		dt.index.index(len(dt.keys), dt.keyAt)
 	}
 	return dt, true
-}
-
-// aggregateOfNothing evaluates a scalar aggregate block's SELECT list
-// over no input rows: COUNT is 0, every other aggregate NULL, and so is
-// a bare column.
-func aggregateOfNothing(blk *sql.Analyzed) (relation.Tuple, error) {
-	setup := newAggSetup(blk)
-	binding := sql.Binding{}
-	row := make(relation.Tuple, len(setup.list), len(setup.list)+1)
-	for i, a := range setup.newAccs() {
-		binding[sql.AggKey(i)] = i
-		row[i] = a.Result()
-	}
-	for _, it := range setup.items {
-		for _, c := range sql.ColRefs(it) {
-			if _, ok := binding[c.Key]; !ok && c.Depth == 0 {
-				binding[c.Key] = len(row)
-				row = append(row, relation.Null)
-			}
-		}
-	}
-	return sql.EvalAll(sql.CompileAll(setup.items, binding), row, nil, nil)
 }
 
 func payloadSchemaOf(res *relation.Relation, skip int) *relation.Schema {
@@ -394,9 +373,9 @@ type keyList struct {
 
 // of returns the outer keys of the correlation inner = outer, or false
 // if the subquery must run for every key: the block has an outer join,
-// A has no qualifying filter or a filter fails on a seed, or the two
-// columns are not of one kind among INT, DATE and STRING, where SQL
-// equality is key identity.
+// A has no qualifying filter, a filter fails on a seed or the keys are
+// more than a quarter of A's tuples, or the two columns are not of one
+// kind among INT, DATE and STRING, where SQL equality is key identity.
 func (k *outerKeys) of(inner, outer *sql.ColRef) ([]relation.Value, bool) {
 	cat := k.e.TAG.Catalog
 	kind, ok1 := columnKind(cat, inner)
@@ -416,7 +395,12 @@ func (k *outerKeys) of(inner, outer *sql.ColRef) ([]relation.Value, bool) {
 	return l.vals, l.ok
 }
 
-// compute scans the outer column's alias's seeds for its keys.
+// compute scans the outer column's alias's seeds for its keys. Keys
+// for more than a quarter of A's tuples, the share past which a
+// selection no longer enters at attribute vertices (seedVertices), are
+// not worth it: inner IN (K) then keeps about as large a share of the
+// inner table, which the subquery scans whole, and every row it reads
+// probes the list. The subquery runs for every key instead.
 func (k *outerKeys) compute(outer *sql.ColRef) ([]relation.Value, bool) {
 	var preds []*predicate
 	for _, p := range k.preds {
@@ -434,6 +418,7 @@ func (k *outerKeys) compute(outer *sql.ColRef) ([]relation.Value, bool) {
 	f.compile(bt, preds)
 	seeds := k.e.seedVertices(bt.Alias, &f)
 	k.e.eng.AddExternal(0, 0, int64(len(seeds)))
+	limit := len(k.e.TAG.TupleVertices(bt.Table)) / 4
 	seen := map[relation.Ident]bool{}
 	var vals []relation.Value
 	for _, v := range seeds {
@@ -446,6 +431,9 @@ func (k *outerKeys) compute(outer *sql.ColRef) ([]relation.Value, bool) {
 			return nil, false // the run's own evaluation reports it
 		}
 		if x := d.Row[ci]; ok && !x.IsNull() && !seen[x.Ident()] {
+			if len(vals) == limit {
+				return nil, false
+			}
 			seen[x.Ident()] = true
 			vals = append(vals, x)
 		}

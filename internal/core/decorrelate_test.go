@@ -72,7 +72,8 @@ func TestDecorrelationFollowsOuterSelection(t *testing.T) {
 // for the whole run. The middle block's filter bv = ak reads the outer
 // block, so it must not narrow that EXISTS's outer keys: taken under
 // ak = 1 they would hold bk 10 alone, and ak = 2, whose b row has bk 20,
-// would find no c row. bw > 0 is the filter the keys come from.
+// would find no c row. bw > 0 is the filter the keys come from; it
+// keeps two of b's eight rows, few enough to restrict the EXISTS.
 func TestDecorrelationKeysIgnoreOuterFilters(t *testing.T) {
 	cat := relation.NewCatalog()
 	a := relation.New("a", relation.MustSchema(relation.Col("ak", relation.KindInt)))
@@ -83,7 +84,9 @@ func TestDecorrelationKeysIgnoreOuterFilters(t *testing.T) {
 		relation.Col("bk", relation.KindInt), relation.Col("bv", relation.KindInt), relation.Col("bw", relation.KindInt)))
 	b.MustAppend(relation.Int(10), relation.Int(1), relation.Int(1))
 	b.MustAppend(relation.Int(20), relation.Int(2), relation.Int(1))
-	b.MustAppend(relation.Int(30), relation.Int(3), relation.Int(0))
+	for k := int64(3); k <= 8; k++ {
+		b.MustAppend(relation.Int(10*k), relation.Int(k), relation.Int(0))
+	}
 	c := relation.New("c", relation.MustSchema(relation.Col("ck", relation.KindInt)))
 	c.MustAppend(relation.Int(10))
 	c.MustAppend(relation.Int(20))

@@ -91,20 +91,23 @@ func paperWorkloads() []paperWorkload {
 // It also asserts the paper's communication bound for TPC-H (§5:
 // O(IN + OUT) messages for an acyclic query). messages / (IN + OUT) is
 // at most 1.1 at every scale, and at scales 1 and 2 at most 1.3 times
-// its value at 0.5. The named exceptions are q9 for the first bound
-// (2.06 / 1.51 / 0.76 at scales 0.5 / 1 / 2: its walk crosses lineitem
-// several times, the climb from part and partsupp, the supplier descent
-// and climb, the orders descent and climb, then DOWN) and q5, q7 and
-// q17 for the second: q5 and q7 answer nothing below scale 2, so their
-// OUT is 0 at the smaller scales, and q17's correlated subquery runs
-// only for its selected parts, 1, 1 and 8 at scales 0.5, 1 and 2, so
-// its messages (0.023, 0.015 and 0.040 of IN + OUT) follow those parts'
-// lineitems, not IN. The cyclic row is pinned but not bounded this way:
-// its one-row COUNT(*) hides a join far larger than IN.
+// its value at 0.5 wherever it exceeds growthFloor. Below that floor a
+// query's messages follow the few tuples its selection keeps, not IN,
+// and the ratio moves with how many the generator draws at each scale
+// (q17 selects 1, 1 and 8 parts at scales 0.5, 1 and 2: 0.023, 0.015
+// and 0.040); growth there stays far inside the first bound. The named
+// exceptions are q9 for the first bound (2.06 / 1.51 / 0.76 at scales
+// 0.5 / 1 / 2: its walk crosses lineitem several times, the climb from
+// part and partsupp, the supplier descent and climb, the orders descent
+// and climb, then DOWN) and q5 and q7 for the second (both answer
+// nothing below scale 2, so their OUT is 0 at the smaller scales). The
+// cyclic row is pinned but not bounded this way: its one-row COUNT(*)
+// hides a join far larger than IN.
 func TestPaperCounts(t *testing.T) {
 	const seed = 2021
+	const growthFloor = 0.1
 	overRatio := map[string]bool{"tpch/q9": true}
-	overGrowth := map[string]bool{"tpch/q5": true, "tpch/q7": true, "tpch/q17": true}
+	overGrowth := map[string]bool{"tpch/q5": true, "tpch/q7": true}
 
 	var got []paperCount
 	ratios := map[string]map[float64]float64{}
@@ -177,7 +180,7 @@ func TestPaperCounts(t *testing.T) {
 			if r := at[scale]; r > 1.1 && !overRatio[name] {
 				t.Errorf("%s at scale %g: messages/(IN+OUT) = %.3f, bound 1.1", name, scale, r)
 			}
-			if r, base := at[scale], at[paperScales[0]]; scale > paperScales[0] && r > 1.3*base && !overGrowth[name] {
+			if r, base := at[scale], at[paperScales[0]]; scale > paperScales[0] && r > 1.3*base && r > growthFloor && !overGrowth[name] {
 				t.Errorf("%s at scale %g: messages/(IN+OUT) = %.3f, over 1.3x its %.3f at scale %g",
 					name, scale, r, base, paperScales[0])
 			}

@@ -107,9 +107,14 @@ func AliasesOf(an *Analysis, e Expr, offset int) map[string]bool {
 }
 
 // BlockIsCorrelated reports whether blk (or any nested block) references
-// columns from a scope enclosing blk itself.
+// columns from a scope enclosing blk itself. It stops at the first one.
 func BlockIsCorrelated(an *Analysis, blk *Analyzed) bool {
-	return len(OuterRefs(an, blk)) > 0
+	found := false
+	visitOuterRefs(an, blk, func(*ColRef) bool {
+		found = true
+		return false
+	})
+	return found
 }
 
 // OuterRefs returns the ColRefs inside blk (including nested blocks) that
@@ -117,22 +122,33 @@ func BlockIsCorrelated(an *Analysis, blk *Analyzed) bool {
 // answer can depend on besides its own tables.
 func OuterRefs(an *Analysis, blk *Analyzed) []*ColRef {
 	var out []*ColRef
+	visitOuterRefs(an, blk, func(c *ColRef) bool {
+		out = append(out, c)
+		return true
+	})
+	return out
+}
+
+// visitOuterRefs calls fn on each outer reference of blk, in the order
+// OuterRefs lists them, until fn returns false.
+func visitOuterRefs(an *Analysis, blk *Analyzed, fn func(*ColRef) bool) {
+	more := true
 	var visit func(x Expr, depth int)
 	visit = func(x Expr, depth int) {
-		if x == nil {
+		if x == nil || !more {
 			return
 		}
-		for _, c := range ColRefs(x) {
-			if c.Depth > depth {
-				out = append(out, c)
+		walkExpr(x, func(y Expr) bool {
+			if c, ok := y.(*ColRef); ok && c.Depth > depth {
+				more = fn(c)
 			}
-		}
+			return more
+		})
 		for _, subSel := range SubSelects(x) {
-			if b := an.Blocks[subSel]; b != nil {
+			if b := an.Blocks[subSel]; b != nil && more {
 				VisitBlockExprs(b, depth+1, visit)
 			}
 		}
 	}
 	VisitBlockExprs(blk, 0, visit)
-	return out
 }
