@@ -270,3 +270,108 @@ func TestUncorrelatedSubqueryIsConstant(t *testing.T) {
 		t.Errorf("%s: no error, want one for a scalar subquery of several rows", several)
 	}
 }
+
+// inSubqueryCatalog builds p (64 rows: a key, a group, a quantity that
+// is NULL every 13th row, a name) and q (128 rows: a key, a p key that
+// is NULL every 17th row, a FLOAT amount in halves), large enough that
+// a short IN list on p's key enters at attribute vertices.
+func inSubqueryCatalog() *relation.Catalog {
+	cat := relation.NewCatalog()
+	p := relation.New("p", relation.MustSchema(
+		relation.Col("pk", relation.KindInt), relation.Col("grp", relation.KindInt),
+		relation.Col("qty", relation.KindInt), relation.Col("name", relation.KindString)))
+	for i := range int64(64) {
+		qty := relation.Int(i % 5)
+		if i%13 == 0 {
+			qty = relation.Null
+		}
+		p.MustAppend(relation.Int(i), relation.Int(i%8), qty, relation.Str(fmt.Sprintf("n%d", i%16)))
+	}
+	q := relation.New("q", relation.MustSchema(
+		relation.Col("qk", relation.KindInt), relation.Col("pk", relation.KindInt), relation.Col("amt", relation.KindFloat)))
+	for i := range int64(128) {
+		pk := relation.Int((i * 7) % 64)
+		if i%17 == 0 {
+			pk = relation.Null
+		}
+		q.MustAppend(relation.Int(i), pk, relation.Float(float64(i%10)/2))
+	}
+	cat.MustAdd(p)
+	cat.MustAdd(q)
+	return cat
+}
+
+// TestUncorrelatedSubqueryShapes runs uncorrelated subqueries of every
+// shape decorrelation refuses when correlated (HAVING, a grouped
+// aggregate, a nested subquery) and DISTINCT under IN and NOT IN, where
+// each runs once and settles into a list of literals, and a UNION, which
+// keeps its per-row lookup. The rows equal the baseline's under every
+// engine configuration, including an answer that holds a NULL, an empty
+// answer probed by a NULL (NULL, so only the OR's other arm keeps the
+// row), INT probed against FLOAT, and EXISTS over SELECT *. A subquery
+// whose run fails (its own scalar subquery has several rows) answers
+// with no error when no seed reaches its conjunct, as the per-row path
+// did.
+func TestUncorrelatedSubqueryShapes(t *testing.T) {
+	cat := inSubqueryCatalog()
+	g, err := tag.Build(cat, tag.MaterializeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := baseline.New(cat)
+	for _, row := range []struct {
+		settles bool // the subquery leaves its conjunct: no lookup, no hoisting
+		sql     string
+	}{
+		{true, `SELECT pk, name FROM p WHERE pk IN (SELECT pk FROM q GROUP BY pk HAVING SUM(amt) > 6)`},
+		{true, `SELECT pk FROM p WHERE pk NOT IN (SELECT pk FROM q WHERE pk IS NOT NULL GROUP BY pk HAVING COUNT(*) > 1)`},
+		{true, `SELECT pk, qty FROM p WHERE qty IN (SELECT MIN(qk) FROM q GROUP BY amt)`},
+		{true, `SELECT pk, qty FROM p WHERE qty NOT IN (SELECT MIN(qk) FROM q GROUP BY amt)`},
+		{true, `SELECT pk FROM p WHERE pk IN (SELECT pk FROM q WHERE amt > (SELECT AVG(amt) FROM q) AND qk < 40)`},
+		{true, `SELECT pk FROM p WHERE pk NOT IN (SELECT q.pk FROM q WHERE q.pk IS NOT NULL AND EXISTS (SELECT 1 FROM p p2 WHERE p2.pk = q.pk AND p2.grp = 3))`},
+		{true, `SELECT pk, grp FROM p WHERE grp IN (SELECT DISTINCT qk FROM q WHERE qk < 3)`},
+		{true, `SELECT pk, grp FROM p WHERE grp NOT IN (SELECT DISTINCT qk FROM q WHERE qk < 3)`},
+		{false, `SELECT pk FROM p WHERE pk IN (SELECT qk FROM q WHERE qk < 3 UNION ALL SELECT pk FROM p WHERE grp = 7)`},
+		{true, `SELECT pk FROM p WHERE pk IN (SELECT pk FROM q WHERE qk < 20)`},
+		{true, `SELECT pk FROM p WHERE pk NOT IN (SELECT pk FROM q WHERE qk < 20)`},
+		{true, `SELECT pk, qty FROM p WHERE qty NOT IN (SELECT pk FROM q WHERE qk < 0) OR pk < 3`},
+		{true, `SELECT pk, qty FROM p WHERE qty IN (SELECT pk FROM q WHERE qk < 0) OR pk < 3`},
+		{true, `SELECT pk, qty FROM p WHERE qty IN (SELECT amt FROM q WHERE qk < 10)`},
+		{true, `SELECT pk, qty FROM p WHERE qty NOT IN (SELECT amt FROM q WHERE qk < 10)`},
+		{true, `SELECT pk FROM p WHERE pk IN (SELECT amt FROM q WHERE qk < 4)`},
+		{true, `SELECT pk FROM p WHERE EXISTS (SELECT * FROM q WHERE amt > 4)`},
+		{true, `SELECT pk FROM p WHERE NOT EXISTS (SELECT * FROM q WHERE amt > 4) OR pk = 5`},
+		{false, `SELECT pk FROM p WHERE pk = 1000 AND grp IN (SELECT pk FROM q WHERE qk = (SELECT qk FROM q))`},
+	} {
+		q := row.sql
+		an, err := sql.AnalyzeString(cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := NewSession(g, bsp.Options{Workers: 1})
+		ex.decorr = map[*sql.Select]*decorrTable{}
+		c, err := ex.compileBlock(an, an.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := c.filters["p"]
+		looksUp := slices.ContainsFunc(f, func(p *predicate) bool { return p.hoisted || len(p.decorr) > 0 })
+		if looksUp == row.settles {
+			t.Errorf("%s: a filter looks its subquery up = %v, want %v", q, looksUp, !row.settles)
+		}
+		want, err := ref.Query(q)
+		if err != nil {
+			t.Fatalf("baseline %s: %v", q, err)
+		}
+		for _, ec := range engineConfigs {
+			got, err := NewSession(g, ec.opts).Query(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", ec.name, q, err)
+			}
+			if !relation.EqualMultiset(got, want) {
+				onlyG, onlyW := relation.DiffMultiset(got, want, 4)
+				t.Errorf("%s %s: %d rows, baseline %d\nonly TAG: %v\nonly baseline: %v", ec.name, q, got.Len(), want.Len(), onlyG, onlyW)
+			}
+		}
+	}
+}

@@ -212,8 +212,10 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 	// included) or a restriction window such as incremental
 	// maintenance's write delta. A selection that enters at attribute
 	// vertices, or a window, makes the count small, so GYO removes the
-	// alias early. The collection's walk starts at the leaf with the
-	// fewest seeds, the reduction's at the selected leaf with the fewest.
+	// alias early; such a selection entered. The collection's walk starts at
+	// the leaf with the fewest seeds, the reduction's at the selected
+	// leaf with the fewest, or at a root or inner alias whose selection
+	// entered if it seeds strictly fewer or no leaf is selected.
 	if !c.hasOuter {
 		c.pushImpliedRestrictions()
 	}
@@ -228,7 +230,8 @@ func (e *Session) compileBlock(an *sql.Analysis, blk *sql.Analyzed) (*compiled, 
 		f.seeds = e.seedVertices(bt.Alias, f)
 		_, windowed := e.restrict[bt.Alias]
 		aliases[i] = bt.Alias
-		card[bt.Alias] = plan.Card{Tuples: len(f.seeds), Selected: len(c.filters[bt.Alias]) > 0 || windowed}
+		card[bt.Alias] = plan.Card{Tuples: len(f.seeds), Selected: len(c.filters[bt.Alias]) > 0 || windowed,
+			Entered: windowed || len(f.seeds) < len(e.TAG.TupleVertices(bt.Table))}
 	}
 	if !c.hasOuter {
 		qp, err := plan.Build(aliases, c.equi, plan.Options{Cardinality: card})

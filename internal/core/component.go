@@ -219,9 +219,12 @@ func (r *componentRun) resolveStep(s plan.Step) (stepInfo, error) {
 
 // hoistUnsafeFilters pre-evaluates pushed filters that contain
 // un-decorrelated subqueries (they would re-enter the engine if run
-// inside a vertex program) into per-alias allowed sets. It visits the
-// alias's seeds, a superset of its passing tuples, and charges one op
-// per seed: the pass runs centrally, outside any vertex program.
+// inside a vertex program) into per-alias allowed sets: a correlated
+// subquery that decorrelation refuses, a UNION, or an uncorrelated
+// subquery whose one run failed. Every other uncorrelated subquery is a
+// constant by now (settle). It visits the alias's seeds, a superset of
+// its passing tuples, and charges one op per seed: the pass runs
+// centrally, outside any vertex program.
 func (r *componentRun) hoistUnsafeFilters() error {
 	for _, alias := range r.comp.Aliases {
 		preds := r.c.filters[alias]

@@ -16,7 +16,8 @@ import (
 // per outer row realizes the semi-join/anti-join evaluation of §7
 // (EXISTS/IN) and the grouped rewrite of correlated scalar aggregates.
 // A key outside the outer keys finds no rows, which only a row its
-// block drops anyway asks for.
+// block drops anyway asks for. An uncorrelated subquery's table has no
+// key: one bucket, or none when the answer is empty.
 type decorrTable struct {
 	outerCols []*sql.ColRef // evaluated in the outer row's scope, in key order
 	// keys[i] is the correlation key of the rows buckets[i]; index finds
@@ -61,11 +62,12 @@ func (dt *decorrTable) lookup(keyOf []sql.Compiled, row relation.Tuple, outer *s
 
 // tryDecorrelate attempts to turn a conjunct containing subqueries into a
 // vertex-safe predicate that answers them from decorrTable lookups. It
-// returns nil when any nested subquery does not fit the supported shape
-// (single block, correlation only through top-level equality predicates
-// with the current block, aggregates only in scalar form). A subquery
-// with no correlation has one answer, which settle puts into the
-// predicate as a literal where it can.
+// returns nil when any nested subquery is a UNION, fails to run, or is
+// correlated and does not fit the supported shape (single block,
+// correlation only through top-level equality predicates with the
+// current block, aggregates only in scalar form). A subquery with no
+// correlation has one answer, which settle puts into the predicate as
+// literals where it can.
 func (e *Session) tryDecorrelate(an *sql.Analysis, conj sql.Expr, keys *outerKeys) *predicate {
 	subs := sql.SubSelects(conj)
 	if len(subs) == 0 {
@@ -103,10 +105,13 @@ func (e *Session) tryDecorrelate(an *sql.Analysis, conj sql.Expr, keys *outerKey
 }
 
 // settle returns x with each uncorrelated scalar subquery of at most one
-// row replaced by its value (NULL for none), and each uncorrelated
-// EXISTS by TRUE or FALSE, under operators and BETWEEN; other subqueries
-// keep their lookup (several rows still fail per row). It builds new
-// nodes over the analysed tree, which sessions share.
+// row replaced by its value (NULL for none), each uncorrelated EXISTS by
+// TRUE or FALSE, and each IN over one by an IN list of its answer's
+// first column, which answers alike (compileInList) and, holding no
+// subquery, can seed its alias (attrSeeds) and give outer keys; all
+// under operators and BETWEEN. A scalar subquery of several rows keeps
+// its lookup, which fails only for a row that asks. It builds new nodes
+// over the analysed tree, which sessions share.
 func (e *Session) settle(x sql.Expr) sql.Expr {
 	switch n := x.(type) {
 	case *sql.ScalarSubquery:
@@ -120,6 +125,14 @@ func (e *Session) settle(x sql.Expr) sql.Expr {
 	case *sql.Exists:
 		if rows := e.decorr[n.Sub].constant(); rows != nil {
 			return &sql.Literal{Val: relation.Bool((rows.Len() > 0) != n.Not)}
+		}
+	case *sql.InSubquery:
+		if rows := e.decorr[n.Sub].constant(); rows != nil {
+			list := make([]sql.Expr, rows.Len())
+			for i, t := range rows.Tuples {
+				list[i] = &sql.Literal{Val: t[0]}
+			}
+			return &sql.InList{X: e.settle(n.X), List: list, Not: n.Not}
 		}
 	case *sql.Unary:
 		return &sql.Unary{Op: n.Op, X: e.settle(n.X)}
@@ -147,22 +160,40 @@ type decorrError struct{}
 
 func (*decorrError) Error() string { return "core: subquery not decorrelated" }
 
-// decorrelateSub checks the shape of one subquery and, if supported,
-// executes its decorrelated variant, for the block's outer keys where it
-// has them (keys), and builds the lookup table. exists marks a subquery
-// read only through [NOT] EXISTS, whose rows matter but not their
-// columns.
+// decorrelateSub builds the lookup table of one subquery. exists marks
+// a subquery read only through [NOT] EXISTS, whose rows matter but not
+// their columns. An uncorrelated one runs once, whatever its shape, as
+// its block on the caller's analysis (an EXISTS that does not aggregate
+// selects 1); a run that fails leaves it to the per-row path, which
+// reports the error only if some row asks. A correlated one must fit
+// the supported shape; its decorrelated variant runs for the block's
+// outer keys where it has them (keys).
 func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select, exists bool, keys *outerKeys) (*decorrTable, bool) {
 	subBlk := an.Blocks[sub]
 	if subBlk == nil || sub.Union != nil {
 		return nil, false
 	}
+	rowsOnly := exists && !subBlk.HasAgg && len(sub.GroupBy) == 0
+	if !sql.BlockIsCorrelated(an, subBlk) {
+		if rowsOnly {
+			one, sel := *subBlk, *sub
+			sel.Items = []sql.SelectItem{{Expr: &sql.Literal{Val: relation.Int(1)}}}
+			one.Sel, one.OutNames, one.OutKinds = &sel, []string{"col1"}, []relation.Kind{relation.KindInt}
+			subBlk = &one
+		}
+		res, err := e.runChain(an, subBlk, nil)
+		if err != nil {
+			return nil, false
+		}
+		dt := &decorrTable{empty: relation.New("sub", res.Schema)}
+		if res.Len() > 0 {
+			dt.keys, dt.buckets = [][]relation.Value{{}}, []*relation.Relation{res}
+		}
+		return dt, true
+	}
 	// No subqueries nested inside the subquery (keep the shape simple),
 	// and aggregates only in the scalar form.
-	if sub.Having != nil {
-		return nil, false
-	}
-	if subBlk.HasAgg && len(sub.GroupBy) > 0 {
+	if sub.Having != nil || (subBlk.HasAgg && len(sub.GroupBy) > 0) {
 		return nil, false
 	}
 	nested := false
@@ -242,19 +273,17 @@ func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select, exists bool,
 	}
 
 	// Build the decorrelated variant: SELECT innerCols..., <items> with
-	// correlation conjuncts removed; aggregates become GROUP BY innerCols.
-	// A row-only EXISTS selects its keys alone (1 when it has none).
+	// correlation conjuncts removed; aggregates become GROUP BY
+	// innerCols, anything else DISTINCT. A row-only EXISTS selects its
+	// keys alone.
 	mod := sql.CloneSelect(sub)
 	mod.Where = sql.AndAll(keep)
 	var items []sql.SelectItem
 	for _, cr := range corrs {
 		items = append(items, sql.SelectItem{Expr: &sql.ColRef{Qualifier: cr.inner.Alias, Column: cr.inner.Column}})
 	}
-	switch {
-	case !exists || subBlk.HasAgg || len(sub.GroupBy) > 0:
+	if !rowsOnly {
 		items = append(items, mod.Items...)
-	case len(items) == 0:
-		items = []sql.SelectItem{{Expr: &sql.Literal{Val: relation.Int(1)}}}
 	}
 	mod.Items = items
 	if subBlk.HasAgg {
@@ -262,7 +291,7 @@ func (e *Session) decorrelateSub(an *sql.Analysis, sub *sql.Select, exists bool,
 		for _, cr := range corrs {
 			mod.GroupBy = append(mod.GroupBy, &sql.ColRef{Qualifier: cr.inner.Alias, Column: cr.inner.Column})
 		}
-	} else if len(corrs) > 0 {
+	} else {
 		mod.Distinct = true
 	}
 

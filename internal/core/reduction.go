@@ -14,6 +14,9 @@ import (
 // reversed top-down (DOWN) pass that only signals along marked edges,
 // leaving marks that correspond to the fully reduced relations (§5.2).
 //
+// The start alias is a leaf, or a root or inner relation whose
+// selection entered (plan.BuildTAGPlan); from one of those the walk
+// first descends into the start's subtrees and climbs back out of each.
 // Superstep 0 admits the start alias's seeds that pass its filters
 // (§7 selections, charged like any other vertex activation) and sends
 // along step 0. Superstep s > 0 processes the messages sent along step
@@ -28,9 +31,9 @@ import (
 // The run emits the survivors of the collection's start leaf, at the
 // superstep that receives the DOWN pass's step into it (emitAt). That
 // is the final superstep when both walks start at one leaf; otherwise
-// the collection's leaf lies off the reduction's root path, so DOWN
-// enters it once and leaves it again, and its survivors are the tuples
-// that entry reaches.
+// the collection's leaf lies off the reduction's root-to-start path, so
+// DOWN enters it once and leaves it again, and its survivors are the
+// tuples that entry reaches.
 //
 // A plan edge whose aliases share further classes besides the one the
 // walk traverses (plan.Node.Carried) is crossed as a semijoin on all

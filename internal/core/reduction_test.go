@@ -445,3 +445,104 @@ func TestSeedsAdmittedAtVertices(t *testing.T) {
 		}
 	}
 }
+
+// enteredSelectionCatalog builds two fixtures whose one selection
+// enters at attribute vertices on a root or inner relation, keeping
+// eight tuples at every n. The star: the fact f (n rows, the root) joins
+// the 4-row dimension d, which has no selection, and f.v IN (eight
+// values) selects eight fact rows. The chain: a (4 rows) under m (n/4
+// rows) under b (n rows, the root), and m.k IN (eight keys) selects
+// eight m rows, which join 32 b rows.
+func enteredSelectionCatalog(n int) *relation.Catalog {
+	cat := relation.NewCatalog()
+	d := relation.New("d", relation.MustSchema(relation.Col("id", relation.KindInt), relation.Col("name", relation.KindString)))
+	a := relation.New("a", relation.MustSchema(relation.Col("id", relation.KindInt), relation.Col("name", relation.KindString)))
+	for i := range 4 {
+		d.MustAppend(relation.Int(int64(i)), relation.Str(fmt.Sprintf("d%d", i)))
+		a.MustAppend(relation.Int(int64(i)), relation.Str(fmt.Sprintf("a%d", i)))
+	}
+	f := relation.New("f", relation.MustSchema(relation.Col("d", relation.KindInt), relation.Col("v", relation.KindInt)))
+	b := relation.New("b", relation.MustSchema(relation.Col("mk", relation.KindInt), relation.Col("v", relation.KindInt)))
+	for i := range n {
+		f.MustAppend(relation.Int(int64(i%4)), relation.Int(int64(i)))
+		b.MustAppend(relation.Int(int64(i/4)), relation.Int(int64(i)))
+	}
+	m := relation.New("m", relation.MustSchema(relation.Col("k", relation.KindInt), relation.Col("a", relation.KindInt)))
+	for k := range n / 4 {
+		m.MustAppend(relation.Int(int64(k)), relation.Int(int64(k%4)))
+	}
+	for _, r := range []*relation.Relation{d, a, f, b, m} {
+		cat.MustAdd(r)
+	}
+	return cat
+}
+
+// TestReductionStartsAtEnteredSelection runs the two fixtures of
+// enteredSelectionCatalog, whose only selection enters at attribute
+// vertices on the join tree's root (the star's f) or on an inner
+// relation (the chain's m). The reduction starts there, so a run's
+// messages follow the eight selected tuples and stay within 1.3x of
+// their count at n = 512: a start at the unselected leaf (d, a) would
+// wake every fact row, or every m row, before the selection removed
+// any. The collection still starts at that leaf, and the rows equal
+// the baseline's under every engine configuration.
+func TestReductionStartsAtEnteredSelection(t *testing.T) {
+	queries := []struct {
+		name, sql             string
+		root, reduce, collect string
+	}{
+		{"star", `SELECT d.name, f.v FROM f, d WHERE f.d = d.id AND f.v IN (3, 70, 135, 200, 265, 330, 395, 460)`, "f", "f", "d"},
+		{"chain", `SELECT a.name, m.k, b.v FROM a, m, b WHERE m.a = a.id AND b.mk = m.k AND m.k IN (1, 9, 17, 25, 33, 41, 49, 57)`, "b", "m", "a"},
+	}
+	base := map[string]int64{}
+	for _, n := range []int{512, 1024, 2048} {
+		cat := enteredSelectionCatalog(n)
+		g, err := tag.Build(cat, tag.MaterializeAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			want, err := baseline.New(cat).Query(q.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := NewSession(g, bsp.Options{Workers: 2})
+			an, err := sql.AnalyzeString(cat, q.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := ex.compileBlock(an, an.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := c.qp.Components[0].TAGPlan
+			if p.Nodes[p.Root].Alias != q.root || p.StartAlias != q.reduce || p.CollectAlias != q.collect {
+				t.Errorf("%s n=%d: plan roots at %s, reduces from %s and collects from %s; want %s, %s and %s:\n%s",
+					q.name, n, p.Nodes[p.Root].Alias, p.StartAlias, p.CollectAlias, q.root, q.reduce, q.collect, p)
+			}
+			got, err := ex.Query(q.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.EqualMultiset(got, want) {
+				t.Errorf("%s n=%d: %d rows, baseline %d", q.name, n, got.Len(), want.Len())
+			}
+			msgs := ex.Stats().Messages
+			t.Logf("%s n=%d: %d messages for %d rows", q.name, n, msgs, want.Len())
+			if b, ok := base[q.name]; !ok {
+				base[q.name] = msgs
+			} else if float64(msgs) > 1.3*float64(b) {
+				t.Errorf("%s n=%d: %d messages, over 1.3x the %d at n=512", q.name, n, msgs, b)
+			}
+			for _, ec := range engineConfigs {
+				rows, err := NewSession(g, ec.opts).Query(q.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !relation.EqualMultiset(rows, want) {
+					t.Errorf("%s n=%d %s: %d rows, baseline %d", q.name, n, ec.name, rows.Len(), want.Len())
+				}
+			}
+		}
+	}
+}

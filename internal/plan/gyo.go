@@ -63,12 +63,15 @@ type QueryPlan struct {
 }
 
 // Card is the planner's estimate for one alias: the tuples it seeds,
-// and whether a selection narrows them (a pushed filter, a restriction
-// a residual OR implies, or a restriction window such as incremental
-// maintenance's write delta).
+// whether a selection narrows them (a pushed filter, a restriction a
+// residual OR implies, or a restriction window such as incremental
+// maintenance's write delta), and whether that selection entered: the
+// seeds come from attribute vertices or a restriction window, not a
+// scan of the whole table.
 type Card struct {
 	Tuples   int
 	Selected bool
+	Entered  bool
 }
 
 // Options tunes planning.
@@ -77,8 +80,9 @@ type Options struct {
 	// the join tree at the largest relation, remove small ears first and
 	// start the collection's walk at the leaf with the fewest tuples;
 	// the reduction's walk starts at the selected leaf with the fewest,
-	// if a leaf is selected (BuildTAGPlan). Missing entries count one
-	// tuple and no selection.
+	// if a leaf is selected, or at a root or inner alias whose selection
+	// entered, if it seeds strictly fewer or no leaf is selected
+	// (BuildTAGPlan). Missing entries count one tuple and no selection.
 	Cardinality map[string]Card
 }
 

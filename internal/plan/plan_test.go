@@ -343,25 +343,30 @@ func tuples(n map[string]int) map[string]Card {
 	return out
 }
 
-// checkWalk reports whether steps is a connected walk from alias's leaf
-// to the root.
+// checkWalk reports whether steps is a connected walk from alias's
+// relation node, a leaf, an inner node or the root, to the root that
+// crosses every plan edge.
 func checkWalk(p *TAGPlan, steps []Step, alias string) bool {
 	if len(steps) == 0 || p.Nodes[steps[0].From].Alias != alias || steps[len(steps)-1].To != p.Root {
 		return false
 	}
-	for i := 1; i < len(steps); i++ {
-		if steps[i].From != steps[i-1].To {
+	crossed := map[int]bool{} // by the child node of the edge
+	for i, s := range steps {
+		if i > 0 && s.From != steps[i-1].To {
 			return false
 		}
+		crossed[max(s.From, s.To)] = true
 	}
-	return true
+	return len(crossed) == len(p.Nodes)-1
 }
 
 // TestReductionStartsAtSelectedLeaf checks the two starts: the
 // reduction's walk starts at the selected leaf with the fewest tuples,
 // the collection's at the leaf with the fewest tuples, and with no
 // selected leaf, or when the smallest leaf is selected, both walks are
-// one list.
+// one list. A root or inner node whose selection entered starts the
+// reduction when no leaf is selected or it seeds fewer than the
+// selected leaf; a root that is selected but did not enter never does.
 func TestReductionStartsAtSelectedLeaf(t *testing.T) {
 	preds := []EquiPred{
 		pred("r", "a", "s", "a"),
@@ -378,6 +383,9 @@ func TestReductionStartsAtSelectedLeaf(t *testing.T) {
 		{"smallest-selected", map[string]Card{"r": {Tuples: 1000}, "s": {Tuples: 500}, "t": {Tuples: 100, Selected: true}, "v": {Tuples: 50, Selected: true}, "w": {Tuples: 80}}, "v", "v"},
 		{"larger-selected", map[string]Card{"r": {Tuples: 1000}, "s": {Tuples: 500}, "t": {Tuples: 100, Selected: true}, "v": {Tuples: 50}, "w": {Tuples: 80, Selected: true}}, "w", "v"},
 		{"root-selected-only", map[string]Card{"r": {Tuples: 1000, Selected: true}, "s": {Tuples: 500}, "t": {Tuples: 100}, "v": {Tuples: 50}, "w": {Tuples: 80}}, "v", "v"},
+		{"root-entered", map[string]Card{"r": {Tuples: 1000, Selected: true, Entered: true}, "s": {Tuples: 500}, "t": {Tuples: 100}, "v": {Tuples: 50}, "w": {Tuples: 80}}, "r", "v"},
+		{"inner-entered", map[string]Card{"r": {Tuples: 1000}, "s": {Tuples: 500, Selected: true, Entered: true}, "t": {Tuples: 100}, "v": {Tuples: 50}, "w": {Tuples: 80}}, "s", "v"},
+		{"root-entered-above-leaf", map[string]Card{"r": {Tuples: 1000, Selected: true, Entered: true}, "s": {Tuples: 500}, "t": {Tuples: 100}, "v": {Tuples: 50}, "w": {Tuples: 80, Selected: true}}, "w", "v"},
 	} {
 		qp, err := Build([]string{"r", "s", "t", "v", "w"}, preds, Options{Cardinality: tc.card})
 		if err != nil {

@@ -63,14 +63,17 @@ type TAGPlan struct {
 //
 // The collection's walk starts at the leaf that seeds the fewest tuples.
 // The reduction's starts at the selected leaf that seeds the fewest, or
-// at the collection's start if no leaf is selected. The reduction's
-// survivors are the same from any start (a semijoin program), only its
-// cost is not, and that cost falls when it starts where a selection has
-// already removed tuples. The collection gathers partial join tables
-// toward the root, and starting it at a selected leaf can gather every
-// fact row of a small dimension at that leaf's vertices; so it keeps the
-// leaf with the fewest tuples and follows the reduction's marks from
-// there.
+// at the collection's start if no leaf is selected. A root or inner
+// relation whose selection entered (Card.Entered) takes its place when
+// it seeds strictly fewer tuples than that selected leaf, or when no
+// leaf is selected (reductionStart).
+// The reduction's survivors are the same from any start (a semijoin
+// program), only its cost is not, and that cost falls when it starts
+// where a selection has already removed tuples. The collection gathers
+// partial join tables toward the root, and starting it at a selected
+// leaf can gather every fact row of a small dimension at that leaf's
+// vertices; so it keeps the leaf with the fewest tuples and follows the
+// reduction's marks from there.
 func BuildTAGPlan(t *Tree, classes *Classes, est func(string) Card) *TAGPlan {
 	p := &TAGPlan{}
 	relNode := map[string]int{}
@@ -112,13 +115,14 @@ func BuildTAGPlan(t *Tree, classes *Classes, est func(string) Card) *TAGPlan {
 		}
 	}
 
-	p.startAt(p.smallestLeaf(est, false))
-	p.genSteps(classes)
+	collect := p.smallestLeaf(est, false)
+	p.startAt(collect)
+	p.genSteps(classes, collect)
 	p.Collect, p.CollectAlias = p.Steps, p.StartAlias
-	if leaf := p.smallestLeaf(est, true); p.Nodes[leaf].Alias != p.CollectAlias {
+	if start := p.reductionStart(est); start >= 0 && start != collect {
 		p.Steps = nil
-		p.startAt(leaf)
-		p.genSteps(classes)
+		p.startAt(start)
+		p.genSteps(classes, start)
 	}
 	return p
 }
@@ -136,26 +140,31 @@ func (p *TAGPlan) inEdgeLabel(n int, classes *Classes) ColRef {
 	return ColRef{Alias: parent.Alias, Column: col}
 }
 
-// genSteps implements Algorithm 1 (GenSteps): a recursive DFS pushing each
-// node's in-edge label on visiting, and again on leaving unless the node
-// lies on the rightmost root-leaf path. Popping the stack yields the
-// connected bottom-up traversal starting at the rightmost leaf.
-func (p *TAGPlan) genSteps(classes *Classes) {
+// genSteps implements Algorithm 1 (GenSteps) from the relation node
+// start, which startAt has put on the rightmost root path: a recursive
+// DFS pushing each node's in-edge label on visiting, and again on
+// leaving unless the node lies on the root-to-start path. Popping the
+// stack yields the connected bottom-up traversal from start: it crosses
+// each edge of start's own subtrees down and back up, then climbs the
+// path to the root, crossing the other subtrees along it the same way.
+// A leaf start has no subtrees, and the walk is Algorithm 1's from the
+// rightmost leaf.
+func (p *TAGPlan) genSteps(classes *Classes, start int) {
 	if len(p.Nodes) == 1 {
 		p.StartAlias = p.Nodes[p.Root].Alias
 		return
 	}
 	var pushes []int // node ids; in-edge of each
-	var dfs func(n int, onRightPath bool)
-	dfs = func(n int, onRightPath bool) {
+	var dfs func(n int, onPath bool)
+	dfs = func(n int, onPath bool) {
 		if n != p.Root {
 			pushes = append(pushes, n)
 		}
 		children := p.Nodes[n].Children
 		for i, ch := range children {
-			dfs(ch, onRightPath && i == len(children)-1)
+			dfs(ch, onPath && n != start && i == len(children)-1)
 		}
-		if n != p.Root && !onRightPath {
+		if n != p.Root && !onPath {
 			pushes = append(pushes, n)
 		}
 	}
@@ -167,15 +176,7 @@ func (p *TAGPlan) genSteps(classes *Classes) {
 		order[len(pushes)-1-i] = n
 	}
 
-	// The traversal starts at the rightmost leaf.
-	cur := p.Root
-	for {
-		ch := p.Nodes[cur].Children
-		if len(ch) == 0 {
-			break
-		}
-		cur = ch[len(ch)-1]
-	}
+	cur := start
 	p.StartAlias = p.Nodes[cur].Alias
 
 	for _, n := range order {
@@ -200,9 +201,10 @@ func (p *TAGPlan) genSteps(classes *Classes) {
 }
 
 // smallestLeaf returns the leaf whose alias seeds the fewest tuples;
-// with selected, the fewest among the leaves with a selection, if there
-// is one. A tie keeps the rightmost leaf, where genSteps starts the
-// walk; among other tied leaves the first in node order wins.
+// with selected, the fewest among the leaves with a selection, or -1 if
+// no leaf has one. A tie keeps the rightmost leaf, where genSteps starts
+// the collection's walk; among other tied leaves the first in node order
+// wins.
 func (p *TAGPlan) smallestLeaf(est func(string) Card, selected bool) int {
 	leaf := p.Root
 	for ch := p.Nodes[leaf].Children; len(ch) > 0; ch = p.Nodes[leaf].Children {
@@ -220,17 +222,35 @@ func (p *TAGPlan) smallestLeaf(est func(string) Card, selected bool) int {
 			best = n.ID
 		}
 	}
-	if best < 0 {
-		return p.smallestLeaf(est, false)
-	}
 	return best
 }
 
-// startAt makes leaf the rightmost one, where genSteps starts the walk:
-// the nodes along the root-to-leaf path move to the last-child position
-// of their parents. genSteps is valid for any child order.
-func (p *TAGPlan) startAt(leaf int) {
-	for n := leaf; p.Nodes[n].Parent >= 0; n = p.Nodes[n].Parent {
+// reductionStart returns the relation node the reduction's walk starts
+// at, or -1 to start it where the collection's does: the selected leaf
+// that seeds the fewest tuples, unless a root or inner relation node
+// whose selection entered seeds strictly fewer, or no leaf is selected.
+// Among those nodes the one that seeds the fewest wins, the first in
+// node order on a tie. A selection that did not enter leaves the root or
+// inner node's seeds at its whole table, so starting there would wake
+// every tuple and cross each edge below it twice for nothing.
+func (p *TAGPlan) reductionStart(est func(string) Card) int {
+	start := p.smallestLeaf(est, true)
+	for _, n := range p.Nodes {
+		if n.Kind != RelNode || len(n.Children) == 0 {
+			continue
+		}
+		if c := est(n.Alias); c.Entered && (start < 0 || c.Tuples < est(p.Nodes[start].Alias).Tuples) {
+			start = n.ID
+		}
+	}
+	return start
+}
+
+// startAt puts node n on the rightmost root path, where genSteps starts
+// the walk: the nodes along the root-to-n path move to the last-child
+// position of their parents. genSteps is valid for any child order.
+func (p *TAGPlan) startAt(start int) {
+	for n := start; p.Nodes[n].Parent >= 0; n = p.Nodes[n].Parent {
 		ch := p.Nodes[p.Nodes[n].Parent].Children
 		i := slices.Index(ch, n)
 		copy(ch[i:], ch[i+1:])
