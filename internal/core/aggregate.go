@@ -10,12 +10,13 @@ import (
 )
 
 // groupAcc is one (partial) aggregation group: the evaluated GROUP BY key
-// values, a representative source row, and partial accumulators. stamp
-// is the last groupObserver.observe call that touched the group.
+// values, a representative source row, and partial accumulators, held
+// by value. stamp is the last groupObserver.observe call that touched
+// the group.
 type groupAcc struct {
 	key   []relation.Value
 	rep   []relation.Value
-	aggs  []*sql.Aggregator
+	aggs  []sql.Aggregator
 	stamp uint64
 }
 
@@ -55,7 +56,7 @@ func (p *partialGroups) fold(b *partialGroups) {
 		if i := p.index.find(len(p.groups), keyAt, g.key); i >= 0 && len(p.groups[i].aggs) == len(g.aggs) {
 			have := p.groups[i]
 			for k := range have.aggs {
-				have.aggs[k].Merge(g.aggs[k])
+				have.aggs[k].Merge(&g.aggs[k])
 			}
 			continue
 		}
@@ -84,13 +85,15 @@ func (p *partialGroups) Size() int {
 }
 
 // aggSetup precomputes the aggregate slot assignment and rewritten
-// SELECT/HAVING expressions of a block, and the expressions evaluated
-// per row: the GROUP BY keys, then each aggregate's argument.
+// SELECT/HAVING expressions of a block, the expressions evaluated per
+// row (the GROUP BY keys, then each aggregate's argument), and fresh
+// accumulators for the aggregates, which a new group copies.
 type aggSetup struct {
 	list   []*sql.FuncCall
 	items  []sql.Expr
 	having sql.Expr
 	perRow []sql.Expr
+	accs   []sql.Aggregator
 }
 
 // countStar is the argument of COUNT(*), which counts every row.
@@ -103,9 +106,9 @@ func newAggSetup(blk *sql.Analyzed) *aggSetup {
 			slots[f] = len(slots)
 		}
 	}
-	s := &aggSetup{list: make([]*sql.FuncCall, len(slots))}
+	s := &aggSetup{list: make([]*sql.FuncCall, len(slots)), accs: make([]sql.Aggregator, len(slots))}
 	for f, i := range slots {
-		s.list[i] = f
+		s.list[i], s.accs[i] = f, *sql.NewAggregator(f)
 	}
 	slotOf := func(f *sql.FuncCall) int { return slots[f] }
 	for _, it := range blk.Sel.Items {
@@ -123,16 +126,48 @@ func newAggSetup(blk *sql.Analyzed) *aggSetup {
 	return s
 }
 
-// newAccs returns fresh accumulators for the block's aggregates, carved
-// from one backing array.
-func (s *aggSetup) newAccs() []*sql.Aggregator {
-	accs := make([]sql.Aggregator, len(s.list))
-	out := make([]*sql.Aggregator, len(s.list))
-	for i, f := range s.list {
-		accs[i] = *sql.NewAggregator(f)
-		out[i] = &accs[i]
+// groupArena carves what an observer's new groups hold — the group,
+// its key, its accumulators, a seed's representative row and, on the
+// LA path, the partialGroups that carries the group — from chunks of
+// arenaChunk, so a new group costs no allocation of its own. A chunk
+// lives as long as any group carved from it.
+type groupArena struct {
+	groups []groupAcc
+	vals   []relation.Value
+	aggs   []sql.Aggregator
+	parts  []partialGroups
+	heads  []*groupAcc
+}
+
+// arenaChunk is how many requests a groupArena chunk serves.
+const arenaChunk = 32
+
+// carve returns the next n elements of *chunk, zeroed and capped at n,
+// starting a new chunk when it runs short.
+func carve[T any](chunk *[]T, n int) []T {
+	if len(*chunk) < n {
+		*chunk = make([]T, arenaChunk*n)
 	}
+	out := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
 	return out
+}
+
+// newGroup returns a group with copies of key and of the fresh
+// accumulators accs, and rep as its representative.
+func (a *groupArena) newGroup(key, rep []relation.Value, accs []sql.Aggregator) *groupAcc {
+	g := &carve(&a.groups, 1)[0]
+	g.key, g.rep, g.aggs = carve(&a.vals, len(key)), rep, carve(&a.aggs, len(accs))
+	copy(g.key, key)
+	copy(g.aggs, accs)
+	return g
+}
+
+// newPartials returns an empty partialGroups with room for one group.
+func (a *groupArena) newPartials() *partialGroups {
+	pg := &carve(&a.parts, 1)[0]
+	pg.groups = carve(&a.heads, 1)[:0]
+	return pg
 }
 
 // groupObserver is §7's eager aggregation: it observes rows straight
@@ -147,6 +182,7 @@ type groupObserver struct {
 	setup *aggSetup
 	outer *sql.Env
 	subq  sql.SubqueryFn
+	arena groupArena
 	key   []relation.Value
 	// stamp numbers the observe calls, so a group whose stamp is not
 	// the current call's is one this call has not touched yet.
@@ -189,7 +225,7 @@ func (o *groupObserver) observe(pg *partialGroups, forms []sql.Compiled, rows []
 		if i := pg.index.find(len(pg.groups), keyAt, o.key); i >= 0 {
 			grp = pg.groups[i]
 		} else {
-			grp = newGroup(o.key, row, o.setup.newAccs())
+			grp = o.arena.newGroup(o.key, row, o.setup.accs)
 			pg.groups = append(pg.groups, grp)
 		}
 		if grp.stamp != o.stamp {
@@ -207,20 +243,6 @@ func (o *groupObserver) observe(pg *partialGroups, forms []sql.Compiled, rows []
 	}
 	pg.logical = before + touched
 	return touched, size, nil
-}
-
-// newGroup returns a group with a copy of key; a narrow key shares the
-// group's allocation.
-func newGroup(key, rep []relation.Value, aggs []*sql.Aggregator) *groupAcc {
-	if len(key) > 2 {
-		return &groupAcc{key: append([]relation.Value(nil), key...), rep: rep, aggs: aggs}
-	}
-	g := &struct {
-		groupAcc
-		key [2]relation.Value
-	}{groupAcc: groupAcc{rep: rep, aggs: aggs}}
-	g.groupAcc.key = g.key[:copy(g.key[:], key)]
-	return &g.groupAcc
 }
 
 // keepRows appends to dst the rows for which every test holds.
@@ -332,14 +354,14 @@ func (f *survivorFolder) send(ctx *bsp.Context, ws *foldScratch, v, to bsp.Verte
 	ctx.SendFold(v, to, func(acc any) (any, int) {
 		pg, _ := acc.(*partialGroups)
 		if pg == nil {
-			pg = &partialGroups{}
+			pg = ws.obs.arena.newPartials()
 		}
 		var size int
 		n := len(pg.groups)
 		touched, size, err = ws.obs.observe(pg, f.forms, rows, firsts)
 		if f.res.values == nil && len(pg.groups) > n {
 			// A seed's new group keeps the alias's own row, not the tuple's.
-			pg.groups[n].rep = f.res.run.appendOwnRow(make([]relation.Value, 0, len(f.header)), f.res.rootAlias, v)
+			pg.groups[n].rep = f.res.run.appendOwnRow(carve(&ws.obs.arena.vals, len(f.header))[:0], f.res.rootAlias, v)
 		}
 		return pg, size
 	})
@@ -433,9 +455,16 @@ func (e *Session) finalizeGroups(c *compiled, res *componentResult, targetOf fun
 	if relayed {
 		last = 2
 	}
+	// mergeInbox merges a target's partials; a vertex past step 0 runs
+	// only when its inbox holds some. The first message is the merge: a
+	// fresh one would borrow its groups first, in its order, so it is
+	// adopted and the others fold into it. Its logical count is reset
+	// once charged, so it rides on (and encodes) as a fresh merge would.
 	mergeInbox := func(ctx *bsp.Context, inbox []bsp.Message) *partialGroups {
-		merged := &partialGroups{}
-		for _, m := range inbox {
+		merged := inbox[0].Payload.(*partialGroups)
+		ctx.AddOps(merged.logicalGroups())
+		merged.logical = 0
+		for _, m := range inbox[1:] {
 			pg := m.Payload.(*partialGroups)
 			merged.fold(pg)
 			// Combined messages carry already-merged groups; account the
@@ -518,7 +547,7 @@ func projectGroups(c *compiled, setup *aggSetup, groups []*groupAcc, srcHeader [
 
 	// Scalar aggregation over empty input still yields one row.
 	if len(blk.Sel.GroupBy) == 0 && blk.HasAgg && len(groups) == 0 {
-		groups = []*groupAcc{{rep: make([]relation.Value, len(header)), aggs: setup.newAccs()}}
+		groups = []*groupAcc{{rep: make([]relation.Value, len(header)), aggs: slices.Clone(setup.accs)}}
 	}
 	// Each group is evaluated as one row: its representative row under
 	// header, then its aggregate values.
@@ -541,8 +570,8 @@ func projectGroups(c *compiled, setup *aggSetup, groups []*groupAcc, srcHeader [
 			return nil, fmt.Errorf("core: aggregation group with %d accumulators, the plan has %d", len(g.aggs), len(setup.list))
 		}
 		clear(row[copy(row[:len(header)], g.rep):len(header)])
-		for i, a := range g.aggs {
-			row[len(header)+i] = a.Result()
+		for i := range g.aggs {
+			row[len(header)+i] = g.aggs[i].Result()
 		}
 		if having != nil {
 			v, err := having(row, outer, subq)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
@@ -132,7 +133,7 @@ func TestForeignAccumulatorCountFailsTheRun(t *testing.T) {
 		for range n {
 			a := sql.NewAggregator(&sql.FuncCall{Name: "COUNT", Star: true})
 			a.Observe(relation.Int(1))
-			g.aggs = append(g.aggs, a)
+			g.aggs = append(g.aggs, *a)
 		}
 		return g
 	}
@@ -153,5 +154,73 @@ func TestForeignAccumulatorCountFailsTheRun(t *testing.T) {
 	}
 	if _, err := projectGroups(c, setup, merged.groups[:1], nil, nil, nil); err != nil {
 		t.Fatalf("the block's own group: %v", err)
+	}
+}
+
+// TestGroupAllocationsFlat bounds what one aggregation group costs the
+// heap, on the GA path (two GROUP BY columns: every group meets at the
+// global aggregator vertex) and on the LA path (one materialized GROUP
+// BY column: each group completes at its key's attribute vertex). A
+// table of 2n rows holds n distinct keys, two rows a key, and each
+// group sums a FLOAT and counts its rows. One warm run at n = 1k, 2k
+// and 4k allocates at most 3 times per group, and what a group adds
+// stays flat: the allocations per added group from 1k to 2k and from
+// 2k to 4k are within 10% of each other. A group's accumulators, key,
+// partial message and merge do not allocate per accumulator or per
+// observation.
+func TestGroupAllocationsFlat(t *testing.T) {
+	const perGroup, spread = 3, 1.10
+	for _, row := range []struct{ path, sql string }{
+		{"GA", "SELECT x.k, x.j, SUM(x.f), COUNT(*) FROM x GROUP BY x.k, x.j"},
+		{"LA", "SELECT x.k, SUM(x.f), COUNT(*) FROM x GROUP BY x.k"},
+	} {
+		sizes := []int{1000, 2000, 4000}
+		var counts []float64
+		for _, n := range sizes {
+			cat := relation.NewCatalog()
+			x := relation.New("x", relation.MustSchema(
+				relation.Col("k", relation.KindInt),
+				relation.Col("j", relation.KindInt),
+				relation.Col("f", relation.KindFloat)))
+			for i := range 2 * n {
+				k := int64(i % n)
+				x.MustAppend(relation.Int(k), relation.Int(k), relation.Float(float64(i%997)/100))
+			}
+			cat.MustAdd(x)
+			g, err := tag.Build(cat, tag.MaterializeAll)
+			if err != nil {
+				t.Fatal(err)
+			}
+			an, err := sql.AnalyzeString(cat, row.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSession(g, bsp.Options{Workers: 1})
+			out, err := s.Run(an) // sizes the pooled scratch
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Len() != n {
+				t.Fatalf("%s n=%d: %d groups", row.path, n, out.Len())
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := s.Run(an); err != nil {
+					t.Fatal(err)
+				}
+			})
+			per := allocs / float64(n)
+			t.Logf("%s n=%d: %.0f allocations, %.2f per group", row.path, n, allocs, per)
+			if per > perGroup {
+				t.Errorf("%s n=%d: %.2f allocations per group, want at most %d", row.path, n, per, perGroup)
+			}
+			counts = append(counts, allocs)
+		}
+		added := []float64{
+			(counts[1] - counts[0]) / float64(sizes[1]-sizes[0]),
+			(counts[2] - counts[1]) / float64(sizes[2]-sizes[1]),
+		}
+		if lo, hi := slices.Min(added), slices.Max(added); hi > spread*lo {
+			t.Errorf("%s: %.2f allocations per added group from 1k to 2k, %.2f from 2k to 4k, want within %.0f%%", row.path, added[0], added[1], 100*(spread-1))
+		}
 	}
 }

@@ -257,8 +257,8 @@ func appendGroup(b []byte, g *groupAcc) ([]byte, error) {
 		return nil, err
 	}
 	b = binary.AppendUvarint(b, uint64(len(g.aggs)))
-	for _, a := range g.aggs {
-		if b, err = a.AppendBinary(b); err != nil {
+	for i := range g.aggs {
+		if b, err = g.aggs[i].AppendBinary(b); err != nil {
 			return nil, err
 		}
 	}
@@ -278,7 +278,7 @@ func decodeGroup(d *codec.Decoder) (*groupAcc, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &groupAcc{key: key, rep: rep, aggs: make([]*sql.Aggregator, 0, codec.CapHint(n))}
+	g := &groupAcc{key: key, rep: rep, aggs: make([]sql.Aggregator, 0, codec.CapHint(n))}
 	for i := 0; i < n; i++ {
 		a, err := sql.DecodeAggregator(d)
 		if err != nil {

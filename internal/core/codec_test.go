@@ -36,7 +36,7 @@ func TestWireCarriesNoHeader(t *testing.T) {
 
 	count := sql.NewAggregator(&sql.FuncCall{Name: "COUNT", Star: true})
 	count.Observe(relation.Int(1))
-	grp := &groupAcc{key: tbl.rows[0][:1], rep: tbl.rows[0], aggs: []*sql.Aggregator{count}}
+	grp := &groupAcc{key: tbl.rows[0][:1], rep: tbl.rows[0], aggs: []sql.Aggregator{*count}}
 	group := values([]byte{1}, grp.key...)
 	group = values(append(group, 2), grp.rep...)
 	group, err := count.AppendBinary(append(group, 1))
@@ -129,7 +129,7 @@ func TestWireKeepsKeyIdentity(t *testing.T) {
 	for _, v := range cells {
 		distinct.Observe(v)
 	}
-	grp := &groupAcc{aggs: []*sql.Aggregator{distinct}}
+	grp := &groupAcc{aggs: []sql.Aggregator{*distinct}}
 	pg := hop(&partialGroups{groups: []*groupAcc{grp}}).(*partialGroups)
 	if got, want := pg.groups[0].aggs[0].Result(), relation.Int(int64(len(wantIDs))); got != want {
 		t.Errorf("COUNT(DISTINCT) decodes to %v, want %v", got, want)

@@ -23,7 +23,7 @@ func samplePayloads() []any {
 	sum.Observe(relation.Float(1e300))
 	count := sql.NewAggregator(&sql.FuncCall{Name: "COUNT", Star: true})
 	count.Observe(relation.Int(1))
-	grp := &groupAcc{key: row[:2], rep: row, aggs: []*sql.Aggregator{sum, count}}
+	grp := &groupAcc{key: row[:2], rep: row, aggs: []sql.Aggregator{*sum, *count}}
 	vb := &valueBatch{}
 	vb.add(relation.Int(1))
 	vb.add(relation.Str("two"))
@@ -73,7 +73,7 @@ func samplePayloads() []any {
 		&partialGroups{groups: []*groupAcc{grp}, logical: 3},
 		// A peer's group of one accumulator beside one of two under the
 		// same key: it decodes, and projectGroups refuses it.
-		&partialGroups{groups: []*groupAcc{grp, {key: row[:2], rep: row, aggs: []*sql.Aggregator{count}}}},
+		&partialGroups{groups: []*groupAcc{grp, {key: row[:2], rep: row, aggs: []sql.Aggregator{*count}}}},
 		rootVal{v: 11, t: tbl},
 		rootVal{v: 13, t: &table{}},
 	}

@@ -25,15 +25,7 @@ import (
 // the min/max values, and (for DISTINCT) the deferred keys in a
 // canonical order, each written as its identity's value.
 func (a *Aggregator) AppendBinary(b []byte) ([]byte, error) {
-	b = codec.AppendString(b, a.fn.Name)
-	var flags byte
-	if a.fn.Star {
-		flags |= 1
-	}
-	if a.distinct != nil {
-		flags |= 2
-	}
-	b = append(b, flags)
+	b = append(codec.AppendString(b, a.fn.Name), a.flags)
 	b = binary.AppendVarint(b, a.count)
 	b = a.sum.appendBinary(b)
 	var err error
@@ -42,7 +34,7 @@ func (a *Aggregator) AppendBinary(b []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if a.distinct != nil {
+	if a.flags&aggDistinct != 0 {
 		ids := make([]relation.Ident, 0, len(a.distinct))
 		for id := range a.distinct {
 			ids = append(ids, id)
@@ -60,39 +52,59 @@ func (a *Aggregator) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
+// decodedFuncs holds one read-only FuncCall per aggregate name and
+// flags byte, so a decoded accumulator of a known function allocates
+// none; only a name no aggregate has gets its own.
+var decodedFuncs = func() (fns [aggMax + 1][aggStar | aggDistinct + 1]*FuncCall) {
+	for name, op := range aggOps {
+		for flags := range fns[op] {
+			fns[op][flags] = &FuncCall{Name: name, Star: flags&aggStar != 0, Distinct: flags&aggDistinct != 0}
+		}
+	}
+	return fns
+}()
+
 // DecodeAggregator decodes one AppendBinary encoding from d. The
 // rebuilt accumulator merges and finalizes exactly like the original;
-// its FuncCall is synthesized from the encoded name and flags.
-func DecodeAggregator(d *codec.Decoder) (*Aggregator, error) {
+// its FuncCall is the shared one of the encoded name and flags (see
+// decodedFuncs), never to be modified.
+func DecodeAggregator(d *codec.Decoder) (Aggregator, error) {
+	var a Aggregator
 	name, err := d.Str()
 	if err != nil {
-		return nil, err
+		return a, err
 	}
 	flags, err := d.Byte()
 	if err != nil {
-		return nil, err
+		return a, err
 	}
-	a := NewAggregator(&FuncCall{Name: name, Star: flags&1 != 0, Distinct: flags&2 != 0})
+	a.op, a.flags = aggOps[name], flags&(aggStar|aggDistinct)
+	if a.fn = decodedFuncs[a.op][a.flags]; a.op == aggOther {
+		a.fn = &FuncCall{Name: name, Star: a.flags&aggStar != 0, Distinct: a.flags&aggDistinct != 0}
+	}
 	if a.count, err = d.Varint(); err != nil {
-		return nil, err
+		return a, err
 	}
 	if err := a.sum.decode(d); err != nil {
-		return nil, err
+		return a, err
 	}
 	for _, dst := range [...]*relation.Value{&a.min, &a.max} {
 		if *dst, err = relation.DecodeValue(d); err != nil {
-			return nil, err
+			return a, err
 		}
 	}
-	if a.distinct != nil {
+	if a.flags&aggDistinct != 0 {
 		n, err := d.Length()
 		if err != nil {
-			return nil, err
+			return a, err
 		}
 		for i := 0; i < n; i++ {
 			v, err := relation.DecodeValue(d)
 			if err != nil {
-				return nil, err
+				return a, err
+			}
+			if a.distinct == nil {
+				a.distinct = make(map[relation.Ident]struct{})
 			}
 			a.distinct[v.Ident()] = struct{}{}
 		}

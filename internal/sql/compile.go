@@ -307,22 +307,81 @@ func compileBinary(x *Binary, b Binding) node {
 	op, ok := binaryOps[x.Op]
 	if !ok {
 		err := fmt.Errorf("sql: unknown operator %q", x.Op)
-		op = func(relation.Value, relation.Value) (relation.Value, error) { return relation.Null, err }
+		op = &binop{fn: func(relation.Value, relation.Value) (relation.Value, error) { return relation.Null, err }}
 	}
-	if i, rv := l.col-1, r.val; l.col > 0 && r.eval == nil {
-		// The common filter shape, column OP constant, in one call.
-		return node{eval: func(row relation.Tuple, _ *Env, _ SubqueryFn) (relation.Value, error) { return op(row[i], rv) }}
+	// Direct kernels: an operand that is a column reads its row slot in
+	// place, one that is a constant is its value, and a subtree is
+	// called directly, without node.get's hops; the common operand kinds
+	// are answered inline (binop.inline). A kernel that reads a column
+	// never folds.
+	i, j, lv, rv, le, re := l.col-1, r.col-1, l.val, r.val, l.eval, r.eval
+	switch {
+	case l.col > 0 && re == nil: // column OP constant: the common filter shape
+		return node{eval: func(row relation.Tuple, _ *Env, _ SubqueryFn) (relation.Value, error) {
+			c := rv // a copy: rv's address would move it to the heap
+			if k, n, f, ok := op.inline(&row[i], &c); ok {
+				return relation.Value{Kind: k, I: n, F: f}, nil
+			}
+			return op.fn(row[i], rv)
+		}}
+	case le == nil && r.col > 0: // constant OP column: 1 - l_discount
+		return node{eval: func(row relation.Tuple, _ *Env, _ SubqueryFn) (relation.Value, error) {
+			c := lv
+			if k, n, f, ok := op.inline(&c, &row[j]); ok {
+				return relation.Value{Kind: k, I: n, F: f}, nil
+			}
+			return op.fn(lv, row[j])
+		}}
+	case l.col > 0 && r.col > 0: // column OP column
+		return node{eval: func(row relation.Tuple, _ *Env, _ SubqueryFn) (relation.Value, error) {
+			if k, n, f, ok := op.inline(&row[i], &row[j]); ok {
+				return relation.Value{Kind: k, I: n, F: f}, nil
+			}
+			return op.fn(row[i], row[j])
+		}}
+	case l.col > 0: // column OP subtree: l_extendedprice * (1 - l_discount)
+		return node{eval: func(row relation.Tuple, outer *Env, subq SubqueryFn) (relation.Value, error) {
+			x, err := re(row, outer, subq)
+			if err != nil {
+				return relation.Null, err
+			}
+			if k, n, f, ok := op.inline(&row[i], &x); ok {
+				return relation.Value{Kind: k, I: n, F: f}, nil
+			}
+			return op.fn(row[i], x)
+		}}
+	case r.col > 0: // subtree OP column
+		return node{eval: func(row relation.Tuple, outer *Env, subq SubqueryFn) (relation.Value, error) {
+			x, err := le(row, outer, subq)
+			if err != nil {
+				return relation.Null, err
+			}
+			if k, n, f, ok := op.inline(&x, &row[j]); ok {
+				return relation.Value{Kind: k, I: n, F: f}, nil
+			}
+			return op.fn(x, row[j])
+		}}
 	}
+	// Constants and subtrees: a subtree's value is assigned in place
+	// rather than passed on through node.get, whose forwarding copy of
+	// it stalls.
 	return fold(func(row relation.Tuple, outer *Env, subq SubqueryFn) (relation.Value, error) {
-		lv, err := l.get(row, outer, subq)
-		if err != nil {
-			return relation.Null, err
+		x, y := lv, rv
+		var err error
+		if le != nil {
+			if x, err = le(row, outer, subq); err != nil {
+				return relation.Null, err
+			}
 		}
-		rv, err := r.get(row, outer, subq)
-		if err != nil {
-			return relation.Null, err
+		if re != nil {
+			if y, err = re(row, outer, subq); err != nil {
+				return relation.Null, err
+			}
 		}
-		return op(lv, rv)
+		if k, n, f, ok := op.inline(&x, &y); ok {
+			return relation.Value{Kind: k, I: n, F: f}, nil
+		}
+		return op.fn(x, y)
 	}, konst)
 }
 
@@ -332,35 +391,104 @@ func decisive(and bool, v relation.Value) bool {
 	return v.AsBool() != and && !(and && v.IsNull())
 }
 
+// binop is a non-logical binary operator: its value function, and what
+// the kernels answer inline, without a call, for the common operand
+// kinds: for + - *, arith is the operator; for a comparison, truth is
+// its outcome per Compare result, offset by one.
+type binop struct {
+	fn    func(l, r relation.Value) (relation.Value, error)
+	arith byte
+	cmp   bool
+	truth [3]bool
+}
+
+// inline answers o for *l and *r as o.fn would, when both are INT or
+// FLOAT (arithmetic) or both INT or both DATE (comparison), as the
+// answer's kind and payload; ok is false otherwise. No relation.Value
+// crosses the call whole: one is too large for the compiler to keep in
+// registers, and copying one whole right after it was stored field by
+// field stalls the load.
+func (o *binop) inline(l, r *relation.Value) (k relation.Kind, n int64, f float64, ok bool) {
+	lk, rk := l.Kind, r.Kind
+	if o.cmp {
+		if lk != rk || lk != relation.KindInt && lk != relation.KindDate {
+			return 0, 0, 0, false
+		}
+		c := 1
+		if l.I < r.I {
+			c = 0
+		} else if l.I > r.I {
+			c = 2
+		}
+		if o.truth[c] {
+			n = 1
+		}
+		return relation.KindBool, n, 0, true
+	}
+	a, b := l.F, r.F
+	switch {
+	case o.arith == 0:
+		return 0, 0, 0, false
+	case lk == relation.KindInt && rk == relation.KindInt:
+		switch o.arith {
+		case '+':
+			return relation.KindInt, l.I + r.I, 0, true
+		case '-':
+			return relation.KindInt, l.I - r.I, 0, true
+		}
+		return relation.KindInt, l.I * r.I, 0, true
+	case lk == relation.KindInt && rk == relation.KindFloat:
+		a = float64(l.I)
+	case lk == relation.KindFloat && rk == relation.KindInt:
+		b = float64(r.I)
+	case lk != relation.KindFloat || rk != relation.KindFloat:
+		return 0, 0, 0, false
+	}
+	switch o.arith {
+	case '+':
+		a += b
+	case '-':
+		a -= b
+	default:
+		a *= b
+	}
+	return relation.KindFloat, 0, a, true
+}
+
 // compareOp is a comparison operator given its outcome for each Compare
 // result (-1, 0, 1), offset by one.
-func compareOp(truth [3]bool) func(l, r relation.Value) (relation.Value, error) {
-	return func(l, r relation.Value) (relation.Value, error) {
+func compareOp(truth [3]bool) *binop {
+	return &binop{cmp: true, truth: truth, fn: func(l, r relation.Value) (relation.Value, error) {
 		if l.IsNull() || r.IsNull() {
 			return relation.Null, nil
 		}
 		return relation.Bool(truth[l.Compare(r)+1]), nil
-	}
+	}}
 }
 
-// binaryOps are the value functions of the non-logical binary operators.
-var binaryOps = map[string]func(l, r relation.Value) (relation.Value, error){
+// arithOp is the arithmetic operator sym, whose value function is f.
+func arithOp(sym byte, f func(l, r relation.Value) relation.Value) *binop {
+	return &binop{arith: sym, fn: func(l, r relation.Value) (relation.Value, error) { return f(l, r), nil }}
+}
+
+// binaryOps are the non-logical binary operators.
+var binaryOps = map[string]*binop{
 	"=":  compareOp([3]bool{false, true, false}),
 	"<>": compareOp([3]bool{true, false, true}),
 	"<":  compareOp([3]bool{true, false, false}),
 	"<=": compareOp([3]bool{true, true, false}),
 	">":  compareOp([3]bool{false, false, true}),
 	">=": compareOp([3]bool{false, true, true}),
-	"+":  func(l, r relation.Value) (relation.Value, error) { return relation.Add(l, r), nil },
-	"-":  func(l, r relation.Value) (relation.Value, error) { return relation.Sub(l, r), nil },
-	"*":  func(l, r relation.Value) (relation.Value, error) { return relation.Mul(l, r), nil },
-	"/":  func(l, r relation.Value) (relation.Value, error) { return relation.Div(l, r), nil },
-	"||": func(l, r relation.Value) (relation.Value, error) {
+	"+":  arithOp('+', relation.Add),
+	"-":  arithOp('-', relation.Sub),
+	"*":  arithOp('*', relation.Mul),
+	"/":  {fn: func(l, r relation.Value) (relation.Value, error) { return relation.Div(l, r), nil }},
+	"||": {fn: func(l, r relation.Value) (relation.Value, error) {
 		if l.IsNull() || r.IsNull() {
 			return relation.Null, nil
 		}
 		return relation.Str(l.String() + r.String()), nil
-	},
+	}},
 }
 
 // hashedList is the length past which an IN list of constants probes a

@@ -92,6 +92,19 @@ func fuzzSeeds() []string {
 		"a IN (1, 2, 3, NULL, 5, 6, 7, 8, 9, 10, 11, 12) OR b NOT IN (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, NULL)",
 		"a IN (1, 2.0, 'a', DATE '1995-09-01', NULL, 6, 7, 8, 9, 10, 11, 12) AND s NOT IN ('a', 'ab', 'b%', '', 'MED BOX', 'x', 'y', 'z', 'w', 'v', 'u', NULL)",
 		"d IN (DATE '1995-09-01', DATE '1995-09-02', DATE '1995-09-03', DATE '1995-09-04', DATE '1995-09-05', DATE '1995-09-06', NULL, DATE '1995-09-08', DATE '1995-09-09', DATE '1995-09-10', DATE '1995-09-11', DATE '1995-09-12')",
+		// The direct binary kernels: constant OP column, column OP
+		// column, column OP subtree and its mirror, over NULL, INT×FLOAT,
+		// DATE ± INT, division by zero and ||.
+		"1 - c",
+		"c * d",
+		"c * (1 - d)",
+		"(a + b) * c",
+		"c * (a + b)",
+		"a * (1 - b) * (1 + c) > d / 0",
+		"d + 1 < d - c AND 1 + d >= d - (a + b)",
+		"s || t = 'x' || s AND (s || 'y') || t <> s || (t || NULL)",
+		"a / (b - b) IS NULL OR 2.5 / a > b / c",
+		"o.a - a < (a + p.b) * o.c",
 	}
 	for _, q := range tpch.Queries() {
 		if i := strings.Index(q.SQL, "WHERE"); i >= 0 {
@@ -221,4 +234,47 @@ func FuzzCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestKernelsMatchTreeWalker holds every direct binary kernel shape
+// (column OP constant, constant OP column, column OP column, column OP
+// subtree and its mirror, and the constant and subtree pairings the
+// general kernel takes) under every non-logical operator to the
+// tree-walking evaluator, bit for bit, on every pair of values from a
+// grid of NULL, INT, FLOAT (-0 and NaN among them), DATE, STRING and
+// BOOL: the cases the kernels answer inline and the ones they pass on.
+func TestKernelsMatchTreeWalker(t *testing.T) {
+	grid := []relation.Value{
+		relation.Null, relation.Int(-2), relation.Int(0), relation.Int(3),
+		relation.Float(-1.5), relation.Float(0), relation.Float(math.Copysign(0, -1)), relation.Float(3),
+		relation.Float(math.NaN()), relation.Date(9370), relation.Date(9373), relation.Str(""),
+		relation.Str("ab"), relation.Bool(true),
+	}
+	bind := Binding{"t.a": 0, "t.b": 1}
+	a := &ColRef{Alias: "t", Column: "a", Key: "t.a"}
+	b := &ColRef{Alias: "t", Column: "b", Key: "t.b"}
+	// sub wraps x in a subtree of the same value that a kernel calls.
+	sub := func(x Expr) Expr { return &Case{Whens: []When{{Cond: &Literal{Val: relation.Bool(true)}, Then: x}}} }
+	for op := range binaryOps {
+		for _, k := range grid {
+			lit := &Literal{Val: k}
+			for _, e := range []*Binary{
+				{L: a, R: lit}, {L: lit, R: a}, {L: a, R: b}, {L: a, R: sub(b)}, {L: sub(a), R: b},
+				{L: sub(a), R: sub(b)}, {L: lit, R: sub(a)}, {L: sub(a), R: lit},
+			} {
+				e.Op = op
+				f := Compile(e, bind)
+				for _, x := range grid {
+					for _, y := range grid {
+						row := relation.Tuple{x, y}
+						got, gotErr := f(row, nil, nil)
+						want, wantErr := evalRef(e, &Env{Binding: bind, Row: row}, nil)
+						if (gotErr == nil) != (wantErr == nil) || !sameBits(got, want) || got.S != want.S {
+							t.Fatalf("%#v %s %#v on %v: %#v (%v), want %#v (%v)", e.L, op, e.R, row, got, gotErr, want, wantErr)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -82,20 +82,50 @@ func RewriteAggregates(e Expr, slotOf func(*FuncCall) int) Expr {
 }
 
 // Aggregator accumulates one aggregate function incrementally; used by
-// both engines and by the TAG eager-aggregation path.
+// both engines and by the TAG eager-aggregation path. Its function is
+// resolved to an op code once, so observing a row compares no names,
+// and it is a plain value: callers may hold accumulators in slices and
+// copy a fresh one from a template (a DISTINCT one makes its set on
+// first use).
 type Aggregator struct {
 	fn       *FuncCall
+	op       aggOp
+	flags    byte // aggStar, aggDistinct: the wire's flags byte
 	count    int64
 	sum      exactSum
 	min, max relation.Value
 	distinct map[relation.Ident]struct{} // DISTINCT: the observed keys
 }
 
+// aggOp is an Aggregator's function; aggOther is a name no aggregate
+// has, which counts rows and answers NULL.
+type aggOp uint8
+
+const (
+	aggOther aggOp = iota
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+const (
+	aggStar     = 1 << iota // COUNT(*): NULLs count too
+	aggDistinct             // fold the distinct values in Result
+)
+
+// aggOps maps the aggregate names to their op codes.
+var aggOps = map[string]aggOp{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
+
 // NewAggregator prepares an accumulator for fn.
 func NewAggregator(fn *FuncCall) *Aggregator {
-	a := &Aggregator{fn: fn, min: relation.Null, max: relation.Null}
+	a := &Aggregator{fn: fn, op: aggOps[fn.Name]}
+	if fn.Star {
+		a.flags |= aggStar
+	}
 	if fn.Distinct {
-		a.distinct = make(map[relation.Ident]struct{})
+		a.flags |= aggDistinct
 	}
 	return a
 }
@@ -104,25 +134,35 @@ func NewAggregator(fn *FuncCall) *Aggregator {
 // COUNT(*), where any value counts the row). DISTINCT aggregates defer
 // folding to Result so that partial accumulators remain mergeable.
 func (a *Aggregator) Observe(v relation.Value) {
-	if !a.fn.Star && v.IsNull() {
+	if v.Kind == relation.KindNull && a.flags&aggStar == 0 {
 		return // SQL aggregates skip NULLs
 	}
-	if a.distinct != nil {
+	if a.flags&aggDistinct != 0 {
+		if a.distinct == nil {
+			a.distinct = make(map[relation.Ident]struct{})
+		}
 		a.distinct[v.Ident()] = struct{}{}
 		return
 	}
-	a.observeRaw(v)
+	a.observeRaw(&v)
 }
 
-func (a *Aggregator) observeRaw(v relation.Value) {
+// observeRaw folds *v. It takes a pointer: a relation.Value is too
+// large to travel in registers, and a whole copy of one just stored
+// field by field stalls.
+func (a *Aggregator) observeRaw(v *relation.Value) {
 	a.count++
-	switch {
-	case a.fn.Name == "SUM" || a.fn.Name == "AVG":
+	switch a.op {
+	case aggSum, aggAvg:
 		a.sum.add(v)
-	case a.fn.Name == "MIN" && (a.min.IsNull() || v.Compare(a.min) < 0):
-		a.min = v
-	case a.fn.Name == "MAX" && (a.max.IsNull() || v.Compare(a.max) > 0):
-		a.max = v
+	case aggMin:
+		if a.min.IsNull() || v.Compare(a.min) < 0 {
+			a.min = *v
+		}
+	case aggMax:
+		if a.max.IsNull() || v.Compare(a.max) > 0 {
+			a.max = *v
+		}
 	}
 }
 
@@ -131,7 +171,10 @@ func (a *Aggregator) observeRaw(v relation.Value) {
 // unioned). Every merge is exact, so any order or grouping of merges
 // over the same observations gives the same Result bits.
 func (a *Aggregator) Merge(b *Aggregator) {
-	if a.distinct != nil {
+	if a.flags&aggDistinct != 0 {
+		if len(b.distinct) > 0 && a.distinct == nil {
+			a.distinct = make(map[relation.Ident]struct{}, len(b.distinct))
+		}
 		maps.Copy(a.distinct, b.distinct)
 		return
 	}
@@ -149,17 +192,18 @@ func (a *Aggregator) Merge(b *Aggregator) {
 // INTs were observed; a float SUM is the exact sum rounded once, and
 // AVG is that sum over the count.
 func (a *Aggregator) Result() relation.Value {
-	if a.distinct != nil {
-		fold := NewAggregator(&FuncCall{Name: a.fn.Name, Star: a.fn.Star})
+	if a.flags&aggDistinct != 0 {
+		fold := Aggregator{fn: a.fn, op: a.op, flags: a.flags &^ aggDistinct}
 		for id := range a.distinct {
-			fold.observeRaw(id.Value())
+			v := id.Value()
+			fold.observeRaw(&v)
 		}
 		return fold.Result()
 	}
-	switch a.fn.Name {
-	case "COUNT":
+	switch a.op {
+	case aggCount:
 		return relation.Int(a.count)
-	case "SUM":
+	case aggSum:
 		switch {
 		case a.count == 0:
 			return relation.Null
@@ -167,14 +211,14 @@ func (a *Aggregator) Result() relation.Value {
 			return relation.Int(a.sum.i)
 		}
 		return relation.Float(a.sum.float())
-	case "AVG":
+	case aggAvg:
 		if a.count == 0 {
 			return relation.Null
 		}
 		return relation.Float(a.sum.float() / float64(a.count))
-	case "MIN":
+	case aggMin:
 		return a.min
-	case "MAX":
+	case aggMax:
 		return a.max
 	}
 	return relation.Null

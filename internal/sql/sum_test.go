@@ -16,8 +16,14 @@ import (
 // randomObservations draws one multiset of SUM/AVG inputs mixing a few
 // regimes: money-like decimals, normals, Ldexp across ±1000 exponents,
 // signed zeros, infinities and NaN, ±1e308-scale values (which overflow
-// any float64 running sum) and INTs near ±2^63 (which wrap).
+// any float64 running sum), INTs near ±2^63 (which wrap), and the fixed
+// lane's edges (sum.go): a lowest set bit at 2^-64 (inside the lane) or
+// 2^-65 (outside), a top bit at 2^62 (inside) or 2^63 (outside), runs of
+// one sign just under 2^63 whose total overflows the lane, and
+// subnormals.
 func randomObservations(rng *rand.Rand) []relation.Value {
+	mant := func() float64 { return float64(rng.Int63n(1<<52) | 1<<52 | 1) } // 53 bits, the last set
+	sign := float64(1 - 2*rng.Intn(2))                                       // the overflowing runs' sign
 	regimes := []func() relation.Value{
 		func() relation.Value { return relation.Float(float64(rng.Int63n(2e9)-1e9) / 100) },
 		func() relation.Value {
@@ -35,6 +41,14 @@ func randomObservations(rng *rand.Rand) []relation.Value {
 				return relation.Int(math.MaxInt64 - rng.Int63n(1<<20))
 			}
 			return relation.Int(math.MinInt64 + rng.Int63n(1<<20))
+		},
+		func() relation.Value {
+			x := math.Ldexp(mant(), []int{-64, -65, 62 - 52, 63 - 52}[rng.Intn(4)])
+			return relation.Float(x * float64(1-2*rng.Intn(2)))
+		},
+		func() relation.Value { return relation.Float(sign * math.Ldexp(mant(), 62-52)) },
+		func() relation.Value {
+			return relation.Float(math.Float64frombits(rng.Uint64() & (1<<63 | 1<<52 - 1)))
 		},
 	}
 	var mix []func() relation.Value
@@ -144,7 +158,7 @@ func wireHop(t testing.TB, a *Aggregator) *Aggregator {
 	if err := d.Finish(); err != nil {
 		t.Fatalf("decode %x: trailing bytes", b)
 	}
-	return out
+	return &out
 }
 
 func sameBits(a, b relation.Value) bool {
@@ -253,13 +267,69 @@ func FuzzDecodeAggregator(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded accumulator does not re-encode: %v", err)
 		}
-		again := wireHop(t, a)
+		again := wireHop(t, &a)
 		got, err := again.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, canon) {
 			t.Fatalf("re-encoding is not a fixpoint:\n got %x\nwant %x", got, canon)
+		}
+	})
+}
+
+// FuzzExactSum holds SUM and AVG over raw float64 bit patterns, eight
+// bytes an observation, to referenceSum: on one accumulator, and over a
+// random merge tree with wire hops (mergeTree, drawn from seed), which
+// must also encode to the one accumulator's bytes.
+func FuzzExactSum(f *testing.F) {
+	floats := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	near63 := math.Ldexp(1<<53-1, 63-53)
+	f.Add(floats(0x1p-64, -0x1p-64, 0x1p-65, 3*0x1p-65), int64(1))
+	f.Add(floats(near63, near63, near63, -0x1p-64), int64(2))
+	f.Add(floats(-near63, -near63, 0x1p63, -0x1p62), int64(3))
+	f.Add(floats(math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0x1p-1022, 0.1), int64(4))
+	f.Add(floats(math.Inf(1), 12345.67, math.NaN(), 0), int64(5))
+	f.Add(floats(math.Inf(-1), 1e308, 1e308, -1e-300, 9007199254740993), int64(6))
+	f.Add(floats(0.1, 0.2, 0.3, -0.6, 1e16, -1e16), int64(7))
+	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
+		var obs []relation.Value
+		for ; len(raw) >= 8 && len(obs) < 32; raw = raw[8:] {
+			obs = append(obs, relation.Float(math.Float64frombits(binary.LittleEndian.Uint64(raw))))
+		}
+		if len(obs) == 0 {
+			return
+		}
+		wantSum, wantAvg := referenceSum(obs)
+		rng := rand.New(rand.NewSource(seed))
+		for _, fn := range []*FuncCall{{Name: "SUM"}, {Name: "AVG"}} {
+			want := wantSum
+			if fn.Name == "AVG" {
+				want = wantAvg
+			}
+			one := NewAggregator(fn)
+			for _, v := range obs {
+				one.Observe(v)
+			}
+			canon, err := one.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := mergeTree(t, rng, fn, obs)
+			for _, a := range []*Aggregator{one, tree} {
+				if got := a.Result(); !sameBits(got, want) {
+					t.Fatalf("%s%v = %v (%x), want %v (%x)", fn.Name, obs, got, math.Float64bits(got.F), want, math.Float64bits(want.F))
+				}
+			}
+			if b, err := tree.AppendBinary(nil); err != nil || !bytes.Equal(b, canon) {
+				t.Fatalf("%s%v: a merge tree encodes %x (%v), one accumulator %x", fn.Name, obs, b, err, canon)
+			}
 		}
 	})
 }

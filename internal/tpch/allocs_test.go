@@ -49,9 +49,14 @@ func TestTPCHAllocsPerQuery(t *testing.T) {
 	// midway between the count before every uncorrelated subquery ran
 	// once as a constant and an IN over one settled into a list of
 	// literals, and the count after (q18 1,474 -> 1,390; q20 1,058 ->
-	// 856; q21 1,576 -> 1,469; q22 372 -> 315).
+	// 856; q21 1,576 -> 1,469; q22 372 -> 315). q1, q13 and q18, the
+	// counts that moved by a tenth or more, then sit midway between the
+	// count before groups held their accumulators by value, carved from
+	// the observer's chunks, and a target adopted its first message as
+	// its merge, and the count after (q1 302 -> 172; q13 298 -> 257;
+	// q18 1,390 -> 632).
 	ceilings := map[string]float64{
-		"q1":  500,
+		"q1":  237,
 		"q2":  655,
 		"q3":  470,
 		"q4":  721,
@@ -63,11 +68,11 @@ func TestTPCHAllocsPerQuery(t *testing.T) {
 		"q10": 581,
 		"q11": 284,
 		"q12": 481,
-		"q13": 471,
+		"q13": 278,
 		"q14": 850,
 		"q15": 935,
 		"q17": 475,
-		"q18": 1432,
+		"q18": 1011,
 		"q19": 5500,
 		"q20": 957,
 		"q21": 1522,
